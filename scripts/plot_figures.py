@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Render the study figures from the aggregate CSVs.
 
-Reads the <name>_agg.csv files produced by scripts/reproduce_all.py (or
-`ghive reproduce`) and writes one PNG per experiment next to them. The
-coverage experiment has no figure; its table prints to stdout instead.
+Reads the <name>_agg.csv files produced by `ghive reproduce all` (or by
+single `ghive reproduce <name>` runs) and writes one PNG per experiment next
+to them. The coverage experiment has no figure; its table prints to stdout
+instead.
 
 Requires matplotlib, which the package itself does not depend on:
     pip install matplotlib

@@ -4,9 +4,11 @@ Subcommands:
 
 * ``ghive fit``          fit the pipeline to CSV data, write a fit JSON
 * ``ghive infer``        confidence interval for a contrast of a saved fit
-* ``ghive simulate``     draw synthetic replicates and score estimators
+* ``ghive simulate``     score the estimators on synthetic replicates of one
+                         config: a one-point run of the study harness, with
+                         the error experiments' seeds and CSVs
 * ``ghive fstar-oracle`` Monte-Carlo pseudo-true coefficient matrix
-* ``ghive reproduce``    run one of the named simulation-study experiments
+* ``ghive reproduce``    run one named simulation-study experiment, or ``all``
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or validation error.
 Set GHIVE_THREADS to parallelise experiment replications.
@@ -22,19 +24,13 @@ import sys
 import numpy as np
 
 from . import experiments as experiments_mod
-from .data_io import (
-    load_dataset,
-    load_matrix_csv,
-    read_json,
-    write_csv_rows,
-    write_json_atomic,
-)
+from .data_io import load_dataset, load_matrix_csv, read_json, write_json_atomic
 from .errors import DataValidationError, GhiveError, NumericalError
 from .families import family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
 from .pipeline import Mode, deserialize_fit, ghive_fit, serialize_fit
-from .qml import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_naive_mle
-from .simulate import SimConfig, fstar_oracle, make_truth, metrics, sample_dataset
+from .qml import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .simulate import SimConfig, fstar_oracle, make_truth, metrics
 
 DEFAULT_SEED = 0  # used by `fit` when --seed is not given
 
@@ -182,35 +178,16 @@ def cmd_infer(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _sim_config_from_args(args, reps=args.reps)
-    family = family_from_name(cfg.family)
-    truth = make_truth(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for rep in range(cfg.reps):
-        rep_seed = cfg.seed ^ rep
-        data = sample_dataset(truth, cfg, rep_seed=rep_seed)
-        fit = ghive_fit(data, family, seed=rep_seed)
-        naive = fit_naive_mle(data, family)
-        for estimator, met in (
-            ("data-driven", metrics(fit.theta_hat, truth, p_perp_hat=fit.spectral.p_perp)),
-            ("naive-mle", metrics(naive.values, truth)),
-        ):
-            for metric, value in met.as_rows().items():
-                rows.append(
-                    {"rep": rep, "estimator": estimator, "metric": metric, "value": value}
-                )
-        rows.append(
-            {
-                "rep": rep,
-                "estimator": "data-driven",
-                "metric": "k_hat",
-                "value": float(fit.spectral.k_hat),
-            }
-        )
-    metrics_path = os.path.join(args.out, "simulate_metrics.csv")
-    write_csv_rows(metrics_path, ("rep", "estimator", "metric", "value"), rows)
+    spec = experiments_mod.ExperimentSpec(
+        name="simulate",
+        grid=(cfg,),
+        estimators=experiments_mod.ERROR_ESTIMATORS,
+        reps=cfg.reps,
+        seed=cfg.seed,
+    )
+    result = experiments_mod.run_experiment(spec, out_dir=args.out)
     write_json_atomic(os.path.join(args.out, "simulate_config.json"), cfg.to_json_dict())
-    print(f"wrote {metrics_path} ({cfg.reps} replicates)")
+    print(f"wrote {result.long_path} and {result.agg_path} ({cfg.reps} replicates)")
     return 0
 
 
@@ -236,19 +213,23 @@ def cmd_fstar_oracle(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    spec = experiments_mod.experiment_spec(
-        args.experiment, reps=args.reps, seed=args.seed, full_scale=args.full_scale
-    )
-    result = experiments_mod.run_experiment(spec, out_dir=args.out)
-    print(f"wrote {result.long_path}")
-    print(f"wrote {result.agg_path}")
-    for row in result.agg_rows:
-        if row["metric"] in ("frob_err", "bias1", "bias2", "covered"):
-            print(
-                f"  {row['estimator']:<13s} {row['metric']:<10s} "
-                f"n={row['n']} p={row['p']} M={row['m_dim']} eta={row['eta']}: "
-                f"{row['mean']:.4g}"
-            )
+    names = (args.experiment,)
+    if args.experiment == "all":
+        names = experiments_mod.EXPERIMENT_NAMES
+    for name in names:
+        spec = experiments_mod.experiment_spec(
+            name, reps=args.reps, seed=args.seed, full_scale=args.full_scale
+        )
+        result = experiments_mod.run_experiment(spec, out_dir=args.out)
+        print(f"wrote {result.long_path}")
+        print(f"wrote {result.agg_path}")
+        for row in result.agg_rows:
+            if row["metric"] in ("frob_err", "bias1", "bias2", "covered"):
+                print(
+                    f"  {row['estimator']:<13s} {row['metric']:<10s} "
+                    f"n={row['n']} p={row['p']} M={row['m_dim']} eta={row['eta']}: "
+                    f"{row['mean']:.4g}"
+                )
     return 0
 
 
@@ -309,10 +290,17 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--out", required=True, help="output JSON path")
     oracle.set_defaults(func=cmd_fstar_oracle)
 
-    rep = sub.add_parser("reproduce", help="run a named simulation-study experiment")
-    rep.add_argument("experiment", choices=experiments_mod.EXPERIMENT_NAMES)
+    rep = sub.add_parser(
+        "reproduce", help="run a named simulation-study experiment, or all of them"
+    )
+    rep.add_argument("experiment", choices=experiments_mod.EXPERIMENT_NAMES + ("all",))
     rep.add_argument("--reps", type=int, default=None)
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="experiment seed (default: each experiment's own, 15 for table1, else 0)",
+    )
     rep.add_argument("--out", required=True, help="output directory")
     rep.add_argument(
         "--full-scale",

@@ -63,11 +63,6 @@ class Dataset:
         return self.y.shape[1]
 
 
-def validate_for_family(data: Dataset, family: GlmFamily) -> None:
-    """Family-specific response checks (binary for bernoulli, etc.)."""
-    validate_response(family, data.y)
-
-
 @dataclass
 class CsvTable:
     """A parsed numeric CSV: optional header names plus a float matrix."""
@@ -139,7 +134,7 @@ def load_dataset(x_path, y_path, family: GlmFamily, center: bool = False) -> Dat
     if center:
         x = standardize_columns(x)
     data = Dataset(x, y)
-    validate_for_family(data, family)
+    validate_response(family, data.y)
     return data
 
 

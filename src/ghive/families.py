@@ -46,7 +46,6 @@ class GlmFamily:
     """A canonical-link exponential family with fixed unit dispersion."""
 
     kind: str
-    dispersion: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _FAMILY_NAMES:

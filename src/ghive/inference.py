@@ -91,8 +91,6 @@ class GMatrices:
 
     matrices: np.ndarray  # (M, p, p)
     regularized: np.ndarray  # (M,) bool, True where a diagonal bump was added
-    min_eig: np.ndarray
-    max_eig: np.ndarray
 
 
 def g_matrices(data: Dataset, family: GlmFamily, coef_values: np.ndarray) -> GMatrices:
@@ -108,8 +106,6 @@ def g_matrices(data: Dataset, family: GlmFamily, coef_values: np.ndarray) -> GMa
     p = x.shape[1]
     mats = np.zeros((m_dim, p, p))
     regularized = np.zeros(m_dim, dtype=bool)
-    min_eig = np.zeros(m_dim)
-    max_eig = np.zeros(m_dim)
     eta = x @ coef_values.T
     for m in range(m_dim):
         w = quasi_hessian_weight(
@@ -118,28 +114,25 @@ def g_matrices(data: Dataset, family: GlmFamily, coef_values: np.ndarray) -> GMa
         g = weighted_gram(x, w) / n
         g = 0.5 * (g + g.T)
         eigs = np.linalg.eigvalsh(g)
-        min_eig[m], max_eig[m] = float(eigs[0]), float(eigs[-1])
         if eigs[0] < _G_EIG_RTOL * max(1.0, eigs[-1]):
             delta = 1e-8 * (1.0 + abs(eigs[0]))
             g = g + delta * np.eye(p)
             regularized[m] = True
         mats[m] = g
-    return GMatrices(mats, regularized, min_eig, max_eig)
+    return GMatrices(mats, regularized)
 
 
 @dataclass
 class VarianceEstimate:
     """Accumulated influence scale for one contrast.
 
-    s_sq is the raw sum of squared projected influence terms. ``rms`` is
-    ``sqrt(s_sq / n)``, the root-mean-square of the projected influence
-    terms; ``se`` is the value used for interval half-widths (see
-    variance_estimate for the pinned convention).
+    s_sq is the raw sum of squared projected influence terms; ``se`` is the
+    value used for interval half-widths (see variance_estimate for the
+    pinned convention).
     """
 
     s_sq: float
     se: float
-    rms: float
     n: int
     g: GMatrices
 
@@ -170,7 +163,8 @@ def variance_estimate(
 ) -> VarianceEstimate:
     """Accumulate s_sq = sum_i (u' p_perp h_i)^2 and derive the se.
 
-    Convention: se = rms = sqrt(s_sq / n), giving the interval rule
+    Convention: se = sqrt(s_sq / n), the root-mean-square of the projected
+    influence terms, giving the interval rule
     ``u' theta_hat v +- quantile * sqrt(s_sq / n)``. Of the candidate
     normalisations of s_sq this is the only one whose intervals attain
     nominal coverage in the simulation study; see README for the
@@ -192,9 +186,7 @@ def variance_estimate(
     h, g = influence_terms(data, family, fit.f_hat.values, contrast.v)
     projected = h @ (fit.spectral.p_perp @ contrast.u)
     s_sq = float(projected @ projected)
-    rms = float(np.sqrt(s_sq / data.n))
-    se = rms
-    return VarianceEstimate(s_sq=s_sq, se=se, rms=rms, n=data.n, g=g)
+    return VarianceEstimate(s_sq=s_sq, se=float(np.sqrt(s_sq / data.n)), n=data.n, g=g)
 
 
 @dataclass

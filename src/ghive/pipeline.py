@@ -15,14 +15,14 @@ so a data-driven fit can be cheaply re-projected under an oracle mode via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral
-from .data_io import Dataset, matrix_from_json, matrix_to_json, validate_for_family
+from .data_io import Dataset, matrix_from_json, matrix_to_json
 from .errors import DataValidationError
-from .families import GlmFamily, family_from_name
+from .families import GlmFamily, family_from_name, validate_response
 from .qml import (
     DEFAULT_MAX_ITER,
     DEFAULT_RADIUS,
@@ -101,7 +101,6 @@ def _build_spectral(sigma, eigvals, eigvecs, mode, n) -> spectral.SpectralResult
             eigvals=eigvals,
             eigvecs=eigvecs,
             k_hat=None,
-            v_k=None,
             p_perp=mode.projector.copy(),
         )
     if mode.kind == ORACLE_K:
@@ -117,7 +116,6 @@ def _build_spectral(sigma, eigvals, eigvecs, mode, n) -> spectral.SpectralResult
         eigvals=eigvals,
         eigvecs=eigvecs,
         k_hat=k,
-        v_k=eigvecs[:, :k].copy(),
         p_perp=spectral.projector_complement(eigvecs, k),
     )
 
@@ -152,7 +150,7 @@ def ghive_fit(
     bit for bit; the split seed is the only source of randomness.
     """
     mode = mode or Mode.data_driven()
-    validate_for_family(data, family)
+    validate_response(family, data.y)
     split = make_split(data.n, seed)
     coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split, tol, max_iter, radius)
     resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
@@ -183,28 +181,9 @@ def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
     Reuses the fold fits and residual covariance, so oracle variants of a
     data-driven fit cost one eigenvector slice and a matrix product.
     """
-    spec = _build_spectral(
-        fit.spectral.sigma_hat,
-        fit.spectral.eigvals,
-        fit.spectral.eigvecs,
-        mode,
-        fit.n,
-    )
-    return GhiveFit(
-        family=fit.family,
-        n=fit.n,
-        p=fit.p,
-        m_dim=fit.m_dim,
-        seed=fit.seed,
-        tol=fit.tol,
-        max_iter=fit.max_iter,
-        mode=mode,
-        split=fit.split,
-        f_hat=fit.f_hat,
-        theta_hat=spec.p_perp @ fit.f_hat.values,
-        spectral=spec,
-        diagnostics=fit.diagnostics,
-    )
+    old = fit.spectral
+    spec = _build_spectral(old.sigma_hat, old.eigvals, old.eigvecs, mode, fit.n)
+    return replace(fit, mode=mode, theta_hat=spec.p_perp @ fit.f_hat.values, spectral=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +216,34 @@ def serialize_fit(fit: GhiveFit) -> dict:
         "p_perp": matrix_to_json(fit.spectral.p_perp),
         "diagnostics": fit.diagnostics,
     }
+
+
+def _fold_diagnostics(diagnostics, m_dim: int):
+    """Per-response (converged, grad_norm) of the fold-averaged fit.
+
+    Records are matched by their (response, fold) key, never by list
+    position; each of the 2M pairs must appear exactly once. A response is
+    converged only when both of its fold fits are, and reports the larger
+    of the two gradient norms.
+    """
+    try:
+        keyed = {
+            (d["response"], d["fold"]): (bool(d["converged"]), float(d["grad_norm"]))
+            for d in diagnostics
+        }
+    except (TypeError, KeyError, ValueError):
+        raise DataValidationError(
+            "fit diagnostics records need response, fold, converged and grad_norm"
+        )
+    pairs = [(m, fold) for m in range(m_dim) for fold in ("d1", "d2")]
+    if len(diagnostics) != len(pairs) or set(keyed) != set(pairs):
+        raise DataValidationError(
+            f"fit diagnostics must hold exactly one record per (response, fold) "
+            f"pair for M={m_dim} responses, got {len(diagnostics)} records"
+        )
+    # records[m, fold] = (converged, grad_norm)
+    records = np.array([keyed[pair] for pair in pairs], dtype=float).reshape(m_dim, 2, 2)
+    return records[:, :, 0].all(axis=1), records[:, :, 1].max(axis=1)
 
 
 def deserialize_fit(doc: dict) -> GhiveFit:
@@ -289,20 +296,9 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         eigvals=eigvals,
         eigvecs=eigvecs,
         k_hat=k_hat,
-        v_k=None if k_hat is None else eigvecs[:, :k_hat].copy(),
         p_perp=p_perp,
     )
-    # diagnostics hold the two per-fold records for each response; the
-    # averaged coefficient matrix is marked converged only when both are
-    if len(diagnostics) == 2 * m_dim:
-        conv1 = np.asarray([d["converged"] for d in diagnostics[:m_dim]], dtype=bool)
-        conv2 = np.asarray([d["converged"] for d in diagnostics[m_dim:]], dtype=bool)
-        gn1 = np.asarray([d["grad_norm"] for d in diagnostics[:m_dim]], dtype=float)
-        gn2 = np.asarray([d["grad_norm"] for d in diagnostics[m_dim:]], dtype=float)
-        converged, grad_norm = conv1 & conv2, np.maximum(gn1, gn2)
-    else:
-        converged, grad_norm = np.ones(m_dim, dtype=bool), np.zeros(m_dim)
-    coef = CoefMatrix(values=f_hat, converged=converged, grad_norm=grad_norm)
+    coef = CoefMatrix(f_hat, *_fold_diagnostics(diagnostics, m_dim))
     return GhiveFit(
         family=family,
         n=n,

@@ -266,11 +266,13 @@ def fit_naive_mle(
     ball as the quasi-likelihood fits applies (separation sends the MLE to
     infinity just the same).
     """
-    x, y = data.x, data.y
-    return _fit_matrix(x, y, family, tol, max_iter, kind="loglik", warm=False, radius=radius)
+    return _fit_matrix(data.x, data.y, family, tol, max_iter, kind="loglik", radius=radius)
 
 
-def _fit_matrix(x, y, family, tol, max_iter, kind, warm, radius=DEFAULT_RADIUS) -> CoefMatrix:
+def _fit_matrix(x, y, family, tol, max_iter, kind, radius=DEFAULT_RADIUS) -> CoefMatrix:
+    """Fit every response column: ``kind="loglik"`` is the naive MLE from
+    zero; ``kind="quasi"`` maximises the quasi-likelihood from both zero and
+    that MLE."""
     n, p = x.shape
     m_dim = y.shape[1]
     values = np.zeros((m_dim, p))
@@ -279,14 +281,9 @@ def _fit_matrix(x, y, family, tol, max_iter, kind, warm, radius=DEFAULT_RADIUS) 
     zero = np.zeros(p)
     for m in range(m_dim):
         col = y[:, m]
-        if kind == "loglik":
-            fit = _newton_ascent(x, col, family, zero, tol, max_iter, "loglik", radius)
-        else:
-            starts = [zero]
-            if warm:
-                mle = _newton_ascent(x, col, family, zero, tol, max_iter, "loglik", radius)
-                starts.append(mle.f_hat)
-            fit = fit_qml_one(x, col, family, starts, tol, max_iter, radius)
+        fit = _newton_ascent(x, col, family, zero, tol, max_iter, "loglik", radius)
+        if kind == "quasi":
+            fit = fit_qml_one(x, col, family, [zero, fit.f_hat], tol, max_iter, radius)
         values[m] = fit.f_hat
         converged[m] = fit.converged
         grad_norm[m] = fit.grad_norm
@@ -323,9 +320,7 @@ def fit_qml_all(
                 "columns; too few observations to fit"
             )
         fold_fits.append(
-            _fit_matrix(
-                x[idx], y[idx], family, tol, max_iter, kind="quasi", warm=True, radius=radius
-            )
+            _fit_matrix(x[idx], y[idx], family, tol, max_iter, kind="quasi", radius=radius)
         )
     fit1, fit2 = fold_fits
     avg = CoefMatrix(

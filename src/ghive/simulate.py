@@ -22,7 +22,7 @@ quasi-likelihood fit) has no closed form outside the gaussian family, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -86,29 +86,17 @@ class SimConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "m_dim": self.m_dim,
-            "k": self.k,
-            "eta": self.eta,
-            "family": self.family,
-            "seed": self.seed,
-            "reps": self.reps,
-            "sigma_z_decay": self.sigma_z_decay,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimConfig":
-        required = {"n", "p", "m_dim", "k", "eta"}
+        known = {f.name for f in fields(SimConfig)}
+        required = {f.name for f in fields(SimConfig) if f.default is MISSING}
         missing = required - set(doc)
         if missing:
             raise DataValidationError(
                 f"simulation config is missing fields: {sorted(missing)}"
             )
-        known = {
-            "n", "p", "m_dim", "k", "eta", "family", "seed", "reps", "sigma_z_decay",
-        }
         unknown = set(doc) - known
         if unknown:
             raise DataValidationError(
@@ -241,7 +229,7 @@ def fstar_oracle(
         family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    return _fit_matrix(ds.x, ds.y, family, tol, max_iter, kind="quasi", warm=True)
+    return _fit_matrix(ds.x, ds.y, family, tol, max_iter, kind="quasi")
 
 
 def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:
@@ -261,27 +249,15 @@ class MetricSet:
     """Evaluation metrics for one fitted replicate.
 
     frob_err is the figure-caption error ``||theta_hat - theta||_F^2 /
-    sqrt(p M)``; rmse_per_response is the un-squared ``||theta_hat -
-    theta||_F / sqrt(M)``. bias1 and bias2 measure the unprojected and
-    projected approximation bias of the pseudo-true matrix, and proj_err the
-    projector estimation error, all in Frobenius norm.
+    sqrt(p M)``. bias1 and bias2 measure the unprojected and projected
+    approximation bias of the pseudo-true matrix, and proj_err the projector
+    estimation error, all in Frobenius norm.
     """
 
     frob_err: Optional[float] = None
-    rmse_per_response: Optional[float] = None
     bias1: Optional[float] = None
     bias2: Optional[float] = None
     proj_err: Optional[float] = None
-    extra: dict = field(default_factory=dict)
-
-    def as_rows(self) -> dict:
-        out = {}
-        for name in ("frob_err", "rmse_per_response", "bias1", "bias2", "proj_err"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = float(value)
-        out.update(self.extra)
-        return out
 
 
 def metrics(
@@ -300,9 +276,7 @@ def metrics(
     m_dim, p = truth.theta.shape
     if theta_hat is not None:
         diff = np.asarray(theta_hat, dtype=float) - truth.theta
-        frob = float(np.linalg.norm(diff))
-        out.frob_err = frob**2 / np.sqrt(p * m_dim)
-        out.rmse_per_response = frob / np.sqrt(m_dim)
+        out.frob_err = float(np.linalg.norm(diff)) ** 2 / np.sqrt(p * m_dim)
     if f_star is not None:
         fs = f_star.values if isinstance(f_star, CoefMatrix) else np.asarray(f_star)
         out.bias1 = float(np.linalg.norm(fs - truth.theta)) / np.sqrt(m_dim)

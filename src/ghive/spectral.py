@@ -27,54 +27,37 @@ _RATIO_FLOOR = 1e-300
 
 
 @dataclass
-class ResidualMatrix:
-    """Out-of-fold weighted residuals (n x M).
-
-    ``produced_by[i]`` records which fold's coefficients generated row i
-    (1 means the row lives in fold 2 and was evaluated with the fold-1 fit).
-    """
-
-    values: np.ndarray
-    produced_by: np.ndarray
-
-
-@dataclass
 class SpectralResult:
     sigma_hat: np.ndarray  # (M, M) cross-fitted residual covariance
     eigvals: np.ndarray  # all M eigenvalues, non-increasing
     eigvecs: np.ndarray  # orthonormal columns aligned with eigvals
     k_hat: int | None  # selected factor count (None in oracle-projector mode)
-    v_k: np.ndarray | None  # leading k_hat eigenvectors
     p_perp: np.ndarray  # (M, M) complement projector applied to coefficients
 
 
 def crossfit_residuals(
     data, family: GlmFamily, coef_d1: CoefMatrix, coef_d2: CoefMatrix, split: SplitPlan
-) -> ResidualMatrix:
-    """Weighted residuals where each row uses the opposite fold's fit."""
+) -> np.ndarray:
+    """Weighted residuals (n x M) where each row uses the opposite fold's fit:
+    fold-2 rows are scored with the fold-1 coefficients and vice versa."""
     n, m_dim = data.y.shape
     if split.n != n:
         raise DataValidationError(
             f"split was built for n={split.n} but data has n={n} rows"
         )
     values = np.zeros((n, m_dim))
-    produced_by = np.zeros(n, dtype=int)
-    for rows, coef, producer in (
-        (split.d2, coef_d1, 1),
-        (split.d1, coef_d2, 2),
-    ):
+    for rows, coef in ((split.d2, coef_d1), (split.d1, coef_d2)):
         eta = data.x[rows] @ coef.values.T
         values[rows] = weighted_residual(
             family, data.y[rows], eta, floor=families.RESIDUAL_CURVATURE_FLOOR
         )
-        produced_by[rows] = producer
-    return ResidualMatrix(values=values, produced_by=produced_by)
+    return values
 
 
-def covariance_crossfit(resid: ResidualMatrix, split: SplitPlan) -> np.ndarray:
+def covariance_crossfit(resid: np.ndarray, split: SplitPlan) -> np.ndarray:
     """Average of the two per-fold residual second-moment matrices."""
-    e1 = resid.values[split.d1]
-    e2 = resid.values[split.d2]
+    e1 = resid[split.d1]
+    e2 = resid[split.d2]
     sigma = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
     return 0.5 * (sigma + sigma.T)
 

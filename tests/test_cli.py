@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import small_sim_dataset
+from ghive import experiments
 from ghive.cli import main
 from ghive.data_io import save_matrix_csv
+from ghive.experiments import (
+    DEFAULT_SEEDS,
+    ERROR_ESTIMATORS,
+    EXPERIMENT_NAMES,
+    ExperimentResult,
+    ExperimentSpec,
+    run_experiment,
+)
 from ghive.simulate import SimConfig
 
 
@@ -164,19 +173,33 @@ def test_direction_vectors_can_come_from_files(tmp_path, csv_data):
     assert ci["estimate"] == pytest.approx(fit_doc["theta_hat"]["data"][0][1])
 
 
+SIMULATE_ARGS = ["simulate", "--family", "bernoulli", "--n", "30", "--p", "3",
+                 "--m", "3", "--k-true", "2", "--eta", "2", "--reps", "2",
+                 "--seed", "4"]
+
+
 def test_simulate_writes_reproducible_artifacts(tmp_path):
-    args = ["simulate", "--family", "bernoulli", "--n", "30", "--p", "3",
-            "--m", "3", "--k-true", "2", "--eta", "2", "--reps", "2",
-            "--seed", "4"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(d1)]) == 0
-    assert main(args + ["--out", str(d2)]) == 0
-    metrics1 = (d1 / "simulate_metrics.csv").read_bytes()
-    assert metrics1 == (d2 / "simulate_metrics.csv").read_bytes()
-    assert b"frob_err" in metrics1
+    assert main(SIMULATE_ARGS + ["--out", str(d1)]) == 0
+    assert main(SIMULATE_ARGS + ["--out", str(d2)]) == 0
+    metrics1 = (d1 / "simulate_long.csv").read_bytes()
+    assert metrics1 == (d2 / "simulate_long.csv").read_bytes()
+    assert b"frob_err" in metrics1 and b"proj_err" in metrics1
+    assert (d1 / "simulate_agg.csv").read_bytes() == (d2 / "simulate_agg.csv").read_bytes()
     cfg_doc = json.loads((d1 / "simulate_config.json").read_text())
     cfg = SimConfig.from_json_dict(cfg_doc)
     assert cfg.n == 30 and cfg.reps == 2 and cfg.family == "bernoulli"
+
+
+def test_simulate_is_a_one_point_experiment(tmp_path):
+    assert main(SIMULATE_ARGS + ["--out", str(tmp_path / "cli")]) == 0
+    cfg = SimConfig(n=30, p=3, m_dim=3, k=2, eta=2.0, family="bernoulli", seed=4, reps=2)
+    spec = ExperimentSpec(
+        name="simulate", grid=(cfg,), estimators=ERROR_ESTIMATORS, reps=2, seed=4
+    )
+    run_experiment(spec, out_dir=tmp_path / "lib")
+    for name in ("simulate_long.csv", "simulate_agg.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_fstar_oracle_command_emits_the_bias_summary(tmp_path):
@@ -208,6 +231,22 @@ def test_reproduce_runs_a_named_experiment(tmp_path, capsys):
     assert (out / "fig2-m_agg.csv").exists()
     stdout = capsys.readouterr().out
     assert "naive-mle" in stdout and "frob_err" in stdout
+
+
+def test_reproduce_all_runs_every_experiment_in_order(tmp_path, monkeypatch):
+    calls = []
+
+    def record(spec, out_dir=None):
+        calls.append((spec.name, spec.seed))
+        return ExperimentResult(spec, [], [], "long.csv", "agg.csv")
+
+    monkeypatch.setattr(experiments, "run_experiment", record)
+    assert main(["reproduce", "all", "--out", str(tmp_path)]) == 0
+    assert calls == [(name, DEFAULT_SEEDS[name]) for name in EXPERIMENT_NAMES]
+    assert dict(calls)["table1"] == 15
+    calls.clear()
+    assert main(["reproduce", "all", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert calls == [(name, 3) for name in EXPERIMENT_NAMES]
 
 
 def test_unknown_experiment_name_is_an_argparse_error(tmp_path):

@@ -38,6 +38,9 @@ def test_experiment_catalog_grids():
     assert tuple(c.n for c in spec.grid) == (70,)
     full = experiment_spec("table1", full_scale=True)
     assert tuple(c.n for c in full.grid) == (40, 70)
+    assert experiment_spec("table1").seed == 15
+    assert experiment_spec("fig2-n").seed == 0
+    assert experiment_spec("table1", seed=0).seed == 0
     with pytest.raises(ValueError):
         experiment_spec("fig9")
     assert set(EXPERIMENT_NAMES) == {
@@ -121,6 +124,18 @@ def test_worker_count_env_parsing(monkeypatch):
     monkeypatch.setenv("GHIVE_THREADS", "zero")
     with pytest.warns(RuntimeWarning):
         assert worker_count() == 1
+
+
+def test_process_pool_rows_match_the_serial_run(monkeypatch):
+    # the replicate tasks are functools.partial objects that must pickle
+    specs = (_tiny_spec(), experiment_spec("table1", reps=2, seed=15))
+    monkeypatch.delenv("GHIVE_THREADS", raising=False)
+    serial = [run_experiment(spec).long_rows for spec in specs]
+    monkeypatch.setenv("GHIVE_THREADS", "2")
+    assert worker_count() == 2
+    pooled = [run_experiment(spec).long_rows for spec in specs]
+    assert pooled == serial
+    assert not any(row["failed"] for rows in serial for row in rows)
 
 
 def test_coverage_rows_have_interval_structure():

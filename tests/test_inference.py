@@ -114,7 +114,6 @@ def test_variance_estimate_se_is_root_mean_square():
     fit = ghive_fit(data, BERNOULLI, seed=1)
     c = basis_contrast(0, 0, data.m_dim, data.p)
     var = variance_estimate(data, BERNOULLI, fit, c)
-    assert var.se == var.rms
     assert var.se == pytest.approx(np.sqrt(var.s_sq / var.n))
     assert var.n == data.n
 

@@ -108,6 +108,44 @@ def test_deserialize_rejects_unknown_format_version(fitted):
         deserialize_fit(doc)
 
 
+def _diagnostics_doc(fit, failed):
+    """Serialized fit whose only unconverged fold fit is ``failed``."""
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    for i, record in enumerate(doc["diagnostics"]):
+        record["converged"] = (record["response"], record["fold"]) != failed
+        record["grad_norm"] = float(i)
+    return doc
+
+
+def test_fit_diagnostics_are_matched_by_key_not_position(fitted):
+    _, fit = fitted
+    doc = _diagnostics_doc(fit, failed=(0, "d1"))
+    expected = deserialize_fit(doc).f_hat
+    assert list(expected.converged) == [False] + [True] * (fit.m_dim - 1)
+    doc["diagnostics"].reverse()
+    jsonschema.validate(doc, _schema("fit_result.schema.json"))
+    back = deserialize_fit(doc).f_hat
+    assert np.array_equal(back.converged, expected.converged)
+    assert np.array_equal(back.grad_norm, expected.grad_norm)
+
+
+def test_fit_diagnostics_need_every_response_fold_pair_once(fitted):
+    _, fit = fitted
+    doc = _diagnostics_doc(fit, failed=None)
+    for record in doc["diagnostics"]:
+        record["converged"] = False
+    dropped = json.loads(json.dumps(doc))
+    del dropped["diagnostics"][3]
+    jsonschema.validate(dropped, _schema("fit_result.schema.json"))
+    with pytest.raises(DataValidationError):
+        deserialize_fit(dropped)
+    doubled = json.loads(json.dumps(doc))
+    doubled["diagnostics"][3] = dict(doubled["diagnostics"][0])
+    with pytest.raises(DataValidationError):
+        deserialize_fit(doubled)
+    assert not deserialize_fit(doc).f_hat.converged.any()
+
+
 def test_mode_constructors_validate():
     with pytest.raises(DataValidationError):
         Mode.oracle_k(0)

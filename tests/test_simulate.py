@@ -154,7 +154,6 @@ def test_metrics_hand_formulas():
     m = metrics(theta_hat, truth, f_star=fs, p_perp_hat=p_hat)
     diff = np.linalg.norm(theta_hat - truth.theta)
     assert m.frob_err == pytest.approx(diff**2 / np.sqrt(4))
-    assert m.rmse_per_response == pytest.approx(diff / np.sqrt(2))
     assert m.bias1 == pytest.approx(np.linalg.norm(fs - truth.theta) / np.sqrt(2))
     assert m.bias2 == pytest.approx(
         np.linalg.norm(truth.p_b_perp @ fs - truth.theta) / np.sqrt(2)

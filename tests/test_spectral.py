@@ -35,13 +35,11 @@ def test_crossfit_residuals_swap_folds():
     c1 = _coef(rng.standard_normal((2, 3)))
     c2 = _coef(rng.standard_normal((2, 3)))
     resid = crossfit_residuals(data, GAUSSIAN, c1, c2, split)
-    assert resid.values.shape == (data.n, 2)
+    assert resid.shape == (data.n, 2)
     for i in split.d2:
-        assert np.allclose(resid.values[i], data.y[i] - c1.values @ data.x[i])
-        assert resid.produced_by[i] == 1
+        assert np.allclose(resid[i], data.y[i] - c1.values @ data.x[i])
     for i in split.d1:
-        assert np.allclose(resid.values[i], data.y[i] - c2.values @ data.x[i])
-        assert resid.produced_by[i] == 2
+        assert np.allclose(resid[i], data.y[i] - c2.values @ data.x[i])
 
 
 def test_crossfit_residuals_apply_the_curvature_cap():
@@ -53,7 +51,7 @@ def test_crossfit_residuals_apply_the_curvature_cap():
     big = _coef([[-8.0, -8.0]])
     resid = crossfit_residuals(Dataset(x, y), BERNOULLI, big, big, data_split)
     cap = 1.0 / RESIDUAL_CURVATURE_FLOOR
-    assert np.allclose(resid.values, cap)
+    assert np.allclose(resid, cap)
     # sanity: the uncapped quotient would have been far larger
     assert weighted_residual(BERNOULLI, 1.0, -8.0) > 10 * cap
 
@@ -64,8 +62,8 @@ def test_covariance_crossfit_averages_the_fold_moments():
     f1, f2, _ = fit_qml_all(data, BERNOULLI, split)
     resid = crossfit_residuals(data, BERNOULLI, f1, f2, split)
     sigma = covariance_crossfit(resid, split)
-    e1 = resid.values[split.d1]
-    e2 = resid.values[split.d2]
+    e1 = resid[split.d1]
+    e2 = resid[split.d2]
     hand = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
     assert np.allclose(sigma, hand, atol=1e-12)
     assert np.array_equal(sigma, sigma.T)
