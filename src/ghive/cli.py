@@ -35,57 +35,49 @@ from .simulate import SimConfig, fstar_oracle, make_truth, metrics
 DEFAULT_SEED = 0  # used by `fit` when --seed is not given
 
 
+# SimConfig field set by each simulation flag (argparse dest -> field); the
+# first six are required unless --config gives the whole config instead.
+_SIM_FLAGS = {
+    "family": "family", "n": "n", "p": "p", "m": "m_dim", "k_true": "k", "eta": "eta",
+    "seed": "seed", "sigma_z_decay": "sigma_z_decay", "reps": "reps",
+}
+
+
 def _add_sim_config_flags(sub):
-    sub.add_argument("--config", help="simulation config JSON file")
+    sub.add_argument("--config", help="simulation config JSON file (excludes the flags below)")
     sub.add_argument("--family", choices=("gaussian", "bernoulli", "poisson"))
     sub.add_argument("--n", type=int, help="sample size per replicate")
     sub.add_argument("--p", type=int, help="number of covariates")
     sub.add_argument("--m", type=int, help="number of responses")
     sub.add_argument("--k-true", type=int, help="true factor count")
     sub.add_argument("--eta", type=float, help="confounding strength")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, help="truth and replicate seed (default: 0)")
     sub.add_argument(
         "--sigma-z-decay",
         choices=("negative", "positive"),
-        default="negative",
         help="circulant covariance convention (default: negative)",
     )
 
 
-def _sim_config_from_args(args, reps: int = 1) -> SimConfig:
+def _sim_config_from_args(args) -> SimConfig:
+    given = {d: getattr(args, d) for d in _SIM_FLAGS if getattr(args, d, None) is not None}
+    flags = {d: "--" + d.replace("_", "-") for d in _SIM_FLAGS}
     if args.config:
+        if given:
+            raise DataValidationError(
+                f"{' '.join(flags[d] for d in given)} cannot be combined with --config; "
+                "set the values in the config file"
+            )
         doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise DataValidationError(f"{args.config}: expected a JSON object")
-        doc.setdefault("reps", reps)
         return SimConfig.from_json_dict(doc)
-    missing = [
-        flag
-        for flag, val in (
-            ("--family", args.family),
-            ("--n", args.n),
-            ("--p", args.p),
-            ("--m", args.m),
-            ("--k-true", args.k_true),
-            ("--eta", args.eta),
-        )
-        if val is None
-    ]
+    missing = [flags[d] for d in list(_SIM_FLAGS)[:6] if d not in given]
     if missing:
         raise DataValidationError(
             f"missing {' '.join(missing)} (or pass --config FILE)"
         )
-    return SimConfig(
-        n=args.n,
-        p=args.p,
-        m_dim=args.m,
-        k=args.k_true,
-        eta=args.eta,
-        family=args.family,
-        seed=args.seed,
-        reps=reps,
-        sigma_z_decay=args.sigma_z_decay,
-    )
+    return SimConfig(**{_SIM_FLAGS[d]: v for d, v in given.items()})
 
 
 def _parse_direction(spec: str, dim: int, name: str) -> np.ndarray:
@@ -177,7 +169,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _sim_config_from_args(args, reps=args.reps)
+    cfg = _sim_config_from_args(args)
     spec = experiments_mod.ExperimentSpec(
         name="simulate",
         grid=(cfg,),
@@ -278,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="score estimators on synthetic replicates")
     _add_sim_config_flags(sim)
-    sim.add_argument("--reps", type=int, default=1)
+    sim.add_argument("--reps", type=int, help="replicates (default: 1)")
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 

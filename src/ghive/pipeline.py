@@ -271,25 +271,25 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         diagnostics = doc["diagnostics"]
         n, p, m_dim = int(doc["n"]), int(doc["p"]), int(doc["m_dim"])
         seed, tol, max_iter = int(doc["seed"]), float(doc["tol"]), int(doc["max_iter"])
+        if not (isinstance(mode_doc, dict) and isinstance(split_doc, dict)):
+            raise DataValidationError("fit document fields mode and split must be objects")
+        mode_kind = mode_doc.get("kind")
+        if mode_kind == ORACLE_P:
+            mode = Mode(ORACLE_P, projector=p_perp)
+        elif mode_kind == ORACLE_K:
+            mode = Mode(ORACLE_K, k=int(mode_doc["k"]))
+        elif mode_kind == DATA_DRIVEN:
+            mode = Mode(DATA_DRIVEN)
+        else:
+            raise DataValidationError(f"unknown fit mode {mode_kind!r}")
+        split = SplitPlan(
+            n=n,
+            seed=int(split_doc["seed"]),
+            d1=np.asarray(split_doc["d1"], dtype=int),
+            d2=np.asarray(split_doc["d2"], dtype=int),
+        )
     except KeyError as missing:
         raise DataValidationError(f"fit document is missing field {missing}")
-
-    mode_kind = mode_doc.get("kind")
-    if mode_kind == ORACLE_P:
-        mode = Mode(ORACLE_P, projector=p_perp)
-    elif mode_kind == ORACLE_K:
-        mode = Mode(ORACLE_K, k=int(mode_doc["k"]))
-    elif mode_kind == DATA_DRIVEN:
-        mode = Mode(DATA_DRIVEN)
-    else:
-        raise DataValidationError(f"unknown fit mode {mode_kind!r}")
-
-    split = SplitPlan(
-        n=n,
-        seed=int(split_doc["seed"]),
-        d1=np.asarray(split_doc["d1"], dtype=int),
-        d2=np.asarray(split_doc["d2"], dtype=int),
-    )
     k_hat = None if k_hat is None else int(k_hat)
     spec = spectral.SpectralResult(
         sigma_hat=sigma_hat,

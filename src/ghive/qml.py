@@ -13,16 +13,23 @@ negated Hessian, fall back to a plain gradient step when the curvature matrix
 is not usable, and halve the step until the objective strictly increases.
 Accepted iterates therefore have a monotone objective path.
 
+One ascent solves many coefficient columns at once (every response, and both
+starts of a quasi-likelihood fit): predictors, gradients and curvatures are
+stacked matmuls over the columns, while each column steps and stops by its
+own rules, bit-identical to solving it alone. Columns go in blocks whose
+(columns, n, p) weighted design stays within BLOCK_ELEMENTS.
+
 The two-fold split used for cross-fitting is a seeded permutation; all
 randomness here is confined to :func:`make_split`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DataValidationError
 from .families import (
@@ -36,6 +43,10 @@ from .families import (
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 MAX_STEP_HALVINGS = 30
+
+# Element budget of the (columns, n, p) weighted design behind one block of
+# curvature matrices; a solve with more columns runs them in several blocks.
+BLOCK_ELEMENTS = 2**18
 
 # Coefficient-norm bound for the quasi-likelihood ascent. The quasi-objective
 # rewards correctly classified bernoulli observations linearly in the linear
@@ -96,47 +107,55 @@ class ResponseFit:
     converged: bool
     grad_norm: float
     q_value: float
-    n_iter: int = 0
-    objective_path: list = field(default_factory=list)
+    n_iter: int
+    objective_path: list
 
 
 # ---------------------------------------------------------------------------
-# objective / gradient evaluations
+# objective / gradient evaluations, at one ``coef`` (p,) with y (n,) or row by
+# row at a block (C, p) with y (C, n), by stacked matmuls and row means only
 
 
-def quasi_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> float:
-    """Mean modified quasi-log-likelihood at coefficient vector ``coef``."""
-    eta = x @ np.asarray(coef, dtype=float)
-    return float(np.mean(quasi_loglik_term(family, y, eta)))
+def _eta(x: np.ndarray, coef) -> np.ndarray:
+    return (x @ np.asarray(coef, dtype=float)[..., None])[..., 0]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (C, p) blocks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def quasi_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
+    """Mean modified quasi-log-likelihood at ``coef``."""
+    return np.mean(quasi_loglik_term(family, y, _eta(x, coef)), axis=-1)
 
 
 def quasi_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
     """Gradient of :func:`quasi_objective`: mean of weighted residual times x."""
-    eta = x @ np.asarray(coef, dtype=float)
-    return x.T @ weighted_residual(family, y, eta) / x.shape[0]
+    r = weighted_residual(family, y, _eta(x, coef))
+    return (x.T @ r[..., None])[..., 0] / x.shape[0]
 
 
-def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> float:
+def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
     """Mean ordinary log-likelihood (up to the y-only term) at ``coef``."""
-    eta = x @ np.asarray(coef, dtype=float)
+    eta = _eta(x, coef)
     b = b_derivs(family, eta)[0]
     with np.errstate(invalid="ignore"):
-        return float(np.mean(y * eta - b))
+        return np.mean(y * eta - b, axis=-1)
 
 
 def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
-    eta = x @ np.asarray(coef, dtype=float)
-    b1 = b_derivs(family, eta)[1]
-    return x.T @ (y - b1) / x.shape[0]
+    r = y - b_derivs(family, _eta(x, coef))[1]
+    return (x.T @ r[..., None])[..., 0] / x.shape[0]
 
 
 def weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``x.T @ diag(weights) @ x`` without forming the diagonal matrix."""
-    return x.T @ (weights[:, None] * x)
+    """``x.T @ diag(weights) @ x`` without the diagonal matrix; (C, n) gives (C, p, p)."""
+    return x.T @ (weights[..., None] * x)
 
 
 def _curvature(x, y, family, eta, kind) -> np.ndarray:
-    """Negated Hessian of the mean objective (a p x p matrix)."""
+    """Negated Hessian of the mean objective (p x p, or (C, p, p))."""
     if kind == "quasi":
         w = quasi_hessian_weight(family, y, eta)
     else:
@@ -166,59 +185,88 @@ def _ascent_direction(curv: np.ndarray, grad: np.ndarray):
     return d
 
 
+def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """:func:`_ascent_direction` per column (the gradient where it gives None),
+    calling its LAPACK routines directly until a column needs the retry."""
+    d = np.empty_like(grad)
+    finite = np.isfinite(curv).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+    for c in range(len(grad)):
+        low, info = dpotrf(curv[c], lower=1) if finite[c] else (None, 1)
+        if info == 0:
+            d[c] = dpotrs(low, grad[c], lower=1)[0]
+        else:
+            fallback = _ascent_direction(curv[c], grad[c])
+            d[c] = grad[c] if fallback is None else fallback
+    usable = np.isfinite(d).all(axis=1) & (_dots(grad, d) > 0.0)
+    return np.where(usable[:, None], d, grad)
+
+
 def _ball_project(f: np.ndarray, radius) -> np.ndarray:
-    if radius is None:
-        return f
-    norm = float(np.linalg.norm(f))
-    if norm <= radius:
-        return f
-    return f * (radius / norm)
+    """Scale the rows of ``f`` (C, p) lying outside the ball onto it, in place."""
+    if radius is not None:
+        norm = np.sqrt(_dots(f, f))
+        out = ~(norm <= radius)  # as the one-vector test, NaN norms included
+        f[out] = f[out] * (radius / norm[out])[:, None]
+    return f
 
 
-def _newton_ascent(x, y, family, start, tol, max_iter, kind, radius=None) -> ResponseFit:
+def _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius=None):
+    """Damped Newton ascent from each row c of ``starts`` (C, p) on response
+    ``y[:, c % M]``, in blocks of BLOCK_ELEMENTS. Returns per-column arrays
+    ``(f, value, grad_norm, n_iter, path)``; ``path[c]`` holds the objective
+    after each accepted step, NaN past the last one."""
+    width = max(1, BLOCK_ELEMENTS // x.size)
+    blocks = [
+        _ascent_block(x, y.T[cols % y.shape[1]], family, starts[cols], tol, max_iter, kind, radius)
+        for cols in np.split(np.arange(len(starts)), range(width, len(starts), width))
+    ]
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
+def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
+    """One block of :func:`_newton_ascent`, ``y`` (C, n). A column stops on
+    ``grad_norm < tol``, ``max_iter`` or a line search with no increase; one
+    whose start has a non-finite objective is reported as-is."""
     objective = quasi_objective if kind == "quasi" else loglik_objective
     gradient = quasi_gradient if kind == "quasi" else loglik_gradient
-
-    f = _ball_project(np.asarray(start, dtype=float).copy(), radius)
+    f = _ball_project(f, radius)  # a copy: _newton_ascent indexes the rows
     value = objective(x, y, family, f)
-    if not np.isfinite(value):
-        # unusable warm start; report it as-is and let the caller's other
-        # starts compete
-        return ResponseFit(f, False, np.inf, value, 0, [value])
-
-    path = [value]
-    grad = gradient(x, y, family, f)
-    gnorm = float(np.max(np.abs(grad)))
-    it = 0
-    while gnorm >= tol and it < max_iter:
-        it += 1
-        curv = _curvature(x, y, family, x @ f, kind)
-        direction = _ascent_direction(curv, grad)
-        if direction is None:
-            direction = grad
+    path = np.full((len(f), max_iter + 1), np.nan)
+    path[:, 0] = value
+    grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
+    n_iter = np.zeros(len(f), dtype=int)
+    live = np.flatnonzero(np.isfinite(value))
+    for it in range(max_iter + 1):
+        if live.size:
+            grad[live] = gradient(x, y[live], family, f[live])
+            grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
+        live = live[grad_norm[live] >= tol]
+        if it == max_iter or not live.size:
+            break
+        n_iter[live] = it + 1
+        curv = _curvature(x, y[live], family, _eta(x, f[live]), kind)
+        direction = _ascent_directions(curv, grad[live])
         if radius is not None:
             # keep the backtracking scale meaningful: a near-singular
             # curvature matrix can suggest steps many orders of magnitude
             # longer than the feasible ball
-            dnorm = float(np.linalg.norm(direction))
-            if dnorm > 2.0 * radius:
-                direction = direction * (2.0 * radius / dnorm)
-        step = 1.0
-        accepted = False
+            dnorm = np.sqrt(_dots(direction, direction))
+            long = dnorm > 2.0 * radius
+            direction[long] = direction[long] * (2.0 * radius / dnorm[long])[:, None]
+        step, todo = 1.0, np.arange(live.size)
         for _ in range(MAX_STEP_HALVINGS):
-            cand = _ball_project(f + step * direction, radius)
-            cand_value = objective(x, y, family, cand)
-            if np.isfinite(cand_value) and cand_value > value:
-                f, value = cand, cand_value
-                accepted = True
+            cols = live[todo]
+            cand = _ball_project(f[cols] + step * direction[todo], radius)
+            cand_value = objective(x, y[cols], family, cand)
+            up = np.isfinite(cand_value) & (cand_value > value[cols])
+            f[cols[up]], value[cols[up]] = cand[up], cand_value[up]
+            todo = todo[~up]
+            if not todo.size:
                 break
             step *= 0.5
-        if not accepted:
-            break
-        path.append(value)
-        grad = gradient(x, y, family, f)
-        gnorm = float(np.max(np.abs(grad)))
-    return ResponseFit(f, gnorm < tol, gnorm, value, it, path)
+        live = np.delete(live, todo)
+        path[live, it + 1] = value[live]
+    return f, value, grad_norm, n_iter, path
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +291,17 @@ def fit_qml_one(
     """
     if not starts:
         raise DataValidationError("need at least one start vector")
-    best = None
-    for start in starts:
-        fit = _newton_ascent(x, y, family, start, tol, max_iter, "quasi", radius)
-        if best is None or fit.q_value > best.q_value:
-            best = fit
-    return best
+    starts = np.array(starts, dtype=float)
+    f, value, gnorm, n_iter, path = _newton_ascent(
+        x, np.asarray(y)[:, None], family, starts, tol, max_iter, "quasi", radius
+    )
+    c = 0
+    for s in range(1, len(starts)):
+        c = s if value[s] > value[c] else c
+    path = path[c, : 1 + np.isfinite(path[c, 1:]).sum()].tolist()
+    return ResponseFit(
+        f[c], bool(gnorm[c] < tol), float(gnorm[c]), float(value[c]), int(n_iter[c]), path
+    )
 
 
 def fit_naive_mle(
@@ -272,22 +325,16 @@ def fit_naive_mle(
 def _fit_matrix(x, y, family, tol, max_iter, kind, radius=DEFAULT_RADIUS) -> CoefMatrix:
     """Fit every response column: ``kind="loglik"`` is the naive MLE from
     zero; ``kind="quasi"`` maximises the quasi-likelihood from both zero and
-    that MLE."""
-    n, p = x.shape
+    that MLE, as 2M columns of one ascent (the zero start wins ties)."""
     m_dim = y.shape[1]
-    values = np.zeros((m_dim, p))
-    converged = np.zeros(m_dim, dtype=bool)
-    grad_norm = np.zeros(m_dim)
-    zero = np.zeros(p)
-    for m in range(m_dim):
-        col = y[:, m]
-        fit = _newton_ascent(x, col, family, zero, tol, max_iter, "loglik", radius)
-        if kind == "quasi":
-            fit = fit_qml_one(x, col, family, [zero, fit.f_hat], tol, max_iter, radius)
-        values[m] = fit.f_hat
-        converged[m] = fit.converged
-        grad_norm[m] = fit.grad_norm
-    return CoefMatrix(values, converged, grad_norm)
+    zero = np.zeros((m_dim, x.shape[1]))
+    f, value, gnorm, *_ = _newton_ascent(x, y, family, zero, tol, max_iter, "loglik", radius)
+    if kind == "quasi":
+        starts = np.vstack([zero, f])
+        f, value, gnorm, *_ = _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius)
+        pick = np.arange(m_dim) + m_dim * (value[m_dim:] > value[:m_dim])
+        f, gnorm = f[pick], gnorm[pick]
+    return CoefMatrix(f, gnorm < tol, gnorm)
 
 
 def fit_qml_all(

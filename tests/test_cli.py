@@ -145,6 +145,21 @@ def test_out_of_family_response_exits_two(tmp_path, capsys):
     assert "bernoulli" in capsys.readouterr().err
 
 
+def test_malformed_fit_json_exits_two(tmp_path, csv_data, capsys):
+    code, fit_path = _fit(tmp_path, csv_data)
+    assert code == 0
+    doc = json.loads(fit_path.read_text())
+    doc["mode"] = 3
+    fit_path.write_text(json.dumps(doc))
+    xp, yp = csv_data
+    code = main(
+        ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp),
+         "--u", "e1", "--v", "e1", "--out", str(tmp_path / "ci.json")]
+    )
+    assert code == 2
+    assert "mode" in capsys.readouterr().err
+
+
 def test_direction_index_out_of_range_exits_two(tmp_path, csv_data, capsys):
     _, fit_path = _fit(tmp_path, csv_data)
     xp, yp = csv_data
@@ -200,6 +215,35 @@ def test_simulate_is_a_one_point_experiment(tmp_path):
     run_experiment(spec, out_dir=tmp_path / "lib")
     for name in ("simulate_long.csv", "simulate_agg.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_simulate_config_file_reproduces_the_flags(tmp_path):
+    assert main(SIMULATE_ARGS + ["--out", str(tmp_path / "flags")]) == 0
+    config = tmp_path / "flags" / "simulate_config.json"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "file")]) == 0
+    for name in ("simulate_long.csv", "simulate_config.json"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ["--reps", "3"]),
+        ("simulate", ["--family", "poisson", "--seed", "7"]),
+        ("fstar-oracle", ["--n", "40"]),
+        ("fstar-oracle", ["--sigma-z-decay", "positive"]),
+    ],
+)
+def test_config_file_with_simulation_flags_exits_two(tmp_path, capsys, command, extra):
+    config = tmp_path / "c.json"
+    cfg = SimConfig(n=30, p=3, m_dim=3, k=2, eta=2.0, family="gaussian")
+    config.write_text(json.dumps(cfg.to_json_dict()))
+    out = tmp_path / "out.json" if command == "fstar-oracle" else tmp_path / "out"
+    code = main([command, "--config", str(config), *extra, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and extra[0] in err
+    assert not out.exists()
 
 
 def test_fstar_oracle_command_emits_the_bias_summary(tmp_path):

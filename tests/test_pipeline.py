@@ -108,6 +108,27 @@ def test_deserialize_rejects_unknown_format_version(fitted):
         deserialize_fit(doc)
 
 
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("mode", lambda doc: 3),
+        ("mode", lambda doc: {"kind": "oracle-k"}),
+        ("split", lambda doc: []),
+        ("split", lambda doc: {k: v for k, v in doc.items() if k != "seed"}),
+        ("split", lambda doc: {k: v for k, v in doc.items() if k != "d1"}),
+        ("split", lambda doc: {k: v for k, v in doc.items() if k != "d2"}),
+    ],
+    ids=["mode-not-object", "oracle-k-without-k", "split-not-object",
+         "split-without-seed", "split-without-d1", "split-without-d2"],
+)
+def test_malformed_mode_or_split_is_a_validation_error(fitted, field, edit):
+    _, fit = fitted
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    doc[field] = edit(doc[field])
+    with pytest.raises(DataValidationError):
+        deserialize_fit(doc)
+
+
 def _diagnostics_doc(fit, failed):
     """Serialized fit whose only unconverged fold fit is ``failed``."""
     doc = json.loads(json.dumps(serialize_fit(fit)))

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import gaussian_design, small_sim_dataset
 from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.data_io import Dataset
+from ghive import qml
 from ghive.errors import DataValidationError
 from ghive.qml import (
     DEFAULT_RADIUS,
+    CoefMatrix,
     fit_naive_mle,
     fit_qml_all,
     fit_qml_one,
@@ -146,3 +148,71 @@ def test_multi_start_returns_the_better_optimum():
     cold = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3)])
     assert both.q_value >= cold.q_value - 1e-12
     assert np.allclose(both.f_hat, ols, atol=1e-8)
+
+
+def _column_cases(family):
+    """Responses on a 3-covariate design: two ordinary columns plus the
+    family's hard case (a poisson count column of 5..5e7, where the
+    absolute tolerance lies below what the objective resolves, and a
+    separated bernoulli column whose fit sits on the ball)."""
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((100, 3))
+    eta = x @ np.array([[0.8, -0.5, 0.3], [-0.4, 0.6, 0.2]]).T
+    if family is GAUSSIAN:
+        return x, eta + rng.standard_normal(eta.shape)
+    if family is BERNOULLI:
+        regular = rng.random(eta.shape) < 1.0 / (1.0 + np.exp(-eta))
+        return x, np.column_stack([regular, x[:, 0] > 0]).astype(float)
+    counts = rng.poisson(np.exp(x @ np.array([2.0, 1.2, -0.8]) + 10.0))
+    return x, np.column_stack([rng.poisson(np.exp(eta)), counts]).astype(float)
+
+
+def _all_fits(x, y, family):
+    data = Dataset(x, y)
+    return (*fit_qml_all(data, family, make_split(len(x), seed=5)), fit_naive_mle(data, family))
+
+
+def _assert_same_fits(got, want):
+    for a, b in zip(got, want):
+        for name in ("values", "converged", "grad_norm"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _one_column_at_a_time(x, y, family):
+    alone = [_all_fits(x, y[:, [m]], family) for m in range(y.shape[1])]
+    return [
+        CoefMatrix(*(np.concatenate([getattr(a[i], k) for a in alone])
+                     for k in ("values", "converged", "grad_norm")))
+        for i in range(4)
+    ]
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch):
+    x, y = _column_cases(family)
+    together = _all_fits(x, y, family)
+    _assert_same_fits(together, _one_column_at_a_time(x, y, family))
+    fold1, fold2, _, naive = together
+    if family is POISSON:  # stalled at precision: stopped short of tol
+        stalled = [f.grad_norm[-1] for f in (fold1, fold2, naive) if not f.converged[-1]]
+        assert stalled and max(stalled) < 1e-3
+    if family is BERNOULLI:  # separated: both fold fits on the ball
+        norms = [np.linalg.norm(f.values[-1]) for f in (fold1, fold2)]
+        assert np.allclose(norms, DEFAULT_RADIUS, rtol=1e-9)
+    # a duplicated covariate makes every curvature matrix singular, so each
+    # column goes through the one-column Cholesky retry / gradient fallback
+    calls = []
+    fallback = qml._ascent_direction
+    monkeypatch.setattr(qml, "_ascent_direction", lambda c, g: calls.append(1) or fallback(c, g))
+    x_dup = np.column_stack([x, x[:, 1]])
+    _assert_same_fits(_all_fits(x_dup, y, family), _one_column_at_a_time(x_dup, y, family))
+    assert calls
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_column_blocks_split_by_the_element_budget_give_the_same_fits(family, monkeypatch):
+    x, y = _column_cases(family)
+    one_block = _all_fits(x, y, family)
+    # 50-row folds of 3 covariates: two columns per block, naive fit one per block
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 2 * 50 * 3)
+    _assert_same_fits(_all_fits(x, y, family), one_block)
