@@ -149,6 +149,8 @@ def ghive_fit(
     The same (data, seed, mode, tol, radius) always produces the same fit,
     bit for bit; the split seed is the only source of randomness.
     """
+    if max_iter < 1:
+        raise DataValidationError(f"max_iter must be at least 1, got {max_iter}")
     mode = mode or Mode.data_driven()
     validate_response(family, data.y)
     split = make_split(data.n, seed)
@@ -290,6 +292,8 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         )
     except KeyError as missing:
         raise DataValidationError(f"fit document is missing field {missing}")
+    except (TypeError, ValueError) as bad:
+        raise DataValidationError(f"malformed fit document: {bad}")
     k_hat = None if k_hat is None else int(k_hat)
     spec = spectral.SpectralResult(
         sigma_hat=sigma_hat,

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DataValidationError
@@ -163,40 +162,24 @@ def _curvature(x, y, family, eta, kind) -> np.ndarray:
     return weighted_gram(x, w) / x.shape[0]
 
 
-def _ascent_direction(curv: np.ndarray, grad: np.ndarray):
-    """Newton direction from the negated Hessian, or None if unusable.
-
-    A failed Cholesky factorisation gets one retry after adding
-    ``delta = 1e-8 * (1 + |min eigenvalue|)`` to the diagonal; if that still
-    fails the caller takes a plain gradient step.
-    """
-    try:
-        d = cho_solve(cho_factor(curv, lower=True), grad)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(curv)[0])
-        delta = 1e-8 * (1.0 + abs(lam_min))
-        try:
-            reg = curv + delta * np.eye(curv.shape[0])
-            d = cho_solve(cho_factor(reg, lower=True), grad)
-        except np.linalg.LinAlgError:
-            return None
-    if not np.all(np.isfinite(d)) or float(grad @ d) <= 0.0:
-        return None
-    return d
-
-
 def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """:func:`_ascent_direction` per column (the gradient where it gives None),
-    calling its LAPACK routines directly until a column needs the retry."""
-    d = np.empty_like(grad)
-    finite = np.isfinite(curv).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+    """Newton directions from the negated Hessians ``curv`` (C, p, p), one
+    Cholesky solve per column, and the gradient where that is unusable.
+
+    A failed factorisation gets one retry after adding
+    ``delta = 1e-8 * (1 + |min eigenvalue|)`` to the diagonal. Non-finite
+    input raises ValueError.
+    """
+    if not (np.isfinite(curv).all() and np.isfinite(grad).all()):
+        raise ValueError("curvature matrices and gradients must be finite")
+    d = grad.copy()
     for c in range(len(grad)):
-        low, info = dpotrf(curv[c], lower=1) if finite[c] else (None, 1)
+        low, info = dpotrf(curv[c], lower=1)
+        if info != 0:
+            delta = 1e-8 * (1.0 + abs(float(np.linalg.eigvalsh(curv[c])[0])))
+            low, info = dpotrf(curv[c] + delta * np.eye(curv.shape[1]), lower=1)
         if info == 0:
             d[c] = dpotrs(low, grad[c], lower=1)[0]
-        else:
-            fallback = _ascent_direction(curv[c], grad[c])
-            d[c] = grad[c] if fallback is None else fallback
     usable = np.isfinite(d).all(axis=1) & (_dots(grad, d) > 0.0)
     return np.where(usable[:, None], d, grad)
 
@@ -212,27 +195,27 @@ def _ball_project(f: np.ndarray, radius) -> np.ndarray:
 
 def _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius=None):
     """Damped Newton ascent from each row c of ``starts`` (C, p) on response
-    ``y[:, c % M]``, in blocks of BLOCK_ELEMENTS. Returns per-column arrays
-    ``(f, value, grad_norm, n_iter, path)``; ``path[c]`` holds the objective
-    after each accepted step, NaN past the last one."""
-    width = max(1, BLOCK_ELEMENTS // x.size)
+    ``y[:, c % M]``, in blocks of BLOCK_ELEMENTS. Returns the per-column
+    arrays ``(f, value, grad_norm)``."""
+    width, m_dim = max(1, BLOCK_ELEMENTS // x.size), y.shape[1]
     blocks = [
-        _ascent_block(x, y.T[cols % y.shape[1]], family, starts[cols], tol, max_iter, kind, radius)
+        _ascent_block(x, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind, radius)
         for cols in np.split(np.arange(len(starts)), range(width, len(starts), width))
     ]
-    return tuple(map(np.concatenate, zip(*blocks)))
+    return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
 
 
 def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
     """One block of :func:`_newton_ascent`, ``y`` (C, n). A column stops on
     ``grad_norm < tol``, ``max_iter`` or a line search with no increase; one
-    whose start has a non-finite objective is reported as-is."""
+    whose start has a non-finite objective is reported as-is. Also returns
+    each column's iteration count and its objective after every iteration
+    run, ``path`` (C, iterations + 1)."""
     objective = quasi_objective if kind == "quasi" else loglik_objective
     gradient = quasi_gradient if kind == "quasi" else loglik_gradient
-    f = _ball_project(f, radius)  # a copy: _newton_ascent indexes the rows
+    f = _ball_project(f, radius)  # callers pass a copy; it is updated in place
     value = objective(x, y, family, f)
-    path = np.full((len(f), max_iter + 1), np.nan)
-    path[:, 0] = value
+    path = [value.copy()]
     grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
     n_iter = np.zeros(len(f), dtype=int)
     live = np.flatnonzero(np.isfinite(value))
@@ -265,8 +248,8 @@ def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
                 break
             step *= 0.5
         live = np.delete(live, todo)
-        path[live, it + 1] = value[live]
-    return f, value, grad_norm, n_iter, path
+        path.append(value.copy())
+    return f, value, grad_norm, n_iter, np.array(path).T
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +274,15 @@ def fit_qml_one(
     """
     if not starts:
         raise DataValidationError("need at least one start vector")
-    starts = np.array(starts, dtype=float)
-    f, value, gnorm, n_iter, path = _newton_ascent(
-        x, np.asarray(y)[:, None], family, starts, tol, max_iter, "quasi", radius
+    y = np.tile(np.asarray(y), (len(starts), 1))
+    f, value, gnorm, n_iter, path = _ascent_block(
+        x, y, family, np.array(starts, dtype=float), tol, max_iter, "quasi", radius
     )
     c = 0
     for s in range(1, len(starts)):
         c = s if value[s] > value[c] else c
-    path = path[c, : 1 + np.isfinite(path[c, 1:]).sum()].tolist()
+    # accepted steps strictly increase the objective; the rest leave it as is
+    path = path[c, np.r_[True, np.diff(path[c]) > 0]].tolist()
     return ResponseFit(
         f[c], bool(gnorm[c] < tol), float(gnorm[c]), float(value[c]), int(n_iter[c]), path
     )
@@ -328,10 +312,10 @@ def _fit_matrix(x, y, family, tol, max_iter, kind, radius=DEFAULT_RADIUS) -> Coe
     that MLE, as 2M columns of one ascent (the zero start wins ties)."""
     m_dim = y.shape[1]
     zero = np.zeros((m_dim, x.shape[1]))
-    f, value, gnorm, *_ = _newton_ascent(x, y, family, zero, tol, max_iter, "loglik", radius)
+    f, value, gnorm = _newton_ascent(x, y, family, zero, tol, max_iter, "loglik", radius)
     if kind == "quasi":
         starts = np.vstack([zero, f])
-        f, value, gnorm, *_ = _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius)
+        f, value, gnorm = _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius)
         pick = np.arange(m_dim) + m_dim * (value[m_dim:] > value[:m_dim])
         f, gnorm = f[pick], gnorm[pick]
     return CoefMatrix(f, gnorm < tol, gnorm)

@@ -107,6 +107,13 @@ def test_zero_factor_count_is_rejected_with_guidance(tmp_path, csv_data, capsys)
     assert "--projector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+def test_max_iter_below_one_exits_two(tmp_path, csv_data, capsys, max_iter):
+    code, _ = _fit(tmp_path, csv_data, "--max-iter", max_iter)
+    assert code == 2
+    assert "max_iter" in capsys.readouterr().err
+
+
 def test_missing_fit_file_exits_two_with_the_path(tmp_path, csv_data, capsys):
     xp, yp = csv_data
     missing = tmp_path / "nowhere.json"

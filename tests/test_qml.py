@@ -1,5 +1,7 @@
 """Per-response quasi-likelihood and naive-MLE fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -199,14 +201,19 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
     if family is BERNOULLI:  # separated: both fold fits on the ball
         norms = [np.linalg.norm(f.values[-1]) for f in (fold1, fold2)]
         assert np.allclose(norms, DEFAULT_RADIUS, rtol=1e-9)
-    # a duplicated covariate makes every curvature matrix singular, so each
-    # column goes through the one-column Cholesky retry / gradient fallback
-    calls = []
-    fallback = qml._ascent_direction
-    monkeypatch.setattr(qml, "_ascent_direction", lambda c, g: calls.append(1) or fallback(c, g))
+    # a duplicated covariate makes the curvature matrices singular, so the
+    # columns go through the Cholesky retry and the gradient fallback
+    infos, factor = [], qml.dpotrf
+
+    def dpotrf(a, lower):
+        low, info = factor(a, lower=lower)
+        infos.append(info)
+        return low, info
+
+    monkeypatch.setattr(qml, "dpotrf", dpotrf)
     x_dup = np.column_stack([x, x[:, 1]])
     _assert_same_fits(_all_fits(x_dup, y, family), _one_column_at_a_time(x_dup, y, family))
-    assert calls
+    assert any(infos)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
@@ -216,3 +223,19 @@ def test_column_blocks_split_by_the_element_budget_give_the_same_fits(family, mo
     # 50-row folds of 3 covariates: two columns per block, naive fit one per block
     monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 2 * 50 * 3)
     _assert_same_fits(_all_fits(x, y, family), one_block)
+
+
+def test_memory_follows_the_iterations_run_not_max_iter():
+    x, y = _column_cases(GAUSSIAN)
+    short = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)])
+    tracemalloc.start()
+    try:
+        long = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)], max_iter=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # a path sized by max_iter would take 16 MB
+    assert np.array_equal(long.f_hat, short.f_hat) and long.n_iter == short.n_iter
+    assert long.objective_path == short.objective_path
+    assert long.objective_path[-1] == long.q_value
+    assert len(long.objective_path) - 1 in (long.n_iter, long.n_iter - 1)
