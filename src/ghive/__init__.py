@@ -11,7 +11,6 @@ from .inference import (
     confidence_interval,
     naive_wald_interval,
     normal_quantile,
-    variance_estimate,
 )
 from .pipeline import (
     GhiveFit,
@@ -75,7 +74,6 @@ __all__ = [
     "sample_dataset",
     "save_matrix_csv",
     "serialize_fit",
-    "variance_estimate",
     "with_projection",
     "__version__",
 ]

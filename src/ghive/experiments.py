@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .data_io import write_csv_rows
-from .errors import GhiveError
+from .errors import DataValidationError, GhiveError
 from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
 from .pipeline import Mode, ghive_fit, with_projection
@@ -47,6 +47,8 @@ GHIVE_ESTIMATORS = (ESTIMATOR_ORACLE_P, ESTIMATOR_ORACLE_K, ESTIMATOR_DATA_DRIVE
 ERROR_ESTIMATORS = GHIVE_ESTIMATORS + (ESTIMATOR_NAIVE,)
 
 EXPERIMENT_NAMES = ("fig1-bias", "fig1-eta", "fig2-n", "fig2-m", "table1")
+
+ALPHA = 0.05  # the coverage experiment's intervals are at level 1 - ALPHA
 
 LONG_FIELDS = (
     "experiment",
@@ -117,7 +119,6 @@ class ExperimentSpec:
     reps: int
     seed: int
     n_mc: int = 50_000
-    alpha: float = 0.05
 
 
 # The coverage table fixes one truth draw per grid point, and draws differ in
@@ -138,6 +139,8 @@ def experiment_spec(
     """
     if name not in EXPERIMENT_NAMES:
         raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
+    if reps is not None and reps < 1:
+        raise DataValidationError(f"reps must be at least 1, got {reps}")
     if seed is None:
         seed = DEFAULT_SEEDS[name]
     estimators, n_mc = ERROR_ESTIMATORS, 50_000
@@ -175,7 +178,7 @@ def experiment_spec(
         name=name,
         grid=grid,
         estimators=estimators,
-        reps=reps or default_reps,
+        reps=default_reps if reps is None else reps,
         seed=seed,
         n_mc=n_mc,
     )
@@ -322,11 +325,11 @@ def _coverage_rep(
         try:
             if est == ESTIMATOR_NAIVE:
                 coef = fit_naive_mle(data, family)
-                res = naive_wald_interval(data, family, coef, contrast, spec.alpha)
+                res = naive_wald_interval(data, family, coef, contrast, ALPHA)
                 extra = {}
             else:
                 fit = ghive_fit(data, family, seed=rep_seed)
-                res = confidence_interval(data, family, fit, contrast, spec.alpha)
+                res = confidence_interval(data, family, fit, contrast, ALPHA)
                 extra = {"rms_h": float(np.sqrt(res.s_sq / data.n))}
             values = {
                 "covered": float(res.ci_lo <= target_fstar <= res.ci_hi),

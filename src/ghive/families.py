@@ -117,11 +117,6 @@ def b_derivs(family: GlmFamily, t):
     return e, e.copy(), e.copy(), e.copy(), e.copy()
 
 
-def mean_response(family: GlmFamily, eta):
-    """Model mean b'(eta) under the canonical link."""
-    return b_derivs(family, eta)[1]
-
-
 def weighted_residual(family: GlmFamily, y, eta, floor=None):
     """Inverse-variance weighted residual ``(y - b'(eta)) / b''(eta)``.
 

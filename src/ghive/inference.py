@@ -13,7 +13,7 @@ accumulated scale is
     s_sq = sum_i (u' p_perp h_i)^2
 
 and the interval half-width is ``normal_quantile(1 - alpha/2) * se``; the
-normalisation turning s_sq into ``se`` is pinned in :func:`variance_estimate`.
+normalisation turning s_sq into ``se`` is pinned in :func:`confidence_interval`.
 
 The naive baseline gets textbook Wald intervals from the per-response
 observed information, for comparison in the simulation study.
@@ -31,7 +31,7 @@ from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from . import families
 from .families import GlmFamily, b_derivs, quasi_hessian_weight, weighted_residual
-from .qml import CoefMatrix, weighted_gram
+from .qml import CoefMatrix, column_blocks, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
 
@@ -71,11 +71,7 @@ class Contrast:
 
 def basis_contrast(i: int, j: int, m_dim: int, p: int) -> Contrast:
     """Contrast picking out entry (i, j), 0-based."""
-    u = np.zeros(m_dim)
-    v = np.zeros(p)
-    u[i] = 1.0
-    v[j] = 1.0
-    return Contrast(u, v)
+    return Contrast(np.eye(m_dim)[i], np.eye(p)[j])
 
 
 def normal_quantile(q: float) -> float:
@@ -85,108 +81,55 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-@dataclass
-class GMatrices:
-    """Per-response curvature matrices with conditioning diagnostics."""
-
-    matrices: np.ndarray  # (M, p, p)
-    regularized: np.ndarray  # (M,) bool, True where a diagonal bump was added
-
-
-def g_matrices(data: Dataset, family: GlmFamily, coef_values: np.ndarray) -> GMatrices:
+def g_matrices(
+    data: Dataset, family: GlmFamily, coef_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Curvature matrices ``G_m = (1/n) sum_i w_i x_i x_i'`` on the full sample.
 
-    Uses exactly the weights of the quasi-likelihood Hessian. A matrix whose
-    smallest eigenvalue falls below ``1e-8 * max(1, largest eigenvalue)`` gets
-    ``delta = 1e-8 * (1 + |min eig|)`` added to its diagonal and is flagged.
+    Uses exactly the weights of the quasi-likelihood Hessian, built over the
+    solver's column blocks. A matrix whose smallest eigenvalue falls below
+    ``1e-8 * max(1, largest eigenvalue)`` gets ``delta = 1e-8 * (1 + |min
+    eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
+    matrices and the (M,) bool flags.
     """
-    x, y = data.x, data.y
-    n = data.n
-    m_dim = coef_values.shape[0]
-    p = x.shape[1]
-    mats = np.zeros((m_dim, p, p))
-    regularized = np.zeros(m_dim, dtype=bool)
-    eta = x @ coef_values.T
-    for m in range(m_dim):
-        w = quasi_hessian_weight(
-            family, y[:, m], eta[:, m], floor=families.RESIDUAL_CURVATURE_FLOOR
-        )
-        g = weighted_gram(x, w) / n
-        g = 0.5 * (g + g.T)
-        eigs = np.linalg.eigvalsh(g)
-        if eigs[0] < _G_EIG_RTOL * max(1.0, eigs[-1]):
-            delta = 1e-8 * (1.0 + abs(eigs[0]))
-            g = g + delta * np.eye(p)
-            regularized[m] = True
-        mats[m] = g
-    return GMatrices(mats, regularized)
+    y, eta = data.y.T, (data.x @ coef_values.T).T
+    floor = families.RESIDUAL_CURVATURE_FLOOR
+    g = _block_grams(
+        data.x, len(eta), lambda c: quasi_hessian_weight(family, y[c], eta[c], floor=floor)
+    ) / data.n
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(g)
+    bumped = eigs[:, 0] < _G_EIG_RTOL * np.maximum(1.0, eigs[:, -1])
+    delta = 1e-8 * (1.0 + np.abs(eigs[bumped, :1]))
+    g[bumped] += delta[:, :, None] * np.eye(g.shape[1])
+    return g, bumped
 
 
-@dataclass
-class VarianceEstimate:
-    """Accumulated influence scale for one contrast.
+def _block_grams(x: np.ndarray, n_cols: int, weights) -> np.ndarray:
+    """Stacked ``weighted_gram(x, weights(cols))`` over the solver's column
+    blocks of ``n_cols`` responses; (n_cols, p, p)."""
+    return np.concatenate([weighted_gram(x, weights(c)) for c in column_blocks(x, n_cols)])
 
-    s_sq is the raw sum of squared projected influence terms; ``se`` is the
-    value used for interval half-widths (see variance_estimate for the
-    pinned convention).
-    """
 
-    s_sq: float
-    se: float
-    n: int
-    g: GMatrices
+def _solve_each(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows ``a[k]^{-1} v`` of a stack of (p, p) matrices, one stacked solve."""
+    return np.linalg.solve(a, np.broadcast_to(v[:, None], a.shape[:2] + (1,)))[..., 0]
 
 
 def influence_terms(
-    data: Dataset, family: GlmFamily, coef_values: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, GMatrices]:
-    """Matrix of per-observation influence terms h (n x M) for direction v."""
-    g = g_matrices(data, family, coef_values)
-    eta = data.x @ coef_values.T
+    data: Dataset, family: GlmFamily, coef_values: np.ndarray, g: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Per-observation influence terms h (n x M) for direction v, given the
+    curvature matrices ``g`` (M, p, p) from :func:`g_matrices`."""
     eps = weighted_residual(
-        family, data.y, eta, floor=families.RESIDUAL_CURVATURE_FLOOR
+        family, data.y, data.x @ coef_values.T, floor=families.RESIDUAL_CURVATURE_FLOOR
     )
     try:
-        # columns w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
-        w_cols = np.stack(
-            [np.linalg.solve(g.matrices[m], v) for m in range(coef_values.shape[0])],
-            axis=1,
-        )
+        # rows w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
+        w = _solve_each(g, v)
     except np.linalg.LinAlgError:
         raise NumericalError("a curvature matrix is singular; cannot form intervals")
-    h = eps * (data.x @ w_cols)
-    return h, g
-
-
-def variance_estimate(
-    data: Dataset, family: GlmFamily, fit, contrast: Contrast
-) -> VarianceEstimate:
-    """Accumulate s_sq = sum_i (u' p_perp h_i)^2 and derive the se.
-
-    Convention: se = sqrt(s_sq / n), the root-mean-square of the projected
-    influence terms, giving the interval rule
-    ``u' theta_hat v +- quantile * sqrt(s_sq / n)``. Of the candidate
-    normalisations of s_sq this is the only one whose intervals attain
-    nominal coverage in the simulation study; see README for the
-    discussion.
-    """
-    if fit.m_dim != data.m_dim or fit.p != data.p:
-        raise DataValidationError(
-            f"fit dimensions (M={fit.m_dim}, p={fit.p}) do not match data "
-            f"(M={data.m_dim}, p={data.p})"
-        )
-    if len(contrast.u) != fit.m_dim:
-        raise DataValidationError(
-            f"contrast u has length {len(contrast.u)}, expected M={fit.m_dim}"
-        )
-    if len(contrast.v) != fit.p:
-        raise DataValidationError(
-            f"contrast v has length {len(contrast.v)}, expected p={fit.p}"
-        )
-    h, g = influence_terms(data, family, fit.f_hat.values, contrast.v)
-    projected = h @ (fit.spectral.p_perp @ contrast.u)
-    s_sq = float(projected @ projected)
-    return VarianceEstimate(s_sq=s_sq, se=float(np.sqrt(s_sq / data.n)), n=data.n, g=g)
+    return eps * (data.x @ w.T)
 
 
 @dataclass
@@ -201,39 +144,56 @@ class InferenceResult:
     g_regularized: list  # response indices whose G matrix needed a bump
 
 
-def _validate_alpha(alpha: float) -> None:
-    # alpha = 1 is allowed and produces a zero-width interval
+def _quantile(alpha: float) -> float:
+    """Normal quantile of a two-sided level 1 - alpha interval; alpha = 1 is
+    allowed and gives a zero-width interval."""
     if not 0.0 < alpha <= 1.0:
         raise DataValidationError(f"alpha must be in (0, 1], got {alpha}")
+    return 0.0 if alpha == 1.0 else normal_quantile(1.0 - alpha / 2.0)
+
+
+def _interval(estimate, se, s_sq, alpha, q, g_regularized) -> InferenceResult:
+    half = q * se
+    return InferenceResult(
+        estimate, se, estimate - half, estimate + half, alpha, q, s_sq, g_regularized
+    )
 
 
 def confidence_interval(
     data: Dataset, family: GlmFamily, fit, contrast: Contrast, alpha: float = 0.05
 ) -> InferenceResult:
-    """Two-sided interval for ``u' theta_hat v`` at level 1 - alpha."""
-    _validate_alpha(alpha)
-    var = variance_estimate(data, family, fit, contrast)
+    """Two-sided interval for ``u' theta_hat v`` at level 1 - alpha.
+
+    Accumulates ``s_sq = sum_i (u' p_perp h_i)^2`` over the influence terms.
+    Convention: se = sqrt(s_sq / n), the root-mean-square of the projected
+    influence terms, giving the interval rule
+    ``u' theta_hat v +- quantile * sqrt(s_sq / n)``. Of the candidate
+    normalisations of s_sq this is the only one whose intervals attain
+    nominal coverage in the simulation study; see README for the
+    discussion.
+    """
+    q = _quantile(alpha)
+    if fit.m_dim != data.m_dim or fit.p != data.p:
+        raise DataValidationError(
+            f"fit dimensions (M={fit.m_dim}, p={fit.p}) do not match data "
+            f"(M={data.m_dim}, p={data.p})"
+        )
+    if (len(contrast.u), len(contrast.v)) != (fit.m_dim, fit.p):
+        raise DataValidationError(
+            f"contrast (u, v) has lengths ({len(contrast.u)}, {len(contrast.v)}), "
+            f"expected (M={fit.m_dim}, p={fit.p})"
+        )
+    g, regularized = g_matrices(data, family, fit.f_hat.values)
+    h = influence_terms(data, family, fit.f_hat.values, g, contrast.v)
+    projected = h @ (fit.spectral.p_perp @ contrast.u)
+    s_sq = float(projected @ projected)
     estimate = float(contrast.u @ fit.theta_hat @ contrast.v)
-    q = 0.0 if alpha == 1.0 else normal_quantile(1.0 - alpha / 2.0)
-    half = q * var.se
-    return InferenceResult(
-        estimate=estimate,
-        se=var.se,
-        ci_lo=estimate - half,
-        ci_hi=estimate + half,
-        alpha=alpha,
-        quantile=q,
-        s_sq=var.s_sq,
-        g_regularized=[int(m) for m in np.nonzero(var.g.regularized)[0]],
-    )
+    se = float(np.sqrt(s_sq / data.n))
+    return _interval(estimate, se, s_sq, alpha, q, np.flatnonzero(regularized).tolist())
 
 
 def naive_wald_interval(
-    data: Dataset,
-    family: GlmFamily,
-    coef: CoefMatrix,
-    contrast: Contrast,
-    alpha: float = 0.05,
+    data: Dataset, family: GlmFamily, coef: CoefMatrix, contrast: Contrast, alpha: float = 0.05
 ) -> InferenceResult:
     """Textbook Wald interval for ``u' coef v`` from per-response Fisher info.
 
@@ -241,36 +201,23 @@ def naive_wald_interval(
     for response m is the inverse of ``sum_i b''(eta_i) x_i x_i'`` and the
     responses are treated as independent.
     """
-    _validate_alpha(alpha)
+    q = _quantile(alpha)
     if len(contrast.u) != coef.values.shape[0] or len(contrast.v) != coef.values.shape[1]:
         raise DataValidationError("contrast dimensions do not match the fit")
-    eta = data.x @ coef.values.T
+    rows = np.flatnonzero(contrast.u)
+    eta = (data.x @ coef.values.T).T[rows]
+    info = _block_grams(data.x, len(rows), lambda c: b_derivs(family, eta[c])[2])
+    try:
+        w = _solve_each(info, contrast.v)
+    except np.linalg.LinAlgError:
+        raise NumericalError("the Fisher information of a response in u is singular")
     var = 0.0
-    for m in np.nonzero(contrast.u)[0]:
-        b2 = b_derivs(family, eta[:, m])[2]
-        info = weighted_gram(data.x, b2)
-        try:
-            w = np.linalg.solve(info, contrast.v)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                f"Fisher information for response {m} is singular"
-            )
-        var += float(contrast.u[m] ** 2 * (contrast.v @ w))
-    if var < 0:
-        var = 0.0
-    se = float(np.sqrt(var))
+    # Python floats in response order: np.sum and np.power round differently
+    for u_m, v_w in zip(contrast.u[rows].tolist(), (contrast.v @ w[..., None])[:, 0].tolist()):
+        var += u_m**2 * v_w
+    var = max(var, 0.0)
     estimate = float(contrast.u @ coef.values @ contrast.v)
-    q = 0.0 if alpha == 1.0 else normal_quantile(1.0 - alpha / 2.0)
-    return InferenceResult(
-        estimate=estimate,
-        se=se,
-        ci_lo=estimate - q * se,
-        ci_hi=estimate + q * se,
-        alpha=alpha,
-        quantile=q,
-        s_sq=var * data.n,
-        g_regularized=[],
-    )
+    return _interval(estimate, float(np.sqrt(var)), var * data.n, alpha, q, [])
 
 
 def serialize_inference(result: InferenceResult, contrast: Contrast) -> dict:

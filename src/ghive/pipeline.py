@@ -151,6 +151,8 @@ def ghive_fit(
     """
     if max_iter < 1:
         raise DataValidationError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < tol < np.inf:
+        raise DataValidationError(f"tol must be a finite positive number, got {tol}")
     mode = mode or Mode.data_driven()
     validate_response(family, data.y)
     split = make_split(data.n, seed)
@@ -294,6 +296,16 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         raise DataValidationError(f"fit document is missing field {missing}")
     except (TypeError, ValueError) as bad:
         raise DataValidationError(f"malformed fit document: {bad}")
+    square, rows = (m_dim, m_dim), (m_dim, p)
+    for name, arr, shape in (
+        ("f_hat", f_hat, rows), ("theta_hat", theta_hat, rows), ("sigma_hat", sigma_hat, square),
+        ("eigvecs", eigvecs, square), ("p_perp", p_perp, square), ("eigvals", eigvals, (m_dim,)),
+    ):
+        if arr.shape != shape:
+            raise DataValidationError(
+                f"fit document {name} has shape {arr.shape}, expected {shape} "
+                f"for m_dim={m_dim}, p={p}"
+            )
     k_hat = None if k_hat is None else int(k_hat)
     spec = spectral.SpectralResult(
         sigma_hat=sigma_hat,

@@ -16,8 +16,9 @@ Accepted iterates therefore have a monotone objective path.
 One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit): predictors, gradients and curvatures are
 stacked matmuls over the columns, while each column steps and stops by its
-own rules, bit-identical to solving it alone. Columns go in blocks whose
-(columns, n, p) weighted design stays within BLOCK_ELEMENTS.
+own rules, bit-identical to solving it alone. Columns go in blocks
+(:func:`column_blocks`) whose (columns, n, p) weighted design stays within
+BLOCK_ELEMENTS; the interval curvature matrices use the same blocks.
 
 The two-fold split used for cross-fitting is a seeded permutation; all
 randomness here is confined to :func:`make_split`.
@@ -193,14 +194,22 @@ def _ball_project(f: np.ndarray, radius) -> np.ndarray:
     return f
 
 
+def column_blocks(x: np.ndarray, n_cols: int) -> list:
+    """Split column indices ``0..n_cols-1`` into consecutive blocks whose
+    (columns, n, p) weighted design over ``x`` (n, p) stays within
+    BLOCK_ELEMENTS (at least one column per block)."""
+    width = max(1, BLOCK_ELEMENTS // x.size)
+    return np.split(np.arange(n_cols), range(width, n_cols, width))
+
+
 def _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius=None):
     """Damped Newton ascent from each row c of ``starts`` (C, p) on response
-    ``y[:, c % M]``, in blocks of BLOCK_ELEMENTS. Returns the per-column
-    arrays ``(f, value, grad_norm)``."""
-    width, m_dim = max(1, BLOCK_ELEMENTS // x.size), y.shape[1]
+    ``y[:, c % M]``, in column blocks. Returns the per-column arrays
+    ``(f, value, grad_norm)``."""
+    m_dim = y.shape[1]
     blocks = [
         _ascent_block(x, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind, radius)
-        for cols in np.split(np.arange(len(starts)), range(width, len(starts), width))
+        for cols in column_blocks(x, len(starts))
     ]
     return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
 

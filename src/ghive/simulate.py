@@ -211,8 +211,6 @@ def fstar_oracle(
     config: SimConfig,
     family=None,
     n_mc: int = 50_000,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> CoefMatrix:
     """Monte-Carlo approximation of the pseudo-true coefficient matrix.
 
@@ -229,7 +227,7 @@ def fstar_oracle(
         family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    return _fit_matrix(ds.x, ds.y, family, tol, max_iter, kind="quasi")
+    return _fit_matrix(ds.x, ds.y, family, DEFAULT_TOL, DEFAULT_MAX_ITER, kind="quasi")
 
 
 def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:

@@ -107,11 +107,17 @@ def test_zero_factor_count_is_rejected_with_guidance(tmp_path, csv_data, capsys)
     assert "--projector" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("max_iter", ["0", "-1"])
-def test_max_iter_below_one_exits_two(tmp_path, csv_data, capsys, max_iter):
-    code, _ = _fit(tmp_path, csv_data, "--max-iter", max_iter)
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-iter", "0"), ("--max-iter", "-1"), ("--tol", "0"), ("--tol", "-1"),
+     ("--tol", "nan"), ("--tol", "inf")],
+    ids=["0", "-1", "tol-0", "tol--1", "tol-nan", "tol-inf"],
+)
+def test_max_iter_below_one_exits_two(tmp_path, csv_data, capsys, flag, value):
+    code, out = _fit(tmp_path, csv_data, flag, value)
     assert code == 2
-    assert "max_iter" in capsys.readouterr().err
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_fit_file_exits_two_with_the_path(tmp_path, csv_data, capsys):
@@ -165,6 +171,20 @@ def test_malformed_fit_json_exits_two(tmp_path, csv_data, capsys):
     )
     assert code == 2
     assert "mode" in capsys.readouterr().err
+
+
+def test_fit_json_with_misshapen_matrices_exits_two(tmp_path, csv_data, capsys):
+    _, fit_path = _fit(tmp_path, csv_data)
+    doc = json.loads(fit_path.read_text())
+    doc["p_perp"] = {"dims": [2, 2], "data": [[1.0, 0.0], [0.0, 1.0]]}
+    fit_path.write_text(json.dumps(doc))
+    xp, yp = csv_data
+    code = main(
+        ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp),
+         "--u", "e1", "--v", "e1", "--out", str(tmp_path / "ci.json")]
+    )
+    assert code == 2
+    assert "p_perp" in capsys.readouterr().err
 
 
 def test_direction_index_out_of_range_exits_two(tmp_path, csv_data, capsys):
@@ -298,6 +318,14 @@ def test_reproduce_all_runs_every_experiment_in_order(tmp_path, monkeypatch):
     calls.clear()
     assert main(["reproduce", "all", "--seed", "3", "--out", str(tmp_path)]) == 0
     assert calls == [(name, 3) for name in EXPERIMENT_NAMES]
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_reproduce_reps_below_one_exits_two(tmp_path, capsys, reps):
+    out = tmp_path / "study"
+    assert main(["reproduce", "table1", "--reps", reps, "--out", str(out)]) == 2
+    assert "reps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_experiment_name_is_an_argparse_error(tmp_path):

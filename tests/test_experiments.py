@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from ghive.errors import DataValidationError
 from ghive.experiments import (
+    ALPHA,
     AGG_FIELDS,
     EXPERIMENT_NAMES,
     LONG_FIELDS,
@@ -33,7 +35,7 @@ def test_experiment_catalog_grids():
     assert all(c.family == "gaussian" and c.m_dim == 3 == c.k for c in spec.grid)
     assert spec.estimators == ("fstar-oracle",)
     spec = experiment_spec("table1")
-    assert spec.alpha == 0.05
+    assert ALPHA == 0.05
     assert set(spec.estimators) == {"data-driven", "naive-mle"}
     assert tuple(c.n for c in spec.grid) == (70,)
     full = experiment_spec("table1", full_scale=True)
@@ -55,6 +57,13 @@ def test_experiment_catalog_grids():
 def test_reps_override_shrinks_the_run():
     spec = experiment_spec("fig2-n", reps=3, seed=5)
     assert spec.reps == 3 and spec.seed == 5
+    assert experiment_spec("fig2-n", reps=1).reps == 1
+
+
+@pytest.mark.parametrize("reps", [0, -2])
+def test_reps_below_one_are_rejected(reps):
+    with pytest.raises(DataValidationError, match="reps"):
+        experiment_spec("table1", reps=reps)
 
 
 def _tiny_spec():

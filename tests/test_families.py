@@ -12,7 +12,6 @@ from ghive.families import (
     RESIDUAL_CURVATURE_FLOOR,
     b_derivs,
     family_from_name,
-    mean_response,
     quasi_hessian_weight,
     quasi_loglik_term,
     validate_response,
@@ -55,14 +54,6 @@ def test_b_derivs_known_values():
     # poisson: every derivative is exp(t)
     vals = b_derivs(POISSON, 1.3)
     assert np.allclose(vals, np.exp(1.3))
-
-
-def test_mean_response_matches_first_derivative():
-    for name, family in FAMILIES.items():
-        lo, hi = SAFE_T[name]
-        ts = np.linspace(lo, hi, 9)
-        assert np.allclose(mean_response(family, ts),
-                           [b_derivs(family, t)[1] for t in ts])
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

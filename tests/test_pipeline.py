@@ -132,6 +132,31 @@ def test_malformed_mode_or_split_is_a_validation_error(fitted, field, edit):
         deserialize_fit(doc)
 
 
+def _drop_last_column(m):
+    return {"dims": [m["dims"][0], m["dims"][1] - 1], "data": [r[:-1] for r in m["data"]]}
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("f_hat", _drop_last_column),
+        ("theta_hat", lambda m: {"dims": [1, 1], "data": [[0.5]]}),
+        ("sigma_hat", _drop_last_column),
+        ("eigvecs", lambda m: {"dims": [1, 4], "data": [m["data"][0]]}),
+        ("p_perp", lambda m: {"dims": [2, 2], "data": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("eigvals", lambda v: v[:-1]),
+    ],
+    ids=["f_hat-short-rows", "theta_hat-1x1", "sigma_hat-not-square", "eigvecs-one-row",
+         "p_perp-2x2", "eigvals-short"],
+)
+def test_matrix_shapes_must_match_the_declared_dimensions(fitted, field, edit):
+    _, fit = fitted
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    doc[field] = edit(doc[field])
+    with pytest.raises(DataValidationError, match=field):
+        deserialize_fit(doc)
+
+
 def _diagnostics_doc(fit, failed):
     """Serialized fit whose only unconverged fold fit is ``failed``."""
     doc = json.loads(json.dumps(serialize_fit(fit)))
