@@ -71,16 +71,6 @@ class CsvTable:
     values: np.ndarray
 
 
-def _parse_cell(cell: str, row: int, col: int, path) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DataValidationError(
-            f"{path}: row {row}, column {col}: could not parse {cell.strip()!r} "
-            "as a number"
-        ) from None
-
-
 def read_csv_table(path) -> CsvTable:
     """Read a numeric CSV with auto-detected header row."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -99,20 +89,30 @@ def read_csv_table(path) -> CsvTable:
         if len(raw) == 1:
             raise DataValidationError(f"{path}: no data rows after header")
 
-    width = len(raw[start])
-    rows = []
-    for i in range(start, len(raw)):
-        row = raw[i]
+    rows = raw[start:]
+    width = len(rows[0])
+    for i, row in enumerate(rows, start + 1):
         if len(row) != width:
-            raise DataValidationError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-        rows.append([_parse_cell(c, i + 1, j + 1, path) for j, c in enumerate(row)])
+            raise DataValidationError(f"{path}: row {i} has {len(row)} cells, expected {width}")
     if headers is not None and len(headers) != width:
         raise DataValidationError(
             f"{path}: header has {len(headers)} cells, data rows have {width}"
         )
-    return CsvTable(headers=headers, values=np.asarray(rows, dtype=float))
+    try:
+        # the cast parses each cell with float(), so it accepts what float() does
+        values = np.asarray(rows, dtype=float)
+    except ValueError:
+        for i, row in enumerate(rows, start + 1):
+            for j, cell in enumerate(row, 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataValidationError(
+                        f"{path}: row {i}, column {j}: could not parse {cell.strip()!r} "
+                        "as a number"
+                    ) from None
+        raise
+    return CsvTable(headers=headers, values=values)
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -2,13 +2,16 @@
 
 Three one-parameter families with canonical link and dispersion fixed at 1:
 gaussian (identity link), bernoulli (logit link) and poisson (log link).
-Everything downstream needs the cumulant function ``b`` and its first four
-derivatives, the inverse-variance weighted residual ``(y - b'(eta)) / b''(eta)``,
-and the antiderivative of that residual in ``eta`` (the modified
-quasi-log-likelihood term), which has a closed form for each family.
+Everything downstream needs the cumulant function ``b`` (the naive
+log-likelihood), ``b'`` and ``b''``, one kernel each, the inverse-variance
+weighted residual ``(y - b'(eta)) / b''(eta)``, and the antiderivative of
+that residual in ``eta`` (the modified quasi-log-likelihood term), which has
+a closed form for each family.
 
 All evaluation functions are vectorised: scalars and arrays of any shape are
-accepted and broadcast together.
+accepted and broadcast together. They trust their inputs: responses are
+checked once by :func:`validate_response` where a fit begins, and the solver
+rejects any step whose objective is not finite.
 """
 
 from __future__ import annotations
@@ -63,58 +66,39 @@ POISSON = GlmFamily("poisson")
 
 
 def family_from_name(name: str) -> GlmFamily:
-    """Look up a family by its lowercase name."""
-    key = name.strip().lower()
-    if key not in _FAMILY_NAMES:
-        raise DataValidationError(
-            f"unknown family {name!r}; expected one of {_FAMILY_NAMES}"
-        )
-    return GlmFamily(key)
+    """Look up a family by name, ignoring case and surrounding whitespace."""
+    return GlmFamily(name.strip().lower())
 
 
-def _as_finite_array(t, name: str) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DataValidationError(f"{name} must be finite")
-    return arr
-
-
-def b_derivs(family: GlmFamily, t):
-    """Cumulant function and derivatives ``(b, b', b'', b''', b'''')`` at t.
-
-    gaussian:  b(t) = t^2 / 2
-    bernoulli: b(t) = log(1 + e^t), evaluated as softplus so it is stable
-               for |t| up to ~700
-    poisson:   b(t) = e^t (all derivatives coincide)
-
-    Parameters
-    ----------
-    family : GlmFamily
-    t : array_like
-        Linear predictor values; must be finite.
-
-    Returns
-    -------
-    tuple of ndarray
-        (b, b1, b2, b3, b4), each with the shape of ``t``.
-    """
-    t = _as_finite_array(t, "linear predictor")
+def cumulant(family: GlmFamily, t):
+    """Cumulant ``b(t)``: t^2/2, softplus log(1 + e^t) (stable to |t| ~ 700), e^t."""
+    t = np.asarray(t, dtype=float)
     if family.kind == "gaussian":
-        one = np.ones_like(t)
-        zero = np.zeros_like(t)
-        return 0.5 * t * t, t.copy(), one, zero, zero
+        return 0.5 * t * t
+    if family.kind == "bernoulli":
+        return np.logaddexp(0.0, t)
+    return np.exp(t)
+
+
+def cumulant_d1(family: GlmFamily, t):
+    """Mean function ``b'`` at t: t, sigma(t), e^t."""
+    t = np.asarray(t, dtype=float)
+    if family.kind == "gaussian":
+        return t.copy()
+    if family.kind == "bernoulli":
+        return expit(t)
+    return np.exp(t)
+
+
+def cumulant_d2(family: GlmFamily, t):
+    """Variance function ``b''`` at t: 1, sigma(t) sigma(-t), e^t."""
+    t = np.asarray(t, dtype=float)
+    if family.kind == "gaussian":
+        return np.ones_like(t)
     if family.kind == "bernoulli":
         # sigma(t) * sigma(-t) stays accurate in both tails, unlike p*(1-p).
-        p = expit(t)
-        q = expit(-t)
-        b = np.logaddexp(0.0, t)
-        b2 = p * q
-        b3 = b2 * (1.0 - 2.0 * p)
-        b4 = b2 * (1.0 - 6.0 * b2)
-        return b, p, b2, b3, b4
-    # poisson
-    e = np.exp(t)
-    return e, e.copy(), e.copy(), e.copy(), e.copy()
+        return expit(t) * expit(-t)
+    return np.exp(t)
 
 
 def weighted_residual(family: GlmFamily, y, eta, floor=None):
@@ -138,7 +122,7 @@ def weighted_residual(family: GlmFamily, y, eta, floor=None):
     RESIDUAL_CURVATURE_FLOOR instead (see that constant's comment).
     """
     y = np.asarray(y, dtype=float)
-    eta = _as_finite_array(eta, "linear predictor")
+    eta = np.asarray(eta, dtype=float)
     if floor is None:
         floor = VARIANCE_FLOOR
     if family.kind == "gaussian":
@@ -159,17 +143,17 @@ def weighted_residual(family: GlmFamily, y, eta, floor=None):
 
 
 def quasi_hessian_weight(family: GlmFamily, y, eta, floor=None):
-    """Per-observation curvature weight ``1 + (y - b') b''' / b''^2``.
+    """Per-observation curvature weight, minus the ``eta``-derivative of the
+    weighted residual: ``1 + r(y, eta) * d/deta log b''(eta)``.
 
     Multiplied into x x^T gram matrices this gives the negated Hessian of the
     modified quasi-log-likelihood; the same weight drives the variance
-    correction matrices used for confidence intervals.  The correction factor
-    is the weighted residual times b'''/b'', which simplifies per family
-    (gaussian: 0, bernoulli: 1 - 2*sigma, poisson: 1), so the tail-stable
-    residual above carries over unchanged, floor included.
+    correction matrices used for confidence intervals.  The log-derivative
+    of b'' is 0 (gaussian), 1 - 2*sigma (bernoulli) and 1 (poisson), so the
+    tail-stable residual above carries over unchanged, floor included.
     """
     y = np.asarray(y, dtype=float)
-    eta = _as_finite_array(eta, "linear predictor")
+    eta = np.asarray(eta, dtype=float)
     if family.kind == "gaussian":
         return np.ones(np.broadcast(y, eta).shape)
     res = weighted_residual(family, y, eta, floor)
@@ -188,18 +172,13 @@ def quasi_loglik_term(family: GlmFamily, y, eta):
                y=0 term  -eta - e^(eta) + 1
     poisson:   -y*e^(-eta) - eta + y
 
-    The bernoulli form requires binary y; other values raise
-    DataValidationError.
+    The bernoulli form assumes binary y (see :func:`validate_response`).
     """
     y = np.asarray(y, dtype=float)
-    eta = _as_finite_array(eta, "linear predictor")
-    if not np.all(np.isfinite(y)):
-        raise DataValidationError("response must be finite")
+    eta = np.asarray(eta, dtype=float)
     if family.kind == "gaussian":
         return y * eta - 0.5 * eta * eta
     if family.kind == "bernoulli":
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise DataValidationError("bernoulli response must be 0 or 1")
         with np.errstate(over="ignore"):
             term_one = eta - np.exp(-eta) + 1.0
             term_zero = -eta - np.exp(eta) + 1.0

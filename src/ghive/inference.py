@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from . import families
-from .families import GlmFamily, b_derivs, quasi_hessian_weight, weighted_residual
+from .families import GlmFamily, cumulant_d2, quasi_hessian_weight, weighted_residual
 from .qml import CoefMatrix, column_blocks, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
@@ -92,7 +92,7 @@ def g_matrices(
     eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
     matrices and the (M,) bool flags.
     """
-    y, eta = data.y.T, (data.x @ coef_values.T).T
+    y, eta = data.y.T, _finite_predictors((data.x @ coef_values.T).T)
     floor = families.RESIDUAL_CURVATURE_FLOOR
     g = _block_grams(
         data.x, len(eta), lambda c: quasi_hessian_weight(family, y[c], eta[c], floor=floor)
@@ -103,6 +103,13 @@ def g_matrices(
     delta = 1e-8 * (1.0 + np.abs(eigs[bumped, :1]))
     g[bumped] += delta[:, :, None] * np.eye(g.shape[1])
     return g, bumped
+
+
+def _finite_predictors(eta: np.ndarray) -> np.ndarray:
+    """``eta`` unchanged, once checked: fits read from files enter here."""
+    if not np.isfinite(eta).all():
+        raise DataValidationError("fit coefficients give non-finite linear predictors")
+    return eta
 
 
 def _block_grams(x: np.ndarray, n_cols: int, weights) -> np.ndarray:
@@ -121,9 +128,8 @@ def influence_terms(
 ) -> np.ndarray:
     """Per-observation influence terms h (n x M) for direction v, given the
     curvature matrices ``g`` (M, p, p) from :func:`g_matrices`."""
-    eps = weighted_residual(
-        family, data.y, data.x @ coef_values.T, floor=families.RESIDUAL_CURVATURE_FLOOR
-    )
+    eta = _finite_predictors(data.x @ coef_values.T)
+    eps = weighted_residual(family, data.y, eta, floor=families.RESIDUAL_CURVATURE_FLOOR)
     try:
         # rows w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
         w = _solve_each(g, v)
@@ -205,8 +211,8 @@ def naive_wald_interval(
     if len(contrast.u) != coef.values.shape[0] or len(contrast.v) != coef.values.shape[1]:
         raise DataValidationError("contrast dimensions do not match the fit")
     rows = np.flatnonzero(contrast.u)
-    eta = (data.x @ coef.values.T).T[rows]
-    info = _block_grams(data.x, len(rows), lambda c: b_derivs(family, eta[c])[2])
+    eta = _finite_predictors((data.x @ coef.values.T).T[rows])
+    info = _block_grams(data.x, len(rows), lambda c: cumulant_d2(family, eta[c]))
     try:
         w = _solve_each(info, contrast.v)
     except np.linalg.LinAlgError:

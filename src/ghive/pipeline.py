@@ -22,7 +22,7 @@ import numpy as np
 from . import spectral
 from .data_io import Dataset, matrix_from_json, matrix_to_json
 from .errors import DataValidationError
-from .families import GlmFamily, family_from_name, validate_response
+from .families import GlmFamily, family_from_name
 from .qml import (
     DEFAULT_MAX_ITER,
     DEFAULT_RADIUS,
@@ -154,7 +154,6 @@ def ghive_fit(
     if not 0.0 < tol < np.inf:
         raise DataValidationError(f"tol must be a finite positive number, got {tol}")
     mode = mode or Mode.data_driven()
-    validate_response(family, data.y)
     split = make_split(data.n, seed)
     coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split, tol, max_iter, radius)
     resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)

@@ -34,9 +34,12 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import DataValidationError
 from .families import (
     GlmFamily,
-    b_derivs,
+    cumulant,
+    cumulant_d1,
+    cumulant_d2,
     quasi_hessian_weight,
     quasi_loglik_term,
+    validate_response,
     weighted_residual,
 )
 
@@ -78,7 +81,11 @@ def make_split(n: int, seed: int) -> SplitPlan:
     """Randomly split ``range(n)`` into two folds via a seeded permutation."""
     if n < 2:
         raise DataValidationError(f"need at least 2 rows to split, got n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
+    try:
+        perm = np.random.default_rng(seed).permutation(n)
+    except (TypeError, ValueError):
+        msg = f"split seed must be a non-negative integer, got {seed!r}"
+        raise DataValidationError(msg) from None
     half = (n + 1) // 2
     d1 = np.sort(perm[:half])
     d2 = np.sort(perm[half:])
@@ -139,13 +146,13 @@ def quasi_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.
 def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
     """Mean ordinary log-likelihood (up to the y-only term) at ``coef``."""
     eta = _eta(x, coef)
-    b = b_derivs(family, eta)[0]
+    b = cumulant(family, eta)
     with np.errstate(invalid="ignore"):
         return np.mean(y * eta - b, axis=-1)
 
 
 def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
-    r = y - b_derivs(family, _eta(x, coef))[1]
+    r = y - cumulant_d1(family, _eta(x, coef))
     return (x.T @ r[..., None])[..., 0] / x.shape[0]
 
 
@@ -159,7 +166,7 @@ def _curvature(x, y, family, eta, kind) -> np.ndarray:
     if kind == "quasi":
         w = quasi_hessian_weight(family, y, eta)
     else:
-        w = b_derivs(family, eta)[2]
+        w = cumulant_d2(family, eta)
     return weighted_gram(x, w) / x.shape[0]
 
 
@@ -279,13 +286,17 @@ def fit_qml_one(
     Runs the damped Newton ascent from every vector in ``starts`` and keeps
     the candidate with the largest final objective (first wins ties). The
     search is confined to the L2 ball ``|f| <= radius`` (pass None to lift
-    the bound).
+    the bound). The response, ``x`` and the starts are validated here, once.
     """
     if not starts:
         raise DataValidationError("need at least one start vector")
+    validate_response(family, y)
+    x, starts = np.asarray(x, dtype=float), np.array(starts, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(starts).all()):
+        raise DataValidationError("x and the start vectors must be finite")
     y = np.tile(np.asarray(y), (len(starts), 1))
     f, value, gnorm, n_iter, path = _ascent_block(
-        x, y, family, np.array(starts, dtype=float), tol, max_iter, "quasi", radius
+        x, y, family, starts, tol, max_iter, "quasi", radius
     )
     c = 0
     for s in range(1, len(starts)):
@@ -343,7 +354,7 @@ def fit_qml_all(
     Each response within each fold starts from both the zero vector and the
     fold's own naive MLE. The averaged CoefMatrix marks a response converged
     only when both fold fits converged, and reports the larger of the two
-    gradient norms.
+    gradient norms. The response is validated against the family here, once.
 
     Returns
     -------
@@ -351,6 +362,7 @@ def fit_qml_all(
         Fold-1 fit, fold-2 fit, and their average.
     """
     x, y = data.x, data.y
+    validate_response(family, y)
     p = x.shape[1]
     fold_fits = []
     for label, idx in (("d1", split.d1), ("d2", split.d2)):

@@ -110,8 +110,8 @@ def test_zero_factor_count_is_rejected_with_guidance(tmp_path, csv_data, capsys)
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-iter", "0"), ("--max-iter", "-1"), ("--tol", "0"), ("--tol", "-1"),
-     ("--tol", "nan"), ("--tol", "inf")],
-    ids=["0", "-1", "tol-0", "tol--1", "tol-nan", "tol-inf"],
+     ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")],
+    ids=["0", "-1", "tol-0", "tol--1", "tol-nan", "tol-inf", "seed--1"],
 )
 def test_max_iter_below_one_exits_two(tmp_path, csv_data, capsys, flag, value):
     code, out = _fit(tmp_path, csv_data, flag, value)
@@ -141,8 +141,20 @@ def test_malformed_csv_cell_is_located_in_the_error(tmp_path, capsys):
          "--out", str(tmp_path / "f.json")]
     )
     assert code == 2
-    err = capsys.readouterr().err
-    assert "row" in err and "column" in err
+    assert "row 2, column 2" in capsys.readouterr().err
+
+
+def test_malformed_cell_under_a_header_counts_the_header_as_row_one(tmp_path, capsys):
+    xp = tmp_path / "x.csv"
+    xp.write_text("a,b\n1.0,2.0\n3.0,oops\n")
+    yp = tmp_path / "y.csv"
+    save_matrix_csv(yp, np.zeros((2, 2)))
+    code = main(
+        ["fit", "--x", str(xp), "--y", str(yp), "--family", "gaussian",
+         "--out", str(tmp_path / "f.json")]
+    )
+    assert code == 2
+    assert "row 3, column 2" in capsys.readouterr().err
 
 
 def test_out_of_family_response_exits_two(tmp_path, capsys):

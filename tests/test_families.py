@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.errors import DataValidationError
 from ghive.families import (
     RESIDUAL_CURVATURE_FLOOR,
-    b_derivs,
+    cumulant,
+    cumulant_d1,
+    cumulant_d2,
     family_from_name,
     quasi_hessian_weight,
     quasi_loglik_term,
@@ -24,6 +27,31 @@ FAMILIES = {"gaussian": GAUSSIAN, "bernoulli": BERNOULLI, "poisson": POISSON}
 SAFE_T = {"gaussian": (-50.0, 50.0), "bernoulli": (-8.0, 8.0), "poisson": (-5.0, 5.0)}
 
 
+def _b3(family, t):
+    """Test-local closed form of b''' (the package needs only b, b' and b'')."""
+    t = np.asarray(t, dtype=float)
+    if family.kind == "gaussian":
+        return np.zeros_like(t)
+    if family.kind == "bernoulli":
+        return expit(t) * expit(-t) * (1.0 - 2.0 * expit(t))
+    return np.exp(t)
+
+
+def _b4(family, t):
+    """Test-local closed form of b''''."""
+    t = np.asarray(t, dtype=float)
+    if family.kind == "gaussian":
+        return np.zeros_like(t)
+    if family.kind == "bernoulli":
+        b2 = expit(t) * expit(-t)
+        return b2 * (1.0 - 6.0 * b2)
+    return np.exp(t)
+
+
+# b, b', b'', b''', b'''' in order
+DERIVS = (cumulant, cumulant_d1, cumulant_d2, _b3, _b4)
+
+
 def _central_diff(f, t, h=1e-5):
     return (f(t + h) - f(t - h)) / (2.0 * h)
 
@@ -34,8 +62,8 @@ def test_b_derivs_chain_matches_central_differences(name):
     lo, hi = SAFE_T[name]
     ts = np.linspace(lo, hi, 17)
     for order in range(4):  # check b' through b'''' against the level below
-        f = lambda t: b_derivs(family, t)[order]
-        g = lambda t: b_derivs(family, t)[order + 1]
+        f = lambda t: DERIVS[order](family, t)
+        g = lambda t: DERIVS[order + 1](family, t)
         for t in ts:
             num = _central_diff(f, t)
             ana = g(t)
@@ -44,15 +72,15 @@ def test_b_derivs_chain_matches_central_differences(name):
 
 def test_b_derivs_known_values():
     # gaussian: b(t) = t^2/2
-    b, b1, b2, b3, b4 = b_derivs(GAUSSIAN, 3.0)
+    b, b1, b2, b3, b4 = (d(GAUSSIAN, 3.0) for d in DERIVS)
     assert (b, b1, b2, b3, b4) == (4.5, 3.0, 1.0, 0.0, 0.0)
     # bernoulli at t=0: p=1/2
-    b, b1, b2, b3, b4 = b_derivs(BERNOULLI, 0.0)
+    b, b1, b2, b3, b4 = (d(BERNOULLI, 0.0) for d in DERIVS)
     assert np.isclose(b, np.log(2.0))
     assert b1 == 0.5 and np.isclose(b2, 0.25) and b3 == 0.0
     assert np.isclose(b4, 0.25 * (1 - 6 * 0.25))
     # poisson: every derivative is exp(t)
-    vals = b_derivs(POISSON, 1.3)
+    vals = [d(POISSON, 1.3) for d in DERIVS]
     assert np.allclose(vals, np.exp(1.3))
 
 
@@ -70,7 +98,7 @@ def test_weighted_residual_equals_quotient_when_curvature_is_healthy(name):
             y = float(rng.poisson(np.exp(eta)))
         else:
             y = float(rng.normal(eta))
-        _, b1, b2, _, _ = b_derivs(family, eta)
+        b1, b2 = cumulant_d1(family, eta), cumulant_d2(family, eta)
         assert b2 > RESIDUAL_CURVATURE_FLOOR
         got = weighted_residual(family, y, eta, floor=RESIDUAL_CURVATURE_FLOOR)
         assert np.isclose(got, (y - b1) / b2, rtol=1e-12, atol=1e-12)
@@ -111,7 +139,7 @@ def test_quasi_hessian_weight_matches_literal_formula():
                 if name == "bernoulli"
                 else float(rng.poisson(np.exp(eta)))
             )
-            _, b1, b2, b3, _ = b_derivs(family, eta)
+            b1, b2, b3 = (d(family, eta) for d in DERIVS[1:4])
             lit = 1.0 + (y - b1) * b3 / b2**2
             got = quasi_hessian_weight(family, y, eta)
             assert np.isclose(got, lit, rtol=1e-10, atol=1e-10)

@@ -13,7 +13,7 @@ from ghive.data_io import Dataset
 from ghive.errors import DataValidationError, NumericalError
 from ghive.families import (
     RESIDUAL_CURVATURE_FLOOR,
-    b_derivs,
+    cumulant_d2,
     quasi_hessian_weight,
     weighted_residual,
 )
@@ -138,7 +138,7 @@ def test_responses_split_over_several_blocks_match_one_block(monkeypatch):
     eta = data.x @ naive.values.T
     var = 0.0
     for m in range(data.m_dim):  # the one-response-at-a-time arithmetic
-        info = weighted_gram(data.x, b_derivs(BERNOULLI, eta[:, m])[2])
+        info = weighted_gram(data.x, cumulant_d2(BERNOULLI, eta[:, m]))
         var += float(c.u[m] ** 2 * (c.v @ np.linalg.solve(info, c.v)))
     assert wald.se == float(np.sqrt(var)) and wald.s_sq == var * data.n
 
@@ -237,6 +237,19 @@ def test_contrast_dimension_mismatch_is_rejected():
     wrong = Contrast(u=np.array([1.0, 0.0, 0.0]), v=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DataValidationError):
         confidence_interval(data, BERNOULLI, fit, wrong)
+
+
+def test_non_finite_fit_coefficients_are_rejected():
+    # a fit read from a file can carry NaN; inference rejects it, not the kernels
+    data, _, _ = small_sim_dataset(n=40, p=3, m_dim=2, seed=5)
+    fit = ghive_fit(data, BERNOULLI, seed=3)
+    fit.f_hat.values[1, 0] = np.nan
+    c = basis_contrast(0, 1, data.m_dim, data.p)
+    with pytest.raises(DataValidationError):
+        confidence_interval(data, BERNOULLI, fit, c)
+    with pytest.raises(DataValidationError):
+        naive_wald_interval(data, BERNOULLI, fit.f_hat, basis_contrast(1, 1, data.m_dim, data.p))
+    assert naive_wald_interval(data, BERNOULLI, fit.f_hat, c).se > 0.0
 
 
 def test_serialized_inference_validates_against_the_schema():

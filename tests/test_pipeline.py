@@ -10,6 +10,7 @@ from conftest import small_sim_dataset
 from ghive import BERNOULLI
 from ghive.data_io import Dataset
 from ghive.errors import DataValidationError
+from ghive.qml import make_split
 from ghive.pipeline import (
     FIT_FORMAT_VERSION,
     Mode,
@@ -203,6 +204,14 @@ def test_mode_constructors_validate():
     with pytest.raises(DataValidationError):
         Mode.oracle_p(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     assert Mode.data_driven().kind == "data-driven"
+
+
+def test_negative_split_seed_is_rejected():
+    data, _, _ = small_sim_dataset(n=40, p=2, m_dim=2, seed=3)
+    with pytest.raises(DataValidationError, match="seed"):
+        make_split(40, -1)
+    with pytest.raises(DataValidationError, match="seed"):
+        ghive_fit(data, BERNOULLI, seed=-1)
 
 
 def test_non_binary_response_is_rejected_up_front():

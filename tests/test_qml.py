@@ -114,6 +114,32 @@ def test_fit_qml_all_averages_the_fold_fits():
     assert np.allclose(avg.grad_norm, np.maximum(fit1.grad_norm, fit2.grad_norm))
 
 
+_X = np.random.default_rng(2).standard_normal((40, 2))
+_Y01 = (_X[:, 0] > 0).astype(float)
+_ZERO = [np.zeros(2)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.nan, 0.0])]),
+        lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.inf, 0.0])], radius=None),
+        lambda: fit_qml_one(np.where(_X > 2.0, np.nan, _X), _Y01, BERNOULLI, _ZERO),
+        lambda: fit_qml_one(_X, np.where(_Y01 == 1.0, 0.5, 0.0), BERNOULLI, _ZERO),
+        lambda: fit_qml_one(_X, np.where(_X[:, 1] > 1.5, np.nan, _X[:, 0]), GAUSSIAN, _ZERO),
+        lambda: fit_qml_all(
+            Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI, make_split(40, 0)
+        ),
+        lambda: fit_qml_all(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON, make_split(40, 0)),
+    ],
+    ids=["nan-start", "inf-start-unbounded", "nan-x", "bernoulli-half", "nan-gaussian-y",
+         "all-non-binary", "all-negative-poisson"],
+)
+def test_fits_validate_their_inputs_once_at_the_boundary(call):
+    with pytest.raises(DataValidationError):
+        call()
+
+
 def test_fold_smaller_than_covariate_count_is_rejected():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 4))
