@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import experiments as experiments_mod
-from .data_io import load_dataset, load_matrix_csv, read_json, write_json_atomic
+from .data_io import load_dataset, load_matrix_csv, matrix_to_json, read_json, write_json_atomic
 from .errors import DataValidationError, GhiveError, NumericalError
 from .families import family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
@@ -191,10 +191,7 @@ def cmd_fstar_oracle(args) -> int:
     doc = {
         "config": cfg.to_json_dict(),
         "n_mc": args.n_mc,
-        "f_star": {
-            "dims": list(oracle.values.shape),
-            "data": [[float(v) for v in row] for row in oracle.values],
-        },
+        "f_star": matrix_to_json(oracle.values),
         "bias1": met.bias1,
         "bias2": met.bias2,
         "converged_fraction": float(np.mean(oracle.converged)),

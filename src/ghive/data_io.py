@@ -63,16 +63,8 @@ class Dataset:
         return self.y.shape[1]
 
 
-@dataclass
-class CsvTable:
-    """A parsed numeric CSV: optional header names plus a float matrix."""
-
-    headers: list | None
-    values: np.ndarray
-
-
-def read_csv_table(path) -> CsvTable:
-    """Read a numeric CSV with auto-detected header row."""
+def read_csv_table(path) -> np.ndarray:
+    """Read a numeric CSV as a float matrix, skipping an auto-detected header row."""
     with open(path, newline="", encoding="utf-8") as fh:
         raw = [row for row in csv.reader(fh) if row]
     if not raw:
@@ -100,7 +92,7 @@ def read_csv_table(path) -> CsvTable:
         )
     try:
         # the cast parses each cell with float(), so it accepts what float() does
-        values = np.asarray(rows, dtype=float)
+        return np.asarray(rows, dtype=float)
     except ValueError:
         for i, row in enumerate(rows, start + 1):
             for j, cell in enumerate(row, 1):
@@ -112,11 +104,10 @@ def read_csv_table(path) -> CsvTable:
                         "as a number"
                     ) from None
         raise
-    return CsvTable(headers=headers, values=values)
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return read_csv_table(path).values
+    return read_csv_table(path)
 
 
 def load_dataset(x_path, y_path, family: GlmFamily, center: bool = False) -> Dataset:
@@ -125,8 +116,8 @@ def load_dataset(x_path, y_path, family: GlmFamily, center: bool = False) -> Dat
     With ``center=True`` the x columns are standardised to mean 0 and unit
     variance (columns with zero variance are centred but left unscaled).
     """
-    x = read_csv_table(x_path).values
-    y = read_csv_table(y_path).values
+    x = read_csv_table(x_path)
+    y = read_csv_table(y_path)
     if x.shape[0] != y.shape[0]:
         raise DataValidationError(
             f"{x_path} has {x.shape[0]} data rows but {y_path} has {y.shape[0]}"

@@ -14,6 +14,14 @@ redraw the ground truth every replication; the coverage experiment fixes the
 truth per grid point (one pseudo-true target) and derives replication seeds
 as grid_seed XOR rep, so the whole run is reproducible byte for byte.
 
+Each replicate worker (``_bias_rep``, ``_error_rep``, ``_coverage_rep``)
+only draws its data and scores estimators: it hands ``_rows`` a ``draw()``
+that returns ``score(estimator) -> {metric: value}``. ``_rows`` alone
+builds the long rows and records failures: when ``draw`` or ``score``
+raises a ``GhiveError`` or ``LinAlgError``, each affected estimator gets the
+experiment's failed metrics (``_FAILED_METRICS``) as NaN with ``failed=1``,
+and the aggregate leaves those rows out of its mean and ``n_used``.
+
 Replications are independent tasks (picklable ``functools.partial`` calls).
 They run serially unless the GHIVE_THREADS environment variable asks for a
 process pool; output ordering is canonicalised either way.
@@ -33,51 +41,32 @@ from .data_io import write_csv_rows
 from .errors import DataValidationError, GhiveError
 from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
-from .pipeline import Mode, ghive_fit, with_projection
+from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit, with_projection
 from .qml import fit_naive_mle
 from .simulate import SimConfig, fstar_oracle, make_truth, metrics, sample_dataset
 
-ESTIMATOR_DATA_DRIVEN = "data-driven"
-ESTIMATOR_ORACLE_K = "oracle-k"
-ESTIMATOR_ORACLE_P = "oracle-p"
 ESTIMATOR_NAIVE = "naive-mle"
 ESTIMATOR_FSTAR = "fstar-oracle"
 
-GHIVE_ESTIMATORS = (ESTIMATOR_ORACLE_P, ESTIMATOR_ORACLE_K, ESTIMATOR_DATA_DRIVEN)
+GHIVE_ESTIMATORS = (ORACLE_P, ORACLE_K, DATA_DRIVEN)
 ERROR_ESTIMATORS = GHIVE_ESTIMATORS + (ESTIMATOR_NAIVE,)
 
 EXPERIMENT_NAMES = ("fig1-bias", "fig1-eta", "fig2-n", "fig2-m", "table1")
 
 ALPHA = 0.05  # the coverage experiment's intervals are at level 1 - ALPHA
 
-LONG_FIELDS = (
-    "experiment",
-    "grid_index",
-    "n",
-    "p",
-    "m_dim",
-    "k_true",
-    "eta",
-    "estimator",
-    "rep",
-    "metric",
-    "value",
-    "failed",
-)
-AGG_FIELDS = (
-    "experiment",
-    "grid_index",
-    "n",
-    "p",
-    "m_dim",
-    "k_true",
-    "eta",
-    "estimator",
-    "metric",
-    "mean",
-    "stderr",
-    "n_used",
-)
+# Fields a long row shares with the aggregate row of its grid point.
+_POINT_FIELDS = ("experiment", "grid_index", "n", "p", "m_dim", "k_true", "eta", "estimator")
+LONG_FIELDS = _POINT_FIELDS + ("rep", "metric", "value", "failed")
+AGG_FIELDS = _POINT_FIELDS + ("metric", "mean", "stderr", "n_used")
+
+# Metrics a failed estimator reports (as NaN with failed=1), by experiment;
+# every other experiment reports frob_err.
+_FAILED_METRICS = {
+    "fig1-bias": ("bias1", "bias2", "oracle_converged_frac"),
+    "table1": ("covered", "covered_theta", "se", "ci_length", "estimate"),
+}
+_FAILURES = (GhiveError, np.linalg.LinAlgError)
 
 _MASK64 = (1 << 64) - 1
 
@@ -173,7 +162,7 @@ def experiment_spec(
     else:  # table1
         ns = (40, 70) if full_scale else (70,)
         grid = tuple(SimConfig(n=n, p=4, m_dim=4, k=3, eta=4.0, seed=seed) for n in ns)
-        estimators, default_reps, n_mc = (ESTIMATOR_DATA_DRIVEN, ESTIMATOR_NAIVE), 100, 100_000
+        estimators, default_reps, n_mc = (DATA_DRIVEN, ESTIMATOR_NAIVE), 100, 100_000
     return ExperimentSpec(
         name=name,
         grid=grid,
@@ -188,50 +177,44 @@ def experiment_spec(
 # per-replication workers
 
 
-def _base_row(spec, gi, cfg, estimator, rep) -> dict:
-    return {
-        "experiment": spec.name,
-        "grid_index": gi,
-        "n": cfg.n,
-        "p": cfg.p,
-        "m_dim": cfg.m_dim,
-        "k_true": cfg.k,
-        "eta": float(cfg.eta),
-        "estimator": estimator,
-        "rep": rep,
-        "metric": "",
-        "value": float("nan"),
-        "failed": 0,
+def _rows(spec: ExperimentSpec, gi: int, rep: int, draw) -> list:
+    """Long rows of one replicate, one per (estimator, metric).
+
+    ``draw()`` draws the replicate's data and returns its scorer,
+    ``score(estimator) -> {metric: value}``. A ``GhiveError`` or
+    ``LinAlgError`` in ``draw`` fails every estimator, one in ``score`` only
+    that estimator; a failed
+    estimator gets the experiment's ``_FAILED_METRICS`` as NaN with
+    ``failed=1``.
+    """
+    cfg = spec.grid[gi]
+    point = {
+        "experiment": spec.name, "grid_index": gi, "n": cfg.n, "p": cfg.p,
+        "m_dim": cfg.m_dim, "k_true": cfg.k, "eta": float(cfg.eta), "rep": rep,
     }
-
-
-def _metric_rows(base: dict, values: dict) -> list:
+    try:
+        score = draw()
+    except _FAILURES:
+        score = None
     rows = []
-    for metric, value in values.items():
-        row = dict(base)
-        row["metric"] = metric
-        row["value"] = float(value)
-        rows.append(row)
-    return rows
-
-
-def _failed_rows(base: dict, metric_names) -> list:
-    rows = []
-    for metric in metric_names:
-        row = dict(base)
-        row["metric"] = metric
-        row["value"] = float("nan")
-        row["failed"] = 1
-        rows.append(row)
+    for est in spec.estimators:
+        try:
+            if score is None:
+                raise GhiveError("replicate data could not be drawn")
+            values, failed = score(est), 0
+        except _FAILURES:
+            values = dict.fromkeys(_FAILED_METRICS.get(spec.name, ("frob_err",)), np.nan)
+            failed = 1
+        rows.extend(
+            {**point, "estimator": est, "metric": m, "value": float(v), "failed": failed}
+            for m, v in values.items()
+        )
     return rows
 
 
 def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
-    cfg = spec.grid[gi]
-    truth_seed = _mix(_mix(spec.seed, gi), rep)
-    cfg_r = replace(cfg, seed=truth_seed)
-    base = _base_row(spec, gi, cfg, ESTIMATOR_FSTAR, rep)
-    try:
+    def draw():
+        cfg_r = replace(spec.grid[gi], seed=_mix(_mix(spec.seed, gi), rep))
         truth = make_truth(cfg_r)
         oracle = fstar_oracle(truth, cfg_r, n_mc=spec.n_mc)
         met = metrics(None, truth, f_star=oracle)
@@ -240,9 +223,9 @@ def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
             "bias2": met.bias2,
             "oracle_converged_frac": float(np.mean(oracle.converged)),
         }
-        return _metric_rows(base, values)
-    except (GhiveError, np.linalg.LinAlgError):
-        return _failed_rows(base, ("bias1", "bias2", "oracle_converged_frac"))
+        return lambda est: values
+
+    return _rows(spec, gi, rep, draw)
 
 
 def _error_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
@@ -250,51 +233,35 @@ def _error_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
     truth_seed = _mix(_mix(spec.seed, gi), rep)
     cfg_r = replace(cfg, seed=truth_seed)
     family = family_from_name(cfg.family)
-    rows = []
-    try:
+
+    def draw():
         truth = make_truth(cfg_r)
         data = sample_dataset(truth, cfg_r, rep_seed=truth_seed)
-    except (GhiveError, np.linalg.LinAlgError):
-        for est in spec.estimators:
-            rows.extend(_failed_rows(_base_row(spec, gi, cfg, est, rep), ("frob_err",)))
-        return rows
+        fit = None
+        if any(e in GHIVE_ESTIMATORS for e in spec.estimators):
+            try:
+                fit = ghive_fit(data, family, seed=truth_seed)
+            except _FAILURES:
+                pass  # the pipeline estimators fail; naive-mle is still scored
 
-    fit_dd = None
-    if any(e in GHIVE_ESTIMATORS for e in spec.estimators):
-        try:
-            fit_dd = ghive_fit(data, family, seed=truth_seed)
-        except (GhiveError, np.linalg.LinAlgError):
-            pass
-
-    for est in spec.estimators:
-        base = _base_row(spec, gi, cfg, est, rep)
-        try:
+        def score(est):
             if est == ESTIMATOR_NAIVE:
-                naive = fit_naive_mle(data, family)
-                values = {"frob_err": metrics(naive.values, truth).frob_err}
-            elif fit_dd is None:
+                return {"frob_err": metrics(fit_naive_mle(data, family).values, truth).frob_err}
+            if fit is None:
                 raise GhiveError("pipeline fit failed")
-            elif est == ESTIMATOR_DATA_DRIVEN:
-                met = metrics(fit_dd.theta_hat, truth, p_perp_hat=fit_dd.spectral.p_perp)
-                values = {
+            if est == DATA_DRIVEN:
+                met = metrics(fit.theta_hat, truth, p_perp_hat=fit.spectral.p_perp)
+                return {
                     "frob_err": met.frob_err,
-                    "k_hat": float(fit_dd.spectral.k_hat),
+                    "k_hat": float(fit.spectral.k_hat),
                     "proj_err": met.proj_err,
                 }
-            else:
-                if est == ESTIMATOR_ORACLE_K:
-                    mode = Mode.oracle_k(cfg.k)
-                else:
-                    mode = Mode.oracle_p(truth.p_b_perp)
-                theta_hat = with_projection(fit_dd, mode).theta_hat
-                values = {"frob_err": metrics(theta_hat, truth).frob_err}
-            rows.extend(_metric_rows(base, values))
-        except (GhiveError, np.linalg.LinAlgError):
-            rows.extend(_failed_rows(base, ("frob_err",)))
-    return rows
+            mode = Mode.oracle_k(cfg.k) if est == ORACLE_K else Mode.oracle_p(truth.p_b_perp)
+            return {"frob_err": metrics(with_projection(fit, mode).theta_hat, truth).frob_err}
 
+        return score
 
-_COVERAGE_METRICS = ("covered", "covered_theta", "se", "ci_length", "estimate")
+    return _rows(spec, gi, rep, draw)
 
 
 def _coverage_rep(
@@ -306,31 +273,20 @@ def _coverage_rep(
     target_theta: float,
 ) -> list:
     cfg = spec.grid[gi]
-    grid_seed = _mix(spec.seed, gi)
-    rep_seed = grid_seed ^ rep
+    rep_seed = _mix(spec.seed, gi) ^ rep
     family = family_from_name(cfg.family)
-    rows = []
-    try:
-        data = sample_dataset(truth, cfg, rep_seed=rep_seed)
-    except (GhiveError, np.linalg.LinAlgError):
-        for est in spec.estimators:
-            rows.extend(
-                _failed_rows(_base_row(spec, gi, cfg, est, rep), _COVERAGE_METRICS)
-            )
-        return rows
-
     contrast = basis_contrast(0, 0, cfg.m_dim, cfg.p)
-    for est in spec.estimators:
-        base = _base_row(spec, gi, cfg, est, rep)
-        try:
+
+    def draw():
+        data = sample_dataset(truth, cfg, rep_seed=rep_seed)
+
+        def score(est):
             if est == ESTIMATOR_NAIVE:
                 coef = fit_naive_mle(data, family)
                 res = naive_wald_interval(data, family, coef, contrast, ALPHA)
-                extra = {}
             else:
                 fit = ghive_fit(data, family, seed=rep_seed)
                 res = confidence_interval(data, family, fit, contrast, ALPHA)
-                extra = {"rms_h": float(np.sqrt(res.s_sq / data.n))}
             values = {
                 "covered": float(res.ci_lo <= target_fstar <= res.ci_hi),
                 "covered_theta": float(res.ci_lo <= target_theta <= res.ci_hi),
@@ -338,11 +294,13 @@ def _coverage_rep(
                 "ci_length": res.ci_hi - res.ci_lo,
                 "estimate": res.estimate,
             }
-            values.update(extra)
-            rows.extend(_metric_rows(base, values))
-        except (GhiveError, np.linalg.LinAlgError):
-            rows.extend(_failed_rows(base, _COVERAGE_METRICS))
-    return rows
+            if est != ESTIMATOR_NAIVE:
+                values["rms_h"] = float(np.sqrt(res.s_sq / data.n))
+            return values
+
+        return score
+
+    return _rows(spec, gi, rep, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -366,51 +324,23 @@ def aggregate_rows(long_rows) -> list:
     """Group long rows and average the non-failed values.
 
     Means are plain arithmetic means; stderr is the sample standard
-    deviation over replications divided by sqrt(count).
+    deviation over replications divided by sqrt(count). A group's grid-point
+    fields come from its first row.
     """
     groups = {}
-    meta = {}
     for row in long_rows:
-        key = (row["grid_index"], row["estimator"], row["metric"])
-        meta.setdefault(
-            key,
-            {
-                "experiment": row["experiment"],
-                "n": row["n"],
-                "p": row["p"],
-                "m_dim": row["m_dim"],
-                "k_true": row["k_true"],
-                "eta": row["eta"],
-            },
-        )
-        if not row["failed"]:
-            groups.setdefault(key, []).append(float(row["value"]))
+        groups.setdefault((row["grid_index"], row["estimator"], row["metric"]), []).append(row)
     out = []
-    for key in sorted(meta, key=lambda k: (k[0], k[1], k[2])):
-        values = groups.get(key, [])
-        gi, estimator, metric = key
-        info = meta[key]
-        if values:
-            arr = np.asarray(values)
-            mean = float(arr.mean())
-            stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else float("nan")
-        else:
-            mean, stderr = float("nan"), float("nan")
+    for key in sorted(groups):
+        rows = groups[key]
+        values = np.array([float(r["value"]) for r in rows if not r["failed"]])
+        mean = float(values.mean()) if len(values) else float("nan")
+        stderr = float("nan")
+        if len(values) > 1:
+            stderr = float(values.std(ddof=1) / np.sqrt(len(values)))
         out.append(
-            {
-                "experiment": info["experiment"],
-                "grid_index": gi,
-                "n": info["n"],
-                "p": info["p"],
-                "m_dim": info["m_dim"],
-                "k_true": info["k_true"],
-                "eta": info["eta"],
-                "estimator": estimator,
-                "metric": metric,
-                "mean": mean,
-                "stderr": stderr,
-                "n_used": len(values),
-            }
+            {f: rows[0][f] for f in _POINT_FIELDS}
+            | {"metric": key[2], "mean": mean, "stderr": stderr, "n_used": len(values)}
         )
     return out
 

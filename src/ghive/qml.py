@@ -288,10 +288,10 @@ def fit_qml_one(
     search is confined to the L2 ball ``|f| <= radius`` (pass None to lift
     the bound). The response, ``x`` and the starts are validated here, once.
     """
-    if not starts:
-        raise DataValidationError("need at least one start vector")
-    validate_response(family, y)
     x, starts = np.asarray(x, dtype=float), np.array(starts, dtype=float)
+    if starts.ndim != 2 or len(starts) < 1 or starts.shape[1:] != x.shape[1:]:
+        raise DataValidationError("need at least one start vector, one per row, as wide as x")
+    validate_response(family, y)
     if not (np.isfinite(x).all() and np.isfinite(starts).all()):
         raise DataValidationError("x and the start vectors must be finite")
     y = np.tile(np.asarray(y), (len(starts), 1))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ghive.errors import DataValidationError
+from ghive import experiments
+from ghive.errors import DataValidationError, NumericalError
 from ghive.experiments import (
     ALPHA,
     AGG_FIELDS,
@@ -145,6 +146,74 @@ def test_process_pool_rows_match_the_serial_run(monkeypatch):
     pooled = [run_experiment(spec).long_rows for spec in specs]
     assert pooled == serial
     assert not any(row["failed"] for rows in serial for row in rows)
+
+
+def _raise_on(monkeypatch, name, calls):
+    """Make experiments.<name> raise on the given 0-based call numbers."""
+    real, seen = getattr(experiments, name), []
+
+    def wrapped(*args, **kwargs):
+        seen.append(None)
+        if len(seen) - 1 in calls:
+            error = np.linalg.LinAlgError if len(seen) % 2 else NumericalError
+            raise error(f"injected failure in {name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, wrapped)
+
+
+COVERAGE_METRICS = {"covered", "covered_theta", "se", "ci_length", "estimate"}
+
+
+@pytest.mark.parametrize(
+    "name, injected, failed_pairs, failed_metrics",
+    [
+        # rep 0's draw fails every estimator; rep 1's ghive_fit fails the
+        # pipeline estimators but leaves naive-mle scored; rep 2's naive fit fails
+        (
+            "fig2-n",
+            {"sample_dataset": {0}, "ghive_fit": {0}, "fit_naive_mle": {1}},
+            {(0, e) for e in ("oracle-p", "oracle-k", "data-driven", "naive-mle")}
+            | {(1, e) for e in ("oracle-p", "oracle-k", "data-driven")}
+            | {(2, "naive-mle")},
+            {"frob_err"},
+        ),
+        # rep 0's ghive_fit fails, rep 1's draw, rep 2's naive fit
+        (
+            "table1",
+            {"sample_dataset": {1}, "ghive_fit": {0}, "fit_naive_mle": {1}},
+            {(0, "data-driven"), (1, "data-driven"), (1, "naive-mle"), (2, "naive-mle")},
+            COVERAGE_METRICS,
+        ),
+        ("fig1-bias", {"fstar_oracle": {0}}, {(0, "fstar-oracle")},
+         {"bias1", "bias2", "oracle_converged_frac"}),
+    ],
+)
+def test_failed_estimators_get_nan_rows_and_drop_out_of_the_aggregate(
+    monkeypatch, name, injected, failed_pairs, failed_metrics
+):
+    monkeypatch.delenv("GHIVE_THREADS", raising=False)
+    spec = experiment_spec(name, reps=3)
+    spec = dataclasses.replace(spec, grid=spec.grid[:1], n_mc=10_000)
+    for fn, calls in injected.items():
+        _raise_on(monkeypatch, fn, calls)
+    res = run_experiment(spec)
+
+    by_pair = {}
+    for row in res.long_rows:
+        by_pair.setdefault((row["rep"], row["estimator"]), []).append(row)
+    assert set(by_pair) == {(r, e) for r in range(3) for e in spec.estimators}
+    for pair, rows in by_pair.items():
+        if pair in failed_pairs:
+            assert {r["metric"] for r in rows} == failed_metrics
+            assert all(r["failed"] == 1 and math.isnan(r["value"]) for r in rows)
+        else:
+            assert failed_metrics <= {r["metric"] for r in rows}
+            assert not any(r["failed"] for r in rows)
+    for agg in res.agg_rows:
+        if agg["metric"] in failed_metrics:
+            n_failed = sum(1 for r, e in failed_pairs if e == agg["estimator"])
+            assert agg["n_used"] == spec.reps - n_failed
 
 
 def test_coverage_rows_have_interval_structure():

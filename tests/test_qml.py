@@ -140,6 +140,20 @@ def test_fits_validate_their_inputs_once_at_the_boundary(call):
         call()
 
 
+def test_starts_may_be_one_2d_array_but_not_empty_1d_or_misshapen():
+    y = _X @ np.array([1.0, -0.5])
+    starts = [np.zeros(2), np.ones(2)]
+    as_list = fit_qml_one(_X, y, GAUSSIAN, starts)
+    as_array = fit_qml_one(_X, y, GAUSSIAN, np.array(starts))
+    assert np.array_equal(as_list.f_hat, as_array.f_hat)
+    assert as_list.objective_path == as_array.objective_path
+    one = fit_qml_one(_X, y, GAUSSIAN, np.zeros((1, 2)))
+    assert np.array_equal(one.f_hat, fit_qml_one(_X, y, GAUSSIAN, _ZERO).f_hat)
+    for bad in ([], np.zeros((0, 2)), np.zeros(2), np.zeros((1, 3))):
+        with pytest.raises(DataValidationError, match="start vector"):
+            fit_qml_one(_X, y, GAUSSIAN, bad)
+
+
 def test_fold_smaller_than_covariate_count_is_rejected():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 4))
