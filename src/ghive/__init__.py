@@ -1,7 +1,7 @@
 """Estimation and approximate inference for multivariate-response GLMs
 with hidden confounding."""
 
-from .data_io import Dataset, load_dataset, load_matrix_csv, save_matrix_csv
+from .data_io import Dataset, load_dataset, read_csv_table, save_matrix_csv
 from .errors import DataValidationError, GhiveError, NumericalError
 from .families import BERNOULLI, GAUSSIAN, POISSON, GlmFamily, family_from_name
 from .inference import (
@@ -64,12 +64,12 @@ __all__ = [
     "gaussian_fstar_closed_form",
     "ghive_fit",
     "load_dataset",
-    "load_matrix_csv",
     "make_split",
     "make_truth",
     "metrics",
     "naive_wald_interval",
     "normal_quantile",
+    "read_csv_table",
     "run_experiment",
     "sample_dataset",
     "save_matrix_csv",

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import experiments as experiments_mod
-from .data_io import load_dataset, load_matrix_csv, matrix_to_json, read_json, write_json_atomic
+from .data_io import load_dataset, matrix_to_json, read_csv_table, read_json, write_json_atomic
 from .errors import DataValidationError, GhiveError, NumericalError
 from .families import family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
@@ -92,7 +92,7 @@ def _parse_direction(spec: str, dim: int, name: str) -> np.ndarray:
         vec = np.zeros(dim)
         vec[idx - 1] = 1.0
         return vec
-    vec = load_matrix_csv(spec).ravel()
+    vec = read_csv_table(spec).ravel()
     if vec.shape[0] != dim:
         raise DataValidationError(
             f"{name} vector from {spec} has length {vec.shape[0]}, expected {dim}"
@@ -102,7 +102,7 @@ def _parse_direction(spec: str, dim: int, name: str) -> np.ndarray:
 
 def _resolve_mode(args, m_dim: int) -> Mode:
     if args.projector:
-        projector = load_matrix_csv(args.projector)
+        projector = read_csv_table(args.projector)
         if projector.shape != (m_dim, m_dim):
             raise DataValidationError(
                 f"projector from {args.projector} is {projector.shape[0]}x"

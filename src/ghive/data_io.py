@@ -1,9 +1,18 @@
 """Datasets, CSV parsing, and atomic file output.
 
-CSV conventions: UTF-8, comma separated, decimal point, optional single
-header row (auto-detected: a first row with any cell that does not parse as
-a number is treated as headers). Parse errors report 1-based row and column
-positions, counting the header row as row 1 when present.
+CSV conventions: UTF-8 (a leading BOM is allowed), comma separated,
+optional single header row (auto-detected: a first row with any cell that
+does not parse as a number is treated as headers). A cell takes any syntax
+``float()`` accepts. Parse errors report 1-based row and column positions,
+counting the header row as row 1 when present.
+
+A plain numeric file (no header, no quotes, ASCII cells) is parsed by
+numpy's C reader, which converts each cell with the same correctly rounded
+parser ``float()`` uses and so gives the same bits. Whatever it refuses goes
+through the csv module, the one place that detects headers, accepts the
+rest of ``float()``'s syntax (``1_000``, non-ASCII digits, quoted cells)
+and locates bad cells. A file that is not UTF-8, or a JSON input that does
+not parse, is a ``DataValidationError`` naming the path.
 
 Floats are written with 17 significant digits so that write -> read is
 bit-exact for every finite double. All file writes go through a temp file
@@ -17,6 +26,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +75,27 @@ class Dataset:
 
 def read_csv_table(path) -> np.ndarray:
     """Read a numeric CSV as a float matrix, skipping an auto-detected header row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        raw = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            # an empty file is reported by the csv path below, not as a warning
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if table.size:
+            return table
+    except ValueError:  # header, quotes, non-ASCII cells, bad cells, not UTF-8
+        pass
+    return _read_csv_rows(path)
+
+
+def _read_csv_rows(path) -> np.ndarray:
+    """The csv-module reader: header detection, float() syntax, bad cells located."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            raw = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(
+            f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})"
+        ) from None
     if not raw:
         raise DataValidationError(f"{path}: file is empty")
 
@@ -104,10 +133,6 @@ def read_csv_table(path) -> np.ndarray:
                         "as a number"
                     ) from None
         raise
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return read_csv_table(path)
 
 
 def load_dataset(x_path, y_path, family: GlmFamily, center: bool = False) -> Dataset:
@@ -190,8 +215,11 @@ def write_json_atomic(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
 from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit, with_projection
 from .qml import fit_naive_mle
-from .simulate import SimConfig, fstar_oracle, make_truth, metrics, sample_dataset
+from .simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, metrics, sample_dataset
 
 ESTIMATOR_NAIVE = "naive-mle"
 ESTIMATOR_FSTAR = "fstar-oracle"
@@ -370,6 +370,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     replicate, and every other name (including the one-point spec behind
     ``ghive simulate``) the estimation-error replicate.
     """
+    check_n_mc(spec.n_mc)  # else fig1-bias would fail every replicate instead
     tasks = []
     for gi, cfg in enumerate(spec.grid):
         if spec.name == "fig1-bias":

@@ -288,7 +288,11 @@ def fit_qml_one(
     search is confined to the L2 ball ``|f| <= radius`` (pass None to lift
     the bound). The response, ``x`` and the starts are validated here, once.
     """
-    x, starts = np.asarray(x, dtype=float), np.array(starts, dtype=float)
+    x = np.asarray(x, dtype=float)
+    try:
+        starts = np.array(starts, dtype=float)
+    except ValueError:  # ragged starts: rejected below like any misshapen ones
+        starts = np.empty(0)
     if starts.ndim != 2 or len(starts) < 1 or starts.shape[1:] != x.shape[1:]:
         raise DataValidationError("need at least one start vector, one per row, as wide as x")
     validate_response(family, y)

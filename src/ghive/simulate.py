@@ -206,6 +206,13 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     return Dataset(x, y)
 
 
+def check_n_mc(n_mc: int) -> None:
+    if n_mc < 10_000:
+        raise DataValidationError(
+            f"n_mc must be at least 10000 for a usable oracle, got {n_mc}"
+        )
+
+
 def fstar_oracle(
     truth: SimTruth,
     config: SimConfig,
@@ -219,10 +226,7 @@ def fstar_oracle(
     The oracle draw uses a salted seed so it never shares a stream with
     replication datasets derived from the same config.
     """
-    if n_mc < 10_000:
-        raise DataValidationError(
-            f"n_mc must be at least 10000 for a usable oracle, got {n_mc}"
-        )
+    check_n_mc(n_mc)
     if family is None:
         family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))

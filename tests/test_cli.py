@@ -131,6 +131,29 @@ def test_missing_fit_file_exits_two_with_the_path(tmp_path, csv_data, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [("fit", b"1.0,2.0\n3.0,\xe9\n"), ("infer", b"{not json"), ("simulate", b"{not json")],
+    ids=["fit-latin-1-csv", "infer-non-json-fit", "simulate-non-json-config"],
+)
+def test_undecodable_or_non_json_input_exits_two_with_the_path(
+    tmp_path, csv_data, capsys, command, content
+):
+    xp, yp = csv_data
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    out = tmp_path / "out.json"
+    argv = {
+        "fit": ["fit", "--x", str(bad), "--y", str(yp), "--family", "bernoulli"],
+        "infer": ["infer", "--fit", str(bad), "--x", str(xp), "--y", str(yp),
+                  "--u", "e1", "--v", "e1"],
+        "simulate": ["simulate", "--config", str(bad)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_csv_cell_is_located_in_the_error(tmp_path, capsys):
     xp = tmp_path / "x.csv"
     xp.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")

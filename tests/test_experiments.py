@@ -67,6 +67,14 @@ def test_reps_below_one_are_rejected(reps):
         experiment_spec("table1", reps=reps)
 
 
+@pytest.mark.parametrize("name", ["fig1-bias", "table1"])
+def test_too_small_oracle_sample_is_rejected_before_any_replicate(name, monkeypatch):
+    monkeypatch.setattr(experiments, "_map_tasks", lambda tasks: pytest.fail("a replicate ran"))
+    spec = dataclasses.replace(experiment_spec(name, reps=2), n_mc=5000)
+    with pytest.raises(DataValidationError, match="n_mc"):
+        run_experiment(spec)
+
+
 def _tiny_spec():
     spec = experiment_spec("fig2-n", reps=2, seed=123)
     return dataclasses.replace(spec, grid=(spec.grid[0],))

@@ -149,7 +149,7 @@ def test_starts_may_be_one_2d_array_but_not_empty_1d_or_misshapen():
     assert as_list.objective_path == as_array.objective_path
     one = fit_qml_one(_X, y, GAUSSIAN, np.zeros((1, 2)))
     assert np.array_equal(one.f_hat, fit_qml_one(_X, y, GAUSSIAN, _ZERO).f_hat)
-    for bad in ([], np.zeros((0, 2)), np.zeros(2), np.zeros((1, 3))):
+    for bad in ([], np.zeros((0, 2)), np.zeros(2), np.zeros((1, 3)), [np.zeros(2), np.zeros(3)]):
         with pytest.raises(DataValidationError, match="start vector"):
             fit_qml_one(_X, y, GAUSSIAN, bad)
 
