@@ -11,7 +11,11 @@ Each response column is fit separately by maximising either
 Both use the same damped Newton ascent: solve the Newton system against the
 negated Hessian, fall back to a plain gradient step when the curvature matrix
 is not usable, and halve the step until the objective strictly increases.
-Accepted iterates therefore have a monotone objective path.
+Accepted iterates therefore have a monotone objective path. The full step is
+tried first; the halvings after it run in stacked rounds, each evaluating as
+many of a column's next steps ``2**-j`` as STACK_ELEMENTS allows in one
+objective call, and the column takes the first of them that increases the
+objective: the step the one-at-a-time search would take.
 
 One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit): predictors, gradients and curvatures are
@@ -50,6 +54,14 @@ MAX_STEP_HALVINGS = 30
 # Element budget of the (columns, n, p) weighted design behind one block of
 # curvature matrices; a solve with more columns runs them in several blocks.
 BLOCK_ELEMENTS = 2**18
+
+# Element budget of the (candidates, n) predictors of one stacked round of
+# step halvings (64 KB). A stalled column on a 100-row fold gets all its
+# halvings in one objective call, while folds of more than 4096 rows keep one
+# halving per call: there a candidate nobody takes costs more than the call
+# it might save. The temporaries stay below glibc malloc's default 128 KB mmap
+# threshold, so the calls do not map and page-fault them afresh.
+STACK_ELEMENTS = 2**13
 
 # Coefficient-norm bound for the quasi-likelihood ascent. The quasi-objective
 # rewards correctly classified bernoulli observations linearly in the linear
@@ -224,9 +236,13 @@ def _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius=None):
 def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
     """One block of :func:`_newton_ascent`, ``y`` (C, n). A column stops on
     ``grad_norm < tol``, ``max_iter`` or a line search with no increase; one
-    whose start has a non-finite objective is reported as-is. Also returns
-    each column's iteration count and its objective after every iteration
-    run, ``path`` (C, iterations + 1)."""
+    whose start has a non-finite objective is reported as-is. The line search
+    tries the full step for every column, then stacks each failing column's
+    next halvings, as many per round as keep the (candidates, n) predictors
+    within STACK_ELEMENTS, and takes the first that increases the objective,
+    as one halving at a time would. Also returns each column's iteration
+    count and its objective after every iteration run, ``path``
+    (C, iterations + 1)."""
     objective = quasi_objective if kind == "quasi" else loglik_objective
     gradient = quasi_gradient if kind == "quasi" else loglik_gradient
     f = _ball_project(f, radius)  # callers pass a copy; it is updated in place
@@ -252,17 +268,24 @@ def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
             dnorm = np.sqrt(_dots(direction, direction))
             long = dnorm > 2.0 * radius
             direction[long] = direction[long] * (2.0 * radius / dnorm[long])[:, None]
-        step, todo = 1.0, np.arange(live.size)
-        for _ in range(MAX_STEP_HALVINGS):
+        halving, todo = 0, np.arange(live.size)
+        while todo.size and halving < MAX_STEP_HALVINGS:
+            # round 0 tries the full step; later rounds stack as many of the
+            # failing columns' next halvings as STACK_ELEMENTS allows
+            k = 1 if halving == 0 else max(1, STACK_ELEMENTS // (len(x) * todo.size))
+            k = min(k, MAX_STEP_HALVINGS - halving)
+            steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
-            cand = _ball_project(f[cols] + step * direction[todo], radius)
-            cand_value = objective(x, y[cols], family, cand)
+            cand = f[cols] + steps[:, None, None] * direction[todo]
+            cand = _ball_project(cand.reshape(-1, f.shape[1]), radius)
+            cand_value = objective(x, y[np.tile(cols, k)], family, cand).reshape(k, -1)
             up = np.isfinite(cand_value) & (cand_value > value[cols])
-            f[cols[up]], value[cols[up]] = cand[up], cand_value[up]
-            todo = todo[~up]
-            if not todo.size:
-                break
-            step *= 0.5
+            # each column takes its first (longest) increasing step, as when
+            # the halvings run one at a time
+            hit = up.any(axis=0)
+            first = up.argmax(axis=0)[hit] * todo.size + np.flatnonzero(hit)
+            f[cols[hit]], value[cols[hit]] = cand[first], cand_value.ravel()[first]
+            todo, halving = todo[~hit], halving + k
         live = np.delete(live, todo)
         path.append(value.copy())
     return f, value, grad_norm, n_iter, np.array(path).T
@@ -295,10 +318,14 @@ def fit_qml_one(
         starts = np.empty(0)
     if starts.ndim != 2 or len(starts) < 1 or starts.shape[1:] != x.shape[1:]:
         raise DataValidationError("need at least one start vector, one per row, as wide as x")
+    y = np.asarray(y)
+    if y.shape != x.shape[:1]:
+        msg = f"response must be 1-D with {len(x)} entries, one per row of x; got shape {y.shape}"
+        raise DataValidationError(msg)
     validate_response(family, y)
     if not (np.isfinite(x).all() and np.isfinite(starts).all()):
         raise DataValidationError("x and the start vectors must be finite")
-    y = np.tile(np.asarray(y), (len(starts), 1))
+    y = np.tile(y, (len(starts), 1))
     f, value, gnorm, n_iter, path = _ascent_block(
         x, y, family, starts, tol, max_iter, "quasi", radius
     )

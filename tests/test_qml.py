@@ -127,13 +127,15 @@ _ZERO = [np.zeros(2)]
         lambda: fit_qml_one(np.where(_X > 2.0, np.nan, _X), _Y01, BERNOULLI, _ZERO),
         lambda: fit_qml_one(_X, np.where(_Y01 == 1.0, 0.5, 0.0), BERNOULLI, _ZERO),
         lambda: fit_qml_one(_X, np.where(_X[:, 1] > 1.5, np.nan, _X[:, 0]), GAUSSIAN, _ZERO),
+        lambda: fit_qml_one(_X, _Y01[:30], BERNOULLI, _ZERO),
+        lambda: fit_qml_one(_X, _Y01[:, None], BERNOULLI, _ZERO),
         lambda: fit_qml_all(
             Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI, make_split(40, 0)
         ),
         lambda: fit_qml_all(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON, make_split(40, 0)),
     ],
     ids=["nan-start", "inf-start-unbounded", "nan-x", "bernoulli-half", "nan-gaussian-y",
-         "all-non-binary", "all-negative-poisson"],
+         "short-y", "column-y", "all-non-binary", "all-negative-poisson"],
 )
 def test_fits_validate_their_inputs_once_at_the_boundary(call):
     with pytest.raises(DataValidationError):
@@ -263,6 +265,58 @@ def test_column_blocks_split_by_the_element_budget_give_the_same_fits(family, mo
     # 50-row folds of 3 covariates: two columns per block, naive fit one per block
     monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 2 * 50 * 3)
     _assert_same_fits(_all_fits(x, y, family), one_block)
+
+
+def _one_response_fits(x, y, family):
+    return [
+        fit_qml_one(x, y[:, m], family, starts=[np.zeros(x.shape[1]), np.ones(x.shape[1])])
+        for m in range(y.shape[1])
+    ]
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_stacked_halvings_take_the_one_at_a_time_step(family, monkeypatch):
+    x, y = _column_cases(family)
+    designs = (x, np.column_stack([x, x[:, 1]]))  # the second has singular curvatures
+    stacked = [(_all_fits(xd, y, family), _one_response_fits(xd, y, family)) for xd in designs]
+    # one column per block and one halving per objective call
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(qml, "STACK_ELEMENTS", 1)
+    for xd, (fits, ones) in zip(designs, stacked):
+        _assert_same_fits(fits, _all_fits(xd, y, family))
+        for got, want in zip(ones, _one_response_fits(xd, y, family)):
+            assert np.array_equal(got.f_hat, want.f_hat)
+            assert (got.q_value, got.n_iter) == (want.q_value, want.n_iter)
+            assert got.objective_path == want.objective_path
+
+
+def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_step(
+    monkeypatch,
+):
+    x, y = _column_cases(POISSON)
+    calls, costs = [0], []
+    for name in ("quasi_objective", "loglik_objective"):
+        objective = getattr(qml, name)
+
+        def counted(*args, objective=objective):
+            calls[0] += 1
+            return objective(*args)
+
+        monkeypatch.setattr(qml, name, counted)
+    block = qml._ascent_block
+
+    def measured(*args):
+        calls[0] = 0
+        out = block(*args)
+        costs.append((calls[0], out[4].shape[1] - 1))  # (calls, iterations)
+        return out
+
+    monkeypatch.setattr(qml, "_ascent_block", measured)
+    fold1, fold2, _, naive = _all_fits(x, y, POISSON)
+    assert not all(f.converged[-1] for f in (fold1, fold2, naive))  # stalled columns ran
+    assert costs
+    for n_calls, iterations in costs:
+        assert n_calls <= 1 + 2 * iterations
 
 
 def test_memory_follows_the_iterations_run_not_max_iter():
