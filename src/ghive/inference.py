@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from . import families
-from .families import GlmFamily, cumulant_d2, quasi_hessian_weight, weighted_residual
+from .families import GlmFamily, cumulant_d2, hessian_weight, weighted_residual
 from .qml import CoefMatrix, column_blocks, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
@@ -92,17 +92,15 @@ def g_matrices(
     eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
     matrices and the (M,) bool flags.
     """
-    y, eta = data.y.T, _finite_predictors((data.x @ coef_values.T).T)
-    floor = families.RESIDUAL_CURVATURE_FLOOR
-    g = _block_grams(
-        data.x, len(eta), lambda c: quasi_hessian_weight(family, y[c], eta[c], floor=floor)
-    ) / data.n
-    g = 0.5 * (g + g.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(g)
-    bumped = eigs[:, 0] < _G_EIG_RTOL * np.maximum(1.0, eigs[:, -1])
-    delta = 1e-8 * (1.0 + np.abs(eigs[bumped, :1]))
-    g[bumped] += delta[:, :, None] * np.eye(g.shape[1])
-    return g, bumped
+    return _g_matrices(data.x, family, *_residuals(data, family, coef_values))
+
+
+def _residuals(data: Dataset, family: GlmFamily, coef_values: np.ndarray):
+    """Predictors ``eta`` and floored weighted residuals ``eps`` (both n x M)
+    at the coefficient rows, computed once for the G matrices and the
+    influence terms."""
+    eta = _finite_predictors(data.x @ coef_values.T)
+    return eta, weighted_residual(family, data.y, eta, floor=families.RESIDUAL_CURVATURE_FLOOR)
 
 
 def _finite_predictors(eta: np.ndarray) -> np.ndarray:
@@ -112,10 +110,23 @@ def _finite_predictors(eta: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarray):
+    """:func:`g_matrices` from the predictors and residuals of :func:`_residuals`."""
+    eta, eps = eta.T, eps.T
+    g = _block_grams(x, len(eta), lambda c: hessian_weight(family, eta[c], eps[c])) / len(x)
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(g)
+    bumped = eigs[:, 0] < _G_EIG_RTOL * np.maximum(1.0, eigs[:, -1])
+    delta = 1e-8 * (1.0 + np.abs(eigs[bumped, :1]))
+    g[bumped] += delta[:, :, None] * np.eye(g.shape[1])
+    return g, bumped
+
+
 def _block_grams(x: np.ndarray, n_cols: int, weights) -> np.ndarray:
     """Stacked ``weighted_gram(x, weights(cols))`` over the solver's column
-    blocks of ``n_cols`` responses; (n_cols, p, p)."""
-    return np.concatenate([weighted_gram(x, weights(c)) for c in column_blocks(x, n_cols)])
+    blocks of ``n_cols`` responses, with one transposed copy of x; (n_cols, p, p)."""
+    xt = np.ascontiguousarray(x.T)
+    return np.concatenate([weighted_gram(x, weights(c), xt) for c in column_blocks(x, n_cols)])
 
 
 def _solve_each(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,14 +139,17 @@ def influence_terms(
 ) -> np.ndarray:
     """Per-observation influence terms h (n x M) for direction v, given the
     curvature matrices ``g`` (M, p, p) from :func:`g_matrices`."""
-    eta = _finite_predictors(data.x @ coef_values.T)
-    eps = weighted_residual(family, data.y, eta, floor=families.RESIDUAL_CURVATURE_FLOOR)
+    return _influence_terms(data.x, _residuals(data, family, coef_values)[1], g, v)
+
+
+def _influence_terms(x: np.ndarray, eps: np.ndarray, g: np.ndarray, v: np.ndarray):
+    """:func:`influence_terms` from the residuals of :func:`_residuals`."""
     try:
         # rows w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
         w = _solve_each(g, v)
     except np.linalg.LinAlgError:
         raise NumericalError("a curvature matrix is singular; cannot form intervals")
-    return eps * (data.x @ w.T)
+    return eps * (x @ w.T)
 
 
 @dataclass
@@ -189,8 +203,9 @@ def confidence_interval(
             f"contrast (u, v) has lengths ({len(contrast.u)}, {len(contrast.v)}), "
             f"expected (M={fit.m_dim}, p={fit.p})"
         )
-    g, regularized = g_matrices(data, family, fit.f_hat.values)
-    h = influence_terms(data, family, fit.f_hat.values, g, contrast.v)
+    eta, eps = _residuals(data, family, fit.f_hat.values)
+    g, regularized = _g_matrices(data.x, family, eta, eps)
+    h = _influence_terms(data.x, eps, g, contrast.v)
     projected = h @ (fit.spectral.p_perp @ contrast.u)
     s_sq = float(projected @ projected)
     estimate = float(contrast.u @ fit.theta_hat @ contrast.v)

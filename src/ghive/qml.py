@@ -17,6 +17,12 @@ many of a column's next steps ``2**-j`` as STACK_ELEMENTS allows in one
 objective call, and the column takes the first of them that increases the
 objective: the step the one-at-a-time search would take.
 
+As in IRLS, each iterate is evaluated once: the predictors ``x . f`` of the
+candidate a column accepts serve its next gradient and curvature, and the
+score residual behind the gradient also gives the curvature weight (the
+quasi-Hessian weight, or ``b''`` from the gradient's ``b'``), with the same
+bits as evaluating each quantity afresh.
+
 One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit): predictors, gradients and curvatures are
 stacked matmuls over the columns, while each column steps and stops by its
@@ -41,7 +47,7 @@ from .families import (
     cumulant,
     cumulant_d1,
     cumulant_d2,
-    quasi_hessian_weight,
+    hessian_weight,
     quasi_loglik_term,
     validate_response,
     weighted_residual,
@@ -144,42 +150,55 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _evaluate(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef, kind: str):
+    """Mean objective of ``kind`` ("quasi" or "loglik") at ``coef``, and the
+    predictors ``x . coef`` it was evaluated at, for the gradient and
+    curvature at that point to reuse."""
+    eta = _eta(x, coef)
+    if kind == "quasi":
+        return np.mean(quasi_loglik_term(family, y, eta), axis=-1), eta
+    b = cumulant(family, eta)
+    with np.errstate(invalid="ignore"):
+        return np.mean(y * eta - b, axis=-1), eta
+
+
+def _gradient(x: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Mean of ``score`` times x: the gradient, given the score residual
+    (the weighted residual for "quasi", ``y - b'`` for "loglik")."""
+    return (x.T @ score[..., None])[..., 0] / x.shape[0]
+
+
 def quasi_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
     """Mean modified quasi-log-likelihood at ``coef``."""
-    return np.mean(quasi_loglik_term(family, y, _eta(x, coef)), axis=-1)
+    return _evaluate(x, y, family, coef, "quasi")[0]
 
 
 def quasi_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
     """Gradient of :func:`quasi_objective`: mean of weighted residual times x."""
-    r = weighted_residual(family, y, _eta(x, coef))
-    return (x.T @ r[..., None])[..., 0] / x.shape[0]
+    return _gradient(x, weighted_residual(family, y, _eta(x, coef)))
 
 
 def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
     """Mean ordinary log-likelihood (up to the y-only term) at ``coef``."""
-    eta = _eta(x, coef)
-    b = cumulant(family, eta)
-    with np.errstate(invalid="ignore"):
-        return np.mean(y * eta - b, axis=-1)
+    return _evaluate(x, y, family, coef, "loglik")[0]
 
 
 def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
-    r = y - cumulant_d1(family, _eta(x, coef))
-    return (x.T @ r[..., None])[..., 0] / x.shape[0]
+    return _gradient(x, y - cumulant_d1(family, _eta(x, coef)))
 
 
-def weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``x.T @ diag(weights) @ x`` without the diagonal matrix; (C, n) gives (C, p, p)."""
-    return x.T @ (weights[..., None] * x)
+def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None) -> np.ndarray:
+    """``x.T @ diag(weights) @ x`` without the diagonal matrix; (C, n) gives (C, p, p).
 
-
-def _curvature(x, y, family, eta, kind) -> np.ndarray:
-    """Negated Hessian of the mean objective (p x p, or (C, p, p))."""
-    if kind == "quasi":
-        w = quasi_hessian_weight(family, y, eta)
-    else:
-        w = cumulant_d2(family, eta)
-    return weighted_gram(x, w) / x.shape[0]
+    The weights scale ``xt``, a C-contiguous copy of ``x.T``, so the product
+    runs along rows of length n rather than p; a caller building many grams
+    over one x makes that copy once and passes it. ``x.T`` stays the left
+    operand: the sums are those of ``x.T @ (weights[..., None] * x)``, bit
+    for bit.
+    """
+    if xt is None:
+        xt = np.ascontiguousarray(x.T)
+    return x.T @ (xt * weights[..., None, :]).swapaxes(-1, -2)
 
 
 def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -225,41 +244,57 @@ def _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius=None):
     """Damped Newton ascent from each row c of ``starts`` (C, p) on response
     ``y[:, c % M]``, in column blocks. Returns the per-column arrays
     ``(f, value, grad_norm)``."""
-    m_dim = y.shape[1]
+    m_dim, xt = y.shape[1], np.ascontiguousarray(x.T)
     blocks = [
-        _ascent_block(x, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind, radius)
+        _ascent_block(x, xt, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind, radius)
         for cols in column_blocks(x, len(starts))
     ]
     return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
 
 
-def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
-    """One block of :func:`_newton_ascent`, ``y`` (C, n). A column stops on
+def _ascent_block(x, xt, y, family, f, tol, max_iter, kind, radius):
+    """One block of :func:`_newton_ascent`, ``y`` (C, n); ``xt`` is the
+    C-contiguous copy of ``x.T`` for :func:`weighted_gram`. A column stops on
     ``grad_norm < tol``, ``max_iter`` or a line search with no increase; one
     whose start has a non-finite objective is reported as-is. The line search
     tries the full step for every column, then stacks each failing column's
     next halvings, as many per round as keep the (candidates, n) predictors
     within STACK_ELEMENTS, and takes the first that increases the objective,
-    as one halving at a time would. Also returns each column's iteration
-    count and its objective after every iteration run, ``path``
-    (C, iterations + 1)."""
-    objective = quasi_objective if kind == "quasi" else loglik_objective
-    gradient = quasi_gradient if kind == "quasi" else loglik_gradient
+    as one halving at a time would.
+
+    Each iterate is evaluated once: the predictors of the accepted candidate
+    are kept for the next gradient and curvature, and the score residual
+    behind the gradient also gives the curvature weight (the quasi-Hessian
+    weight for "quasi", ``b''`` from ``b'`` for "loglik"). Also returns each
+    column's iteration count and its objective after every iteration run,
+    ``path`` (C, iterations + 1)."""
     f = _ball_project(f, radius)  # callers pass a copy; it is updated in place
-    value = objective(x, y, family, f)
+    value, eta = _evaluate(x, y, family, f, kind)
     path = [value.copy()]
     grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
     n_iter = np.zeros(len(f), dtype=int)
     live = np.flatnonzero(np.isfinite(value))
     for it in range(max_iter + 1):
-        if live.size:
-            grad[live] = gradient(x, y[live], family, f[live])
-            grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
-        live = live[grad_norm[live] >= tol]
+        if not live.size:
+            break
+        eta_live = eta[live]
+        if kind == "quasi":
+            score = weighted_residual(family, y[live], eta_live)
+        else:
+            mean = cumulant_d1(family, eta_live)
+            score = y[live] - mean
+        grad[live] = _gradient(x, score)
+        grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
+        going = grad_norm[live] >= tol
+        live = live[going]
         if it == max_iter or not live.size:
             break
         n_iter[live] = it + 1
-        curv = _curvature(x, y[live], family, _eta(x, f[live]), kind)
+        if kind == "quasi":
+            weight = hessian_weight(family, eta_live[going], score[going])
+        else:
+            weight = cumulant_d2(family, eta_live[going], d1=mean[going])
+        curv = weighted_gram(x, weight, xt) / x.shape[0]
         direction = _ascent_directions(curv, grad[live])
         if radius is not None:
             # keep the backtracking scale meaningful: a near-singular
@@ -278,13 +313,15 @@ def _ascent_block(x, y, family, f, tol, max_iter, kind, radius):
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
             cand = _ball_project(cand.reshape(-1, f.shape[1]), radius)
-            cand_value = objective(x, y[np.tile(cols, k)], family, cand).reshape(k, -1)
+            cand_value, cand_eta = _evaluate(x, y[np.tile(cols, k)], family, cand, kind)
+            cand_value = cand_value.reshape(k, -1)
             up = np.isfinite(cand_value) & (cand_value > value[cols])
             # each column takes its first (longest) increasing step, as when
             # the halvings run one at a time
             hit = up.any(axis=0)
             first = up.argmax(axis=0)[hit] * todo.size + np.flatnonzero(hit)
             f[cols[hit]], value[cols[hit]] = cand[first], cand_value.ravel()[first]
+            eta[cols[hit]] = cand_eta[first]
             todo, halving = todo[~hit], halving + k
         live = np.delete(live, todo)
         path.append(value.copy())
@@ -327,7 +364,7 @@ def fit_qml_one(
         raise DataValidationError("x and the start vectors must be finite")
     y = np.tile(y, (len(starts), 1))
     f, value, gnorm, n_iter, path = _ascent_block(
-        x, y, family, starts, tol, max_iter, "quasi", radius
+        x, np.ascontiguousarray(x.T), y, family, starts, tol, max_iter, "quasi", radius
     )
     c = 0
     for s in range(1, len(starts)):

@@ -11,10 +11,12 @@ from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.errors import DataValidationError
 from ghive.families import (
     RESIDUAL_CURVATURE_FLOOR,
+    VARIANCE_FLOOR,
     cumulant,
     cumulant_d1,
     cumulant_d2,
     family_from_name,
+    hessian_weight,
     quasi_hessian_weight,
     quasi_loglik_term,
     validate_response,
@@ -224,3 +226,49 @@ def test_family_from_name_roundtrip_and_errors():
         assert family_from_name(name).kind == family.kind
     with pytest.raises(DataValidationError):
         family_from_name("logit")
+
+
+# Every bernoulli edge case of the exponential: signed zeros, the smallest
+# subnormal, tiny and moderate predictors, where sigma(-eta) underflows in
+# b'' (~23, ~37), the edge of exp overflow (709.78 < log(max float) < 710)
+# and where e^-eta underflows to zero (745).
+_ETA_GRID = np.array(
+    [s * a for a in (0.0, 5e-324, 1e-300, 23.0, 37.0, 709.78, 710.0, 745.0) for s in (1.0, -1.0)]
+)
+
+
+def _two_branch_residual(y, eta, floor):
+    """The bernoulli weighted residual written as its y=1 and y=0 branches."""
+    cap = 1.0 / floor
+    with np.errstate(over="ignore"):
+        pos = 1.0 + np.exp(-eta)
+        neg = -1.0 - np.exp(eta)
+    return np.clip(np.where(y == 1.0, pos, neg), -cap, cap)
+
+
+@pytest.mark.parametrize("floor", [None, RESIDUAL_CURVATURE_FLOOR], ids=["solver", "interval"])
+def test_signed_bernoulli_kernels_equal_the_two_branch_forms_bit_for_bit(floor):
+    eta = np.concatenate([_ETA_GRID, np.random.default_rng(3).uniform(-40.0, 40.0, 200)])
+    y, eta = np.meshgrid([0.0, 1.0], eta)
+    lit_floor = VARIANCE_FLOOR if floor is None else floor
+    res = _two_branch_residual(y, eta, lit_floor)
+    assert np.array_equal(weighted_residual(BERNOULLI, y, eta, floor=floor), res)
+    weight = 1.0 + res * (1.0 - 2.0 * expit(eta))
+    assert np.array_equal(quasi_hessian_weight(BERNOULLI, y, eta, floor=floor), weight)
+    assert np.array_equal(hessian_weight(BERNOULLI, eta, res), weight)
+    with np.errstate(over="ignore"):
+        term_one = eta - np.exp(-eta) + 1.0
+        term_zero = -eta - np.exp(eta) + 1.0
+    term = np.where(y == 1.0, term_one, term_zero)
+    assert np.array_equal(quasi_loglik_term(BERNOULLI, y, eta), term)
+    # signed zeros survive too, where array_equal would not tell them apart
+    assert np.array_equal(np.signbit(quasi_loglik_term(BERNOULLI, y, eta)), np.signbit(term))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_b2_from_a_given_b1_is_the_b2_kernel_bit_for_bit(name):
+    family = FAMILIES[name]
+    t = np.concatenate([_ETA_GRID[np.abs(_ETA_GRID) < 700], np.linspace(-30.0, 30.0, 61)])
+    assert np.array_equal(cumulant_d2(family, t, d1=cumulant_d1(family, t)), cumulant_d2(family, t))
+    if name == "bernoulli":  # the literal two-sigma form
+        assert np.array_equal(cumulant_d2(family, t), expit(t) * expit(-t))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_design, small_sim_dataset
 from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.data_io import Dataset
-from ghive import qml
+from ghive import families, qml
 from ghive.errors import DataValidationError
 from ghive.qml import (
     DEFAULT_RADIUS,
@@ -183,6 +183,19 @@ def test_weighted_gram_matches_dense_product():
     assert np.allclose(weighted_gram(x, w), x.T @ np.diag(w) @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(40, 100, 4), (26, 1000, 10), (2, 5000, 20), (1, 100000, 4)])
+def test_weighted_gram_is_the_literal_product_bit_for_bit(shape):
+    n_cols, n, p = shape
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, p))
+    w = rng.uniform(-0.5, 3.0, size=(n_cols, n))
+    literal = x.T @ (w[..., None] * x)
+    xt = np.ascontiguousarray(x.T)
+    assert np.array_equal(weighted_gram(x, w), literal)
+    assert np.array_equal(weighted_gram(x, w, xt), literal)
+    assert np.array_equal(weighted_gram(x, w[0], xt), x.T @ (w[0][:, None] * x))
+
+
 def test_multi_start_returns_the_better_optimum():
     # With a warm start at the solution and a cold start at zero, the
     # result must be at least as good as either single-start run.
@@ -295,14 +308,13 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
 ):
     x, y = _column_cases(POISSON)
     calls, costs = [0], []
-    for name in ("quasi_objective", "loglik_objective"):
-        objective = getattr(qml, name)
+    evaluate = qml._evaluate  # the line search's objective evaluation
 
-        def counted(*args, objective=objective):
-            calls[0] += 1
-            return objective(*args)
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
 
-        monkeypatch.setattr(qml, name, counted)
+    monkeypatch.setattr(qml, "_evaluate", counted)
     block = qml._ascent_block
 
     def measured(*args):
@@ -333,3 +345,46 @@ def test_memory_follows_the_iterations_run_not_max_iter():
     assert long.objective_path == short.objective_path
     assert long.objective_path[-1] == long.q_value
     assert len(long.objective_path) - 1 in (long.n_iter, long.n_iter - 1)
+
+
+def test_each_iterate_is_evaluated_once(monkeypatch):
+    """Per block, x . coef runs once per objective evaluation (the start and
+    each line-search round), never again for the gradient or the curvature,
+    and a quasi iteration computes its weighted residual once."""
+    counts, costs = {}, []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # quasi_loglik_term and cumulant are called once per objective evaluation;
+    # the residual is counted wherever the solver or a families kernel asks
+    names = ("_eta", "quasi_loglik_term", "cumulant", "weighted_residual")
+    for name in names:
+        count(qml, name)
+    count(families, "weighted_residual")
+    block = qml._ascent_block
+
+    def measured(*args):
+        counts.update(dict.fromkeys(names, 0))
+        out = block(*args)
+        costs.append((args[-2], dict(counts), out[4].shape[1] - 1))  # kind, counts, iterations
+        return out
+
+    monkeypatch.setattr(qml, "_ascent_block", measured)
+    for family in (GAUSSIAN, BERNOULLI, POISSON):
+        x, y = _column_cases(family)
+        _all_fits(x, y, family)
+        _one_response_fits(x, y, family)
+    assert {kind for kind, _, _ in costs} == {"quasi", "loglik"}
+    assert any(iterations > 1 for _, _, iterations in costs)
+    for kind, n, iterations in costs:
+        evaluations = n["quasi_loglik_term"] + n["cumulant"]  # 1 + line-search rounds
+        assert n["_eta"] <= evaluations
+        if kind == "quasi":
+            assert n["weighted_residual"] <= iterations + 1
