@@ -4,11 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ghive import BERNOULLI, GAUSSIAN
 from ghive.errors import DataValidationError
 from ghive.qml import CoefMatrix
 from ghive.simulate import (
+    _DATA_DOMAIN,
+    _sigma_z_sqrt,
+    _stream,
     SimConfig,
     circulant_cov,
     fstar_oracle,
@@ -86,6 +90,21 @@ def test_sample_dataset_shapes_families_and_determinism():
     pois = dataclasses.replace(cfg, family="poisson", eta=1.0)
     dp = sample_dataset(make_truth(pois), pois, rep_seed=1)
     assert np.all(dp.y >= 0) and np.allclose(dp.y, np.round(dp.y))
+
+
+def test_bernoulli_responses_replay_the_documented_stream_through_expit():
+    # The response rule is u < scipy.special.expit(lin), not the fitting
+    # kernels' sigmoid, so simulated datasets stay fixed when those change.
+    cfg = SimConfig(n=2000, p=4, m_dim=4, k=2, eta=4.0, seed=15, family="bernoulli")
+    truth = make_truth(cfg)
+    rng = _stream(_DATA_DOMAIN, 3)
+    z = rng.standard_normal((cfg.n, cfg.k)) @ _sigma_z_sqrt(truth.sigma_z).T
+    x = z @ truth.a.T + rng.standard_normal((cfg.n, cfg.p))
+    lin = x @ truth.theta.T + z @ truth.b.T
+    y = (rng.random((cfg.n, cfg.m_dim)) < expit(lin)).astype(float)
+    ds = sample_dataset(truth, cfg, rep_seed=3)
+    assert np.array_equal(ds.x, x)
+    assert np.array_equal(ds.y, y)
 
 
 def test_covariate_covariance_obeys_the_factor_structure():
