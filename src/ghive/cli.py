@@ -150,11 +150,6 @@ def cmd_infer(args) -> int:
     doc = read_json(args.fit)
     fit = deserialize_fit(doc)
     data = load_dataset(args.x, args.y, fit.family, center=doc.get("center", False))
-    if data.p != fit.p or data.m_dim != fit.m_dim:
-        raise DataValidationError(
-            f"data is (p={data.p}, M={data.m_dim}) but the fit from {args.fit} "
-            f"was built for (p={fit.p}, M={fit.m_dim})"
-        )
     contrast = Contrast(
         _parse_direction(args.u, fit.m_dim, "--u"),
         _parse_direction(args.v, fit.p, "--v"),

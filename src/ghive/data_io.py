@@ -184,14 +184,10 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def save_matrix_csv(path, matrix, headers=None) -> None:
+def save_matrix_csv(path, matrix) -> None:
     """Write a matrix as CSV with 17-significant-digit floats, atomically."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = []
-    if headers is not None:
-        lines.append(",".join(str(h) for h in headers))
-    for row in matrix:
-        lines.append(",".join(_format_float(v) for v in row))
+    lines = [",".join(_format_float(v) for v in row) for row in matrix]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -81,6 +81,8 @@ POISSON = GlmFamily("poisson")
 
 def family_from_name(name: str) -> GlmFamily:
     """Look up a family by name, ignoring case and surrounding whitespace."""
+    if not isinstance(name, str):
+        raise DataValidationError(f"family must be a name, got {name!r}")
     return GlmFamily(name.strip().lower())
 
 

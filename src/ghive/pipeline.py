@@ -25,7 +25,6 @@ from .errors import DataValidationError
 from .families import GlmFamily, family_from_name
 from .qml import (
     DEFAULT_MAX_ITER,
-    DEFAULT_RADIUS,
     DEFAULT_TOL,
     CoefMatrix,
     SplitPlan,
@@ -142,11 +141,10 @@ def ghive_fit(
     mode: Mode | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    radius=DEFAULT_RADIUS,
 ) -> GhiveFit:
     """Run the full pipeline on a dataset.
 
-    The same (data, seed, mode, tol, radius) always produces the same fit,
+    The same (data, seed, mode, tol) always produces the same fit,
     bit for bit; the split seed is the only source of randomness.
     """
     if max_iter < 1:
@@ -155,7 +153,7 @@ def ghive_fit(
         raise DataValidationError(f"tol must be a finite positive number, got {tol}")
     mode = mode or Mode.data_driven()
     split = make_split(data.n, seed)
-    coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split, tol, max_iter, radius)
+    coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split, tol, max_iter)
     resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
     sigma = spectral.covariance_crossfit(resid, split)
     eigvals, eigvecs = spectral.eigendecomposition(sigma)
@@ -271,6 +269,8 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         p_perp = matrix_from_json(doc["p_perp"], "p_perp")
         eigvals = np.asarray(doc["eigvals"], dtype=float)
         k_hat = doc["k_hat"]
+        if k_hat is not None and (isinstance(k_hat, bool) or not isinstance(k_hat, int)):
+            raise DataValidationError(f"fit document k_hat must be null or an integer: {k_hat!r}")
         diagnostics = doc["diagnostics"]
         n, p, m_dim = int(doc["n"]), int(doc["p"]), int(doc["m_dim"])
         seed, tol, max_iter = int(doc["seed"]), float(doc["tol"]), int(doc["max_iter"])
@@ -305,7 +305,6 @@ def deserialize_fit(doc: dict) -> GhiveFit:
                 f"fit document {name} has shape {arr.shape}, expected {shape} "
                 f"for m_dim={m_dim}, p={p}"
             )
-    k_hat = None if k_hat is None else int(k_hat)
     spec = spectral.SpectralResult(
         sigma_hat=sigma_hat,
         eigvals=eigvals,

@@ -76,9 +76,10 @@ STACK_ELEMENTS = 2**13
 # attention to a compact coefficient class anyway (a lower bound on b'' along
 # fitted predictors amounts to the same thing). Fits are therefore maximised
 # over the L2 ball of this radius. Population-level coefficient rows in every
-# setting exercised by the tests stay below norm ~9, so the bound leaves
+# setting exercised by the study and the tests stay below norm 6.2 (the
+# largest, 6.12, is a gaussian fig1-bias row at eta = 10), so the bound leaves
 # regular problems untouched.
-DEFAULT_RADIUS = 20.0
+RADIUS = 20.0
 
 
 @dataclass(frozen=True)
@@ -223,12 +224,11 @@ def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.where(usable[:, None], d, grad)
 
 
-def _ball_project(f: np.ndarray, radius) -> np.ndarray:
+def _ball_project(f: np.ndarray) -> np.ndarray:
     """Scale the rows of ``f`` (C, p) lying outside the ball onto it, in place."""
-    if radius is not None:
-        norm = np.sqrt(_dots(f, f))
-        out = ~(norm <= radius)  # as the one-vector test, NaN norms included
-        f[out] = f[out] * (radius / norm[out])[:, None]
+    norm = np.sqrt(_dots(f, f))
+    out = ~(norm <= RADIUS)  # as the one-vector test, NaN norms included
+    f[out] = f[out] * (RADIUS / norm[out])[:, None]
     return f
 
 
@@ -240,19 +240,19 @@ def column_blocks(x: np.ndarray, n_cols: int) -> list:
     return np.split(np.arange(n_cols), range(width, n_cols, width))
 
 
-def _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius=None):
+def _newton_ascent(x, y, family, starts, tol, max_iter, kind):
     """Damped Newton ascent from each row c of ``starts`` (C, p) on response
     ``y[:, c % M]``, in column blocks. Returns the per-column arrays
     ``(f, value, grad_norm)``."""
     m_dim, xt = y.shape[1], np.ascontiguousarray(x.T)
     blocks = [
-        _ascent_block(x, xt, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind, radius)
+        _ascent_block(x, xt, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind)
         for cols in column_blocks(x, len(starts))
     ]
     return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
 
 
-def _ascent_block(x, xt, y, family, f, tol, max_iter, kind, radius):
+def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
     """One block of :func:`_newton_ascent`, ``y`` (C, n); ``xt`` is the
     C-contiguous copy of ``x.T`` for :func:`weighted_gram`. A column stops on
     ``grad_norm < tol``, ``max_iter`` or a line search with no increase; one
@@ -268,7 +268,7 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind, radius):
     weight for "quasi", ``b''`` from ``b'`` for "loglik"). Also returns each
     column's iteration count and its objective after every iteration run,
     ``path`` (C, iterations + 1)."""
-    f = _ball_project(f, radius)  # callers pass a copy; it is updated in place
+    f = _ball_project(f)  # callers pass a copy; it is updated in place
     value, eta = _evaluate(x, y, family, f, kind)
     path = [value.copy()]
     grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
@@ -296,13 +296,12 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind, radius):
             weight = cumulant_d2(family, eta_live[going], d1=mean[going])
         curv = weighted_gram(x, weight, xt) / x.shape[0]
         direction = _ascent_directions(curv, grad[live])
-        if radius is not None:
-            # keep the backtracking scale meaningful: a near-singular
-            # curvature matrix can suggest steps many orders of magnitude
-            # longer than the feasible ball
-            dnorm = np.sqrt(_dots(direction, direction))
-            long = dnorm > 2.0 * radius
-            direction[long] = direction[long] * (2.0 * radius / dnorm[long])[:, None]
+        # keep the backtracking scale meaningful: a near-singular curvature
+        # matrix can suggest steps many orders of magnitude longer than the
+        # feasible ball
+        dnorm = np.sqrt(_dots(direction, direction))
+        long = dnorm > 2.0 * RADIUS
+        direction[long] = direction[long] * (2.0 * RADIUS / dnorm[long])[:, None]
         halving, todo = 0, np.arange(live.size)
         while todo.size and halving < MAX_STEP_HALVINGS:
             # round 0 tries the full step; later rounds stack as many of the
@@ -312,7 +311,7 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind, radius):
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
-            cand = _ball_project(cand.reshape(-1, f.shape[1]), radius)
+            cand = _ball_project(cand.reshape(-1, f.shape[1]))
             cand_value, cand_eta = _evaluate(x, y[np.tile(cols, k)], family, cand, kind)
             cand_value = cand_value.reshape(k, -1)
             up = np.isfinite(cand_value) & (cand_value > value[cols])
@@ -339,14 +338,13 @@ def fit_qml_one(
     starts,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    radius=DEFAULT_RADIUS,
 ) -> ResponseFit:
     """Maximise the quasi-log-likelihood for one response column.
 
     Runs the damped Newton ascent from every vector in ``starts`` and keeps
     the candidate with the largest final objective (first wins ties). The
-    search is confined to the L2 ball ``|f| <= radius`` (pass None to lift
-    the bound). The response, ``x`` and the starts are validated here, once.
+    search is confined to the L2 ball ``|f| <= RADIUS``. The response, ``x``
+    and the starts are validated here, once.
     """
     x = np.asarray(x, dtype=float)
     try:
@@ -364,7 +362,7 @@ def fit_qml_one(
         raise DataValidationError("x and the start vectors must be finite")
     y = np.tile(y, (len(starts), 1))
     f, value, gnorm, n_iter, path = _ascent_block(
-        x, np.ascontiguousarray(x.T), y, family, starts, tol, max_iter, "quasi", radius
+        x, np.ascontiguousarray(x.T), y, family, starts, tol, max_iter, "quasi"
     )
     c = 0
     for s in range(1, len(starts)):
@@ -376,34 +374,30 @@ def fit_qml_one(
     )
 
 
-def fit_naive_mle(
-    data,
-    family: GlmFamily,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    radius=DEFAULT_RADIUS,
-) -> CoefMatrix:
+def fit_naive_mle(data, family: GlmFamily) -> CoefMatrix:
     """Ordinary per-response GLM maximum likelihood on the full sample.
 
     This is the baseline that treats each response as a plain GLM in x,
     ignoring any hidden structure. The log-likelihood is concave under the
     canonical link, so a single zero start suffices. The same coefficient
     ball as the quasi-likelihood fits applies (separation sends the MLE to
-    infinity just the same).
+    infinity just the same). The response is validated against the family
+    here, once.
     """
-    return _fit_matrix(data.x, data.y, family, tol, max_iter, kind="loglik", radius=radius)
+    validate_response(family, data.y)
+    return _fit_matrix(data.x, data.y, family, DEFAULT_TOL, DEFAULT_MAX_ITER, kind="loglik")
 
 
-def _fit_matrix(x, y, family, tol, max_iter, kind, radius=DEFAULT_RADIUS) -> CoefMatrix:
+def _fit_matrix(x, y, family, tol, max_iter, kind) -> CoefMatrix:
     """Fit every response column: ``kind="loglik"`` is the naive MLE from
     zero; ``kind="quasi"`` maximises the quasi-likelihood from both zero and
     that MLE, as 2M columns of one ascent (the zero start wins ties)."""
     m_dim = y.shape[1]
     zero = np.zeros((m_dim, x.shape[1]))
-    f, value, gnorm = _newton_ascent(x, y, family, zero, tol, max_iter, "loglik", radius)
+    f, value, gnorm = _newton_ascent(x, y, family, zero, tol, max_iter, "loglik")
     if kind == "quasi":
         starts = np.vstack([zero, f])
-        f, value, gnorm = _newton_ascent(x, y, family, starts, tol, max_iter, kind, radius)
+        f, value, gnorm = _newton_ascent(x, y, family, starts, tol, max_iter, kind)
         pick = np.arange(m_dim) + m_dim * (value[m_dim:] > value[:m_dim])
         f, gnorm = f[pick], gnorm[pick]
     return CoefMatrix(f, gnorm < tol, gnorm)
@@ -415,7 +409,6 @@ def fit_qml_all(
     split: SplitPlan,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    radius=DEFAULT_RADIUS,
 ):
     """Quasi-likelihood fits on both folds plus their entrywise average.
 
@@ -439,9 +432,7 @@ def fit_qml_all(
                 f"fold {label} has {len(idx)} rows but the design has p={p} "
                 "columns; too few observations to fit"
             )
-        fold_fits.append(
-            _fit_matrix(x[idx], y[idx], family, tol, max_iter, kind="quasi", radius=radius)
-        )
+        fold_fits.append(_fit_matrix(x[idx], y[idx], family, tol, max_iter, kind="quasi"))
     fit1, fit2 = fold_fits
     avg = CoefMatrix(
         values=0.5 * (fit1.values + fit2.values),

@@ -22,6 +22,8 @@ quasi-likelihood fit) has no closed form outside the gaussian family, so
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
@@ -67,6 +69,13 @@ class SimConfig:
 
     def __post_init__(self):
         family_from_name(self.family)
+        for name in ("n", "p", "m_dim", "k", "seed", "reps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataValidationError(f"{name} must be an integer, got {value!r}")
+        eta = self.eta
+        if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
+            raise DataValidationError(f"eta must be a finite number, got {eta!r}")
         if self.n < 2:
             raise DataValidationError(f"n must be >= 2, got {self.n}")
         if self.p < 1 or self.m_dim < 1:
@@ -213,22 +222,16 @@ def check_n_mc(n_mc: int) -> None:
         )
 
 
-def fstar_oracle(
-    truth: SimTruth,
-    config: SimConfig,
-    family=None,
-    n_mc: int = 50_000,
-) -> CoefMatrix:
+def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> CoefMatrix:
     """Monte-Carlo approximation of the pseudo-true coefficient matrix.
 
-    Fits every response by quasi-likelihood on one simulated sample of
-    ``n_mc`` rows (no data splitting; starts at zero and at the naive MLE).
-    The oracle draw uses a salted seed so it never shares a stream with
-    replication datasets derived from the same config.
+    Fits every response by quasi-likelihood, in the config's family, on one
+    simulated sample of ``n_mc`` rows (no data splitting; starts at zero and
+    at the naive MLE). The oracle draw uses a salted seed so it never shares
+    a stream with replication datasets derived from the same config.
     """
     check_n_mc(n_mc)
-    if family is None:
-        family = family_from_name(config.family)
+    family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
     return _fit_matrix(ds.x, ds.y, family, DEFAULT_TOL, DEFAULT_MAX_ITER, kind="quasi")

@@ -117,7 +117,5 @@ def projector_complement(eigvecs: np.ndarray, k: int) -> np.ndarray:
     m_dim = eigvecs.shape[0]
     if not 0 <= k <= m_dim:
         raise DataValidationError(f"k={k} outside the valid range 0..{m_dim}")
-    if k == 0:
-        return np.eye(m_dim)
     v = eigvecs[:, :k]
     return np.eye(m_dim) - v @ v.T

@@ -222,6 +222,41 @@ def test_fit_json_with_misshapen_matrices_exits_two(tmp_path, csv_data, capsys):
     assert "p_perp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("k_hat", "abc"), ("k_hat", [1]), ("k_hat", 2.7), ("k_hat", True), ("family", 3)],
+    ids=["k_hat-string", "k_hat-list", "k_hat-float", "k_hat-bool", "family-number"],
+)
+def test_fit_json_with_a_mistyped_field_exits_two(tmp_path, csv_data, capsys, field, value):
+    _, fit_path = _fit(tmp_path, csv_data)
+    doc = json.loads(fit_path.read_text())
+    doc[field] = value
+    fit_path.write_text(json.dumps(doc))
+    xp, yp = csv_data
+    code = main(
+        ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp),
+         "--u", "e1", "--v", "e1", "--out", str(tmp_path / "ci.json")]
+    )
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wider", ["x", "y"])
+def test_infer_on_data_of_other_dimensions_exits_two(tmp_path, csv_data, capsys, wider):
+    _, fit_path = _fit(tmp_path, csv_data)
+    paths = dict(zip("xy", csv_data))
+    data = np.loadtxt(paths[wider], delimiter=",")
+    paths[wider] = tmp_path / f"wide_{wider}.csv"
+    save_matrix_csv(paths[wider], np.column_stack([data, data[:, :1]]))
+    code = main(
+        ["infer", "--fit", str(fit_path), "--x", str(paths["x"]), "--y", str(paths["y"]),
+         "--u", "e1", "--v", "e1", "--out", str(tmp_path / "ci.json")]
+    )
+    assert code == 2
+    assert "do not match" in capsys.readouterr().err
+    assert not (tmp_path / "ci.json").exists()
+
+
 def test_direction_index_out_of_range_exits_two(tmp_path, csv_data, capsys):
     _, fit_path = _fit(tmp_path, csv_data)
     xp, yp = csv_data
@@ -305,6 +340,37 @@ def test_config_file_with_simulation_flags_exits_two(tmp_path, capsys, command, 
     assert code == 2
     err = capsys.readouterr().err
     assert "--config" in err and extra[0] in err
+    assert not out.exists()
+
+
+def _with_eta(args, eta):
+    i = args.index("--eta")
+    return [*args[: i + 1], eta, *args[i + 2 :]]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (_with_eta(SIMULATE_ARGS, "nan"), "eta"),
+        (_with_eta(SIMULATE_ARGS, "inf"), "eta"),
+        (["fstar-oracle"], {"eta": float("nan")}),
+        (["fstar-oracle"], {"n": "100"}),
+        (["fstar-oracle"], {"family": 7}),
+        (["simulate"], {"reps": True}),
+    ],
+    ids=["simulate-eta-nan", "simulate-eta-inf", "oracle-eta-nan", "oracle-n-string",
+         "oracle-family-number", "simulate-reps-bool"],
+)
+def test_malformed_simulation_config_exits_two(tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    if isinstance(field, dict):  # a config file with one bad field
+        config = tmp_path / "c.json"
+        doc = SimConfig(n=30, p=3, m_dim=3, k=2, eta=2.0, family="gaussian").to_json_dict()
+        config.write_text(json.dumps({**doc, **field}))
+        argv, field = [*argv, "--config", str(config)], next(iter(field))
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -227,8 +227,9 @@ def test_validate_response_rejects_out_of_family_values():
 def test_family_from_name_roundtrip_and_errors():
     for name, family in FAMILIES.items():
         assert family_from_name(name).kind == family.kind
-    with pytest.raises(DataValidationError):
-        family_from_name("logit")
+    for bad in ("logit", 7, None):
+        with pytest.raises(DataValidationError):
+            family_from_name(bad)
 
 
 # Every bernoulli edge case of the exponential: signed zeros, the smallest

@@ -13,7 +13,7 @@ from ghive.data_io import Dataset
 from ghive import families, qml
 from ghive.errors import DataValidationError
 from ghive.qml import (
-    DEFAULT_RADIUS,
+    RADIUS,
     CoefMatrix,
     fit_naive_mle,
     fit_qml_all,
@@ -98,11 +98,9 @@ def test_separated_bernoulli_fit_stays_inside_the_ball():
     x = rng.standard_normal((60, 2))
     y = (x[:, 0] > 0).astype(float)
     fit = fit_qml_one(x, y, BERNOULLI, starts=[np.zeros(2)])
-    assert np.linalg.norm(fit.f_hat) <= DEFAULT_RADIUS * (1 + 1e-12)
-    small = fit_qml_one(x, y, BERNOULLI, starts=[np.zeros(2)], radius=5.0)
-    norm = np.linalg.norm(small.f_hat)
-    assert norm <= 5.0 * (1 + 1e-12)
-    assert norm >= 5.0 - 1e-6  # the boundary is genuinely attained
+    norm = np.linalg.norm(fit.f_hat)
+    assert norm <= RADIUS * (1 + 1e-12)
+    assert norm >= RADIUS - 1e-6  # the boundary is genuinely attained
 
 
 def test_fit_qml_all_averages_the_fold_fits():
@@ -123,7 +121,7 @@ _ZERO = [np.zeros(2)]
     "call",
     [
         lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.nan, 0.0])]),
-        lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.inf, 0.0])], radius=None),
+        lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.inf, 0.0])]),
         lambda: fit_qml_one(np.where(_X > 2.0, np.nan, _X), _Y01, BERNOULLI, _ZERO),
         lambda: fit_qml_one(_X, np.where(_Y01 == 1.0, 0.5, 0.0), BERNOULLI, _ZERO),
         lambda: fit_qml_one(_X, np.where(_X[:, 1] > 1.5, np.nan, _X[:, 0]), GAUSSIAN, _ZERO),
@@ -133,9 +131,12 @@ _ZERO = [np.zeros(2)]
             Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI, make_split(40, 0)
         ),
         lambda: fit_qml_all(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON, make_split(40, 0)),
+        lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI),
+        lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON),
     ],
-    ids=["nan-start", "inf-start-unbounded", "nan-x", "bernoulli-half", "nan-gaussian-y",
-         "short-y", "column-y", "all-non-binary", "all-negative-poisson"],
+    ids=["nan-start", "inf-start", "nan-x", "bernoulli-half", "nan-gaussian-y",
+         "short-y", "column-y", "all-non-binary", "all-negative-poisson",
+         "naive-non-binary", "naive-negative-poisson"],
 )
 def test_fits_validate_their_inputs_once_at_the_boundary(call):
     with pytest.raises(DataValidationError):
@@ -255,7 +256,7 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
         assert stalled and max(stalled) < 1e-3
     if family is BERNOULLI:  # separated: both fold fits on the ball
         norms = [np.linalg.norm(f.values[-1]) for f in (fold1, fold2)]
-        assert np.allclose(norms, DEFAULT_RADIUS, rtol=1e-9)
+        assert np.allclose(norms, RADIUS, rtol=1e-9)
     # a duplicated covariate makes the curvature matrices singular, so the
     # columns go through the Cholesky retry and the gradient fallback
     infos, factor = [], qml.dpotrf
@@ -373,7 +374,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     def measured(*args):
         counts.update(dict.fromkeys(names, 0))
         out = block(*args)
-        costs.append((args[-2], dict(counts), out[4].shape[1] - 1))  # kind, counts, iterations
+        costs.append((args[-1], dict(counts), out[4].shape[1] - 1))  # kind, counts, iterations
         return out
 
     monkeypatch.setattr(qml, "_ascent_block", measured)

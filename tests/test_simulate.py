@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ghive import BERNOULLI, GAUSSIAN
 from ghive.errors import DataValidationError
 from ghive.qml import CoefMatrix
 from ghive.simulate import (
@@ -152,18 +151,6 @@ def test_oracle_rejects_small_monte_carlo_sizes():
         fstar_oracle(truth, cfg, n_mc=5_000)
 
 
-def test_oracle_family_override_changes_only_the_fit():
-    # Generation always follows the config family; the override swaps the
-    # family used by the fit, e.g. to study link misspecification.
-    cfg = SimConfig(n=50, p=3, m_dim=3, k=2, eta=2.0, seed=9, family="bernoulli")
-    truth = make_truth(cfg)
-    default = fstar_oracle(truth, cfg, n_mc=10_000)
-    same = fstar_oracle(truth, cfg, family=BERNOULLI, n_mc=10_000)
-    assert np.array_equal(default.values, same.values)
-    misspecified = fstar_oracle(truth, cfg, family=GAUSSIAN, n_mc=10_000)
-    assert not np.array_equal(default.values, misspecified.values)
-
-
 def test_metrics_hand_formulas():
     cfg = SimConfig(n=50, p=2, m_dim=2, k=1, eta=1.0, seed=2)
     truth = make_truth(cfg)
@@ -249,6 +236,7 @@ def test_config_validation_and_json_roundtrip():
     cfg = SimConfig(n=10, p=3, m_dim=3, k=2, eta=1.5, seed=6, reps=2)
     back = SimConfig.from_json_dict(cfg.to_json_dict())
     assert back == cfg
+    assert SimConfig(n=np.int64(10), p=3, m_dim=3, k=2, eta=np.float64(1.5), seed=6, reps=2) == cfg
     doc = cfg.to_json_dict()
     del doc["eta"]
     with pytest.raises(DataValidationError):
