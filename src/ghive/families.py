@@ -15,6 +15,12 @@ branch, and the same bits as the two-branch forms. Callers that already hold
 ``b'`` or the weighted residual at a point pass it on, to ``cumulant_d2`` or
 :func:`hessian_weight`, rather than have it recomputed.
 
+The bernoulli and poisson kernels, which the solver calls on every
+iteration, compute in the one array they return: each step writes over the
+last (``out=`` and in-place operators) instead of allocating a temporary
+per arithmetic step. The steps and their order are those of the formulas,
+so the results are the same bit for bit.
+
 Every bernoulli kernel runs on numpy's vectorised ``exp`` and ``log1p``:
 the sigmoid is ``1 / (1 + e^-t)``, the formula ``scipy.special.expit``
 evaluates, and the softplus is ``max(t, 0) + log1p(e^-|t|)``, the formula
@@ -92,7 +98,11 @@ def cumulant(family: GlmFamily, t):
     if family.kind == "gaussian":
         return 0.5 * t * t
     if family.kind == "bernoulli":
-        return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        b = np.abs(t, out=np.empty(t.shape))
+        np.negative(b, out=b)
+        np.log1p(np.exp(b, out=b), out=b)
+        b += np.maximum(t, 0.0)
+        return b
     return np.exp(t)
 
 
@@ -119,7 +129,9 @@ def cumulant_d2(family: GlmFamily, t, d1=None):
         d1 = cumulant_d1(family, t)
     if family.kind == "bernoulli":
         # sigma(t) * sigma(-t) stays accurate in both tails, unlike p*(1-p).
-        return d1 * _sigmoid(-t)
+        b2 = _sigmoid(-t)
+        b2 *= d1
+        return b2
     return d1
 
 
@@ -154,18 +166,26 @@ def weighted_residual(family: GlmFamily, y, eta, floor=None):
     if family.kind == "gaussian":
         return y - eta
     cap = 1.0 / floor
+    res = np.empty(np.broadcast(y, eta).shape)
     if family.kind == "bernoulli":
         s = _bernoulli_sign(y)
+        # e^(-s eta): -(s eta) has the bits of (-s) eta
+        np.negative(np.multiply(s, eta, out=res), out=res)
         with np.errstate(over="ignore"):
-            e = np.exp(-s * eta)
-        return np.clip(s * (1.0 + e), -cap, cap)
+            np.exp(res, out=res)
+        res += 1.0
+        res *= s
+        return np.clip(res, -cap, cap, out=res)
     # poisson
     with np.errstate(over="ignore"):
-        e = np.exp(eta)
+        e = np.exp(eta, out=np.empty(eta.shape))
+    np.subtract(y, e, out=res)
+    np.maximum(e, floor, out=e)  # finite exactly where e^eta is
     with np.errstate(invalid="ignore"):
-        res = (y - e) / np.maximum(e, floor)
+        res /= e
     # e overflows to inf for eta > ~709 where the true ratio tends to -1
-    return np.where(np.isfinite(e), res, -1.0)
+    np.copyto(res, -1.0, where=~np.isfinite(e))
+    return res
 
 
 def quasi_hessian_weight(family: GlmFamily, y, eta, floor=None):
@@ -188,7 +208,12 @@ def hessian_weight(family: GlmFamily, eta, res):
     if family.kind == "gaussian":
         return np.ones_like(res)
     if family.kind == "bernoulli":
-        return 1.0 + res * (1.0 - 2.0 * _sigmoid(eta))
+        w = _sigmoid(eta, np.empty(np.broadcast(eta, res).shape))
+        w *= 2.0
+        np.subtract(1.0, w, out=w)
+        w *= res
+        w += 1.0
+        return w
     return 1.0 + res
 
 
@@ -210,19 +235,35 @@ def quasi_loglik_term(family: GlmFamily, y, eta):
     eta = np.asarray(eta, dtype=float)
     if family.kind == "gaussian":
         return y * eta - 0.5 * eta * eta
+    term = np.empty(np.broadcast(y, eta).shape)
     if family.kind == "bernoulli":
-        t = _bernoulli_sign(y) * eta
+        np.multiply(_bernoulli_sign(y), eta, out=term)  # t = s eta
+        e = np.negative(term, out=np.empty(term.shape))
         with np.errstate(over="ignore"):
-            return t - np.exp(-t) + 1.0
+            np.exp(e, out=e)
+        term -= e
+        term += 1.0
+        return term
+    # -(y e^(-eta)) has the bits of (-y) e^(-eta)
+    np.negative(eta, out=term)
     with np.errstate(over="ignore"):
-        return -y * np.exp(-eta) - eta + y
+        np.exp(term, out=term)
+    term *= y
+    np.negative(term, out=term)
+    term -= eta
+    term += y
+    return term
 
 
-def _sigmoid(t):
-    """``1 / (1 + e^-t)``; below t ~ -709.78 e^-t overflows to inf and the
-    quotient flushes to 0 (as in ``expit``), where sigma is subnormal."""
+def _sigmoid(t, out=None):
+    """``1 / (1 + e^-t)``, in ``out`` if given; below t ~ -709.78 e^-t
+    overflows to inf and the quotient flushes to 0 (as in ``expit``), where
+    sigma is subnormal."""
+    sigma = np.negative(t, out=np.empty(np.shape(t)) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(np.negative(t)))
+        np.exp(sigma, out=sigma)
+    sigma += 1.0
+    return np.divide(1.0, sigma, out=sigma)
 
 
 def _bernoulli_sign(y):

@@ -31,7 +31,7 @@ from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from . import families
 from .families import GlmFamily, cumulant_d2, hessian_weight, weighted_residual
-from .qml import CoefMatrix, column_blocks, weighted_gram
+from .qml import CoefMatrix, column_blocks, gram_buffer, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
 
@@ -124,9 +124,11 @@ def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarr
 
 def _block_grams(x: np.ndarray, n_cols: int, weights) -> np.ndarray:
     """Stacked ``weighted_gram(x, weights(cols))`` over the solver's column
-    blocks of ``n_cols`` responses, with one transposed copy of x; (n_cols, p, p)."""
-    xt = np.ascontiguousarray(x.T)
-    return np.concatenate([weighted_gram(x, weights(c), xt) for c in column_blocks(x, n_cols)])
+    blocks of ``n_cols`` responses, with one transposed copy of x and one
+    gram buffer; (n_cols, p, p)."""
+    xt, blocks = np.ascontiguousarray(x.T), column_blocks(x, n_cols)
+    buf = gram_buffer(x, len(blocks[0]))
+    return np.concatenate([weighted_gram(x, weights(c), xt, buf) for c in blocks])
 
 
 def _solve_each(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -247,6 +247,15 @@ def _fold_diagnostics(diagnostics, m_dim: int):
     return records[:, :, 0].all(axis=1), records[:, :, 1].max(axis=1)
 
 
+def _doc_integer(value, name: str, nullable: bool = False):
+    """``value`` if it is an integer (a bool is not), or null where
+    ``nullable``; anything else makes the fit document malformed."""
+    if (value is None and nullable) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    kind = "null or an integer" if nullable else "an integer"
+    raise DataValidationError(f"fit document {name} must be {kind}: {value!r}")
+
+
 def deserialize_fit(doc: dict) -> GhiveFit:
     """Rebuild a GhiveFit from its JSON document."""
     try:
@@ -268,26 +277,26 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         eigvecs = matrix_from_json(doc["eigvecs"], "eigvecs")
         p_perp = matrix_from_json(doc["p_perp"], "p_perp")
         eigvals = np.asarray(doc["eigvals"], dtype=float)
-        k_hat = doc["k_hat"]
-        if k_hat is not None and (isinstance(k_hat, bool) or not isinstance(k_hat, int)):
-            raise DataValidationError(f"fit document k_hat must be null or an integer: {k_hat!r}")
+        k_hat = _doc_integer(doc["k_hat"], "k_hat", nullable=True)
         diagnostics = doc["diagnostics"]
-        n, p, m_dim = int(doc["n"]), int(doc["p"]), int(doc["m_dim"])
-        seed, tol, max_iter = int(doc["seed"]), float(doc["tol"]), int(doc["max_iter"])
+        n, p, m_dim, seed, max_iter = (
+            _doc_integer(doc[name], name) for name in ("n", "p", "m_dim", "seed", "max_iter")
+        )
+        tol = float(doc["tol"])
         if not (isinstance(mode_doc, dict) and isinstance(split_doc, dict)):
             raise DataValidationError("fit document fields mode and split must be objects")
         mode_kind = mode_doc.get("kind")
         if mode_kind == ORACLE_P:
             mode = Mode(ORACLE_P, projector=p_perp)
         elif mode_kind == ORACLE_K:
-            mode = Mode(ORACLE_K, k=int(mode_doc["k"]))
+            mode = Mode(ORACLE_K, k=_doc_integer(mode_doc["k"], "mode.k"))
         elif mode_kind == DATA_DRIVEN:
             mode = Mode(DATA_DRIVEN)
         else:
             raise DataValidationError(f"unknown fit mode {mode_kind!r}")
         split = SplitPlan(
             n=n,
-            seed=int(split_doc["seed"]),
+            seed=_doc_integer(split_doc["seed"], "split.seed"),
             d1=np.asarray(split_doc["d1"], dtype=int),
             d2=np.asarray(split_doc["d2"], dtype=int),
         )

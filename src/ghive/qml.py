@@ -27,8 +27,11 @@ One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit): predictors, gradients and curvatures are
 stacked matmuls over the columns, while each column steps and stops by its
 own rules, bit-identical to solving it alone. Columns go in blocks
-(:func:`column_blocks`) whose (columns, n, p) weighted design stays within
-BLOCK_ELEMENTS; the interval curvature matrices use the same blocks.
+(:func:`column_blocks`) whose (columns, n) working arrays stay within
+BLOCK_ELEMENTS, and :func:`weighted_gram` builds a block's curvature
+matrices a chunk of columns at a time, so the whole (columns, p, n)
+weighted design never exists; the interval curvature matrices use the same
+blocks and chunks.
 
 The two-fold split used for cross-fitting is a seeded permutation; all
 randomness here is confined to :func:`make_split`.
@@ -57,9 +60,14 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 MAX_STEP_HALVINGS = 30
 
-# Element budget of the (columns, n, p) weighted design behind one block of
-# curvature matrices; a solve with more columns runs them in several blocks.
-BLOCK_ELEMENTS = 2**18
+# Element budget (1 MB) of a column block's per-column working set: its
+# (columns, n) predictors, responses, residuals and weights. A solve with
+# more columns runs them in several blocks, each paying its own iteration and
+# line-search bookkeeping, so a 5000-row fold runs up to 26 columns in one
+# block while a 100k-row oracle fit still runs one column at a time. The same
+# budget bounds the (columns, p, n) scaled design of one chunk of curvature
+# matrices (see gram_buffer).
+BLOCK_ELEMENTS = 2**17
 
 # Element budget of the (candidates, n) predictors of one stacked round of
 # step halvings (64 KB). A stalled column on a 100-row fold gets all its
@@ -188,18 +196,39 @@ def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np
     return _gradient(x, y - cumulant_d1(family, _eta(x, coef)))
 
 
-def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None) -> np.ndarray:
+def gram_buffer(x: np.ndarray, n_cols: int) -> np.ndarray:
+    """A buffer for :func:`weighted_gram` over ``x`` (n, p) with up to
+    ``n_cols`` weight rows: room for one chunk of the scaled design, as many
+    columns as keep its (columns, p, n) elements within BLOCK_ELEMENTS (at
+    least one)."""
+    width = max(1, min(n_cols, BLOCK_ELEMENTS // x.size))
+    return np.empty((width,) + x.shape[::-1])
+
+
+def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.ndarray:
     """``x.T @ diag(weights) @ x`` without the diagonal matrix; (C, n) gives (C, p, p).
 
     The weights scale ``xt``, a C-contiguous copy of ``x.T``, so the product
     runs along rows of length n rather than p; a caller building many grams
-    over one x makes that copy once and passes it. ``x.T`` stays the left
-    operand: the sums are those of ``x.T @ (weights[..., None] * x)``, bit
-    for bit.
+    over one x makes that copy once and passes it. The scaled design is
+    built a chunk of columns at a time in ``buf`` (from :func:`gram_buffer`;
+    a caller building grams on every iteration passes the same one), so no
+    call holds the whole (C, p, n) design. ``x.T`` stays the left operand
+    and every column has its own product: the sums are those of
+    ``x.T @ (weights[..., None] * x)``, bit for bit.
     """
+    if weights.ndim == 1:
+        return weighted_gram(x, weights[None], xt, buf)[0]
     if xt is None:
         xt = np.ascontiguousarray(x.T)
-    return x.T @ (xt * weights[..., None, :]).swapaxes(-1, -2)
+    if buf is None:
+        buf = gram_buffer(x, len(weights))
+    out = np.empty((len(weights),) + xt.shape[:1] * 2)
+    for start in range(0, len(weights), len(buf)):
+        w = weights[start : start + len(buf)]
+        scaled = np.multiply(xt, w[:, None, :], out=buf[: len(w)])
+        np.matmul(x.T, scaled.swapaxes(-1, -2), out=out[start : start + len(w)])
+    return out
 
 
 def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -234,9 +263,9 @@ def _ball_project(f: np.ndarray) -> np.ndarray:
 
 def column_blocks(x: np.ndarray, n_cols: int) -> list:
     """Split column indices ``0..n_cols-1`` into consecutive blocks whose
-    (columns, n, p) weighted design over ``x`` (n, p) stays within
-    BLOCK_ELEMENTS (at least one column per block)."""
-    width = max(1, BLOCK_ELEMENTS // x.size)
+    (columns, n) arrays over the n rows of ``x`` stay within BLOCK_ELEMENTS
+    (at least one column per block)."""
+    width = max(1, BLOCK_ELEMENTS // len(x))
     return np.split(np.arange(n_cols), range(width, n_cols, width))
 
 
@@ -267,7 +296,9 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
     behind the gradient also gives the curvature weight (the quasi-Hessian
     weight for "quasi", ``b''`` from ``b'`` for "loglik"). Also returns each
     column's iteration count and its objective after every iteration run,
-    ``path`` (C, iterations + 1)."""
+    ``path`` (C, iterations + 1). One :func:`gram_buffer` serves the
+    curvature matrices of every iteration."""
+    n, buf = len(x), gram_buffer(x, len(f))
     f = _ball_project(f)  # callers pass a copy; it is updated in place
     value, eta = _evaluate(x, y, family, f, kind)
     path = [value.copy()]
@@ -277,12 +308,14 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
     for it in range(max_iter + 1):
         if not live.size:
             break
-        eta_live = eta[live]
+        # the live columns' rows: views while no column has stopped
+        rows = slice(None) if live.size == len(f) else live
+        eta_live, y_live, d1 = eta[rows], y[rows], None
         if kind == "quasi":
-            score = weighted_residual(family, y[live], eta_live)
+            score = weighted_residual(family, y_live, eta_live)
         else:
-            mean = cumulant_d1(family, eta_live)
-            score = y[live] - mean
+            d1 = cumulant_d1(family, eta_live)
+            score = y_live - d1
         grad[live] = _gradient(x, score)
         grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
         going = grad_norm[live] >= tol
@@ -290,11 +323,14 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
         if it == max_iter or not live.size:
             break
         n_iter[live] = it + 1
+        keep = slice(None) if going.all() else going
         if kind == "quasi":
-            weight = hessian_weight(family, eta_live[going], score[going])
+            weight = hessian_weight(family, eta_live[keep], score[keep])
         else:
-            weight = cumulant_d2(family, eta_live[going], d1=mean[going])
-        curv = weighted_gram(x, weight, xt) / x.shape[0]
+            weight = cumulant_d2(family, eta_live[keep], d1=d1[keep])
+        curv = weighted_gram(x, weight, xt, buf) / n
+        # free the iterate's (C, n) arrays before the line search makes its own
+        del eta_live, y_live, d1, score, weight
         direction = _ascent_directions(curv, grad[live])
         # keep the backtracking scale meaningful: a near-singular curvature
         # matrix can suggest steps many orders of magnitude longer than the

@@ -68,7 +68,8 @@ class SimConfig:
     sigma_z_decay: str = "negative"
 
     def __post_init__(self):
-        family_from_name(self.family)
+        # keep the canonical name: the sampler branches on it
+        object.__setattr__(self, "family", family_from_name(self.family).kind)
         for name in ("n", "p", "m_dim", "k", "seed", "reps"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

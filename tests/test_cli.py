@@ -224,8 +224,11 @@ def test_fit_json_with_misshapen_matrices_exits_two(tmp_path, csv_data, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("k_hat", "abc"), ("k_hat", [1]), ("k_hat", 2.7), ("k_hat", True), ("family", 3)],
-    ids=["k_hat-string", "k_hat-list", "k_hat-float", "k_hat-bool", "family-number"],
+    [("k_hat", "abc"), ("k_hat", [1]), ("k_hat", 2.7), ("k_hat", True), ("family", 3),
+     ("max_iter", 50.9), ("n", "60"), ("p", 3.9), ("m_dim", 2.5), ("seed", True),
+     ("max_iter", None)],
+    ids=["k_hat-string", "k_hat-list", "k_hat-float", "k_hat-bool", "family-number",
+         "max_iter-float", "n-string", "p-float", "m_dim-float", "seed-bool", "max_iter-null"],
 )
 def test_fit_json_with_a_mistyped_field_exits_two(tmp_path, csv_data, capsys, field, value):
     _, fit_path = _fit(tmp_path, csv_data)

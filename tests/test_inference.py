@@ -129,8 +129,10 @@ def test_responses_split_over_several_blocks_match_one_block(monkeypatch):
 
     (g, reg), ci, wald = intervals()
     assert len(qml.column_blocks(data.x, data.m_dim)) == 1
-    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 3 * data.x.size)
+    # three responses per block, each gram built one response at a time
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 3 * data.n)
     assert len(qml.column_blocks(data.x, data.m_dim)) == 4
+    assert len(qml.gram_buffer(data.x, 3)) == 1
     (g_split, reg_split), ci_split, wald_split = intervals()
     assert np.array_equal(g_split, g) and np.array_equal(reg_split, reg)
     assert ci_split == ci and wald_split == wald

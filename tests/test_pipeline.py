@@ -120,10 +120,15 @@ def test_deserialize_rejects_unknown_format_version(fitted):
         ("split", lambda doc: {k: v for k, v in doc.items() if k != "d2"}),
         ("mode", lambda doc: {"kind": "oracle-k", "k": None}),
         ("split", lambda doc: {**doc, "d1": "x"}),
+        ("mode", lambda doc: {"kind": "oracle-k", "k": 2.5}),
+        ("mode", lambda doc: {"kind": "oracle-k", "k": "2"}),
+        ("split", lambda doc: {**doc, "seed": 1.5}),
+        ("split", lambda doc: {**doc, "seed": False}),
     ],
     ids=["mode-not-object", "oracle-k-without-k", "split-not-object",
          "split-without-seed", "split-without-d1", "split-without-d2",
-         "oracle-k-null-k", "split-d1-not-indices"],
+         "oracle-k-null-k", "split-d1-not-indices", "oracle-k-float-k",
+         "oracle-k-string-k", "split-float-seed", "split-bool-seed"],
 )
 def test_malformed_mode_or_split_is_a_validation_error(fitted, field, edit):
     _, fit = fitted

@@ -197,6 +197,20 @@ def test_weighted_gram_is_the_literal_product_bit_for_bit(shape):
     assert np.array_equal(weighted_gram(x, w[0], xt), x.T @ (w[0][:, None] * x))
 
 
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_weighted_gram_chunks_are_the_per_column_grams_bit_for_bit(per_chunk, monkeypatch):
+    rng = np.random.default_rng(per_chunk)
+    x = rng.standard_normal((50, 3))
+    w = rng.uniform(-0.5, 3.0, size=(7, 50))  # 7 columns: the last chunk is short
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", per_chunk * x.size)
+    buf = qml.gram_buffer(x, len(w))
+    assert len(buf) == per_chunk
+    got = weighted_gram(x, w, buf=buf)
+    for c in range(len(w)):
+        assert np.array_equal(got[c], x.T @ (w[c][:, None] * x))
+    assert np.array_equal(weighted_gram(x, w), got)
+
+
 def test_multi_start_returns_the_better_optimum():
     # With a warm start at the solution and a cold start at zero, the
     # result must be at least as good as either single-start run.
@@ -276,9 +290,29 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
 def test_column_blocks_split_by_the_element_budget_give_the_same_fits(family, monkeypatch):
     x, y = _column_cases(family)
     one_block = _all_fits(x, y, family)
-    # 50-row folds of 3 covariates: two columns per block, naive fit one per block
-    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 2 * 50 * 3)
+    # 50-row folds: two columns per block, each gram built one column at a
+    # time (a column's 50 x 3 design fills the budget); the 100-row naive fit
+    # one column per block
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 2 * 50)
     _assert_same_fits(_all_fits(x, y, family), one_block)
+
+
+def test_a_wide_poisson_ascent_never_holds_the_whole_weighted_design():
+    rng = np.random.default_rng(3)
+    n, p, m_dim = 5000, 20, 8
+    x = 0.3 * rng.standard_normal((n, p))
+    y = rng.poisson(np.exp(x @ (0.3 * rng.standard_normal((m_dim, p))).T)).astype(float)
+    starts = np.vstack([np.zeros((m_dim, p)), np.full((m_dim, p), 0.1)])
+    assert len(qml.column_blocks(x, len(starts))) == 1  # all 16 columns in one block
+    tracemalloc.start()
+    try:
+        _, _, gnorm = qml._newton_ascent(x, y, POISSON, starts, 1e-8, 100, "quasi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(gnorm < 1e-8)
+    # measured at 5.3 MB; the (16, 20, 5000) weighted design alone is 12.8 MB
+    assert peak < 8 * 2**20
 
 
 def _one_response_fits(x, y, family):

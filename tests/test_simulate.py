@@ -220,6 +220,16 @@ def test_factor_strength_is_pervasive_across_seeds():
         assert 0.2 <= lam_a[0] <= 2.0
 
 
+@pytest.mark.parametrize("name", ["Gaussian", " bernoulli ", "POISSON"])
+def test_a_family_name_in_any_case_draws_the_canonical_family(name):
+    canonical = name.strip().lower()
+    cfg = SimConfig(n=30, p=3, m_dim=3, k=2, eta=1.0, seed=5, family=name)
+    assert cfg.family == canonical and cfg.to_json_dict()["family"] == canonical
+    want = SimConfig(n=30, p=3, m_dim=3, k=2, eta=1.0, seed=5, family=canonical)
+    got, ref = (sample_dataset(make_truth(c), c, rep_seed=1) for c in (cfg, want))
+    assert np.array_equal(got.x, ref.x) and np.array_equal(got.y, ref.y)
+
+
 def test_config_validation_and_json_roundtrip():
     with pytest.raises(DataValidationError):
         SimConfig(n=1, p=3, m_dim=3, k=2, eta=1.0)
