@@ -256,6 +256,13 @@ def _doc_integer(value, name: str, nullable: bool = False):
     raise DataValidationError(f"fit document {name} must be {kind}: {value!r}")
 
 
+def _doc_indices(value, name: str) -> np.ndarray:
+    """``value`` as an index array if it is a list of integers."""
+    if not isinstance(value, list):
+        raise DataValidationError(f"fit document {name} must be a list of integers: {value!r}")
+    return np.array([_doc_integer(i, name) for i in value], dtype=int)
+
+
 def deserialize_fit(doc: dict) -> GhiveFit:
     """Rebuild a GhiveFit from its JSON document."""
     try:
@@ -282,7 +289,10 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         n, p, m_dim, seed, max_iter = (
             _doc_integer(doc[name], name) for name in ("n", "p", "m_dim", "seed", "max_iter")
         )
-        tol = float(doc["tol"])
+        tol = doc["tol"]
+        if type(tol) not in (int, float) or not 0.0 < tol < np.inf:  # a bool is not a number
+            msg = f"fit document tol must be a finite positive number: {tol!r}"
+            raise DataValidationError(msg)
         if not (isinstance(mode_doc, dict) and isinstance(split_doc, dict)):
             raise DataValidationError("fit document fields mode and split must be objects")
         mode_kind = mode_doc.get("kind")
@@ -297,8 +307,8 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         split = SplitPlan(
             n=n,
             seed=_doc_integer(split_doc["seed"], "split.seed"),
-            d1=np.asarray(split_doc["d1"], dtype=int),
-            d2=np.asarray(split_doc["d2"], dtype=int),
+            d1=_doc_indices(split_doc["d1"], "split.d1"),
+            d2=_doc_indices(split_doc["d2"], "split.d2"),
         )
     except KeyError as missing:
         raise DataValidationError(f"fit document is missing field {missing}")
@@ -328,7 +338,7 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         p=p,
         m_dim=m_dim,
         seed=seed,
-        tol=tol,
+        tol=float(tol),
         max_iter=max_iter,
         mode=mode,
         split=split,

@@ -226,9 +226,10 @@ def test_fit_json_with_misshapen_matrices_exits_two(tmp_path, csv_data, capsys):
     "field, value",
     [("k_hat", "abc"), ("k_hat", [1]), ("k_hat", 2.7), ("k_hat", True), ("family", 3),
      ("max_iter", 50.9), ("n", "60"), ("p", 3.9), ("m_dim", 2.5), ("seed", True),
-     ("max_iter", None)],
+     ("max_iter", None), ("tol", "1e-8"), ("tol", True)],
     ids=["k_hat-string", "k_hat-list", "k_hat-float", "k_hat-bool", "family-number",
-         "max_iter-float", "n-string", "p-float", "m_dim-float", "seed-bool", "max_iter-null"],
+         "max_iter-float", "n-string", "p-float", "m_dim-float", "seed-bool", "max_iter-null",
+         "tol-string", "tol-bool"],
 )
 def test_fit_json_with_a_mistyped_field_exits_two(tmp_path, csv_data, capsys, field, value):
     _, fit_path = _fit(tmp_path, csv_data)
@@ -242,6 +243,21 @@ def test_fit_json_with_a_mistyped_field_exits_two(tmp_path, csv_data, capsys, fi
     )
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_fit_json_with_fractional_split_indices_exits_two(tmp_path, csv_data, capsys):
+    _, fit_path = _fit(tmp_path, csv_data)
+    doc = json.loads(fit_path.read_text())
+    doc["split"]["d1"] = [i + 0.7 for i in doc["split"]["d1"]]
+    fit_path.write_text(json.dumps(doc))
+    xp, yp = csv_data
+    code = main(
+        ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp),
+         "--u", "e1", "--v", "e1", "--out", str(tmp_path / "ci.json")]
+    )
+    assert code == 2
+    assert "split.d1" in capsys.readouterr().err
+    assert not (tmp_path / "ci.json").exists()
 
 
 @pytest.mark.parametrize("wider", ["x", "y"])

@@ -124,11 +124,16 @@ def test_deserialize_rejects_unknown_format_version(fitted):
         ("mode", lambda doc: {"kind": "oracle-k", "k": "2"}),
         ("split", lambda doc: {**doc, "seed": 1.5}),
         ("split", lambda doc: {**doc, "seed": False}),
+        ("split", lambda doc: {**doc, "d1": [i + 0.7 for i in doc["d1"]]}),
+        ("split", lambda doc: {**doc, "d2": [float(i) for i in doc["d2"]]}),
+        ("split", lambda doc: {**doc, "d1": [True] + doc["d1"][1:]}),
+        ("split", lambda doc: {**doc, "d2": [str(i) for i in doc["d2"]]}),
     ],
     ids=["mode-not-object", "oracle-k-without-k", "split-not-object",
          "split-without-seed", "split-without-d1", "split-without-d2",
          "oracle-k-null-k", "split-d1-not-indices", "oracle-k-float-k",
-         "oracle-k-string-k", "split-float-seed", "split-bool-seed"],
+         "oracle-k-string-k", "split-float-seed", "split-bool-seed",
+         "split-fractional-d1", "split-float-d2", "split-bool-d1", "split-string-d2"],
 )
 def test_malformed_mode_or_split_is_a_validation_error(fitted, field, edit):
     _, fit = fitted
@@ -136,6 +141,20 @@ def test_malformed_mode_or_split_is_a_validation_error(fitted, field, edit):
     doc[field] = edit(doc[field])
     with pytest.raises(DataValidationError):
         deserialize_fit(doc)
+
+
+@pytest.mark.parametrize(
+    "tol", ["1e-8", True, 0.0, -1e-8, float("inf"), float("nan"), None, [1e-8]],
+    ids=["string", "bool", "zero", "negative", "inf", "nan", "null", "list"],
+)
+def test_fit_document_tol_must_be_a_finite_positive_number(fitted, tol):
+    _, fit = fitted
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    doc["tol"] = tol
+    with pytest.raises(DataValidationError, match="tol"):
+        deserialize_fit(doc)
+    doc["tol"] = 1  # an integer is a real number
+    assert deserialize_fit(doc).tol == 1.0
 
 
 def _drop_last_column(m):

@@ -133,10 +133,12 @@ _ZERO = [np.zeros(2)]
         lambda: fit_qml_all(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON, make_split(40, 0)),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON),
+        lambda: fit_qml_one(np.zeros((0, 3)), np.zeros(0), GAUSSIAN, [np.zeros(3)]),
+        lambda: fit_qml_one(np.zeros((5, 0)), np.zeros(5), GAUSSIAN, [np.zeros(0)]),
     ],
     ids=["nan-start", "inf-start", "nan-x", "bernoulli-half", "nan-gaussian-y",
          "short-y", "column-y", "all-non-binary", "all-negative-poisson",
-         "naive-non-binary", "naive-negative-poisson"],
+         "naive-non-binary", "naive-negative-poisson", "no-rows", "no-columns"],
 )
 def test_fits_validate_their_inputs_once_at_the_boundary(call):
     with pytest.raises(DataValidationError):
@@ -184,17 +186,34 @@ def test_weighted_gram_matches_dense_product():
     assert np.allclose(weighted_gram(x, w), x.T @ np.diag(w) @ x, atol=1e-12)
 
 
+def _chunked_gram(x, w, rows):
+    """The row-chunked sum weighted_gram computes, written out: one product
+    per chunk of ``rows`` rows, added in row order."""
+    gram = x[:rows].T @ (w[..., :rows, None] * x[:rows])
+    for s in range(rows, len(x), rows):
+        gram += x[s : s + rows].T @ (w[..., s : s + rows, None] * x[s : s + rows])
+    return gram
+
+
+def _rows_per_chunk(p):
+    return qml._GRAM_ELEMENTS // p
+
+
 @pytest.mark.parametrize("shape", [(40, 100, 4), (26, 1000, 10), (2, 5000, 20), (1, 100000, 4)])
 def test_weighted_gram_is_the_literal_product_bit_for_bit(shape):
     n_cols, n, p = shape
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, p))
     w = rng.uniform(-0.5, 3.0, size=(n_cols, n))
-    literal = x.T @ (w[..., None] * x)
+    rows = _rows_per_chunk(p)
+    assert qml.gram_buffer(x, n_cols).shape[1:] == (p, min(n, rows))
+    literal = _chunked_gram(x, w, rows)
+    if n <= rows:  # one chunk: the one-shot product
+        assert np.array_equal(literal, x.T @ (w[..., None] * x))
     xt = np.ascontiguousarray(x.T)
     assert np.array_equal(weighted_gram(x, w), literal)
     assert np.array_equal(weighted_gram(x, w, xt), literal)
-    assert np.array_equal(weighted_gram(x, w[0], xt), x.T @ (w[0][:, None] * x))
+    assert np.array_equal(weighted_gram(x, w[0], xt), _chunked_gram(x, w[0], rows))
 
 
 @pytest.mark.parametrize("per_chunk", [1, 2, 3])
@@ -202,13 +221,67 @@ def test_weighted_gram_chunks_are_the_per_column_grams_bit_for_bit(per_chunk, mo
     rng = np.random.default_rng(per_chunk)
     x = rng.standard_normal((50, 3))
     w = rng.uniform(-0.5, 3.0, size=(7, 50))  # 7 columns: the last chunk is short
-    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", per_chunk * x.size)
+    # 16-row chunks, the last of 2 rows
+    monkeypatch.setattr(qml, "_GRAM_ELEMENTS", 16 * 3)
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", per_chunk * 16 * 3)
     buf = qml.gram_buffer(x, len(w))
-    assert len(buf) == per_chunk
+    assert buf.shape == (per_chunk, 3, 16)
     got = weighted_gram(x, w, buf=buf)
     for c in range(len(w)):
-        assert np.array_equal(got[c], x.T @ (w[c][:, None] * x))
+        assert np.array_equal(got[c], _chunked_gram(x, w[c], 16))
     assert np.array_equal(weighted_gram(x, w), got)
+
+
+def _multi_chunk_design(p, seed):
+    """An (n, p) design spanning three row chunks of weighted_gram, the last
+    one short."""
+    rows = _rows_per_chunk(p)
+    return 0.3 * np.random.default_rng(seed).standard_normal((2 * rows + rows // 2, p))
+
+
+def test_multi_chunk_grams_of_a_block_are_the_grams_of_each_column_alone(monkeypatch):
+    x = _multi_chunk_design(20, seed=8)
+    w = np.random.default_rng(9).uniform(-0.5, 3.0, size=(10, len(x)))
+    together = weighted_gram(x, w)
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 3 * x.shape[1] * _rows_per_chunk(20))
+    assert len(qml.gram_buffer(x, len(w))) == 3  # 3 columns per scaling pass
+    assert np.array_equal(weighted_gram(x, w), together)
+    for c in range(len(w)):
+        assert np.array_equal(weighted_gram(x, w[c]), together[c])
+        assert np.array_equal(weighted_gram(x, w[c : c + 1])[0], together[c])
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_multi_chunk_ascent_columns_solved_together_equal_columns_solved_alone(family):
+    x = _multi_chunk_design(10, seed=3)
+    rng = np.random.default_rng(4)
+    eta = x @ rng.standard_normal((10, 3))
+    if family is GAUSSIAN:
+        y = eta + rng.standard_normal(eta.shape)
+    elif family is BERNOULLI:
+        y = (rng.random(eta.shape) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = rng.poisson(np.exp(eta)).astype(float)
+    starts = np.vstack([np.zeros((3, 10)), 0.1 * rng.standard_normal((3, 10))])
+    together = qml._newton_ascent(x, y, family, starts.copy(), 1e-8, 100, "quasi")
+    assert np.all(together[2] < 1e-8)
+    for c in range(len(starts)):
+        alone = qml._newton_ascent(x, y[:, [c % 3]], family, starts[[c]], 1e-8, 100, "quasi")
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[c], want[0])
+
+
+def test_multi_chunk_grams_stay_close_to_the_one_shot_product():
+    eps = np.finfo(float).eps
+    for n, p in ((100000, 4), (5000, 20), (len(_multi_chunk_design(10, 0)), 10)):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.1, 10.0) * rng.standard_normal((n, p))
+        w = rng.uniform(-0.5, 3.0, size=(3, n))
+        error = np.abs(weighted_gram(x, w) - x.T @ (w[..., None] * x))
+        scale = np.abs(x).T @ (np.abs(w)[..., None] * np.abs(x))
+        # measured at most 22 eps over 100 such designs; the worst-case
+        # rounding bound of either sum is n eps
+        assert np.all(error <= 64 * eps * scale)
 
 
 def test_multi_start_returns_the_better_optimum():
