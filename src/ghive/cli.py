@@ -130,14 +130,12 @@ def _resolve_mode(args, m_dim: int) -> Mode:
 
 def cmd_fit(args) -> int:
     family = family_from_name(args.family)
-    data = load_dataset(args.x, args.y, family, center=args.center)
+    data = load_dataset(args.x, args.y, family)
     mode = _resolve_mode(args, data.m_dim)
     fit = ghive_fit(
         data, family, seed=args.seed, mode=mode, tol=args.tol, max_iter=args.max_iter
     )
-    doc = serialize_fit(fit)
-    doc["center"] = bool(args.center)
-    write_json_atomic(args.out, doc)
+    write_json_atomic(args.out, serialize_fit(fit))
     n_conv = int(np.sum([d["converged"] for d in fit.diagnostics]))
     print(
         f"wrote {args.out} (k_hat={fit.spectral.k_hat}, "
@@ -147,9 +145,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    doc = read_json(args.fit)
-    fit = deserialize_fit(doc)
-    data = load_dataset(args.x, args.y, fit.family, center=doc.get("center", False))
+    fit = deserialize_fit(read_json(args.fit))
+    data = load_dataset(args.x, args.y, fit.family)
     contrast = Contrast(
         _parse_direction(args.u, fit.m_dim, "--u"),
         _parse_direction(args.v, fit.p, "--v"),
@@ -238,9 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--projector", help="CSV of an M x M complement projector")
     fit.add_argument("--seed", type=int, default=DEFAULT_SEED, help="split seed")
-    fit.add_argument(
-        "--center", action="store_true", help="standardise x columns before fitting"
-    )
     fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
     fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     fit.add_argument("--out", required=True, help="output fit JSON path")

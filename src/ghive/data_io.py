@@ -135,31 +135,17 @@ def _read_csv_rows(path) -> np.ndarray:
         raise
 
 
-def load_dataset(x_path, y_path, family: GlmFamily, center: bool = False) -> Dataset:
-    """Load x and y CSVs into a validated Dataset.
-
-    With ``center=True`` the x columns are standardised to mean 0 and unit
-    variance (columns with zero variance are centred but left unscaled).
-    """
+def load_dataset(x_path, y_path, family: GlmFamily) -> Dataset:
+    """Load x and y CSVs into a validated Dataset."""
     x = read_csv_table(x_path)
     y = read_csv_table(y_path)
     if x.shape[0] != y.shape[0]:
         raise DataValidationError(
             f"{x_path} has {x.shape[0]} data rows but {y_path} has {y.shape[0]}"
         )
-    if center:
-        x = standardize_columns(x)
     data = Dataset(x, y)
     validate_response(family, data.y)
     return data
-
-
-def standardize_columns(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    centered = x - x.mean(axis=0)
-    scale = centered.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    return centered / scale
 
 
 # ---------------------------------------------------------------------------
@@ -243,4 +229,6 @@ def matrix_from_json(obj, name="matrix") -> np.ndarray:
         raise DataValidationError(
             f"{name}: declared dims {dims} do not match data shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise DataValidationError(f"{name}: contains non-finite entries")
     return arr

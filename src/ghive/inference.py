@@ -195,10 +195,10 @@ def confidence_interval(
     discussion.
     """
     q = _quantile(alpha)
-    if fit.m_dim != data.m_dim or fit.p != data.p:
+    if (fit.n, fit.m_dim, fit.p) != (data.n, data.m_dim, data.p):
         raise DataValidationError(
-            f"fit dimensions (M={fit.m_dim}, p={fit.p}) do not match data "
-            f"(M={data.m_dim}, p={data.p})"
+            f"fit dimensions (n={fit.n}, M={fit.m_dim}, p={fit.p}) do not match data "
+            f"(n={data.n}, M={data.m_dim}, p={data.p})"
         )
     if (len(contrast.u), len(contrast.v)) != (fit.m_dim, fit.p):
         raise DataValidationError(

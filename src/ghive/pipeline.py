@@ -1,21 +1,22 @@
 """End-to-end fitting pipeline.
 
-Given a dataset and family this runs, in order: a seeded two-fold split,
-per-response quasi-likelihood fits on each fold, out-of-fold weighted
-residuals, the averaged residual covariance and its eigendecomposition,
-factor-count selection (or an oracle override), and finally the projection
-of the averaged coefficient matrix onto the estimated complement subspace:
+A fit runs a seeded two-fold split, per-response quasi-likelihood fits on
+each fold, out-of-fold weighted residuals and their averaged covariance
+``sigma_hat``. The private builder :func:`_assemble` derives the rest from
+``sigma_hat``: its eigendecomposition, the factor count (or an oracle
+override), the complement projector and ``theta_hat = p_perp @ f_hat``.
+:func:`ghive_fit`, :func:`with_projection` and :func:`deserialize_fit` all
+go through it. The three modes change the projection step only, so a
+data-driven fit is cheaply re-projected under an oracle mode.
 
-    theta_hat = p_perp @ f_hat
-
-Three modes control the projection step only; the fitting work is shared,
-so a data-driven fit can be cheaply re-projected under an oracle mode via
-:func:`with_projection`.
+A fit document stores the builder's primary inputs plus copies of the
+derived split, ``k_hat``, ``p_perp`` and ``theta_hat``; the reader derives
+those again and rejects a document whose copies disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,13 @@ from .qml import (
     make_split,
 )
 
-FIT_FORMAT_VERSION = 1
+FIT_FORMAT_VERSION = 2
+
+# how far a document's copies of derived fields may sit from their derivation:
+# absolute for p_perp, relative to max(1, |f_hat|) for theta_hat and to
+# max(1, |eigvals|) for a format-1 eigvals. Rounding noise in sigma_hat moves
+# them by about 1e-14.
+DERIVED_TOL = 1e-10
 
 DATA_DRIVEN = "data-driven"
 ORACLE_K = "oracle-k"
@@ -76,62 +83,47 @@ class GhiveFit:
     n: int
     p: int
     m_dim: int
-    seed: int
     tol: float
     max_iter: int
     mode: Mode
-    split: SplitPlan
+    split: SplitPlan  # its seed is the fit's only source of randomness
     f_hat: CoefMatrix  # fold-averaged coefficients (M x p)
     theta_hat: np.ndarray  # projected coefficients (M x p)
     spectral: spectral.SpectralResult
     diagnostics: list  # per (response, fold) convergence records
 
 
-def _build_spectral(sigma, eigvals, eigvecs, mode, n) -> spectral.SpectralResult:
-    m_dim = sigma.shape[0]
+def _assemble(family, split, tol, max_iter, mode, f_hat, sigma_hat, diagnostics) -> GhiveFit:
+    """The one way a GhiveFit is put together: the spectrum of ``sigma_hat``,
+    the factor count and projector (or the mode's), ``theta_hat = p_perp @ f_hat``."""
+    m_dim, p = f_hat.values.shape
+    eigvals, eigvecs = spectral.eigendecomposition(sigma_hat)
+    k_hat = None
     if mode.kind == ORACLE_P:
         if mode.projector.shape[0] != m_dim:
             raise DataValidationError(
                 f"projector is {mode.projector.shape[0]}x{mode.projector.shape[1]} "
                 f"but the fit has M={m_dim} responses"
             )
-        return spectral.SpectralResult(
-            sigma_hat=sigma,
-            eigvals=eigvals,
-            eigvecs=eigvecs,
-            k_hat=None,
-            p_perp=mode.projector.copy(),
-        )
-    if mode.kind == ORACLE_K:
-        if mode.k > m_dim:
-            raise DataValidationError(
-                f"oracle factor count k={mode.k} exceeds M={m_dim}"
-            )
-        k = mode.k
-    else:
-        k = spectral.select_k(eigvals, n, m_dim)
-    return spectral.SpectralResult(
-        sigma_hat=sigma,
-        eigvals=eigvals,
-        eigvecs=eigvecs,
-        k_hat=k,
-        p_perp=spectral.projector_complement(eigvecs, k),
+        p_perp = mode.projector.copy()
+    else:  # projector_complement refuses an oracle k above M
+        k_hat = mode.k if mode.kind == ORACLE_K else spectral.select_k(eigvals, split.n, m_dim)
+        p_perp = spectral.projector_complement(eigvecs, k_hat)
+    return GhiveFit(
+        family=family, n=split.n, p=p, m_dim=m_dim, tol=tol, max_iter=max_iter, mode=mode,
+        split=split, f_hat=f_hat, theta_hat=p_perp @ f_hat.values,
+        spectral=spectral.SpectralResult(sigma_hat, eigvals, k_hat, p_perp),
+        diagnostics=diagnostics,
     )
 
 
 def _diagnostics(coef_d1: CoefMatrix, coef_d2: CoefMatrix) -> list:
-    records = []
-    for fold, coef in (("d1", coef_d1), ("d2", coef_d2)):
-        for m in range(coef.values.shape[0]):
-            records.append(
-                {
-                    "response": m,
-                    "fold": fold,
-                    "converged": bool(coef.converged[m]),
-                    "grad_norm": float(coef.grad_norm[m]),
-                }
-            )
-    return records
+    return [
+        {"response": m, "fold": fold, "converged": bool(coef.converged[m]),
+         "grad_norm": float(coef.grad_norm[m])}
+        for fold, coef in (("d1", coef_d1), ("d2", coef_d2))
+        for m in range(coef.values.shape[0])
+    ]
 
 
 def ghive_fit(
@@ -151,28 +143,13 @@ def ghive_fit(
         raise DataValidationError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 < tol < np.inf:
         raise DataValidationError(f"tol must be a finite positive number, got {tol}")
-    mode = mode or Mode.data_driven()
     split = make_split(data.n, seed)
     coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split, tol, max_iter)
     resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
     sigma = spectral.covariance_crossfit(resid, split)
-    eigvals, eigvecs = spectral.eigendecomposition(sigma)
-    spec = _build_spectral(sigma, eigvals, eigvecs, mode, data.n)
-    theta_hat = spec.p_perp @ coef_avg.values
-    return GhiveFit(
-        family=family,
-        n=data.n,
-        p=data.p,
-        m_dim=data.m_dim,
-        seed=seed,
-        tol=tol,
-        max_iter=max_iter,
-        mode=mode,
-        split=split,
-        f_hat=coef_avg,
-        theta_hat=theta_hat,
-        spectral=spec,
-        diagnostics=_diagnostics(coef_d1, coef_d2),
+    return _assemble(
+        family, split, tol, max_iter, mode or Mode.data_driven(), coef_avg, sigma,
+        _diagnostics(coef_d1, coef_d2),
     )
 
 
@@ -180,11 +157,12 @@ def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
     """Re-project an existing fit under a different mode.
 
     Reuses the fold fits and residual covariance, so oracle variants of a
-    data-driven fit cost one eigenvector slice and a matrix product.
+    data-driven fit cost one M x M eigendecomposition and a matrix product.
     """
-    old = fit.spectral
-    spec = _build_spectral(old.sigma_hat, old.eigvals, old.eigvecs, mode, fit.n)
-    return replace(fit, mode=mode, theta_hat=spec.p_perp @ fit.f_hat.values, spectral=spec)
+    return _assemble(
+        fit.family, fit.split, fit.tol, fit.max_iter, mode, fit.f_hat,
+        fit.spectral.sigma_hat, fit.diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +177,18 @@ def serialize_fit(fit: GhiveFit) -> dict:
         "n": fit.n,
         "p": fit.p,
         "m_dim": fit.m_dim,
-        "seed": fit.seed,
+        "seed": fit.split.seed,
         "tol": fit.tol,
         "max_iter": fit.max_iter,
         "mode": {"kind": fit.mode.kind, "k": fit.mode.k},
         "split": {
-            "seed": fit.split.seed,
             "d1": [int(i) for i in fit.split.d1],
             "d2": [int(i) for i in fit.split.d2],
         },
         "f_hat": matrix_to_json(fit.f_hat.values),
         "theta_hat": matrix_to_json(fit.theta_hat),
         "sigma_hat": matrix_to_json(fit.spectral.sigma_hat),
-        "eigvals": [float(v) for v in fit.spectral.eigvals],
-        "eigvecs": matrix_to_json(fit.spectral.eigvecs),
-        "k_hat": None if fit.spectral.k_hat is None else int(fit.spectral.k_hat),
+        "k_hat": fit.spectral.k_hat,
         "p_perp": matrix_to_json(fit.spectral.p_perp),
         "diagnostics": fit.diagnostics,
     }
@@ -263,29 +238,44 @@ def _doc_indices(value, name: str) -> np.ndarray:
     return np.array([_doc_integer(i, name) for i in value], dtype=int)
 
 
+def _close(stored, derived, scale: float = 1.0) -> bool:
+    """Whether a stored copy of a derived array matches it to DERIVED_TOL."""
+    stored = np.asarray(stored, dtype=float)
+    return stored.shape == derived.shape and np.all(np.abs(stored - derived) <= DERIVED_TOL * scale)
+
+
 def deserialize_fit(doc: dict) -> GhiveFit:
-    """Rebuild a GhiveFit from its JSON document."""
+    """Rebuild a GhiveFit from its JSON document (format 2 or 1).
+
+    Reads only the primary fields: family, n, p, m_dim, seed, tol, max_iter,
+    mode (for oracle-p, the projector stored as ``p_perp``), ``f_hat``,
+    ``sigma_hat`` and ``diagnostics``. The fit returned holds the split
+    (``make_split(n, seed)``), spectrum, ``k_hat``, ``p_perp`` and
+    ``theta_hat`` derived by ``ghive_fit``'s builder. Stored copies must
+    match: the split and ``k_hat`` exactly, the rest to ``DERIVED_TOL``.
+    Format 1 adds ``eigvals``, compared the same way, and ``split.seed``,
+    which must equal ``seed``; its ``eigvecs`` are not read, because
+    eigenvectors are fixed only up to sign and to rotation among tied
+    eigenvalues (the zeros when M > n). A ``center`` other than false is
+    refused: fits on centred data are no longer supported.
+    Anything missing, mistyped or mismatched is a ``DataValidationError``.
+    """
     try:
         version = doc["format_version"]
     except (TypeError, KeyError):
         raise DataValidationError("fit document is missing format_version")
-    if version != FIT_FORMAT_VERSION:
+    if isinstance(version, bool) or version not in (1, FIT_FORMAT_VERSION):
         raise DataValidationError(
             f"unsupported fit format_version {version!r} "
-            f"(this build reads version {FIT_FORMAT_VERSION})"
+            f"(this build reads versions 1 and {FIT_FORMAT_VERSION})"
+        )
+    if doc.get("center", False) is not False:
+        raise DataValidationError(
+            f"fit document center is {doc['center']!r}, but fits on centred data are no "
+            "longer supported; standardise the x CSVs before `ghive fit` and refit"
         )
     try:
         family = family_from_name(doc["family"])
-        mode_doc = doc["mode"]
-        split_doc = doc["split"]
-        f_hat = matrix_from_json(doc["f_hat"], "f_hat")
-        theta_hat = matrix_from_json(doc["theta_hat"], "theta_hat")
-        sigma_hat = matrix_from_json(doc["sigma_hat"], "sigma_hat")
-        eigvecs = matrix_from_json(doc["eigvecs"], "eigvecs")
-        p_perp = matrix_from_json(doc["p_perp"], "p_perp")
-        eigvals = np.asarray(doc["eigvals"], dtype=float)
-        k_hat = _doc_integer(doc["k_hat"], "k_hat", nullable=True)
-        diagnostics = doc["diagnostics"]
         n, p, m_dim, seed, max_iter = (
             _doc_integer(doc[name], name) for name in ("n", "p", "m_dim", "seed", "max_iter")
         )
@@ -293,57 +283,62 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         if type(tol) not in (int, float) or not 0.0 < tol < np.inf:  # a bool is not a number
             msg = f"fit document tol must be a finite positive number: {tol!r}"
             raise DataValidationError(msg)
+        mode_doc, split_doc = doc["mode"], doc["split"]
         if not (isinstance(mode_doc, dict) and isinstance(split_doc, dict)):
             raise DataValidationError("fit document fields mode and split must be objects")
+        f_hat = matrix_from_json(doc["f_hat"], "f_hat")
+        sigma_hat = matrix_from_json(doc["sigma_hat"], "sigma_hat")
+        for name, arr, shape in (("f_hat", f_hat, (m_dim, p)), ("sigma_hat", sigma_hat, (m_dim, m_dim))):
+            if arr.shape != shape:
+                raise DataValidationError(
+                    f"fit document {name} has shape {arr.shape}, expected {shape} "
+                    f"for m_dim={m_dim}, p={p}"
+                )
         mode_kind = mode_doc.get("kind")
         if mode_kind == ORACLE_P:
-            mode = Mode(ORACLE_P, projector=p_perp)
+            mode = Mode.oracle_p(matrix_from_json(doc["p_perp"], "p_perp"))
         elif mode_kind == ORACLE_K:
-            mode = Mode(ORACLE_K, k=_doc_integer(mode_doc["k"], "mode.k"))
+            mode = Mode.oracle_k(_doc_integer(mode_doc["k"], "mode.k"))
         elif mode_kind == DATA_DRIVEN:
-            mode = Mode(DATA_DRIVEN)
+            mode = Mode.data_driven()
         else:
             raise DataValidationError(f"unknown fit mode {mode_kind!r}")
-        split = SplitPlan(
-            n=n,
-            seed=_doc_integer(split_doc["seed"], "split.seed"),
-            d1=_doc_indices(split_doc["d1"], "split.d1"),
-            d2=_doc_indices(split_doc["d2"], "split.d2"),
+        d1, d2 = (_doc_indices(split_doc[f], f"split.{f}") for f in ("d1", "d2"))
+        if len(d1) + len(d2) != n:  # also bounds make_split's work by the document's size
+            raise DataValidationError(
+                f"fit document split holds {len(d1) + len(d2)} indices but n={n}"
+            )
+        diagnostics = doc["diagnostics"]
+        coef = CoefMatrix(f_hat, *_fold_diagnostics(diagnostics, m_dim))
+        fit = _assemble(
+            family, make_split(n, seed), float(tol), max_iter, mode, coef, sigma_hat, diagnostics
         )
+        derived = fit.spectral
+        checks = [
+            ("split.d1", np.array_equal(d1, fit.split.d1)),
+            ("split.d2", np.array_equal(d2, fit.split.d2)),
+            ("k_hat", _doc_integer(doc["k_hat"], "k_hat", nullable=True) == derived.k_hat),
+            ("p_perp", _close(matrix_from_json(doc["p_perp"], "p_perp"), derived.p_perp)),
+            ("theta_hat", _close(
+                matrix_from_json(doc["theta_hat"], "theta_hat"), fit.theta_hat,
+                max(1.0, float(np.max(np.abs(f_hat)))),
+            )),
+        ]
+        if version == 1:
+            checks += [
+                ("split.seed", _doc_integer(split_doc["seed"], "split.seed") == seed),
+                ("eigvals", _close(
+                    doc["eigvals"], derived.eigvals, max(1.0, float(np.max(np.abs(derived.eigvals))))
+                )),
+            ]
     except KeyError as missing:
         raise DataValidationError(f"fit document is missing field {missing}")
     except (TypeError, ValueError) as bad:
         raise DataValidationError(f"malformed fit document: {bad}")
-    square, rows = (m_dim, m_dim), (m_dim, p)
-    for name, arr, shape in (
-        ("f_hat", f_hat, rows), ("theta_hat", theta_hat, rows), ("sigma_hat", sigma_hat, square),
-        ("eigvecs", eigvecs, square), ("p_perp", p_perp, square), ("eigvals", eigvals, (m_dim,)),
-    ):
-        if arr.shape != shape:
+    for name, matches in checks:
+        if not matches:
             raise DataValidationError(
-                f"fit document {name} has shape {arr.shape}, expected {shape} "
-                f"for m_dim={m_dim}, p={p}"
+                f"fit document {name} does not match its derivation from the document's "
+                "sigma_hat, f_hat, mode, n and seed"
             )
-    spec = spectral.SpectralResult(
-        sigma_hat=sigma_hat,
-        eigvals=eigvals,
-        eigvecs=eigvecs,
-        k_hat=k_hat,
-        p_perp=p_perp,
-    )
-    coef = CoefMatrix(f_hat, *_fold_diagnostics(diagnostics, m_dim))
-    return GhiveFit(
-        family=family,
-        n=n,
-        p=p,
-        m_dim=m_dim,
-        seed=seed,
-        tol=float(tol),
-        max_iter=max_iter,
-        mode=mode,
-        split=split,
-        f_hat=coef,
-        theta_hat=theta_hat,
-        spectral=spec,
-        diagnostics=diagnostics,
-    )
+    return fit

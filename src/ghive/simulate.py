@@ -212,7 +212,13 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     elif kind == "bernoulli":
         y = (rng.random((n, m_dim)) < expit(lin)).astype(float)
     else:  # poisson
-        y = rng.poisson(np.exp(lin)).astype(float)
+        try:
+            y = rng.poisson(np.exp(lin)).astype(float)
+        except ValueError:  # numpy refuses rates above about 9.2e18
+            raise NumericalError(
+                f"poisson rate exp({lin.max():.4g}) is too large to draw counts from; "
+                "lower eta or the coefficient scale"
+            ) from None
     return Dataset(x, y)
 
 

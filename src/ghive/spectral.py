@@ -30,7 +30,6 @@ _RATIO_FLOOR = 1e-300
 class SpectralResult:
     sigma_hat: np.ndarray  # (M, M) cross-fitted residual covariance
     eigvals: np.ndarray  # all M eigenvalues, non-increasing
-    eigvecs: np.ndarray  # orthonormal columns aligned with eigvals
     k_hat: int | None  # selected factor count (None in oracle-projector mode)
     p_perp: np.ndarray  # (M, M) complement projector applied to coefficients
 

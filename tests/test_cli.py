@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, error reporting."""
 
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -18,7 +19,13 @@ from ghive.experiments import (
     ExperimentSpec,
     run_experiment,
 )
+from ghive.pipeline import DERIVED_TOL
 from ghive.simulate import SimConfig
+
+# format-1 fit documents with their CSVs and the intervals `ghive infer`
+# wrote for them when they were made: a gaussian data-driven fit and a
+# bernoulli oracle-p fit, n=60, p=3, M=4
+FIT_V1 = Path(__file__).parent / "data" / "fit_v1"
 
 
 def _schema(name):
@@ -304,6 +311,88 @@ def test_direction_vectors_can_come_from_files(tmp_path, csv_data):
     assert ci["estimate"] == pytest.approx(fit_doc["theta_hat"]["data"][0][1])
 
 
+def _infer(fit_path, x, y, out, u="e1", v="e1"):
+    return main(["infer", "--fit", str(fit_path), "--x", str(x), "--y", str(y),
+                 "--u", u, "--v", v, "--out", str(out)])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_v1_fit_documents_give_the_intervals_they_were_written_with(tmp_path, family):
+    fit_path = FIT_V1 / f"{family}_fit.json"
+    scale = max(1.0, np.abs(json.loads(fit_path.read_text())["f_hat"]["data"]).max())
+    for u, v in (("e1", "e1"), ("e2", "e3")):
+        out = tmp_path / "ci.json"
+        x, y = FIT_V1 / f"{family}_x.csv", FIT_V1 / f"{family}_y.csv"
+        assert _infer(fit_path, x, y, out, u, v) == 0
+        got = json.loads(out.read_text())
+        want = json.loads((FIT_V1 / f"{family}_ci_{u}_{v}.json").read_text())
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):  # bit for bit where the document was written
+                assert got[key] == pytest.approx(value, rel=DERIVED_TOL, abs=DERIVED_TOL * scale)
+            else:
+                assert got[key] == value, key
+
+
+def _edit(*path, to):
+    """An edit setting the document entry at ``path`` to ``to(old value)``."""
+
+    def apply(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = to(doc[last])
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "base, edits, rows, field",
+    [
+        ("v1", [_edit("theta_hat", "data", 0, 0, to=lambda t: t + 100), _edit("k_hat", to=lambda k: 3),
+                _edit("eigvals", to=lambda e: [9.0, 3.0, 1.0, 0.5])], None, "k_hat"),
+        ("v2", [_edit("theta_hat", "data", 0, 0, to=lambda t: t + 100)], None, "theta_hat"),
+        ("v1", [_edit("eigvals", to=lambda e: [9.0, 3.0, 1.0, 0.5])], None, "eigvals"),
+        ("v2", [], 45, "n=60"),
+        ("v1", [_edit("center", to=lambda c: "no")], None, "center"),
+        ("v2", [_edit("k_hat", to=lambda k: 99)], None, "k_hat"),
+        ("v2", [_edit("seed", to=lambda s: s + 1)], None, "split.d1"),
+        ("v1", [_edit("split", "seed", to=lambda s: s + 1)], None, "split.seed"),
+        ("v2", [_edit("split", "d1", to=lambda d: [0, 0, 0])], None, "split"),
+        ("v2", [_edit("split", "d1", to=lambda d: [d[1], d[0]] + d[2:])], None, "split.d1"),
+        ("v2", [_edit("theta_hat", "data", 1, 2, to=lambda t: float("nan"))], None, "theta_hat"),
+        ("v1-oracle-p", [_edit("p_perp", "data", 0, 0, to=lambda t: float("nan"))], None, "p_perp"),
+        ("v1-oracle-p", [_edit("p_perp", "data", 0, 1, to=lambda t: t + 1e-3),
+                         _edit("theta_hat", "data", 0, 0, to=lambda t: t + 1e-3)], None, "theta_hat"),
+    ],
+    ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
+         "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "theta-nan",
+         "oracle-p-nan", "oracle-p-theta"],
+)
+def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, edits, rows, field):
+    family = "bernoulli" if base == "v1-oracle-p" else "gaussian"
+    x, y = FIT_V1 / f"{family}_x.csv", FIT_V1 / f"{family}_y.csv"
+    fit_path = tmp_path / "fit.json"
+    if base == "v2":
+        assert main(["fit", "--x", str(x), "--y", str(y), "--family", family, "--seed", "3",
+                     "--out", str(fit_path)]) == 0
+        doc = json.loads(fit_path.read_text())
+        assert _infer(fit_path, x, y, tmp_path / "unedited.json") == 0
+    else:
+        doc = json.loads((FIT_V1 / f"{family}_fit.json").read_text())
+    for edit in edits:
+        edit(doc)
+    fit_path.write_text(json.dumps(doc))
+    if rows is not None:
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        for path, name in ((x, "x"), (y, "y")):
+            save_matrix_csv(path, np.loadtxt(FIT_V1 / f"{family}_{name}.csv", delimiter=",")[:rows])
+    capsys.readouterr()
+    assert _infer(fit_path, x, y, tmp_path / "ci.json") == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "ci.json").exists()
+
+
 SIMULATE_ARGS = ["simulate", "--family", "bernoulli", "--n", "30", "--p", "3",
                  "--m", "3", "--k-true", "2", "--eta", "2", "--reps", "2",
                  "--seed", "4"]
@@ -410,6 +499,17 @@ def test_fstar_oracle_command_emits_the_bias_summary(tmp_path):
     assert f_star.shape == tuple(doc["f_star"]["dims"])
     assert doc["bias2"] <= doc["bias1"] + 1e-12
     assert doc["converged_fraction"] == pytest.approx(1.0)
+
+
+def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    code = main(
+        ["fstar-oracle", "--family", "poisson", "--n", "50", "--p", "3", "--m", "3",
+         "--k-true", "2", "--eta", "12", "--n-mc", "10000", "--out", str(out)]
+    )
+    assert code == 1
+    assert "poisson rate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reproduce_runs_a_named_experiment(tmp_path, capsys):

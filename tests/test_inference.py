@@ -241,6 +241,14 @@ def test_contrast_dimension_mismatch_is_rejected():
         confidence_interval(data, BERNOULLI, fit, wrong)
 
 
+def test_data_with_another_row_count_than_the_fit_is_rejected():
+    data, _, _ = small_sim_dataset(n=40, p=3, m_dim=2, seed=5)
+    fit = ghive_fit(data, BERNOULLI, seed=3)
+    fewer = Dataset(data.x[:30], data.y[:30])
+    with pytest.raises(DataValidationError, match="n=40"):
+        confidence_interval(fewer, BERNOULLI, fit, basis_contrast(0, 0, data.m_dim, data.p))
+
+
 def test_non_finite_fit_coefficients_are_rejected():
     # a fit read from a file can carry NaN; inference rejects it, not the kernels
     data, _, _ = small_sim_dataset(n=40, p=3, m_dim=2, seed=5)

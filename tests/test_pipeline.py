@@ -8,10 +8,12 @@ import pytest
 
 from conftest import small_sim_dataset
 from ghive import BERNOULLI
-from ghive.data_io import Dataset
+from ghive.data_io import Dataset, matrix_to_json
 from ghive.errors import DataValidationError
 from ghive.qml import make_split
+from ghive.spectral import eigendecomposition
 from ghive.pipeline import (
+    DERIVED_TOL,
     FIT_FORMAT_VERSION,
     Mode,
     deserialize_fit,
@@ -25,6 +27,16 @@ def _schema(name):
     from importlib.resources import files
 
     return json.loads(files("ghive").joinpath("schemas", name).read_text())
+
+
+def _v1_doc(fit):
+    """``fit`` as a format-1 document: eigvals, eigvecs and split.seed besides the
+    format-2 fields."""
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    eigvals, eigvecs = eigendecomposition(fit.spectral.sigma_hat)
+    doc.update(format_version=1, eigvals=eigvals.tolist(), eigvecs=matrix_to_json(eigvecs))
+    doc["split"]["seed"] = doc["seed"]
+    return doc
 
 
 @pytest.fixture
@@ -86,13 +98,51 @@ def test_serialize_roundtrip_preserves_the_fit(fitted):
     _, fit = fitted
     doc = json.loads(json.dumps(serialize_fit(fit)))
     back = deserialize_fit(doc)
-    assert np.allclose(back.theta_hat, fit.theta_hat, atol=1e-15)
-    assert np.allclose(back.f_hat.values, fit.f_hat.values, atol=1e-15)
-    assert np.allclose(back.spectral.p_perp, fit.spectral.p_perp, atol=1e-15)
+    assert np.array_equal(back.theta_hat, fit.theta_hat)
+    assert np.array_equal(back.f_hat.values, fit.f_hat.values)
+    assert np.array_equal(back.spectral.p_perp, fit.spectral.p_perp)
     assert back.spectral.k_hat == fit.spectral.k_hat
     assert back.mode.kind == fit.mode.kind
     assert np.array_equal(back.split.d1, fit.split.d1)
     assert back.family == fit.family
+
+
+@pytest.mark.parametrize("mode", ["data-driven", "oracle-k", "oracle-p"])
+@pytest.mark.parametrize("write", [serialize_fit, _v1_doc], ids=["v2", "v1"])
+def test_reloaded_fits_derive_every_field_bit_for_bit(fitted, mode, write):
+    _, fit = fitted
+    _, truth, _ = small_sim_dataset(n=50, p=3, m_dim=4, k=2, seed=10, rep_seed=7)
+    modes = {"oracle-k": Mode.oracle_k(1), "oracle-p": Mode.oracle_p(truth.p_b_perp)}
+    fit = with_projection(fit, modes[mode]) if mode in modes else fit
+    back = deserialize_fit(json.loads(json.dumps(write(fit))))
+    assert back.mode.kind == mode and back.spectral.k_hat == fit.spectral.k_hat
+    assert np.array_equal(back.theta_hat, fit.theta_hat)
+    assert np.array_equal(back.spectral.p_perp, fit.spectral.p_perp)
+    assert np.array_equal(back.spectral.eigvals, fit.spectral.eigvals)
+
+
+def test_stored_copies_within_the_tolerance_are_accepted_and_replaced(fitted):
+    _, fit = fitted
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    for name in ("theta_hat", "p_perp"):
+        doc[name]["data"][0][0] += 0.5 * DERIVED_TOL
+    back = deserialize_fit(doc)
+    assert np.array_equal(back.theta_hat, fit.theta_hat)
+    assert np.array_equal(back.spectral.p_perp, fit.spectral.p_perp)
+    doc["p_perp"]["data"][0][0] += DERIVED_TOL
+    with pytest.raises(DataValidationError, match="p_perp"):
+        deserialize_fit(doc)
+
+
+@pytest.mark.parametrize("center", [True, "no", None, 0])
+def test_a_centred_fit_document_is_refused_with_guidance(fitted, center):
+    _, fit = fitted
+    doc = _v1_doc(fit)
+    doc["center"] = False
+    deserialize_fit(doc)
+    doc["center"] = center
+    with pytest.raises(DataValidationError, match="center.*standardise"):
+        deserialize_fit(doc)
 
 
 def test_serialized_fit_validates_against_the_schema(fitted):
@@ -137,7 +187,7 @@ def test_deserialize_rejects_unknown_format_version(fitted):
 )
 def test_malformed_mode_or_split_is_a_validation_error(fitted, field, edit):
     _, fit = fitted
-    doc = json.loads(json.dumps(serialize_fit(fit)))
+    doc = _v1_doc(fit)  # format 1 also reads split.seed
     doc[field] = edit(doc[field])
     with pytest.raises(DataValidationError):
         deserialize_fit(doc)
@@ -167,16 +217,15 @@ def _drop_last_column(m):
         ("f_hat", _drop_last_column),
         ("theta_hat", lambda m: {"dims": [1, 1], "data": [[0.5]]}),
         ("sigma_hat", _drop_last_column),
-        ("eigvecs", lambda m: {"dims": [1, 4], "data": [m["data"][0]]}),
         ("p_perp", lambda m: {"dims": [2, 2], "data": [[1.0, 0.0], [0.0, 1.0]]}),
         ("eigvals", lambda v: v[:-1]),
     ],
-    ids=["f_hat-short-rows", "theta_hat-1x1", "sigma_hat-not-square", "eigvecs-one-row",
-         "p_perp-2x2", "eigvals-short"],
+    ids=["f_hat-short-rows", "theta_hat-1x1", "sigma_hat-not-square", "p_perp-2x2",
+         "eigvals-short"],
 )
 def test_matrix_shapes_must_match_the_declared_dimensions(fitted, field, edit):
     _, fit = fitted
-    doc = json.loads(json.dumps(serialize_fit(fit)))
+    doc = _v1_doc(fit) if field == "eigvals" else json.loads(json.dumps(serialize_fit(fit)))
     doc[field] = edit(doc[field])
     with pytest.raises(DataValidationError, match=field):
         deserialize_fit(doc)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ghive.errors import DataValidationError
+from ghive.errors import DataValidationError, NumericalError
 from ghive.qml import CoefMatrix
 from ghive.simulate import (
     _DATA_DOMAIN,
@@ -89,6 +89,13 @@ def test_sample_dataset_shapes_families_and_determinism():
     pois = dataclasses.replace(cfg, family="poisson", eta=1.0)
     dp = sample_dataset(make_truth(pois), pois, rep_seed=1)
     assert np.all(dp.y >= 0) and np.allclose(dp.y, np.round(dp.y))
+
+
+def test_poisson_rates_beyond_numpys_draw_limit_are_a_numerical_error():
+    # e^lin passes numpy's largest poisson rate (about 9.2e18) on this draw
+    cfg = SimConfig(n=1000, p=3, m_dim=3, k=2, eta=12.0, seed=3, family="poisson")
+    with pytest.raises(NumericalError, match="poisson rate"):
+        sample_dataset(make_truth(cfg), cfg, rep_seed=1)
 
 
 def test_bernoulli_responses_replay_the_documented_stream_through_expit():
