@@ -29,7 +29,6 @@ from .errors import DataValidationError, GhiveError, NumericalError
 from .families import family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
 from .pipeline import Mode, deserialize_fit, ghive_fit, serialize_fit
-from .qml import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .simulate import SimConfig, fstar_oracle, make_truth, metrics
 
 DEFAULT_SEED = 0  # used by `fit` when --seed is not given
@@ -132,9 +131,7 @@ def cmd_fit(args) -> int:
     family = family_from_name(args.family)
     data = load_dataset(args.x, args.y, family)
     mode = _resolve_mode(args, data.m_dim)
-    fit = ghive_fit(
-        data, family, seed=args.seed, mode=mode, tol=args.tol, max_iter=args.max_iter
-    )
+    fit = ghive_fit(data, family, seed=args.seed, mode=mode)
     write_json_atomic(args.out, serialize_fit(fit))
     n_conv = int(np.sum([d["converged"] for d in fit.diagnostics]))
     print(
@@ -235,15 +232,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--projector", help="CSV of an M x M complement projector")
     fit.add_argument("--seed", type=int, default=DEFAULT_SEED, help="split seed")
-    fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     fit.add_argument("--out", required=True, help="output fit JSON path")
     fit.set_defaults(func=cmd_fit)
 
     infer = sub.add_parser("infer", help="confidence interval from a saved fit")
     infer.add_argument("--fit", required=True, help="fit JSON from `ghive fit`")
-    infer.add_argument("--x", required=True)
-    infer.add_argument("--y", required=True)
+    infer.add_argument("--x", required=True, help="the covariate CSV the fit was made on")
+    infer.add_argument("--y", required=True, help="the response CSV the fit was made on")
     infer.add_argument(
         "--u", required=True, help="response direction: e<i> or a CSV vector file"
     )

@@ -11,7 +11,9 @@ data-driven fit is cheaply re-projected under an oracle mode.
 
 A fit document stores the builder's primary inputs plus copies of the
 derived split, ``k_hat``, ``p_perp`` and ``theta_hat``; the reader derives
-those again and rejects a document whose copies disagree.
+those again and rejects a document whose copies disagree. Its ``tol`` and
+``max_iter`` record the solver's fixed stopping rule (``qml.TOL`` and
+``qml.MAX_ITER``); a document made with any other rule is refused.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ from . import spectral
 from .data_io import Dataset, matrix_from_json, matrix_to_json
 from .errors import DataValidationError
 from .families import GlmFamily, family_from_name
-from .qml import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    CoefMatrix,
-    SplitPlan,
-    fit_qml_all,
-    make_split,
-)
+from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, fit_qml_all, make_split
 
 FIT_FORMAT_VERSION = 2
 
@@ -72,6 +67,10 @@ class Mode:
             raise DataValidationError("projector must be a square matrix")
         if not np.all(np.isfinite(projector)):
             raise DataValidationError("projector contains non-finite entries")
+        defect = np.stack([projector - projector.T, projector @ projector - projector])
+        if not np.all(np.abs(defect) <= 1e-8):  # the acceptance gate's projector tolerance
+            msg = "projector (the fit's p_perp) must be symmetric and idempotent within 1e-8"
+            raise DataValidationError(msg)
         return Mode(ORACLE_P, projector=projector)
 
 
@@ -83,8 +82,6 @@ class GhiveFit:
     n: int
     p: int
     m_dim: int
-    tol: float
-    max_iter: int
     mode: Mode
     split: SplitPlan  # its seed is the fit's only source of randomness
     f_hat: CoefMatrix  # fold-averaged coefficients (M x p)
@@ -93,7 +90,7 @@ class GhiveFit:
     diagnostics: list  # per (response, fold) convergence records
 
 
-def _assemble(family, split, tol, max_iter, mode, f_hat, sigma_hat, diagnostics) -> GhiveFit:
+def _assemble(family, split, mode, f_hat, sigma_hat, diagnostics) -> GhiveFit:
     """The one way a GhiveFit is put together: the spectrum of ``sigma_hat``,
     the factor count and projector (or the mode's), ``theta_hat = p_perp @ f_hat``."""
     m_dim, p = f_hat.values.shape
@@ -110,10 +107,9 @@ def _assemble(family, split, tol, max_iter, mode, f_hat, sigma_hat, diagnostics)
         k_hat = mode.k if mode.kind == ORACLE_K else spectral.select_k(eigvals, split.n, m_dim)
         p_perp = spectral.projector_complement(eigvecs, k_hat)
     return GhiveFit(
-        family=family, n=split.n, p=p, m_dim=m_dim, tol=tol, max_iter=max_iter, mode=mode,
-        split=split, f_hat=f_hat, theta_hat=p_perp @ f_hat.values,
+        family=family, n=split.n, p=p, m_dim=m_dim, mode=mode, split=split, f_hat=f_hat,
+        theta_hat=p_perp @ f_hat.values, diagnostics=diagnostics,
         spectral=spectral.SpectralResult(sigma_hat, eigvals, k_hat, p_perp),
-        diagnostics=diagnostics,
     )
 
 
@@ -126,30 +122,18 @@ def _diagnostics(coef_d1: CoefMatrix, coef_d2: CoefMatrix) -> list:
     ]
 
 
-def ghive_fit(
-    data: Dataset,
-    family: GlmFamily,
-    seed: int,
-    mode: Mode | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GhiveFit:
+def ghive_fit(data: Dataset, family: GlmFamily, seed: int, mode: Mode | None = None) -> GhiveFit:
     """Run the full pipeline on a dataset.
 
-    The same (data, seed, mode, tol) always produces the same fit,
+    The same (data, seed, mode) always produces the same fit,
     bit for bit; the split seed is the only source of randomness.
     """
-    if max_iter < 1:
-        raise DataValidationError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0.0 < tol < np.inf:
-        raise DataValidationError(f"tol must be a finite positive number, got {tol}")
     split = make_split(data.n, seed)
-    coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split, tol, max_iter)
+    coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split)
     resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
     sigma = spectral.covariance_crossfit(resid, split)
     return _assemble(
-        family, split, tol, max_iter, mode or Mode.data_driven(), coef_avg, sigma,
-        _diagnostics(coef_d1, coef_d2),
+        family, split, mode or Mode.data_driven(), coef_avg, sigma, _diagnostics(coef_d1, coef_d2)
     )
 
 
@@ -160,8 +144,7 @@ def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
     data-driven fit cost one M x M eigendecomposition and a matrix product.
     """
     return _assemble(
-        fit.family, fit.split, fit.tol, fit.max_iter, mode, fit.f_hat,
-        fit.spectral.sigma_hat, fit.diagnostics,
+        fit.family, fit.split, mode, fit.f_hat, fit.spectral.sigma_hat, fit.diagnostics
     )
 
 
@@ -178,8 +161,8 @@ def serialize_fit(fit: GhiveFit) -> dict:
         "p": fit.p,
         "m_dim": fit.m_dim,
         "seed": fit.split.seed,
-        "tol": fit.tol,
-        "max_iter": fit.max_iter,
+        "tol": TOL,
+        "max_iter": MAX_ITER,
         "mode": {"kind": fit.mode.kind, "k": fit.mode.k},
         "split": {
             "d1": [int(i) for i in fit.split.d1],
@@ -203,11 +186,8 @@ def _fold_diagnostics(diagnostics, m_dim: int):
     of the two gradient norms.
     """
     try:
-        keyed = {
-            (d["response"], d["fold"]): (bool(d["converged"]), float(d["grad_norm"]))
-            for d in diagnostics
-        }
-    except (TypeError, KeyError, ValueError):
+        keyed = dict(_diagnostics_record(d) for d in diagnostics)
+    except (TypeError, KeyError):
         raise DataValidationError(
             "fit diagnostics records need response, fold, converged and grad_norm"
         )
@@ -220,6 +200,19 @@ def _fold_diagnostics(diagnostics, m_dim: int):
     # records[m, fold] = (converged, grad_norm)
     records = np.array([keyed[pair] for pair in pairs], dtype=float).reshape(m_dim, 2, 2)
     return records[:, :, 0].all(axis=1), records[:, :, 1].max(axis=1)
+
+
+def _diagnostics_record(d):
+    """One diagnostics record as ``((response, fold), (converged, grad_norm))``;
+    a mistyped entry makes the fit document malformed."""
+    converged, grad_norm = d["converged"], d["grad_norm"]
+    if not isinstance(converged, bool):
+        msg = f"fit document diagnostics converged must be true or false: {converged!r}"
+        raise DataValidationError(msg)
+    if type(grad_norm) not in (int, float):  # a bool is not a number
+        msg = f"fit document diagnostics grad_norm must be a number: {grad_norm!r}"
+        raise DataValidationError(msg)
+    return (_doc_integer(d["response"], "diagnostics response"), d["fold"]), (converged, grad_norm)
 
 
 def _doc_integer(value, name: str, nullable: bool = False):
@@ -247,9 +240,10 @@ def _close(stored, derived, scale: float = 1.0) -> bool:
 def deserialize_fit(doc: dict) -> GhiveFit:
     """Rebuild a GhiveFit from its JSON document (format 2 or 1).
 
-    Reads only the primary fields: family, n, p, m_dim, seed, tol, max_iter,
-    mode (for oracle-p, the projector stored as ``p_perp``), ``f_hat``,
-    ``sigma_hat`` and ``diagnostics``. The fit returned holds the split
+    Reads only the primary fields: family, n, p, m_dim, seed, mode (for
+    oracle-p, the projector stored as ``p_perp``), ``f_hat``, ``sigma_hat``
+    and ``diagnostics``; ``tol`` and ``max_iter`` must be the solver's
+    ``TOL`` and ``MAX_ITER``. The fit returned holds the split
     (``make_split(n, seed)``), spectrum, ``k_hat``, ``p_perp`` and
     ``theta_hat`` derived by ``ghive_fit``'s builder. Stored copies must
     match: the split and ``k_hat`` exactly, the rest to ``DERIVED_TOL``.
@@ -276,13 +270,13 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         )
     try:
         family = family_from_name(doc["family"])
-        n, p, m_dim, seed, max_iter = (
-            _doc_integer(doc[name], name) for name in ("n", "p", "m_dim", "seed", "max_iter")
-        )
-        tol = doc["tol"]
-        if type(tol) not in (int, float) or not 0.0 < tol < np.inf:  # a bool is not a number
-            msg = f"fit document tol must be a finite positive number: {tol!r}"
-            raise DataValidationError(msg)
+        n, p, m_dim, seed = (_doc_integer(doc[name], name) for name in ("n", "p", "m_dim", "seed"))
+        for name, fixed in (("tol", TOL), ("max_iter", MAX_ITER)):
+            if doc[name] != fixed:
+                raise DataValidationError(
+                    f"fit document {name} is {doc[name]!r}, but this build's solver stops at "
+                    f"{name}={fixed!r}; refit the data with `ghive fit`"
+                )
         mode_doc, split_doc = doc["mode"], doc["split"]
         if not (isinstance(mode_doc, dict) and isinstance(split_doc, dict)):
             raise DataValidationError("fit document fields mode and split must be objects")
@@ -310,9 +304,7 @@ def deserialize_fit(doc: dict) -> GhiveFit:
             )
         diagnostics = doc["diagnostics"]
         coef = CoefMatrix(f_hat, *_fold_diagnostics(diagnostics, m_dim))
-        fit = _assemble(
-            family, make_split(n, seed), float(tol), max_iter, mode, coef, sigma_hat, diagnostics
-        )
+        fit = _assemble(family, make_split(n, seed), mode, coef, sigma_hat, diagnostics)
         derived = fit.spectral
         checks = [
             ("split.d1", np.array_equal(d1, fit.split.d1)),

@@ -15,7 +15,10 @@ Accepted iterates therefore have a monotone objective path. The full step is
 tried first; the halvings after it run in stacked rounds, each evaluating as
 many of a column's next steps ``2**-j`` as STACK_ELEMENTS allows in one
 objective call, and the column takes the first of them that increases the
-objective: the step the one-at-a-time search would take.
+objective: the step the one-at-a-time search would take. A column stops once
+its gradient sup-norm is below TOL, after MAX_ITER iterations or when no step
+increases the objective. This stopping rule belongs to the solver, so no
+caller sets it; a fit document records both constants.
 
 As in IRLS, each iterate is evaluated once: the predictors ``x . f`` of the
 candidate a column accepts serve its next gradient and curvature, and the
@@ -58,8 +61,8 @@ from .families import (
     weighted_residual,
 )
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
+TOL = 1e-8
+MAX_ITER = 100
 MAX_STEP_HALVINGS = 30
 
 # Element budget (1 MB) of a column block's per-column working set: its
@@ -136,7 +139,7 @@ class CoefMatrix:
     """Stacked per-response coefficient fits.
 
     values     : (M, p) coefficient rows
-    converged  : (M,) bool, gradient sup-norm below tolerance at the solution
+    converged  : (M,) bool, gradient sup-norm below TOL at the solution
     grad_norm  : (M,) final gradient sup-norms
     """
 
@@ -295,23 +298,23 @@ def column_blocks(x: np.ndarray, n_cols: int) -> list:
     return np.split(np.arange(n_cols), range(width, n_cols, width))
 
 
-def _newton_ascent(x, y, family, starts, tol, max_iter, kind):
+def _newton_ascent(x, y, family, starts, kind):
     """Damped Newton ascent from each row c of ``starts`` (C, p) on response
     ``y[:, c % M]``, in column blocks. Returns the per-column arrays
     ``(f, value, grad_norm)``."""
     m_dim, xt = y.shape[1], np.ascontiguousarray(x.T)
     blocks = [
-        _ascent_block(x, xt, y.T[cols % m_dim], family, starts[cols], tol, max_iter, kind)
+        _ascent_block(x, xt, y.T[cols % m_dim], family, starts[cols], kind)
         for cols in column_blocks(x, len(starts))
     ]
     return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
 
 
-def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
+def _ascent_block(x, xt, y, family, f, kind):
     """One block of :func:`_newton_ascent`, ``y`` (C, n); ``xt`` is the
     C-contiguous copy of ``x.T`` for :func:`weighted_gram`. A column stops on
-    ``grad_norm < tol``, ``max_iter`` or a line search with no increase; one
-    whose start has a non-finite objective is reported as-is. The line search
+    ``grad_norm < TOL``, after MAX_ITER iterations or on a line search with no
+    increase; one whose start has a non-finite objective is reported as-is. The line search
     tries the full step for every column, then stacks each failing column's
     next halvings, as many per round as keep the (candidates, n) predictors
     within STACK_ELEMENTS, and takes the first that increases the objective,
@@ -331,7 +334,7 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
     grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
     n_iter = np.zeros(len(f), dtype=int)
     live = np.flatnonzero(np.isfinite(value))
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         if not live.size:
             break
         # the live columns' rows: views while no column has stopped
@@ -344,9 +347,9 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
             score = y_live - d1
         grad[live] = _gradient(x, score)
         grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
-        going = grad_norm[live] >= tol
+        going = grad_norm[live] >= TOL
         live = live[going]
-        if it == max_iter or not live.size:
+        if it == MAX_ITER or not live.size:
             break
         n_iter[live] = it + 1
         keep = slice(None) if going.all() else going
@@ -393,14 +396,7 @@ def _ascent_block(x, xt, y, family, f, tol, max_iter, kind):
 # public fitting entry points
 
 
-def fit_qml_one(
-    x: np.ndarray,
-    y: np.ndarray,
-    family: GlmFamily,
-    starts,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ResponseFit:
+def fit_qml_one(x: np.ndarray, y: np.ndarray, family: GlmFamily, starts) -> ResponseFit:
     """Maximise the quasi-log-likelihood for one response column.
 
     Runs the damped Newton ascent from every vector in ``starts`` and keeps
@@ -427,7 +423,7 @@ def fit_qml_one(
         raise DataValidationError("x and the start vectors must be finite")
     y = np.tile(y, (len(starts), 1))
     f, value, gnorm, n_iter, path = _ascent_block(
-        x, np.ascontiguousarray(x.T), y, family, starts, tol, max_iter, "quasi"
+        x, np.ascontiguousarray(x.T), y, family, starts, "quasi"
     )
     c = 0
     for s in range(1, len(starts)):
@@ -435,7 +431,7 @@ def fit_qml_one(
     # accepted steps strictly increase the objective; the rest leave it as is
     path = path[c, np.r_[True, np.diff(path[c]) > 0]].tolist()
     return ResponseFit(
-        f[c], bool(gnorm[c] < tol), float(gnorm[c]), float(value[c]), int(n_iter[c]), path
+        f[c], bool(gnorm[c] < TOL), float(gnorm[c]), float(value[c]), int(n_iter[c]), path
     )
 
 
@@ -450,31 +446,25 @@ def fit_naive_mle(data, family: GlmFamily) -> CoefMatrix:
     here, once.
     """
     validate_response(family, data.y)
-    return _fit_matrix(data.x, data.y, family, DEFAULT_TOL, DEFAULT_MAX_ITER, kind="loglik")
+    return _fit_matrix(data.x, data.y, family, kind="loglik")
 
 
-def _fit_matrix(x, y, family, tol, max_iter, kind) -> CoefMatrix:
+def _fit_matrix(x, y, family, kind) -> CoefMatrix:
     """Fit every response column: ``kind="loglik"`` is the naive MLE from
     zero; ``kind="quasi"`` maximises the quasi-likelihood from both zero and
     that MLE, as 2M columns of one ascent (the zero start wins ties)."""
     m_dim = y.shape[1]
     zero = np.zeros((m_dim, x.shape[1]))
-    f, value, gnorm = _newton_ascent(x, y, family, zero, tol, max_iter, "loglik")
+    f, value, gnorm = _newton_ascent(x, y, family, zero, "loglik")
     if kind == "quasi":
         starts = np.vstack([zero, f])
-        f, value, gnorm = _newton_ascent(x, y, family, starts, tol, max_iter, kind)
+        f, value, gnorm = _newton_ascent(x, y, family, starts, kind)
         pick = np.arange(m_dim) + m_dim * (value[m_dim:] > value[:m_dim])
         f, gnorm = f[pick], gnorm[pick]
-    return CoefMatrix(f, gnorm < tol, gnorm)
+    return CoefMatrix(f, gnorm < TOL, gnorm)
 
 
-def fit_qml_all(
-    data,
-    family: GlmFamily,
-    split: SplitPlan,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
+def fit_qml_all(data, family: GlmFamily, split: SplitPlan):
     """Quasi-likelihood fits on both folds plus their entrywise average.
 
     Each response within each fold starts from both the zero vector and the
@@ -497,7 +487,7 @@ def fit_qml_all(
                 f"fold {label} has {len(idx)} rows but the design has p={p} "
                 "columns; too few observations to fit"
             )
-        fold_fits.append(_fit_matrix(x[idx], y[idx], family, tol, max_iter, kind="quasi"))
+        fold_fits.append(_fit_matrix(x[idx], y[idx], family, kind="quasi"))
     fit1, fit2 = fold_fits
     avg = CoefMatrix(
         values=0.5 * (fit1.values + fit2.values),

@@ -34,7 +34,7 @@ from scipy.special import expit
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from .families import family_from_name
-from .qml import DEFAULT_MAX_ITER, DEFAULT_TOL, CoefMatrix, _fit_matrix
+from .qml import CoefMatrix, _fit_matrix
 
 _MASK64 = (1 << 64) - 1
 _TRUTH_DOMAIN = 1
@@ -241,7 +241,7 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    return _fit_matrix(ds.x, ds.y, family, DEFAULT_TOL, DEFAULT_MAX_ITER, kind="quasi")
+    return _fit_matrix(ds.x, ds.y, family, kind="quasi")
 
 
 def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:

@@ -94,6 +94,15 @@ def test_identity_projector_reports_the_raw_coefficient(tmp_path, csv_data):
     assert ci["estimate"] == pytest.approx(doc["theta_hat"]["data"][0][0], rel=1e-12)
 
 
+def test_a_projector_file_that_is_not_a_projector_exits_two(tmp_path, csv_data, capsys):
+    proj = tmp_path / "projector.csv"
+    save_matrix_csv(proj, np.random.default_rng(0).standard_normal((3, 3)))
+    code, fit_path = _fit(tmp_path, csv_data, "--projector", str(proj))
+    assert code == 2
+    assert "idempotent" in capsys.readouterr().err
+    assert not fit_path.exists()
+
+
 def test_fit_is_deterministic_across_invocations(tmp_path, csv_data):
     _, first = _fit(tmp_path, csv_data)
     body1 = first.read_bytes()
@@ -114,16 +123,18 @@ def test_zero_factor_count_is_rejected_with_guidance(tmp_path, csv_data, capsys)
     assert "--projector" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--max-iter", "0"), ("--max-iter", "-1"), ("--tol", "0"), ("--tol", "-1"),
-     ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")],
-    ids=["0", "-1", "tol-0", "tol--1", "tol-nan", "tol-inf", "seed--1"],
-)
-def test_max_iter_below_one_exits_two(tmp_path, csv_data, capsys, flag, value):
-    code, out = _fit(tmp_path, csv_data, flag, value)
+def test_negative_seed_exits_two(tmp_path, csv_data, capsys):
+    code, out = _fit(tmp_path, csv_data, "--seed", "-1")
     assert code == 2
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_the_solver_stopping_rule_is_not_a_fit_option(tmp_path, csv_data, capsys, flag):
+    code, out = _fit(tmp_path, csv_data, flag, "50")
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -362,12 +373,18 @@ def _edit(*path, to):
         ("v2", [_edit("split", "d1", to=lambda d: [d[1], d[0]] + d[2:])], None, "split.d1"),
         ("v2", [_edit("theta_hat", "data", 1, 2, to=lambda t: float("nan"))], None, "theta_hat"),
         ("v1-oracle-p", [_edit("p_perp", "data", 0, 0, to=lambda t: float("nan"))], None, "p_perp"),
-        ("v1-oracle-p", [_edit("p_perp", "data", 0, 1, to=lambda t: t + 1e-3),
-                         _edit("theta_hat", "data", 0, 0, to=lambda t: t + 1e-3)], None, "theta_hat"),
+        ("v1-oracle-p", [_edit("theta_hat", "data", 0, 0, to=lambda t: t + 1e-3)], None, "theta_hat"),
+        ("v1-oracle-p", [_edit("p_perp", "data", 0, 1, to=lambda t: t + 1e-3)], None, "p_perp"),
+        ("v2", [_edit("tol", to=lambda t: 1e-6)], None, "tol"),
+        ("v1", [_edit("max_iter", to=lambda m: 50)], None, "max_iter"),
+        ("v2", [_edit("diagnostics", 0, "converged", to=lambda c: "no")], None, "converged"),
+        ("v2", [_edit("diagnostics", 0, "response", to=float)], None, "response"),
+        ("v2", [_edit("diagnostics", 1, "grad_norm", to=lambda g: "1e-3")], None, "grad_norm"),
     ],
     ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
          "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "theta-nan",
-         "oracle-p-nan", "oracle-p-theta"],
+         "oracle-p-nan", "oracle-p-theta", "oracle-p-not-a-projector", "tol-1e-6", "max_iter-50",
+         "converged-string", "response-float", "grad_norm-string"],
 )
 def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, edits, rows, field):
     family = "bernoulli" if base == "v1-oracle-p" else "gaussian"

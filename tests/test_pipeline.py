@@ -10,7 +10,7 @@ from conftest import small_sim_dataset
 from ghive import BERNOULLI
 from ghive.data_io import Dataset, matrix_to_json
 from ghive.errors import DataValidationError
-from ghive.qml import make_split
+from ghive.qml import MAX_ITER, TOL, make_split
 from ghive.spectral import eigendecomposition
 from ghive.pipeline import (
     DERIVED_TOL,
@@ -203,8 +203,19 @@ def test_fit_document_tol_must_be_a_finite_positive_number(fitted, tol):
     doc["tol"] = tol
     with pytest.raises(DataValidationError, match="tol"):
         deserialize_fit(doc)
-    doc["tol"] = 1  # an integer is a real number
-    assert deserialize_fit(doc).tol == 1.0
+
+
+@pytest.mark.parametrize(
+    "field, value", [("tol", 1e-6), ("tol", 1), ("max_iter", 50), ("max_iter", 10**6)],
+    ids=["tol-1e-6", "tol-integer", "max_iter-50", "max_iter-million"],
+)
+def test_fit_documents_from_another_stopping_rule_are_refused(fitted, field, value):
+    _, fit = fitted
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    assert (doc["tol"], doc["max_iter"]) == (TOL, MAX_ITER)
+    doc[field] = value
+    with pytest.raises(DataValidationError, match=f"{field} is {value!r}.*refit"):
+        deserialize_fit(doc)
 
 
 def _drop_last_column(m):
@@ -276,6 +287,11 @@ def test_mode_constructors_validate():
         Mode.oracle_p(np.ones((2, 3)))
     with pytest.raises(DataValidationError):
         Mode.oracle_p(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # not idempotent; idempotent but not symmetric
+    for not_a_projector in ([[1.0, 0.0], [0.0, 0.5]], [[1.0, 1.0], [0.0, 0.0]]):
+        with pytest.raises(DataValidationError, match="idempotent"):
+            Mode.oracle_p(np.array(not_a_projector))
+    assert Mode.oracle_p(np.eye(2) + 5e-9).kind == "oracle-p"  # within the 1e-8 tolerance
     assert Mode.data_driven().kind == "data-driven"
 
 

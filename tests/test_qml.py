@@ -263,10 +263,10 @@ def test_multi_chunk_ascent_columns_solved_together_equal_columns_solved_alone(f
     else:
         y = rng.poisson(np.exp(eta)).astype(float)
     starts = np.vstack([np.zeros((3, 10)), 0.1 * rng.standard_normal((3, 10))])
-    together = qml._newton_ascent(x, y, family, starts.copy(), 1e-8, 100, "quasi")
+    together = qml._newton_ascent(x, y, family, starts.copy(), "quasi")
     assert np.all(together[2] < 1e-8)
     for c in range(len(starts)):
-        alone = qml._newton_ascent(x, y[:, [c % 3]], family, starts[[c]], 1e-8, 100, "quasi")
+        alone = qml._newton_ascent(x, y[:, [c % 3]], family, starts[[c]], "quasi")
         for got, want in zip(together, alone):
             assert np.array_equal(got[c], want[0])
 
@@ -379,7 +379,7 @@ def test_a_wide_poisson_ascent_never_holds_the_whole_weighted_design():
     assert len(qml.column_blocks(x, len(starts))) == 1  # all 16 columns in one block
     tracemalloc.start()
     try:
-        _, _, gnorm = qml._newton_ascent(x, y, POISSON, starts, 1e-8, 100, "quasi")
+        _, _, gnorm = qml._newton_ascent(x, y, POISSON, starts, "quasi")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -439,12 +439,13 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
         assert n_calls <= 1 + 2 * iterations
 
 
-def test_memory_follows_the_iterations_run_not_max_iter():
+def test_memory_follows_the_iterations_run_not_max_iter(monkeypatch):
     x, y = _column_cases(GAUSSIAN)
     short = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)])
+    monkeypatch.setattr(qml, "MAX_ITER", 10**6)
     tracemalloc.start()
     try:
-        long = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)], max_iter=10**6)
+        long = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
