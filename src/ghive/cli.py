@@ -25,7 +25,7 @@ import numpy as np
 
 from . import experiments as experiments_mod
 from .data_io import load_dataset, matrix_to_json, read_csv_table, read_json, write_json_atomic
-from .errors import DataValidationError, GhiveError, NumericalError
+from .errors import DataValidationError, GhiveError
 from .families import family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
 from .pipeline import Mode, deserialize_fit, ghive_fit, serialize_fit
@@ -133,10 +133,10 @@ def cmd_fit(args) -> int:
     mode = _resolve_mode(args, data.m_dim)
     fit = ghive_fit(data, family, seed=args.seed, mode=mode)
     write_json_atomic(args.out, serialize_fit(fit))
-    n_conv = int(np.sum([d["converged"] for d in fit.diagnostics]))
+    converged = fit.f_hat.converged
     print(
         f"wrote {args.out} (k_hat={fit.spectral.k_hat}, "
-        f"{n_conv}/{len(fit.diagnostics)} fold fits converged)"
+        f"{converged.sum()}/{converged.size} fold fits converged)"
     )
     return 0
 
@@ -294,16 +294,10 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return int(args.func(args) or 0)
-    except DataValidationError as exc:
+    except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GhiveError as exc:
+    except GhiveError as exc:  # NumericalError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

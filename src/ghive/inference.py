@@ -31,7 +31,7 @@ from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from . import families
 from .families import GlmFamily, cumulant_d2, hessian_weight, weighted_residual
-from .qml import CoefMatrix, column_blocks, gram_buffer, weighted_gram
+from .qml import CoefMatrix, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
 
@@ -44,29 +44,34 @@ class Contrast:
     """A pair of direction vectors: u over responses, v over covariates.
 
     Both are normalised to unit length on construction; a warning is issued
-    if the supplied vectors were not already unit length.
+    if the supplied vectors were not already unit length. Each is first
+    scaled by the power of two just above its largest absolute entry, so
+    that the norm of a vector with huge or tiny entries neither overflows
+    nor underflows; the scaling is exact, so other vectors keep every bit.
     """
 
     u: np.ndarray
     v: np.ndarray
 
     def __init__(self, u, v):
-        u = np.asarray(u, dtype=float).ravel()
-        v = np.asarray(v, dtype=float).ravel()
         for name, vec in (("u", u), ("v", v)):
+            vec = np.asarray(vec, dtype=float).ravel()
             if not np.all(np.isfinite(vec)):
                 raise DataValidationError(f"contrast {name} has non-finite entries")
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
+            peak = np.max(np.abs(vec), initial=0.0)
+            if peak == 0.0:
                 raise DataValidationError(f"contrast {name} is the zero vector")
-            if abs(norm - 1.0) > 1e-8:
+            exponent = np.frexp(peak)[1]
+            vec = np.ldexp(vec, -exponent)
+            norm = float(np.linalg.norm(vec))
+            length = float(np.ldexp(norm, exponent))  # inf when it overflows
+            if abs(length - 1.0) > 1e-8:
                 warnings.warn(
-                    f"contrast {name} had norm {norm:.6g}; renormalising to 1",
+                    f"contrast {name} had norm {length:.6g}; renormalising to 1",
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        object.__setattr__(self, "u", u / np.linalg.norm(u))
-        object.__setattr__(self, "v", v / np.linalg.norm(v))
+            object.__setattr__(self, name, vec / norm)
 
 
 def basis_contrast(i: int, j: int, m_dim: int, p: int) -> Contrast:
@@ -86,10 +91,10 @@ def g_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Curvature matrices ``G_m = (1/n) sum_i w_i x_i x_i'`` on the full sample.
 
-    Uses exactly the weights of the quasi-likelihood Hessian, built over the
-    solver's column blocks. A matrix whose smallest eigenvalue falls below
-    ``1e-8 * max(1, largest eigenvalue)`` gets ``delta = 1e-8 * (1 + |min
-    eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
+    Uses exactly the weights of the quasi-likelihood Hessian and the
+    solver's :func:`weighted_gram`. A matrix whose smallest eigenvalue falls
+    below ``1e-8 * max(1, largest eigenvalue)`` gets ``delta = 1e-8 * (1 +
+    |min eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
     matrices and the (M,) bool flags.
     """
     return _g_matrices(data.x, family, *_residuals(data, family, coef_values))
@@ -112,23 +117,13 @@ def _finite_predictors(eta: np.ndarray) -> np.ndarray:
 
 def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarray):
     """:func:`g_matrices` from the predictors and residuals of :func:`_residuals`."""
-    eta, eps = eta.T, eps.T
-    g = _block_grams(x, len(eta), lambda c: hessian_weight(family, eta[c], eps[c])) / len(x)
+    g = weighted_gram(x, hessian_weight(family, eta.T, eps.T)) / len(x)
     g = 0.5 * (g + g.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(g)
     bumped = eigs[:, 0] < _G_EIG_RTOL * np.maximum(1.0, eigs[:, -1])
     delta = 1e-8 * (1.0 + np.abs(eigs[bumped, :1]))
     g[bumped] += delta[:, :, None] * np.eye(g.shape[1])
     return g, bumped
-
-
-def _block_grams(x: np.ndarray, n_cols: int, weights) -> np.ndarray:
-    """Stacked ``weighted_gram(x, weights(cols))`` over the solver's column
-    blocks of ``n_cols`` responses, with one transposed copy of x and one
-    gram buffer; (n_cols, p, p)."""
-    xt, blocks = np.ascontiguousarray(x.T), column_blocks(x, n_cols)
-    buf = gram_buffer(x, len(blocks[0]))
-    return np.concatenate([weighted_gram(x, weights(c), xt, buf) for c in blocks])
 
 
 def _solve_each(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -229,7 +224,7 @@ def naive_wald_interval(
         raise DataValidationError("contrast dimensions do not match the fit")
     rows = np.flatnonzero(contrast.u)
     eta = _finite_predictors((data.x @ coef.values.T).T[rows])
-    info = _block_grams(data.x, len(rows), lambda c: cumulant_d2(family, eta[c]))
+    info = weighted_gram(data.x, cumulant_d2(family, eta))
     try:
         w = _solve_each(info, contrast.v)
     except np.linalg.LinAlgError:

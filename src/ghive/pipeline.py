@@ -10,10 +10,10 @@ go through it. The three modes change the projection step only, so a
 data-driven fit is cheaply re-projected under an oracle mode.
 
 A fit document stores the builder's primary inputs plus copies of the
-derived split, ``k_hat``, ``p_perp`` and ``theta_hat``; the reader derives
-those again and rejects a document whose copies disagree. Its ``tol`` and
-``max_iter`` record the solver's fixed stopping rule (``qml.TOL`` and
-``qml.MAX_ITER``); a document made with any other rule is refused.
+derived split, ``k_hat``, ``p_perp``, ``theta_hat`` and ``converged`` flags
+(``grad_norm < tol``); the reader derives those again and rejects a document
+whose copies disagree. Its ``tol`` and ``max_iter`` record the solver's fixed
+stopping rule (``qml.TOL`` and ``qml.MAX_ITER``); any other rule is refused.
 """
 
 from __future__ import annotations
@@ -84,13 +84,23 @@ class GhiveFit:
     m_dim: int
     mode: Mode
     split: SplitPlan  # its seed is the fit's only source of randomness
-    f_hat: CoefMatrix  # fold-averaged coefficients (M x p)
+    f_hat: CoefMatrix  # fold-averaged coefficients (M x p), grad norms (M x 2)
     theta_hat: np.ndarray  # projected coefficients (M x p)
     spectral: spectral.SpectralResult
-    diagnostics: list  # per (response, fold) convergence records
+
+    @property
+    def diagnostics(self) -> list:
+        """Per (response, fold) convergence records of the fold fits, read off
+        ``f_hat``: fold d1 first, then by response."""
+        flags, norms = self.f_hat.converged.T.tolist(), self.f_hat.grad_norm.T.tolist()
+        return [
+            {"response": m, "fold": fold, "converged": flags[d][m], "grad_norm": norms[d][m]}
+            for d, fold in enumerate(("d1", "d2"))
+            for m in range(self.m_dim)
+        ]
 
 
-def _assemble(family, split, mode, f_hat, sigma_hat, diagnostics) -> GhiveFit:
+def _assemble(family, split, mode, f_hat, sigma_hat) -> GhiveFit:
     """The one way a GhiveFit is put together: the spectrum of ``sigma_hat``,
     the factor count and projector (or the mode's), ``theta_hat = p_perp @ f_hat``."""
     m_dim, p = f_hat.values.shape
@@ -108,18 +118,9 @@ def _assemble(family, split, mode, f_hat, sigma_hat, diagnostics) -> GhiveFit:
         p_perp = spectral.projector_complement(eigvecs, k_hat)
     return GhiveFit(
         family=family, n=split.n, p=p, m_dim=m_dim, mode=mode, split=split, f_hat=f_hat,
-        theta_hat=p_perp @ f_hat.values, diagnostics=diagnostics,
+        theta_hat=p_perp @ f_hat.values,
         spectral=spectral.SpectralResult(sigma_hat, eigvals, k_hat, p_perp),
     )
-
-
-def _diagnostics(coef_d1: CoefMatrix, coef_d2: CoefMatrix) -> list:
-    return [
-        {"response": m, "fold": fold, "converged": bool(coef.converged[m]),
-         "grad_norm": float(coef.grad_norm[m])}
-        for fold, coef in (("d1", coef_d1), ("d2", coef_d2))
-        for m in range(coef.values.shape[0])
-    ]
 
 
 def ghive_fit(data: Dataset, family: GlmFamily, seed: int, mode: Mode | None = None) -> GhiveFit:
@@ -132,9 +133,7 @@ def ghive_fit(data: Dataset, family: GlmFamily, seed: int, mode: Mode | None = N
     coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split)
     resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
     sigma = spectral.covariance_crossfit(resid, split)
-    return _assemble(
-        family, split, mode or Mode.data_driven(), coef_avg, sigma, _diagnostics(coef_d1, coef_d2)
-    )
+    return _assemble(family, split, mode or Mode.data_driven(), coef_avg, sigma)
 
 
 def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
@@ -143,9 +142,7 @@ def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
     Reuses the fold fits and residual covariance, so oracle variants of a
     data-driven fit cost one M x M eigendecomposition and a matrix product.
     """
-    return _assemble(
-        fit.family, fit.split, mode, fit.f_hat, fit.spectral.sigma_hat, fit.diagnostics
-    )
+    return _assemble(fit.family, fit.split, mode, fit.f_hat, fit.spectral.sigma_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +175,11 @@ def serialize_fit(fit: GhiveFit) -> dict:
 
 
 def _fold_diagnostics(diagnostics, m_dim: int):
-    """Per-response (converged, grad_norm) of the fold-averaged fit.
+    """The stored ``converged`` flags and ``grad_norm`` of the fold fits,
+    each (M, 2) with fold d1 first.
 
     Records are matched by their (response, fold) key, never by list
-    position; each of the 2M pairs must appear exactly once. A response is
-    converged only when both of its fold fits are, and reports the larger
-    of the two gradient norms.
+    position; each of the 2M pairs must appear exactly once.
     """
     try:
         keyed = dict(_diagnostics_record(d) for d in diagnostics)
@@ -199,7 +195,7 @@ def _fold_diagnostics(diagnostics, m_dim: int):
         )
     # records[m, fold] = (converged, grad_norm)
     records = np.array([keyed[pair] for pair in pairs], dtype=float).reshape(m_dim, 2, 2)
-    return records[:, :, 0].all(axis=1), records[:, :, 1].max(axis=1)
+    return records[..., 0] == 1.0, records[..., 1]
 
 
 def _diagnostics_record(d):
@@ -242,11 +238,12 @@ def deserialize_fit(doc: dict) -> GhiveFit:
 
     Reads only the primary fields: family, n, p, m_dim, seed, mode (for
     oracle-p, the projector stored as ``p_perp``), ``f_hat``, ``sigma_hat``
-    and ``diagnostics``; ``tol`` and ``max_iter`` must be the solver's
-    ``TOL`` and ``MAX_ITER``. The fit returned holds the split
+    and the diagnostics' ``grad_norm``; ``tol`` and ``max_iter`` must be the
+    solver's ``TOL`` and ``MAX_ITER``. The fit returned holds the split
     (``make_split(n, seed)``), spectrum, ``k_hat``, ``p_perp`` and
-    ``theta_hat`` derived by ``ghive_fit``'s builder. Stored copies must
-    match: the split and ``k_hat`` exactly, the rest to ``DERIVED_TOL``.
+    ``theta_hat`` derived by ``ghive_fit``'s builder, and the ``converged``
+    flags derived by ``CoefMatrix``. Stored copies must match: the split,
+    ``k_hat`` and the flags exactly, the rest to ``DERIVED_TOL``.
     Format 1 adds ``eigvals``, compared the same way, and ``split.seed``,
     which must equal ``seed``; its ``eigvecs`` are not read, because
     eigenvectors are fixed only up to sign and to rotation among tied
@@ -302,35 +299,35 @@ def deserialize_fit(doc: dict) -> GhiveFit:
             raise DataValidationError(
                 f"fit document split holds {len(d1) + len(d2)} indices but n={n}"
             )
-        diagnostics = doc["diagnostics"]
-        coef = CoefMatrix(f_hat, *_fold_diagnostics(diagnostics, m_dim))
-        fit = _assemble(family, make_split(n, seed), mode, coef, sigma_hat, diagnostics)
+        converged, grad_norm = _fold_diagnostics(doc["diagnostics"], m_dim)
+        fit = _assemble(family, make_split(n, seed), mode, CoefMatrix(f_hat, grad_norm), sigma_hat)
         derived = fit.spectral
+        primary = "sigma_hat, f_hat, mode, n and seed"  # what most copies derive from
         checks = [
-            ("split.d1", np.array_equal(d1, fit.split.d1)),
-            ("split.d2", np.array_equal(d2, fit.split.d2)),
-            ("k_hat", _doc_integer(doc["k_hat"], "k_hat", nullable=True) == derived.k_hat),
-            ("p_perp", _close(matrix_from_json(doc["p_perp"], "p_perp"), derived.p_perp)),
+            ("diagnostics converged", np.array_equal(converged, fit.f_hat.converged), "grad_norm"),
+            ("split.d1", np.array_equal(d1, fit.split.d1), primary),
+            ("split.d2", np.array_equal(d2, fit.split.d2), primary),
+            ("k_hat", _doc_integer(doc["k_hat"], "k_hat", nullable=True) == derived.k_hat, primary),
+            ("p_perp", _close(matrix_from_json(doc["p_perp"], "p_perp"), derived.p_perp), primary),
             ("theta_hat", _close(
                 matrix_from_json(doc["theta_hat"], "theta_hat"), fit.theta_hat,
                 max(1.0, float(np.max(np.abs(f_hat)))),
-            )),
+            ), primary),
         ]
         if version == 1:
             checks += [
-                ("split.seed", _doc_integer(split_doc["seed"], "split.seed") == seed),
+                ("split.seed", _doc_integer(split_doc["seed"], "split.seed") == seed, primary),
                 ("eigvals", _close(
                     doc["eigvals"], derived.eigvals, max(1.0, float(np.max(np.abs(derived.eigvals))))
-                )),
+                ), primary),
             ]
     except KeyError as missing:
         raise DataValidationError(f"fit document is missing field {missing}")
     except (TypeError, ValueError) as bad:
         raise DataValidationError(f"malformed fit document: {bad}")
-    for name, matches in checks:
+    for name, matches, source in checks:
         if not matches:
             raise DataValidationError(
-                f"fit document {name} does not match its derivation from the document's "
-                "sigma_hat, f_hat, mode, n and seed"
+                f"fit document {name} does not match its derivation from the document's {source}"
             )
     return fit

@@ -35,8 +35,8 @@ BLOCK_ELEMENTS. :func:`weighted_gram` sums each column's curvature matrix
 over consecutive row chunks sized by p alone, so its operands stay in cache
 and its bits do not depend on the columns beside it; each chunk's rows are
 scaled for a chunk of columns at a time, and the whole (columns, p, n)
-weighted design never exists. The interval curvature matrices use the same
-blocks and chunks.
+weighted design never exists. The interval curvature matrices are built by
+one :func:`weighted_gram` call over all responses, with the same chunks.
 
 The two-fold split used for cross-fitting is a seeded permutation; all
 randomness here is confined to :func:`make_split`.
@@ -139,13 +139,18 @@ class CoefMatrix:
     """Stacked per-response coefficient fits.
 
     values     : (M, p) coefficient rows
-    converged  : (M,) bool, gradient sup-norm below TOL at the solution
-    grad_norm  : (M,) final gradient sup-norms
+    grad_norm  : final gradient sup-norms, (M,) for one fit per response or
+                 (M, 2) for a fold average (:func:`fit_qml_all`), one column
+                 per fold
     """
 
     values: np.ndarray
-    converged: np.ndarray
     grad_norm: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Whether each fit's gradient sup-norm is below TOL, shaped as ``grad_norm``."""
+        return self.grad_norm < TOL
 
 
 @dataclass
@@ -461,16 +466,16 @@ def _fit_matrix(x, y, family, kind) -> CoefMatrix:
         f, value, gnorm = _newton_ascent(x, y, family, starts, kind)
         pick = np.arange(m_dim) + m_dim * (value[m_dim:] > value[:m_dim])
         f, gnorm = f[pick], gnorm[pick]
-    return CoefMatrix(f, gnorm < TOL, gnorm)
+    return CoefMatrix(f, gnorm)
 
 
 def fit_qml_all(data, family: GlmFamily, split: SplitPlan):
     """Quasi-likelihood fits on both folds plus their entrywise average.
 
     Each response within each fold starts from both the zero vector and the
-    fold's own naive MLE. The averaged CoefMatrix marks a response converged
-    only when both fold fits converged, and reports the larger of the two
-    gradient norms. The response is validated against the family here, once.
+    fold's own naive MLE. The averaged CoefMatrix keeps both folds' gradient
+    norms, (M, 2) with fold d1 first, so its ``converged`` flags each fold
+    fit. The response is validated against the family here, once.
 
     Returns
     -------
@@ -489,9 +494,5 @@ def fit_qml_all(data, family: GlmFamily, split: SplitPlan):
             )
         fold_fits.append(_fit_matrix(x[idx], y[idx], family, kind="quasi"))
     fit1, fit2 = fold_fits
-    avg = CoefMatrix(
-        values=0.5 * (fit1.values + fit2.values),
-        converged=fit1.converged & fit2.converged,
-        grad_norm=np.maximum(fit1.grad_norm, fit2.grad_norm),
-    )
-    return fit1, fit2, avg
+    values = 0.5 * (fit1.values + fit2.values)
+    return fit1, fit2, CoefMatrix(values, np.column_stack([fit1.grad_norm, fit2.grad_norm]))

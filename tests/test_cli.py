@@ -380,11 +380,15 @@ def _edit(*path, to):
         ("v2", [_edit("diagnostics", 0, "converged", to=lambda c: "no")], None, "converged"),
         ("v2", [_edit("diagnostics", 0, "response", to=float)], None, "response"),
         ("v2", [_edit("diagnostics", 1, "grad_norm", to=lambda g: "1e-3")], None, "grad_norm"),
+        ("v2", [_edit("diagnostics", 0, "converged", to=lambda c: not c)], None, "converged"),
+        ("v1", [_edit("diagnostics", 0, "converged", to=lambda c: False),
+                _edit("diagnostics", 1, "grad_norm", to=lambda g: 5.0)], None, "converged"),
     ],
     ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
          "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "theta-nan",
          "oracle-p-nan", "oracle-p-theta", "oracle-p-not-a-projector", "tol-1e-6", "max_iter-50",
-         "converged-string", "response-float", "grad_norm-string"],
+         "converged-string", "response-float", "grad_norm-string", "converged-flipped",
+         "converged-contradicts-grad_norm"],
 )
 def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, edits, rows, field):
     family = "bernoulli" if base == "v1-oracle-p" else "gaussian"
@@ -408,6 +412,18 @@ def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, 
     assert _infer(fit_path, x, y, tmp_path / "ci.json") == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "ci.json").exists()
+
+
+@pytest.mark.parametrize("entry", ["1e200", "1e-200"])
+def test_direction_files_with_huge_or_tiny_entries_give_the_basis_interval(tmp_path, entry):
+    x, y = FIT_V1 / "gaussian_x.csv", FIT_V1 / "gaussian_y.csv"
+    upath = tmp_path / "u.csv"
+    upath.write_text(f"{entry},0,0,0\n")
+    with pytest.warns(RuntimeWarning, match="renormalising"):
+        assert _infer(FIT_V1 / "gaussian_fit.json", x, y, tmp_path / "file.json", u=str(upath)) == 0
+    assert _infer(FIT_V1 / "gaussian_fit.json", x, y, tmp_path / "e1.json") == 0
+    got, want = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("file", "e1"))
+    assert got == want and got["u"] == [1.0, 0.0, 0.0, 0.0]
 
 
 SIMULATE_ARGS = ["simulate", "--family", "bernoulli", "--n", "30", "--p", "3",

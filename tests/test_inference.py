@@ -44,6 +44,18 @@ def test_contrast_renormalizes_with_a_warning():
     assert np.linalg.norm(c.v) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "scale", [1e200, 1e-200, 2.0**1023, 2.0**-1070], ids=["1e200", "1e-200", "2^1023", "2^-1070"]
+)
+def test_contrasts_with_huge_or_tiny_entries_give_the_basis_direction(scale):
+    with pytest.warns(RuntimeWarning):
+        c = Contrast(u=np.array([scale, 0.0, 0.0, 0.0]), v=np.array([0.0, -scale]))
+    assert np.array_equal(c.u, np.eye(4)[0]) and np.array_equal(c.v, [0.0, -1.0])
+    with pytest.warns(RuntimeWarning):
+        c = Contrast(u=np.array([0.75, 1.0]) * scale, v=np.array([1.0]))
+    assert np.allclose(c.u, [0.6, 0.8], rtol=1e-15, atol=0.0)
+
+
 def test_contrast_rejects_zero_directions():
     with pytest.raises(DataValidationError):
         Contrast(u=np.zeros(2), v=np.array([1.0, 0.0]))
@@ -112,7 +124,7 @@ def test_duplicated_covariate_gets_the_diagonal_bump_and_a_flag():
     assert np.isfinite([res.estimate, res.se, res.ci_lo, res.ci_hi]).all()
 
 
-def test_responses_split_over_several_blocks_match_one_block(monkeypatch):
+def test_grams_scaled_one_response_at_a_time_match_one_pass(monkeypatch):
     data, _, _ = small_sim_dataset(n=60, p=3, m_dim=10, eta=1.0, seed=21)
     fit = ghive_fit(data, BERNOULLI, seed=1)
     naive = fit_naive_mle(data, BERNOULLI)
@@ -128,11 +140,10 @@ def test_responses_split_over_several_blocks_match_one_block(monkeypatch):
         )
 
     (g, reg), ci, wald = intervals()
-    assert len(qml.column_blocks(data.x, data.m_dim)) == 1
-    # three responses per block, each gram built one response at a time
+    assert len(qml.gram_buffer(data.x, data.m_dim)) == data.m_dim  # every response in one pass
+    # a buffer one response wide: each gram's rows scaled on a pass of its own
     monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 3 * data.n)
-    assert len(qml.column_blocks(data.x, data.m_dim)) == 4
-    assert len(qml.gram_buffer(data.x, 3)) == 1
+    assert len(qml.gram_buffer(data.x, data.m_dim)) == 1
     (g_split, reg_split), ci_split, wald_split = intervals()
     assert np.array_equal(g_split, g) and np.array_equal(reg_split, reg)
     assert ci_split == ci and wald_split == wald

@@ -105,6 +105,10 @@ def test_serialize_roundtrip_preserves_the_fit(fitted):
     assert back.mode.kind == fit.mode.kind
     assert np.array_equal(back.split.d1, fit.split.d1)
     assert back.family == fit.family
+    # one record per fold fit: fold d1 first, then by response
+    assert [(d["fold"], d["response"]) for d in doc["diagnostics"]] == [
+        (fold, m) for fold in ("d1", "d2") for m in range(fit.m_dim)
+    ]
 
 
 @pytest.mark.parametrize("mode", ["data-driven", "oracle-k", "oracle-p"])
@@ -119,6 +123,8 @@ def test_reloaded_fits_derive_every_field_bit_for_bit(fitted, mode, write):
     assert np.array_equal(back.theta_hat, fit.theta_hat)
     assert np.array_equal(back.spectral.p_perp, fit.spectral.p_perp)
     assert np.array_equal(back.spectral.eigvals, fit.spectral.eigvals)
+    assert np.array_equal(back.f_hat.grad_norm, fit.f_hat.grad_norm)
+    assert back.diagnostics == fit.diagnostics
 
 
 def test_stored_copies_within_the_tolerance_are_accepted_and_replaced(fitted):
@@ -243,11 +249,12 @@ def test_matrix_shapes_must_match_the_declared_dimensions(fitted, field, edit):
 
 
 def _diagnostics_doc(fit, failed):
-    """Serialized fit whose only unconverged fold fit is ``failed``."""
+    """Serialized fit whose only unconverged fold fit is ``failed``, with
+    gradient norms that agree with the flags."""
     doc = json.loads(json.dumps(serialize_fit(fit)))
     for i, record in enumerate(doc["diagnostics"]):
         record["converged"] = (record["response"], record["fold"]) != failed
-        record["grad_norm"] = float(i)
+        record["grad_norm"] = 0.0 if record["converged"] else 1.0 + i
     return doc
 
 
@@ -255,7 +262,8 @@ def test_fit_diagnostics_are_matched_by_key_not_position(fitted):
     _, fit = fitted
     doc = _diagnostics_doc(fit, failed=(0, "d1"))
     expected = deserialize_fit(doc).f_hat
-    assert list(expected.converged) == [False] + [True] * (fit.m_dim - 1)
+    assert expected.converged.shape == (fit.m_dim, 2)
+    assert np.flatnonzero(~expected.converged).tolist() == [0]  # response 0, fold d1
     doc["diagnostics"].reverse()
     jsonschema.validate(doc, _schema("fit_result.schema.json"))
     back = deserialize_fit(doc).f_hat
@@ -267,7 +275,7 @@ def test_fit_diagnostics_need_every_response_fold_pair_once(fitted):
     _, fit = fitted
     doc = _diagnostics_doc(fit, failed=None)
     for record in doc["diagnostics"]:
-        record["converged"] = False
+        record["converged"], record["grad_norm"] = False, 1.0
     dropped = json.loads(json.dumps(doc))
     del dropped["diagnostics"][3]
     jsonschema.validate(dropped, _schema("fit_result.schema.json"))
@@ -278,6 +286,23 @@ def test_fit_diagnostics_need_every_response_fold_pair_once(fitted):
     with pytest.raises(DataValidationError):
         deserialize_fit(doubled)
     assert not deserialize_fit(doc).f_hat.converged.any()
+
+
+@pytest.mark.parametrize(
+    "record, converged, grad_norm",
+    [(0, False, 3.3e-16), (1, True, 5.0), (2, True, TOL), (3, False, 0.5 * TOL)],
+    ids=["false-below-tol", "true-above-tol", "true-at-tol", "false-half-tol"],
+)
+def test_converged_flags_that_contradict_grad_norm_are_refused(fitted, record, converged,
+                                                               grad_norm):
+    _, fit = fitted
+    doc = json.loads(json.dumps(serialize_fit(fit)))
+    doc["diagnostics"][record].update(converged=converged, grad_norm=grad_norm)
+    jsonschema.validate(doc, _schema("fit_result.schema.json"))
+    with pytest.raises(DataValidationError, match="converged.*grad_norm"):
+        deserialize_fit(doc)
+    doc["diagnostics"][record]["converged"] = not converged  # the flag grad_norm gives
+    assert deserialize_fit(doc).diagnostics == doc["diagnostics"]
 
 
 def test_mode_constructors_validate():

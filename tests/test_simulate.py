@@ -179,11 +179,7 @@ def test_metrics_hand_formulas():
 def test_metrics_accept_coefmatrix_oracles():
     cfg = SimConfig(n=50, p=2, m_dim=2, k=1, eta=1.0, seed=2)
     truth = make_truth(cfg)
-    fs = CoefMatrix(
-        values=truth.theta.copy(),
-        converged=np.ones(2, bool),
-        grad_norm=np.zeros(2),
-    )
+    fs = CoefMatrix(values=truth.theta.copy(), grad_norm=np.zeros(2))
     m = metrics(None, truth, f_star=fs)
     assert m.bias1 == pytest.approx(0.0)
 

@@ -23,7 +23,7 @@ from ghive.spectral import (
 def _coef(values):
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    return CoefMatrix(values=values, converged=np.ones(m, bool), grad_norm=np.zeros(m))
+    return CoefMatrix(values=values, grad_norm=np.zeros(m))
 
 
 def test_crossfit_residuals_swap_folds():
