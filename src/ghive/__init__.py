@@ -17,6 +17,7 @@ from .pipeline import (
     Mode,
     deserialize_fit,
     ghive_fit,
+    ghive_fit_many,
     serialize_fit,
     with_projection,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "fstar_oracle",
     "gaussian_fstar_closed_form",
     "ghive_fit",
+    "ghive_fit_many",
     "load_dataset",
     "make_split",
     "make_truth",

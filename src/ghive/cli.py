@@ -20,6 +20,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -144,10 +145,14 @@ def cmd_fit(args) -> int:
 def cmd_infer(args) -> int:
     fit = deserialize_fit(read_json(args.fit))
     data = load_dataset(args.x, args.y, fit.family)
-    contrast = Contrast(
-        _parse_direction(args.u, fit.m_dim, "--u"),
-        _parse_direction(args.v, fit.p, "--v"),
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        contrast = Contrast(
+            _parse_direction(args.u, fit.m_dim, "--u"),
+            _parse_direction(args.v, fit.p, "--v"),
+        )
+    for warning in caught:  # one line each, as errors are printed
+        print(f"warning: {warning.message}", file=sys.stderr)
     result = confidence_interval(data, fit.family, fit, contrast, alpha=args.alpha)
     write_json_atomic(args.out, serialize_inference(result, contrast))
     print(

@@ -14,17 +14,27 @@ redraw the ground truth every replication; the coverage experiment fixes the
 truth per grid point (one pseudo-true target) and derives replication seeds
 as grid_seed XOR rep, so the whole run is reproducible byte for byte.
 
-Each replicate worker (``_bias_rep``, ``_error_rep``, ``_coverage_rep``)
-only draws its data and scores estimators: it hands ``_rows`` a ``draw()``
-that returns ``score(estimator) -> {metric: value}``. ``_rows`` alone
-builds the long rows and records failures: when ``draw`` or ``score``
-raises a ``GhiveError`` or ``LinAlgError``, each affected estimator gets the
-experiment's failed metrics (``_FAILED_METRICS``) as NaN with ``failed=1``,
-and the aggregate leaves those rows out of its mean and ``n_used``.
+A grid point's replicates run in chunks (``_bias_reps``, ``_error_reps``,
+``_coverage_reps``): one chunk per grid point when serial, one per worker
+when the GHIVE_THREADS environment variable asks for a process pool, whose
+tasks the chunks are (picklable ``functools.partial`` calls). A chunk draws
+each replicate's data, then makes all its pipeline fits in one
+``ghive_fit_many`` call and all its naive MLEs in one ``fit_naive_many``
+call, so the replicates' small fold fits share the solver's Newton loops.
+Every fit is the one its replicate gets alone, bit for bit, so the rows do
+not depend on the chunking; output ordering is canonicalised either way.
+fig1-bias replicates fit one large oracle each and share nothing.
 
-Replications are independent tasks (picklable ``functools.partial`` calls).
-They run serially unless the GHIVE_THREADS environment variable asks for a
-process pool; output ordering is canonicalised either way.
+Each replicate's rows come from one call of its worker (``_bias_rep``,
+``_error_rep``, ``_coverage_rep``), which scores estimators on what the
+replicate drew and fitted: it hands ``_rows`` a ``draw()`` that returns
+``score(estimator) -> {metric: value}``. ``_rows`` alone builds the long
+rows and records failures: when ``draw`` or ``score`` raises a
+``GhiveError`` or ``LinAlgError`` (a failed draw or fit is kept as its
+error and raised there), each affected estimator gets the experiment's
+failed metrics (``_FAILED_METRICS``) as NaN with ``failed=1``, and the
+aggregate leaves those rows out of its mean and ``n_used``. So a failed
+draw or fit fails only its replicate.
 """
 
 from __future__ import annotations
@@ -41,8 +51,8 @@ from .data_io import write_csv_rows
 from .errors import DataValidationError, GhiveError
 from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
-from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit, with_projection
-from .qml import fit_naive_mle
+from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit_many, with_projection
+from .qml import fit_naive_many
 from .simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, metrics, sample_dataset
 
 ESTIMATOR_NAIVE = "naive-mle"
@@ -212,6 +222,49 @@ def _rows(spec: ExperimentSpec, gi: int, rep: int, draw) -> list:
     return rows
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the failure (``_FAILURES``) it raised."""
+    try:
+        return fn(*args)
+    except _FAILURES as failure:
+        return failure
+
+
+def _value(outcome):
+    """The value of an outcome from :func:`_attempt`; a failure is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _fit_chunk(spec: ExperimentSpec, family, datasets, seeds):
+    """The pipeline fits and naive MLEs of a chunk's datasets (outcomes of
+    their draws), each one outcome per dataset: the drawn datasets' pipeline
+    fits are one ``ghive_fit_many`` call, their naive MLEs one
+    ``fit_naive_many`` call. A failed draw keeps its failure, and a call
+    that raises fails every dataset in it. Only the fits the spec's
+    estimators score are made; the others are never read."""
+    drawn = [i for i, data in enumerate(datasets) if not isinstance(data, Exception)]
+
+    def each(fit_many, *args):
+        fits = _attempt(fit_many, [datasets[i] for i in drawn], family, *args)
+        out = list(datasets)
+        for k, i in enumerate(drawn):
+            out[i] = fits if isinstance(fits, Exception) else fits[k]
+        return out
+
+    fits = naives = datasets
+    if any(e in GHIVE_ESTIMATORS for e in spec.estimators):
+        fits = each(ghive_fit_many, [seeds[i] for i in drawn])
+    if ESTIMATOR_NAIVE in spec.estimators:
+        naives = each(fit_naive_many)
+    return fits, naives
+
+
+def _bias_reps(spec: ExperimentSpec, gi: int, reps) -> list:
+    return [row for rep in reps for row in _bias_rep(spec, gi, rep)]
+
+
 def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
     def draw():
         cfg_r = replace(spec.grid[gi], seed=_mix(_mix(spec.seed, gi), rep))
@@ -228,27 +281,37 @@ def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
     return _rows(spec, gi, rep, draw)
 
 
-def _error_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
+def _truth_and_data(cfg: SimConfig):
+    truth = make_truth(cfg)
+    return truth, sample_dataset(truth, cfg, rep_seed=cfg.seed)
+
+
+def _error_reps(spec: ExperimentSpec, gi: int, reps) -> list:
+    """Rows of a chunk of estimation-error replicates: each draws its own
+    truth and dataset, and the chunk fits them together."""
     cfg = spec.grid[gi]
-    truth_seed = _mix(_mix(spec.seed, gi), rep)
-    cfg_r = replace(cfg, seed=truth_seed)
-    family = family_from_name(cfg.family)
+    seeds = [_mix(_mix(spec.seed, gi), rep) for rep in reps]
+    draws = [_attempt(_truth_and_data, replace(cfg, seed=seed)) for seed in seeds]
+    datasets = [d if isinstance(d, Exception) else d[1] for d in draws]
+    fits, naives = _fit_chunk(spec, family_from_name(cfg.family), datasets, seeds)
+    return [
+        row for rep, *outcomes in zip(reps, draws, fits, naives)
+        for row in _error_rep(spec, gi, rep, *outcomes)
+    ]
+
+
+def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive) -> list:
+    """Rows of one estimation-error replicate, from the outcomes of its
+    draw (truth, data), its pipeline fit and its naive MLE."""
+    cfg = spec.grid[gi]
 
     def draw():
-        truth = make_truth(cfg_r)
-        data = sample_dataset(truth, cfg_r, rep_seed=truth_seed)
-        fit = None
-        if any(e in GHIVE_ESTIMATORS for e in spec.estimators):
-            try:
-                fit = ghive_fit(data, family, seed=truth_seed)
-            except _FAILURES:
-                pass  # the pipeline estimators fail; naive-mle is still scored
+        truth, _ = _value(drawn)
 
         def score(est):
             if est == ESTIMATOR_NAIVE:
-                return {"frob_err": metrics(fit_naive_mle(data, family).values, truth).frob_err}
-            if fit is None:
-                raise GhiveError("pipeline fit failed")
+                return {"frob_err": metrics(_value(naive).values, truth).frob_err}
+            fit = _value(fitted)
             if est == DATA_DRIVEN:
                 met = metrics(fit.theta_hat, truth, p_perp_hat=fit.spectral.p_perp)
                 return {
@@ -264,29 +327,38 @@ def _error_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
     return _rows(spec, gi, rep, draw)
 
 
-def _coverage_rep(
-    spec: ExperimentSpec,
-    gi: int,
-    rep: int,
-    truth,
-    target_fstar: float,
-    target_theta: float,
+def _coverage_reps(
+    spec: ExperimentSpec, gi: int, truth, target_fstar: float, target_theta: float, reps
 ) -> list:
+    """Rows of a chunk of coverage replicates: each draws a dataset from the
+    grid point's truth, and the chunk fits them together."""
     cfg = spec.grid[gi]
-    rep_seed = _mix(spec.seed, gi) ^ rep
+    seeds = [_mix(spec.seed, gi) ^ rep for rep in reps]
+    datasets = [_attempt(sample_dataset, truth, cfg, seed) for seed in seeds]
+    fits, naives = _fit_chunk(spec, family_from_name(cfg.family), datasets, seeds)
+    return [
+        row for rep, *outcomes in zip(reps, datasets, fits, naives)
+        for row in _coverage_rep(spec, gi, rep, *outcomes, target_fstar, target_theta)
+    ]
+
+
+def _coverage_rep(
+    spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, target_fstar, target_theta
+) -> list:
+    """Rows of one coverage replicate, from the outcomes of its draw, its
+    pipeline fit and its naive MLE."""
+    cfg = spec.grid[gi]
     family = family_from_name(cfg.family)
     contrast = basis_contrast(0, 0, cfg.m_dim, cfg.p)
 
     def draw():
-        data = sample_dataset(truth, cfg, rep_seed=rep_seed)
+        data = _value(drawn)
 
         def score(est):
             if est == ESTIMATOR_NAIVE:
-                coef = fit_naive_mle(data, family)
-                res = naive_wald_interval(data, family, coef, contrast, ALPHA)
+                res = naive_wald_interval(data, family, _value(naive), contrast, ALPHA)
             else:
-                fit = ghive_fit(data, family, seed=rep_seed)
-                res = confidence_interval(data, family, fit, contrast, ALPHA)
+                res = confidence_interval(data, family, _value(fitted), contrast, ALPHA)
             values = {
                 "covered": float(res.ci_lo <= target_fstar <= res.ci_hi),
                 "covered_theta": float(res.ci_lo <= target_theta <= res.ci_hi),
@@ -349,18 +421,21 @@ def _call(task) -> list:
     return task()
 
 
-def _map_tasks(tasks) -> list:
-    workers = worker_count()
+def _chunks(reps: int, workers: int) -> list:
+    """A grid point's replicates split into ``workers`` consecutive chunks
+    whose sizes differ by at most one (fewer when there are fewer reps)."""
+    n_chunks = min(reps, workers)
+    bounds = [reps * i // n_chunks for i in range(n_chunks + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _map_tasks(tasks, workers: int) -> list:
     if workers == 1 or len(tasks) < 2:
         results = [task() for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_call, tasks, chunksize=chunk))
-    rows = []
-    for chunk_rows in results:
-        rows.extend(chunk_rows)
-    return rows
+            results = list(pool.map(_call, tasks))
+    return [row for rows in results for row in rows]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
@@ -368,13 +443,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
 
     ``fig1-bias`` runs the oracle-bias replicate, ``table1`` the coverage
     replicate, and every other name (including the one-point spec behind
-    ``ghive simulate``) the estimation-error replicate.
+    ``ghive simulate``) the estimation-error replicate. Each grid point's
+    replicates go to the workers in chunks (:func:`_chunks`), one per worker.
     """
     check_n_mc(spec.n_mc)  # else fig1-bias would fail every replicate instead
-    tasks = []
+    workers, tasks = worker_count(), []
     for gi, cfg in enumerate(spec.grid):
         if spec.name == "fig1-bias":
-            tasks.extend(partial(_bias_rep, spec, gi, rep) for rep in range(spec.reps))
+            run = partial(_bias_reps, spec, gi)
         elif spec.name == "table1":
             grid_seed = _mix(spec.seed, gi)
             cfg_g = replace(cfg, seed=grid_seed)
@@ -382,14 +458,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
             oracle = fstar_oracle(truth, cfg_g, n_mc=spec.n_mc)
             target_fstar = float((truth.p_b_perp @ oracle.values)[0, 0])
             target_theta = float(truth.theta[0, 0])
-            tasks.extend(
-                partial(_coverage_rep, spec, gi, rep, truth, target_fstar, target_theta)
-                for rep in range(spec.reps)
-            )
+            run = partial(_coverage_reps, spec, gi, truth, target_fstar, target_theta)
         else:
-            tasks.extend(partial(_error_rep, spec, gi, rep) for rep in range(spec.reps))
+            run = partial(_error_reps, spec, gi)
+        tasks.extend(partial(run, chunk) for chunk in _chunks(spec.reps, workers))
 
-    long_rows = sorted(_map_tasks(tasks), key=_row_key)
+    long_rows = sorted(_map_tasks(tasks, workers), key=_row_key)
     agg_rows = aggregate_rows(long_rows)
 
     long_path = agg_path = None

@@ -11,8 +11,11 @@ a closed form for each family.
 The bernoulli residual and quasi-log-likelihood term are written with the
 sign ``s = +1`` (y=1) or ``-1`` (y=0), as ``s (1 + e^(-s eta))`` and
 ``s eta - e^(-s eta) + 1``: one exponential per element instead of one per
-branch, and the same bits as the two-branch forms. Callers that already hold
-``b'`` or the weighted residual at a point pass it on, to ``cumulant_d2`` or
+branch, and the same bits as the two-branch forms. Both kernels read the
+response in that form, :func:`quasi_response`, which :func:`quasi_residual`
+and :func:`quasi_term` take as given: the solver forms it once per column
+block instead of on every call. Callers that already hold ``b'`` or the
+weighted residual at a point pass it on, to ``cumulant_d2`` or
 :func:`hessian_weight`, rather than have it recomputed.
 
 The bernoulli and poisson kernels, which the solver calls on every
@@ -159,27 +162,30 @@ def weighted_residual(family: GlmFamily, y, eta, floor=None):
     floor defaults to VARIANCE_FLOOR; covariance/variance estimation passes
     RESIDUAL_CURVATURE_FLOOR instead (see that constant's comment).
     """
-    y = np.asarray(y, dtype=float)
+    floor = VARIANCE_FLOOR if floor is None else floor
+    return quasi_residual(family, quasi_response(family, y), eta, floor)
+
+
+def quasi_residual(family: GlmFamily, r, eta, floor):
+    """:func:`weighted_residual` with the response given as
+    :func:`quasi_response` forms it, and the floor given."""
     eta = np.asarray(eta, dtype=float)
-    if floor is None:
-        floor = VARIANCE_FLOOR
     if family.kind == "gaussian":
-        return y - eta
+        return r - eta
     cap = 1.0 / floor
-    res = np.empty(np.broadcast(y, eta).shape)
+    res = np.empty(np.broadcast(r, eta).shape)
     if family.kind == "bernoulli":
-        s = _bernoulli_sign(y)
         # e^(-s eta): -(s eta) has the bits of (-s) eta
-        np.negative(np.multiply(s, eta, out=res), out=res)
+        np.negative(np.multiply(r, eta, out=res), out=res)
         with np.errstate(over="ignore"):
             np.exp(res, out=res)
         res += 1.0
-        res *= s
+        res *= r
         return np.clip(res, -cap, cap, out=res)
     # poisson
     with np.errstate(over="ignore"):
         e = np.exp(eta, out=np.empty(eta.shape))
-    np.subtract(y, e, out=res)
+    np.subtract(r, e, out=res)
     np.maximum(e, floor, out=e)  # finite exactly where e^eta is
     with np.errstate(invalid="ignore"):
         res /= e
@@ -231,13 +237,18 @@ def quasi_loglik_term(family: GlmFamily, y, eta):
     The bernoulli form assumes binary y (see :func:`validate_response`) and,
     like the residual, takes one exponential per element.
     """
-    y = np.asarray(y, dtype=float)
+    return quasi_term(family, quasi_response(family, y), eta)
+
+
+def quasi_term(family: GlmFamily, r, eta):
+    """:func:`quasi_loglik_term` with the response given as
+    :func:`quasi_response` forms it."""
     eta = np.asarray(eta, dtype=float)
     if family.kind == "gaussian":
-        return y * eta - 0.5 * eta * eta
-    term = np.empty(np.broadcast(y, eta).shape)
+        return r * eta - 0.5 * eta * eta
+    term = np.empty(np.broadcast(r, eta).shape)
     if family.kind == "bernoulli":
-        np.multiply(_bernoulli_sign(y), eta, out=term)  # t = s eta
+        np.multiply(r, eta, out=term)  # t = s eta
         e = np.negative(term, out=np.empty(term.shape))
         with np.errstate(over="ignore"):
             np.exp(e, out=e)
@@ -248,10 +259,10 @@ def quasi_loglik_term(family: GlmFamily, y, eta):
     np.negative(eta, out=term)
     with np.errstate(over="ignore"):
         np.exp(term, out=term)
-    term *= y
+    term *= r
     np.negative(term, out=term)
     term -= eta
-    term += y
+    term += r
     return term
 
 
@@ -266,12 +277,14 @@ def _sigmoid(t, out=None):
     return np.divide(1.0, sigma, out=sigma)
 
 
-def _bernoulli_sign(y):
-    """``s = 2y - 1``: +1 for y = 1 and -1 for y = 0 (an arithmetic pass is
-    ten times cheaper than ``np.where``). ``s * eta`` and ``-s * eta`` are
-    exact negations, so the signed forms above reproduce the y=1 and y=0
-    branches bit for bit."""
-    return 2.0 * y - 1.0
+def quasi_response(family: GlmFamily, y):
+    """The response as the quasi-likelihood kernels read it: for bernoulli
+    the sign ``s = 2y - 1``, +1 for y = 1 and -1 for y = 0 (an arithmetic
+    pass is ten times cheaper than ``np.where``), and ``y`` itself for the
+    other families. ``s * eta`` and ``-s * eta`` are exact negations, so the
+    signed forms above reproduce the y=1 and y=0 branches bit for bit."""
+    y = np.asarray(y, dtype=float)
+    return 2.0 * y - 1.0 if family.kind == "bernoulli" else y
 
 
 def validate_response(family: GlmFamily, y) -> None:

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import spectral
 from .data_io import Dataset, matrix_from_json, matrix_to_json
-from .errors import DataValidationError
+from .errors import DataValidationError, GhiveError
 from .families import GlmFamily, family_from_name
-from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, fit_qml_all, make_split
+from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, fit_qml_many, make_split
 
 FIT_FORMAT_VERSION = 2
 
@@ -124,16 +124,42 @@ def _assemble(family, split, mode, f_hat, sigma_hat) -> GhiveFit:
 
 
 def ghive_fit(data: Dataset, family: GlmFamily, seed: int, mode: Mode | None = None) -> GhiveFit:
-    """Run the full pipeline on a dataset.
+    """Run the full pipeline on a dataset: the one-dataset case of
+    :func:`ghive_fit_many`, raising what failed it.
 
     The same (data, seed, mode) always produces the same fit,
     bit for bit; the split seed is the only source of randomness.
     """
-    split = make_split(data.n, seed)
-    coef_d1, coef_d2, coef_avg = fit_qml_all(data, family, split)
-    resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
-    sigma = spectral.covariance_crossfit(resid, split)
-    return _assemble(family, split, mode or Mode.data_driven(), coef_avg, sigma)
+    (fit,) = ghive_fit_many([data], family, [seed], mode)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None) -> list:
+    """Run the pipeline on several datasets with one p and M, one split seed
+    each. Their fold fits are one solve (:func:`~ghive.qml.fit_qml_many`),
+    and each fit is the one its dataset gets alone, bit for bit.
+
+    Returns one entry per dataset: its GhiveFit, or the ``GhiveError`` or
+    ``LinAlgError`` raised while assembling it (``select_k``'s
+    ``NumericalError``, ``eigh``'s ``LinAlgError``), so that such a failure
+    fails only its dataset. A seed or dataset that cannot be fitted at all
+    raises for the whole call.
+    """
+    mode = mode or Mode.data_driven()
+    splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds, strict=True)]
+    fits = []
+    for data, split, (coef_d1, coef_d2, coef_avg) in zip(
+        datasets, splits, fit_qml_many(datasets, family, splits)
+    ):
+        try:
+            resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
+            sigma = spectral.covariance_crossfit(resid, split)
+            fits.append(_assemble(family, split, mode, coef_avg, sigma))
+        except (GhiveError, np.linalg.LinAlgError) as failure:
+            fits.append(failure)
+    return fits
 
 
 def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:

@@ -31,11 +31,19 @@ starts of a quasi-likelihood fit): predictors, gradients and curvatures are
 stacked matmuls over the columns, while each column steps and stops by its
 own rules, bit-identical to solving it alone. Columns go in blocks
 (:func:`column_blocks`) whose (columns, n) working arrays stay within
-BLOCK_ELEMENTS. :func:`weighted_gram` sums each column's curvature matrix
-over consecutive row chunks sized by p alone, so its operands stay in cache
-and its bits do not depend on the columns beside it; each chunk's rows are
-scaled for a chunk of columns at a time, and the whole (columns, p, n)
-weighted design never exists. The interval curvature matrices are built by
+BLOCK_ELEMENTS. The columns of a block may also sit on different designs of
+one row count: both folds of an even n, or the folds of many datasets
+(:func:`fit_qml_many`, :func:`fit_naive_many`). Such a block gathers each
+column's design rows, and its products stay per-column batched matmuls, so
+a column keeps its bits; designs share a block only while the gathered
+(columns, n, p) rows fit STACK_ELEMENTS, and a design whose columns fill that
+alone runs by itself, its design broadcast over its columns.
+
+:func:`weighted_gram` sums each column's curvature matrix over consecutive
+row chunks sized by p alone, so its operands stay in cache and its bits do
+not depend on the columns beside it; each chunk's rows are scaled for a
+chunk of columns at a time, and the whole (columns, p, n) weighted design
+never exists. The interval curvature matrices are built by
 one :func:`weighted_gram` call over all responses, with the same chunks.
 
 The two-fold split used for cross-fitting is a seeded permutation; all
@@ -51,12 +59,15 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DataValidationError
 from .families import (
+    VARIANCE_FLOOR,
     GlmFamily,
     cumulant,
     cumulant_d1,
     cumulant_d2,
     hessian_weight,
-    quasi_loglik_term,
+    quasi_residual,
+    quasi_response,
+    quasi_term,
     validate_response,
     weighted_residual,
 )
@@ -79,7 +90,11 @@ BLOCK_ELEMENTS = 2**17
 # halvings in one objective call, while folds of more than 4096 rows keep one
 # halving per call: there a candidate nobody takes costs more than the call
 # it might save. The temporaries stay below glibc malloc's default 128 KB mmap
-# threshold, so the calls do not map and page-fault them afresh.
+# threshold, so the calls do not map and page-fault them afresh. The same
+# budget bounds the (columns, n, p) design rows that a block of several
+# designs gathers (see _newton_ascent): stacking designs pays where per-call
+# bookkeeping outweighs the arithmetic, and there the gathered rows, the
+# block's gram buffer and its (columns, n) arrays all stay small.
 STACK_ELEMENTS = 2**13
 
 # Element budget (128 KB) of one column's (p, rows) chunk of scaled design
@@ -182,10 +197,11 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _evaluate(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef, kind: str):
     """Mean objective of ``kind`` ("quasi" or "loglik") at ``coef``, and the
     predictors ``x . coef`` it was evaluated at, for the gradient and
-    curvature at that point to reuse."""
+    curvature at that point to reuse. For "quasi", ``y`` is the response as
+    :func:`~ghive.families.quasi_response` forms it."""
     eta = _eta(x, coef)
     if kind == "quasi":
-        return np.mean(quasi_loglik_term(family, y, eta), axis=-1), eta
+        return np.mean(quasi_term(family, y, eta), axis=-1), eta
     b = cumulant(family, eta)
     with np.errstate(invalid="ignore"):
         return np.mean(y * eta - b, axis=-1), eta
@@ -194,12 +210,12 @@ def _evaluate(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef, kind: str):
 def _gradient(x: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Mean of ``score`` times x: the gradient, given the score residual
     (the weighted residual for "quasi", ``y - b'`` for "loglik")."""
-    return (x.T @ score[..., None])[..., 0] / x.shape[0]
+    return (x.swapaxes(-1, -2) @ score[..., None])[..., 0] / x.shape[-2]
 
 
 def quasi_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
     """Mean modified quasi-log-likelihood at ``coef``."""
-    return _evaluate(x, y, family, coef, "quasi")[0]
+    return _evaluate(x, quasi_response(family, y), family, coef, "quasi")[0]
 
 
 def quasi_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
@@ -217,11 +233,12 @@ def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np
 
 
 def gram_buffer(x: np.ndarray, n_cols: int) -> np.ndarray:
-    """A buffer for :func:`weighted_gram` over ``x`` (n, p) with up to
-    ``n_cols`` weight rows: room for one row chunk of the scaled design,
-    (columns, p, rows), with ``rows = min(n, _GRAM_ELEMENTS // p)`` and as
-    many columns as keep it within BLOCK_ELEMENTS (at least one of each)."""
-    n, p = x.shape
+    """A buffer for :func:`weighted_gram` over ``x`` (n, p), or (C, n, p),
+    with up to ``n_cols`` weight rows: room for one row chunk of the scaled
+    design, (columns, p, rows), with ``rows = min(n, _GRAM_ELEMENTS // p)``
+    and as many columns as keep it within BLOCK_ELEMENTS (at least one of
+    each)."""
+    n, p = x.shape[-2:]
     rows = min(n, max(1, _GRAM_ELEMENTS // p))
     width = max(1, min(n_cols, BLOCK_ELEMENTS // (p * rows)))
     return np.empty((width, p, rows))
@@ -230,9 +247,11 @@ def gram_buffer(x: np.ndarray, n_cols: int) -> np.ndarray:
 def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.ndarray:
     """``x.T @ diag(weights) @ x`` without the diagonal matrix; (C, n) gives (C, p, p).
 
-    The weights scale ``xt``, a C-contiguous copy of ``x.T``, so the product
-    runs along rows of length n rather than p; a caller building many grams
-    over one x makes that copy once and passes it. Each column's gram is the
+    ``x`` is one (n, p) design for every weight row, or (C, n, p), each
+    row's own design. The weights scale ``xt``: for one design a C-contiguous
+    copy of ``x.T``, so the product runs along rows of length n rather than
+    p (a caller building many grams over one x makes that copy once and
+    passes it); for many, the transposed view of ``x``. Each column's gram is the
     sum, in row order, of its products over consecutive chunks of ``rows``
     rows: per chunk, one pass scales the rows into ``buf`` (from
     :func:`gram_buffer`, which fixes ``rows``; a caller building grams on
@@ -246,20 +265,25 @@ def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.n
     if weights.ndim == 1:
         return weighted_gram(x, weights[None], xt, buf)[0]
     if xt is None:
-        xt = np.ascontiguousarray(x.T)
+        xt = np.ascontiguousarray(x.T) if x.ndim == 2 else x.swapaxes(-1, -2)
     if buf is None:
         buf = gram_buffer(x, len(weights))
-    n, rows = len(x), buf.shape[2]
-    out = np.empty((len(weights),) + xt.shape[:1] * 2)
+    (n, p), rows = x.shape[-2:], buf.shape[2]
+    out = np.empty((len(weights), p, p))
     part = np.empty_like(out[: len(buf)]) if n > rows else None
     for start in range(0, len(weights), len(buf)):
-        w = weights[start : start + len(buf)]
-        gram = out[start : start + len(w)]
+        cols = slice(start, start + len(buf))
+        w = weights[cols]
+        xc, xtc = (x, xt) if x.ndim == 2 else (x[cols], xt[cols])
+        gram = out[cols]
         for s in range(0, n, rows):
             e = min(n, s + rows)
-            scaled = np.multiply(xt[:, s:e], w[:, None, s:e], out=buf[: len(w), :, : e - s])
+            scaled = np.multiply(xtc[..., s:e], w[:, None, s:e], out=buf[: len(w), :, : e - s])
             # the first chunk's product starts the gram; later ones add to it
-            np.matmul(x[s:e].T, scaled.swapaxes(-1, -2), out=part[: len(w)] if s else gram)
+            np.matmul(
+                xc[..., s:e, :].swapaxes(-1, -2), scaled.swapaxes(-1, -2),
+                out=part[: len(w)] if s else gram,
+            )
             if s:
                 gram += part[: len(w)]
     return out
@@ -299,40 +323,66 @@ def column_blocks(x: np.ndarray, n_cols: int) -> list:
     """Split column indices ``0..n_cols-1`` into consecutive blocks whose
     (columns, n) arrays over the n rows of ``x`` stay within BLOCK_ELEMENTS
     (at least one column per block)."""
-    width = max(1, BLOCK_ELEMENTS // len(x))
+    width = max(1, BLOCK_ELEMENTS // x.shape[-2])
     return np.split(np.arange(n_cols), range(width, n_cols, width))
 
 
-def _newton_ascent(x, y, family, starts, kind):
-    """Damped Newton ascent from each row c of ``starts`` (C, p) on response
-    ``y[:, c % M]``, in column blocks. Returns the per-column arrays
-    ``(f, value, grad_norm)``."""
-    m_dim, xt = y.shape[1], np.ascontiguousarray(x.T)
-    blocks = [
-        _ascent_block(x, xt, y.T[cols % m_dim], family, starts[cols], kind)
-        for cols in column_blocks(x, len(starts))
-    ]
-    return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
+def _newton_ascent(xs, ys, family, starts, kind):
+    """Damped Newton ascent over designs of one row count, ``xs[g]`` (n, p)
+    with responses ``ys[g]`` (n, M): from each row c of ``starts[g]``
+    (G, C, p) on response ``ys[g][:, c % M]``. Returns the per-column
+    ``(f, value, grad_norm)``, shaped (G, C, p), (G, C) and (G, C).
+
+    Designs share a block while the design rows gathered for its columns,
+    (columns, n, p), stay within STACK_ELEMENTS and its (columns, n) arrays,
+    like any block's, within BLOCK_ELEMENTS. A design whose C columns fill
+    that alone runs by itself, in :func:`column_blocks`, with its design
+    broadcast over the columns rather than gathered."""
+    (n, p), (g_dim, c_dim) = xs[0].shape, starts.shape[:2]
+    per = max(1, min(STACK_ELEMENTS // p, BLOCK_ELEMENTS) // (c_dim * n))
+    response, f = np.arange(c_dim) % ys[0].shape[1], starts.reshape(-1, p)
+    blocks = []
+    for g in range(0, g_dim, per):
+        x, y = xs[g : g + per], ys[g : g + per]
+        cols = np.arange(g * c_dim, (g + len(x)) * c_dim)
+        if len(x) == 1:
+            xt = np.ascontiguousarray(x[0].T)
+            blocks += [
+                _ascent_block(x[0], xt, y[0].T[response[b]], family, f[cols[b]], kind)
+                for b in column_blocks(x[0], c_dim)
+            ]
+        else:  # each column gets its design's rows
+            x = np.repeat(np.stack(x), c_dim, axis=0)
+            y = np.stack(y).transpose(0, 2, 1)[:, response].reshape(-1, n)
+            blocks.append(_ascent_block(x, None, y, family, f[cols], kind))
+    out = (np.concatenate([block[k] for block in blocks]) for k in range(3))
+    return tuple(a.reshape((g_dim, c_dim) + a.shape[1:]) for a in out)
 
 
 def _ascent_block(x, xt, y, family, f, kind):
-    """One block of :func:`_newton_ascent`, ``y`` (C, n); ``xt`` is the
-    C-contiguous copy of ``x.T`` for :func:`weighted_gram`. A column stops on
-    ``grad_norm < TOL``, after MAX_ITER iterations or on a line search with no
-    increase; one whose start has a non-finite objective is reported as-is. The line search
-    tries the full step for every column, then stacks each failing column's
-    next halvings, as many per round as keep the (candidates, n) predictors
-    within STACK_ELEMENTS, and takes the first that increases the objective,
-    as one halving at a time would.
+    """One block of :func:`_newton_ascent`, ``y`` (C, n). ``x`` is the
+    design the columns share, (n, p), with ``xt`` its C-contiguous transpose
+    for :func:`weighted_gram`, or each column's own design, (C, n, p), with
+    ``xt`` None; a column's products, hence its bits, are the same either
+    way. A column stops on ``grad_norm < TOL``, after MAX_ITER iterations or
+    on a line search with no increase; one whose start has a non-finite
+    objective is reported as-is. The line search tries the full step for
+    every column, then stacks each failing column's next halvings, as many
+    per round as keep the (candidates, n) predictors within STACK_ELEMENTS,
+    and takes the first that increases the objective, as one halving at a
+    time would.
 
     Each iterate is evaluated once: the predictors of the accepted candidate
     are kept for the next gradient and curvature, and the score residual
     behind the gradient also gives the curvature weight (the quasi-Hessian
-    weight for "quasi", ``b''`` from ``b'`` for "loglik"). Also returns each
+    weight for "quasi", ``b''`` from ``b'`` for "loglik"). A "quasi" block
+    forms its :func:`~ghive.families.quasi_response` once. Also returns each
     column's iteration count and its objective after every iteration run,
     ``path`` (C, iterations + 1). One :func:`gram_buffer` serves the
     curvature matrices of every iteration."""
-    n, buf = len(x), gram_buffer(x, len(f))
+    n, shared, buf = x.shape[-2], x.ndim == 2, gram_buffer(x, len(f))
+    if kind == "quasi":
+        y = quasi_response(family, y)
     f = _ball_project(f)  # callers pass a copy; it is updated in place
     value, eta = _evaluate(x, y, family, f, kind)
     path = [value.copy()]
@@ -345,12 +395,13 @@ def _ascent_block(x, xt, y, family, f, kind):
         # the live columns' rows: views while no column has stopped
         rows = slice(None) if live.size == len(f) else live
         eta_live, y_live, d1 = eta[rows], y[rows], None
+        x_live = x if shared else x[rows]
         if kind == "quasi":
-            score = weighted_residual(family, y_live, eta_live)
+            score = quasi_residual(family, y_live, eta_live, VARIANCE_FLOOR)
         else:
             d1 = cumulant_d1(family, eta_live)
             score = y_live - d1
-        grad[live] = _gradient(x, score)
+        grad[live] = _gradient(x_live, score)
         grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
         going = grad_norm[live] >= TOL
         live = live[going]
@@ -362,9 +413,9 @@ def _ascent_block(x, xt, y, family, f, kind):
             weight = hessian_weight(family, eta_live[keep], score[keep])
         else:
             weight = cumulant_d2(family, eta_live[keep], d1=d1[keep])
-        curv = weighted_gram(x, weight, xt, buf) / n
+        curv = weighted_gram(x if shared else x_live[keep], weight, xt, buf) / n
         # free the iterate's (C, n) arrays before the line search makes its own
-        del eta_live, y_live, d1, score, weight
+        del eta_live, y_live, x_live, d1, score, weight
         direction = _ascent_directions(curv, grad[live])
         # keep the backtracking scale meaningful: a near-singular curvature
         # matrix can suggest steps many orders of magnitude longer than the
@@ -376,13 +427,16 @@ def _ascent_block(x, xt, y, family, f, kind):
         while todo.size and halving < MAX_STEP_HALVINGS:
             # round 0 tries the full step; later rounds stack as many of the
             # failing columns' next halvings as STACK_ELEMENTS allows
-            k = 1 if halving == 0 else max(1, STACK_ELEMENTS // (len(x) * todo.size))
+            k = 1 if halving == 0 else max(1, STACK_ELEMENTS // (n * todo.size))
             k = min(k, MAX_STEP_HALVINGS - halving)
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
             cand = _ball_project(cand.reshape(-1, f.shape[1]))
-            cand_value, cand_eta = _evaluate(x, y[np.tile(cols, k)], family, cand, kind)
+            tiled = np.tile(cols, k)
+            cand_value, cand_eta = _evaluate(
+                x if shared else x[tiled], y[tiled], family, cand, kind
+            )
             cand_value = cand_value.reshape(k, -1)
             up = np.isfinite(cand_value) & (cand_value > value[cols])
             # each column takes its first (longest) increasing step, as when
@@ -450,23 +504,41 @@ def fit_naive_mle(data, family: GlmFamily) -> CoefMatrix:
     infinity just the same). The response is validated against the family
     here, once.
     """
-    validate_response(family, data.y)
-    return _fit_matrix(data.x, data.y, family, kind="loglik")
+    return fit_naive_many([data], family)[0]
 
 
-def _fit_matrix(x, y, family, kind) -> CoefMatrix:
-    """Fit every response column: ``kind="loglik"`` is the naive MLE from
-    zero; ``kind="quasi"`` maximises the quasi-likelihood from both zero and
-    that MLE, as 2M columns of one ascent (the zero start wins ties)."""
-    m_dim = y.shape[1]
-    zero = np.zeros((m_dim, x.shape[1]))
-    f, value, gnorm = _newton_ascent(x, y, family, zero, "loglik")
-    if kind == "quasi":
-        starts = np.vstack([zero, f])
-        f, value, gnorm = _newton_ascent(x, y, family, starts, kind)
-        pick = np.arange(m_dim) + m_dim * (value[m_dim:] > value[:m_dim])
-        f, gnorm = f[pick], gnorm[pick]
-    return CoefMatrix(f, gnorm)
+def fit_naive_many(datasets, family: GlmFamily) -> list:
+    """:func:`fit_naive_mle` of each of several datasets with one p and M,
+    as one solve: designs of one row count share the solver's blocks (see
+    :func:`_newton_ascent`), and each fit is the one its dataset gets alone,
+    bit for bit. Every response is validated first."""
+    for data in datasets:
+        validate_response(family, data.y)
+    return _fit_matrix([(data.x, data.y) for data in datasets], family, kind="loglik")
+
+
+def _fit_matrix(designs, family, kind) -> list:
+    """Fit every response column of each ``(x, y)`` design, one CoefMatrix
+    per design: ``kind="loglik"`` is the naive MLE from zero;
+    ``kind="quasi"`` maximises the quasi-likelihood from both zero and that
+    MLE, as 2M columns of one ascent (the zero start wins ties). The designs
+    of one row count go through one :func:`_newton_ascent` per stage."""
+    fits = [None] * len(designs)
+    for n in dict.fromkeys(len(x) for x, _ in designs):
+        group = [i for i, (x, _) in enumerate(designs) if len(x) == n]
+        xs, ys = [designs[i][0] for i in group], [designs[i][1] for i in group]
+        m_dim = ys[0].shape[1]
+        zero = np.zeros((len(group), m_dim, xs[0].shape[1]))
+        f, value, gnorm = _newton_ascent(xs, ys, family, zero, "loglik")
+        if kind == "quasi":
+            starts = np.concatenate([zero, f], axis=1)
+            f, value, gnorm = _newton_ascent(xs, ys, family, starts, kind)
+            mle = value[:, m_dim:] > value[:, :m_dim]
+            f = np.where(mle[..., None], f[:, m_dim:], f[:, :m_dim])
+            gnorm = np.where(mle, gnorm[:, m_dim:], gnorm[:, :m_dim])
+        for i, values, norms in zip(group, f, gnorm):
+            fits[i] = CoefMatrix(values, norms)
+    return fits
 
 
 def fit_qml_all(data, family: GlmFamily, split: SplitPlan):
@@ -482,17 +554,34 @@ def fit_qml_all(data, family: GlmFamily, split: SplitPlan):
     (CoefMatrix, CoefMatrix, CoefMatrix)
         Fold-1 fit, fold-2 fit, and their average.
     """
-    x, y = data.x, data.y
-    validate_response(family, y)
-    p = x.shape[1]
-    fold_fits = []
-    for label, idx in (("d1", split.d1), ("d2", split.d2)):
-        if len(idx) < p:
-            raise DataValidationError(
-                f"fold {label} has {len(idx)} rows but the design has p={p} "
-                "columns; too few observations to fit"
-            )
-        fold_fits.append(_fit_matrix(x[idx], y[idx], family, kind="quasi"))
-    fit1, fit2 = fold_fits
-    values = 0.5 * (fit1.values + fit2.values)
-    return fit1, fit2, CoefMatrix(values, np.column_stack([fit1.grad_norm, fit2.grad_norm]))
+    return fit_qml_many([data], family, [split])[0]
+
+
+def fit_qml_many(datasets, family: GlmFamily, splits) -> list:
+    """:func:`fit_qml_all` of each of several datasets with one p and M, one
+    split each, as one solve: the folds of one row count share the solver's
+    blocks (both folds of an even n; the d1 folds, and the d2 folds, of
+    datasets of one n), and each fit is the one its fold gets alone, bit for
+    bit. A fold is never padded: a padded row would change the divisor of
+    every mean. Every dataset is validated first. Returns one (fold-1,
+    fold-2, average) triple per dataset."""
+    for data, split in zip(datasets, splits):
+        validate_response(family, data.y)
+        p = data.x.shape[1]
+        for label, idx in (("d1", split.d1), ("d2", split.d2)):
+            if len(idx) < p:
+                raise DataValidationError(
+                    f"fold {label} has {len(idx)} rows but the design has p={p} "
+                    "columns; too few observations to fit"
+                )
+    folds = _fit_matrix(
+        [(data.x[idx], data.y[idx]) for data, split in zip(datasets, splits)
+         for idx in (split.d1, split.d2)],
+        family, kind="quasi",
+    )
+    return [
+        (fit1, fit2, CoefMatrix(
+            0.5 * (fit1.values + fit2.values), np.column_stack([fit1.grad_norm, fit2.grad_norm])
+        ))
+        for fit1, fit2 in zip(folds[::2], folds[1::2])
+    ]

@@ -241,7 +241,7 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    return _fit_matrix(ds.x, ds.y, family, kind="quasi")
+    return _fit_matrix([(ds.x, ds.y)], family, kind="quasi")[0]
 
 
 def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:

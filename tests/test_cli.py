@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, error reporting."""
 
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -415,12 +416,16 @@ def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, 
 
 
 @pytest.mark.parametrize("entry", ["1e200", "1e-200"])
-def test_direction_files_with_huge_or_tiny_entries_give_the_basis_interval(tmp_path, entry):
+def test_direction_files_with_huge_or_tiny_entries_give_the_basis_interval(
+    tmp_path, entry, capsys
+):
     x, y = FIT_V1 / "gaussian_x.csv", FIT_V1 / "gaussian_y.csv"
     upath = tmp_path / "u.csv"
     upath.write_text(f"{entry},0,0,0\n")
-    with pytest.warns(RuntimeWarning, match="renormalising"):
-        assert _infer(FIT_V1 / "gaussian_fit.json", x, y, tmp_path / "file.json", u=str(upath)) == 0
+    assert _infer(FIT_V1 / "gaussian_fit.json", x, y, tmp_path / "file.json", u=str(upath)) == 0
+    # one warning line, in the CLI's own format
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"warning: contrast u had norm \S+; renormalising to 1", line), line
     assert _infer(FIT_V1 / "gaussian_fit.json", x, y, tmp_path / "e1.json") == 0
     got, want = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("file", "e1"))
     assert got == want and got["u"] == [1.0, 0.0, 0.0, 0.0]

@@ -145,8 +145,14 @@ def test_worker_count_env_parsing(monkeypatch):
 
 
 def test_process_pool_rows_match_the_serial_run(monkeypatch):
-    # the replicate tasks are functools.partial objects that must pickle
-    specs = (_tiny_spec(), experiment_spec("table1", reps=2, seed=15))
+    # the replicate tasks are functools.partial objects that must pickle; 3
+    # replicates split unevenly between 2 workers
+    specs = (
+        _tiny_spec(),
+        dataclasses.replace(_tiny_spec(), reps=3),
+        experiment_spec("table1", reps=2, seed=15),
+    )
+    assert experiments._chunks(3, 2) == [range(0, 1), range(1, 3)]
     monkeypatch.delenv("GHIVE_THREADS", raising=False)
     serial = [run_experiment(spec).long_rows for spec in specs]
     monkeypatch.setenv("GHIVE_THREADS", "2")
@@ -157,14 +163,24 @@ def test_process_pool_rows_match_the_serial_run(monkeypatch):
 
 
 def _raise_on(monkeypatch, name, calls):
-    """Make experiments.<name> raise on the given 0-based call numbers."""
+    """Make experiments.<name> fail on the given 0-based call numbers. A
+    batched fit (``*_many``) counts as one call per dataset it is given, and
+    returns the failure in place of that dataset's fit."""
     real, seen = getattr(experiments, name), []
 
-    def wrapped(*args, **kwargs):
+    def failure():
         seen.append(None)
         if len(seen) - 1 in calls:
             error = np.linalg.LinAlgError if len(seen) % 2 else NumericalError
-            raise error(f"injected failure in {name}")
+            return error(f"injected failure in {name}")
+        return None
+
+    def wrapped(*args, **kwargs):
+        if name.endswith("_many"):
+            return [failure() or fit for fit in real(*args, **kwargs)]
+        injected = failure()
+        if injected is not None:
+            raise injected
         return real(*args, **kwargs)
 
     monkeypatch.setattr(experiments, name, wrapped)
@@ -176,20 +192,21 @@ COVERAGE_METRICS = {"covered", "covered_theta", "se", "ci_length", "estimate"}
 @pytest.mark.parametrize(
     "name, injected, failed_pairs, failed_metrics",
     [
-        # rep 0's draw fails every estimator; rep 1's ghive_fit fails the
-        # pipeline estimators but leaves naive-mle scored; rep 2's naive fit fails
+        # rep 0's draw fails every estimator; rep 1's pipeline fit fails the
+        # pipeline estimators but leaves naive-mle scored; rep 2's naive fit
+        # fails (the batched fits see only the datasets drawn: reps 1 and 2)
         (
             "fig2-n",
-            {"sample_dataset": {0}, "ghive_fit": {0}, "fit_naive_mle": {1}},
+            {"sample_dataset": {0}, "ghive_fit_many": {0}, "fit_naive_many": {1}},
             {(0, e) for e in ("oracle-p", "oracle-k", "data-driven", "naive-mle")}
             | {(1, e) for e in ("oracle-p", "oracle-k", "data-driven")}
             | {(2, "naive-mle")},
             {"frob_err"},
         ),
-        # rep 0's ghive_fit fails, rep 1's draw, rep 2's naive fit
+        # rep 0's pipeline fit fails, rep 1's draw, rep 2's naive fit
         (
             "table1",
-            {"sample_dataset": {1}, "ghive_fit": {0}, "fit_naive_mle": {1}},
+            {"sample_dataset": {1}, "ghive_fit_many": {0}, "fit_naive_many": {1}},
             {(0, "data-driven"), (1, "data-driven"), (1, "naive-mle"), (2, "naive-mle")},
             COVERAGE_METRICS,
         ),
@@ -222,6 +239,20 @@ def test_failed_estimators_get_nan_rows_and_drop_out_of_the_aggregate(
         if agg["metric"] in failed_metrics:
             n_failed = sum(1 for r, e in failed_pairs if e == agg["estimator"])
             assert agg["n_used"] == spec.reps - n_failed
+
+
+def test_a_batched_fit_that_raises_fails_each_replicate_of_its_chunk(monkeypatch):
+    monkeypatch.delenv("GHIVE_THREADS", raising=False)
+
+    def broken(datasets, family, seeds):
+        raise NumericalError("injected failure of the whole call")
+
+    monkeypatch.setattr(experiments, "ghive_fit_many", broken)
+    spec = dataclasses.replace(experiment_spec("table1", reps=3), n_mc=10_000)
+    rows = run_experiment(spec).long_rows
+    assert {(r["rep"], r["estimator"]) for r in rows if r["failed"]} == {
+        (rep, "data-driven") for rep in range(3)
+    }
 
 
 def test_coverage_rows_have_interval_structure():

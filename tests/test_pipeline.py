@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import small_sim_dataset
-from ghive import BERNOULLI
+from ghive import BERNOULLI, GAUSSIAN, POISSON, spectral
 from ghive.data_io import Dataset, matrix_to_json
-from ghive.errors import DataValidationError
+from ghive.errors import DataValidationError, NumericalError
 from ghive.qml import MAX_ITER, TOL, make_split
 from ghive.spectral import eigendecomposition
 from ghive.pipeline import (
@@ -18,6 +18,7 @@ from ghive.pipeline import (
     Mode,
     deserialize_fit,
     ghive_fit,
+    ghive_fit_many,
     serialize_fit,
     with_projection,
 )
@@ -334,3 +335,38 @@ def test_non_binary_response_is_rejected_up_front():
     y = rng.random((30, 2)) * 2  # not 0/1
     with pytest.raises(DataValidationError):
         ghive_fit(Dataset(x, y), BERNOULLI, seed=0)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+@pytest.mark.parametrize("n", [70, 101])
+def test_many_datasets_fit_as_one_ghive_fit_each(family, n):
+    datasets = [
+        small_sim_dataset(n=n, p=4, m_dim=4, k=2, seed=g, rep_seed=g, family=family.kind)[0]
+        for g in range(5)
+    ]
+    seeds = [11, 12, 13, 14, 15]
+    for data, seed, fit in zip(datasets, seeds, ghive_fit_many(datasets, family, seeds)):
+        # the document holds every fitted number, so equal documents are equal bits
+        assert serialize_fit(fit) == serialize_fit(ghive_fit(data, family, seed))
+
+
+def test_a_dataset_that_fails_to_assemble_fails_alone(monkeypatch):
+    datasets = [small_sim_dataset(n=60, p=3, m_dim=4, k=2, seed=g, rep_seed=g)[0] for g in range(3)]
+    fits = [ghive_fit(data, BERNOULLI, seed=g) for g, data in enumerate(datasets)]
+    select_k, calls = spectral.select_k, []
+
+    def second_fails(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("degenerate residual covariance spectrum")
+        return select_k(*args)
+
+    monkeypatch.setattr(spectral, "select_k", second_fails)
+    first, failed, last = ghive_fit_many(datasets, BERNOULLI, [0, 1, 2])
+    assert isinstance(failed, NumericalError)
+    assert serialize_fit(first) == serialize_fit(fits[0])
+    assert serialize_fit(last) == serialize_fit(fits[2])
+    calls.clear()
+    calls.append(None)  # ghive_fit raises its dataset's failure
+    with pytest.raises(NumericalError, match="degenerate"):
+        ghive_fit(datasets[1], BERNOULLI, seed=1)

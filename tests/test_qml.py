@@ -265,12 +265,12 @@ def test_multi_chunk_ascent_columns_solved_together_equal_columns_solved_alone(f
     else:
         y = rng.poisson(np.exp(eta)).astype(float)
     starts = np.vstack([np.zeros((3, 10)), 0.1 * rng.standard_normal((3, 10))])
-    together = qml._newton_ascent(x, y, family, starts.copy(), "quasi")
+    together = qml._newton_ascent([x], [y], family, starts[None], "quasi")
     assert np.all(together[2] < 1e-8)
     for c in range(len(starts)):
-        alone = qml._newton_ascent(x, y[:, [c % 3]], family, starts[[c]], "quasi")
+        alone = qml._newton_ascent([x], [y[:, [c % 3]]], family, starts[None, [c]], "quasi")
         for got, want in zip(together, alone):
-            assert np.array_equal(got[c], want[0])
+            assert np.array_equal(got[0, c], want[0, 0])
 
 
 def test_multi_chunk_grams_stay_close_to_the_one_shot_product():
@@ -381,7 +381,7 @@ def test_a_wide_poisson_ascent_never_holds_the_whole_weighted_design():
     assert len(qml.column_blocks(x, len(starts))) == 1  # all 16 columns in one block
     tracemalloc.start()
     try:
-        _, _, gnorm = qml._newton_ascent(x, y, POISSON, starts, "quasi")
+        _, _, gnorm = qml._newton_ascent([x], [y], POISSON, starts[None], "quasi")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -461,7 +461,8 @@ def test_memory_follows_the_iterations_run_not_max_iter(monkeypatch):
 def test_each_iterate_is_evaluated_once(monkeypatch):
     """Per block, x . coef runs once per objective evaluation (the start and
     each line-search round), never again for the gradient or the curvature,
-    and a quasi iteration computes its weighted residual once."""
+    a quasi iteration computes its weighted residual once, and a quasi block
+    forms the response its kernels read (the bernoulli sign) once."""
     counts, costs = {}, []
 
     def count(module, name):
@@ -473,12 +474,12 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    # quasi_loglik_term and cumulant are called once per objective evaluation;
-    # the residual is counted wherever the solver or a families kernel asks
-    names = ("_eta", "quasi_loglik_term", "cumulant", "weighted_residual")
+    # quasi_term and cumulant are called once per objective evaluation; the
+    # residual is counted wherever the solver or a families kernel asks
+    names = ("_eta", "quasi_term", "cumulant", "quasi_residual", "quasi_response")
     for name in names:
         count(qml, name)
-    count(families, "weighted_residual")
+    count(families, "quasi_residual")
     block = qml._ascent_block
 
     def measured(*args):
@@ -495,7 +496,109 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     assert {kind for kind, _, _ in costs} == {"quasi", "loglik"}
     assert any(iterations > 1 for _, _, iterations in costs)
     for kind, n, iterations in costs:
-        evaluations = n["quasi_loglik_term"] + n["cumulant"]  # 1 + line-search rounds
+        evaluations = n["quasi_term"] + n["cumulant"]  # 1 + line-search rounds
         assert n["_eta"] <= evaluations
         if kind == "quasi":
-            assert n["weighted_residual"] <= iterations + 1
+            assert n["quasi_residual"] <= iterations + 1
+            assert n["quasi_response"] == 1
+
+
+def _datasets(family, n, p, m_dim, count, seed=0):
+    """``count`` simulated datasets of one shape, each with its own truth."""
+    k = min(2, p, m_dim)
+    return [
+        small_sim_dataset(n=n, p=p, m_dim=m_dim, k=k, eta=2.0, seed=seed + g,
+                          rep_seed=seed + g, family=family.kind)[0]
+        for g in range(count)
+    ]
+
+
+def _block_designs(monkeypatch):
+    """Record the ndim of the design each _ascent_block call gets: 2 for one
+    design shared by the block's columns, 3 for designs gathered per column."""
+    seen, block = [], qml._ascent_block
+
+    def recorded(*args):
+        seen.append(args[0].ndim)
+        return block(*args)
+
+    monkeypatch.setattr(qml, "_ascent_block", recorded)
+    return seen
+
+
+def _assert_columns_alone(xs, ys, family, starts, kind, together):
+    """Each column of ``together`` is the column solved alone on its design."""
+    m_dim = ys[0].shape[1]
+    for g in range(len(xs)):
+        for c in range(starts.shape[1]):
+            alone = qml._newton_ascent(
+                [xs[g]], [ys[g][:, [c % m_dim]]], family, starts[g : g + 1, [c]], kind
+            )
+            for got, want in zip(together, alone):
+                assert np.array_equal(got[g, c], want[0, 0])
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+@pytest.mark.parametrize("kind", ["quasi", "loglik"])
+def test_columns_on_different_designs_solved_together_equal_columns_solved_alone(
+    family, kind, monkeypatch
+):
+    datasets = _datasets(family, n=35, p=4, m_dim=4, count=5)
+    xs, ys = [d.x for d in datasets], [d.y for d in datasets]
+    starts = 0.3 * np.random.default_rng(7).standard_normal((5, 8, 4))
+    seen = _block_designs(monkeypatch)
+    together = qml._newton_ascent(xs, ys, family, starts, kind)
+    assert seen == [3]  # the five designs share one block
+    _assert_columns_alone(xs, ys, family, starts, kind, together)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_stacked_designs_over_several_gram_chunks_and_halving_rounds(family, monkeypatch):
+    datasets = _datasets(family, n=40, p=3, m_dim=3, count=4, seed=20)
+    xs, ys = [d.x for d in datasets], [d.y for d in datasets]
+    starts = np.concatenate([np.zeros((4, 3, 3)), np.ones((4, 3, 3))], axis=1)
+    seen = _block_designs(monkeypatch)
+    # 16-row gram chunks: each 40-row design spans three, the last one short
+    monkeypatch.setattr(qml, "_GRAM_ELEMENTS", 16 * 3)
+    together = qml._newton_ascent(xs, ys, family, starts, "quasi")
+    assert seen == [3]  # the four designs share one block
+    _assert_columns_alone(xs, ys, family, starts, "quasi", together)
+    # the smallest budget that still stacks the four designs' 4 * 6 * 40 * 3
+    # gathered rows: fewer halvings per objective call, the same steps, hence
+    # the same fits
+    seen.clear()
+    monkeypatch.setattr(qml, "STACK_ELEMENTS", 4 * 6 * 40 * 3)
+    for got, want in zip(qml._newton_ascent(xs, ys, family, starts, "quasi"), together):
+        assert np.array_equal(got, want)
+    assert seen == [3]
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+@pytest.mark.parametrize("n", [70, 101])
+def test_many_datasets_fit_as_each_dataset_alone(family, n, monkeypatch):
+    datasets = _datasets(family, n=n, p=3, m_dim=6, count=4, seed=30)
+    splits = [make_split(n, seed=s) for s in range(4)]
+    seen = _block_designs(monkeypatch)
+    many = qml.fit_qml_many(datasets, family, splits)
+    naive = qml.fit_naive_many(datasets, family)
+    assert 3 in seen and 2 not in seen  # every ascent stacked designs
+    for data, split, folds, mle in zip(datasets, splits, many, naive):
+        alone = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
+                 for idx in (split.d1, split.d2)]
+        _assert_same_fits(folds[:2], alone)
+        _assert_same_fits(folds, fit_qml_all(data, family, split))
+        _assert_same_fits([mle], qml._fit_matrix([(data.x, data.y)], family, "loglik"))
+
+
+def test_a_design_whose_columns_fill_a_block_is_never_gathered(monkeypatch):
+    # with STACK_ELEMENTS 2**13 no two folds share a block, nor two naive
+    # fits: 400-row folds at p = 20, whose 10 naive-start columns alone gather
+    # 80,000 elements, and 100-row folds at p = 4 with 20 responses (8,000
+    # elements per fold for the naive starts, 16,000 for the quasi columns)
+    seen = _block_designs(monkeypatch)
+    for n, p, m_dim in ((800, 20, 10), (200, 4, 20)):
+        datasets = _datasets(POISSON, n=n, p=p, m_dim=m_dim, count=2)
+        splits = [make_split(n, seed=s) for s in range(2)]
+        qml.fit_qml_many(datasets, POISSON, splits)
+        qml.fit_naive_many(datasets, POISSON)
+    assert seen and set(seen) == {2}
