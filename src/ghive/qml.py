@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .errors import DataValidationError
 from .families import (
@@ -301,12 +301,12 @@ def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
         raise ValueError("curvature matrices and gradients must be finite")
     d = grad.copy()
     for c in range(len(grad)):
-        low, info = dpotrf(curv[c], lower=1)
+        _, solved, info = dposv(curv[c], grad[c], lower=1)
         if info != 0:
             delta = 1e-8 * (1.0 + abs(float(np.linalg.eigvalsh(curv[c])[0])))
-            low, info = dpotrf(curv[c] + delta * np.eye(curv.shape[1]), lower=1)
+            _, solved, info = dposv(curv[c] + delta * np.eye(curv.shape[1]), grad[c], lower=1)
         if info == 0:
-            d[c] = dpotrs(low, grad[c], lower=1)[0]
+            d[c] = solved
     usable = np.isfinite(d).all(axis=1) & (_dots(grad, d) > 0.0)
     return np.where(usable[:, None], d, grad)
 

@@ -2,10 +2,16 @@
 
 import csv
 import re
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghive import data_io
 from ghive.data_io import read_csv_table, save_matrix_csv
@@ -36,7 +42,7 @@ CELLS = [
     "0.30000000000000004", "123456789012345678901234567890",
     " 2.5", "2.5 ", "\t3", "nan", "-nan", "-inf", "Infinity", "1e999", "1e-400",
     "1_000", "\xa01.5\xa0", "\u0661\u0662\u0663", "\uff11\uff12", '"7"', '" 8 "',
-    "0x10", "abc", "", "1.2.3", "1e", "--1", "1 2",
+    "0x10", "abc", "", "1.2.3", "1e", "--1", "1 2", "true", "null",
 ]
 
 STRUCTURES = {
@@ -70,6 +76,7 @@ STRUCTURES = {
     "17-digits": "-1.2345678901234567e-300,9.8765432109876543e+300\n"
     "2.2250738585072009e-308,-4.9406564584124654e-324\n",
     "latin-1": b"1,2\n3,\xe9\n",
+    "boolean-header": "true,false\n1,2\n",
 }
 
 CORPUS = {
@@ -110,13 +117,17 @@ def test_corpus_takes_both_readers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_io, "_read_csv_rows", spy)
     paths = {name: _write(tmp_path, name) for name in CORPUS}
+    paths["17-digits-2000x50"] = tmp_path / "17-digits-2000x50.csv"
+    np.savetxt(paths["17-digits-2000x50"], np.random.default_rng(0).standard_normal((2000, 50)),
+               fmt="%.17g", delimiter=",")
     for path in paths.values():
         try:
             read_csv_table(path)
         except DataValidationError:
             pass
-    # plain ASCII numbers, BOM or not, go through numpy's reader ...
-    for name in ("plain", "bom", "crlf", "cr", "one-column", "17-digits", "blank-lines"):
+    # plain ASCII numbers, BOM or not, go through the orjson reader ...
+    plain = ("plain", "bom", "crlf", "cr", "one-column", "17-digits", "blank-lines")
+    for name in plain + ("17-digits-2000x50",):
         assert paths[name] not in csv_path, name
     # ... and anything it refuses through the csv module.
     for name in ("header", "quoted-newline", "empty", "latin-1", "ragged-short"):
@@ -151,3 +162,98 @@ def test_save_then_read_is_bit_exact_down_to_subnormals(tmp_path):
     save_matrix_csv(path, values)
     back = read_csv_table(path)
     assert back.shape == values.shape and back.tobytes() == values.tobytes()
+
+
+# Cell writers for the generated files: every float syntax the program's own
+# writers and common tools produce, and the two signed zeros.
+CELL_WRITERS = [
+    lambda v: "%.17g" % v,
+    repr,
+    lambda v: "%.6e" % v,
+    lambda v: str(int(v)),
+    lambda v: "-0",
+    lambda v: "-0.0",
+]
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    width=st.integers(1, 60),
+    writers=st.sets(st.sampled_from(range(len(CELL_WRITERS))), min_size=1),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    bom=st.booleans(),
+    blanks=st.lists(st.integers(0, 40), max_size=4),
+    final_newline=st.booleans(),
+    chunk_bytes=st.integers(16, 2048),
+)
+def test_generated_files_read_as_the_reference_bit_for_bit(
+    seed, rows, width, writers, ending, bom, blanks, final_newline, chunk_bytes
+):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-320, 300, (rows, width))
+    kinds = rng.choice(sorted(writers), (rows, width))
+    lines = [
+        ",".join(CELL_WRITERS[k](v) for k, v in zip(*row))
+        for row in zip(kinds.tolist(), values.tolist())
+    ]
+    for i in sorted(blanks, reverse=True):  # a blank line before row i
+        lines.insert(min(i, rows), "")
+    text = ending.join(lines) + (ending if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("ascii"))
+        want = _reference_read(path)
+        # small chunks put many chunk boundaries, and lines longer than a
+        # chunk, inside one file
+        with mock.patch.object(data_io, "_CHUNK_BYTES", chunk_bytes):
+            got = read_csv_table(path)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        # every later row, whole chunks of them, with one cell
+        (["1"] * 40000, "row 3001 has 1 cells, expected 3"),
+        (["1,1.2.3,3"], "row 3001, column 2: could not parse '1.2.3' as a number"),
+    ],
+    ids=["ragged", "bad-cell"],
+)
+def test_an_error_after_the_first_chunk_names_its_row_and_column(tmp_path, tail, message):
+    path = tmp_path / "late-error.csv"
+    lines = ["%.17g,%.17g,%.17g" % tuple(r) for r in np.random.default_rng(2).random((4000, 3))]
+    lines[3000:3000 + len(tail)] = tail
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    assert len("\n".join(lines[:3000])) > data_io._CHUNK_BYTES
+    with pytest.raises(DataValidationError) as exc:
+        read_csv_table(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_a_chunk_of_narrower_rows_is_a_ragged_file(tmp_path):
+    path = tmp_path / "narrower.csv"
+    path.write_text("1,2\n3,4\n5\n6\n")
+    # one line per chunk: the one-cell rows would broadcast to the table's width
+    with mock.patch.object(data_io, "_CHUNK_BYTES", 2):
+        with pytest.raises(DataValidationError, match=r"row 3 has 1 cells, expected 2$"):
+            read_csv_table(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_read_holds_the_table_and_a_few_chunks_not_the_file(tmp_path, ending):
+    values = np.random.default_rng(3).standard_normal((2000, 50))
+    path = tmp_path / "table.csv"
+    path.write_bytes(ending.join(",".join("%.17g" % v for v in row) for row in values).encode())
+    assert path.stat().st_size > 2 * values.nbytes
+    tracemalloc.start()
+    try:
+        table = read_csv_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == values.tobytes()
+    assert peak < values.nbytes + 16 * data_io._CHUNK_BYTES

@@ -348,14 +348,14 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
         assert np.allclose(norms, RADIUS, rtol=1e-9)
     # a duplicated covariate makes the curvature matrices singular, so the
     # columns go through the Cholesky retry and the gradient fallback
-    infos, factor = [], qml.dpotrf
+    infos, solve = [], qml.dposv
 
-    def dpotrf(a, lower):
-        low, info = factor(a, lower=lower)
+    def dposv(a, b, lower):
+        low, solved, info = solve(a, b, lower=lower)
         infos.append(info)
-        return low, info
+        return low, solved, info
 
-    monkeypatch.setattr(qml, "dpotrf", dpotrf)
+    monkeypatch.setattr(qml, "dposv", dposv)
     x_dup = np.column_stack([x, x[:, 1]])
     _assert_same_fits(_all_fits(x_dup, y, family), _one_column_at_a_time(x_dup, y, family))
     assert any(infos)
