@@ -282,8 +282,11 @@ def matrix_from_json(obj, name="matrix") -> np.ndarray:
         data = obj["data"]
     except (TypeError, KeyError):
         raise DataValidationError(f"{name}: expected an object with dims and data")
+    if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)
+            and min(dims) >= 0):  # a bool is not an int here
+        raise DataValidationError(f"{name}: dims must be two non-negative integers: {dims!r}")
     arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or list(arr.shape) != [int(dims[0]), int(dims[1])]:
+    if arr.ndim != 2 or list(arr.shape) != dims:
         raise DataValidationError(
             f"{name}: declared dims {dims} do not match data shape {arr.shape}"
         )

@@ -26,15 +26,14 @@ not depend on the chunking; output ordering is canonicalised either way.
 fig1-bias replicates fit one large oracle each and share nothing.
 
 Each replicate's rows come from one call of its worker (``_bias_rep``,
-``_error_rep``, ``_coverage_rep``), which scores estimators on what the
-replicate drew and fitted: it hands ``_rows`` a ``draw()`` that returns
-``score(estimator) -> {metric: value}``. ``_rows`` alone builds the long
-rows and records failures: when ``draw`` or ``score`` raises a
-``GhiveError`` or ``LinAlgError`` (a failed draw or fit is kept as its
-error and raised there), each affected estimator gets the experiment's
-failed metrics (``_FAILED_METRICS``) as NaN with ``failed=1``, and the
-aggregate leaves those rows out of its mean and ``n_used``. So a failed
-draw or fit fails only its replicate.
+``_error_rep``, ``_coverage_rep``), which hands ``_rows`` a
+``score(estimator) -> {metric: value}`` over what the replicate drew and
+fitted. ``_rows`` alone builds the long rows and records failures: when
+``score`` raises a ``GhiveError`` or ``LinAlgError`` (a failed draw or fit
+is kept as its error and raised there), that estimator gets the
+experiment's failed metrics (``_FAILED_METRICS``) as NaN with ``failed=1``,
+and the aggregate leaves those rows out of its mean and ``n_used``. A failed
+draw is raised for every estimator, so it fails only its replicate.
 """
 
 from __future__ import annotations
@@ -187,30 +186,21 @@ def experiment_spec(
 # per-replication workers
 
 
-def _rows(spec: ExperimentSpec, gi: int, rep: int, draw) -> list:
-    """Long rows of one replicate, one per (estimator, metric).
-
-    ``draw()`` draws the replicate's data and returns its scorer,
+def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
+    """Long rows of one replicate, one per (estimator, metric), from
     ``score(estimator) -> {metric: value}``. A ``GhiveError`` or
-    ``LinAlgError`` in ``draw`` fails every estimator, one in ``score`` only
-    that estimator; a failed
-    estimator gets the experiment's ``_FAILED_METRICS`` as NaN with
-    ``failed=1``.
+    ``LinAlgError`` in ``score`` fails that estimator: it gets the
+    experiment's ``_FAILED_METRICS`` as NaN with ``failed=1``. A failed draw,
+    kept as its error, is raised through :func:`_value` for every estimator.
     """
     cfg = spec.grid[gi]
     point = {
         "experiment": spec.name, "grid_index": gi, "n": cfg.n, "p": cfg.p,
         "m_dim": cfg.m_dim, "k_true": cfg.k, "eta": float(cfg.eta), "rep": rep,
     }
-    try:
-        score = draw()
-    except _FAILURES:
-        score = None
     rows = []
     for est in spec.estimators:
         try:
-            if score is None:
-                raise GhiveError("replicate data could not be drawn")
             values, failed = score(est), 0
         except _FAILURES:
             values = dict.fromkeys(_FAILED_METRICS.get(spec.name, ("frob_err",)), np.nan)
@@ -266,19 +256,19 @@ def _bias_reps(spec: ExperimentSpec, gi: int, reps) -> list:
 
 
 def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
-    def draw():
-        cfg_r = replace(spec.grid[gi], seed=_mix(_mix(spec.seed, gi), rep))
+    cfg_r = replace(spec.grid[gi], seed=_mix(_mix(spec.seed, gi), rep))
+
+    def score(est):  # the one estimator is the oracle, drawn here
         truth = make_truth(cfg_r)
         oracle = fstar_oracle(truth, cfg_r, n_mc=spec.n_mc)
         met = metrics(None, truth, f_star=oracle)
-        values = {
+        return {
             "bias1": met.bias1,
             "bias2": met.bias2,
             "oracle_converged_frac": float(np.mean(oracle.converged)),
         }
-        return lambda est: values
 
-    return _rows(spec, gi, rep, draw)
+    return _rows(spec, gi, rep, score)
 
 
 def _truth_and_data(cfg: SimConfig):
@@ -305,26 +295,22 @@ def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive) ->
     draw (truth, data), its pipeline fit and its naive MLE."""
     cfg = spec.grid[gi]
 
-    def draw():
+    def score(est):
         truth, _ = _value(drawn)
+        if est == ESTIMATOR_NAIVE:
+            return {"frob_err": metrics(_value(naive).values, truth).frob_err}
+        fit = _value(fitted)
+        if est == DATA_DRIVEN:
+            met = metrics(fit.theta_hat, truth, p_perp_hat=fit.spectral.p_perp)
+            return {
+                "frob_err": met.frob_err,
+                "k_hat": float(fit.spectral.k_hat),
+                "proj_err": met.proj_err,
+            }
+        mode = Mode.oracle_k(cfg.k) if est == ORACLE_K else Mode.oracle_p(truth.p_b_perp)
+        return {"frob_err": metrics(with_projection(fit, mode).theta_hat, truth).frob_err}
 
-        def score(est):
-            if est == ESTIMATOR_NAIVE:
-                return {"frob_err": metrics(_value(naive).values, truth).frob_err}
-            fit = _value(fitted)
-            if est == DATA_DRIVEN:
-                met = metrics(fit.theta_hat, truth, p_perp_hat=fit.spectral.p_perp)
-                return {
-                    "frob_err": met.frob_err,
-                    "k_hat": float(fit.spectral.k_hat),
-                    "proj_err": met.proj_err,
-                }
-            mode = Mode.oracle_k(cfg.k) if est == ORACLE_K else Mode.oracle_p(truth.p_b_perp)
-            return {"frob_err": metrics(with_projection(fit, mode).theta_hat, truth).frob_err}
-
-        return score
-
-    return _rows(spec, gi, rep, draw)
+    return _rows(spec, gi, rep, score)
 
 
 def _coverage_reps(
@@ -351,28 +337,24 @@ def _coverage_rep(
     family = family_from_name(cfg.family)
     contrast = basis_contrast(0, 0, cfg.m_dim, cfg.p)
 
-    def draw():
+    def score(est):
         data = _value(drawn)
+        if est == ESTIMATOR_NAIVE:
+            res = naive_wald_interval(data, family, _value(naive), contrast, ALPHA)
+        else:
+            res = confidence_interval(data, family, _value(fitted), contrast, ALPHA)
+        values = {
+            "covered": float(res.ci_lo <= target_fstar <= res.ci_hi),
+            "covered_theta": float(res.ci_lo <= target_theta <= res.ci_hi),
+            "se": res.se,
+            "ci_length": res.ci_hi - res.ci_lo,
+            "estimate": res.estimate,
+        }
+        if est != ESTIMATOR_NAIVE:
+            values["rms_h"] = float(np.sqrt(res.s_sq / data.n))
+        return values
 
-        def score(est):
-            if est == ESTIMATOR_NAIVE:
-                res = naive_wald_interval(data, family, _value(naive), contrast, ALPHA)
-            else:
-                res = confidence_interval(data, family, _value(fitted), contrast, ALPHA)
-            values = {
-                "covered": float(res.ci_lo <= target_fstar <= res.ci_hi),
-                "covered_theta": float(res.ci_lo <= target_theta <= res.ci_hi),
-                "se": res.se,
-                "ci_length": res.ci_hi - res.ci_lo,
-                "estimate": res.estimate,
-            }
-            if est != ESTIMATOR_NAIVE:
-                values["rms_h"] = float(np.sqrt(res.s_sq / data.n))
-            return values
-
-        return score
-
-    return _rows(spec, gi, rep, draw)
+    return _rows(spec, gi, rep, score)
 
 
 # ---------------------------------------------------------------------------

@@ -194,23 +194,16 @@ def quasi_residual(family: GlmFamily, r, eta, floor):
     return res
 
 
-def quasi_hessian_weight(family: GlmFamily, y, eta, floor=None):
+def hessian_weight(family: GlmFamily, eta, res):
     """Per-observation curvature weight, minus the ``eta``-derivative of the
-    weighted residual: ``1 + r(y, eta) * d/deta log b''(eta)``.
+    weighted residual ``res`` at ``eta``: ``1 + res * d/deta log b''(eta)``.
 
     Multiplied into x x^T gram matrices this gives the negated Hessian of the
     modified quasi-log-likelihood; the same weight drives the variance
     correction matrices used for confidence intervals.  The log-derivative
     of b'' is 0 (gaussian), 1 - 2*sigma (bernoulli) and 1 (poisson), so the
-    tail-stable residual above carries over unchanged, floor included.
+    weight is 1, ``1 + res (1 - 2 sigma)`` and ``1 + res``.
     """
-    return hessian_weight(family, eta, weighted_residual(family, y, eta, floor))
-
-
-def hessian_weight(family: GlmFamily, eta, res):
-    """:func:`quasi_hessian_weight` from the weighted residual ``res`` at
-    ``eta``, for callers that already hold it: 1, ``1 + res (1 - 2 sigma)``
-    and ``1 + res``."""
     if family.kind == "gaussian":
         return np.ones_like(res)
     if family.kind == "bernoulli":

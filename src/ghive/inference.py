@@ -86,20 +86,6 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-def g_matrices(
-    data: Dataset, family: GlmFamily, coef_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature matrices ``G_m = (1/n) sum_i w_i x_i x_i'`` on the full sample.
-
-    Uses exactly the weights of the quasi-likelihood Hessian and the
-    solver's :func:`weighted_gram`. A matrix whose smallest eigenvalue falls
-    below ``1e-8 * max(1, largest eigenvalue)`` gets ``delta = 1e-8 * (1 +
-    |min eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
-    matrices and the (M,) bool flags.
-    """
-    return _g_matrices(data.x, family, *_residuals(data, family, coef_values))
-
-
 def _residuals(data: Dataset, family: GlmFamily, coef_values: np.ndarray):
     """Predictors ``eta`` and floored weighted residuals ``eps`` (both n x M)
     at the coefficient rows, computed once for the G matrices and the
@@ -116,7 +102,15 @@ def _finite_predictors(eta: np.ndarray) -> np.ndarray:
 
 
 def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarray):
-    """:func:`g_matrices` from the predictors and residuals of :func:`_residuals`."""
+    """Curvature matrices ``G_m = (1/n) sum_i w_i x_i x_i'`` on the full sample,
+    from the predictors and residuals of :func:`_residuals`.
+
+    Uses exactly the weights of the quasi-likelihood Hessian and the
+    solver's :func:`weighted_gram`. A matrix whose smallest eigenvalue falls
+    below ``1e-8 * max(1, largest eigenvalue)`` gets ``delta = 1e-8 * (1 +
+    |min eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
+    matrices and the (M,) bool flags.
+    """
     g = weighted_gram(x, hessian_weight(family, eta.T, eps.T)) / len(x)
     g = 0.5 * (g + g.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(g)
@@ -131,16 +125,10 @@ def _solve_each(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, np.broadcast_to(v[:, None], a.shape[:2] + (1,)))[..., 0]
 
 
-def influence_terms(
-    data: Dataset, family: GlmFamily, coef_values: np.ndarray, g: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Per-observation influence terms h (n x M) for direction v, given the
-    curvature matrices ``g`` (M, p, p) from :func:`g_matrices`."""
-    return _influence_terms(data.x, _residuals(data, family, coef_values)[1], g, v)
-
-
 def _influence_terms(x: np.ndarray, eps: np.ndarray, g: np.ndarray, v: np.ndarray):
-    """:func:`influence_terms` from the residuals of :func:`_residuals`."""
+    """Per-observation influence terms h (n x M) for direction v, from the
+    residuals ``eps`` of :func:`_residuals` and the curvature matrices ``g``
+    (M, p, p) of :func:`_g_matrices`."""
     try:
         # rows w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
         w = _solve_each(g, v)

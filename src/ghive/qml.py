@@ -155,7 +155,7 @@ class CoefMatrix:
 
     values     : (M, p) coefficient rows
     grad_norm  : final gradient sup-norms, (M,) for one fit per response or
-                 (M, 2) for a fold average (:func:`fit_qml_all`), one column
+                 (M, 2) for a fold average (:func:`fit_qml_many`), one column
                  per fold
     """
 
@@ -541,30 +541,21 @@ def _fit_matrix(designs, family, kind) -> list:
     return fits
 
 
-def fit_qml_all(data, family: GlmFamily, split: SplitPlan):
-    """Quasi-likelihood fits on both folds plus their entrywise average.
+def fit_qml_many(datasets, family: GlmFamily, splits) -> list:
+    """Quasi-likelihood fits on both folds of each dataset plus their
+    entrywise average, for several datasets with one p and M, one split each.
 
     Each response within each fold starts from both the zero vector and the
     fold's own naive MLE. The averaged CoefMatrix keeps both folds' gradient
     norms, (M, 2) with fold d1 first, so its ``converged`` flags each fold
-    fit. The response is validated against the family here, once.
+    fit. Every dataset's response is validated against the family first.
 
-    Returns
-    -------
-    (CoefMatrix, CoefMatrix, CoefMatrix)
-        Fold-1 fit, fold-2 fit, and their average.
-    """
-    return fit_qml_many([data], family, [split])[0]
-
-
-def fit_qml_many(datasets, family: GlmFamily, splits) -> list:
-    """:func:`fit_qml_all` of each of several datasets with one p and M, one
-    split each, as one solve: the folds of one row count share the solver's
+    The fits are one solve: the folds of one row count share the solver's
     blocks (both folds of an even n; the d1 folds, and the d2 folds, of
     datasets of one n), and each fit is the one its fold gets alone, bit for
     bit. A fold is never padded: a padded row would change the divisor of
-    every mean. Every dataset is validated first. Returns one (fold-1,
-    fold-2, average) triple per dataset."""
+    every mean. Returns one (fold-1, fold-2, average) triple per dataset.
+    """
     for data, split in zip(datasets, splits):
         validate_response(family, data.y)
         p = data.x.shape[1]

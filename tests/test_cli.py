@@ -384,12 +384,16 @@ def _edit(*path, to):
         ("v2", [_edit("diagnostics", 0, "converged", to=lambda c: not c)], None, "converged"),
         ("v1", [_edit("diagnostics", 0, "converged", to=lambda c: False),
                 _edit("diagnostics", 1, "grad_norm", to=lambda g: 5.0)], None, "converged"),
+        ("v2", [_edit("f_hat", "dims", to=lambda d: d[:1])], None, "f_hat"),
+        ("v2", [_edit("f_hat", "dims", to=lambda d: [d[0] + 0.7, d[1]])], None, "f_hat"),
+        ("v2", [_edit("f_hat", "dims", to=lambda d: [True, d[1]])], None, "f_hat"),
     ],
     ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
          "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "theta-nan",
          "oracle-p-nan", "oracle-p-theta", "oracle-p-not-a-projector", "tol-1e-6", "max_iter-50",
          "converged-string", "response-float", "grad_norm-string", "converged-flipped",
-         "converged-contradicts-grad_norm"],
+         "converged-contradicts-grad_norm", "f_hat-dims-one", "f_hat-dims-float",
+         "f_hat-dims-bool"],
 )
 def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, edits, rows, field):
     family = "bernoulli" if base == "v1-oracle-p" else "gaussian"

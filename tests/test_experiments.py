@@ -212,6 +212,11 @@ COVERAGE_METRICS = {"covered", "covered_theta", "se", "ci_length", "estimate"}
         ),
         ("fig1-bias", {"fstar_oracle": {0}}, {(0, "fstar-oracle")},
          {"bias1", "bias2", "oracle_converged_frac"}),
+        # failures while scoring, after a clean draw and fit: rep 1's
+        # pipeline interval, and rep 1's oracle-k projection (the projections
+        # run oracle-p then oracle-k for each replicate)
+        ("table1", {"confidence_interval": {1}}, {(1, "data-driven")}, COVERAGE_METRICS),
+        ("fig2-n", {"with_projection": {3}}, {(1, "oracle-k")}, {"frob_err"}),
     ],
 )
 def test_failed_estimators_get_nan_rows_and_drop_out_of_the_aggregate(

@@ -20,7 +20,6 @@ from ghive.families import (
     cumulant_d2,
     family_from_name,
     hessian_weight,
-    quasi_hessian_weight,
     quasi_loglik_term,
     validate_response,
     weighted_residual,
@@ -146,14 +145,15 @@ def test_quasi_hessian_weight_matches_literal_formula():
             )
             b1, b2, b3 = (d(family, eta) for d in DERIVS[1:4])
             lit = 1.0 + (y - b1) * b3 / b2**2
-            got = quasi_hessian_weight(family, y, eta)
+            got = hessian_weight(family, eta, weighted_residual(family, y, eta))
             assert np.isclose(got, lit, rtol=1e-10, atol=1e-10)
 
 
 def test_quasi_hessian_weight_gaussian_is_one():
     ys = np.array([-3.0, 0.0, 7.5])
     etas = np.array([1.0, -2.0, 0.0])
-    assert np.array_equal(quasi_hessian_weight(GAUSSIAN, ys, etas), np.ones(3))
+    weight = hessian_weight(GAUSSIAN, etas, weighted_residual(GAUSSIAN, ys, etas))
+    assert np.array_equal(weight, np.ones(3))
 
 
 def test_quasi_loglik_term_closed_forms_match_quadrature():
@@ -264,7 +264,8 @@ def test_signed_bernoulli_kernels_equal_the_two_branch_forms_bit_for_bit(floor):
     res = _two_branch_residual(y, eta, lit_floor)
     assert np.array_equal(weighted_residual(BERNOULLI, y, eta, floor=floor), res)
     weight = 1.0 + res * (1.0 - 2.0 * _literal_sigmoid(eta))
-    assert np.array_equal(quasi_hessian_weight(BERNOULLI, y, eta, floor=floor), weight)
+    composed = hessian_weight(BERNOULLI, eta, weighted_residual(BERNOULLI, y, eta, floor=floor))
+    assert np.array_equal(composed, weight)
     assert np.array_equal(hessian_weight(BERNOULLI, eta, res), weight)
     with np.errstate(over="ignore"):
         term_one = eta - np.exp(-eta) + 1.0

@@ -14,15 +14,16 @@ from ghive.errors import DataValidationError, NumericalError
 from ghive.families import (
     RESIDUAL_CURVATURE_FLOOR,
     cumulant_d2,
-    quasi_hessian_weight,
+    hessian_weight,
     weighted_residual,
 )
 from ghive.inference import (
     Contrast,
+    _g_matrices,
+    _influence_terms,
+    _residuals,
     basis_contrast,
     confidence_interval,
-    g_matrices,
-    influence_terms,
     naive_wald_interval,
     normal_quantile,
     serialize_inference,
@@ -82,7 +83,7 @@ def test_normal_quantile_matches_an_erfinv_oracle():
 def test_gaussian_g_matrices_are_the_design_gram():
     data, _, _ = small_sim_dataset(n=40, p=3, m_dim=2, family="gaussian", seed=2)
     coef = np.zeros((2, 3))
-    g, regularized = g_matrices(data, GAUSSIAN, coef)
+    g, regularized = _g_matrices(data.x, GAUSSIAN, *_residuals(data, GAUSSIAN, coef))
     gram = data.x.T @ data.x / data.n
     for m in range(2):
         assert np.array_equal(g[m], gram)
@@ -96,9 +97,10 @@ def test_g_matrices_match_hand_weights_on_tame_bernoulli_fits():
     coef = 0.1 * np.random.default_rng(2).standard_normal((2, 3))
     eta = data.x @ coef.T
     assert np.max(np.abs(eta)) < 2.0
-    g, _ = g_matrices(data, BERNOULLI, coef)
+    g, _ = _g_matrices(data.x, BERNOULLI, *_residuals(data, BERNOULLI, coef))
     for m in range(2):
-        w = quasi_hessian_weight(BERNOULLI, data.y[:, m], eta[:, m])
+        res = weighted_residual(BERNOULLI, data.y[:, m], eta[:, m])
+        w = hessian_weight(BERNOULLI, eta[:, m], res)
         hand = data.x.T @ (w[:, None] * data.x) / data.n
         assert np.array_equal(g[m], 0.5 * (hand + hand.T))
 
@@ -107,13 +109,14 @@ def test_duplicated_covariate_gets_the_diagonal_bump_and_a_flag():
     data, _, _ = small_sim_dataset(n=60, p=3, m_dim=3, eta=1.0, seed=21)
     data = Dataset(np.hstack([data.x, data.x[:, :1]]), data.y)  # x_4 = x_1
     coef = 0.1 * np.random.default_rng(2).standard_normal((3, 4))
-    g, regularized = g_matrices(data, BERNOULLI, coef)
+    g, regularized = _g_matrices(data.x, BERNOULLI, *_residuals(data, BERNOULLI, coef))
     assert regularized.all()
     eta = data.x @ coef.T
     for m in range(3):
-        w = quasi_hessian_weight(
+        res = weighted_residual(
             BERNOULLI, data.y[:, m], eta[:, m], floor=RESIDUAL_CURVATURE_FLOOR
         )
+        w = hessian_weight(BERNOULLI, eta[:, m], res)
         hand = data.x.T @ (w[:, None] * data.x) / data.n
         hand = 0.5 * (hand + hand.T)
         delta = 1e-8 * (1.0 + abs(np.linalg.eigvalsh(hand)[0]))
@@ -132,7 +135,7 @@ def test_grams_scaled_one_response_at_a_time_match_one_pass(monkeypatch):
         c = Contrast(u=np.random.default_rng(1).standard_normal(10), v=np.array([0.3, -1.0, 0.5]))
 
     def intervals():
-        g = g_matrices(data, BERNOULLI, fit.f_hat.values)
+        g = _g_matrices(data.x, BERNOULLI, *_residuals(data, BERNOULLI, fit.f_hat.values))
         return (
             g,
             confidence_interval(data, BERNOULLI, fit, c),
@@ -160,11 +163,12 @@ def test_influence_terms_compose_residual_and_inverse_curvature():
     data, _, _ = small_sim_dataset(n=30, p=3, m_dim=2, eta=1.0, seed=4)
     coef = 0.2 * np.random.default_rng(7).standard_normal((2, 3))
     v = np.eye(3)[0]
-    g, _ = g_matrices(data, BERNOULLI, coef)
-    h = influence_terms(data, BERNOULLI, coef, g, v)
+    eta, eps = _residuals(data, BERNOULLI, coef)
+    g, _ = _g_matrices(data.x, BERNOULLI, eta, eps)
+    h = _influence_terms(data.x, eps, g, v)
     assert h.shape == (data.n, 2)
     for m in range(2):
-        eps = np.array(
+        eps_m = np.array(
             [
                 weighted_residual(
                     BERNOULLI, data.y[i, m], data.x[i] @ coef[m],
@@ -174,7 +178,7 @@ def test_influence_terms_compose_residual_and_inverse_curvature():
             ]
         )
         direction = np.linalg.solve(g[m], v)
-        assert np.allclose(h[:, m], eps * (data.x @ direction), atol=1e-10)
+        assert np.allclose(h[:, m], eps_m * (data.x @ direction), atol=1e-10)
 
 
 def test_interval_se_is_root_mean_square():

@@ -16,7 +16,7 @@ from ghive.qml import (
     RADIUS,
     CoefMatrix,
     fit_naive_mle,
-    fit_qml_all,
+    fit_qml_many,
     fit_qml_one,
     loglik_gradient,
     loglik_objective,
@@ -106,7 +106,7 @@ def test_separated_bernoulli_fit_stays_inside_the_ball():
 def test_fit_qml_all_averages_the_fold_fits():
     data, _, _ = small_sim_dataset(n=50, seed=4, rep_seed=2)
     split = make_split(data.n, seed=21)
-    fit1, fit2, avg = fit_qml_all(data, BERNOULLI, split)
+    fit1, fit2, avg = fit_qml_many([data], BERNOULLI, [split])[0]
     assert np.allclose(avg.values, 0.5 * (fit1.values + fit2.values), atol=1e-15)
     # both folds' norms, fold d1 first, and a flag per fold fit
     assert np.array_equal(avg.grad_norm, np.column_stack([fit1.grad_norm, fit2.grad_norm]))
@@ -129,10 +129,10 @@ _ZERO = [np.zeros(2)]
         lambda: fit_qml_one(_X, np.where(_X[:, 1] > 1.5, np.nan, _X[:, 0]), GAUSSIAN, _ZERO),
         lambda: fit_qml_one(_X, _Y01[:30], BERNOULLI, _ZERO),
         lambda: fit_qml_one(_X, _Y01[:, None], BERNOULLI, _ZERO),
-        lambda: fit_qml_all(
-            Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI, make_split(40, 0)
+        lambda: fit_qml_many(
+            [Dataset(_X, np.c_[_Y01, 2.0 * _Y01])], BERNOULLI, [make_split(40, 0)]
         ),
-        lambda: fit_qml_all(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON, make_split(40, 0)),
+        lambda: fit_qml_many([Dataset(_X, np.c_[_Y01, -_Y01])], POISSON, [make_split(40, 0)]),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON),
         lambda: fit_qml_one(np.zeros((0, 3)), np.zeros(0), GAUSSIAN, [np.zeros(3)]),
@@ -167,7 +167,7 @@ def test_fold_smaller_than_covariate_count_is_rejected():
     y = (rng.random((5, 2)) < 0.5).astype(float)
     split = make_split(5, seed=1)
     with pytest.raises(DataValidationError):
-        fit_qml_all(Dataset(x, y), BERNOULLI, split)
+        fit_qml_many([Dataset(x, y)], BERNOULLI, [split])
 
 
 def test_poisson_naive_mle_recovers_coefficients():
@@ -316,7 +316,8 @@ def _column_cases(family):
 
 def _all_fits(x, y, family):
     data = Dataset(x, y)
-    return (*fit_qml_all(data, family, make_split(len(x), seed=5)), fit_naive_mle(data, family))
+    (folds,) = fit_qml_many([data], family, [make_split(len(x), seed=5)])
+    return (*folds, fit_naive_mle(data, family))
 
 
 def _assert_same_fits(got, want):
@@ -586,7 +587,7 @@ def test_many_datasets_fit_as_each_dataset_alone(family, n, monkeypatch):
         alone = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
                  for idx in (split.d1, split.d2)]
         _assert_same_fits(folds[:2], alone)
-        _assert_same_fits(folds, fit_qml_all(data, family, split))
+        _assert_same_fits(folds, fit_qml_many([data], family, [split])[0])
         _assert_same_fits([mle], qml._fit_matrix([(data.x, data.y)], family, "loglik"))
 
 

@@ -10,7 +10,7 @@ from ghive import BERNOULLI, GAUSSIAN
 from ghive.data_io import Dataset
 from ghive.errors import DataValidationError, NumericalError
 from ghive.families import RESIDUAL_CURVATURE_FLOOR, weighted_residual
-from ghive.qml import CoefMatrix, fit_qml_all, make_split
+from ghive.qml import CoefMatrix, fit_qml_many, make_split
 from ghive.spectral import (
     covariance_crossfit,
     crossfit_residuals,
@@ -59,7 +59,7 @@ def test_crossfit_residuals_apply_the_curvature_cap():
 def test_covariance_crossfit_averages_the_fold_moments():
     data, _, _ = small_sim_dataset(n=21, p=3, m_dim=3, seed=14)
     split = make_split(data.n, seed=5)
-    f1, f2, _ = fit_qml_all(data, BERNOULLI, split)
+    ((f1, f2, _),) = fit_qml_many([data], BERNOULLI, [split])
     resid = crossfit_residuals(data, BERNOULLI, f1, f2, split)
     sigma = covariance_crossfit(resid, split)
     e1 = resid[split.d1]
