@@ -167,7 +167,6 @@ def cmd_simulate(args) -> int:
     spec = experiments_mod.ExperimentSpec(
         name="simulate",
         grid=(cfg,),
-        estimators=experiments_mod.ERROR_ESTIMATORS,
         reps=cfg.reps,
         seed=cfg.seed,
     )

@@ -14,16 +14,19 @@ redraw the ground truth every replication; the coverage experiment fixes the
 truth per grid point (one pseudo-true target) and derives replication seeds
 as grid_seed XOR rep, so the whole run is reproducible byte for byte.
 
-A grid point's replicates run in chunks (``_bias_reps``, ``_error_reps``,
-``_coverage_reps``): one chunk per grid point when serial, one per worker
-when the GHIVE_THREADS environment variable asks for a process pool, whose
-tasks the chunks are (picklable ``functools.partial`` calls). A chunk draws
-each replicate's data, then makes all its pipeline fits in one
-``ghive_fit_many`` call and all its naive MLEs in one ``fit_naive_many``
-call, so the replicates' small fold fits share the solver's Newton loops.
-Every fit is the one its replicate gets alone, bit for bit, so the rows do
-not depend on the chunking; output ordering is canonicalised either way.
-fig1-bias replicates fit one large oracle each and share nothing.
+One place, :func:`_kind`, decides what an experiment scores: fig1-bias the
+oracle's bias, table1 interval coverage, every other name estimation error.
+
+A grid point's replicates run in chunks, each one :func:`_replicates` task:
+one chunk per grid point when serial, one per worker when the GHIVE_THREADS
+environment variable asks for a process pool (the tasks are picklable
+``functools.partial`` calls). A chunk draws each replicate (:func:`_draw`),
+then makes all its pipeline fits in one ``ghive_fit_many`` call and all its
+naive MLEs in one ``fit_naive_many`` call, so the replicates' small fold
+fits share the solver's Newton loops; fig1-bias chunks draw one large
+oracle per replicate and fit nothing. Every fit is the one its replicate
+gets alone, bit for bit, so the rows do not depend on the chunking; output
+ordering is canonicalised either way.
 
 Each replicate's rows come from one call of its worker (``_bias_rep``,
 ``_error_rep``, ``_coverage_rep``), which hands ``_rows`` a
@@ -31,9 +34,9 @@ Each replicate's rows come from one call of its worker (``_bias_rep``,
 fitted. ``_rows`` alone builds the long rows and records failures: when
 ``score`` raises a ``GhiveError`` or ``LinAlgError`` (a failed draw or fit
 is kept as its error and raised there), that estimator gets the
-experiment's failed metrics (``_FAILED_METRICS``) as NaN with ``failed=1``,
-and the aggregate leaves those rows out of its mean and ``n_used``. A failed
-draw is raised for every estimator, so it fails only its replicate.
+experiment's failed metrics as NaN with ``failed=1``, and the aggregate
+leaves those rows out of its mean and ``n_used``. A failed draw is raised
+for every estimator, so it fails only its replicate.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ from .simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, metrics, 
 ESTIMATOR_NAIVE = "naive-mle"
 ESTIMATOR_FSTAR = "fstar-oracle"
 
-GHIVE_ESTIMATORS = (ORACLE_P, ORACLE_K, DATA_DRIVEN)
-ERROR_ESTIMATORS = GHIVE_ESTIMATORS + (ESTIMATOR_NAIVE,)
+ERROR_ESTIMATORS = (ORACLE_P, ORACLE_K, DATA_DRIVEN, ESTIMATOR_NAIVE)
 
 EXPERIMENT_NAMES = ("fig1-bias", "fig1-eta", "fig2-n", "fig2-m", "table1")
 
@@ -69,12 +71,6 @@ _POINT_FIELDS = ("experiment", "grid_index", "n", "p", "m_dim", "k_true", "eta",
 LONG_FIELDS = _POINT_FIELDS + ("rep", "metric", "value", "failed")
 AGG_FIELDS = _POINT_FIELDS + ("metric", "mean", "stderr", "n_used")
 
-# Metrics a failed estimator reports (as NaN with failed=1), by experiment;
-# every other experiment reports frob_err.
-_FAILED_METRICS = {
-    "fig1-bias": ("bias1", "bias2", "oracle_converged_frac"),
-    "table1": ("covered", "covered_theta", "se", "ci_length", "estimate"),
-}
 _FAILURES = (GhiveError, np.linalg.LinAlgError)
 
 _MASK64 = (1 << 64) - 1
@@ -109,14 +105,18 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One named experiment: a grid of generator configs plus run settings."""
+    """One named experiment: a grid of generator configs plus run settings.
+    The name decides what the experiment scores (:func:`_kind`)."""
 
     name: str
     grid: tuple
-    estimators: tuple
     reps: int
     seed: int
     n_mc: int = 50_000
+
+    @property
+    def estimators(self) -> tuple:
+        return _kind(self)[1]
 
 
 # The coverage table fixes one truth draw per grid point, and draws differ in
@@ -141,7 +141,7 @@ def experiment_spec(
         raise DataValidationError(f"reps must be at least 1, got {reps}")
     if seed is None:
         seed = DEFAULT_SEEDS[name]
-    estimators, n_mc = ERROR_ESTIMATORS, 50_000
+    n_mc = 50_000
     if name == "fig1-bias":
         ps = tuple(range(3, 16)) if full_scale else (3, 6, 9, 12, 15)
         # Identity link: the approximation error of the pseudo-true coefficient
@@ -152,7 +152,7 @@ def experiment_spec(
             SimConfig(n=100, p=p, m_dim=3, k=3, eta=10.0, seed=seed, family="gaussian")
             for p in ps
         )
-        estimators, default_reps = (ESTIMATOR_FSTAR,), 20 if full_scale else 5
+        default_reps = 20 if full_scale else 5
         n_mc = 200_000 if full_scale else 50_000
     elif name == "fig1-eta":
         etas = tuple(range(1, 9)) if full_scale else (1, 2, 4, 6, 8)
@@ -171,11 +171,10 @@ def experiment_spec(
     else:  # table1
         ns = (40, 70) if full_scale else (70,)
         grid = tuple(SimConfig(n=n, p=4, m_dim=4, k=3, eta=4.0, seed=seed) for n in ns)
-        estimators, default_reps, n_mc = (DATA_DRIVEN, ESTIMATOR_NAIVE), 100, 100_000
+        default_reps, n_mc = 100, 100_000
     return ExperimentSpec(
         name=name,
         grid=grid,
-        estimators=estimators,
         reps=default_reps if reps is None else reps,
         seed=seed,
         n_mc=n_mc,
@@ -186,27 +185,39 @@ def experiment_spec(
 # per-replication workers
 
 
+def _kind(spec: ExperimentSpec):
+    """An experiment's replicate worker, its estimators, and the metrics a
+    failed estimator reports; any name but fig1-bias and table1 (``ghive
+    simulate``'s too) is an estimation-error experiment."""
+    if spec.name == "fig1-bias":
+        return _bias_rep, (ESTIMATOR_FSTAR,), ("bias1", "bias2", "oracle_converged_frac")
+    if spec.name == "table1":
+        failed = ("covered", "covered_theta", "se", "ci_length", "estimate")
+        return _coverage_rep, (DATA_DRIVEN, ESTIMATOR_NAIVE), failed
+    return _error_rep, ERROR_ESTIMATORS, ("frob_err",)
+
+
 def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
     """Long rows of one replicate, one per (estimator, metric), from
     ``score(estimator) -> {metric: value}``. A ``GhiveError`` or
     ``LinAlgError`` in ``score`` fails that estimator: it gets the
-    experiment's ``_FAILED_METRICS`` as NaN with ``failed=1``. A failed draw,
+    experiment's failed metrics as NaN with ``failed=1``. A failed draw,
     kept as its error, is raised through :func:`_value` for every estimator.
     """
     cfg = spec.grid[gi]
-    point = {
+    _, estimators, failed_metrics = _kind(spec)
+    shared = {
         "experiment": spec.name, "grid_index": gi, "n": cfg.n, "p": cfg.p,
         "m_dim": cfg.m_dim, "k_true": cfg.k, "eta": float(cfg.eta), "rep": rep,
     }
     rows = []
-    for est in spec.estimators:
+    for est in estimators:
         try:
             values, failed = score(est), 0
         except _FAILURES:
-            values = dict.fromkeys(_FAILED_METRICS.get(spec.name, ("frob_err",)), np.nan)
-            failed = 1
+            values, failed = dict.fromkeys(failed_metrics, np.nan), 1
         rows.extend(
-            {**point, "estimator": est, "metric": m, "value": float(v), "failed": failed}
+            {**shared, "estimator": est, "metric": m, "value": float(v), "failed": failed}
             for m, v in values.items()
         )
     return rows
@@ -227,40 +238,50 @@ def _value(outcome):
     return outcome
 
 
-def _fit_chunk(spec: ExperimentSpec, family, datasets, seeds):
-    """The pipeline fits and naive MLEs of a chunk's datasets (outcomes of
-    their draws), each one outcome per dataset: the drawn datasets' pipeline
-    fits are one ``ghive_fit_many`` call, their naive MLEs one
-    ``fit_naive_many`` call. A failed draw keeps its failure, and a call
-    that raises fails every dataset in it. Only the fits the spec's
-    estimators score are made; the others are never read."""
-    drawn = [i for i, data in enumerate(datasets) if not isinstance(data, Exception)]
+def _draw(spec: ExperimentSpec, cfg: SimConfig, truth):
+    """One replicate's draw under its seeded ``cfg``: the truth (made unless
+    the grid point fixes it), then the dataset, or for fig1-bias the oracle."""
+    if truth is None:
+        truth = make_truth(cfg)
+    if spec.name == "fig1-bias":
+        return truth, fstar_oracle(truth, cfg, n_mc=spec.n_mc)
+    return truth, sample_dataset(truth, cfg, rep_seed=cfg.seed)
+
+
+def _replicates(spec: ExperimentSpec, gi: int, point, reps) -> list:
+    """Rows of a chunk of one grid point's replicates. ``point`` is table1's
+    (truth, target_fstar, target_theta), its replicates seeded grid_seed XOR
+    rep; elsewhere it is None. A failed draw keeps its failure, and a fit
+    call that raises fails every dataset in it."""
+    cfg, grid_seed = spec.grid[gi], _mix(spec.seed, gi)
+    seeds = [grid_seed ^ rep if point else _mix(grid_seed, rep) for rep in reps]
+    truth = point[0] if point else None
+    draws = [_attempt(_draw, spec, replace(cfg, seed=seed), truth) for seed in seeds]
+    drawn = [i for i, d in enumerate(draws) if not isinstance(d, Exception)]
 
     def each(fit_many, *args):
-        fits = _attempt(fit_many, [datasets[i] for i in drawn], family, *args)
-        out = list(datasets)
+        datasets = [draws[i][1] for i in drawn]
+        fits = _attempt(fit_many, datasets, family_from_name(cfg.family), *args)
+        out = list(draws)
         for k, i in enumerate(drawn):
             out[i] = fits if isinstance(fits, Exception) else fits[k]
         return out
 
-    fits = naives = datasets
-    if any(e in GHIVE_ESTIMATORS for e in spec.estimators):
-        fits = each(ghive_fit_many, [seeds[i] for i in drawn])
-    if ESTIMATOR_NAIVE in spec.estimators:
-        naives = each(fit_naive_many)
-    return fits, naives
+    fits = naives = draws
+    if spec.name != "fig1-bias":
+        fits, naives = each(ghive_fit_many, [seeds[i] for i in drawn]), each(fit_naive_many)
+    worker = _kind(spec)[0]
+    return [
+        row for rep, *outcomes in zip(reps, draws, fits, naives)
+        for row in worker(spec, gi, rep, *outcomes, point)
+    ]
 
 
-def _bias_reps(spec: ExperimentSpec, gi: int, reps) -> list:
-    return [row for rep in reps for row in _bias_rep(spec, gi, rep)]
+def _bias_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, point) -> list:
+    """Rows of one oracle-bias replicate, from the outcome of its draw."""
 
-
-def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
-    cfg_r = replace(spec.grid[gi], seed=_mix(_mix(spec.seed, gi), rep))
-
-    def score(est):  # the one estimator is the oracle, drawn here
-        truth = make_truth(cfg_r)
-        oracle = fstar_oracle(truth, cfg_r, n_mc=spec.n_mc)
+    def score(est):  # the one estimator is the oracle
+        truth, oracle = _value(drawn)
         met = metrics(None, truth, f_star=oracle)
         return {
             "bias1": met.bias1,
@@ -271,26 +292,7 @@ def _bias_rep(spec: ExperimentSpec, gi: int, rep: int) -> list:
     return _rows(spec, gi, rep, score)
 
 
-def _truth_and_data(cfg: SimConfig):
-    truth = make_truth(cfg)
-    return truth, sample_dataset(truth, cfg, rep_seed=cfg.seed)
-
-
-def _error_reps(spec: ExperimentSpec, gi: int, reps) -> list:
-    """Rows of a chunk of estimation-error replicates: each draws its own
-    truth and dataset, and the chunk fits them together."""
-    cfg = spec.grid[gi]
-    seeds = [_mix(_mix(spec.seed, gi), rep) for rep in reps]
-    draws = [_attempt(_truth_and_data, replace(cfg, seed=seed)) for seed in seeds]
-    datasets = [d if isinstance(d, Exception) else d[1] for d in draws]
-    fits, naives = _fit_chunk(spec, family_from_name(cfg.family), datasets, seeds)
-    return [
-        row for rep, *outcomes in zip(reps, draws, fits, naives)
-        for row in _error_rep(spec, gi, rep, *outcomes)
-    ]
-
-
-def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive) -> list:
+def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, point) -> list:
     """Rows of one estimation-error replicate, from the outcomes of its
     draw (truth, data), its pipeline fit and its naive MLE."""
     cfg = spec.grid[gi]
@@ -313,32 +315,17 @@ def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive) ->
     return _rows(spec, gi, rep, score)
 
 
-def _coverage_reps(
-    spec: ExperimentSpec, gi: int, truth, target_fstar: float, target_theta: float, reps
-) -> list:
-    """Rows of a chunk of coverage replicates: each draws a dataset from the
-    grid point's truth, and the chunk fits them together."""
-    cfg = spec.grid[gi]
-    seeds = [_mix(spec.seed, gi) ^ rep for rep in reps]
-    datasets = [_attempt(sample_dataset, truth, cfg, seed) for seed in seeds]
-    fits, naives = _fit_chunk(spec, family_from_name(cfg.family), datasets, seeds)
-    return [
-        row for rep, *outcomes in zip(reps, datasets, fits, naives)
-        for row in _coverage_rep(spec, gi, rep, *outcomes, target_fstar, target_theta)
-    ]
-
-
-def _coverage_rep(
-    spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, target_fstar, target_theta
-) -> list:
-    """Rows of one coverage replicate, from the outcomes of its draw, its
-    pipeline fit and its naive MLE."""
+def _coverage_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, point) -> list:
+    """Rows of one coverage replicate, from the outcomes of its draw
+    (truth, data), its pipeline fit and its naive MLE, against the grid
+    point's targets."""
     cfg = spec.grid[gi]
     family = family_from_name(cfg.family)
     contrast = basis_contrast(0, 0, cfg.m_dim, cfg.p)
+    _, target_fstar, target_theta = point
 
     def score(est):
-        data = _value(drawn)
+        _, data = _value(drawn)
         if est == ESTIMATOR_NAIVE:
             res = naive_wald_interval(data, family, _value(naive), contrast, ALPHA)
         else:
@@ -415,7 +402,7 @@ def _map_tasks(tasks, workers: int) -> list:
     if workers == 1 or len(tasks) < 2:
         results = [task() for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_call, tasks))
     return [row for rows in results for row in rows]
 
@@ -423,27 +410,22 @@ def _map_tasks(tasks, workers: int) -> list:
 def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """Run all grid points and replications; optionally write the two CSVs.
 
-    ``fig1-bias`` runs the oracle-bias replicate, ``table1`` the coverage
-    replicate, and every other name (including the one-point spec behind
-    ``ghive simulate``) the estimation-error replicate. Each grid point's
-    replicates go to the workers in chunks (:func:`_chunks`), one per worker.
+    Each grid point's replicates go to the workers in chunks
+    (:func:`_chunks`), one per worker, each a :func:`_replicates` task.
+    table1 first fixes each grid point's truth and targets.
     """
     check_n_mc(spec.n_mc)  # else fig1-bias would fail every replicate instead
     workers, tasks = worker_count(), []
+    chunks = _chunks(spec.reps, workers)
     for gi, cfg in enumerate(spec.grid):
-        if spec.name == "fig1-bias":
-            run = partial(_bias_reps, spec, gi)
-        elif spec.name == "table1":
-            grid_seed = _mix(spec.seed, gi)
-            cfg_g = replace(cfg, seed=grid_seed)
+        point = None
+        if spec.name == "table1":
+            cfg_g = replace(cfg, seed=_mix(spec.seed, gi))
             truth = make_truth(cfg_g)
             oracle = fstar_oracle(truth, cfg_g, n_mc=spec.n_mc)
             target_fstar = float((truth.p_b_perp @ oracle.values)[0, 0])
-            target_theta = float(truth.theta[0, 0])
-            run = partial(_coverage_reps, spec, gi, truth, target_fstar, target_theta)
-        else:
-            run = partial(_error_reps, spec, gi)
-        tasks.extend(partial(run, chunk) for chunk in _chunks(spec.reps, workers))
+            point = (truth, target_fstar, float(truth.theta[0, 0]))
+        tasks.extend(partial(_replicates, spec, gi, point, chunk) for chunk in chunks)
 
     long_rows = sorted(_map_tasks(tasks, workers), key=_row_key)
     agg_rows = aggregate_rows(long_rows)

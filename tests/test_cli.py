@@ -14,7 +14,6 @@ from ghive.cli import main
 from ghive.data_io import save_matrix_csv
 from ghive.experiments import (
     DEFAULT_SEEDS,
-    ERROR_ESTIMATORS,
     EXPERIMENT_NAMES,
     ExperimentResult,
     ExperimentSpec,
@@ -456,9 +455,7 @@ def test_simulate_writes_reproducible_artifacts(tmp_path):
 def test_simulate_is_a_one_point_experiment(tmp_path):
     assert main(SIMULATE_ARGS + ["--out", str(tmp_path / "cli")]) == 0
     cfg = SimConfig(n=30, p=3, m_dim=3, k=2, eta=2.0, family="bernoulli", seed=4, reps=2)
-    spec = ExperimentSpec(
-        name="simulate", grid=(cfg,), estimators=ERROR_ESTIMATORS, reps=2, seed=4
-    )
+    spec = ExperimentSpec(name="simulate", grid=(cfg,), reps=2, seed=4)
     run_experiment(spec, out_dir=tmp_path / "lib")
     for name in ("simulate_long.csv", "simulate_agg.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()

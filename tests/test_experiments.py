@@ -147,10 +147,12 @@ def test_worker_count_env_parsing(monkeypatch):
 def test_process_pool_rows_match_the_serial_run(monkeypatch):
     # the replicate tasks are functools.partial objects that must pickle; 3
     # replicates split unevenly between 2 workers
+    bias = experiment_spec("fig1-bias", reps=3)
     specs = (
         _tiny_spec(),
         dataclasses.replace(_tiny_spec(), reps=3),
         experiment_spec("table1", reps=2, seed=15),
+        dataclasses.replace(bias, grid=bias.grid[:1], n_mc=10_000),
     )
     assert experiments._chunks(3, 2) == [range(0, 1), range(1, 3)]
     monkeypatch.delenv("GHIVE_THREADS", raising=False)
@@ -160,6 +162,29 @@ def test_process_pool_rows_match_the_serial_run(monkeypatch):
     pooled = [run_experiment(spec).long_rows for spec in specs]
     assert pooled == serial
     assert not any(row["failed"] for rows in serial for row in rows)
+
+
+def test_the_process_pool_has_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class InlinePool:  # records the pool size and runs the tasks in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("GHIVE_THREADS", "1000")
+    spec = dataclasses.replace(experiment_spec("table1", reps=2), n_mc=10_000)
+    assert not any(row["failed"] for row in run_experiment(spec).long_rows)
+    assert sizes == [2]
 
 
 def _raise_on(monkeypatch, name, calls):
@@ -217,6 +242,13 @@ COVERAGE_METRICS = {"covered", "covered_theta", "se", "ci_length", "estimate"}
         # run oracle-p then oracle-k for each replicate)
         ("table1", {"confidence_interval": {1}}, {(1, "data-driven")}, COVERAGE_METRICS),
         ("fig2-n", {"with_projection": {3}}, {(1, "oracle-k")}, {"frob_err"}),
+        # rep 1's truth draw fails every estimator of rep 1 only
+        (
+            "fig2-n",
+            {"make_truth": {1}},
+            {(1, e) for e in ("oracle-p", "oracle-k", "data-driven", "naive-mle")},
+            {"frob_err"},
+        ),
     ],
 )
 def test_failed_estimators_get_nan_rows_and_drop_out_of_the_aggregate(
