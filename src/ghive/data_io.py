@@ -14,11 +14,9 @@ takes this path only if it holds nothing but ASCII digits, ``+-.eE``,
 commas, spaces, tabs and line ends; has no integer ``-0`` cell (orjson reads
 it as the int 0 and drops the sign); and its rows, like every other chunk's,
 hold the same number of cells. Lines left empty by LF, CRLF or CR endings
-are skipped, as ``csv.reader`` skips them. A header line (``_is_header``)
-is skipped first if the csv module reads it as that line alone, and the
-rows must then match its width. Any file with a chunk that fails goes
-through the csv module instead, which also reports header errors, accepts
-the rest of ``float()``'s syntax (``1_000``, ``.5``, ``+1``,
+are skipped, as ``csv.reader`` skips them. Any file with a chunk that fails
+goes through the csv module instead, the one place that detects headers,
+accepts the rest of ``float()``'s syntax (``1_000``, ``.5``, ``+1``,
 non-ASCII digits, quoted cells) and locates bad cells. A file that is not
 UTF-8, or a JSON input that does not parse, is a ``DataValidationError``
 naming the path.
@@ -97,7 +95,6 @@ _PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE\d])")
 # larger chunks parse no faster and hold more memory while they do
 _CHUNK_BYTES = 1 << 15
-_FIRST_LINE = re.compile(rb"[\r\n]*([^\r\n]*)")  # after any empty lines
 
 
 def _line_chunks(fh):
@@ -116,37 +113,14 @@ def _line_chunks(fh):
         tail = chunk[cut:]
 
 
-def _is_header(cells) -> bool:
-    """A first row is a header when some cell is not a number to ``float()``."""
-    try:
-        [float(c.strip()) for c in cells]
-    except ValueError:
-        return True
-    return False
-
-
-def _header_width(line: bytes):
-    """The width of a header line that the csv module reads alone, else None."""
-    try:
-        cells = next(csv.reader([line.decode("utf-8")], strict=True))
-    except (UnicodeDecodeError, csv.Error):  # an open quote may run past the line
-        return None
-    return len(cells) if _is_header(cells) else None
-
-
 def _read_plain_numbers(path):
     """The orjson path: the table, or None if any chunk is not plain numbers
-    in rows of one width. Only the first non-empty line may be a header."""
+    in rows of one width."""
     out, rows = None, 0
     with open(path, "rb") as fh:
         for chunk in _line_chunks(fh):
             if chunk.translate(None, _PLAIN_BYTES):
-                header = _FIRST_LINE.match(chunk)
-                width = None if out is not None else _header_width(header[1])
-                chunk = chunk[header.end():]
-                if width is None or chunk.translate(None, _PLAIN_BYTES):
-                    return None
-                out = np.empty((0, width))  # data rows must match the header
+                return None
             lines = list(filter(None, chunk.splitlines()))  # as csv.reader skips them
             if not lines:
                 continue
@@ -166,9 +140,8 @@ def _read_plain_numbers(path):
                 out.resize((max(end, 2 * len(out)), out.shape[1]), refcheck=False)
             out[rows:end] = block
             rows = end
-    if not rows:
-        return None  # empty, or a header alone: the csv path says which
-    out.resize((rows, out.shape[1]), refcheck=False)
+    if out is not None:
+        out.resize((rows, out.shape[1]), refcheck=False)
     return out
 
 
@@ -184,17 +157,26 @@ def _read_csv_rows(path) -> np.ndarray:
     if not raw:
         raise DataValidationError(f"{path}: file is empty")
 
-    start = int(_is_header(raw[0]))
-    if len(raw) == start:
-        raise DataValidationError(f"{path}: no data rows after header")
+    headers = None
+    start = 0
+    first = [c.strip() for c in raw[0]]
+    try:
+        [float(c) for c in first]
+    except ValueError:
+        headers = first
+        start = 1
+        if len(raw) == 1:
+            raise DataValidationError(f"{path}: no data rows after header")
 
     rows = raw[start:]
     width = len(rows[0])
     for i, row in enumerate(rows, start + 1):
         if len(row) != width:
             raise DataValidationError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-    if start and len(raw[0]) != width:
-        raise DataValidationError(f"{path}: header has {len(raw[0])} cells, data rows have {width}")
+    if headers is not None and len(headers) != width:
+        raise DataValidationError(
+            f"{path}: header has {len(headers)} cells, data rows have {width}"
+        )
     try:
         # the cast parses each cell with float(), so it accepts what float() does
         return np.asarray(rows, dtype=float)

@@ -14,8 +14,9 @@ redraw the ground truth every replication; the coverage experiment fixes the
 truth per grid point (one pseudo-true target) and derives replication seeds
 as grid_seed XOR rep, so the whole run is reproducible byte for byte.
 
-One place, :func:`_kind`, decides what an experiment scores: fig1-bias the
-oracle's bias, table1 interval coverage, every other name estimation error.
+One place, :func:`_kind`, decides what an experiment draws, fits and scores:
+fig1-bias the oracle's bias, table1 interval coverage at fixed truths, and
+every other name estimation error.
 
 A grid point's replicates run in chunks, each one :func:`_replicates` task:
 one chunk per grid point when serial, one per worker when the GHIVE_THREADS
@@ -46,6 +47,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -114,10 +116,6 @@ class ExperimentSpec:
     seed: int
     n_mc: int = 50_000
 
-    @property
-    def estimators(self) -> tuple:
-        return _kind(self)[1]
-
 
 # The coverage table fixes one truth draw per grid point, and draws differ in
 # how far confounding shifts the target coordinate; seed 15 is one where the
@@ -185,16 +183,32 @@ def experiment_spec(
 # per-replication workers
 
 
-def _kind(spec: ExperimentSpec):
-    """An experiment's replicate worker, its estimators, and the metrics a
-    failed estimator reports; any name but fig1-bias and table1 (``ghive
-    simulate``'s too) is an estimation-error experiment."""
+class _Kind(NamedTuple):
+    worker: Callable  # (spec, gi, rep, drawn[, fitted, naive][, point]) -> rows
+    estimators: tuple
+    failed: tuple  # the metrics a failed estimator reports, as NaN
+    fits: bool  # draws and fits a dataset; else draws the oracle
+    point: Callable | None  # (spec, gi) -> what a grid point fixes
+
+
+def _kind(spec: ExperimentSpec) -> _Kind:
+    """What an experiment does with its replicates. Any name but fig1-bias
+    and table1 (``ghive simulate``'s too) is an estimation-error experiment."""
     if spec.name == "fig1-bias":
-        return _bias_rep, (ESTIMATOR_FSTAR,), ("bias1", "bias2", "oracle_converged_frac")
+        failed = ("bias1", "bias2", "oracle_converged_frac")
+        return _Kind(_bias_rep, (ESTIMATOR_FSTAR,), failed, False, None)
     if spec.name == "table1":
         failed = ("covered", "covered_theta", "se", "ci_length", "estimate")
-        return _coverage_rep, (DATA_DRIVEN, ESTIMATOR_NAIVE), failed
-    return _error_rep, ERROR_ESTIMATORS, ("frob_err",)
+        return _Kind(_coverage_rep, (DATA_DRIVEN, ESTIMATOR_NAIVE), failed, True, _targets)
+    return _Kind(_error_rep, ERROR_ESTIMATORS, ("frob_err",), True, None)
+
+
+def _targets(spec: ExperimentSpec, gi: int) -> tuple:
+    """table1's grid point: its truth, and the oracle's and truth's targets."""
+    cfg = replace(spec.grid[gi], seed=_mix(spec.seed, gi))
+    truth = make_truth(cfg)
+    oracle = fstar_oracle(truth, cfg, n_mc=spec.n_mc)
+    return truth, float((truth.p_b_perp @ oracle.values)[0, 0]), float(truth.theta[0, 0])
 
 
 def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
@@ -204,18 +218,17 @@ def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
     experiment's failed metrics as NaN with ``failed=1``. A failed draw,
     kept as its error, is raised through :func:`_value` for every estimator.
     """
-    cfg = spec.grid[gi]
-    _, estimators, failed_metrics = _kind(spec)
+    cfg, kind = spec.grid[gi], _kind(spec)
     shared = {
         "experiment": spec.name, "grid_index": gi, "n": cfg.n, "p": cfg.p,
         "m_dim": cfg.m_dim, "k_true": cfg.k, "eta": float(cfg.eta), "rep": rep,
     }
     rows = []
-    for est in estimators:
+    for est in kind.estimators:
         try:
             values, failed = score(est), 0
         except _FAILURES:
-            values, failed = dict.fromkeys(failed_metrics, np.nan), 1
+            values, failed = dict.fromkeys(kind.failed, np.nan), 1
         rows.extend(
             {**shared, "estimator": est, "metric": m, "value": float(v), "failed": failed}
             for m, v in values.items()
@@ -240,20 +253,21 @@ def _value(outcome):
 
 def _draw(spec: ExperimentSpec, cfg: SimConfig, truth):
     """One replicate's draw under its seeded ``cfg``: the truth (made unless
-    the grid point fixes it), then the dataset, or for fig1-bias the oracle."""
+    the grid point fixes it), then the dataset, or the oracle if the
+    experiment fits nothing."""
     if truth is None:
         truth = make_truth(cfg)
-    if spec.name == "fig1-bias":
-        return truth, fstar_oracle(truth, cfg, n_mc=spec.n_mc)
-    return truth, sample_dataset(truth, cfg, rep_seed=cfg.seed)
+    if _kind(spec).fits:
+        return truth, sample_dataset(truth, cfg, rep_seed=cfg.seed)
+    return truth, fstar_oracle(truth, cfg, n_mc=spec.n_mc)
 
 
 def _replicates(spec: ExperimentSpec, gi: int, point, reps) -> list:
-    """Rows of a chunk of one grid point's replicates. ``point`` is table1's
-    (truth, target_fstar, target_theta), its replicates seeded grid_seed XOR
-    rep; elsewhere it is None. A failed draw keeps its failure, and a fit
-    call that raises fails every dataset in it."""
-    cfg, grid_seed = spec.grid[gi], _mix(spec.seed, gi)
+    """Rows of a chunk of one grid point's replicates. ``point`` is what the
+    grid point fixes (table1's :func:`_targets`), its replicates then seeded
+    grid_seed XOR rep; elsewhere it is None. A failed draw keeps its
+    failure, and a fit call that raises fails every dataset in it."""
+    kind, cfg, grid_seed = _kind(spec), spec.grid[gi], _mix(spec.seed, gi)
     seeds = [grid_seed ^ rep if point else _mix(grid_seed, rep) for rep in reps]
     truth = point[0] if point else None
     draws = [_attempt(_draw, spec, replace(cfg, seed=seed), truth) for seed in seeds]
@@ -267,17 +281,15 @@ def _replicates(spec: ExperimentSpec, gi: int, point, reps) -> list:
             out[i] = fits if isinstance(fits, Exception) else fits[k]
         return out
 
-    fits = naives = draws
-    if spec.name != "fig1-bias":
-        fits, naives = each(ghive_fit_many, [seeds[i] for i in drawn]), each(fit_naive_many)
-    worker = _kind(spec)[0]
-    return [
-        row for rep, *outcomes in zip(reps, draws, fits, naives)
-        for row in worker(spec, gi, rep, *outcomes, point)
-    ]
+    outcomes = [draws]
+    if kind.fits:
+        outcomes += [each(ghive_fit_many, [seeds[i] for i in drawn]), each(fit_naive_many)]
+    if point:
+        outcomes.append([point] * len(reps))
+    return [row for rep, *got in zip(reps, *outcomes) for row in kind.worker(spec, gi, rep, *got)]
 
 
-def _bias_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, point) -> list:
+def _bias_rep(spec: ExperimentSpec, gi: int, rep: int, drawn) -> list:
     """Rows of one oracle-bias replicate, from the outcome of its draw."""
 
     def score(est):  # the one estimator is the oracle
@@ -292,7 +304,7 @@ def _bias_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, poi
     return _rows(spec, gi, rep, score)
 
 
-def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, point) -> list:
+def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive) -> list:
     """Rows of one estimation-error replicate, from the outcomes of its
     draw (truth, data), its pipeline fit and its naive MLE."""
     cfg = spec.grid[gi]
@@ -318,7 +330,7 @@ def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, po
 def _coverage_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive, point) -> list:
     """Rows of one coverage replicate, from the outcomes of its draw
     (truth, data), its pipeline fit and its naive MLE, against the grid
-    point's targets."""
+    point's :func:`_targets`."""
     cfg = spec.grid[gi]
     family = family_from_name(cfg.family)
     contrast = basis_contrast(0, 0, cfg.m_dim, cfg.p)
@@ -411,20 +423,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """Run all grid points and replications; optionally write the two CSVs.
 
     Each grid point's replicates go to the workers in chunks
-    (:func:`_chunks`), one per worker, each a :func:`_replicates` task.
-    table1 first fixes each grid point's truth and targets.
+    (:func:`_chunks`), one per worker, each a :func:`_replicates` task,
+    after the grid point's fixed truth and targets if it has them.
     """
     check_n_mc(spec.n_mc)  # else fig1-bias would fail every replicate instead
-    workers, tasks = worker_count(), []
+    kind, workers, tasks = _kind(spec), worker_count(), []
     chunks = _chunks(spec.reps, workers)
-    for gi, cfg in enumerate(spec.grid):
-        point = None
-        if spec.name == "table1":
-            cfg_g = replace(cfg, seed=_mix(spec.seed, gi))
-            truth = make_truth(cfg_g)
-            oracle = fstar_oracle(truth, cfg_g, n_mc=spec.n_mc)
-            target_fstar = float((truth.p_b_perp @ oracle.values)[0, 0])
-            point = (truth, target_fstar, float(truth.theta[0, 0]))
+    for gi in range(len(spec.grid)):
+        point = kind.point(spec, gi) if kind.point else None
         tasks.extend(partial(_replicates, spec, gi, point, chunk) for chunk in chunks)
 
     long_rows = sorted(_map_tasks(tasks, workers), key=_row_key)

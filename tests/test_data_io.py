@@ -107,20 +107,15 @@ def test_reader_matches_the_reference_bit_for_bit_or_rejects(tmp_path, name):
     assert got.tobytes() == want.tobytes()
 
 
-def _csv_path_spy(monkeypatch):
-    """Paths the csv-module reader is called on, from now on."""
-    called, read_rows = [], data_io._read_csv_rows
+def test_corpus_takes_both_readers(tmp_path, monkeypatch):
+    csv_path = set()
+    read_rows = data_io._read_csv_rows
 
     def spy(path):
-        called.append(path)
+        csv_path.add(path)
         return read_rows(path)
 
     monkeypatch.setattr(data_io, "_read_csv_rows", spy)
-    return called
-
-
-def test_corpus_takes_both_readers(tmp_path, monkeypatch):
-    csv_path = _csv_path_spy(monkeypatch)
     paths = {name: _write(tmp_path, name) for name in CORPUS}
     paths["17-digits-2000x50"] = tmp_path / "17-digits-2000x50.csv"
     np.savetxt(paths["17-digits-2000x50"], np.random.default_rng(0).standard_normal((2000, 50)),
@@ -130,62 +125,14 @@ def test_corpus_takes_both_readers(tmp_path, monkeypatch):
             read_csv_table(path)
         except DataValidationError:
             pass
-    # plain ASCII numbers, BOM or not, under a header row or not, go through
-    # the orjson reader ...
+    # plain ASCII numbers, BOM or not, go through the orjson reader ...
     plain = ("plain", "bom", "crlf", "cr", "one-column", "17-digits", "blank-lines")
-    headed = ("header", "quoted-header", "bom-header", "boolean-header")
-    for name in plain + headed + ("17-digits-2000x50",):
+    for name in plain + ("17-digits-2000x50",):
         assert paths[name] not in csv_path, name
     # ... and anything it refuses through the csv module.
-    for name in ("header-only", "header-too-wide", "quoted-newline", "empty", "latin-1",
-                 "ragged-short"):
+    for name in ("header", "quoted-newline", "empty", "latin-1", "ragged-short"):
         assert paths[name] in csv_path, name
     assert 0 < len(csv_path) < len(paths)
-
-
-def test_a_header_row_keeps_the_orjson_path_and_its_bits(tmp_path, monkeypatch):
-    values = np.random.default_rng(3).standard_normal((2000, 50))
-    body = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values)
-    headers = {
-        "names": ",".join(f"c{j}" for j in range(50)),
-        "quoted": ",".join(f'"col {j}"' for j in range(50)),
-        "non-ascii": ",".join(f"température{j}" for j in range(50)),
-        "blank-lines-first": "\r\n\n" + ",".join(f"c{j}" for j in range(50)),
-    }
-    read_rows = data_io._read_csv_rows
-    called = _csv_path_spy(monkeypatch)
-    for name, header in headers.items():
-        path = tmp_path / f"{name}.csv"
-        path.write_text(header + "\n" + body, encoding="utf-8")
-        got = read_csv_table(path)
-        assert not called, name
-        assert got.tobytes() == read_rows(path).tobytes() == values.tobytes(), name
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        ("a,b,c\n1,2\n", "header has 3 cells, data rows have 2"),
-        ("a,b\n1,2,3\n", "header has 2 cells, data rows have 3"),
-        ("a,b\n", "no data rows after header"),
-        ("a,b\n\n\n", "no data rows after header"),
-        (b"\xe9,b\n1,2\n", "not UTF-8 text"),
-        ('x,"a\n1,2\n', "no data rows after header"),  # the quote runs to the end
-        ("1_000,2\n1,2\n", None),  # float() takes 1_000: a data row
-    ],
-)
-def test_what_the_header_branch_refuses_goes_to_the_csv_path(
-    tmp_path, monkeypatch, content, message
-):
-    path = tmp_path / "t.csv"
-    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-    called = _csv_path_spy(monkeypatch)
-    if message is None:
-        assert read_csv_table(path).tolist() == [[1000.0, 2.0], [1.0, 2.0]]
-    else:
-        with pytest.raises(DataValidationError, match=re.escape(f"{path}: {message}")):
-            read_csv_table(path)
-    assert called == [path]
 
 
 def test_bom_keeps_the_first_data_row(tmp_path):
