@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments as experiments_mod
 from .data_io import load_dataset, matrix_to_json, read_csv_table, read_json, write_json_atomic
 from .errors import DataValidationError, GhiveError
-from .families import family_from_name
+from .families import FAMILY_NAMES, family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
 from .pipeline import Mode, deserialize_fit, ghive_fit, serialize_fit
 from .simulate import SimConfig, fstar_oracle, make_truth, metrics
@@ -45,7 +45,7 @@ _SIM_FLAGS = {
 
 def _add_sim_config_flags(sub):
     sub.add_argument("--config", help="simulation config JSON file (excludes the flags below)")
-    sub.add_argument("--family", choices=("gaussian", "bernoulli", "poisson"))
+    sub.add_argument("--family", choices=FAMILY_NAMES)
     sub.add_argument("--n", type=int, help="sample size per replicate")
     sub.add_argument("--p", type=int, help="number of covariates")
     sub.add_argument("--m", type=int, help="number of responses")
@@ -226,9 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the pipeline to CSV data")
     fit.add_argument("--x", required=True, help="covariate CSV (n x p)")
     fit.add_argument("--y", required=True, help="response CSV (n x M)")
-    fit.add_argument(
-        "--family", required=True, choices=("gaussian", "bernoulli", "poisson")
-    )
+    fit.add_argument("--family", required=True, choices=FAMILY_NAMES)
     fit.add_argument(
         "--k",
         default="auto",

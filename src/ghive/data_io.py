@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 import os
 import re
@@ -157,26 +158,20 @@ def _read_csv_rows(path) -> np.ndarray:
     if not raw:
         raise DataValidationError(f"{path}: file is empty")
 
-    headers = None
-    start = 0
-    first = [c.strip() for c in raw[0]]
     try:
-        [float(c) for c in first]
-    except ValueError:
-        headers = first
+        [float(c) for c in raw[0]]
+        start = 0
+    except ValueError:  # a header row
         start = 1
         if len(raw) == 1:
             raise DataValidationError(f"{path}: no data rows after header")
-
     rows = raw[start:]
     width = len(rows[0])
     for i, row in enumerate(rows, start + 1):
         if len(row) != width:
             raise DataValidationError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-    if headers is not None and len(headers) != width:
-        raise DataValidationError(
-            f"{path}: header has {len(headers)} cells, data rows have {width}"
-        )
+    if start and len(raw[0]) != width:
+        raise DataValidationError(f"{path}: header has {len(raw[0])} cells, data rows have {width}")
     try:
         # the cast parses each cell with float(), so it accepts what float() does
         return np.asarray(rows, dtype=float)
@@ -237,9 +232,7 @@ def save_matrix_csv(path, matrix) -> None:
 
 def write_csv_rows(path, fieldnames, rows) -> None:
     """Write dict rows as CSV atomically; floats get 17 significant digits."""
-    import io as _io
-
-    buf = _io.StringIO()
+    buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
@@ -266,14 +259,8 @@ def read_json(path):
 # JSON matrix encoding: row-major nested lists with explicit dimensions
 
 
-def matrix_to_json(matrix) -> dict:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
-    return {
-        "dims": [int(matrix.shape[0]), int(matrix.shape[1])],
-        "data": [[float(v) for v in row] for row in matrix],
-    }
+def matrix_to_json(matrix: np.ndarray) -> dict:
+    return {"dims": list(matrix.shape), "data": matrix.tolist()}
 
 
 def matrix_from_json(obj, name="matrix") -> np.ndarray:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: validation and usage problems
-exit with 2, numerical failures (degenerate spectra, singular systems)
-exit with 1.
+exit with 2, numerical failures (degenerate spectra, singular systems,
+overflow) exit with 1.
 """
 
 

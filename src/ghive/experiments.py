@@ -33,11 +33,11 @@ Each replicate's rows come from one call of its worker (``_bias_rep``,
 ``_error_rep``, ``_coverage_rep``), which hands ``_rows`` a
 ``score(estimator) -> {metric: value}`` over what the replicate drew and
 fitted. ``_rows`` alone builds the long rows and records failures: when
-``score`` raises a ``GhiveError`` or ``LinAlgError`` (a failed draw or fit
-is kept as its error and raised there), that estimator gets the
-experiment's failed metrics as NaN with ``failed=1``, and the aggregate
-leaves those rows out of its mean and ``n_used``. A failed draw is raised
-for every estimator, so it fails only its replicate.
+``score`` raises a ``GhiveError`` (a failed draw or fit is kept as its error
+and raised there), that estimator gets the experiment's failed metrics as
+NaN with ``failed=1``, and the aggregate leaves those rows out of its mean
+and ``n_used``. A failed draw is raised for every estimator, so it fails
+only its replicate.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ ALPHA = 0.05  # the coverage experiment's intervals are at level 1 - ALPHA
 _POINT_FIELDS = ("experiment", "grid_index", "n", "p", "m_dim", "k_true", "eta", "estimator")
 LONG_FIELDS = _POINT_FIELDS + ("rep", "metric", "value", "failed")
 AGG_FIELDS = _POINT_FIELDS + ("metric", "mean", "stderr", "n_used")
-
-_FAILURES = (GhiveError, np.linalg.LinAlgError)
 
 _MASK64 = (1 << 64) - 1
 
@@ -213,10 +211,10 @@ def _targets(spec: ExperimentSpec, gi: int) -> tuple:
 
 def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
     """Long rows of one replicate, one per (estimator, metric), from
-    ``score(estimator) -> {metric: value}``. A ``GhiveError`` or
-    ``LinAlgError`` in ``score`` fails that estimator: it gets the
-    experiment's failed metrics as NaN with ``failed=1``. A failed draw,
-    kept as its error, is raised through :func:`_value` for every estimator.
+    ``score(estimator) -> {metric: value}``. A ``GhiveError`` in ``score``
+    fails that estimator: it gets the experiment's failed metrics as NaN
+    with ``failed=1``. A failed draw, kept as its error, is raised through
+    :func:`_value` for every estimator.
     """
     cfg, kind = spec.grid[gi], _kind(spec)
     shared = {
@@ -227,7 +225,7 @@ def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
     for est in kind.estimators:
         try:
             values, failed = score(est), 0
-        except _FAILURES:
+        except GhiveError:
             values, failed = dict.fromkeys(kind.failed, np.nan), 1
         rows.extend(
             {**shared, "estimator": est, "metric": m, "value": float(v), "failed": failed}
@@ -237,10 +235,10 @@ def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the failure (``_FAILURES``) it raised."""
+    """``fn(*args)``, or the ``GhiveError`` it raised."""
     try:
         return fn(*args)
-    except _FAILURES as failure:
+    except GhiveError as failure:
         return failure
 
 

@@ -64,7 +64,7 @@ VARIANCE_FLOOR = 1e-10
 # count grows.
 RESIDUAL_CURVATURE_FLOOR = 5e-2
 
-_FAMILY_NAMES = ("gaussian", "bernoulli", "poisson")
+FAMILY_NAMES = ("gaussian", "bernoulli", "poisson")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ class GlmFamily:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_NAMES:
+        if self.kind not in FAMILY_NAMES:
             raise DataValidationError(
-                f"unknown family {self.kind!r}; expected one of {_FAMILY_NAMES}"
+                f"unknown family {self.kind!r}; expected one of {FAMILY_NAMES}"
             )
 
     def __str__(self):
@@ -294,7 +294,7 @@ def validate_response(family: GlmFamily, y) -> None:
         if np.any(bad):
             idx = np.argwhere(bad)[0]
             raise DataValidationError(
-                f"bernoulli response must be 0 or 1; found {y[tuple(idx)]!r} "
+                f"bernoulli response must be 0 or 1; found {float(y[tuple(idx)])} "
                 f"at position {tuple(int(i) for i in idx)}"
             )
     elif family.kind == "poisson":

@@ -21,6 +21,7 @@ observed information, for comparison in the simulation study.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,14 +91,16 @@ def _residuals(data: Dataset, family: GlmFamily, coef_values: np.ndarray):
     """Predictors ``eta`` and floored weighted residuals ``eps`` (both n x M)
     at the coefficient rows, computed once for the G matrices and the
     influence terms."""
-    eta = _finite_predictors(data.x @ coef_values.T)
+    eta = _finite_predictors(data.x @ coef_values.T, coef_values)
     return eta, weighted_residual(family, data.y, eta, floor=families.RESIDUAL_CURVATURE_FLOOR)
 
 
-def _finite_predictors(eta: np.ndarray) -> np.ndarray:
-    """``eta`` unchanged, once checked: fits read from files enter here."""
+def _finite_predictors(eta: np.ndarray, coef_values: np.ndarray) -> np.ndarray:
+    """``eta``, checked: a non-finite fit is a DataValidationError, overflow a NumericalError."""
+    if not np.isfinite(coef_values).all():
+        raise DataValidationError("fit coefficients are not finite")
     if not np.isfinite(eta).all():
-        raise DataValidationError("fit coefficients give non-finite linear predictors")
+        raise NumericalError("the linear predictors are not finite; the data are too large")
     return eta
 
 
@@ -111,7 +114,7 @@ def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarr
     |min eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
     matrices and the (M,) bool flags.
     """
-    g = weighted_gram(x, hessian_weight(family, eta.T, eps.T)) / len(x)
+    g = _finite_grams(x, hessian_weight(family, eta.T, eps.T), "a curvature matrix") / len(x)
     g = 0.5 * (g + g.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(g)
     bumped = eigs[:, 0] < _G_EIG_RTOL * np.maximum(1.0, eigs[:, -1])
@@ -120,21 +123,29 @@ def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarr
     return g, bumped
 
 
-def _solve_each(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows ``a[k]^{-1} v`` of a stack of (p, p) matrices, one stacked solve."""
-    return np.linalg.solve(a, np.broadcast_to(v[:, None], a.shape[:2] + (1,)))[..., 0]
+def _finite_grams(x: np.ndarray, weights: np.ndarray, name: str) -> np.ndarray:
+    """:func:`weighted_gram` of ``x`` per weight row; overflow is a NumericalError."""
+    grams = weighted_gram(x, weights)
+    if not np.isfinite(grams).all():
+        raise NumericalError(f"{name} is not finite; the data are too large to form intervals")
+    return grams
+
+
+def _solve_each(a: np.ndarray, v: np.ndarray, name: str) -> np.ndarray:
+    """Rows ``a[k]^{-1} v`` of a stack of (p, p) matrices, one stacked solve;
+    a singular matrix is a NumericalError naming it."""
+    try:
+        return np.linalg.solve(a, np.broadcast_to(v[:, None], a.shape[:2] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{name} is singular; cannot form intervals") from None
 
 
 def _influence_terms(x: np.ndarray, eps: np.ndarray, g: np.ndarray, v: np.ndarray):
     """Per-observation influence terms h (n x M) for direction v, from the
     residuals ``eps`` of :func:`_residuals` and the curvature matrices ``g``
     (M, p, p) of :func:`_g_matrices`."""
-    try:
-        # rows w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
-        w = _solve_each(g, v)
-    except np.linalg.LinAlgError:
-        raise NumericalError("a curvature matrix is singular; cannot form intervals")
-    return eps * (x @ w.T)
+    # rows w_m = G_m^{-1} v, so h[i, m] = eps[i, m] * x_i . w_m
+    return eps * (x @ _solve_each(g, v, "a curvature matrix").T)
 
 
 @dataclass
@@ -158,12 +169,15 @@ def _quantile(alpha: float) -> float:
 
 
 def _interval(estimate, se, s_sq, alpha, q, g_regularized) -> InferenceResult:
+    """The interval ``estimate +- q * se``; one that is not finite is a NumericalError."""
     half = q * se
-    return InferenceResult(
-        estimate, se, estimate - half, estimate + half, alpha, q, s_sq, g_regularized
-    )
+    lo, hi = estimate - half, estimate + half
+    if not all(map(math.isfinite, (estimate, se, s_sq, lo, hi))):
+        raise NumericalError("the interval is not finite; the data are too large")
+    return InferenceResult(estimate, se, lo, hi, alpha, q, s_sq, g_regularized)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is caught as non-finite
 def confidence_interval(
     data: Dataset, family: GlmFamily, fit, contrast: Contrast, alpha: float = 0.05
 ) -> InferenceResult:
@@ -198,6 +212,7 @@ def confidence_interval(
     return _interval(estimate, se, s_sq, alpha, q, np.flatnonzero(regularized).tolist())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def naive_wald_interval(
     data: Dataset, family: GlmFamily, coef: CoefMatrix, contrast: Contrast, alpha: float = 0.05
 ) -> InferenceResult:
@@ -211,18 +226,15 @@ def naive_wald_interval(
     if len(contrast.u) != coef.values.shape[0] or len(contrast.v) != coef.values.shape[1]:
         raise DataValidationError("contrast dimensions do not match the fit")
     rows = np.flatnonzero(contrast.u)
-    eta = _finite_predictors((data.x @ coef.values.T).T[rows])
-    info = weighted_gram(data.x, cumulant_d2(family, eta))
-    try:
-        w = _solve_each(info, contrast.v)
-    except np.linalg.LinAlgError:
-        raise NumericalError("the Fisher information of a response in u is singular")
+    eta = _finite_predictors((data.x @ coef.values.T).T[rows], coef.values[rows])
+    name = "the Fisher information of a response in u"
+    w = _solve_each(_finite_grams(data.x, cumulant_d2(family, eta), name), contrast.v, name)
     var = 0.0
     # Python floats in response order: np.sum and np.power round differently
     for u_m, v_w in zip(contrast.u[rows].tolist(), (contrast.v @ w[..., None])[:, 0].tolist()):
         var += u_m**2 * v_w
     var = max(var, 0.0)
-    estimate = float(contrast.u @ coef.values @ contrast.v)
+    estimate = float(contrast.u[rows] @ coef.values[rows] @ contrast.v)
     return _interval(estimate, float(np.sqrt(var)), var * data.n, alpha, q, [])
 
 

@@ -141,11 +141,11 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     each. Their fold fits are one solve (:func:`~ghive.qml.fit_qml_many`),
     and each fit is the one its dataset gets alone, bit for bit.
 
-    Returns one entry per dataset: its GhiveFit, or the ``GhiveError`` or
-    ``LinAlgError`` raised while assembling it (``select_k``'s
-    ``NumericalError``, ``eigh``'s ``LinAlgError``), so that such a failure
-    fails only its dataset. A seed or dataset that cannot be fitted at all
-    raises for the whole call.
+    Returns one entry per dataset: its GhiveFit, or the ``GhiveError``
+    raised while assembling it (a non-finite ``sigma_hat`` or a spectrum with
+    no positive eigenvalue), so that such a failure fails only its dataset.
+    A fold fit that overflows is flagged unconverged, not raised. A seed or
+    dataset that cannot be fitted at all raises for the whole call.
     """
     mode = mode or Mode.data_driven()
     splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds, strict=True)]
@@ -157,7 +157,7 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
             resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
             sigma = spectral.covariance_crossfit(resid, split)
             fits.append(_assemble(family, split, mode, coef_avg, sigma))
-        except (GhiveError, np.linalg.LinAlgError) as failure:
+        except GhiveError as failure:
             fits.append(failure)
     return fits
 

@@ -290,15 +290,12 @@ def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.n
 
 
 def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton directions from the negated Hessians ``curv`` (C, p, p), one
-    Cholesky solve per column, and the gradient where that is unusable.
+    """Newton directions from the finite negated Hessians ``curv`` (C, p, p),
+    one Cholesky solve per column, and the gradient where that is unusable.
 
     A failed factorisation gets one retry after adding
-    ``delta = 1e-8 * (1 + |min eigenvalue|)`` to the diagonal. Non-finite
-    input raises ValueError.
+    ``delta = 1e-8 * (1 + |min eigenvalue|)`` to the diagonal.
     """
-    if not (np.isfinite(curv).all() and np.isfinite(grad).all()):
-        raise ValueError("curvature matrices and gradients must be finite")
     d = grad.copy()
     for c in range(len(grad)):
         _, solved, info = dposv(curv[c], grad[c], lower=1)
@@ -359,18 +356,19 @@ def _newton_ascent(xs, ys, family, starts, kind):
     return tuple(a.reshape((g_dim, c_dim) + a.shape[1:]) for a in out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ascent_block(x, xt, y, family, f, kind):
     """One block of :func:`_newton_ascent`, ``y`` (C, n). ``x`` is the
     design the columns share, (n, p), with ``xt`` its C-contiguous transpose
     for :func:`weighted_gram`, or each column's own design, (C, n, p), with
     ``xt`` None; a column's products, hence its bits, are the same either
     way. A column stops on ``grad_norm < TOL``, after MAX_ITER iterations or
-    on a line search with no increase; one whose start has a non-finite
-    objective is reported as-is. The line search tries the full step for
-    every column, then stacks each failing column's next halvings, as many
-    per round as keep the (candidates, n) predictors within STACK_ELEMENTS,
-    and takes the first that increases the objective, as one halving at a
-    time would.
+    on a line search with no increase; one whose start, gradient or
+    curvature is not finite (overflow, not warned about) stops where it is,
+    unconverged. The line search tries the full step for every column, then
+    stacks each failing column's next halvings, as many per round as keep
+    the (candidates, n) predictors within STACK_ELEMENTS, and takes the
+    first that increases the objective, as one halving at a time would.
 
     Each iterate is evaluated once: the predictors of the accepted candidate
     are kept for the next gradient and curvature, and the score residual
@@ -402,12 +400,11 @@ def _ascent_block(x, xt, y, family, f, kind):
             d1 = cumulant_d1(family, eta_live)
             score = y_live - d1
         grad[live] = _gradient(x_live, score)
-        grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
-        going = grad_norm[live] >= TOL
+        norm = grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
+        going = (norm >= TOL) & np.isfinite(norm)
         live = live[going]
         if it == MAX_ITER or not live.size:
             break
-        n_iter[live] = it + 1
         keep = slice(None) if going.all() else going
         if kind == "quasi":
             weight = hessian_weight(family, eta_live[keep], score[keep])
@@ -416,6 +413,10 @@ def _ascent_block(x, xt, y, family, f, kind):
         curv = weighted_gram(x if shared else x_live[keep], weight, xt, buf) / n
         # free the iterate's (C, n) arrays before the line search makes its own
         del eta_live, y_live, x_live, d1, score, weight
+        if not np.isfinite(curv).all():
+            finite = np.isfinite(curv).all(axis=(1, 2))
+            live, curv = live[finite], curv[finite]
+        n_iter[live] = it + 1
         direction = _ascent_directions(curv, grad[live])
         # keep the backtracking scale meaningful: a near-singular curvature
         # matrix can suggest steps many orders of magnitude longer than the

@@ -190,6 +190,7 @@ def _sigma_z_sqrt(sigma_z: np.ndarray) -> np.ndarray:
     return q * np.sqrt(np.clip(lam, 0.0, None))
 
 
+@np.errstate(over="ignore")  # a poisson rate that overflows is refused below
 def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset:
     """Draw one dataset of config.n rows from the truth.
 

@@ -34,6 +34,7 @@ class SpectralResult:
     p_perp: np.ndarray  # (M, M) complement projector applied to coefficients
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow leaves sigma_hat non-finite
 def crossfit_residuals(
     data, family: GlmFamily, coef_d1: CoefMatrix, coef_d2: CoefMatrix, split: SplitPlan
 ) -> np.ndarray:
@@ -53,6 +54,7 @@ def crossfit_residuals(
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def covariance_crossfit(resid: np.ndarray, split: SplitPlan) -> np.ndarray:
     """Average of the two per-fold residual second-moment matrices."""
     e1 = resid[split.d1]
@@ -66,9 +68,10 @@ def eigendecomposition(sigma: np.ndarray):
 
     The residual covariance is not forced to be PSD; an eigenvalue below
     ``-1e-10 * lambda_1`` indicates something numerically off and triggers
-    a warning.
+    a warning; a non-finite ``sigma`` is a NumericalError.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    if not np.isfinite(sigma).all():
+        raise NumericalError("the residual covariance is not finite; the data are too large")
     vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
@@ -88,7 +91,6 @@ def select_k(eigvals: np.ndarray, n: int, m_dim: int) -> int:
     Maximises ``lambda_j / lambda_{j+1}`` over ``1 <= j <= floor(min(n, M)/2)``,
     breaking ties toward the smaller j.
     """
-    eigvals = np.asarray(eigvals, dtype=float)
     k_bar = min(n, m_dim) // 2
     if k_bar < 1:
         raise DataValidationError(

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -151,8 +152,10 @@ def test_missing_fit_file_exits_two_with_the_path(tmp_path, csv_data, capsys):
 
 @pytest.mark.parametrize(
     "command, content",
-    [("fit", b"1.0,2.0\n3.0,\xe9\n"), ("infer", b"{not json"), ("simulate", b"{not json")],
-    ids=["fit-latin-1-csv", "infer-non-json-fit", "simulate-non-json-config"],
+    [("fit", b"1.0,2.0\n3.0,\xe9\n"), ("infer", b"{not json"), ("simulate", b"{not json"),
+     ("simulate", b"[1, 2]")],
+    ids=["fit-latin-1-csv", "infer-non-json-fit", "simulate-non-json-config",
+         "simulate-json-list-config"],
 )
 def test_undecodable_or_non_json_input_exits_two_with_the_path(
     tmp_path, csv_data, capsys, command, content
@@ -168,7 +171,8 @@ def test_undecodable_or_non_json_input_exits_two_with_the_path(
         "simulate": ["simulate", "--config", str(bad)],
     }[command]
     assert main([*argv, "--out", str(out)]) == 2
-    assert str(bad) in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(bad) in line
     assert not out.exists()
 
 
@@ -208,7 +212,8 @@ def test_out_of_family_response_exits_two(tmp_path, capsys):
          "--out", str(tmp_path / "f.json")]
     )
     assert code == 2
-    assert "bernoulli" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: bernoulli response must be 0 or 1; found 2.0 at position (0, 0)\n"
 
 
 def test_malformed_fit_json_exits_two(tmp_path, csv_data, capsys):
@@ -292,6 +297,39 @@ def test_infer_on_data_of_other_dimensions_exits_two(tmp_path, csv_data, capsys,
     assert code == 2
     assert "do not match" in capsys.readouterr().err
     assert not (tmp_path / "ci.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["fit", "--k", "abc"], "--k"),
+        (["fit", "--k", "-3"], "--k"),
+        (["fit", "--projector", "{tmp}/2x2.csv"], "2x2.csv"),
+        (["fit", "--y", "{tmp}/short.csv"], "short.csv"),
+        (["infer", "--u", "{tmp}/2x2.csv"], "--u"),
+    ],
+    ids=["k-abc", "k-negative", "projector-shape", "rows-differ", "u-length"],
+)
+def test_bad_arguments_exit_two_with_one_error_line_naming_them(
+    tmp_path, csv_data, capsys, argv, named
+):
+    xp, yp = csv_data
+    save_matrix_csv(tmp_path / "2x2.csv", np.eye(2))
+    save_matrix_csv(tmp_path / "short.csv", np.loadtxt(yp, delimiter=",")[:-1])
+    command, *flags = argv
+    if command == "fit":
+        base = ["fit", "--x", str(xp), "--y", str(yp), "--family", "bernoulli"]
+    else:
+        _, fit_path = _fit(tmp_path, csv_data)
+        base = ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp),
+                "--u", "e1", "--v", "e1"]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    # argparse keeps the last value of a repeated flag
+    assert main([*base, *(f.format(tmp=tmp_path) for f in flags), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and named in line
+    assert not out.exists()
 
 
 def test_direction_index_out_of_range_exits_two(tmp_path, csv_data, capsys):
@@ -504,9 +542,10 @@ def _with_eta(args, eta):
         (["fstar-oracle"], {"n": "100"}),
         (["fstar-oracle"], {"family": 7}),
         (["simulate"], {"reps": True}),
+        (["simulate"], "--family"),
     ],
     ids=["simulate-eta-nan", "simulate-eta-inf", "oracle-eta-nan", "oracle-n-string",
-         "oracle-family-number", "simulate-reps-bool"],
+         "oracle-family-number", "simulate-reps-bool", "simulate-neither-flags-nor-config"],
 )
 def test_malformed_simulation_config_exits_two(tmp_path, capsys, argv, field):
     out = tmp_path / "out"
@@ -517,7 +556,8 @@ def test_malformed_simulation_config_exits_two(tmp_path, capsys, argv, field):
         argv, field = [*argv, "--config", str(config)], next(iter(field))
     code = main([*argv, "--out", str(out)])
     assert code == 2
-    assert field in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and field in line
     assert not out.exists()
 
 
@@ -542,13 +582,17 @@ def test_fstar_oracle_command_emits_the_bias_summary(tmp_path):
 
 def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "oracle.json"
-    code = main(
-        ["fstar-oracle", "--family", "poisson", "--n", "50", "--p", "3", "--m", "3",
-         "--k-true", "2", "--eta", "12", "--n-mc", "10000", "--out", str(out)]
-    )
-    assert code == 1
-    assert "poisson rate" in capsys.readouterr().err
-    assert not out.exists()
+    for eta in ("12", "1e300"):  # rates past what numpy draws, and past overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["fstar-oracle", "--family", "poisson", "--n", "50", "--p", "3", "--m", "3",
+                 "--k-true", "2", "--eta", eta, "--n-mc", "10000", "--out", str(out)]
+            )
+        assert code == 1 and not caught
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: poisson rate")
+        assert not out.exists()
 
 
 def test_reproduce_runs_a_named_experiment(tmp_path, capsys):

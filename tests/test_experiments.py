@@ -196,7 +196,7 @@ def _raise_on(monkeypatch, name, calls):
     def failure():
         seen.append(None)
         if len(seen) - 1 in calls:
-            error = np.linalg.LinAlgError if len(seen) % 2 else NumericalError
+            error = DataValidationError if len(seen) % 2 else NumericalError
             return error(f"injected failure in {name}")
         return None
 

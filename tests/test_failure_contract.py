@@ -1,0 +1,149 @@
+"""The failure contract: a numerical failure is a ``NumericalError`` where it
+arises, and every call ends in a finite result or a typed error.
+
+The inputs overflow the solver's curvatures (covariates scaled by 1e160, or
+one cell of 1e200 or 1.7e308, where the predictors overflow too) or the
+residual covariance (a response scaled by 1e300).
+Each library call gives a finite result or raises ``DataValidationError`` or
+``NumericalError``, without a Python warning; through the CLI the same input
+exits 0, 2 or 1 respectively, with one ``error:`` line and no output file on
+failure.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from ghive.cli import main
+from ghive.data_io import Dataset, save_matrix_csv
+from ghive.errors import DataValidationError, GhiveError, NumericalError
+from ghive.families import FAMILY_NAMES, family_from_name
+from ghive.inference import basis_contrast, confidence_interval, naive_wald_interval
+from ghive.pipeline import ghive_fit, ghive_fit_many
+from ghive.qml import fit_naive_many
+
+SEED = 0
+EXIT_CODES = {None: 0, DataValidationError: 2, NumericalError: 1}
+
+
+def _data(family: str, case: str) -> Dataset:
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 2))
+    y = {
+        "gaussian": rng.standard_normal((40, 2)),
+        "bernoulli": (rng.random((40, 2)) < 0.5).astype(float),
+        "poisson": rng.poisson(2.0, (40, 2)).astype(float),
+    }[family]
+    if case == "x-1e160":
+        x *= 1e160
+    elif case.startswith("cell-"):
+        x[0, 0] = float(case[5:])
+    else:
+        y *= 1e300
+    return Dataset(x, y)
+
+
+def _finite(result) -> bool:
+    """Whether the numbers of a fit, coefficient matrix or interval are all
+    finite; an interval must also hold its estimate."""
+    if hasattr(result, "theta_hat"):
+        parts = (result.theta_hat, result.spectral.sigma_hat, result.f_hat.values)
+    elif hasattr(result, "ci_lo"):
+        assert result.ci_lo <= result.estimate <= result.ci_hi
+        parts = ([result.estimate, result.se, result.ci_lo, result.ci_hi, result.s_sq],)
+    else:
+        parts = (result.values,)
+    return np.isfinite(np.concatenate([np.ravel(a) for a in parts])).all()
+
+
+def _outcome(call):
+    """``call()``'s result, or the ``GhiveError`` it raised; a fit list's
+    one entry may be a returned ``GhiveError`` too. No warning may escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except GhiveError as failure:
+            result = failure
+    assert not caught, [str(w.message) for w in caught]
+    if isinstance(result, list):
+        (result,) = result
+    if isinstance(result, GhiveError):
+        assert type(result) in (DataValidationError, NumericalError), repr(result)
+    else:
+        assert _finite(result)
+    return result
+
+
+LIBRARY_CALLS = {
+    "ghive_fit": lambda data, family: ghive_fit(data, family, SEED),
+    "ghive_fit_many": lambda data, family: ghive_fit_many([data], family, [SEED]),
+    "fit_naive_many": lambda data, family: fit_naive_many([data], family),
+    "confidence_interval": lambda data, family: confidence_interval(
+        data, family, ghive_fit(data, family, SEED), basis_contrast(0, 0, data.m_dim, data.p)
+    ),
+    "naive_wald_interval": lambda data, family: naive_wald_interval(
+        data, family, fit_naive_many([data], family)[0], basis_contrast(0, 0, data.m_dim, data.p)
+    ),
+}
+
+CASES = ["x-1e160", "cell-1e200", "cell-1.7e308", "y-1e300"]
+
+
+@pytest.mark.parametrize("call", list(LIBRARY_CALLS))
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_library_calls_end_in_a_finite_result_or_a_typed_error(family, case, call):
+    data = _data(family, case)
+    _outcome(lambda: LIBRARY_CALLS[call](data, family_from_name(family)))
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_fold_fits_whose_curvature_overflows_are_flagged_unconverged(family):
+    fit = _outcome(lambda: ghive_fit(_data(family, "x-1e160"), family_from_name(family), SEED))
+    assert not fit.f_hat.converged.any() and not fit.f_hat.values.any()
+
+
+def _cli(capsys, argv, out, want):
+    """Run ``ghive`` and check the exit code the library outcome ``want``
+    maps to: on success a written file and a silent stderr, on failure one
+    ``error:`` line and no file."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    failure = want if isinstance(want, GhiveError) else None
+    assert code == EXIT_CODES[type(failure) if failure else None], err
+    if failure:
+        assert err == f"error: {failure}\n" and not out.exists()
+    else:
+        assert err == "" and out.exists()
+    return code
+
+
+@pytest.mark.parametrize("command", ["fit", "infer"])
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_the_cli_exits_with_the_library_outcome_and_no_traceback(
+    tmp_path, capsys, family, case, command
+):
+    data, fam = _data(family, case), family_from_name(family)
+    xp, yp, fit_path = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "fit.json"
+    save_matrix_csv(xp, data.x)
+    save_matrix_csv(yp, data.y)
+    fitted = _outcome(lambda: ghive_fit(data, fam, SEED))
+    argv = ["fit", "--x", str(xp), "--y", str(yp), "--family", family, "--seed", str(SEED)]
+    code = _cli(capsys, argv, fit_path, fitted)
+    if command == "infer" and code == 0:
+        want = _outcome(
+            lambda: confidence_interval(data, fam, fitted, basis_contrast(0, 0, 2, 2))
+        )
+        argv = ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp),
+                "--u", "e1", "--v", "e1"]
+        _cli(capsys, argv, tmp_path / "ci.json", want)
+        if not isinstance(want, GhiveError):
+            assert json.loads((tmp_path / "ci.json").read_text())["estimate"] == want.estimate

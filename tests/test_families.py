@@ -1,5 +1,6 @@
 """Family kernels: cumulant derivatives, weighted residuals, objective terms."""
 
+import re
 import warnings
 
 import mpmath
@@ -213,7 +214,8 @@ def test_bernoulli_success_term_increases_with_linear_predictor(eta1, delta):
 
 
 def test_validate_response_rejects_out_of_family_values():
-    with pytest.raises(DataValidationError):
+    msg = "bernoulli response must be 0 or 1; found 0.5 at position (0, 1)"
+    with pytest.raises(DataValidationError, match=re.escape(msg) + "$"):
         validate_response(BERNOULLI, np.array([[0.0, 0.5]]))
     with pytest.raises(DataValidationError):
         validate_response(POISSON, np.array([[1.0, -1.0]]))

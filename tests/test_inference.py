@@ -248,6 +248,51 @@ def test_naive_wald_interval_rejects_singular_information():
         naive_wald_interval(data, BERNOULLI, coef, c)
 
 
+def _overflowing(family, seed, scale):
+    """40 x 2 data whose x is scaled by ``scale``, or whose first cell is
+    1e200 when ``scale`` is None."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, 2))
+    if scale is None:
+        x[0, 0] = 1e200
+    else:
+        x *= scale
+    y = (rng.random((40, 2)) < 0.5).astype(float)
+    return Dataset(x, y if family is BERNOULLI else rng.standard_normal((40, 2)))
+
+
+@pytest.mark.parametrize(
+    "family, seed, scale, naive, match",
+    [
+        (GAUSSIAN, 0, 1e160, False, "a curvature matrix is not finite"),
+        (GAUSSIAN, 0, 1e160, True, "the Fisher information of a response in u is not finite"),
+        (BERNOULLI, 2, None, False, "the interval is not finite"),
+    ],
+    ids=["curvature", "fisher-information", "interval"],
+)
+def test_intervals_from_overflowing_numbers_are_a_numerical_error(family, seed, scale, naive, match):
+    data = _overflowing(family, seed, scale)
+    c = basis_contrast(0, 0, data.m_dim, data.p)
+    with pytest.raises(NumericalError, match=match):
+        if naive:
+            naive_wald_interval(data, family, fit_naive_mle(data, family), c)
+        else:
+            confidence_interval(data, family, ghive_fit(data, family, seed=0), c)
+
+
+def test_predictors_that_overflow_are_a_numerical_error():
+    # a fit made from the data, the fold holding the 1.7e308 cell unconverged
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 2))
+    y = (rng.random((60, 2)) < 1 / (1 + np.exp(-1.5 * x[:, :1] - 0.3 * x[:, 1:]))).astype(float)
+    x[0, 0] = 1.7e308
+    data = Dataset(x, y)
+    fit = ghive_fit(data, BERNOULLI, seed=0)
+    assert np.isfinite(fit.theta_hat).all() and not fit.f_hat.converged.all()
+    with pytest.raises(NumericalError, match="linear predictors are not finite"):
+        confidence_interval(data, BERNOULLI, fit, basis_contrast(0, 0, 2, 2))
+
+
 def test_contrast_dimension_mismatch_is_rejected():
     data, _, _ = small_sim_dataset(n=40, p=3, m_dim=2, seed=5)
     fit = ghive_fit(data, BERNOULLI, seed=3)

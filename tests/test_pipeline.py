@@ -370,3 +370,13 @@ def test_a_dataset_that_fails_to_assemble_fails_alone(monkeypatch):
     calls.append(None)  # ghive_fit raises its dataset's failure
     with pytest.raises(NumericalError, match="degenerate"):
         ghive_fit(datasets[1], BERNOULLI, seed=1)
+
+
+def test_a_dataset_whose_residuals_overflow_fails_alone():
+    datasets = [small_sim_dataset(n=60, p=3, m_dim=4, k=2, seed=g, rep_seed=g,
+                                  family="gaussian")[0] for g in range(3)]
+    datasets[1] = Dataset(datasets[1].x, datasets[1].y * 1e300)
+    first, failed, last = ghive_fit_many(datasets, GAUSSIAN, [0, 1, 2])
+    assert isinstance(failed, NumericalError) and "residual covariance" in str(failed)
+    assert serialize_fit(first) == serialize_fit(ghive_fit(datasets[0], GAUSSIAN, seed=0))
+    assert serialize_fit(last) == serialize_fit(ghive_fit(datasets[2], GAUSSIAN, seed=2))

@@ -15,6 +15,7 @@ from ghive.errors import DataValidationError
 from ghive.qml import (
     RADIUS,
     CoefMatrix,
+    fit_naive_many,
     fit_naive_mle,
     fit_qml_many,
     fit_qml_one,
@@ -101,6 +102,25 @@ def test_separated_bernoulli_fit_stays_inside_the_ball():
     norm = np.linalg.norm(fit.f_hat)
     assert norm <= RADIUS * (1 + 1e-12)
     assert norm >= RADIUS - 1e-6  # the boundary is genuinely attained
+
+
+@pytest.mark.parametrize("overflows", ["curvature", "gradient"])
+def test_a_column_whose_curvature_or_gradient_overflows_stops_where_it_is(overflows):
+    rng = np.random.default_rng(0)
+    x, y = np.abs(rng.standard_normal((40, 2))), rng.standard_normal(40)
+    if overflows == "curvature":
+        x *= 1e160  # x'x / n overflows, the gradient does not
+    else:
+        y = np.full(40, 1e308)  # x'y / n overflows, the curvature x'x / n does not
+    fit = fit_qml_one(x, y, GAUSSIAN, starts=[np.zeros(2)])
+    assert (fit.n_iter, fit.converged, fit.objective_path) == (0, False, [0.0])
+    assert not fit.f_hat.any() and (fit.grad_norm < np.inf) == (overflows == "curvature")
+    # in a shared solve the column fails only its own dataset
+    good = Dataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 1)))
+    together = fit_naive_many([good, Dataset(x, y[:, None])], GAUSSIAN)
+    assert not together[1].converged.any() and not together[1].values.any()
+    (alone,) = fit_naive_many([good], GAUSSIAN)
+    assert together[0].values.tobytes() == alone.values.tobytes() and alone.converged.all()
 
 
 def test_fit_qml_all_averages_the_fold_fits():

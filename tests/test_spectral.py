@@ -85,6 +85,11 @@ def test_eigendecomposition_warns_on_clearly_negative_spectrum():
         eigendecomposition(sigma)
 
 
+def test_eigendecomposition_refuses_a_non_finite_covariance():
+    with pytest.raises(NumericalError, match="residual covariance is not finite"):
+        eigendecomposition(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_select_k_picks_the_largest_adjacent_ratio():
     # ratios up to k_bar=3: 8/4=2, 4/1=4, 1/0.25=4 -> tie at j=2,3, prefer 2
     lam = np.array([8.0, 4.0, 1.0, 0.25, 0.1, 0.05])
