@@ -29,8 +29,8 @@ the sigmoid is ``1 / (1 + e^-t)``, the formula ``scipy.special.expit``
 evaluates, and the softplus is ``max(t, 0) + log1p(e^-|t|)``, the formula
 behind ``np.logaddexp(0, t)``. Those two routines make one scalar libm call
 per element, several times slower than numpy's SIMD ``exp``. The
-simulator's response draw keeps ``expit``, so simulated datasets do not
-depend on these kernels.
+simulator's response draw has its own inline sigmoid, so simulated datasets
+do not depend on these kernels.
 
 All evaluation functions are vectorised: scalars and arrays of any shape are
 accepted and broadcast together. They trust their inputs: responses are

@@ -9,8 +9,10 @@ Each response column is fit separately by maximising either
   (the naive baseline that ignores hidden confounding).
 
 Both use the same damped Newton ascent: solve the Newton system against the
-negated Hessian, fall back to a plain gradient step when the curvature matrix
-is not usable, and halve the step until the objective strictly increases.
+negated Hessian (one batched Cholesky solve over a block's columns, see
+:func:`_cholesky_solve`), fall back to a plain gradient step when the
+curvature matrix is not usable, and halve the step until the objective
+strictly increases.
 Accepted iterates therefore have a monotone objective path. The full step is
 tried first; the halvings after it run in stacked rounds, each evaluating as
 many of a column's next steps ``2**-j`` as STACK_ELEMENTS allows in one
@@ -55,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from numpy.linalg import LinAlgError, cholesky
 
 from .errors import DataValidationError
 from .families import (
@@ -291,21 +293,49 @@ def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.n
 
 def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton directions from the finite negated Hessians ``curv`` (C, p, p),
-    one Cholesky solve per column, and the gradient where that is unusable.
+    and the gradient where those are unusable.
 
-    A failed factorisation gets one retry after adding
+    All columns are solved by one :func:`_cholesky_solve`. Only when some
+    factorisation fails are they solved one at a time, and a column whose
+    factorisation fails gets one retry after adding
     ``delta = 1e-8 * (1 + |min eigenvalue|)`` to the diagonal.
     """
-    d = grad.copy()
-    for c in range(len(grad)):
-        _, solved, info = dposv(curv[c], grad[c], lower=1)
-        if info != 0:
-            delta = 1e-8 * (1.0 + abs(float(np.linalg.eigvalsh(curv[c])[0])))
-            _, solved, info = dposv(curv[c] + delta * np.eye(curv.shape[1]), grad[c], lower=1)
-        if info == 0:
-            d[c] = solved
+    try:
+        d = _cholesky_solve(curv, grad)
+    except LinAlgError:
+        d, eye = grad.copy(), np.eye(curv.shape[1])
+        for c in range(len(grad)):
+            a, b = curv[c : c + 1], grad[c : c + 1]
+            try:
+                d[c] = _cholesky_solve(a, b)[0]
+            except LinAlgError:
+                delta = 1e-8 * (1.0 + abs(float(np.linalg.eigvalsh(a[0])[0])))
+                try:
+                    d[c] = _cholesky_solve(a + delta * eye, b)[0]
+                except LinAlgError:
+                    pass
     usable = np.isfinite(d).all(axis=1) & (_dots(grad, d) > 0.0)
     return np.where(usable[:, None], d, grad)
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows ``a[c]^{-1} b[c]`` for a stack of symmetric (p, p) matrices, by one
+    batched Cholesky factorisation (LinAlgError if any matrix is not positive
+    definite) and two batched triangular solves.
+
+    The system solved is equilibrated by powers of two, as in LAPACK's
+    ``dpoequb``: ``s = 2**-(e >> 1)`` from the exponents ``e`` of the
+    diagonal, so ``s_i s_j a_ij`` has its diagonal in [0.5, 2) and its
+    factor entries below sqrt(2). The scaling is exact, so it moves no bit
+    of a solve that neither overflows nor underflows. Each triangular solve
+    is an LU solve of an upper-triangular matrix (the lower factor with its
+    rows and columns reversed, then its transpose), where LU's pivoting never
+    swaps a row. A matrix's bits do not depend on the matrices beside it.
+    """
+    s = np.ldexp(1.0, -(np.frexp(np.diagonal(a, axis1=1, axis2=2))[1] >> 1))
+    low = cholesky(a * s[:, :, None] * s[:, None, :])
+    y = np.linalg.solve(low[:, ::-1, ::-1], (b * s)[:, ::-1, None])[:, ::-1]
+    return s * np.linalg.solve(low.swapaxes(1, 2), y)[..., 0]
 
 
 def _ball_project(f: np.ndarray) -> np.ndarray:

@@ -28,8 +28,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import circulant
-from scipy.special import expit
 
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
@@ -141,7 +139,7 @@ def circulant_cov(k: int, decay: str = "negative") -> np.ndarray:
     d = np.arange(k)
     first = base ** np.minimum(d, k - d).astype(float)
     first[0] = 1.0
-    cov = circulant(first)
+    cov = first[(d[:, None] - d) % k]  # cov[i, j] = first[(i - j) mod k]
     cov = 0.5 * (cov + cov.T)
     lam_min = float(np.linalg.eigvalsh(cov)[0])
     if lam_min < -1e-10:
@@ -190,7 +188,8 @@ def _sigma_z_sqrt(sigma_z: np.ndarray) -> np.ndarray:
     return q * np.sqrt(np.clip(lam, 0.0, None))
 
 
-@np.errstate(over="ignore")  # a poisson rate that overflows is refused below
+# a poisson rate that overflows is refused below; an e^-lin that does gives sigmoid 0
+@np.errstate(over="ignore")
 def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset:
     """Draw one dataset of config.n rows from the truth.
 
@@ -211,7 +210,7 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     if kind == "gaussian":
         y = lin + rng.standard_normal((n, m_dim))
     elif kind == "bernoulli":
-        y = (rng.random((n, m_dim)) < expit(lin)).astype(float)
+        y = (rng.random((n, m_dim)) < 1.0 / (1.0 + np.exp(-lin))).astype(float)
     else:  # poisson
         try:
             y = rng.poisson(np.exp(lin)).astype(float)

@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import small_sim_dataset
+import ghive
 from ghive import experiments
 from ghive.cli import main
 from ghive.data_io import save_matrix_csv
@@ -634,3 +637,36 @@ def test_reproduce_reps_below_one_exits_two(tmp_path, capsys, reps):
 def test_unknown_experiment_name_is_an_argparse_error(tmp_path):
     code = main(["reproduce", "fig9", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+# Fits, intervals and the study run on numpy alone: scipy brings its own
+# OpenBLAS, which would double what a fresh process loads.
+_NO_SCIPY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from ghive.cli import main
+
+out = sys.argv[2]
+rng = np.random.default_rng(0)
+x = rng.standard_normal((60, 3))
+np.savetxt(out + "/x.csv", x, delimiter=",")
+np.savetxt(out + "/y.csv", x @ rng.standard_normal((3, 4)) + rng.standard_normal((60, 4)), delimiter=",")
+codes = [
+    main(["fit", "--x", out + "/x.csv", "--y", out + "/y.csv", "--family", "gaussian",
+          "--out", out + "/fit.json"]),
+    main(["infer", "--fit", out + "/fit.json", "--x", out + "/x.csv", "--y", out + "/y.csv",
+          "--u", "e1", "--v", "e1", "--out", out + "/ci.json"]),
+    main(["reproduce", "table1", "--reps", "2", "--out", out + "/table1"]),
+]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_fit_infer_and_reproduce_import_no_scipy(tmp_path):
+    src = str(Path(ghive.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, src, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 from scipy.special import expit
 
 from ghive.errors import DataValidationError, NumericalError
@@ -20,6 +21,16 @@ from ghive.simulate import (
     metrics,
     sample_dataset,
 )
+
+
+@pytest.mark.parametrize("decay", ["negative", "positive"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_circulant_cov_is_the_scipy_circulant_construction_bit_for_bit(k, decay):
+    d = np.arange(k)
+    first = (-0.5 if decay == "negative" else 0.5) ** np.minimum(d, k - d).astype(float)
+    first[0] = 1.0
+    want = circulant(first)
+    assert np.array_equal(circulant_cov(k, decay), 0.5 * (want + want.T))
 
 
 def test_circulant_cov_matches_hand_values():
