@@ -102,6 +102,8 @@ def _parse_direction(spec: str, dim: int, name: str) -> np.ndarray:
 
 def _resolve_mode(args, m_dim: int) -> Mode:
     if args.projector:
+        if args.k is not None:
+            raise DataValidationError("--k cannot be combined with --projector")
         projector = read_csv_table(args.projector)
         if projector.shape != (m_dim, m_dim):
             raise DataValidationError(
@@ -109,7 +111,7 @@ def _resolve_mode(args, m_dim: int) -> Mode:
                 f"{projector.shape[1]}, expected {m_dim}x{m_dim}"
             )
         return Mode.oracle_p(projector)
-    k = args.k.strip().lower()
+    k = (args.k or "auto").strip().lower()
     if k == "auto":
         return Mode.data_driven()
     try:
@@ -130,7 +132,7 @@ def _resolve_mode(args, m_dim: int) -> Mode:
 
 def cmd_fit(args) -> int:
     family = family_from_name(args.family)
-    data = load_dataset(args.x, args.y, family)
+    data = load_dataset(args.x, args.y)
     mode = _resolve_mode(args, data.m_dim)
     fit = ghive_fit(data, family, seed=args.seed, mode=mode)
     write_json_atomic(args.out, serialize_fit(fit))
@@ -144,7 +146,7 @@ def cmd_fit(args) -> int:
 
 def cmd_infer(args) -> int:
     fit = deserialize_fit(read_json(args.fit))
-    data = load_dataset(args.x, args.y, fit.family)
+    data = load_dataset(args.x, args.y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         contrast = Contrast(
@@ -229,10 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--family", required=True, choices=FAMILY_NAMES)
     fit.add_argument(
         "--k",
-        default="auto",
-        help="factor count: 'auto' (eigenvalue-ratio selection) or a positive integer",
+        help="factor count: 'auto' (eigenvalue-ratio selection, the default) or a positive integer",
     )
-    fit.add_argument("--projector", help="CSV of an M x M complement projector")
+    fit.add_argument("--projector", help="CSV of an M x M complement projector (excludes --k)")
     fit.add_argument("--seed", type=int, default=DEFAULT_SEED, help="split seed")
     fit.add_argument("--out", required=True, help="output fit JSON path")
     fit.set_defaults(func=cmd_fit)

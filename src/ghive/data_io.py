@@ -42,7 +42,6 @@ import numpy as np
 import orjson
 
 from .errors import DataValidationError
-from .families import GlmFamily, validate_response
 
 
 @dataclass
@@ -188,17 +187,15 @@ def _read_csv_rows(path) -> np.ndarray:
         raise
 
 
-def load_dataset(x_path, y_path, family: GlmFamily) -> Dataset:
-    """Load x and y CSVs into a validated Dataset."""
+def load_dataset(x_path, y_path) -> Dataset:
+    """Load x and y CSVs into a Dataset; fits and intervals check the family support."""
     x = read_csv_table(x_path)
     y = read_csv_table(y_path)
     if x.shape[0] != y.shape[0]:
         raise DataValidationError(
             f"{x_path} has {x.shape[0]} data rows but {y_path} has {y.shape[0]}"
         )
-    data = Dataset(x, y)
-    validate_response(family, data.y)
-    return data
+    return Dataset(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .errors import DataValidationError, GhiveError
 from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
 from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit_many, with_projection
-from .qml import fit_naive_many
+from .qml import check_fold_rows, fit_naive_many
 from .simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, metrics, sample_dataset
 
 ESTIMATOR_NAIVE = "naive-mle"
@@ -426,6 +426,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     """
     check_n_mc(spec.n_mc)  # else fig1-bias would fail every replicate instead
     kind, workers, tasks = _kind(spec), worker_count(), []
+    if kind.fits:  # else every fit would fail instead
+        for cfg in spec.grid:
+            check_fold_rows(cfg.n, cfg.p)
     chunks = _chunks(spec.reps, workers)
     for gi in range(len(spec.grid)):
         point = kind.point(spec, gi) if kind.point else None

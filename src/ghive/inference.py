@@ -31,7 +31,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
 from . import families
-from .families import GlmFamily, cumulant_d2, hessian_weight, weighted_residual
+from .families import GlmFamily, cumulant_d2, hessian_weight, validate_response, weighted_residual
 from .qml import CoefMatrix, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
@@ -191,9 +191,12 @@ def confidence_interval(
     ``u' theta_hat v +- quantile * sqrt(s_sq / n)``. Of the candidate
     normalisations of s_sq this is the only one whose intervals attain
     nominal coverage in the simulation study; see README for the
-    discussion.
+    discussion. It is computed under ``fit.family``: another ``family``, or
+    a response outside its support, is a DataValidationError.
     """
     q = _quantile(alpha)
+    if family != fit.family:
+        raise DataValidationError(f"family {family.kind!r} is not the fit's {fit.family.kind!r}")
     if (fit.n, fit.m_dim, fit.p) != (data.n, data.m_dim, data.p):
         raise DataValidationError(
             f"fit dimensions (n={fit.n}, M={fit.m_dim}, p={fit.p}) do not match data "
@@ -204,8 +207,9 @@ def confidence_interval(
             f"contrast (u, v) has lengths ({len(contrast.u)}, {len(contrast.v)}), "
             f"expected (M={fit.m_dim}, p={fit.p})"
         )
-    eta, eps = _residuals(data, family, fit.f_hat.values)
-    g, regularized = _g_matrices(data.x, family, eta, eps)
+    validate_response(fit.family, data.y)
+    eta, eps = _residuals(data, fit.family, fit.f_hat.values)
+    g, regularized = _g_matrices(data.x, fit.family, eta, eps)
     h = _influence_terms(data.x, eps, g, contrast.v)
     projected = h @ (fit.spectral.p_perp @ contrast.u)
     s_sq = float(projected @ projected)
@@ -231,11 +235,7 @@ def naive_wald_interval(
     eta = _finite_predictors((data.x @ coef.values.T).T[rows], coef.values[rows])
     name = "the Fisher information of a response in u"
     w = _solve_each(_finite_grams(data.x, cumulant_d2(family, eta), name), contrast.v, name)
-    var = 0.0
-    # Python floats in response order: np.sum and np.power round differently
-    for u_m, v_w in zip(contrast.u[rows].tolist(), (contrast.v @ w[..., None])[:, 0].tolist()):
-        var += u_m**2 * v_w
-    var = max(var, 0.0)
+    var = max(float(contrast.u[rows] ** 2 @ w @ contrast.v), 0.0)
     estimate = float(contrast.u[rows] @ coef.values[rows] @ contrast.v)
     return _interval(estimate, float(np.sqrt(var)), var * data.n, alpha, q, [])
 

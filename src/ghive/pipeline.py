@@ -114,7 +114,7 @@ def _assemble(family, split, mode, f_hat, sigma_hat) -> GhiveFit:
             )
         p_perp = mode.projector.copy()
     else:  # projector_complement refuses an oracle k above M
-        k_hat = mode.k if mode.kind == ORACLE_K else spectral.select_k(eigvals, split.n, m_dim)
+        k_hat = mode.k if mode.kind == ORACLE_K else spectral.select_k(eigvals, split.n)
         p_perp = spectral.projector_complement(eigvecs, k_hat)
     return GhiveFit(
         family=family, n=split.n, p=p, m_dim=m_dim, mode=mode, split=split, f_hat=f_hat,

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
+from .data_io import Dataset
 from .errors import DataValidationError
 from .families import (
     VARIANCE_FLOOR,
@@ -149,6 +150,13 @@ def make_split(n: int, seed: int) -> SplitPlan:
     d1 = np.sort(perm[:half])
     d2 = np.sort(perm[half:])
     return SplitPlan(n=n, seed=seed, d1=d1, d2=d2)
+
+
+def check_fold_rows(n: int, p: int) -> None:
+    """Refuse n rows whose smaller :func:`make_split` fold, n // 2 rows, cannot fit p covariates."""
+    if n // 2 < p:
+        msg = f"n={n} leaves a fold of {n // 2} rows, too few for p={p} covariates"
+        raise DataValidationError(msg)
 
 
 @dataclass
@@ -247,7 +255,8 @@ def gram_buffer(x: np.ndarray, n_cols: int) -> np.ndarray:
 
 
 def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.ndarray:
-    """``x.T @ diag(weights) @ x`` without the diagonal matrix; (C, n) gives (C, p, p).
+    """``x.T @ diag(w) @ x`` for each row w of ``weights`` (C, n), without the
+    diagonal matrix: (C, p, p).
 
     ``x`` is one (n, p) design for every weight row, or (C, n, p), each
     row's own design. The weights scale ``xt``: for one design a C-contiguous
@@ -264,8 +273,6 @@ def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.n
     depend on the columns beside it; when ``n <= rows`` it is
     ``x.T @ (weights[..., None] * x)`` bit for bit.
     """
-    if weights.ndim == 1:
-        return weighted_gram(x, weights[None], xt, buf)[0]
     if xt is None:
         xt = np.ascontiguousarray(x.T) if x.ndim == 2 else x.swapaxes(-1, -2)
     if buf is None:
@@ -491,29 +498,27 @@ def fit_qml_one(x: np.ndarray, y: np.ndarray, family: GlmFamily, starts) -> Resp
 
     Runs the damped Newton ascent from every vector in ``starts`` and keeps
     the candidate with the largest final objective (first wins ties). The
-    search is confined to the L2 ball ``|f| <= RADIUS``. The response, ``x``
-    and the starts are validated here, once.
+    search is confined to the L2 ball ``|f| <= RADIUS``. ``x`` and ``y``
+    are validated here, once, as the :class:`~ghive.data_io.Dataset` they
+    make, and so are the starts.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or 0 in x.shape:
-        msg = f"x must be a 2-D design with rows and columns, got shape {x.shape}"
+    y = np.asarray(y, dtype=float)
+    if y.shape != np.shape(x)[:1]:
+        msg = f"response must be 1-D, one entry per row of x {np.shape(x)}; got shape {y.shape}"
         raise DataValidationError(msg)
+    data = Dataset(x, y[:, None])
+    validate_response(family, data.y)
     try:
         starts = np.array(starts, dtype=float)
     except ValueError:  # ragged starts: rejected below like any misshapen ones
         starts = np.empty(0)
-    if starts.ndim != 2 or len(starts) < 1 or starts.shape[1:] != x.shape[1:]:
+    if starts.ndim != 2 or len(starts) < 1 or starts.shape[1:] != (data.p,):
         raise DataValidationError("need at least one start vector, one per row, as wide as x")
-    y = np.asarray(y)
-    if y.shape != x.shape[:1]:
-        msg = f"response must be 1-D with {len(x)} entries, one per row of x; got shape {y.shape}"
-        raise DataValidationError(msg)
-    validate_response(family, y)
-    if not (np.isfinite(x).all() and np.isfinite(starts).all()):
-        raise DataValidationError("x and the start vectors must be finite")
-    y = np.tile(y, (len(starts), 1))
+    if not np.isfinite(starts).all():
+        raise DataValidationError("the start vectors must be finite")
     f, value, gnorm, n_iter, path = _ascent_block(
-        x, np.ascontiguousarray(x.T), y, family, starts, "quasi"
+        data.x, np.ascontiguousarray(data.x.T), np.tile(data.y.T, (len(starts), 1)), family,
+        starts, "quasi",
     )
     c = 0
     for s in range(1, len(starts)):
@@ -579,7 +584,8 @@ def fit_qml_many(datasets, family: GlmFamily, splits) -> list:
     Each response within each fold starts from both the zero vector and the
     fold's own naive MLE. The averaged CoefMatrix keeps both folds' gradient
     norms, (M, 2) with fold d1 first, so its ``converged`` flags each fold
-    fit. Every dataset's response is validated against the family first.
+    fit. Every dataset's response is validated against the family, and its
+    folds' row counts against p, first.
 
     The fits are one solve: the folds of one row count share the solver's
     blocks (both folds of an even n; the d1 folds, and the d2 folds, of
@@ -589,13 +595,7 @@ def fit_qml_many(datasets, family: GlmFamily, splits) -> list:
     """
     for data, split in zip(datasets, splits):
         validate_response(family, data.y)
-        p = data.x.shape[1]
-        for label, idx in (("d1", split.d1), ("d2", split.d2)):
-            if len(idx) < p:
-                raise DataValidationError(
-                    f"fold {label} has {len(idx)} rows but the design has p={p} "
-                    "columns; too few observations to fit"
-                )
+        check_fold_rows(split.n, data.x.shape[1])
     folds = _fit_matrix(
         [(data.x[idx], data.y[idx]) for data, split in zip(datasets, splits)
          for idx in (split.d1, split.d2)],

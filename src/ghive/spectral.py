@@ -85,22 +85,18 @@ def eigendecomposition(sigma: np.ndarray):
     return vals, vecs
 
 
-def select_k(eigvals: np.ndarray, n: int, m_dim: int) -> int:
+def select_k(eigvals: np.ndarray, n: int) -> int:
     """Largest adjacent-ratio choice of the factor count.
 
-    Maximises ``lambda_j / lambda_{j+1}`` over ``1 <= j <= floor(min(n, M)/2)``,
-    breaking ties toward the smaller j.
+    Maximises ``lambda_j / lambda_{j+1}`` over ``1 <= j <= floor(min(n, M)/2)``
+    of all M eigenvalues, non-increasing, breaking ties toward the smaller j.
     """
+    m_dim = len(eigvals)
     k_bar = min(n, m_dim) // 2
     if k_bar < 1:
         raise DataValidationError(
             f"cannot select a factor count with n={n}, M={m_dim}: "
             "floor(min(n, M)/2) < 1"
-        )
-    if len(eigvals) < k_bar + 1:
-        raise DataValidationError(
-            f"need at least {k_bar + 1} eigenvalues to scan ratios, "
-            f"got {len(eigvals)}"
         )
     if eigvals[0] <= 0.0:
         raise NumericalError(

@@ -308,17 +308,23 @@ def test_infer_on_data_of_other_dimensions_exits_two(tmp_path, csv_data, capsys,
         (["fit", "--k", "abc"], "--k"),
         (["fit", "--k", "-3"], "--k"),
         (["fit", "--projector", "{tmp}/2x2.csv"], "2x2.csv"),
+        (["fit", "--k", "2", "--projector", "{tmp}/eye3.csv"], "--k"),
+        (["fit", "--k", "auto", "--projector", "{tmp}/eye3.csv"], "--projector"),
         (["fit", "--y", "{tmp}/short.csv"], "short.csv"),
         (["infer", "--u", "{tmp}/2x2.csv"], "--u"),
+        (["infer", "--y", "{tmp}/half.csv"], "bernoulli response must be 0 or 1; found 0.5"),
     ],
-    ids=["k-abc", "k-negative", "projector-shape", "rows-differ", "u-length"],
+    ids=["k-abc", "k-negative", "projector-shape", "k-with-projector", "auto-with-projector",
+         "rows-differ", "u-length", "infer-out-of-family-y"],
 )
 def test_bad_arguments_exit_two_with_one_error_line_naming_them(
     tmp_path, csv_data, capsys, argv, named
 ):
     xp, yp = csv_data
     save_matrix_csv(tmp_path / "2x2.csv", np.eye(2))
+    save_matrix_csv(tmp_path / "eye3.csv", np.eye(3))
     save_matrix_csv(tmp_path / "short.csv", np.loadtxt(yp, delimiter=",")[:-1])
+    save_matrix_csv(tmp_path / "half.csv", 0.5 * np.loadtxt(yp, delimiter=","))
     command, *flags = argv
     if command == "fit":
         base = ["fit", "--x", str(xp), "--y", str(yp), "--family", "bernoulli"]
@@ -546,9 +552,12 @@ def _with_eta(args, eta):
         (["fstar-oracle"], {"family": 7}),
         (["simulate"], {"reps": True}),
         (["simulate"], "--family"),
+        (["simulate", "--family", "gaussian", "--n", "6", "--p", "4", "--m", "3", "--k-true", "2",
+          "--eta", "1", "--reps", "3"], "n=6 leaves a fold of 3 rows, too few for p=4"),
     ],
     ids=["simulate-eta-nan", "simulate-eta-inf", "oracle-eta-nan", "oracle-n-string",
-         "oracle-family-number", "simulate-reps-bool", "simulate-neither-flags-nor-config"],
+         "oracle-family-number", "simulate-reps-bool", "simulate-neither-flags-nor-config",
+         "simulate-fold-below-p"],
 )
 def test_malformed_simulation_config_exits_two(tmp_path, capsys, argv, field):
     out = tmp_path / "out"

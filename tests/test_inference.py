@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import small_sim_dataset
-from ghive import BERNOULLI, GAUSSIAN, qml
+from ghive import BERNOULLI, GAUSSIAN, POISSON, qml
 from ghive.data_io import Dataset
 from ghive.errors import DataValidationError, NumericalError
 from ghive.families import (
@@ -165,7 +165,7 @@ def test_grams_scaled_one_response_at_a_time_match_one_pass(monkeypatch):
     eta = data.x @ naive.values.T
     var = 0.0
     for m in range(data.m_dim):  # the one-response-at-a-time arithmetic
-        info = weighted_gram(data.x, cumulant_d2(BERNOULLI, eta[:, m]))
+        info = weighted_gram(data.x, cumulant_d2(BERNOULLI, eta[:, m])[None])[0]
         var += float(c.u[m] ** 2 * (c.v @ np.linalg.solve(info, c.v)))
     assert wald.se == float(np.sqrt(var)) and wald.s_sq == var * data.n
 
@@ -318,6 +318,19 @@ def test_data_with_another_row_count_than_the_fit_is_rejected():
     fewer = Dataset(data.x[:30], data.y[:30])
     with pytest.raises(DataValidationError, match="n=40"):
         confidence_interval(fewer, BERNOULLI, fit, basis_contrast(0, 0, data.m_dim, data.p))
+
+
+def test_an_interval_is_refused_under_another_family_or_an_out_of_family_response():
+    data, _, _ = small_sim_dataset(n=200, p=3, m_dim=4, k=2, eta=2.0, seed=1, rep_seed=2)
+    fit = ghive_fit(data, BERNOULLI, seed=0)
+    c = basis_contrast(0, 0, data.m_dim, data.p)
+    res = confidence_interval(data, BERNOULLI, fit, c)
+    assert (round(res.ci_lo, 2), round(res.ci_hi, 2)) == (-3.75, 3.59)
+    with pytest.raises(DataValidationError, match="'poisson' is not the fit's 'bernoulli'"):
+        confidence_interval(data, POISSON, fit, c)
+    halved = Dataset(data.x, 0.5 * data.y)
+    with pytest.raises(DataValidationError, match="bernoulli response must be 0 or 1; found 0.5"):
+        confidence_interval(halved, BERNOULLI, fit, c)
 
 
 def test_non_finite_fit_coefficients_are_rejected():

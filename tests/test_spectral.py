@@ -93,26 +93,26 @@ def test_eigendecomposition_refuses_a_non_finite_covariance():
 def test_select_k_picks_the_largest_adjacent_ratio():
     # ratios up to k_bar=3: 8/4=2, 4/1=4, 1/0.25=4 -> tie at j=2,3, prefer 2
     lam = np.array([8.0, 4.0, 1.0, 0.25, 0.1, 0.05])
-    assert select_k(lam, n=100, m_dim=6) == 2
+    assert select_k(lam, n=100) == 2
     # dominant first gap
-    assert select_k(np.array([50.0, 2.0, 1.9, 1.8]), n=100, m_dim=4) == 1
+    assert select_k(np.array([50.0, 2.0, 1.9, 1.8]), n=100) == 1
     # the search range stops at floor(min(n, M)/2): with n=4 only j=1,2
     # are eligible, so the huge ratio at j=3 must be ignored
     lam = np.array([4.0, 3.0, 2.0, 1e-8])
-    assert select_k(lam, n=4, m_dim=4) <= 2
+    assert select_k(lam, n=4) <= 2
 
 
 def test_select_k_rejects_degenerate_inputs():
     with pytest.raises(NumericalError):
-        select_k(np.array([0.0, 0.0]), n=50, m_dim=2)
+        select_k(np.array([0.0, 0.0]), n=50)
     with pytest.raises(DataValidationError):
-        select_k(np.array([1.0]), n=1, m_dim=1)
+        select_k(np.array([1.0]), n=1)
 
 
 def test_select_k_survives_zero_tail_eigenvalues():
     # exact zeros below the gap must not produce nan/inf choices
     lam = np.array([5.0, 4.0, 0.0, 0.0])
-    k = select_k(lam, n=100, m_dim=4)
+    k = select_k(lam, n=100)
     assert k == 2
 
 
