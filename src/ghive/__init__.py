@@ -21,7 +21,7 @@ from .pipeline import (
     serialize_fit,
     with_projection,
 )
-from .qml import CoefMatrix, SplitPlan, fit_naive_mle, fit_qml_many, fit_qml_one, make_split
+from .qml import CoefMatrix, SplitPlan, fit_naive_mle, fit_qml_one, make_split
 from .simulate import (
     SimConfig,
     SimTruth,
@@ -59,7 +59,6 @@ __all__ = [
     "experiment_spec",
     "family_from_name",
     "fit_naive_mle",
-    "fit_qml_many",
     "fit_qml_one",
     "fstar_oracle",
     "gaussian_fstar_closed_form",

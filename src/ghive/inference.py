@@ -226,9 +226,16 @@ def naive_wald_interval(
 
     Treats each response as an ordinary GLM in x: the coefficient covariance
     for response m is the inverse of ``sum_i b''(eta_i) x_i x_i'`` and the
-    responses are treated as independent.
+    responses are treated as independent. A ``family`` other than
+    ``coef.family``, or a fit not (M, p) for the data, is a
+    DataValidationError.
     """
     q = _quantile(alpha)
+    if family != coef.family:
+        raise DataValidationError(f"family {family.kind!r} is not the fit's {coef.family.kind!r}")
+    if coef.values.shape != (data.m_dim, data.p):
+        msg = f"fit (M, p) = {coef.values.shape} do not match data {(data.m_dim, data.p)}"
+        raise DataValidationError(msg)
     if len(contrast.u) != coef.values.shape[0] or len(contrast.v) != coef.values.shape[1]:
         raise DataValidationError("contrast dimensions do not match the fit")
     rows = np.flatnonzero(contrast.u)

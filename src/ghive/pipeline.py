@@ -1,10 +1,12 @@
 """End-to-end fitting pipeline.
 
 A fit runs a seeded two-fold split, per-response quasi-likelihood fits on
-each fold, out-of-fold weighted residuals and their averaged covariance
-``sigma_hat``. The private builder :func:`_assemble` derives the rest from
-``sigma_hat``: its eigendecomposition, the factor count (or an oracle
-override), the complement projector and ``theta_hat = p_perp @ f_hat``.
+each fold and the cross-fit, in :func:`ghive_fit_many` alone: ``f_hat``
+averages the fold fits, and ``sigma_hat`` the folds' second moments of
+weighted residuals, each fold's rows scored with the other fold's fit.
+The private builder :func:`_assemble` derives the rest from ``sigma_hat``:
+its eigendecomposition, the factor count (or an oracle override), the
+complement projector and ``theta_hat = p_perp @ f_hat``.
 :func:`ghive_fit`, :func:`with_projection` and :func:`deserialize_fit` all
 go through it. The three modes change the projection step only, so a
 data-driven fit is cheaply re-projected under an oracle mode.
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import families, spectral
 from .data_io import Dataset, matrix_from_json, matrix_to_json
 from .errors import DataValidationError, GhiveError
-from .families import GlmFamily, family_from_name
-from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, fit_qml_many, make_split
+from .families import GlmFamily, family_from_name, validate_response
+from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, _fit_matrix, check_fold_rows, make_split
 
 FIT_FORMAT_VERSION = 2
 
@@ -78,15 +80,19 @@ class Mode:
 class GhiveFit:
     """Everything produced by one pipeline run."""
 
-    family: GlmFamily
     n: int
     p: int
     m_dim: int
     mode: Mode
     split: SplitPlan  # its seed is the fit's only source of randomness
-    f_hat: CoefMatrix  # fold-averaged coefficients (M x p), grad norms (M x 2)
+    f_hat: CoefMatrix  # fold-averaged coefficients (M x p), grad norms (M x 2), family
     theta_hat: np.ndarray  # projected coefficients (M x p)
     spectral: spectral.SpectralResult
+
+    @property
+    def family(self) -> GlmFamily:
+        """The family the fit was made under, as ``f_hat`` records it."""
+        return self.f_hat.family
 
     @property
     def diagnostics(self) -> list:
@@ -100,7 +106,7 @@ class GhiveFit:
         ]
 
 
-def _assemble(family, split, mode, f_hat, sigma_hat) -> GhiveFit:
+def _assemble(split, mode, f_hat, sigma_hat) -> GhiveFit:
     """The one way a GhiveFit is put together: the spectrum of ``sigma_hat``,
     the factor count and projector (or the mode's), ``theta_hat = p_perp @ f_hat``."""
     m_dim, p = f_hat.values.shape
@@ -117,7 +123,7 @@ def _assemble(family, split, mode, f_hat, sigma_hat) -> GhiveFit:
         k_hat = mode.k if mode.kind == ORACLE_K else spectral.select_k(eigvals, split.n)
         p_perp = spectral.projector_complement(eigvecs, k_hat)
     return GhiveFit(
-        family=family, n=split.n, p=p, m_dim=m_dim, mode=mode, split=split, f_hat=f_hat,
+        n=split.n, p=p, m_dim=m_dim, mode=mode, split=split, f_hat=f_hat,
         theta_hat=p_perp @ f_hat.values,
         spectral=spectral.SpectralResult(sigma_hat, eigvals, k_hat, p_perp),
     )
@@ -138,8 +144,10 @@ def ghive_fit(data: Dataset, family: GlmFamily, seed: int, mode: Mode | None = N
 
 def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None) -> list:
     """Run the pipeline on several datasets with one p and M, one split seed
-    each. Their fold fits are one solve (:func:`~ghive.qml.fit_qml_many`),
-    and each fit is the one its dataset gets alone, bit for bit.
+    each, once every response is checked against the family and every fold's
+    rows against p. All fold fits are one solve, never padding a fold (that
+    would change the divisor of every mean), and each fit is the one its
+    dataset gets alone, bit for bit. ``f_hat`` keeps both folds' grad norms, d1 first.
 
     Returns one entry per dataset: its GhiveFit, or the ``GhiveError``
     raised while assembling it (a non-finite ``sigma_hat`` or a spectrum with
@@ -149,17 +157,36 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     """
     mode = mode or Mode.data_driven()
     splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds, strict=True)]
+    for data in datasets:
+        validate_response(family, data.y)
+        check_fold_rows(data.n, data.p)
+    designs = [(data.x[r], data.y[r]) for data, s in zip(datasets, splits) for r in (s.d1, s.d2)]
+    folds = _fit_matrix(designs, family, kind="quasi")
     fits = []
-    for data, split, (coef_d1, coef_d2, coef_avg) in zip(
-        datasets, splits, fit_qml_many(datasets, family, splits)
-    ):
+    for data, split, fit1, fit2 in zip(datasets, splits, folds[::2], folds[1::2]):
+        norms = np.column_stack([fit1.grad_norm, fit2.grad_norm])
+        f_hat = CoefMatrix(0.5 * (fit1.values + fit2.values), norms, family)
         try:
-            resid = spectral.crossfit_residuals(data, family, coef_d1, coef_d2, split)
-            sigma = spectral.covariance_crossfit(resid, split)
-            fits.append(_assemble(family, split, mode, coef_avg, sigma))
+            fits.append(_assemble(split, mode, f_hat, _crossfit_sigma(data, split, fit1, fit2)))
         except GhiveError as failure:
             fits.append(failure)
     return fits
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow leaves sigma_hat non-finite
+def _crossfit_sigma(data: Dataset, split: SplitPlan, fit1: CoefMatrix, fit2: CoefMatrix):
+    """``sigma_hat``: the average of the two folds' second moments of weighted
+    residuals, fold d1's rows scored with the fold-d2 coefficients ``fit2``
+    and fold d2's with ``fit1``, symmetrised."""
+    e1, e2 = (
+        families.weighted_residual(
+            coef.family, data.y[rows], data.x[rows] @ coef.values.T,
+            floor=families.RESIDUAL_CURVATURE_FLOOR,
+        )
+        for rows, coef in ((split.d1, fit2), (split.d2, fit1))
+    )
+    sigma = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
+    return 0.5 * (sigma + sigma.T)
 
 
 def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
@@ -168,7 +195,7 @@ def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
     Reuses the fold fits and residual covariance, so oracle variants of a
     data-driven fit cost one M x M eigendecomposition and a matrix product.
     """
-    return _assemble(fit.family, fit.split, mode, fit.f_hat, fit.spectral.sigma_hat)
+    return _assemble(fit.split, mode, fit.f_hat, fit.spectral.sigma_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +353,7 @@ def deserialize_fit(doc: dict) -> GhiveFit:
                 f"fit document split holds {len(d1) + len(d2)} indices but n={n}"
             )
         converged, grad_norm = _fold_diagnostics(doc["diagnostics"], m_dim)
-        fit = _assemble(family, make_split(n, seed), mode, CoefMatrix(f_hat, grad_norm), sigma_hat)
+        fit = _assemble(make_split(n, seed), mode, CoefMatrix(f_hat, grad_norm, family), sigma_hat)
         derived = fit.spectral
         primary = "sigma_hat, f_hat, mode, n and seed"  # what most copies derive from
         checks = [

@@ -34,8 +34,8 @@ stacked matmuls over the columns, while each column steps and stops by its
 own rules, bit-identical to solving it alone. Columns go in blocks
 (:func:`column_blocks`) whose (columns, n) working arrays stay within
 BLOCK_ELEMENTS. The columns of a block may also sit on different designs of
-one row count: both folds of an even n, or the folds of many datasets
-(:func:`fit_qml_many`, :func:`fit_naive_many`). Such a block gathers each
+one row count: both folds of an even n, or the folds of many datasets (in
+``ghive_fit_many`` and :func:`fit_naive_many`). Such a block gathers each
 column's design rows, and its products stay per-column batched matmuls, so
 a column keeps its bits; designs share a block only while the gathered
 (columns, n, p) rows fit STACK_ELEMENTS, and a design whose columns fill that
@@ -165,12 +165,13 @@ class CoefMatrix:
 
     values     : (M, p) coefficient rows
     grad_norm  : final gradient sup-norms, (M,) for one fit per response or
-                 (M, 2) for a fold average (:func:`fit_qml_many`), one column
-                 per fold
+                 (M, 2) for a fold average, one column per fold
+    family     : the family the coefficients were fitted under
     """
 
     values: np.ndarray
     grad_norm: np.ndarray
+    family: GlmFamily
 
     @property
     def converged(self) -> np.ndarray:
@@ -558,7 +559,11 @@ def _fit_matrix(designs, family, kind) -> list:
     per design: ``kind="loglik"`` is the naive MLE from zero;
     ``kind="quasi"`` maximises the quasi-likelihood from both zero and that
     MLE, as 2M columns of one ascent (the zero start wins ties). The designs
-    of one row count go through one :func:`_newton_ascent` per stage."""
+    of one row count go through one :func:`_newton_ascent` per stage. The
+    designs must share p and M."""
+    shapes = sorted({(x.shape[1], y.shape[1]) for x, y in designs})
+    if len(shapes) > 1:
+        raise DataValidationError(f"a batched fit needs one p and M; got (p, M) in {shapes}")
     fits = [None] * len(designs)
     for n in dict.fromkeys(len(x) for x, _ in designs):
         group = [i for i, (x, _) in enumerate(designs) if len(x) == n]
@@ -573,37 +578,5 @@ def _fit_matrix(designs, family, kind) -> list:
             f = np.where(mle[..., None], f[:, m_dim:], f[:, :m_dim])
             gnorm = np.where(mle, gnorm[:, m_dim:], gnorm[:, :m_dim])
         for i, values, norms in zip(group, f, gnorm):
-            fits[i] = CoefMatrix(values, norms)
+            fits[i] = CoefMatrix(values, norms, family)
     return fits
-
-
-def fit_qml_many(datasets, family: GlmFamily, splits) -> list:
-    """Quasi-likelihood fits on both folds of each dataset plus their
-    entrywise average, for several datasets with one p and M, one split each.
-
-    Each response within each fold starts from both the zero vector and the
-    fold's own naive MLE. The averaged CoefMatrix keeps both folds' gradient
-    norms, (M, 2) with fold d1 first, so its ``converged`` flags each fold
-    fit. Every dataset's response is validated against the family, and its
-    folds' row counts against p, first.
-
-    The fits are one solve: the folds of one row count share the solver's
-    blocks (both folds of an even n; the d1 folds, and the d2 folds, of
-    datasets of one n), and each fit is the one its fold gets alone, bit for
-    bit. A fold is never padded: a padded row would change the divisor of
-    every mean. Returns one (fold-1, fold-2, average) triple per dataset.
-    """
-    for data, split in zip(datasets, splits):
-        validate_response(family, data.y)
-        check_fold_rows(split.n, data.x.shape[1])
-    folds = _fit_matrix(
-        [(data.x[idx], data.y[idx]) for data, split in zip(datasets, splits)
-         for idx in (split.d1, split.d2)],
-        family, kind="quasi",
-    )
-    return [
-        (fit1, fit2, CoefMatrix(
-            0.5 * (fit1.values + fit2.values), np.column_stack([fit1.grad_norm, fit2.grad_norm])
-        ))
-        for fit1, fit2 in zip(folds[::2], folds[1::2])
-    ]

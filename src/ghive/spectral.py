@@ -1,9 +1,7 @@
-"""Cross-fitted residual covariance, its spectrum, and projectors.
+"""The spectrum of the cross-fitted residual covariance, and projectors.
 
-The hidden-variable direction is recovered from the covariance of
-inverse-variance weighted residuals, computed out-of-fold: rows in fold 2
-are evaluated with the coefficients fitted on fold 1 and vice versa. The
-covariance is the average of the two per-fold outer-product means. The
+The hidden-variable direction is recovered from the eigenvectors of the
+residual covariance ``sigma_hat`` (built by :mod:`ghive.pipeline`). The
 number of latent factors is picked by the largest adjacent eigenvalue ratio
 over j <= floor(min(n, M) / 2), and the estimated factor subspace is removed
 with the complement projector I - V V^T.
@@ -17,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NumericalError
-from . import families
-from .families import GlmFamily, weighted_residual
-from .qml import CoefMatrix, SplitPlan
 
 # ratio denominators are floored here to keep the eigenvalue-ratio statistic
 # finite when trailing eigenvalues hit exact zero
@@ -32,35 +27,6 @@ class SpectralResult:
     eigvals: np.ndarray  # all M eigenvalues, non-increasing
     k_hat: int | None  # selected factor count (None in oracle-projector mode)
     p_perp: np.ndarray  # (M, M) complement projector applied to coefficients
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow leaves sigma_hat non-finite
-def crossfit_residuals(
-    data, family: GlmFamily, coef_d1: CoefMatrix, coef_d2: CoefMatrix, split: SplitPlan
-) -> np.ndarray:
-    """Weighted residuals (n x M) where each row uses the opposite fold's fit:
-    fold-2 rows are scored with the fold-1 coefficients and vice versa."""
-    n, m_dim = data.y.shape
-    if split.n != n:
-        raise DataValidationError(
-            f"split was built for n={split.n} but data has n={n} rows"
-        )
-    values = np.zeros((n, m_dim))
-    for rows, coef in ((split.d2, coef_d1), (split.d1, coef_d2)):
-        eta = data.x[rows] @ coef.values.T
-        values[rows] = weighted_residual(
-            family, data.y[rows], eta, floor=families.RESIDUAL_CURVATURE_FLOOR
-        )
-    return values
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def covariance_crossfit(resid: np.ndarray, split: SplitPlan) -> np.ndarray:
-    """Average of the two per-fold residual second-moment matrices."""
-    e1 = resid[split.d1]
-    e2 = resid[split.d2]
-    sigma = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
-    return 0.5 * (sigma + sigma.T)
 
 
 def eigendecomposition(sigma: np.ndarray):

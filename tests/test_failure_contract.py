@@ -106,6 +106,30 @@ def test_fold_fits_whose_curvature_overflows_are_flagged_unconverged(family):
     assert not fit.f_hat.converged.any() and not fit.f_hat.values.any()
 
 
+BATCHED_FITS = {
+    "ghive_fit_many": lambda datasets, family: ghive_fit_many(datasets, family, range(len(datasets))),
+    "fit_naive_many": fit_naive_many,
+}
+
+
+@pytest.mark.parametrize("call", list(BATCHED_FITS))
+@pytest.mark.parametrize(
+    "other", [(50, 4, 2), (50, 3, 5), (40, 3, 5)], ids=["p", "m", "n-and-m"]
+)
+def test_batched_fits_refuse_datasets_that_do_not_share_p_and_m(call, other):
+    rng = np.random.default_rng(0)
+    datasets = [
+        Dataset(rng.standard_normal((n, p)), rng.standard_normal((n, m_dim)))
+        for n, p, m_dim in ((50, 3, 2), (40, 3, 2), other)
+    ]
+    fam = family_from_name("gaussian")
+    # datasets of another n share a batch
+    assert all(_finite(fit) for fit in BATCHED_FITS[call](datasets[:2], fam))
+    match = r"one p and M; got \(p, M\) in \[\(3, 2\), \(%d, %d\)\]" % other[1:]
+    with pytest.raises(DataValidationError, match=match):
+        BATCHED_FITS[call](datasets, fam)
+
+
 def _cli(capsys, argv, out, want):
     """Run ``ghive`` and check the exit code the library outcome ``want``
     maps to: on success a written file and a silent stderr, on failure one

@@ -259,6 +259,22 @@ def test_naive_wald_interval_rejects_singular_information():
         naive_wald_interval(data, BERNOULLI, coef, c)
 
 
+def test_a_naive_interval_is_refused_under_another_family_or_for_other_data():
+    data, _, _ = small_sim_dataset(n=200, p=3, m_dim=4, k=2, eta=2, seed=1, rep_seed=2)
+    naive = fit_naive_mle(data, BERNOULLI)
+    c = basis_contrast(0, 0, data.m_dim, data.p)
+    assert naive.family is BERNOULLI and naive_wald_interval(data, BERNOULLI, naive, c).se > 0.0
+    with pytest.raises(DataValidationError, match="'poisson' is not the fit's 'bernoulli'"):
+        naive_wald_interval(data, POISSON, naive, c)
+    wider = Dataset(np.c_[data.x, data.x[:, :1]], data.y)  # p = 4 data on a p = 3 fit
+    with pytest.raises(DataValidationError, match=r"\(4, 3\) do not match data \(4, 4\)"):
+        naive_wald_interval(wider, BERNOULLI, naive, c)
+    small, _, _ = small_sim_dataset(n=50, p=3, m_dim=2, family="gaussian", seed=12)
+    other, _, _ = small_sim_dataset(n=40, p=3, m_dim=5, family="gaussian", seed=13)
+    with pytest.raises(DataValidationError, match=r"\(2, 3\) do not match data \(5, 3\)"):
+        naive_wald_interval(other, GAUSSIAN, fit_naive_mle(small, GAUSSIAN), basis_contrast(0, 0, 2, 3))
+
+
 def _overflowing(family, seed, scale):
     """40 x 2 data whose x is scaled by ``scale``, or whose first cell is
     1e200 when ``scale`` is None."""

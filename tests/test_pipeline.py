@@ -1,4 +1,4 @@
-"""End-to-end fitting pipeline: modes, projection, serialization."""
+"""End-to-end fitting pipeline: cross-fitting, modes, projection, serialization."""
 
 import json
 
@@ -10,12 +10,14 @@ from conftest import small_sim_dataset
 from ghive import BERNOULLI, GAUSSIAN, POISSON, spectral
 from ghive.data_io import Dataset, matrix_to_json
 from ghive.errors import DataValidationError, NumericalError
-from ghive.qml import MAX_ITER, TOL, make_split
+from ghive.families import RESIDUAL_CURVATURE_FLOOR, weighted_residual
+from ghive.qml import MAX_ITER, TOL, CoefMatrix, _fit_matrix, make_split
 from ghive.spectral import eigendecomposition
 from ghive.pipeline import (
     DERIVED_TOL,
     FIT_FORMAT_VERSION,
     Mode,
+    _crossfit_sigma,
     deserialize_fit,
     ghive_fit,
     ghive_fit_many,
@@ -38,6 +40,72 @@ def _v1_doc(fit):
     doc.update(format_version=1, eigvals=eigvals.tolist(), eigvecs=matrix_to_json(eigvecs))
     doc["split"]["seed"] = doc["seed"]
     return doc
+
+
+def _coef(values, family=GAUSSIAN):
+    values = np.asarray(values, dtype=float)
+    return CoefMatrix(values, np.zeros(len(values)), family)
+
+
+def test_sigma_hat_scores_each_fold_with_the_other_folds_fit():
+    # fold d1's rows take the fold-d2 coefficients and vice versa; with a
+    # gaussian family the weighted residual is exactly y - x f'
+    data, _, _ = small_sim_dataset(n=30, p=3, m_dim=2, family="gaussian", seed=6)
+    split = make_split(data.n, seed=13)
+    rng = np.random.default_rng(99)
+    c1 = _coef(rng.standard_normal((2, 3)))
+    c2 = _coef(rng.standard_normal((2, 3)))
+    e1 = data.y[split.d1] - data.x[split.d1] @ c2.values.T
+    e2 = data.y[split.d2] - data.x[split.d2] @ c1.values.T
+    hand = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
+    sigma = _crossfit_sigma(data, split, c1, c2)
+    assert np.allclose(sigma, hand, atol=1e-12)
+    assert np.array_equal(sigma, sigma.T)
+    # the fold-swapped pairing is another matrix
+    assert not np.allclose(_crossfit_sigma(data, split, c2, c1), hand, atol=1e-3)
+
+
+def test_sigma_hat_caps_the_weighted_residuals():
+    # a coefficient row that forces a confident wrong prediction must give
+    # residuals capped at 1/floor rather than the raw quotient
+    x = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
+    big = _coef([[-8.0, -8.0]], BERNOULLI)
+    sigma = _crossfit_sigma(Dataset(x, np.ones((8, 1))), make_split(8, seed=0), big, big)
+    cap = 1.0 / RESIDUAL_CURVATURE_FLOOR
+    assert np.allclose(sigma, cap**2 * np.ones((1, 1)))
+    # sanity: the uncapped quotient would have been far larger
+    assert weighted_residual(BERNOULLI, 1.0, -8.0) > 10 * cap
+
+
+def _fold_fits(data, split, family):
+    """The fold fits a ghive fit averages, each fold solved alone."""
+    return [_fit_matrix([(data.x[rows], data.y[rows])], family, "quasi")[0]
+            for rows in (split.d1, split.d2)]
+
+
+def test_f_hat_averages_the_fold_fits():
+    data, _, _ = small_sim_dataset(n=50, seed=4, rep_seed=2)
+    fit = ghive_fit(data, BERNOULLI, seed=21)
+    fit1, fit2 = _fold_fits(data, fit.split, BERNOULLI)
+    assert np.allclose(fit.f_hat.values, 0.5 * (fit1.values + fit2.values), atol=1e-15)
+    # both folds' norms, fold d1 first, and a flag per fold fit
+    assert np.array_equal(fit.f_hat.grad_norm, np.column_stack([fit1.grad_norm, fit2.grad_norm]))
+    assert np.array_equal(fit.f_hat.converged, np.column_stack([fit1.converged, fit2.converged]))
+    assert np.array_equal(fit.f_hat.converged, fit.f_hat.grad_norm < TOL)
+    assert fit.family is fit.f_hat.family is BERNOULLI
+
+
+def test_sigma_hat_averages_the_out_of_fold_moments_of_the_fold_fits():
+    data, _, _ = small_sim_dataset(n=21, p=3, m_dim=3, seed=14)
+    fit = ghive_fit(data, BERNOULLI, seed=5)
+    (d1, d2), (fit1, fit2) = (fit.split.d1, fit.split.d2), _fold_fits(data, fit.split, BERNOULLI)
+    e1, e2 = (
+        weighted_residual(BERNOULLI, data.y[rows], data.x[rows] @ coef.values.T,
+                          floor=RESIDUAL_CURVATURE_FLOOR)
+        for rows, coef in ((d1, fit2), (d2, fit1))
+    )
+    hand = 0.5 * (e1.T @ e1 / len(d1) + e2.T @ e2 / len(d2))
+    assert np.allclose(fit.spectral.sigma_hat, hand, atol=1e-12)
 
 
 @pytest.fixture

@@ -12,12 +12,12 @@ from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.data_io import Dataset
 from ghive import families, qml
 from ghive.errors import DataValidationError
+from ghive.pipeline import ghive_fit_many
 from ghive.qml import (
     RADIUS,
     CoefMatrix,
     fit_naive_many,
     fit_naive_mle,
-    fit_qml_many,
     fit_qml_one,
     loglik_gradient,
     loglik_objective,
@@ -123,17 +123,6 @@ def test_a_column_whose_curvature_or_gradient_overflows_stops_where_it_is(overfl
     assert together[0].values.tobytes() == alone.values.tobytes() and alone.converged.all()
 
 
-def test_fit_qml_all_averages_the_fold_fits():
-    data, _, _ = small_sim_dataset(n=50, seed=4, rep_seed=2)
-    split = make_split(data.n, seed=21)
-    fit1, fit2, avg = fit_qml_many([data], BERNOULLI, [split])[0]
-    assert np.allclose(avg.values, 0.5 * (fit1.values + fit2.values), atol=1e-15)
-    # both folds' norms, fold d1 first, and a flag per fold fit
-    assert np.array_equal(avg.grad_norm, np.column_stack([fit1.grad_norm, fit2.grad_norm]))
-    assert np.array_equal(avg.converged, np.column_stack([fit1.converged, fit2.converged]))
-    assert np.array_equal(avg.converged, avg.grad_norm < qml.TOL)
-
-
 _X = np.random.default_rng(2).standard_normal((40, 2))
 _Y01 = (_X[:, 0] > 0).astype(float)
 _ZERO = [np.zeros(2)]
@@ -149,10 +138,8 @@ _ZERO = [np.zeros(2)]
         lambda: fit_qml_one(_X, np.where(_X[:, 1] > 1.5, np.nan, _X[:, 0]), GAUSSIAN, _ZERO),
         lambda: fit_qml_one(_X, _Y01[:30], BERNOULLI, _ZERO),
         lambda: fit_qml_one(_X, _Y01[:, None], BERNOULLI, _ZERO),
-        lambda: fit_qml_many(
-            [Dataset(_X, np.c_[_Y01, 2.0 * _Y01])], BERNOULLI, [make_split(40, 0)]
-        ),
-        lambda: fit_qml_many([Dataset(_X, np.c_[_Y01, -_Y01])], POISSON, [make_split(40, 0)]),
+        lambda: ghive_fit_many([Dataset(_X, np.c_[_Y01, 2.0 * _Y01])], BERNOULLI, [0]),
+        lambda: ghive_fit_many([Dataset(_X, np.c_[_Y01, -_Y01])], POISSON, [0]),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON),
         lambda: fit_qml_one(np.zeros((0, 3)), np.zeros(0), GAUSSIAN, [np.zeros(3)]),
@@ -186,9 +173,8 @@ def test_fold_smaller_than_covariate_count_is_rejected():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 4))
     y = (rng.random((5, 2)) < 0.5).astype(float)
-    split = make_split(5, seed=1)
     with pytest.raises(DataValidationError):
-        fit_qml_many([Dataset(x, y)], BERNOULLI, [split])
+        ghive_fit_many([Dataset(x, y)], BERNOULLI, [1])
 
 
 def test_poisson_naive_mle_recovers_coefficients():
@@ -335,9 +321,11 @@ def _column_cases(family):
 
 
 def _all_fits(x, y, family):
-    data = Dataset(x, y)
-    (folds,) = fit_qml_many([data], family, [make_split(len(x), seed=5)])
-    return (*folds, fit_naive_mle(data, family))
+    """The two fold fits of a ghive fit, as ``ghive_fit_many`` solves them,
+    and the naive MLE."""
+    split = make_split(len(x), seed=5)
+    folds = qml._fit_matrix([(x[rows], y[rows]) for rows in (split.d1, split.d2)], family, "quasi")
+    return (*folds, fit_naive_mle(Dataset(x, y), family))
 
 
 def _assert_same_fits(got, want):
@@ -350,8 +338,8 @@ def _one_column_at_a_time(x, y, family):
     alone = [_all_fits(x, y[:, [m]], family) for m in range(y.shape[1])]
     return [
         CoefMatrix(*(np.concatenate([getattr(a[i], k) for a in alone])
-                     for k in ("values", "grad_norm")))
-        for i in range(4)
+                     for k in ("values", "grad_norm")), family)
+        for i in range(3)
     ]
 
 
@@ -360,7 +348,7 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
     x, y = _column_cases(family)
     together = _all_fits(x, y, family)
     _assert_same_fits(together, _one_column_at_a_time(x, y, family))
-    fold1, fold2, _, naive = together
+    fold1, fold2, naive = together
     if family is POISSON:  # stalled at precision: stopped short of tol
         stalled = [f.grad_norm[-1] for f in (fold1, fold2, naive) if not f.converged[-1]]
         assert stalled and max(stalled) < 1e-3
@@ -457,7 +445,7 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
         return out
 
     monkeypatch.setattr(qml, "_ascent_block", measured)
-    fold1, fold2, _, naive = _all_fits(x, y, POISSON)
+    fold1, fold2, naive = _all_fits(x, y, POISSON)
     assert not all(f.converged[-1] for f in (fold1, fold2, naive))  # stalled columns ran
     assert costs
     for n_calls, iterations in costs:
@@ -600,16 +588,18 @@ def test_stacked_designs_over_several_gram_chunks_and_halving_rounds(family, mon
 @pytest.mark.parametrize("n", [70, 101])
 def test_many_datasets_fit_as_each_dataset_alone(family, n, monkeypatch):
     datasets = _datasets(family, n=n, p=3, m_dim=6, count=4, seed=30)
-    splits = [make_split(n, seed=s) for s in range(4)]
     seen = _block_designs(monkeypatch)
-    many = qml.fit_qml_many(datasets, family, splits)
+    many = ghive_fit_many(datasets, family, range(4))
     naive = qml.fit_naive_many(datasets, family)
     assert 3 in seen and 2 not in seen  # every ascent stacked designs
-    for data, split, folds, mle in zip(datasets, splits, many, naive):
-        alone = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
-                 for idx in (split.d1, split.d2)]
-        _assert_same_fits(folds[:2], alone)
-        _assert_same_fits(folds, fit_qml_many([data], family, [split])[0])
+    for seed, (data, fit, mle) in enumerate(zip(datasets, many, naive)):
+        folds = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
+                 for idx in (fit.split.d1, fit.split.d2)]
+        # f_hat is the fold fits' average, with both folds' norms
+        alone = CoefMatrix(0.5 * (folds[0].values + folds[1].values),
+                           np.column_stack([f.grad_norm for f in folds]), family)
+        _assert_same_fits([fit.f_hat], [alone])
+        _assert_same_fits([fit.f_hat], [ghive_fit_many([data], family, [seed])[0].f_hat])
         _assert_same_fits([mle], qml._fit_matrix([(data.x, data.y)], family, "loglik"))
 
 
@@ -621,7 +611,6 @@ def test_a_design_whose_columns_fill_a_block_is_never_gathered(monkeypatch):
     seen = _block_designs(monkeypatch)
     for n, p, m_dim in ((800, 20, 10), (200, 4, 20)):
         datasets = _datasets(POISSON, n=n, p=p, m_dim=m_dim, count=2)
-        splits = [make_split(n, seed=s) for s in range(2)]
-        qml.fit_qml_many(datasets, POISSON, splits)
+        ghive_fit_many(datasets, POISSON, range(2))
         qml.fit_naive_many(datasets, POISSON)
     assert seen and set(seen) == {2}

@@ -8,6 +8,7 @@ from scipy.linalg import circulant
 from scipy.special import expit
 
 from ghive.errors import DataValidationError, NumericalError
+from ghive.families import family_from_name
 from ghive.qml import CoefMatrix
 from ghive.simulate import (
     _DATA_DOMAIN,
@@ -190,7 +191,8 @@ def test_metrics_hand_formulas():
 def test_metrics_accept_coefmatrix_oracles():
     cfg = SimConfig(n=50, p=2, m_dim=2, k=1, eta=1.0, seed=2)
     truth = make_truth(cfg)
-    fs = CoefMatrix(values=truth.theta.copy(), grad_norm=np.zeros(2))
+    fs = CoefMatrix(values=truth.theta.copy(), grad_norm=np.zeros(2),
+                    family=family_from_name(cfg.family))
     m = metrics(None, truth, f_star=fs)
     assert m.bias1 == pytest.approx(0.0)
 

@@ -1,72 +1,16 @@
-"""Cross-fit residual covariance, eigenstructure, factor-count selection."""
+"""Eigenstructure of the residual covariance, factor-count selection, projectors."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import small_sim_dataset
-from ghive import BERNOULLI, GAUSSIAN
-from ghive.data_io import Dataset
 from ghive.errors import DataValidationError, NumericalError
-from ghive.families import RESIDUAL_CURVATURE_FLOOR, weighted_residual
-from ghive.qml import CoefMatrix, fit_qml_many, make_split
 from ghive.spectral import (
-    covariance_crossfit,
-    crossfit_residuals,
     eigendecomposition,
     projector_complement,
     select_k,
 )
-
-
-def _coef(values):
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    return CoefMatrix(values=values, grad_norm=np.zeros(m))
-
-
-def test_crossfit_residuals_swap_folds():
-    # Rows in fold 2 must be scored with the fold-1 coefficients and vice
-    # versa; with a gaussian family the residual is exactly y - x f'.
-    data, _, _ = small_sim_dataset(n=30, p=3, m_dim=2, family="gaussian", seed=6)
-    split = make_split(data.n, seed=13)
-    rng = np.random.default_rng(99)
-    c1 = _coef(rng.standard_normal((2, 3)))
-    c2 = _coef(rng.standard_normal((2, 3)))
-    resid = crossfit_residuals(data, GAUSSIAN, c1, c2, split)
-    assert resid.shape == (data.n, 2)
-    for i in split.d2:
-        assert np.allclose(resid[i], data.y[i] - c1.values @ data.x[i])
-    for i in split.d1:
-        assert np.allclose(resid[i], data.y[i] - c2.values @ data.x[i])
-
-
-def test_crossfit_residuals_apply_the_curvature_cap():
-    # A coefficient row that forces a confident wrong prediction must come
-    # back capped at 1/floor rather than at the raw quotient.
-    x = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-    y = np.ones((8, 1))
-    data_split = make_split(8, seed=0)
-    big = _coef([[-8.0, -8.0]])
-    resid = crossfit_residuals(Dataset(x, y), BERNOULLI, big, big, data_split)
-    cap = 1.0 / RESIDUAL_CURVATURE_FLOOR
-    assert np.allclose(resid, cap)
-    # sanity: the uncapped quotient would have been far larger
-    assert weighted_residual(BERNOULLI, 1.0, -8.0) > 10 * cap
-
-
-def test_covariance_crossfit_averages_the_fold_moments():
-    data, _, _ = small_sim_dataset(n=21, p=3, m_dim=3, seed=14)
-    split = make_split(data.n, seed=5)
-    ((f1, f2, _),) = fit_qml_many([data], BERNOULLI, [split])
-    resid = crossfit_residuals(data, BERNOULLI, f1, f2, split)
-    sigma = covariance_crossfit(resid, split)
-    e1 = resid[split.d1]
-    e2 = resid[split.d2]
-    hand = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
-    assert np.allclose(sigma, hand, atol=1e-12)
-    assert np.array_equal(sigma, sigma.T)
 
 
 def test_eigendecomposition_reconstructs_and_orders():
