@@ -80,14 +80,26 @@ class Mode:
 class GhiveFit:
     """Everything produced by one pipeline run."""
 
-    n: int
-    p: int
-    m_dim: int
     mode: Mode
     split: SplitPlan  # its seed is the fit's only source of randomness
     f_hat: CoefMatrix  # fold-averaged coefficients (M x p), grad norms (M x 2), family
     theta_hat: np.ndarray  # projected coefficients (M x p)
     spectral: spectral.SpectralResult
+
+    @property
+    def n(self) -> int:
+        """Rows of the fitted data, as the split records them."""
+        return self.split.n
+
+    @property
+    def m_dim(self) -> int:
+        """Responses, the rows of ``f_hat``."""
+        return self.f_hat.values.shape[0]
+
+    @property
+    def p(self) -> int:
+        """Covariates, the columns of ``f_hat``."""
+        return self.f_hat.values.shape[1]
 
     @property
     def family(self) -> GlmFamily:
@@ -109,7 +121,7 @@ class GhiveFit:
 def _assemble(split, mode, f_hat, sigma_hat) -> GhiveFit:
     """The one way a GhiveFit is put together: the spectrum of ``sigma_hat``,
     the factor count and projector (or the mode's), ``theta_hat = p_perp @ f_hat``."""
-    m_dim, p = f_hat.values.shape
+    m_dim = len(f_hat.values)
     eigvals, eigvecs = spectral.eigendecomposition(sigma_hat)
     k_hat = None
     if mode.kind == ORACLE_P:
@@ -123,8 +135,7 @@ def _assemble(split, mode, f_hat, sigma_hat) -> GhiveFit:
         k_hat = mode.k if mode.kind == ORACLE_K else spectral.select_k(eigvals, split.n)
         p_perp = spectral.projector_complement(eigvecs, k_hat)
     return GhiveFit(
-        n=split.n, p=p, m_dim=m_dim, mode=mode, split=split, f_hat=f_hat,
-        theta_hat=p_perp @ f_hat.values,
+        mode=mode, split=split, f_hat=f_hat, theta_hat=p_perp @ f_hat.values,
         spectral=spectral.SpectralResult(sigma_hat, eigvals, k_hat, p_perp),
     )
 

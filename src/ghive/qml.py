@@ -37,9 +37,12 @@ BLOCK_ELEMENTS. The columns of a block may also sit on different designs of
 one row count: both folds of an even n, or the folds of many datasets (in
 ``ghive_fit_many`` and :func:`fit_naive_many`). Such a block gathers each
 column's design rows, and its products stay per-column batched matmuls, so
-a column keeps its bits; designs share a block only while the gathered
-(columns, n, p) rows fit STACK_ELEMENTS, and a design whose columns fill that
-alone runs by itself, its design broadcast over its columns.
+a column keeps its bits. Designs share a block while the gathered
+(columns, n, p) rows fit BLOCK_ELEMENTS too: both 100-row folds of a fit at
+p = 4 with 20 responses run as one block per stage, as do the 40 folds of a
+study grid point. A design whose columns fill that alone (the folds of a
+5000-row or a 2000-row, 50-response fit, a 100k-row oracle fit) runs by
+itself, its design broadcast over its columns.
 
 :func:`weighted_gram` sums each column's curvature matrix over consecutive
 row chunks sized by p alone, so its operands stay in cache and its bits do
@@ -85,7 +88,9 @@ MAX_STEP_HALVINGS = 30
 # line-search bookkeeping, so a 5000-row fold runs up to 26 columns in one
 # block while a 100k-row oracle fit still runs one column at a time. The same
 # budget bounds the (columns, p, rows) buffer of scaled design rows that
-# weighted_gram fills for a chunk of columns at a time (see gram_buffer).
+# weighted_gram fills for a chunk of columns at a time (see gram_buffer), and
+# the (columns, n, p) design rows that a block of several designs gathers (see
+# _newton_ascent).
 BLOCK_ELEMENTS = 2**17
 
 # Element budget of the (candidates, n) predictors of one stacked round of
@@ -93,11 +98,7 @@ BLOCK_ELEMENTS = 2**17
 # halvings in one objective call, while folds of more than 4096 rows keep one
 # halving per call: there a candidate nobody takes costs more than the call
 # it might save. The temporaries stay below glibc malloc's default 128 KB mmap
-# threshold, so the calls do not map and page-fault them afresh. The same
-# budget bounds the (columns, n, p) design rows that a block of several
-# designs gathers (see _newton_ascent): stacking designs pays where per-call
-# bookkeeping outweighs the arithmetic, and there the gathered rows, the
-# block's gram buffer and its (columns, n) arrays all stay small.
+# threshold, so the calls do not map and page-fault them afresh.
 STACK_ELEMENTS = 2**13
 
 # Element budget (128 KB) of one column's (p, rows) chunk of scaled design
@@ -369,12 +370,15 @@ def _newton_ascent(xs, ys, family, starts, kind):
     ``(f, value, grad_norm)``, shaped (G, C, p), (G, C) and (G, C).
 
     Designs share a block while the design rows gathered for its columns,
-    (columns, n, p), stay within STACK_ELEMENTS and its (columns, n) arrays,
-    like any block's, within BLOCK_ELEMENTS. A design whose C columns fill
-    that alone runs by itself, in :func:`column_blocks`, with its design
-    broadcast over the columns rather than gathered."""
+    (columns, n, p), stay within BLOCK_ELEMENTS, the budget of its (columns,
+    n) arrays and gram buffer too: both folds of a fit-small fit (two
+    100-row folds, p = 4, 20 responses) run as one block per stage, and so
+    do the 40 folds of a table1 grid point. A design whose C columns fill
+    that alone (a fit-large or cli-roundtrip fold, the 100k-row oracle) runs
+    by itself, in :func:`column_blocks`, with its design broadcast over the
+    columns rather than gathered."""
     (n, p), (g_dim, c_dim) = xs[0].shape, starts.shape[:2]
-    per = max(1, min(STACK_ELEMENTS // p, BLOCK_ELEMENTS) // (c_dim * n))
+    per = max(1, BLOCK_ELEMENTS // (p * c_dim * n))
     response, f = np.arange(c_dim) % ys[0].shape[1], starts.reshape(-1, p)
     blocks = []
     for g in range(0, g_dim, per):
@@ -406,7 +410,9 @@ def _ascent_block(x, xt, y, family, f, kind):
     unconverged. The line search tries the full step for every column, then
     stacks each failing column's next halvings, as many per round as keep
     the (candidates, n) predictors within STACK_ELEMENTS, and takes the
-    first that increases the objective, as one halving at a time would.
+    first that increases the objective, as one halving at a time would. A
+    round's candidates broadcast over their columns' design rows, which are
+    never copied per candidate.
 
     Each iterate is evaluated once: the predictors of the accepted candidate
     are kept for the next gradient and curvature, and the score residual
@@ -431,13 +437,12 @@ def _ascent_block(x, xt, y, family, f, kind):
         # the live columns' rows: views while no column has stopped
         rows = slice(None) if live.size == len(f) else live
         eta_live, y_live, d1 = eta[rows], y[rows], None
-        x_live = x if shared else x[rows]
         if kind == "quasi":
             score = quasi_residual(family, y_live, eta_live, VARIANCE_FLOOR)
         else:
             d1 = cumulant_d1(family, eta_live)
             score = y_live - d1
-        grad[live] = _gradient(x_live, score)
+        grad[live] = _gradient(x if shared else x[rows], score)
         norm = grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
         going = (norm >= TOL) & np.isfinite(norm)
         live = live[going]
@@ -448,9 +453,12 @@ def _ascent_block(x, xt, y, family, f, kind):
             weight = hessian_weight(family, eta_live[keep], score[keep])
         else:
             weight = cumulant_d2(family, eta_live[keep], d1=d1[keep])
-        curv = weighted_gram(x if shared else x_live[keep], weight, xt, buf) / n
-        # free the iterate's (C, n) arrays before the line search makes its own
-        del eta_live, y_live, x_live, d1, score, weight
+        # free the iterate's (C, n) arrays before the gram and the line search
+        # make their own; the going columns' rows are x itself while every
+        # column goes on
+        del eta_live, y_live, d1, score
+        curv = weighted_gram(x if shared or live.size == len(f) else x[live], weight, xt, buf) / n
+        del weight
         if not np.isfinite(curv).all():
             finite = np.isfinite(curv).all(axis=(1, 2))
             live, curv = live[finite], curv[finite]
@@ -472,18 +480,18 @@ def _ascent_block(x, xt, y, family, f, kind):
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
             cand = _ball_project(cand.reshape(-1, f.shape[1]))
-            tiled = np.tile(cols, k)
+            # a column's k candidates broadcast over its rows, gathered once
             cand_value, cand_eta = _evaluate(
-                x if shared else x[tiled], y[tiled], family, cand, kind
+                x if shared or cols.size == len(f) else x[cols], y[cols], family,
+                cand.reshape(k, cols.size, -1), kind,
             )
-            cand_value = cand_value.reshape(k, -1)
             up = np.isfinite(cand_value) & (cand_value > value[cols])
             # each column takes its first (longest) increasing step, as when
             # the halvings run one at a time
             hit = up.any(axis=0)
             first = up.argmax(axis=0)[hit] * todo.size + np.flatnonzero(hit)
             f[cols[hit]], value[cols[hit]] = cand[first], cand_value.ravel()[first]
-            eta[cols[hit]] = cand_eta[first]
+            eta[cols[hit]] = cand_eta.reshape(-1, n)[first]
             todo, halving = todo[~hit], halving + k
         live = np.delete(live, todo)
         path.append(value.copy())

@@ -126,6 +126,14 @@ def test_fit_shapes_and_projection_identity(fitted):
     assert np.array_equal(fit.spectral.sigma_hat, fit.spectral.sigma_hat.T)
 
 
+def test_fit_sizes_are_read_off_the_split_and_f_hat(fitted):
+    data, fit = fitted
+    assert (fit.n, fit.p, fit.m_dim) == (data.n, data.p, data.m_dim)
+    for name in ("n", "p", "m_dim"):
+        with pytest.raises(AttributeError):
+            setattr(fit, name, 1)
+
+
 def test_refit_with_same_seed_is_bitwise_identical(fitted):
     data, fit = fitted
     again = ghive_fit(data, BERNOULLI, seed=42)

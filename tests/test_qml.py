@@ -12,7 +12,7 @@ from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.data_io import Dataset
 from ghive import families, qml
 from ghive.errors import DataValidationError
-from ghive.pipeline import ghive_fit_many
+from ghive.pipeline import ghive_fit, ghive_fit_many
 from ghive.qml import (
     RADIUS,
     CoefMatrix,
@@ -524,13 +524,14 @@ def _datasets(family, n, p, m_dim, count, seed=0):
     ]
 
 
-def _block_designs(monkeypatch):
-    """Record the ndim of the design each _ascent_block call gets: 2 for one
-    design shared by the block's columns, 3 for designs gathered per column."""
+def _block_designs(monkeypatch, record=np.ndim):
+    """Record ``record`` of the design each _ascent_block call gets: by
+    default its ndim, 2 for one design shared by the block's columns, 3 for
+    designs gathered per column; ``np.shape`` gives (n, p) or (columns, n, p)."""
     seen, block = [], qml._ascent_block
 
     def recorded(*args):
-        seen.append(args[0].ndim)
+        seen.append(record(args[0]))
         return block(*args)
 
     monkeypatch.setattr(qml, "_ascent_block", recorded)
@@ -574,9 +575,10 @@ def test_stacked_designs_over_several_gram_chunks_and_halving_rounds(family, mon
     together = qml._newton_ascent(xs, ys, family, starts, "quasi")
     assert seen == [3]  # the four designs share one block
     _assert_columns_alone(xs, ys, family, starts, "quasi", together)
-    # the smallest budget that still stacks the four designs' 4 * 6 * 40 * 3
-    # gathered rows: fewer halvings per objective call, the same steps, hence
-    # the same fits
+    # a halving budget of the four designs' 4 * 6 * 40 * 3 gathered rows,
+    # well below the default: fewer halvings per objective call, the same
+    # steps, hence the same fits; BLOCK_ELEMENTS alone budgets the gathered
+    # rows, so the designs still share one block
     seen.clear()
     monkeypatch.setattr(qml, "STACK_ELEMENTS", 4 * 6 * 40 * 3)
     for got, want in zip(qml._newton_ascent(xs, ys, family, starts, "quasi"), together):
@@ -604,13 +606,47 @@ def test_many_datasets_fit_as_each_dataset_alone(family, n, monkeypatch):
 
 
 def test_a_design_whose_columns_fill_a_block_is_never_gathered(monkeypatch):
-    # with STACK_ELEMENTS 2**13 no two folds share a block, nor two naive
+    # with BLOCK_ELEMENTS 2**17 no two folds share a block, nor two naive
     # fits: 400-row folds at p = 20, whose 10 naive-start columns alone gather
-    # 80,000 elements, and 100-row folds at p = 4 with 20 responses (8,000
-    # elements per fold for the naive starts, 16,000 for the quasi columns)
+    # 80,000 elements (two folds would take 160,000), and cli-roundtrip's
+    # 1000-row folds at p = 10 with 50 responses, whose naive-start columns
+    # alone gather 500,000
     seen = _block_designs(monkeypatch)
-    for n, p, m_dim in ((800, 20, 10), (200, 4, 20)):
+    for n, p, m_dim in ((800, 20, 10), (2000, 10, 50)):
         datasets = _datasets(POISSON, n=n, p=p, m_dim=m_dim, count=2)
         ghive_fit_many(datasets, POISSON, range(2))
         qml.fit_naive_many(datasets, POISSON)
     assert seen and set(seen) == {2}
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_both_folds_of_a_small_fit_run_as_one_gathered_block_per_stage(family, monkeypatch):
+    # the benchmark's fit-small shape: two 100-row folds at p = 4 with 20
+    # responses gather 2 * 20 * 100 * 4 = 16,000 elements for the naive
+    # starts and 32,000 for the quasi columns, well within one block
+    (data,) = _datasets(family, n=200, p=4, m_dim=20, count=1, seed=40)
+    seen = _block_designs(monkeypatch, np.shape)
+    fit = ghive_fit(data, family, seed=3)
+    assert seen == [(40, 100, 4), (80, 100, 4)]
+    folds = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
+             for idx in (fit.split.d1, fit.split.d2)]
+    alone = CoefMatrix(0.5 * (folds[0].values + folds[1].values),
+                       np.column_stack([f.grad_norm for f in folds]), family)
+    _assert_same_fits([fit.f_hat], [alone])
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 8 * 35 * 4])
+def test_no_block_gathers_more_design_rows_than_its_budget(budget, monkeypatch):
+    # the default budget, and one that fits exactly three of the table1
+    # quasi stage's 35-row folds with 8 columns each
+    if budget is not None:
+        monkeypatch.setattr(qml, "BLOCK_ELEMENTS", budget)
+    seen = _block_designs(monkeypatch, np.shape)
+    for n, p, m_dim, count in ((70, 4, 4, 20), (200, 4, 20, 3), (800, 20, 10, 2)):
+        datasets = _datasets(POISSON, n=n, p=p, m_dim=m_dim, count=count)
+        ghive_fit_many(datasets, POISSON, range(count))
+        qml.fit_naive_many(datasets, POISSON)
+    gathered = [np.prod(shape) for shape in seen if len(shape) == 3]
+    assert gathered and max(gathered) <= qml.BLOCK_ELEMENTS
+    if budget is not None:
+        assert max(gathered) == budget
