@@ -566,9 +566,12 @@ def _fit_matrix(designs, family, kind) -> list:
     """Fit every response column of each ``(x, y)`` design, one CoefMatrix
     per design: ``kind="loglik"`` is the naive MLE from zero;
     ``kind="quasi"`` maximises the quasi-likelihood from both zero and that
-    MLE, as 2M columns of one ascent (the zero start wins ties). The designs
-    of one row count go through one :func:`_newton_ascent` per stage. The
-    designs must share p and M."""
+    MLE, as 2M columns of one ascent (the zero start wins ties). On the
+    small folds of a data fit a column can stall near TOL, and there the
+    start decides the last digits; the oracle on at least 10k rows
+    (:func:`~ghive.simulate.fstar_oracle`) climbs from zero alone. The
+    designs of one row count go through one :func:`_newton_ascent` per stage.
+    The designs must share p and M."""
     shapes = sorted({(x.shape[1], y.shape[1]) for x, y in designs})
     if len(shapes) > 1:
         raise DataValidationError(f"a batched fit needs one p and M; got (p, M) in {shapes}")

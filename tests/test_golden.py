@@ -1,21 +1,28 @@
-"""Golden study outputs: ``ghive reproduce table1 --reps 20 --seed 0``,
+"""Golden study outputs: ``ghive reproduce`` of table1 (``--reps 20``),
+fig1-bias (``--reps 2``) and fig2-n (``--reps 5``), all at ``--seed 0``,
 regenerated and compared with the CSVs recorded in ``tests/golden/``.
 
 Every key column (grid point, estimator, rep, metric), every count
 (``n_used``), ``failed``, and the numbers of the ``covered``,
-``covered_theta`` and ``k_hat`` metrics must match exactly; every other
-number must match to the relative tolerance RTOL. A failure lists the
-largest relative difference of each (file, estimator, metric, column).
+``covered_theta``, ``k_hat`` and ``oracle_converged_frac`` metrics must
+match exactly; every other number must match to the relative tolerance
+RTOL. A failure lists the largest relative difference of each (file,
+estimator, metric, column).
 
 A change that moves study numbers on purpose re-records the files with one
 BLAS thread, and states the moved numbers the failure listed:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m ghive.cli reproduce table1 --reps 20 --seed 0 --out tests/golden
+    export OPENBLAS_NUM_THREADS=1 PYTHONPATH=src
+    python -m ghive.cli reproduce table1 --reps 20 --seed 0 --out tests/golden
+    python -m ghive.cli reproduce fig1-bias --reps 2 --seed 0 --out tests/golden
+    python -m ghive.cli reproduce fig2-n --reps 5 --seed 0 --out tests/golden
 """
 
 import csv
 import math
 from pathlib import Path
+
+import pytest
 
 from ghive import cli
 
@@ -26,7 +33,7 @@ GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
 
 FLOAT_COLUMNS = ("value", "mean", "stderr")
-EXACT_METRICS = ("covered", "covered_theta", "k_hat")  # flags and counts
+EXACT_METRICS = ("covered", "covered_theta", "k_hat", "oracle_converged_frac")  # flags and counts
 
 
 def _rows(path):
@@ -41,12 +48,13 @@ def _relative_difference(got: str, want: str) -> float:
     return abs(g - w) / abs(w) if w else math.inf
 
 
-def test_table1_reproduces_the_golden_outputs(tmp_path, capsys):
-    argv = ["reproduce", "table1", "--reps", "20", "--seed", "0", "--out", str(tmp_path)]
+@pytest.mark.parametrize("experiment, reps", [("table1", 20), ("fig1-bias", 2), ("fig2-n", 5)])
+def test_the_study_reproduces_the_golden_outputs(experiment, reps, tmp_path, capsys):
+    argv = ["reproduce", experiment, "--reps", str(reps), "--seed", "0", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     capsys.readouterr()
     largest = {}
-    for name in ("table1_long.csv", "table1_agg.csv"):
+    for name in (f"{experiment}_long.csv", f"{experiment}_agg.csv"):
         got, want = _rows(tmp_path / name), _rows(GOLDEN / name)
         assert len(got) == len(want), name
         for g, w in zip(got, want):
