@@ -25,6 +25,16 @@ Floats are written with 17 significant digits so that write -> read is
 bit-exact for every finite double. All file writes go through a temp file
 in the target directory followed by an atomic rename, so readers never see
 a partially written artifact.
+
+JSON documents (fits, intervals, configs, oracle summaries) are written and
+read by orjson, whose output stdlib ``json`` reads to the same values, floats
+bit for bit. The stdlib codec takes over only where orjson cannot represent a
+document exactly. A writer hands it an object holding a non-finite float
+(orjson would write ``null``; the stdlib writes ``Infinity`` or ``NaN``, which
+Python reads back but strict parsers refuse) or an integer beyond 64 bits
+(orjson raises). A reader hands it a file orjson refuses (the ``NaN`` and
+``Infinity`` tokens among them) or one holding an integer literal of 19 or
+more digits, which orjson may return as a float.
 """
 
 from __future__ import annotations
@@ -206,13 +216,14 @@ def _format_float(v) -> str:
     return format(float(v), ".17g")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to ``path`` via temp-file-then-rename."""
+def atomic_write_text(path, text) -> None:
+    """Write text, a str or its UTF-8 bytes, to ``path`` via temp-file-then-rename."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -241,10 +252,36 @@ def write_csv_rows(path, fieldnames, rows) -> None:
 
 
 def write_json_atomic(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as JSON, two-space indented with sorted keys, atomically:
+    by orjson, unless it refuses ``obj`` (an integer beyond 64 bits) or its
+    output does not read back to ``obj`` (a non-finite float becomes
+    ``null``), where the stdlib encoder writes it."""
+    try:
+        data = orjson.dumps(
+            obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+        )
+    except orjson.JSONEncodeError:
+        data = None
+    if data is None or orjson.loads(data) != obj:
+        data = json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")
+    atomic_write_text(path, data + b"\n")
 
 
 def read_json(path):
+    """The JSON document at ``path``: read by orjson, unless it refuses the
+    bytes or they hold an integer literal of 19 or more digits, where the
+    stdlib decoder reads them. Bad JSON or UTF-8 is a DataValidationError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # every digit read as 0, whitespace dropped: a run of 19 zeros not preceded
+    # by "." is an integer literal orjson may return as a float (from
+    # -9223372036854775809 down, and from 2**64 up); fraction digits may run long
+    zeros, run = raw.translate(bytes.maketrans(b"123456789", b"0" * 9), b" \t\r\n"), b"0" * 19
+    if zeros.count(run) == zeros.count(b"." + run):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)

@@ -285,10 +285,17 @@ def _doc_integer(value, name: str, nullable: bool = False):
 
 
 def _doc_indices(value, name: str) -> np.ndarray:
-    """``value`` as an index array if it is a list of integers."""
+    """``value`` as an index array if it is a list of integers; the first
+    entry that is not one makes the fit document malformed."""
     if not isinstance(value, list):
         raise DataValidationError(f"fit document {name} must be a list of integers: {value!r}")
-    return np.array([_doc_integer(i, name) for i in value], dtype=int)
+    if not all(type(i) is int for i in value):
+        for i in value:
+            _doc_integer(i, name)
+    try:
+        return np.array(value, dtype=int)
+    except OverflowError:
+        raise DataValidationError(f"fit document {name} holds an integer beyond 64 bits") from None
 
 
 def _close(stored, derived, scale: float = 1.0) -> bool:

@@ -274,7 +274,13 @@ def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.n
     weighted design. ``rows`` depends on p alone, so a column's sum does not
     depend on the columns beside it; when ``n <= rows`` it is
     ``x.T @ (weights[..., None] * x)`` bit for bit.
+
+    On one design, weight rows with the bits of the first (every gaussian
+    curvature weight is 1) get one gram, computed as above and repeated.
     """
+    repeats = len(weights)
+    if x.ndim == 2 and repeats > 1 and _same_rows(weights):
+        weights = weights[:1]
     if xt is None:
         xt = np.ascontiguousarray(x.T) if x.ndim == 2 else x.swapaxes(-1, -2)
     if buf is None:
@@ -297,7 +303,14 @@ def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.n
             )
             if s:
                 gram += part[: len(w)]
-    return out
+    return out if len(out) == repeats else np.repeat(out, repeats, axis=0)
+
+
+def _same_rows(weights: np.ndarray) -> bool:
+    """Whether every row of the float ``weights`` (C, n) has the bits of row 0,
+    signed zeros and NaNs included; column 0 rules most unequal rows out."""
+    bits = weights.view(np.int64)
+    return bool((bits[:, 0] == bits[0, 0]).all() and (bits == bits[0]).all())
 
 
 def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -31,6 +31,17 @@ def small_sim_dataset(
     return sample_dataset(truth, cfg, rep_seed=rep_seed), truth, cfg
 
 
+def json_bits(value):
+    """A JSON value with each scalar tagged by its type and each float by its
+    hex form, so that == tells ints, floats and bools apart and compares
+    floats bit for bit."""
+    if isinstance(value, dict):
+        return {key: json_bits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [json_bits(v) for v in value]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
 def gaussian_design(n=60, p=4, m_dim=3, seed=0, scale=1.0):
     """Plain gaussian regression data with known coefficients, no confounding."""
     rng = np.random.default_rng(seed)

@@ -11,9 +11,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import small_sim_dataset
+from conftest import json_bits, small_sim_dataset
 import ghive
-from ghive import experiments
+from ghive import cli, data_io, experiments
 from ghive.cli import main
 from ghive.data_io import save_matrix_csv
 from ghive.experiments import (
@@ -418,6 +418,7 @@ def _edit(*path, to):
         ("v1", [_edit("split", "seed", to=lambda s: s + 1)], None, "split.seed"),
         ("v2", [_edit("split", "d1", to=lambda d: [0, 0, 0])], None, "split"),
         ("v2", [_edit("split", "d1", to=lambda d: [d[1], d[0]] + d[2:])], None, "split.d1"),
+        ("v2", [_edit("split", "d1", to=lambda d: [2**70] + d[1:])], None, "split.d1"),
         ("v2", [_edit("theta_hat", "data", 1, 2, to=lambda t: float("nan"))], None, "theta_hat"),
         ("v1-oracle-p", [_edit("p_perp", "data", 0, 0, to=lambda t: float("nan"))], None, "p_perp"),
         ("v1-oracle-p", [_edit("theta_hat", "data", 0, 0, to=lambda t: t + 1e-3)], None, "theta_hat"),
@@ -435,7 +436,8 @@ def _edit(*path, to):
         ("v2", [_edit("f_hat", "dims", to=lambda d: [True, d[1]])], None, "f_hat"),
     ],
     ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
-         "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "theta-nan",
+         "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "split-d1-beyond-64-bits",
+         "theta-nan",
          "oracle-p-nan", "oracle-p-theta", "oracle-p-not-a-projector", "tol-1e-6", "max_iter-50",
          "converged-string", "response-float", "grad_norm-string", "converged-flipped",
          "converged-contradicts-grad_norm", "f_hat-dims-one", "f_hat-dims-float",
@@ -590,6 +592,63 @@ def test_fstar_oracle_command_emits_the_bias_summary(tmp_path):
     assert f_star.shape == tuple(doc["f_star"]["dims"])
     assert doc["bias2"] <= doc["bias1"] + 1e-12
     assert doc["converged_fraction"] == pytest.approx(1.0)
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every object the CLI writes as a JSON document with the path and the
+    text written for it, in order."""
+    docs, write = [], cli.write_json_atomic
+
+    def record(path, obj):
+        write(path, obj)
+        docs.append((Path(path), obj, Path(path).read_text()))
+
+    monkeypatch.setattr(cli, "write_json_atomic", record)
+    return docs
+
+
+def test_every_document_the_cli_writes_reads_as_the_stdlib_encoding(tmp_path, written):
+    # fits in three modes and three families with an interval on each, a
+    # simulate config and an oracle summary (whose biases are np.float64)
+    for family in ("gaussian", "bernoulli", "poisson"):
+        data, _, _ = small_sim_dataset(n=50, p=3, m_dim=3, seed=16, rep_seed=4, family=family)
+        xp, yp, proj = (tmp_path / f"{family}_{name}.csv" for name in ("x", "y", "proj"))
+        save_matrix_csv(xp, data.x)
+        save_matrix_csv(yp, data.y)
+        save_matrix_csv(proj, np.eye(3))
+        for mode in ([], ["--k", "2"], ["--projector", str(proj)]):
+            fit_path = tmp_path / "fit.json"
+            assert main(["fit", "--x", str(xp), "--y", str(yp), "--family", family,
+                         "--seed", "7", "--out", str(fit_path), *mode]) == 0
+            assert _infer(fit_path, xp, yp, tmp_path / "ci.json") == 0
+    assert main(SIMULATE_ARGS + ["--out", str(tmp_path / "sim")]) == 0
+    assert main(["fstar-oracle", "--family", "gaussian", "--n", "50", "--p", "3", "--m", "3",
+                 "--k-true", "2", "--eta", "2", "--seed", "3", "--n-mc", "10000",
+                 "--out", str(tmp_path / "oracle.json")]) == 0
+    assert len(written) == 9 * 2 + 2
+    assert type(written[-1][1]["bias1"]) is np.float64
+    for path, obj, text in written:
+        want = json_bits(json.loads(json.dumps(obj, indent=2, sort_keys=True)))
+        assert json_bits(json.loads(text)) == want, path.name
+        path.write_text(text)  # a later command may have overwritten it
+        assert json_bits(data_io.read_json(path)) == want, path.name
+
+
+def test_plain_fit_and_infer_documents_never_touch_the_stdlib_codec(
+    tmp_path, csv_data, monkeypatch
+):
+    monkeypatch.setattr(data_io, "json", None)
+    code, fit_path = _fit(tmp_path, csv_data)
+    assert code == 0
+    assert _infer(fit_path, *csv_data, tmp_path / "ci.json") == 0
+
+
+def test_a_seed_beyond_64_bits_is_written_and_read_back(tmp_path, csv_data):
+    code, fit_path = _fit(tmp_path, csv_data, "--seed", str(2**70))
+    assert code == 0
+    assert json.loads(fit_path.read_text())["seed"] == 2**70
+    assert _infer(fit_path, *csv_data, tmp_path / "ci.json") == 0
 
 
 def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""CSV reading: the accepted syntax, bit-exact values, and where errors go."""
+"""CSV reading: the accepted syntax, bit-exact values, and where errors go.
+JSON documents: orjson or the stdlib codec, the same values bit for bit."""
 
 import csv
+import json
 import re
 import tempfile
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_bits
 from ghive import data_io
 from ghive.data_io import read_csv_table, save_matrix_csv
 from ghive.errors import DataValidationError
@@ -257,3 +260,54 @@ def test_a_read_holds_the_table_and_a_few_chunks_not_the_file(tmp_path, ending):
         tracemalloc.stop()
     assert table.tobytes() == values.tobytes()
     assert peak < values.nbytes + 16 * data_io._CHUNK_BYTES
+
+
+# documents orjson writes, then ones it cannot hold exactly: a non-finite
+# float (orjson writes null) and integers beyond 64 bits (orjson raises)
+JSON_DOCUMENTS = {
+    "floats": {"f": [4.44986361714994e-05, 1.2345678901234567e-05, 0.1, 1e16, 1e22, 5e-324,
+                     -0.0, 1.7976931348623157e308], "k": None, "ok": True},
+    "numpy-scalars": {"bias1": np.float64(0.1), "bias2": np.float64(-2.5e-7)},
+    "64-bit-integers": {"high": 2**64 - 1, "low": -(2**63), "text": "é\u2028"},
+    "non-finite": {"grad_norm": [float("inf"), 1.5], "nan": float("nan")},
+    "long-integer": {"seed": 2**70},
+    "low-integer": {"low": -(2**63) - 1},  # 19 digits
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_DOCUMENTS))
+def test_json_documents_read_as_the_stdlib_encoding_bit_for_bit(tmp_path, name):
+    obj, path = JSON_DOCUMENTS[name], tmp_path / "doc.json"
+    data_io.write_json_atomic(path, obj)
+    want = json_bits(json.loads(json.dumps(obj, indent=2, sort_keys=True)))
+    text = path.read_text()
+    assert json_bits(json.loads(text)) == want
+    assert json_bits(data_io.read_json(path)) == want
+    assert ("Infinity" in text) == (name == "non-finite")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[-9223372036854775809]",  # orjson returns floats for both
+        "[18446744073709551616]",
+        "[9223372036854775807, -9223372036854775808, 18446744073709551615]",
+        "[0.0000444986361714994, 12345678901234567890.5, 1e-400]",  # positional floats
+        '{"a": NaN, "b": -Infinity}',
+        "[1e400]",
+        '{"a": 1, "a": 2}',
+    ],
+)
+def test_json_text_reads_as_the_stdlib_decoder_reads_it(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert json_bits(data_io.read_json(path)) == json_bits(json.loads(text))
+
+
+def test_plain_json_documents_never_touch_the_stdlib_codec(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_io, "json", None)
+    path = tmp_path / "doc.json"
+    obj = {**JSON_DOCUMENTS["floats"], "ints": list(range(0, 10**18, 10**16))}
+    data_io.write_json_atomic(path, obj)
+    assert "0.0000444986361714994" in path.read_text()  # a 19-digit fraction
+    assert json_bits(data_io.read_json(path)) == json_bits(obj)

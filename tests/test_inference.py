@@ -92,11 +92,13 @@ def test_normal_quantile_matches_an_erfinv_oracle():
 
 
 def test_gaussian_g_matrices_are_the_design_gram():
-    data, _, _ = small_sim_dataset(n=40, p=3, m_dim=2, family="gaussian", seed=2)
-    coef = np.zeros((2, 3))
+    data, _, _ = small_sim_dataset(n=40, p=3, m_dim=5, family="gaussian", seed=2)
+    coef = np.zeros((5, 3))
     g, regularized = _g_matrices(data.x, GAUSSIAN, *_residuals(data, GAUSSIAN, coef))
     gram = data.x.T @ data.x / data.n
-    for m in range(2):
+    one = weighted_gram(data.x, np.ones((1, data.n))) / data.n  # one response's gram
+    assert g.tobytes() == np.repeat(0.5 * (one + one.swapaxes(1, 2)), 5, axis=0).tobytes()
+    for m in range(5):
         assert np.array_equal(g[m], gram)
     assert not regularized.any()
 

@@ -208,12 +208,17 @@ def _rows_per_chunk(p):
     return qml._GRAM_ELEMENTS // p
 
 
+@pytest.mark.parametrize("weights", ["distinct", "equal", "equal-but-the-last"])
 @pytest.mark.parametrize("shape", [(40, 100, 4), (26, 1000, 10), (2, 5000, 20), (1, 100000, 4)])
-def test_weighted_gram_is_the_literal_product_bit_for_bit(shape):
+def test_weighted_gram_is_the_literal_product_bit_for_bit(shape, weights):
     n_cols, n, p = shape
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, p))
     w = rng.uniform(-0.5, 3.0, size=(n_cols, n))
+    if weights != "distinct":  # equal rows share one gram, as gaussian weights do
+        w[:] = w[0]
+        if weights == "equal-but-the-last":
+            w[-1, -1] += 1.0
     rows = _rows_per_chunk(p)
     assert qml.gram_buffer(x, n_cols).shape[1:] == (p, min(n, rows))
     literal = _chunked_gram(x, w, rows)
@@ -239,6 +244,11 @@ def test_weighted_gram_chunks_are_the_per_column_grams_bit_for_bit(per_chunk, mo
     for c in range(len(w)):
         assert np.array_equal(got[c], _chunked_gram(x, w[c], 16))
     assert np.array_equal(weighted_gram(x, w), got)
+    # columns on designs of their own get their own grams, equal weights or not
+    designs, ones = x * np.arange(1.0, 8.0)[:, None, None], np.ones_like(w)
+    got = weighted_gram(designs, ones, buf=buf)
+    for c in range(len(w)):
+        assert np.array_equal(got[c], _chunked_gram(designs[c], ones[c], 16))
 
 
 def _multi_chunk_design(p, seed):
