@@ -21,14 +21,16 @@ from .pipeline import (
     serialize_fit,
     with_projection,
 )
-from .qml import CoefMatrix, SplitPlan, fit_naive_mle, fit_qml_one, make_split
+from .qml import CoefMatrix, SplitPlan, fit_naive_mle, make_split
 from .simulate import (
     SimConfig,
     SimTruth,
+    frob_err,
     fstar_oracle,
     gaussian_fstar_closed_form,
     make_truth,
-    metrics,
+    oracle_bias,
+    proj_err,
     sample_dataset,
 )
 from .experiments import ExperimentSpec, experiment_spec, run_experiment
@@ -59,7 +61,7 @@ __all__ = [
     "experiment_spec",
     "family_from_name",
     "fit_naive_mle",
-    "fit_qml_one",
+    "frob_err",
     "fstar_oracle",
     "gaussian_fstar_closed_form",
     "ghive_fit",
@@ -67,9 +69,10 @@ __all__ = [
     "load_dataset",
     "make_split",
     "make_truth",
-    "metrics",
     "naive_wald_interval",
     "normal_quantile",
+    "oracle_bias",
+    "proj_err",
     "read_csv_table",
     "run_experiment",
     "sample_dataset",

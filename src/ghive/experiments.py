@@ -57,7 +57,9 @@ from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
 from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit_many, with_projection
 from .qml import check_fold_rows, fit_naive_many
-from .simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, metrics, sample_dataset
+from .simulate import (
+    SimConfig, check_n_mc, frob_err, fstar_oracle, make_truth, oracle_bias, proj_err, sample_dataset,
+)
 
 ESTIMATOR_NAIVE = "naive-mle"
 ESTIMATOR_FSTAR = "fstar-oracle"
@@ -292,10 +294,10 @@ def _bias_rep(spec: ExperimentSpec, gi: int, rep: int, drawn) -> list:
 
     def score(est):  # the one estimator is the oracle
         truth, oracle = _value(drawn)
-        met = metrics(None, truth, f_star=oracle)
+        bias1, bias2 = oracle_bias(oracle.values, truth)
         return {
-            "bias1": met.bias1,
-            "bias2": met.bias2,
+            "bias1": bias1,
+            "bias2": bias2,
             "oracle_converged_frac": float(np.mean(oracle.converged)),
         }
 
@@ -310,17 +312,16 @@ def _error_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive) ->
     def score(est):
         truth, _ = _value(drawn)
         if est == ESTIMATOR_NAIVE:
-            return {"frob_err": metrics(_value(naive).values, truth).frob_err}
+            return {"frob_err": frob_err(_value(naive).values, truth)}
         fit = _value(fitted)
         if est == DATA_DRIVEN:
-            met = metrics(fit.theta_hat, truth, p_perp_hat=fit.spectral.p_perp)
             return {
-                "frob_err": met.frob_err,
+                "frob_err": frob_err(fit.theta_hat, truth),
                 "k_hat": float(fit.spectral.k_hat),
-                "proj_err": met.proj_err,
+                "proj_err": proj_err(fit.spectral.p_perp, truth),
             }
         mode = Mode.oracle_k(cfg.k) if est == ORACLE_K else Mode.oracle_p(truth.p_b_perp)
-        return {"frob_err": metrics(with_projection(fit, mode).theta_hat, truth).frob_err}
+        return {"frob_err": frob_err(with_projection(fit, mode).theta_hat, truth)}
 
     return _rows(spec, gi, rep, score)
 

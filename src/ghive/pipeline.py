@@ -1,9 +1,11 @@
 """End-to-end fitting pipeline.
 
 A fit runs a seeded two-fold split, per-response quasi-likelihood fits on
-each fold and the cross-fit, in :func:`ghive_fit_many` alone: ``f_hat``
-averages the fold fits, and ``sigma_hat`` the folds' second moments of
-weighted residuals, each fold's rows scored with the other fold's fit.
+each fold and the cross-fit, in :func:`ghive_fit_many` alone. Every fold of
+every dataset is one solve, whose coefficient and grad-norm arrays it splits
+by (dataset, fold) axes: ``f_hat`` averages the fold fits, and ``sigma_hat``
+the folds' second moments of weighted residuals, each fold's gathered rows
+scored with the other fold's fit.
 The private builder :func:`_assemble` derives the rest from ``sigma_hat``:
 its eigendecomposition, the factor count (or an oracle override), the
 complement projector and ``theta_hat = p_perp @ f_hat``.
@@ -171,32 +173,30 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     for data in datasets:
         validate_response(family, data.y)
         check_fold_rows(data.n, data.p)
-    designs = [(data.x[r], data.y[r]) for data, s in zip(datasets, splits) for r in (s.d1, s.d2)]
-    folds = _fit_matrix(designs, family, kind="quasi")
+    folds = [[(data.x[r], data.y[r]) for r in (s.d1, s.d2)] for data, s in zip(datasets, splits)]
+    fitted = _fit_matrix([d for pair in folds for d in pair], family, kind="quasi")
+    # coefficients (dataset, fold, M, p) and grad norms (dataset, fold, M), fold d1 first
+    values, norms = (a.reshape((len(datasets), 2) + a.shape[1:]) for a in fitted)
     fits = []
-    for data, split, fit1, fit2 in zip(datasets, splits, folds[::2], folds[1::2]):
-        norms = np.column_stack([fit1.grad_norm, fit2.grad_norm])
-        f_hat = CoefMatrix(0.5 * (fit1.values + fit2.values), norms, family)
+    for split, pair, f, g in zip(splits, folds, values, norms):
+        f_hat = CoefMatrix(0.5 * (f[0] + f[1]), g.T, family)
         try:
-            fits.append(_assemble(split, mode, f_hat, _crossfit_sigma(data, split, fit1, fit2)))
+            fits.append(_assemble(split, mode, f_hat, _crossfit_sigma(pair, f, family)))
         except GhiveError as failure:
             fits.append(failure)
     return fits
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow leaves sigma_hat non-finite
-def _crossfit_sigma(data: Dataset, split: SplitPlan, fit1: CoefMatrix, fit2: CoefMatrix):
+def _crossfit_sigma(folds, f: np.ndarray, family: GlmFamily):
     """``sigma_hat``: the average of the two folds' second moments of weighted
-    residuals, fold d1's rows scored with the fold-d2 coefficients ``fit2``
-    and fold d2's with ``fit1``, symmetrised."""
+    residuals, the ``(x, y)`` rows of fold d1 scored with fold d2's
+    coefficients ``f[1]`` and fold d2's with ``f[0]``, symmetrised."""
     e1, e2 = (
-        families.weighted_residual(
-            coef.family, data.y[rows], data.x[rows] @ coef.values.T,
-            floor=families.RESIDUAL_CURVATURE_FLOOR,
-        )
-        for rows, coef in ((split.d1, fit2), (split.d2, fit1))
+        families.weighted_residual(family, y, x @ coef.T, floor=families.RESIDUAL_CURVATURE_FLOOR)
+        for (x, y), coef in zip(folds, f[::-1])
     )
-    sigma = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
+    sigma = 0.5 * (e1.T @ e1 / len(e1) + e2.T @ e2 / len(e2))
     return 0.5 * (sigma + sigma.T)
 
 

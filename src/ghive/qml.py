@@ -42,7 +42,10 @@ a column keeps its bits. Designs share a block while the gathered
 p = 4 with 20 responses run as one block per stage, as do the 40 folds of a
 study grid point. A design whose columns fill that alone (the folds of a
 5000-row or a 2000-row, 50-response fit, a 100k-row oracle fit) runs by
-itself, its design broadcast over its columns.
+itself, its design broadcast over its columns. A fit of many designs
+returns stacked arrays, coefficients (designs, M, p) and gradient sup-norms
+(designs, M), so callers split them by axis; :func:`fit_naive_many` wraps
+each design's rows in a :class:`CoefMatrix`.
 
 :func:`weighted_gram` sums each column's curvature matrix over consecutive
 row chunks sized by p alone, so its operands stay in cache and its bits do
@@ -62,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
-from .data_io import Dataset
 from .errors import DataValidationError
 from .families import (
     VARIANCE_FLOOR,
@@ -178,18 +180,6 @@ class CoefMatrix:
     def converged(self) -> np.ndarray:
         """Whether each fit's gradient sup-norm is below TOL, shaped as ``grad_norm``."""
         return self.grad_norm < TOL
-
-
-@dataclass
-class ResponseFit:
-    """Result of a single-response maximisation."""
-
-    f_hat: np.ndarray
-    converged: bool
-    grad_norm: float
-    q_value: float
-    n_iter: int
-    objective_path: list
 
 
 # ---------------------------------------------------------------------------
@@ -515,43 +505,6 @@ def _ascent_block(x, xt, y, family, f, kind):
 # public fitting entry points
 
 
-def fit_qml_one(x: np.ndarray, y: np.ndarray, family: GlmFamily, starts) -> ResponseFit:
-    """Maximise the quasi-log-likelihood for one response column.
-
-    Runs the damped Newton ascent from every vector in ``starts`` and keeps
-    the candidate with the largest final objective (first wins ties). The
-    search is confined to the L2 ball ``|f| <= RADIUS``. ``x`` and ``y``
-    are validated here, once, as the :class:`~ghive.data_io.Dataset` they
-    make, and so are the starts.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != np.shape(x)[:1]:
-        msg = f"response must be 1-D, one entry per row of x {np.shape(x)}; got shape {y.shape}"
-        raise DataValidationError(msg)
-    data = Dataset(x, y[:, None])
-    validate_response(family, data.y)
-    try:
-        starts = np.array(starts, dtype=float)
-    except ValueError:  # ragged starts: rejected below like any misshapen ones
-        starts = np.empty(0)
-    if starts.ndim != 2 or len(starts) < 1 or starts.shape[1:] != (data.p,):
-        raise DataValidationError("need at least one start vector, one per row, as wide as x")
-    if not np.isfinite(starts).all():
-        raise DataValidationError("the start vectors must be finite")
-    f, value, gnorm, n_iter, path = _ascent_block(
-        data.x, np.ascontiguousarray(data.x.T), np.tile(data.y.T, (len(starts), 1)), family,
-        starts, "quasi",
-    )
-    c = 0
-    for s in range(1, len(starts)):
-        c = s if value[s] > value[c] else c
-    # accepted steps strictly increase the objective; the rest leave it as is
-    path = path[c, np.r_[True, np.diff(path[c]) > 0]].tolist()
-    return ResponseFit(
-        f[c], bool(gnorm[c] < TOL), float(gnorm[c]), float(value[c]), int(n_iter[c]), path
-    )
-
-
 def fit_naive_mle(data, family: GlmFamily) -> CoefMatrix:
     """Ordinary per-response GLM maximum likelihood on the full sample.
 
@@ -572,28 +525,30 @@ def fit_naive_many(datasets, family: GlmFamily) -> list:
     bit for bit. Every response is validated first."""
     for data in datasets:
         validate_response(family, data.y)
-    return _fit_matrix([(data.x, data.y) for data in datasets], family, kind="loglik")
+    values, norms = _fit_matrix([(data.x, data.y) for data in datasets], family, kind="loglik")
+    return [CoefMatrix(f, g, family) for f, g in zip(values, norms)]
 
 
-def _fit_matrix(designs, family, kind) -> list:
-    """Fit every response column of each ``(x, y)`` design, one CoefMatrix
-    per design: ``kind="loglik"`` is the naive MLE from zero;
-    ``kind="quasi"`` maximises the quasi-likelihood from both zero and that
-    MLE, as 2M columns of one ascent (the zero start wins ties). On the
-    small folds of a data fit a column can stall near TOL, and there the
-    start decides the last digits; the oracle on at least 10k rows
-    (:func:`~ghive.simulate.fstar_oracle`) climbs from zero alone. The
-    designs of one row count go through one :func:`_newton_ascent` per stage.
-    The designs must share p and M."""
+def _fit_matrix(designs, family, kind):
+    """Fit every response column of each of D ``(x, y)`` designs: the
+    coefficients (D, M, p) and gradient sup-norms (D, M), row d for design d.
+    ``kind="loglik"`` is the naive MLE from zero; ``kind="quasi"`` maximises
+    the quasi-likelihood from both zero and that MLE, as 2M columns of one
+    ascent (the zero start wins ties). On the small folds of a data fit a
+    column can stall near TOL, and there the start decides the last digits;
+    the oracle on at least 10k rows (:func:`~ghive.simulate.fstar_oracle`)
+    climbs from zero alone. The designs of one row count go through one
+    :func:`_newton_ascent` per stage, and fill their own rows. The designs
+    must share p and M."""
     shapes = sorted({(x.shape[1], y.shape[1]) for x, y in designs})
     if len(shapes) > 1:
         raise DataValidationError(f"a batched fit needs one p and M; got (p, M) in {shapes}")
-    fits = [None] * len(designs)
+    ((p, m_dim),) = shapes or [(0, 0)]
+    values, norms = np.empty((len(designs), m_dim, p)), np.empty((len(designs), m_dim))
     for n in dict.fromkeys(len(x) for x, _ in designs):
         group = [i for i, (x, _) in enumerate(designs) if len(x) == n]
         xs, ys = [designs[i][0] for i in group], [designs[i][1] for i in group]
-        m_dim = ys[0].shape[1]
-        zero = np.zeros((len(group), m_dim, xs[0].shape[1]))
+        zero = np.zeros((len(group), m_dim, p))
         f, value, gnorm = _newton_ascent(xs, ys, family, zero, "loglik")
         if kind == "quasi":
             starts = np.concatenate([zero, f], axis=1)
@@ -601,6 +556,5 @@ def _fit_matrix(designs, family, kind) -> list:
             mle = value[:, m_dim:] > value[:, :m_dim]
             f = np.where(mle[..., None], f[:, m_dim:], f[:, :m_dim])
             gnorm = np.where(mle, gnorm[:, m_dim:], gnorm[:, :m_dim])
-        for i, values, norms in zip(group, f, gnorm):
-            fits[i] = CoefMatrix(values, norms, family)
-    return fits
+        values[group], norms[group] = f, gnorm
+    return values, norms

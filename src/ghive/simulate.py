@@ -21,6 +21,10 @@ quasi-likelihood fit) has no closed form outside the gaussian family, so
 one Newton ascent from zero per response. The quasi-objective is concave, so
 on at least 10k rows the naive-MLE start that data fits add would change
 only the digits TOL leaves open.
+
+Three scores compare with the truth, each from plain arrays: ``frob_err``
+(an estimated theta), ``oracle_bias`` (F*, before and after projection) and
+``proj_err`` (an estimated complement projector).
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Optional
 
 import numpy as np
 
@@ -124,8 +127,7 @@ class SimTruth:
     b: np.ndarray  # (M, K) response loadings, rows of norm eta
     theta: np.ndarray  # (M, p) true coefficients, rows orthogonal to span(b)
     sigma_z: np.ndarray  # (K, K) hidden factor covariance
-    p_b: np.ndarray  # (M, M) projector onto span(b)
-    p_b_perp: np.ndarray  # (M, M) its complement
+    p_b_perp: np.ndarray  # (M, M) projector onto the complement of span(b)
 
 
 def circulant_cov(k: int, decay: str = "negative") -> np.ndarray:
@@ -179,11 +181,10 @@ def make_truth(config: SimConfig) -> SimTruth:
     a = _normalize_rows(rng.standard_normal((p, k)))
     b = config.eta * _normalize_rows(rng.standard_normal((m_dim, k)))
     theta = _normalize_rows(rng.standard_normal((m_dim, p)))
-    p_b = _column_projector(b)
-    p_b_perp = np.eye(m_dim) - p_b
+    p_b_perp = np.eye(m_dim) - _column_projector(b)
     theta = p_b_perp @ theta
     sigma_z = circulant_cov(k, config.sigma_z_decay)
-    return SimTruth(a=a, b=b, theta=theta, sigma_z=sigma_z, p_b=p_b, p_b_perp=p_b_perp)
+    return SimTruth(a=a, b=b, theta=theta, sigma_z=sigma_z, p_b_perp=p_b_perp)
 
 
 def _sigma_z_sqrt(sigma_z: np.ndarray) -> np.ndarray:
@@ -264,45 +265,20 @@ def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:
     return truth.theta + truth.b @ gamma
 
 
-@dataclass
-class MetricSet:
-    """Evaluation metrics for one fitted replicate.
-
-    frob_err is the figure-caption error ``||theta_hat - theta||_F^2 /
-    sqrt(p M)``. bias1 and bias2 measure the unprojected and projected
-    approximation bias of the pseudo-true matrix, and proj_err the projector
-    estimation error, all in Frobenius norm.
-    """
-
-    frob_err: Optional[float] = None
-    bias1: Optional[float] = None
-    bias2: Optional[float] = None
-    proj_err: Optional[float] = None
-
-
-def metrics(
-    theta_hat: Optional[np.ndarray],
-    truth: SimTruth,
-    f_star=None,
-    p_perp_hat: Optional[np.ndarray] = None,
-) -> MetricSet:
-    """Compute error metrics against the ground truth.
-
-    ``f_star`` may be a CoefMatrix from :func:`fstar_oracle` or a plain
-    array. All arguments other than the truth are optional; metrics whose
-    inputs are missing come back as None.
-    """
-    out = MetricSet()
+def frob_err(theta_hat: np.ndarray, truth: SimTruth) -> float:
+    """The figure-caption error ``||theta_hat - theta||_F^2 / sqrt(p M)``."""
     m_dim, p = truth.theta.shape
-    if theta_hat is not None:
-        diff = np.asarray(theta_hat, dtype=float) - truth.theta
-        out.frob_err = float(np.linalg.norm(diff)) ** 2 / np.sqrt(p * m_dim)
-    if f_star is not None:
-        fs = f_star.values if isinstance(f_star, CoefMatrix) else np.asarray(f_star)
-        out.bias1 = float(np.linalg.norm(fs - truth.theta)) / np.sqrt(m_dim)
-        out.bias2 = float(
-            np.linalg.norm(truth.p_b_perp @ fs - truth.theta)
-        ) / np.sqrt(m_dim)
-    if p_perp_hat is not None:
-        out.proj_err = float(np.linalg.norm(p_perp_hat - truth.p_b_perp))
-    return out
+    return float(np.linalg.norm(theta_hat - truth.theta)) ** 2 / np.sqrt(p * m_dim)
+
+
+def oracle_bias(f_star: np.ndarray, truth: SimTruth) -> tuple:
+    """The unprojected and projected approximation bias of the pseudo-true
+    matrix ``f_star`` (M, p), ``(bias1, bias2)``, in Frobenius norm over sqrt(M)."""
+    scale = np.sqrt(truth.theta.shape[0])
+    bias1 = float(np.linalg.norm(f_star - truth.theta)) / scale
+    return bias1, float(np.linalg.norm(truth.p_b_perp @ f_star - truth.theta)) / scale
+
+
+def proj_err(p_perp_hat: np.ndarray, truth: SimTruth) -> float:
+    """The projector estimation error ``||p_perp_hat - P_B^perp||_F``."""
+    return float(np.linalg.norm(p_perp_hat - truth.p_b_perp))

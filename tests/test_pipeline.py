@@ -42,9 +42,8 @@ def _v1_doc(fit):
     return doc
 
 
-def _coef(values, family=GAUSSIAN):
-    values = np.asarray(values, dtype=float)
-    return CoefMatrix(values, np.zeros(len(values)), family)
+def _folds(data, split):
+    return [(data.x[rows], data.y[rows]) for rows in (split.d1, split.d2)]
 
 
 def test_sigma_hat_scores_each_fold_with_the_other_folds_fit():
@@ -53,24 +52,24 @@ def test_sigma_hat_scores_each_fold_with_the_other_folds_fit():
     data, _, _ = small_sim_dataset(n=30, p=3, m_dim=2, family="gaussian", seed=6)
     split = make_split(data.n, seed=13)
     rng = np.random.default_rng(99)
-    c1 = _coef(rng.standard_normal((2, 3)))
-    c2 = _coef(rng.standard_normal((2, 3)))
-    e1 = data.y[split.d1] - data.x[split.d1] @ c2.values.T
-    e2 = data.y[split.d2] - data.x[split.d2] @ c1.values.T
+    c1, c2 = rng.standard_normal((2, 2, 3))
+    e1 = data.y[split.d1] - data.x[split.d1] @ c2.T
+    e2 = data.y[split.d2] - data.x[split.d2] @ c1.T
     hand = 0.5 * (e1.T @ e1 / len(split.d1) + e2.T @ e2 / len(split.d2))
-    sigma = _crossfit_sigma(data, split, c1, c2)
+    sigma = _crossfit_sigma(_folds(data, split), np.stack([c1, c2]), GAUSSIAN)
     assert np.allclose(sigma, hand, atol=1e-12)
     assert np.array_equal(sigma, sigma.T)
     # the fold-swapped pairing is another matrix
-    assert not np.allclose(_crossfit_sigma(data, split, c2, c1), hand, atol=1e-3)
+    swapped = _crossfit_sigma(_folds(data, split), np.stack([c2, c1]), GAUSSIAN)
+    assert not np.allclose(swapped, hand, atol=1e-3)
 
 
 def test_sigma_hat_caps_the_weighted_residuals():
     # a coefficient row that forces a confident wrong prediction must give
     # residuals capped at 1/floor rather than the raw quotient
     x = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-    big = _coef([[-8.0, -8.0]], BERNOULLI)
-    sigma = _crossfit_sigma(Dataset(x, np.ones((8, 1))), make_split(8, seed=0), big, big)
+    folds = _folds(Dataset(x, np.ones((8, 1))), make_split(8, seed=0))
+    sigma = _crossfit_sigma(folds, np.full((2, 1, 2), -8.0), BERNOULLI)
     cap = 1.0 / RESIDUAL_CURVATURE_FLOOR
     assert np.allclose(sigma, cap**2 * np.ones((1, 1)))
     # sanity: the uncapped quotient would have been far larger
@@ -79,8 +78,8 @@ def test_sigma_hat_caps_the_weighted_residuals():
 
 def _fold_fits(data, split, family):
     """The fold fits a ghive fit averages, each fold solved alone."""
-    return [_fit_matrix([(data.x[rows], data.y[rows])], family, "quasi")[0]
-            for rows in (split.d1, split.d2)]
+    return [CoefMatrix(*(a[0] for a in _fit_matrix([fold], family, "quasi")), family)
+            for fold in _folds(data, split)]
 
 
 def test_f_hat_averages_the_fold_fits():

@@ -18,7 +18,6 @@ from ghive.qml import (
     CoefMatrix,
     fit_naive_many,
     fit_naive_mle,
-    fit_qml_one,
     loglik_gradient,
     loglik_objective,
     make_split,
@@ -41,24 +40,32 @@ def test_make_split_is_a_sorted_half_partition(n, seed):
     assert np.array_equal(again.d1, split.d1) and np.array_equal(again.d2, split.d2)
 
 
+def _ascent(x, y, family, starts):
+    """One quasi-likelihood block on the design ``x`` from each row of
+    ``starts`` on the response ``y`` (n,): ``(f, value, grad_norm, n_iter,
+    path)``, one row per start, as :func:`qml._ascent_block` returns them."""
+    starts = np.array(starts, dtype=float)
+    return qml._ascent_block(
+        x, np.ascontiguousarray(x.T), np.tile(y, (len(starts), 1)), family, starts, "quasi"
+    )
+
+
 def test_gaussian_qml_and_naive_mle_equal_least_squares():
     x, y, _ = gaussian_design(n=80, p=5, m_dim=3, seed=2)
     ols = np.linalg.lstsq(x, y, rcond=None)[0].T
     naive = fit_naive_mle(Dataset(x, y), GAUSSIAN)
     assert np.allclose(naive.values, ols, atol=1e-10)
-    for m in range(y.shape[1]):
-        one = fit_qml_one(x, y[:, m], GAUSSIAN, starts=[np.zeros(x.shape[1])])
-        assert np.allclose(one.f_hat, ols[m], atol=1e-10)
-        assert one.converged
+    f, _, grad_norm = qml._newton_ascent([x], [y], GAUSSIAN, np.zeros((1, 3, 5)), "quasi")
+    assert np.allclose(f[0], ols, atol=1e-10)
+    assert np.all(grad_norm < qml.TOL)
 
 
 def test_objective_path_is_monotone_nondecreasing():
     data, _, _ = small_sim_dataset(n=60, seed=8, rep_seed=1)
-    fit = fit_qml_one(data.x, data.y[:, 0], BERNOULLI, starts=[np.zeros(data.p)])
-    path = np.asarray(fit.objective_path)
-    assert len(path) >= 1
+    _, value, _, _, path = _ascent(data.x, data.y[:, 0], BERNOULLI, [np.zeros(data.p)])
+    assert path.shape[1] >= 1
     assert np.all(np.diff(path) >= -1e-12)
-    assert fit.q_value == pytest.approx(path[-1])
+    assert np.array_equal(path[:, -1], value)
 
 
 def _num_grad(f, coef, h=1e-6):
@@ -98,8 +105,8 @@ def test_separated_bernoulli_fit_stays_inside_the_ball():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((60, 2))
     y = (x[:, 0] > 0).astype(float)
-    fit = fit_qml_one(x, y, BERNOULLI, starts=[np.zeros(2)])
-    norm = np.linalg.norm(fit.f_hat)
+    f = _ascent(x, y, BERNOULLI, [np.zeros(2)])[0]
+    norm = np.linalg.norm(f[0])
     assert norm <= RADIUS * (1 + 1e-12)
     assert norm >= RADIUS - 1e-6  # the boundary is genuinely attained
 
@@ -112,9 +119,9 @@ def test_a_column_whose_curvature_or_gradient_overflows_stops_where_it_is(overfl
         x *= 1e160  # x'x / n overflows, the gradient does not
     else:
         y = np.full(40, 1e308)  # x'y / n overflows, the curvature x'x / n does not
-    fit = fit_qml_one(x, y, GAUSSIAN, starts=[np.zeros(2)])
-    assert (fit.n_iter, fit.converged, fit.objective_path) == (0, False, [0.0])
-    assert not fit.f_hat.any() and (fit.grad_norm < np.inf) == (overflows == "curvature")
+    f, _, grad_norm, n_iter, path = _ascent(x, y, GAUSSIAN, [np.zeros(2)])
+    assert (n_iter[0], grad_norm[0] < qml.TOL, path.any()) == (0, False, False)
+    assert not f.any() and (grad_norm[0] < np.inf) == (overflows == "curvature")
     # in a shared solve the column fails only its own dataset
     good = Dataset(rng.standard_normal((40, 2)), rng.standard_normal((40, 1)))
     together = fit_naive_many([good, Dataset(x, y[:, None])], GAUSSIAN)
@@ -124,49 +131,31 @@ def test_a_column_whose_curvature_or_gradient_overflows_stops_where_it_is(overfl
 
 
 _X = np.random.default_rng(2).standard_normal((40, 2))
-_Y01 = (_X[:, 0] > 0).astype(float)
-_ZERO = [np.zeros(2)]
+_Y01 = (_X[:, 0] > 0).astype(float)[:, None]
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.nan, 0.0])]),
-        lambda: fit_qml_one(_X, _Y01, BERNOULLI, [np.array([np.inf, 0.0])]),
-        lambda: fit_qml_one(np.where(_X > 2.0, np.nan, _X), _Y01, BERNOULLI, _ZERO),
-        lambda: fit_qml_one(_X, np.where(_Y01 == 1.0, 0.5, 0.0), BERNOULLI, _ZERO),
-        lambda: fit_qml_one(_X, np.where(_X[:, 1] > 1.5, np.nan, _X[:, 0]), GAUSSIAN, _ZERO),
-        lambda: fit_qml_one(_X, _Y01[:30], BERNOULLI, _ZERO),
-        lambda: fit_qml_one(_X, _Y01[:, None], BERNOULLI, _ZERO),
+        lambda: ghive_fit_many([Dataset(np.where(_X > 2.0, np.nan, _X), _Y01)], BERNOULLI, [0]),
+        lambda: ghive_fit_many([Dataset(_X, np.where(_Y01 == 1.0, 0.5, 0.0))], BERNOULLI, [0]),
+        lambda: fit_naive_mle(Dataset(_X, np.where(_X[:, 1:] > 1.5, np.nan, _X[:, :1])), GAUSSIAN),
+        lambda: fit_naive_mle(Dataset(_X, _Y01[:30]), BERNOULLI),
         lambda: ghive_fit_many([Dataset(_X, np.c_[_Y01, 2.0 * _Y01])], BERNOULLI, [0]),
         lambda: ghive_fit_many([Dataset(_X, np.c_[_Y01, -_Y01])], POISSON, [0]),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, 2.0 * _Y01]), BERNOULLI),
         lambda: fit_naive_mle(Dataset(_X, np.c_[_Y01, -_Y01]), POISSON),
-        lambda: fit_qml_one(np.zeros((0, 3)), np.zeros(0), GAUSSIAN, [np.zeros(3)]),
-        lambda: fit_qml_one(np.zeros((5, 0)), np.zeros(5), GAUSSIAN, [np.zeros(0)]),
-        lambda: fit_qml_one(_X[:1], _Y01[:1], BERNOULLI, _ZERO),
+        lambda: fit_naive_mle(Dataset(np.zeros((0, 3)), np.zeros((0, 1))), GAUSSIAN),
+        lambda: fit_naive_mle(Dataset(np.zeros((5, 0)), np.zeros((5, 1))), GAUSSIAN),
+        lambda: fit_naive_mle(Dataset(_X[:1], _Y01[:1]), BERNOULLI),
     ],
-    ids=["nan-start", "inf-start", "nan-x", "bernoulli-half", "nan-gaussian-y",
-         "short-y", "column-y", "all-non-binary", "all-negative-poisson",
-         "naive-non-binary", "naive-negative-poisson", "no-rows", "no-columns", "one-row"],
+    ids=["nan-x", "bernoulli-half", "nan-gaussian-y", "short-y", "all-non-binary",
+         "all-negative-poisson", "naive-non-binary", "naive-negative-poisson", "no-rows",
+         "no-columns", "one-row"],
 )
 def test_fits_validate_their_inputs_once_at_the_boundary(call):
     with pytest.raises(DataValidationError):
         call()
-
-
-def test_starts_may_be_one_2d_array_but_not_empty_1d_or_misshapen():
-    y = _X @ np.array([1.0, -0.5])
-    starts = [np.zeros(2), np.ones(2)]
-    as_list = fit_qml_one(_X, y, GAUSSIAN, starts)
-    as_array = fit_qml_one(_X, y, GAUSSIAN, np.array(starts))
-    assert np.array_equal(as_list.f_hat, as_array.f_hat)
-    assert as_list.objective_path == as_array.objective_path
-    one = fit_qml_one(_X, y, GAUSSIAN, np.zeros((1, 2)))
-    assert np.array_equal(one.f_hat, fit_qml_one(_X, y, GAUSSIAN, _ZERO).f_hat)
-    for bad in ([], np.zeros((0, 2)), np.zeros(2), np.zeros((1, 3)), [np.zeros(2), np.zeros(3)]):
-        with pytest.raises(DataValidationError, match="start vector"):
-            fit_qml_one(_X, y, GAUSSIAN, bad)
 
 
 def test_fold_smaller_than_covariate_count_is_rejected():
@@ -302,15 +291,27 @@ def test_multi_chunk_grams_stay_close_to_the_one_shot_product():
         assert np.all(error <= 64 * eps * scale)
 
 
-def test_multi_start_returns_the_better_optimum():
-    # With a warm start at the solution and a cold start at zero, the
-    # result must be at least as good as either single-start run.
-    x, y, _ = gaussian_design(n=40, p=3, m_dim=1, seed=9)
-    ols = np.linalg.lstsq(x, y[:, 0], rcond=None)[0]
-    both = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), ols])
-    cold = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3)])
-    assert both.q_value >= cold.q_value - 1e-12
-    assert np.allclose(both.f_hat, ols, atol=1e-8)
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+def test_a_quasi_fit_keeps_the_better_of_its_zero_and_mle_starts(family):
+    # each column of each design, here of 100 and 51 rows (two row-count
+    # groups), is bit for bit the better of two ascents, one from zero and one
+    # from the naive MLE, the zero start winning ties (every gaussian column)
+    data, _, _ = small_sim_dataset(n=100, p=3, m_dim=4, k=2, seed=2, rep_seed=2, family=family.kind)
+    designs = [(data.x, data.y), (data.x[:51], data.y[:51])]
+    values, norms = qml._fit_matrix(designs, family, "quasi")
+    mle_wins = []
+    for d, (x, y) in enumerate(designs):
+        zero = np.zeros((1, 4, 3))
+        mle = qml._newton_ascent([x], [y], family, zero, "loglik")[0]
+        from_zero, from_mle = (qml._newton_ascent([x], [y], family, s, "quasi") for s in (zero, mle))
+        wins = from_mle[1][0] > from_zero[1][0]
+        for m in range(4):
+            f, _, g = from_mle if wins[m] else from_zero
+            assert values[d, m].tobytes() == f[0, m].tobytes()
+            assert norms[d, m].tobytes() == g[0, m].tobytes()
+        mle_wins += wins.tolist()
+    # the MLE start strictly wins some bernoulli and poisson columns
+    assert any(mle_wins) == (family is not GAUSSIAN)
 
 
 def _column_cases(family):
@@ -335,7 +336,7 @@ def _all_fits(x, y, family):
     and the naive MLE."""
     split = make_split(len(x), seed=5)
     folds = qml._fit_matrix([(x[rows], y[rows]) for rows in (split.d1, split.d2)], family, "quasi")
-    return (*folds, fit_naive_mle(Dataset(x, y), family))
+    return (*(CoefMatrix(*fold, family) for fold in zip(*folds)), fit_naive_mle(Dataset(x, y), family))
 
 
 def _assert_same_fits(got, want):
@@ -412,10 +413,8 @@ def test_a_wide_poisson_ascent_never_holds_the_whole_weighted_design():
 
 
 def _one_response_fits(x, y, family):
-    return [
-        fit_qml_one(x, y[:, m], family, starts=[np.zeros(x.shape[1]), np.ones(x.shape[1])])
-        for m in range(y.shape[1])
-    ]
+    starts = [np.zeros(x.shape[1]), np.ones(x.shape[1])]
+    return [_ascent(x, y[:, m], family, starts) for m in range(y.shape[1])]
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
@@ -429,9 +428,8 @@ def test_stacked_halvings_take_the_one_at_a_time_step(family, monkeypatch):
     for xd, (fits, ones) in zip(designs, stacked):
         _assert_same_fits(fits, _all_fits(xd, y, family))
         for got, want in zip(ones, _one_response_fits(xd, y, family)):
-            assert np.array_equal(got.f_hat, want.f_hat)
-            assert (got.q_value, got.n_iter) == (want.q_value, want.n_iter)
-            assert got.objective_path == want.objective_path
+            for a, b in zip(got, want):  # f, value, grad_norm, n_iter, path
+                assert np.array_equal(a, b)
 
 
 def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_step(
@@ -464,19 +462,19 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
 
 def test_memory_follows_the_iterations_run_not_max_iter(monkeypatch):
     x, y = _column_cases(GAUSSIAN)
-    short = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)])
+    short = _ascent(x, y[:, 0], GAUSSIAN, [np.zeros(3), np.ones(3)])
     monkeypatch.setattr(qml, "MAX_ITER", 10**6)
     tracemalloc.start()
     try:
-        long = fit_qml_one(x, y[:, 0], GAUSSIAN, starts=[np.zeros(3), np.ones(3)])
+        long = _ascent(x, y[:, 0], GAUSSIAN, [np.zeros(3), np.ones(3)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # a path sized by max_iter would take 16 MB
-    assert np.array_equal(long.f_hat, short.f_hat) and long.n_iter == short.n_iter
-    assert long.objective_path == short.objective_path
-    assert long.objective_path[-1] == long.q_value
-    assert len(long.objective_path) - 1 in (long.n_iter, long.n_iter - 1)
+    for a, b in zip(long, short):  # f, value, grad_norm, n_iter, path
+        assert np.array_equal(a, b)
+    _, value, _, n_iter, path = long
+    assert np.array_equal(path[:, -1], value) and path.shape[1] - 1 == n_iter.max()
 
 
 def test_each_iterate_is_evaluated_once(monkeypatch):
@@ -596,6 +594,14 @@ def test_stacked_designs_over_several_gram_chunks_and_halving_rounds(family, mon
     assert seen == [3]
 
 
+def _f_hat_alone(data, split, family):
+    """``f_hat`` from each fold of ``split`` fitted alone: the fold fits'
+    average, with both folds' norms, fold d1 first."""
+    (v1, g1), (v2, g2) = (qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")
+                          for idx in (split.d1, split.d2))
+    return CoefMatrix(0.5 * (v1[0] + v2[0]), np.column_stack([g1[0], g2[0]]), family)
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
 @pytest.mark.parametrize("n", [70, 101])
 def test_many_datasets_fit_as_each_dataset_alone(family, n, monkeypatch):
@@ -605,14 +611,10 @@ def test_many_datasets_fit_as_each_dataset_alone(family, n, monkeypatch):
     naive = qml.fit_naive_many(datasets, family)
     assert 3 in seen and 2 not in seen  # every ascent stacked designs
     for seed, (data, fit, mle) in enumerate(zip(datasets, many, naive)):
-        folds = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
-                 for idx in (fit.split.d1, fit.split.d2)]
-        # f_hat is the fold fits' average, with both folds' norms
-        alone = CoefMatrix(0.5 * (folds[0].values + folds[1].values),
-                           np.column_stack([f.grad_norm for f in folds]), family)
-        _assert_same_fits([fit.f_hat], [alone])
+        _assert_same_fits([fit.f_hat], [_f_hat_alone(data, fit.split, family)])
         _assert_same_fits([fit.f_hat], [ghive_fit_many([data], family, [seed])[0].f_hat])
-        _assert_same_fits([mle], qml._fit_matrix([(data.x, data.y)], family, "loglik"))
+        values, norms = qml._fit_matrix([(data.x, data.y)], family, "loglik")
+        _assert_same_fits([mle], [CoefMatrix(values[0], norms[0], family)])
 
 
 def test_a_design_whose_columns_fill_a_block_is_never_gathered(monkeypatch):
@@ -638,11 +640,7 @@ def test_both_folds_of_a_small_fit_run_as_one_gathered_block_per_stage(family, m
     seen = _block_designs(monkeypatch, np.shape)
     fit = ghive_fit(data, family, seed=3)
     assert seen == [(40, 100, 4), (80, 100, 4)]
-    folds = [qml._fit_matrix([(data.x[idx], data.y[idx])], family, "quasi")[0]
-             for idx in (fit.split.d1, fit.split.d2)]
-    alone = CoefMatrix(0.5 * (folds[0].values + folds[1].values),
-                       np.column_stack([f.grad_norm for f in folds]), family)
-    _assert_same_fits([fit.f_hat], [alone])
+    _assert_same_fits([fit.f_hat], [_f_hat_alone(data, fit.split, family)])
 
 
 @pytest.mark.parametrize("budget", [None, 3 * 8 * 35 * 4])

@@ -10,7 +10,7 @@ from scipy.special import expit
 from ghive import qml, simulate
 from ghive.errors import DataValidationError, NumericalError
 from ghive.families import family_from_name
-from ghive.qml import CoefMatrix, _fit_matrix
+from ghive.qml import _fit_matrix
 from ghive.simulate import (
     _DATA_DOMAIN,
     ORACLE_SALT,
@@ -18,10 +18,12 @@ from ghive.simulate import (
     _stream,
     SimConfig,
     circulant_cov,
+    frob_err,
     fstar_oracle,
     gaussian_fstar_closed_form,
     make_truth,
-    metrics,
+    oracle_bias,
+    proj_err,
     sample_dataset,
 )
 
@@ -59,8 +61,8 @@ def test_make_truth_row_norms_and_projection():
     assert np.allclose(np.linalg.norm(truth.a, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(truth.b, axis=1), 7.0, atol=1e-12)
     # the direct coefficient matrix lives in the complement of col(B)
-    assert np.linalg.norm(truth.p_b @ truth.theta) < 1e-10
-    assert np.allclose(truth.p_b + truth.p_b_perp, np.eye(5), atol=1e-12)
+    assert np.linalg.norm(truth.theta - truth.p_b_perp @ truth.theta) < 1e-10
+    assert np.allclose(truth.p_b_perp @ truth.b, 0.0, atol=1e-12)
     assert np.allclose(truth.p_b_perp @ truth.p_b_perp, truth.p_b_perp, atol=1e-10)
 
 
@@ -152,17 +154,16 @@ def test_oracle_without_confounding_recovers_the_direct_effect():
     cfg = SimConfig(n=100, p=4, m_dim=4, k=3, eta=0.0, seed=0)
     truth = make_truth(cfg)
     oracle = fstar_oracle(truth, cfg, n_mc=100_000)
-    m = metrics(None, truth, f_star=oracle)
-    assert m.bias1 < 0.05
+    assert oracle_bias(oracle.values, truth)[0] < 0.05
 
 
 def test_projection_removes_most_of_the_oracle_bias():
     cfg = SimConfig(n=100, p=10, m_dim=3, k=3, eta=10.0, seed=1)
     truth = make_truth(cfg)
     oracle = fstar_oracle(truth, cfg, n_mc=50_000)
-    m = metrics(None, truth, f_star=oracle)
-    assert m.bias1 > 0.0
-    assert m.bias2 < 0.2 * m.bias1
+    bias1, bias2 = oracle_bias(oracle.values, truth)
+    assert bias1 > 0.0
+    assert bias2 < 0.2 * bias1
 
 
 def test_the_oracle_is_one_zero_start_quasi_ascent(monkeypatch):
@@ -197,10 +198,10 @@ def test_the_zero_start_oracle_agrees_with_the_two_start_fit(family):
     truth = make_truth(cfg)
     oracle = fstar_oracle(truth, cfg, n_mc=10_000)
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=10_000), rep_seed=cfg.seed ^ ORACLE_SALT)
-    both = _fit_matrix([(ds.x, ds.y)], family_from_name(family), "quasi")[0]
-    assert np.max(np.abs(oracle.values - both.values)) <= ORACLE_AGREEMENT
+    both = _fit_matrix([(ds.x, ds.y)], family_from_name(family), "quasi")[0][0]
+    assert np.max(np.abs(oracle.values - both)) <= ORACLE_AGREEMENT
     if family == "gaussian":  # the MLE start is no better than zero there
-        assert np.array_equal(oracle.values, both.values)
+        assert np.array_equal(oracle.values, both)
     assert np.all(oracle.converged)
 
 
@@ -217,25 +218,20 @@ def test_metrics_hand_formulas():
     theta_hat = truth.theta + 0.5
     fs = truth.theta + np.array([[0.2, -0.1], [0.0, 0.3]])
     p_hat = np.eye(2)
-    m = metrics(theta_hat, truth, f_star=fs, p_perp_hat=p_hat)
     diff = np.linalg.norm(theta_hat - truth.theta)
-    assert m.frob_err == pytest.approx(diff**2 / np.sqrt(4))
-    assert m.bias1 == pytest.approx(np.linalg.norm(fs - truth.theta) / np.sqrt(2))
-    assert m.bias2 == pytest.approx(
+    assert frob_err(theta_hat, truth) == pytest.approx(diff**2 / np.sqrt(4))
+    bias1, bias2 = oracle_bias(fs, truth)
+    assert bias1 == pytest.approx(np.linalg.norm(fs - truth.theta) / np.sqrt(2))
+    assert bias2 == pytest.approx(
         np.linalg.norm(truth.p_b_perp @ fs - truth.theta) / np.sqrt(2)
     )
-    assert m.proj_err == pytest.approx(np.linalg.norm(p_hat - truth.p_b_perp))
-    empty = metrics(None, truth)
-    assert empty.frob_err is None and empty.bias1 is None
+    assert proj_err(p_hat, truth) == pytest.approx(np.linalg.norm(p_hat - truth.p_b_perp))
 
 
-def test_metrics_accept_coefmatrix_oracles():
+def test_an_oracle_at_the_truth_has_no_bias():
     cfg = SimConfig(n=50, p=2, m_dim=2, k=1, eta=1.0, seed=2)
     truth = make_truth(cfg)
-    fs = CoefMatrix(values=truth.theta.copy(), grad_norm=np.zeros(2),
-                    family=family_from_name(cfg.family))
-    m = metrics(None, truth, f_star=fs)
-    assert m.bias1 == pytest.approx(0.0)
+    assert oracle_bias(truth.theta.copy(), truth) == pytest.approx((0.0, 0.0), abs=1e-15)
 
 
 def test_oracle_bias_decays_as_covariates_accumulate():
@@ -253,7 +249,7 @@ def test_oracle_bias_decays_as_covariates_accumulate():
             )
             truth = make_truth(cfg)
             oracle = fstar_oracle(truth, cfg, n_mc=50_000)
-            row.append(metrics(None, truth, f_star=oracle).bias1)
+            row.append(oracle_bias(oracle.values, truth)[0])
         paths.append(row)
     mean_path = np.mean(paths, axis=0)
     steps = np.diff(mean_path)
