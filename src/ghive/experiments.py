@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -412,7 +411,9 @@ def _chunks(reps: int, workers: int) -> list:
 def _map_tasks(tasks, workers: int) -> list:
     if workers == 1 or len(tasks) < 2:
         results = [task() for task in tasks]
-    else:
+    else:  # imported here: concurrent.futures.process loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_call, tasks))
     return [row for rows in results for row in rows]

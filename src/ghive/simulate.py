@@ -17,10 +17,10 @@ stream:
 
 The pseudo-true coefficient matrix (the population target of the per-response
 quasi-likelihood fit) has no closed form outside the gaussian family, so
-``fstar_oracle`` approximates it by fitting one very large simulated sample:
-one Newton ascent from zero per response. The quasi-objective is concave, so
-on at least 10k rows the naive-MLE start that data fits add would change
-only the digits TOL leaves open.
+``fstar_oracle`` approximates it by fitting one very large simulated sample.
+Its Newton ascent starts from zero on the first 1/16 of the draw's rows and
+finishes on all of them from there. The quasi-objective is concave, so on at
+least 10k rows the start changes only the digits TOL leaves open.
 
 Three scores compare with the truth, each from plain arrays: ``frob_err``
 (an estimated theta), ``oracle_bias`` (F*, before and after projection) and
@@ -44,6 +44,19 @@ _MASK64 = (1 << 64) - 1
 _TRUTH_DOMAIN = 1
 _DATA_DOMAIN = 2
 ORACLE_SALT = 0x9E3779B97F4A7C15
+
+# fstar_oracle first climbs from zero on the first n_mc // _HEAD_DIVISOR rows
+# of its draw, then finishes on every row from where the head stopped: the rows
+# are iid, so the head's maximiser lies within about n^-1/2 of the full one,
+# and the full ascent needs 2-4 Newton steps instead of 3-7 (p = M = 4, truth
+# seed 0, bernoulli and poisson, 100k rows). Oracle ascent CPU
+# time, zero start -> head start, mean over truth seeds 0-5 (one BLAS thread):
+# bernoulli p = M = 4, eta = 4: 21.5 -> 14.9 ms at 100k rows, 50.7 -> 31.7 ms
+# at 200k; poisson p = M = 4, eta = 1: 15.8 -> 11.6 ms and 33.1 -> 20.2 ms;
+# bernoulli p = 15, M = 6, eta = 2: 118 -> 79 ms and 292 -> 181 ms. At 10k
+# rows (check_n_mc's floor, a 625-row head) it is a wash. A head of n // 8
+# rows was no faster overall.
+_HEAD_DIVISOR = 16
 
 DECAY_CONVENTIONS = ("negative", "positive")
 
@@ -237,19 +250,23 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     """Monte-Carlo approximation of the pseudo-true coefficient matrix.
 
     Fits every response by quasi-likelihood, in the config's family, on one
-    simulated sample of ``n_mc`` rows (no data splitting): one column per
-    response in one Newton ascent from zero. The objective is concave, so the
-    naive-MLE start a data fit adds moves F* only in the digits TOL leaves
-    open (by at most 6.5e-9 over 6 truth seeds at 100k rows). The oracle draw
-    uses a salted seed so it never shares a stream with replication datasets
-    derived from the same config.
+    simulated sample of ``n_mc`` rows (no data splitting), one column per
+    response: a Newton ascent from zero on the first ``n_mc // 16`` rows,
+    then one on every row from where that stopped. The objective is concave,
+    so the start moves F* only in the digits TOL leaves open: by less than
+    7.1e-9 from a zero start on the whole draw (n_mc 50k, p = M = 3, truth
+    seeds 0-19, every family). The oracle draw uses a salted seed so it
+    never shares a stream with replication datasets derived from the same
+    config.
     """
     check_n_mc(n_mc)
     family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
+    head = int(n_mc) // _HEAD_DIVISOR
     zero = np.zeros((1, config.m_dim, config.p))
-    f, _, grad_norm = _newton_ascent([ds.x], [ds.y], family, zero, "quasi")
+    f = _newton_ascent([ds.x[:head]], [ds.y[:head]], family, zero, "quasi")[0]
+    f, _, grad_norm = _newton_ascent([ds.x], [ds.y], family, f, "quasi")
     return CoefMatrix(f[0], grad_norm[0], family)
 
 

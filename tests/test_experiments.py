@@ -1,5 +1,6 @@
 """Simulation-study harness: grids, replication, aggregation, file output."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -180,7 +181,7 @@ def test_the_process_pool_has_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setenv("GHIVE_THREADS", "1000")
     spec = dataclasses.replace(experiment_spec("table1", reps=2), n_mc=10_000)
     assert not any(row["failed"] for row in run_experiment(spec).long_rows)

@@ -166,43 +166,69 @@ def test_projection_removes_most_of_the_oracle_bias():
     assert bias2 < 0.2 * bias1
 
 
-def test_the_oracle_is_one_zero_start_quasi_ascent(monkeypatch):
+def test_the_oracle_climbs_from_its_head_then_on_the_whole_draw(monkeypatch):
     calls, ascent = [], qml._newton_ascent
 
     def recorded(xs, ys, family, starts, kind):
-        calls.append((len(xs), starts.copy(), kind))
-        return ascent(xs, ys, family, starts, kind)
+        out = ascent(xs, ys, family, starts, kind)
+        calls.append((xs, ys, starts.copy(), kind, out))
+        return out
 
     # the name simulate imports, and the one a naive-MLE stage would call
     monkeypatch.setattr(simulate, "_newton_ascent", recorded)
     monkeypatch.setattr(qml, "_newton_ascent", recorded)
     cfg = SimConfig(n=50, p=3, m_dim=4, k=2, eta=1.0, seed=0)
-    oracle = fstar_oracle(make_truth(cfg), cfg, n_mc=10_000)
-    assert len(calls) == 1
-    n_designs, starts, kind = calls[0]
-    assert (n_designs, kind) == (1, "quasi")
-    assert starts.shape == (1, 4, 3) and not starts.any()
-    assert oracle.values.shape == (4, 3) and oracle.grad_norm.shape == (4,)
+    truth = make_truth(cfg)
+    oracle = fstar_oracle(truth, cfg, n_mc=10_000)
+    ds = sample_dataset(truth, dataclasses.replace(cfg, n=10_000), rep_seed=cfg.seed ^ ORACLE_SALT)
+    assert len(calls) == 2
+    assert all((len(xs), len(ys), kind) == (1, 1, "quasi") for xs, ys, _, kind, _ in calls)
+    (head_x, head_y, head_start, _, head), (x, y, start, _, whole) = calls
+    assert np.array_equal(head_x[0], ds.x[:625]) and np.array_equal(head_y[0], ds.y[:625])
+    assert head_start.shape == (1, 4, 3) and not head_start.any()
+    assert np.array_equal(x[0], ds.x) and np.array_equal(y[0], ds.y)
+    assert np.array_equal(start, head[0])
+    assert np.array_equal(oracle.values, whole[0][0])
+    assert np.array_equal(oracle.grad_norm, whole[2][0])
 
 
-# Largest |oracle - two-start fit| allowed: both stop within TOL of the
-# stationary point, so they may differ in the digits TOL leaves open. At
-# seed 0 the difference is 0 (gaussian, poisson) and 4.9e-11 (bernoulli);
-# over seeds 0-19 it stays below 4.6e-9.
+# Largest |oracle - other fit of its draw| allowed: both stop within TOL of
+# the stationary point, so they may differ in the digits TOL leaves open.
+# Against the two-start fit at n_mc 10k, p = 3 (below), the difference at
+# seed 0 is 2.1e-15 (gaussian), 3.2e-9 (bernoulli) and 2.9e-9 (poisson); over
+# seeds 0-19 it reaches 1.2e-8 at bernoulli seed 8 and 1.1e-8 at poisson seed
+# 15 and stays below 5.6e-9 elsewhere. Against a zero start on the whole draw
+# at n_mc 50k, it stays below 1.8e-14 (gaussian), 7.1e-9 (bernoulli) and
+# 3.8e-9 (poisson) over seeds 0-19, and below 4.4e-9 at p = 40, n_mc 10k
+# (seeds 0-4, every family).
 ORACLE_AGREEMENT = 1e-8
 
 
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
-def test_the_zero_start_oracle_agrees_with_the_two_start_fit(family):
+def test_the_oracle_agrees_with_the_two_start_fit(family):
     cfg = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, seed=0, family=family)
     truth = make_truth(cfg)
     oracle = fstar_oracle(truth, cfg, n_mc=10_000)
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=10_000), rep_seed=cfg.seed ^ ORACLE_SALT)
     both = _fit_matrix([(ds.x, ds.y)], family_from_name(family), "quasi")[0][0]
     assert np.max(np.abs(oracle.values - both)) <= ORACLE_AGREEMENT
-    if family == "gaussian":  # the MLE start is no better than zero there
-        assert np.array_equal(oracle.values, both)
     assert np.all(oracle.converged)
+
+
+@pytest.mark.parametrize(
+    "family, p, n_mc",
+    [("gaussian", 3, 50_000), ("bernoulli", 3, 50_000), ("poisson", 3, 50_000),
+     ("bernoulli", 40, 10_000)],  # a 625-row head for 40 coefficients
+)
+def test_the_head_start_reaches_the_zero_start_maximum(family, p, n_mc):
+    cfg = SimConfig(n=50, p=p, m_dim=3, k=2, eta=1.0, seed=0, family=family)
+    truth = make_truth(cfg)
+    oracle = fstar_oracle(truth, cfg, n_mc=n_mc)
+    ds = sample_dataset(truth, dataclasses.replace(cfg, n=n_mc), rep_seed=cfg.seed ^ ORACLE_SALT)
+    zero = np.zeros((1, cfg.m_dim, p))
+    f = qml._newton_ascent([ds.x], [ds.y], family_from_name(family), zero, "quasi")[0][0]
+    assert np.all(np.isfinite(oracle.values))
+    assert np.max(np.abs(oracle.values - f)) <= ORACLE_AGREEMENT
 
 
 def test_oracle_rejects_small_monte_carlo_sizes():
