@@ -49,13 +49,14 @@ ORACLE_SALT = 0x9E3779B97F4A7C15
 # of its draw, then finishes on every row from where the head stopped: the rows
 # are iid, so the head's maximiser lies within about n^-1/2 of the full one,
 # and the full ascent needs 2-4 Newton steps instead of 3-7 (p = M = 4, truth
-# seed 0, bernoulli and poisson, 100k rows). Oracle ascent CPU
-# time, zero start -> head start, mean over truth seeds 0-5 (one BLAS thread):
+# seed 0, bernoulli and poisson, 100k rows). Oracle ascent CPU time, zero
+# start -> head start, mean over truth seeds 0-5 (one BLAS thread):
 # bernoulli p = M = 4, eta = 4: 21.5 -> 14.9 ms at 100k rows, 50.7 -> 31.7 ms
 # at 200k; poisson p = M = 4, eta = 1: 15.8 -> 11.6 ms and 33.1 -> 20.2 ms;
 # bernoulli p = 15, M = 6, eta = 2: 118 -> 79 ms and 292 -> 181 ms. At 10k
-# rows (check_n_mc's floor, a 625-row head) it is a wash. A head of n // 8
-# rows was no faster overall.
+# rows (check_n_mc's floor, a 625-row head) it is a wash, and a gaussian
+# ascent, one Newton step from any start, pays the head: 3-5% at 200k rows,
+# p = 3-15. A head of n // 8 rows was no faster overall.
 _HEAD_DIVISOR = 16
 
 DECAY_CONVENTIONS = ("negative", "positive")
@@ -263,7 +264,7 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    head = int(n_mc) // _HEAD_DIVISOR
+    head = big.n // _HEAD_DIVISOR
     zero = np.zeros((1, config.m_dim, config.p))
     f = _newton_ascent([ds.x[:head]], [ds.y[:head]], family, zero, "quasi")[0]
     f, _, grad_norm = _newton_ascent([ds.x], [ds.y], family, f, "quasi")

@@ -227,8 +227,7 @@ def test_the_head_start_reaches_the_zero_start_maximum(family, p, n_mc):
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=n_mc), rep_seed=cfg.seed ^ ORACLE_SALT)
     zero = np.zeros((1, cfg.m_dim, p))
     f = qml._newton_ascent([ds.x], [ds.y], family_from_name(family), zero, "quasi")[0][0]
-    assert np.all(np.isfinite(oracle.values))
-    assert np.max(np.abs(oracle.values - f)) <= ORACLE_AGREEMENT
+    assert np.max(np.abs(oracle.values - f)) <= ORACLE_AGREEMENT  # NaN fails too
 
 
 def test_oracle_rejects_small_monte_carlo_sizes():
