@@ -270,6 +270,20 @@ def _sigmoid(t, out=None):
     return np.divide(1.0, sigma, out=sigma)
 
 
+def is_quadratic(family: GlmFamily) -> bool:
+    """Whether the family's objective is quadratic in eta: ``b'' == 1``.
+
+    Then the modified quasi-log-likelihood is the log-likelihood, and
+    Wedderburn's (1976) quasi-score is the least-squares score:
+    :func:`quasi_term`, :func:`quasi_residual` and :func:`hessian_weight`
+    compute ``y*eta - cumulant``, ``y - cumulant_d1`` and ``cumulant_d2``
+    operation by operation (pinned bit for bit by
+    ``tests/test_families.py::test_gaussian_quasi_kernels_are_the_loglik_kernels_bit_for_bit``),
+    and one Newton step from any start reaches the maximum. Only gaussian.
+    """
+    return family.kind == "gaussian"
+
+
 def quasi_response(family: GlmFamily, y):
     """The response as the quasi-likelihood kernels read it: for bernoulli
     the sign ``s = 2y - 1``, +1 for y = 1 and -1 for y = 0 (an arithmetic

@@ -29,9 +29,10 @@ quasi-Hessian weight, or ``b''`` from the gradient's ``b'``), with the same
 bits as evaluating each quantity afresh.
 
 One ascent solves many coefficient columns at once (every response, and both
-starts of a quasi-likelihood fit): predictors, gradients and curvatures are
-stacked matmuls over the columns, while each column steps and stops by its
-own rules, bit-identical to solving it alone. Columns go in blocks
+starts of a quasi-likelihood fit outside the gaussian family, whose fit climbs
+from zero alone): predictors, gradients and curvatures are stacked matmuls
+over the columns, while each column steps and stops by its own rules,
+bit-identical to solving it alone. Columns go in blocks
 (:func:`column_blocks`) whose (columns, n) working arrays stay within
 BLOCK_ELEMENTS. The columns of a block may also sit on different designs of
 one row count: both folds of an even n, or the folds of many datasets (in
@@ -73,6 +74,7 @@ from .families import (
     cumulant_d1,
     cumulant_d2,
     hessian_weight,
+    is_quadratic,
     quasi_residual,
     quasi_response,
     quasi_term,
@@ -536,21 +538,25 @@ def _fit_matrix(designs, family, kind):
     the quasi-likelihood from both zero and that MLE, as 2M columns of one
     ascent (the zero start wins ties). On the small folds of a data fit a
     column can stall near TOL, and there the start decides the last digits;
-    the oracle on at least 10k rows (:func:`~ghive.simulate.fstar_oracle`)
-    climbs from zero alone. The designs of one row count go through one
-    :func:`_newton_ascent` per stage, and fill their own rows. The designs
-    must share p and M."""
+    the oracle (:func:`~ghive.simulate.fstar_oracle`) climbs from its head
+    instead. A gaussian quasi fit (:func:`~ghive.families.is_quadratic`)
+    climbs once, from zero: its MLE stage would replay that climb bit for
+    bit, and the MLE start would tie it and lose. The designs of one row
+    count go through one :func:`_newton_ascent` per stage, and fill their own
+    rows. The designs must share p and M."""
     shapes = sorted({(x.shape[1], y.shape[1]) for x, y in designs})
     if len(shapes) > 1:
         raise DataValidationError(f"a batched fit needs one p and M; got (p, M) in {shapes}")
     ((p, m_dim),) = shapes or [(0, 0)]
     values, norms = np.empty((len(designs), m_dim, p)), np.empty((len(designs), m_dim))
+    # ROADMAP item 13 removes this branch once every family climbs once
+    two_starts = kind == "quasi" and not is_quadratic(family)
     for n in dict.fromkeys(len(x) for x, _ in designs):
         group = [i for i, (x, _) in enumerate(designs) if len(x) == n]
         xs, ys = [designs[i][0] for i in group], [designs[i][1] for i in group]
         zero = np.zeros((len(group), m_dim, p))
-        f, value, gnorm = _newton_ascent(xs, ys, family, zero, "loglik")
-        if kind == "quasi":
+        f, value, gnorm = _newton_ascent(xs, ys, family, zero, "loglik" if two_starts else kind)
+        if two_starts:
             starts = np.concatenate([zero, f], axis=1)
             f, value, gnorm = _newton_ascent(xs, ys, family, starts, kind)
             mle = value[:, m_dim:] > value[:, :m_dim]

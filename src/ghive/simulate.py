@@ -20,7 +20,10 @@ quasi-likelihood fit) has no closed form outside the gaussian family, so
 ``fstar_oracle`` approximates it by fitting one very large simulated sample.
 Its Newton ascent starts from zero on the first 1/16 of the draw's rows and
 finishes on all of them from there. The quasi-objective is concave, so on at
-least 10k rows the start changes only the digits TOL leaves open.
+least 10k rows the start changes only the digits TOL leaves open. A gaussian
+objective is quadratic, maximised by one Newton step from any start, so the
+gaussian oracle climbs from zero on the whole draw, as a gaussian data fit
+does, bit for bit.
 
 Three scores compare with the truth, each from plain arrays: ``frob_err``
 (an estimated theta), ``oracle_bias`` (F*, before and after projection) and
@@ -37,7 +40,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError
-from .families import family_from_name
+from .families import family_from_name, is_quadratic
 from .qml import CoefMatrix, _newton_ascent
 
 _MASK64 = (1 << 64) - 1
@@ -54,9 +57,10 @@ ORACLE_SALT = 0x9E3779B97F4A7C15
 # bernoulli p = M = 4, eta = 4: 21.5 -> 14.9 ms at 100k rows, 50.7 -> 31.7 ms
 # at 200k; poisson p = M = 4, eta = 1: 15.8 -> 11.6 ms and 33.1 -> 20.2 ms;
 # bernoulli p = 15, M = 6, eta = 2: 118 -> 79 ms and 292 -> 181 ms. At 10k
-# rows (check_n_mc's floor, a 625-row head) it is a wash, and a gaussian
-# ascent, one Newton step from any start, pays the head: 3-5% at 200k rows,
-# p = 3-15. A head of n // 8 rows was no faster overall.
+# rows (check_n_mc's floor, a 625-row head) it is a wash. A gaussian ascent,
+# one Newton step from any start, would pay for the head (5.8 -> 6.1 ms at
+# p = 3, 29.4 -> 30.3 ms at p = 15, 200k rows), so it has none. A head of
+# n // 8 rows was no faster overall.
 _HEAD_DIVISOR = 16
 
 DECAY_CONVENTIONS = ("negative", "positive")
@@ -256,17 +260,19 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     then one on every row from where that stopped. The objective is concave,
     so the start moves F* only in the digits TOL leaves open: by less than
     7.1e-9 from a zero start on the whole draw (n_mc 50k, p = M = 3, truth
-    seeds 0-19, every family). The oracle draw uses a salted seed so it
-    never shares a stream with replication datasets derived from the same
-    config.
+    seeds 0-19, every family). A quadratic (gaussian) objective skips the
+    head and climbs from zero on every row, the data fits' rule bit for bit.
+    The oracle draw uses a salted seed so it never shares a stream with
+    replication datasets derived from the same config.
     """
     check_n_mc(n_mc)
     family = family_from_name(config.family)
     big = replace(config, n=int(n_mc))
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    head = big.n // _HEAD_DIVISOR
-    zero = np.zeros((1, config.m_dim, config.p))
-    f = _newton_ascent([ds.x[:head]], [ds.y[:head]], family, zero, "quasi")[0]
+    f = np.zeros((1, config.m_dim, config.p))
+    if not is_quadratic(family):
+        head = big.n // _HEAD_DIVISOR
+        f = _newton_ascent([ds.x[:head]], [ds.y[:head]], family, f, "quasi")[0]
     f, _, grad_norm = _newton_ascent([ds.x], [ds.y], family, f, "quasi")
     return CoefMatrix(f[0], grad_norm[0], family)
 

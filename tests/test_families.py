@@ -21,7 +21,11 @@ from ghive.families import (
     cumulant_d2,
     family_from_name,
     hessian_weight,
+    is_quadratic,
     quasi_loglik_term,
+    quasi_residual,
+    quasi_response,
+    quasi_term,
     validate_response,
     weighted_residual,
 )
@@ -155,6 +159,21 @@ def test_quasi_hessian_weight_gaussian_is_one():
     etas = np.array([1.0, -2.0, 0.0])
     weight = hessian_weight(GAUSSIAN, etas, weighted_residual(GAUSSIAN, ys, etas))
     assert np.array_equal(weight, np.ones(3))
+
+
+def test_gaussian_quasi_kernels_are_the_loglik_kernels_bit_for_bit():
+    # b'' == 1: the quasi term, score residual and curvature weight are the
+    # log-likelihood's y eta - b, y - b' and b'', operation by operation,
+    # signed zeros included
+    assert [is_quadratic(f) for f in (GAUSSIAN, BERNOULLI, POISSON)] == [True, False, False]
+    rng = np.random.default_rng(12)
+    eta, y = rng.standard_normal((2, 2000)) * 10.0 ** rng.uniform(-8, 8, (2, 2000))
+    eta[:4], y[:4] = [0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]
+    r = quasi_response(GAUSSIAN, y)
+    res = quasi_residual(GAUSSIAN, r, eta, VARIANCE_FLOOR)
+    assert quasi_term(GAUSSIAN, r, eta).tobytes() == (y * eta - cumulant(GAUSSIAN, eta)).tobytes()
+    assert res.tobytes() == (y - cumulant_d1(GAUSSIAN, eta)).tobytes()
+    assert hessian_weight(GAUSSIAN, eta, res).tobytes() == cumulant_d2(GAUSSIAN, eta).tobytes()
 
 
 def test_quasi_loglik_term_closed_forms_match_quadrature():

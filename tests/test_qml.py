@@ -314,6 +314,27 @@ def test_a_quasi_fit_keeps_the_better_of_its_zero_and_mle_starts(family):
     assert any(mle_wins) == (family is not GAUSSIAN)
 
 
+def test_a_gaussian_quasi_fit_is_one_zero_start_quasi_ascent(monkeypatch):
+    # b'' == 1 makes the quasi-likelihood the log-likelihood, so a gaussian
+    # fit runs no naive-MLE stage and no MLE start: each design, here of 100
+    # and 51 rows (two row-count groups), is one zero-start quasi ascent
+    data, _, _ = small_sim_dataset(n=100, p=3, m_dim=4, k=2, seed=2, rep_seed=2, family="gaussian")
+    designs = [(data.x, data.y), (data.x[:51], data.y[:51])]
+    calls, ascent = [], qml._newton_ascent
+
+    def recorded(xs, ys, family, starts, kind):
+        calls.append((kind, starts.shape, starts.any()))
+        return ascent(xs, ys, family, starts, kind)
+
+    monkeypatch.setattr(qml, "_newton_ascent", recorded)
+    values, norms = qml._fit_matrix(designs, GAUSSIAN, "quasi")
+    assert calls == [("quasi", (1, 4, 3), False)] * 2
+    for d, (x, y) in enumerate(designs):
+        f, _, g = ascent([x], [y], GAUSSIAN, np.zeros((1, 4, 3)), "quasi")
+        assert values[d].tobytes() == f[0].tobytes()
+        assert norms[d].tobytes() == g[0].tobytes()
+
+
 def _column_cases(family):
     """Responses on a 3-covariate design: two ordinary columns plus the
     family's hard case (a poisson count column of 5..5e7, where the
@@ -635,11 +656,12 @@ def test_a_design_whose_columns_fill_a_block_is_never_gathered(monkeypatch):
 def test_both_folds_of_a_small_fit_run_as_one_gathered_block_per_stage(family, monkeypatch):
     # the benchmark's fit-small shape: two 100-row folds at p = 4 with 20
     # responses gather 2 * 20 * 100 * 4 = 16,000 elements for the naive
-    # starts and 32,000 for the quasi columns, well within one block
+    # starts and 32,000 for the quasi columns, well within one block; a
+    # gaussian fit has only its 16,000 zero-start quasi columns
     (data,) = _datasets(family, n=200, p=4, m_dim=20, count=1, seed=40)
     seen = _block_designs(monkeypatch, np.shape)
     fit = ghive_fit(data, family, seed=3)
-    assert seen == [(40, 100, 4), (80, 100, 4)]
+    assert seen == ([(40, 100, 4)] if family is GAUSSIAN else [(40, 100, 4), (80, 100, 4)])
     _assert_same_fits([fit.f_hat], [_f_hat_alone(data, fit.split, family)])
 
 
