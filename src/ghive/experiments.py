@@ -6,7 +6,9 @@ confounding strength, "fig2-n" over sample size, "fig2-m" over response
 count), and the coverage experiment ("table1"). Default grids and
 replication counts are desk scale; ``full_scale=True`` restores the original
 protocol sizes. ``ghive simulate`` runs a one-point error spec through the
-same :func:`run_experiment`.
+same :func:`run_experiment`. Every spec, named or built directly, is checked
+once, when it is built (:class:`ExperimentSpec`), so a bad one fails before
+any grid point runs.
 
 Seed discipline: the experiment seed is mixed (splitmix-style) with the grid
 index to give each grid point its own stream family. Error experiments
@@ -51,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data_io import write_csv_rows
-from .errors import DataValidationError, GhiveError
+from .errors import DataValidationError, GhiveError, require_integer
 from .families import family_from_name
 from .inference import basis_contrast, confidence_interval, naive_wald_interval
 from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit_many, with_projection
@@ -107,13 +109,31 @@ def worker_count() -> int:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One named experiment: a grid of generator configs plus run settings.
-    The name decides what the experiment scores (:func:`_kind`)."""
+    The name decides what the experiment scores (:func:`_kind`).
+
+    A spec is checked once, when it is built, so that a bad one fails before
+    any replicate runs: reps must be an integer of at least 1, seed an
+    integer, the grid not empty, n_mc an oracle draw :func:`check_n_mc`
+    accepts, and, for an experiment that fits, each grid config's folds
+    must hold its covariates (:func:`check_fold_rows`)."""
 
     name: str
     grid: tuple
     reps: int
     seed: int
     n_mc: int = 50_000
+
+    def __post_init__(self):
+        for name in ("reps", "seed"):
+            require_integer(name, getattr(self, name))
+        if self.reps < 1:
+            raise DataValidationError(f"reps must be at least 1, got {self.reps}")
+        if not self.grid:
+            raise DataValidationError(f"experiment {self.name!r} has an empty grid")
+        check_n_mc(self.n_mc)  # else fig1-bias would fail every replicate instead
+        if _kind(self).fits:  # else every fit would fail instead
+            for cfg in self.grid:
+                check_fold_rows(cfg.n, cfg.p)
 
 
 # The coverage table fixes one truth draw per grid point, and draws differ in
@@ -133,9 +153,8 @@ def experiment_spec(
     (``DEFAULT_SEEDS``).
     """
     if name not in EXPERIMENT_NAMES:
-        raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}")
-    if reps is not None and reps < 1:
-        raise DataValidationError(f"reps must be at least 1, got {reps}")
+        msg = f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
+        raise DataValidationError(msg)
     if seed is None:
         seed = DEFAULT_SEEDS[name]
     n_mc = 50_000
@@ -360,7 +379,6 @@ def _coverage_rep(spec: ExperimentSpec, gi: int, rep: int, drawn, fitted, naive,
 
 @dataclass
 class ExperimentResult:
-    spec: ExperimentSpec
     long_rows: list
     agg_rows: list
     long_path: str | None = None
@@ -426,11 +444,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
     (:func:`_chunks`), one per worker, each a :func:`_replicates` task,
     after the grid point's fixed truth and targets if it has them.
     """
-    check_n_mc(spec.n_mc)  # else fig1-bias would fail every replicate instead
     kind, workers, tasks = _kind(spec), worker_count(), []
-    if kind.fits:  # else every fit would fail instead
-        for cfg in spec.grid:
-            check_fold_rows(cfg.n, cfg.p)
     chunks = _chunks(spec.reps, workers)
     for gi in range(len(spec.grid)):
         point = kind.point(spec, gi) if kind.point else None
@@ -446,13 +460,4 @@ def run_experiment(spec: ExperimentSpec, out_dir=None) -> ExperimentResult:
         agg_path = os.path.join(out_dir, f"{spec.name}_agg.csv")
         write_csv_rows(long_path, LONG_FIELDS, long_rows)
         write_csv_rows(agg_path, AGG_FIELDS, agg_rows)
-    return ExperimentResult(spec, long_rows, agg_rows, long_path, agg_path)
-
-
-def agg_lookup(result: ExperimentResult, estimator: str, metric: str) -> dict:
-    """Helper: map grid_index -> aggregated mean for one estimator/metric."""
-    out = {}
-    for row in result.agg_rows:
-        if row["estimator"] == estimator and row["metric"] == metric:
-            out[row["grid_index"]] = row["mean"]
-    return out
+    return ExperimentResult(long_rows, agg_rows, long_path, agg_path)

@@ -29,7 +29,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data_io import Dataset
-from .errors import DataValidationError, NumericalError
+from .errors import DataValidationError, NumericalError, require_integer
 from . import families
 from .families import GlmFamily, cumulant_d2, hessian_weight, validate_response, weighted_residual
 from .qml import CoefMatrix, weighted_gram
@@ -76,7 +76,12 @@ class Contrast:
 
 
 def basis_contrast(i: int, j: int, m_dim: int, p: int) -> Contrast:
-    """Contrast picking out entry (i, j), 0-based."""
+    """Contrast picking out entry (i, j), 0-based: response i of m_dim,
+    covariate j of p."""
+    for name, index, size in (("i", i, m_dim), ("j", j, p)):
+        require_integer(name, index)
+        if not 0 <= index < size:
+            raise DataValidationError(f"{name} must be in [0, {size}), got {index}")
     return Contrast(np.eye(m_dim)[i], np.eye(p)[j])
 
 

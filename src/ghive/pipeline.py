@@ -28,7 +28,7 @@ import numpy as np
 
 from . import families, spectral
 from .data_io import Dataset, matrix_from_json, matrix_to_json
-from .errors import DataValidationError, GhiveError
+from .errors import DataValidationError, GhiveError, require_integer
 from .families import GlmFamily, family_from_name, validate_response
 from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, _fit_matrix, check_fold_rows, make_split
 
@@ -60,6 +60,7 @@ class Mode:
 
     @staticmethod
     def oracle_k(k: int) -> "Mode":
+        require_integer("oracle factor count k", k)
         if k < 1:
             raise DataValidationError(f"oracle factor count must be >= 1, got {k}")
         return Mode(ORACLE_K, k=int(k))
@@ -168,8 +169,11 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     A fold fit that overflows is flagged unconverged, not raised. A seed or
     dataset that cannot be fitted at all raises for the whole call.
     """
-    mode = mode or Mode.data_driven()
-    splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds, strict=True)]
+    mode, seeds = mode or Mode.data_driven(), list(seeds)
+    if len(seeds) != len(datasets):
+        msg = f"seeds must give one seed per dataset, got {len(seeds)} for {len(datasets)} datasets"
+        raise DataValidationError(msg)
+    splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds)]
     for data in datasets:
         validate_response(family, data.y)
         check_fold_rows(data.n, data.p)

@@ -32,21 +32,23 @@ One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit outside the gaussian family, whose fit climbs
 from zero alone): predictors, gradients and curvatures are stacked matmuls
 over the columns, while each column steps and stops by its own rules,
-bit-identical to solving it alone. Columns go in blocks
-(:func:`column_blocks`) whose (columns, n) working arrays stay within
-BLOCK_ELEMENTS. The columns of a block may also sit on different designs of
-one row count: both folds of an even n, or the folds of many datasets (in
-``ghive_fit_many`` and :func:`fit_naive_many`). Such a block gathers each
-column's design rows, and its products stay per-column batched matmuls, so
-a column keeps its bits. Designs share a block while the gathered
-(columns, n, p) rows fit BLOCK_ELEMENTS too: both 100-row folds of a fit at
-p = 4 with 20 responses run as one block per stage, as do the 40 folds of a
-study grid point. A design whose columns fill that alone (the folds of a
-5000-row or a 2000-row, 50-response fit, a 100k-row oracle fit) runs by
-itself, its design broadcast over its columns. A fit of many designs
-returns stacked arrays, coefficients (designs, M, p) and gradient sup-norms
-(designs, M), so callers split them by axis; :func:`fit_naive_many` wraps
-each design's rows in a :class:`CoefMatrix`.
+bit-identical to solving it alone. :func:`_newton_ascent` is the one way in:
+it takes ``(x, y)`` designs of any row counts (both folds of a fit, the
+folds of many datasets in ``ghive_fit_many`` and :func:`fit_naive_many`, an
+oracle draw) and runs their columns in blocks whose (columns, n) working
+arrays stay within BLOCK_ELEMENTS. The columns of a block may sit on
+different designs of one row count: such a block gathers each column's
+design rows, and its products stay per-column batched matmuls, so a column
+keeps its bits. Designs share a block while the gathered (columns, n, p)
+rows fit BLOCK_ELEMENTS too: both 100-row folds of a fit at p = 4 with 20
+responses run as one block per stage, as do the 40 folds of a study grid
+point. A design whose columns fill that alone (the folds of a 5000-row or a
+2000-row, 50-response fit, a 100k-row oracle fit) runs by itself, its design
+broadcast over blocks of ``BLOCK_ELEMENTS // n`` columns. The ascent returns
+stacked arrays, coefficients (designs, C, p) and gradient sup-norms
+(designs, C), so callers split them by axis; :func:`_fit_matrix` adds only
+the start rule, and :func:`fit_naive_many` wraps each design's rows in a
+:class:`CoefMatrix`.
 
 :func:`weighted_gram` sums each column's curvature matrix over consecutive
 row chunks sized by p alone, so its operands stay in cache and its bits do
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
-from .errors import DataValidationError
+from .errors import DataValidationError, require_integer
 from .families import (
     VARIANCE_FLOOR,
     GlmFamily,
@@ -144,6 +146,7 @@ class SplitPlan:
 
 def make_split(n: int, seed: int) -> SplitPlan:
     """Randomly split ``range(n)`` into two folds via a seeded permutation."""
+    require_integer("n", n)
     if n < 2:
         raise DataValidationError(f"need at least 2 rows to split, got n={n}")
     try:
@@ -360,47 +363,42 @@ def _ball_project(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def column_blocks(x: np.ndarray, n_cols: int) -> list:
-    """Split column indices ``0..n_cols-1`` into consecutive blocks whose
-    (columns, n) arrays over the n rows of ``x`` stay within BLOCK_ELEMENTS
-    (at least one column per block)."""
-    width = max(1, BLOCK_ELEMENTS // x.shape[-2])
-    return np.split(np.arange(n_cols), range(width, n_cols, width))
+def _newton_ascent(designs, family, starts, kind):
+    """Damped Newton ascent on D ``(x, y)`` designs, x (n, p) with responses
+    y (n, M), of any row counts: from each row c of ``starts[d]`` (D, C, p)
+    on response ``y[:, c % M]`` of design d. Returns the per-column
+    ``(f, value, grad_norm)``, shaped (D, C, p), (D, C) and (D, C).
 
-
-def _newton_ascent(xs, ys, family, starts, kind):
-    """Damped Newton ascent over designs of one row count, ``xs[g]`` (n, p)
-    with responses ``ys[g]`` (n, M): from each row c of ``starts[g]``
-    (G, C, p) on response ``ys[g][:, c % M]``. Returns the per-column
-    ``(f, value, grad_norm)``, shaped (G, C, p), (G, C) and (G, C).
-
-    Designs share a block while the design rows gathered for its columns,
-    (columns, n, p), stay within BLOCK_ELEMENTS, the budget of its (columns,
-    n) arrays and gram buffer too: both folds of a fit-small fit (two
-    100-row folds, p = 4, 20 responses) run as one block per stage, and so
-    do the 40 folds of a table1 grid point. A design whose C columns fill
-    that alone (a fit-large or cli-roundtrip fold, the 100k-row oracle) runs
-    by itself, in :func:`column_blocks`, with its design broadcast over the
-    columns rather than gathered."""
-    (n, p), (g_dim, c_dim) = xs[0].shape, starts.shape[:2]
-    per = max(1, BLOCK_ELEMENTS // (p * c_dim * n))
-    response, f = np.arange(c_dim) % ys[0].shape[1], starts.reshape(-1, p)
-    blocks = []
-    for g in range(0, g_dim, per):
-        x, y = xs[g : g + per], ys[g : g + per]
-        cols = np.arange(g * c_dim, (g + len(x)) * c_dim)
-        if len(x) == 1:
-            xt = np.ascontiguousarray(x[0].T)
-            blocks += [
-                _ascent_block(x[0], xt, y[0].T[response[b]], family, f[cols[b]], kind)
-                for b in column_blocks(x[0], c_dim)
-            ]
-        else:  # each column gets its design's rows
-            x = np.repeat(np.stack(x), c_dim, axis=0)
-            y = np.stack(y).transpose(0, 2, 1)[:, response].reshape(-1, n)
-            blocks.append(_ascent_block(x, None, y, family, f[cols], kind))
-    out = (np.concatenate([block[k] for block in blocks]) for k in range(3))
-    return tuple(a.reshape((g_dim, c_dim) + a.shape[1:]) for a in out)
+    Designs of one row count share a block while the design rows gathered
+    for its columns, (columns, n, p), stay within BLOCK_ELEMENTS, the budget
+    of its (columns, n) arrays and gram buffer too: both folds of a
+    fit-small fit (two 100-row folds, p = 4, 20 responses) run as one block
+    per stage, and so do the 40 folds of a table1 grid point. A design whose
+    C columns fill that alone (a fit-large or cli-roundtrip fold, the
+    100k-row oracle) runs by itself, its design broadcast over blocks of
+    ``BLOCK_ELEMENTS // n`` columns rather than gathered."""
+    d_dim, c_dim, p = starts.shape
+    f, value, grad_norm = np.empty(starts.shape), np.empty((d_dim, c_dim)), np.empty((d_dim, c_dim))
+    for n in dict.fromkeys(len(x) for x, _ in designs):
+        group = [d for d, (x, _) in enumerate(designs) if len(x) == n]
+        response = np.arange(c_dim) % designs[group[0]][1].shape[1]
+        per = max(1, BLOCK_ELEMENTS // (p * c_dim * n))
+        for chunk in (group[g : g + per] for g in range(0, len(group), per)):
+            if len(chunk) == 1:  # its design broadcast over blocks of columns
+                (d,), width = chunk, max(1, BLOCK_ELEMENTS // n)
+                x, y = designs[d]
+                xt = np.ascontiguousarray(x.T)
+                for cols in np.split(np.arange(c_dim), range(width, c_dim, width)):
+                    block = _ascent_block(x, xt, y.T[response[cols]], family, starts[d, cols], kind)
+                    f[d, cols], value[d, cols], grad_norm[d, cols] = block[:3]
+            else:  # each column gets its design's rows
+                x = np.repeat(np.stack([designs[d][0] for d in chunk]), c_dim, axis=0)
+                y = np.stack([designs[d][1] for d in chunk]).transpose(0, 2, 1)[:, response]
+                start = starts[chunk].reshape(-1, p)
+                block = _ascent_block(x, None, y.reshape(-1, n), family, start, kind)
+                f[chunk] = block[0].reshape(-1, c_dim, p)
+                value[chunk], grad_norm[chunk] = (a.reshape(-1, c_dim) for a in block[1:3])
+    return f, value, grad_norm
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -541,26 +539,19 @@ def _fit_matrix(designs, family, kind):
     the oracle (:func:`~ghive.simulate.fstar_oracle`) climbs from its head
     instead. A gaussian quasi fit (:func:`~ghive.families.is_quadratic`)
     climbs once, from zero: its MLE stage would replay that climb bit for
-    bit, and the MLE start would tie it and lose. The designs of one row
-    count go through one :func:`_newton_ascent` per stage, and fill their own
-    rows. The designs must share p and M."""
+    bit, and the MLE start would tie it and lose. Each stage is one
+    :func:`_newton_ascent` over every design, whatever its row count. The
+    designs must share p and M."""
     shapes = sorted({(x.shape[1], y.shape[1]) for x, y in designs})
     if len(shapes) > 1:
         raise DataValidationError(f"a batched fit needs one p and M; got (p, M) in {shapes}")
     ((p, m_dim),) = shapes or [(0, 0)]
-    values, norms = np.empty((len(designs), m_dim, p)), np.empty((len(designs), m_dim))
+    zero = np.zeros((len(designs), m_dim, p))
     # ROADMAP item 13 removes this branch once every family climbs once
-    two_starts = kind == "quasi" and not is_quadratic(family)
-    for n in dict.fromkeys(len(x) for x, _ in designs):
-        group = [i for i, (x, _) in enumerate(designs) if len(x) == n]
-        xs, ys = [designs[i][0] for i in group], [designs[i][1] for i in group]
-        zero = np.zeros((len(group), m_dim, p))
-        f, value, gnorm = _newton_ascent(xs, ys, family, zero, "loglik" if two_starts else kind)
-        if two_starts:
-            starts = np.concatenate([zero, f], axis=1)
-            f, value, gnorm = _newton_ascent(xs, ys, family, starts, kind)
-            mle = value[:, m_dim:] > value[:, :m_dim]
-            f = np.where(mle[..., None], f[:, m_dim:], f[:, :m_dim])
-            gnorm = np.where(mle, gnorm[:, m_dim:], gnorm[:, :m_dim])
-        values[group], norms[group] = f, gnorm
-    return values, norms
+    if kind == "loglik" or is_quadratic(family):
+        return _newton_ascent(designs, family, zero, kind)[::2]  # f and grad_norm
+    mle = _newton_ascent(designs, family, zero, "loglik")[0]
+    f, value, gnorm = _newton_ascent(designs, family, np.concatenate([zero, mle], axis=1), kind)
+    mle_wins = value[:, m_dim:] > value[:, :m_dim]
+    f = np.where(mle_wins[..., None], f[:, m_dim:], f[:, :m_dim])
+    return f, np.where(mle_wins, gnorm[:, m_dim:], gnorm[:, :m_dim])

@@ -39,7 +39,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .data_io import Dataset
-from .errors import DataValidationError, NumericalError
+from .errors import DataValidationError, NumericalError, require_integer
 from .families import family_from_name, is_quadratic
 from .qml import CoefMatrix, _newton_ascent
 
@@ -93,9 +93,7 @@ class SimConfig:
         # keep the canonical name: the sampler branches on it
         object.__setattr__(self, "family", family_from_name(self.family).kind)
         for name in ("n", "p", "m_dim", "k", "seed", "reps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DataValidationError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         eta = self.eta
         if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
             raise DataValidationError(f"eta must be a finite number, got {eta!r}")
@@ -245,6 +243,8 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
 
 
 def check_n_mc(n_mc: int) -> None:
+    """Refuse an oracle draw of ``n_mc`` rows unless n_mc is an integer of at least 10000."""
+    require_integer("n_mc", n_mc)
     if n_mc < 10_000:
         raise DataValidationError(
             f"n_mc must be at least 10000 for a usable oracle, got {n_mc}"
@@ -267,13 +267,13 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     """
     check_n_mc(n_mc)
     family = family_from_name(config.family)
-    big = replace(config, n=int(n_mc))
+    big = replace(config, n=n_mc)
     ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
     f = np.zeros((1, config.m_dim, config.p))
     if not is_quadratic(family):
         head = big.n // _HEAD_DIVISOR
-        f = _newton_ascent([ds.x[:head]], [ds.y[:head]], family, f, "quasi")[0]
-    f, _, grad_norm = _newton_ascent([ds.x], [ds.y], family, f, "quasi")
+        f = _newton_ascent([(ds.x[:head], ds.y[:head])], family, f, "quasi")[0]
+    f, _, grad_norm = _newton_ascent([(ds.x, ds.y)], family, f, "quasi")
     return CoefMatrix(f[0], grad_norm[0], family)
 
 

@@ -51,6 +51,16 @@ def gaussian_design(n=60, p=4, m_dim=3, seed=0, scale=1.0):
     return x, y, coef
 
 
+def agg_lookup(result, estimator, metric):
+    """Map grid_index -> aggregated mean of one estimator's metric in an
+    experiment result."""
+    return {
+        row["grid_index"]: row["mean"]
+        for row in result.agg_rows
+        if row["estimator"] == estimator and row["metric"] == metric
+    }
+
+
 @pytest.fixture(scope="session")
 def fig1_eta_run():
     return run_experiment(experiment_spec("fig1-eta", seed=0))

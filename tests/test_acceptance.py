@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import small_sim_dataset
+from conftest import agg_lookup, small_sim_dataset
 from ghive import BERNOULLI, GAUSSIAN
 from ghive.data_io import Dataset
-from ghive.experiments import agg_lookup
+from ghive.experiments import experiment_spec
 from ghive.families import quasi_loglik_term, weighted_residual
 from ghive.pipeline import ghive_fit
 from ghive.qml import (
@@ -65,7 +65,7 @@ def test_criterion_1_projection_shrinks_oracle_bias():
 def test_criterion_2_projection_defeats_growing_confounding(fig1_eta_run):
     naive = agg_lookup(fig1_eta_run, "naive-mle", "frob_err")
     oracle_p = agg_lookup(fig1_eta_run, "oracle-p", "frob_err")
-    etas = [c.eta for c in fig1_eta_run.spec.grid]
+    etas = [c.eta for c in experiment_spec("fig1-eta", seed=0).grid]
     lo, hi = etas.index(1.0), etas.index(8.0)
     growth = naive[hi] / naive[lo]
     ratio = oracle_p[hi] / naive[hi]
@@ -78,7 +78,7 @@ def test_criterion_2_projection_defeats_growing_confounding(fig1_eta_run):
 
 
 def test_criterion_3_errors_shrink_with_sample_size(fig2_n_run):
-    ns = [c.n for c in fig2_n_run.spec.grid]
+    ns = [c.n for c in experiment_spec("fig2-n", seed=0).grid]
     first, last = ns.index(100), ns.index(400)
     means = {
         est: agg_lookup(fig2_n_run, est, "frob_err")
@@ -99,7 +99,7 @@ def test_criterion_3_errors_shrink_with_sample_size(fig2_n_run):
 
 
 def test_criterion_4_every_variant_beats_the_baseline_in_m(fig2_m_run):
-    ms = [c.m_dim for c in fig2_m_run.spec.grid]
+    ms = [c.m_dim for c in experiment_spec("fig2-m", seed=0).grid]
     naive = agg_lookup(fig2_m_run, "naive-mle", "frob_err")
     summary = []
     for est in ("oracle-p", "oracle-k", "data-driven"):
@@ -136,7 +136,7 @@ def test_criterion_6_oracle_equivalences():
         beta = rng.standard_normal(p)
         y = x @ beta + rng.standard_normal(n)
         ols = np.linalg.lstsq(x, y, rcond=None)[0]
-        f = _newton_ascent([x], [y[:, None]], GAUSSIAN, np.zeros((1, 1, p)), "quasi")[0]
+        f = _newton_ascent([(x, y[:, None])], GAUSSIAN, np.zeros((1, 1, p)), "quasi")[0]
         worst_fit = max(worst_fit, float(np.max(np.abs(f[0, 0] - ols))))
         naive = fit_naive_mle(Dataset(x, y.reshape(-1, 1)), GAUSSIAN)
         worst_fit = max(worst_fit, float(np.max(np.abs(naive.values[0] - ols))))

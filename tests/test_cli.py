@@ -683,7 +683,7 @@ def test_reproduce_all_runs_every_experiment_in_order(tmp_path, monkeypatch):
 
     def record(spec, out_dir=None):
         calls.append((spec.name, spec.seed))
-        return ExperimentResult(spec, [], [], "long.csv", "agg.csv")
+        return ExperimentResult([], [], "long.csv", "agg.csv")
 
     monkeypatch.setattr(experiments, "run_experiment", record)
     assert main(["reproduce", "all", "--out", str(tmp_path)]) == 0

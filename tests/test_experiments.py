@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from conftest import agg_lookup
 from ghive import experiments
 from ghive.errors import DataValidationError, NumericalError
 from ghive.experiments import (
@@ -15,7 +16,7 @@ from ghive.experiments import (
     AGG_FIELDS,
     EXPERIMENT_NAMES,
     LONG_FIELDS,
-    agg_lookup,
+    ExperimentSpec,
     aggregate_rows,
     experiment_spec,
     run_experiment,
@@ -45,7 +46,7 @@ def test_experiment_catalog_grids():
     assert experiment_spec("table1").seed == 15
     assert experiment_spec("fig2-n").seed == 0
     assert experiment_spec("table1", seed=0).seed == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(DataValidationError, match="fig9"):
         experiment_spec("fig9")
     assert set(EXPERIMENT_NAMES) == {
         "fig1-bias",
@@ -62,18 +63,27 @@ def test_reps_override_shrinks_the_run():
     assert experiment_spec("fig2-n", reps=1).reps == 1
 
 
-@pytest.mark.parametrize("reps", [0, -2])
-def test_reps_below_one_are_rejected(reps):
-    with pytest.raises(DataValidationError, match="reps"):
-        experiment_spec("table1", reps=reps)
+@pytest.mark.parametrize(
+    "field, value",
+    [("reps", 0), ("reps", -2), ("reps", 1.5), ("reps", True), ("seed", 1.5), ("grid", ())],
+    ids=["0", "-2", "1.5", "True", "seed-1.5", "empty-grid"],
+)
+def test_reps_below_one_are_rejected(field, value):
+    if field == "reps":
+        with pytest.raises(DataValidationError, match="reps"):
+            experiment_spec("table1", reps=value)
+    # ghive simulate builds its spec directly, so the dataclass checks it
+    spec = {"name": "simulate", "grid": experiment_spec("fig2-n").grid, "reps": 2, "seed": 4}
+    with pytest.raises(DataValidationError, match=field):
+        ExperimentSpec(**{**spec, field: value})
 
 
 @pytest.mark.parametrize("name", ["fig1-bias", "table1"])
 def test_too_small_oracle_sample_is_rejected_before_any_replicate(name, monkeypatch):
     monkeypatch.setattr(experiments, "_map_tasks", lambda tasks: pytest.fail("a replicate ran"))
-    spec = dataclasses.replace(experiment_spec(name, reps=2), n_mc=5000)
+    # the spec is refused when it is built, so no run can start
     with pytest.raises(DataValidationError, match="n_mc"):
-        run_experiment(spec)
+        run_experiment(dataclasses.replace(experiment_spec(name, reps=2), n_mc=5000))
 
 
 def _tiny_spec():
@@ -317,7 +327,7 @@ def test_coverage_rows_have_interval_structure():
 def test_estimator_ranking_under_growing_confounding(fig1_eta_run):
     # As the confounding strength rises, the baseline deteriorates in a
     # monotone way while the oracle-projected variants stay much flatter.
-    etas = [c.eta for c in fig1_eta_run.spec.grid]
+    etas = [c.eta for c in experiment_spec("fig1-eta", seed=0).grid]
     naive = agg_lookup(fig1_eta_run, "naive-mle", "frob_err")
     naive_path = [naive[i] for i in range(len(etas))]
     rho = spearmanr(etas, naive_path).statistic

@@ -16,13 +16,15 @@ import warnings
 import numpy as np
 import pytest
 
+from ghive import GAUSSIAN
 from ghive.cli import main
 from ghive.data_io import Dataset, save_matrix_csv
 from ghive.errors import DataValidationError, GhiveError, NumericalError
 from ghive.families import FAMILY_NAMES, family_from_name
 from ghive.inference import basis_contrast, confidence_interval, naive_wald_interval
-from ghive.pipeline import ghive_fit, ghive_fit_many
-from ghive.qml import fit_naive_many
+from ghive.pipeline import Mode, ghive_fit, ghive_fit_many
+from ghive.qml import fit_naive_many, make_split
+from ghive.simulate import SimConfig, check_n_mc, fstar_oracle, make_truth
 
 SEED = 0
 EXIT_CODES = {None: 0, DataValidationError: 2, NumericalError: 1}
@@ -128,6 +130,37 @@ def test_batched_fits_refuse_datasets_that_do_not_share_p_and_m(call, other):
     match = r"one p and M; got \(p, M\) in \[\(3, 2\), \(%d, %d\)\]" % other[1:]
     with pytest.raises(DataValidationError, match=match):
         BATCHED_FITS[call](datasets, fam)
+
+
+_ORACLE_CFG = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0)
+
+# Arguments that entry points once refused with another exception type, or
+# took silently (a negative response index, a fractional factor count or
+# oracle draw); each now names its argument in a DataValidationError.
+BAD_ARGUMENTS = {
+    "contrast-row-below-zero": (lambda: basis_contrast(-1, 0, 4, 4), "i must be in"),
+    "contrast-row-past-m": (lambda: basis_contrast(5, 0, 4, 4), "i must be in"),
+    "contrast-row-fraction": (lambda: basis_contrast(0.5, 0, 4, 4), "i must be an integer"),
+    "contrast-column-past-p": (lambda: basis_contrast(0, 4, 4, 4), "j must be in"),
+    "seed-per-dataset": (
+        lambda: ghive_fit_many([Dataset(np.eye(4), np.eye(4))], GAUSSIAN, [0, 1]), "seeds"
+    ),
+    "split-rows-fraction": (lambda: make_split(3.5, 0), "n must be an integer"),
+    "oracle-k-fraction": (lambda: Mode.oracle_k(2.5), "k must be an integer"),
+    "oracle-k-bool": (lambda: Mode.oracle_k(True), "k must be an integer"),
+    "n-mc-string": (lambda: check_n_mc("20000"), "n_mc must be an integer"),
+    "n-mc-fraction": (
+        lambda: fstar_oracle(make_truth(_ORACLE_CFG), _ORACLE_CFG, n_mc=10000.7),
+        "n_mc must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_bad_arguments_are_refused_by_name(case):
+    call, match = BAD_ARGUMENTS[case]
+    with pytest.raises(DataValidationError, match=match):
+        call()
 
 
 def _cli(capsys, argv, out, want):

@@ -67,7 +67,7 @@ def test_basis_contrast_selects_coordinates():
     c = basis_contrast(1, 2, m_dim=3, p=4)
     assert np.array_equal(c.u, np.eye(3)[1])
     assert np.array_equal(c.v, np.eye(4)[2])
-    with pytest.raises(IndexError):
+    with pytest.raises(DataValidationError, match="i must be in"):
         basis_contrast(5, 0, m_dim=3, p=4)
 
 

@@ -55,7 +55,7 @@ def test_gaussian_qml_and_naive_mle_equal_least_squares():
     ols = np.linalg.lstsq(x, y, rcond=None)[0].T
     naive = fit_naive_mle(Dataset(x, y), GAUSSIAN)
     assert np.allclose(naive.values, ols, atol=1e-10)
-    f, _, grad_norm = qml._newton_ascent([x], [y], GAUSSIAN, np.zeros((1, 3, 5)), "quasi")
+    f, _, grad_norm = qml._newton_ascent([(x, y)], GAUSSIAN, np.zeros((1, 3, 5)), "quasi")
     assert np.allclose(f[0], ols, atol=1e-10)
     assert np.all(grad_norm < qml.TOL)
 
@@ -270,10 +270,10 @@ def test_multi_chunk_ascent_columns_solved_together_equal_columns_solved_alone(f
     else:
         y = rng.poisson(np.exp(eta)).astype(float)
     starts = np.vstack([np.zeros((3, 10)), 0.1 * rng.standard_normal((3, 10))])
-    together = qml._newton_ascent([x], [y], family, starts[None], "quasi")
+    together = qml._newton_ascent([(x, y)], family, starts[None], "quasi")
     assert np.all(together[2] < 1e-8)
     for c in range(len(starts)):
-        alone = qml._newton_ascent([x], [y[:, [c % 3]]], family, starts[None, [c]], "quasi")
+        alone = qml._newton_ascent([(x, y[:, [c % 3]])], family, starts[None, [c]], "quasi")
         for got, want in zip(together, alone):
             assert np.array_equal(got[0, c], want[0, 0])
 
@@ -302,8 +302,8 @@ def test_a_quasi_fit_keeps_the_better_of_its_zero_and_mle_starts(family):
     mle_wins = []
     for d, (x, y) in enumerate(designs):
         zero = np.zeros((1, 4, 3))
-        mle = qml._newton_ascent([x], [y], family, zero, "loglik")[0]
-        from_zero, from_mle = (qml._newton_ascent([x], [y], family, s, "quasi") for s in (zero, mle))
+        mle = qml._newton_ascent([(x, y)], family, zero, "loglik")[0]
+        from_zero, from_mle = (qml._newton_ascent([(x, y)], family, s, "quasi") for s in (zero, mle))
         wins = from_mle[1][0] > from_zero[1][0]
         for m in range(4):
             f, _, g = from_mle if wins[m] else from_zero
@@ -322,15 +322,15 @@ def test_a_gaussian_quasi_fit_is_one_zero_start_quasi_ascent(monkeypatch):
     designs = [(data.x, data.y), (data.x[:51], data.y[:51])]
     calls, ascent = [], qml._newton_ascent
 
-    def recorded(xs, ys, family, starts, kind):
+    def recorded(designs, family, starts, kind):
         calls.append((kind, starts.shape, starts.any()))
-        return ascent(xs, ys, family, starts, kind)
+        return ascent(designs, family, starts, kind)
 
     monkeypatch.setattr(qml, "_newton_ascent", recorded)
     values, norms = qml._fit_matrix(designs, GAUSSIAN, "quasi")
-    assert calls == [("quasi", (1, 4, 3), False)] * 2
+    assert calls == [("quasi", (2, 4, 3), False)]  # both row counts in one call
     for d, (x, y) in enumerate(designs):
-        f, _, g = ascent([x], [y], GAUSSIAN, np.zeros((1, 4, 3)), "quasi")
+        f, _, g = ascent([(x, y)], GAUSSIAN, np.zeros((1, 4, 3)), "quasi")
         assert values[d].tobytes() == f[0].tobytes()
         assert norms[d].tobytes() == g[0].tobytes()
 
@@ -421,10 +421,10 @@ def test_a_wide_poisson_ascent_never_holds_the_whole_weighted_design():
     x = 0.3 * rng.standard_normal((n, p))
     y = rng.poisson(np.exp(x @ (0.3 * rng.standard_normal((m_dim, p))).T)).astype(float)
     starts = np.vstack([np.zeros((m_dim, p)), np.full((m_dim, p), 0.1)])
-    assert len(qml.column_blocks(x, len(starts))) == 1  # all 16 columns in one block
+    assert len(starts) <= qml.BLOCK_ELEMENTS // n  # all 16 columns in one block
     tracemalloc.start()
     try:
-        _, _, gnorm = qml._newton_ascent([x], [y], POISSON, starts[None], "quasi")
+        _, _, gnorm = qml._newton_ascent([(x, y)], POISSON, starts[None], "quasi")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -567,13 +567,12 @@ def _block_designs(monkeypatch, record=np.ndim):
     return seen
 
 
-def _assert_columns_alone(xs, ys, family, starts, kind, together):
+def _assert_columns_alone(designs, family, starts, kind, together):
     """Each column of ``together`` is the column solved alone on its design."""
-    m_dim = ys[0].shape[1]
-    for g in range(len(xs)):
+    for g, (x, y) in enumerate(designs):
         for c in range(starts.shape[1]):
             alone = qml._newton_ascent(
-                [xs[g]], [ys[g][:, [c % m_dim]]], family, starts[g : g + 1, [c]], kind
+                [(x, y[:, [c % y.shape[1]]])], family, starts[g : g + 1, [c]], kind
             )
             for got, want in zip(together, alone):
                 assert np.array_equal(got[g, c], want[0, 0])
@@ -584,33 +583,31 @@ def _assert_columns_alone(xs, ys, family, starts, kind, together):
 def test_columns_on_different_designs_solved_together_equal_columns_solved_alone(
     family, kind, monkeypatch
 ):
-    datasets = _datasets(family, n=35, p=4, m_dim=4, count=5)
-    xs, ys = [d.x for d in datasets], [d.y for d in datasets]
+    designs = [(d.x, d.y) for d in _datasets(family, n=35, p=4, m_dim=4, count=5)]
     starts = 0.3 * np.random.default_rng(7).standard_normal((5, 8, 4))
     seen = _block_designs(monkeypatch)
-    together = qml._newton_ascent(xs, ys, family, starts, kind)
+    together = qml._newton_ascent(designs, family, starts, kind)
     assert seen == [3]  # the five designs share one block
-    _assert_columns_alone(xs, ys, family, starts, kind, together)
+    _assert_columns_alone(designs, family, starts, kind, together)
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
 def test_stacked_designs_over_several_gram_chunks_and_halving_rounds(family, monkeypatch):
-    datasets = _datasets(family, n=40, p=3, m_dim=3, count=4, seed=20)
-    xs, ys = [d.x for d in datasets], [d.y for d in datasets]
+    designs = [(d.x, d.y) for d in _datasets(family, n=40, p=3, m_dim=3, count=4, seed=20)]
     starts = np.concatenate([np.zeros((4, 3, 3)), np.ones((4, 3, 3))], axis=1)
     seen = _block_designs(monkeypatch)
     # 16-row gram chunks: each 40-row design spans three, the last one short
     monkeypatch.setattr(qml, "_GRAM_ELEMENTS", 16 * 3)
-    together = qml._newton_ascent(xs, ys, family, starts, "quasi")
+    together = qml._newton_ascent(designs, family, starts, "quasi")
     assert seen == [3]  # the four designs share one block
-    _assert_columns_alone(xs, ys, family, starts, "quasi", together)
+    _assert_columns_alone(designs, family, starts, "quasi", together)
     # a halving budget of the four designs' 4 * 6 * 40 * 3 gathered rows,
     # well below the default: fewer halvings per objective call, the same
     # steps, hence the same fits; BLOCK_ELEMENTS alone budgets the gathered
     # rows, so the designs still share one block
     seen.clear()
     monkeypatch.setattr(qml, "STACK_ELEMENTS", 4 * 6 * 40 * 3)
-    for got, want in zip(qml._newton_ascent(xs, ys, family, starts, "quasi"), together):
+    for got, want in zip(qml._newton_ascent(designs, family, starts, "quasi"), together):
         assert np.array_equal(got, want)
     assert seen == [3]
 

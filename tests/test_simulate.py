@@ -169,9 +169,9 @@ def test_projection_removes_most_of_the_oracle_bias():
 def test_the_oracle_climbs_from_its_head_then_on_the_whole_draw(monkeypatch):
     calls, ascent = [], qml._newton_ascent
 
-    def recorded(xs, ys, family, starts, kind):
-        out = ascent(xs, ys, family, starts, kind)
-        calls.append((xs, ys, starts.copy(), kind, out))
+    def recorded(designs, family, starts, kind):
+        out = ascent(designs, family, starts, kind)
+        calls.append((designs, starts.copy(), kind, out))
         return out
 
     # the name simulate imports, and the one a naive-MLE stage would call
@@ -182,11 +182,11 @@ def test_the_oracle_climbs_from_its_head_then_on_the_whole_draw(monkeypatch):
     oracle = fstar_oracle(truth, cfg, n_mc=10_000)
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=10_000), rep_seed=cfg.seed ^ ORACLE_SALT)
     assert len(calls) == 2
-    assert all((len(xs), len(ys), kind) == (1, 1, "quasi") for xs, ys, _, kind, _ in calls)
-    (head_x, head_y, head_start, _, head), (x, y, start, _, whole) = calls
-    assert np.array_equal(head_x[0], ds.x[:625]) and np.array_equal(head_y[0], ds.y[:625])
+    assert all((len(designs), kind) == (1, "quasi") for designs, _, kind, _ in calls)
+    ([(head_x, head_y)], head_start, _, head), ([(x, y)], start, _, whole) = calls
+    assert np.array_equal(head_x, ds.x[:625]) and np.array_equal(head_y, ds.y[:625])
     assert head_start.shape == (1, 4, 3) and not head_start.any()
-    assert np.array_equal(x[0], ds.x) and np.array_equal(y[0], ds.y)
+    assert np.array_equal(x, ds.x) and np.array_equal(y, ds.y)
     assert np.array_equal(start, head[0])
     assert np.array_equal(oracle.values, whole[0][0])
     assert np.array_equal(oracle.grad_norm, whole[2][0])
@@ -228,7 +228,7 @@ def test_the_head_start_reaches_the_zero_start_maximum(family, p, n_mc):
     oracle = fstar_oracle(truth, cfg, n_mc=n_mc)
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=n_mc), rep_seed=cfg.seed ^ ORACLE_SALT)
     zero = np.zeros((1, cfg.m_dim, p))
-    f = qml._newton_ascent([ds.x], [ds.y], family_from_name(family), zero, "quasi")[0][0]
+    f = qml._newton_ascent([(ds.x, ds.y)], family_from_name(family), zero, "quasi")[0][0]
     if family == "gaussian":  # a gaussian oracle has no head
         assert np.array_equal(oracle.values, f)
     assert np.max(np.abs(oracle.values - f)) <= ORACLE_AGREEMENT  # NaN fails too
