@@ -26,7 +26,7 @@ import numpy as np
 
 from . import experiments as experiments_mod
 from .data_io import load_dataset, matrix_to_json, read_csv_table, read_json, write_json_atomic
-from .errors import DataValidationError, GhiveError
+from .errors import DataValidationError, GhiveError, require_integer
 from .families import FAMILY_NAMES, family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
 from .pipeline import Mode, deserialize_fit, ghive_fit, serialize_fit
@@ -85,10 +85,7 @@ def _parse_direction(spec: str, dim: int, name: str) -> np.ndarray:
     match = re.fullmatch(r"e(\d+)", spec.strip())
     if match:
         idx = int(match.group(1))
-        if not 1 <= idx <= dim:
-            raise DataValidationError(
-                f"{name}={spec}: index must be between 1 and {dim}"
-            )
+        require_integer(f"{name}={spec} index", idx, 1, dim)
         vec = np.zeros(dim)
         vec[idx - 1] = 1.0
         return vec
@@ -125,8 +122,7 @@ def _resolve_mode(args, m_dim: int) -> Mode:
             "--k 0 removes no factors; pass --projector FILE to supply "
             "an explicit projector instead"
         )
-    if k_int < 0:
-        raise DataValidationError(f"--k must be positive, got {k_int}")
+    require_integer("--k", k_int, low=1)
     return Mode.oracle_k(k_int)
 
 

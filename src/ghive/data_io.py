@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .errors import DataValidationError
+from .errors import DataValidationError, require_finite_array
 
 
 @dataclass
@@ -62,8 +62,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        self.x = np.ascontiguousarray(np.asarray(self.x, dtype=float))
-        self.y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
+        self.x = np.ascontiguousarray(require_finite_array("x", self.x))
+        self.y = np.ascontiguousarray(require_finite_array("y", self.y))
         if self.x.ndim != 2 or self.y.ndim != 2:
             raise DataValidationError("x and y must both be 2-dimensional")
         if self.x.shape[0] != self.y.shape[0]:
@@ -74,10 +74,6 @@ class Dataset:
             raise DataValidationError("need at least 2 observations")
         if self.x.shape[1] < 1 or self.y.shape[1] < 1:
             raise DataValidationError("x and y must each have at least one column")
-        if not np.all(np.isfinite(self.x)):
-            raise DataValidationError("x contains non-finite entries")
-        if not np.all(np.isfinite(self.y)):
-            raise DataValidationError("y contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -90,6 +86,12 @@ class Dataset:
     @property
     def m_dim(self) -> int:
         return self.y.shape[1]
+
+
+def require_dataset(name: str, value) -> None:
+    """Refuse ``value`` for the argument ``name`` unless it is a Dataset."""
+    if not isinstance(value, Dataset):
+        raise DataValidationError(f"{name} must be a Dataset, got {type(value).__name__}")
 
 
 def read_csv_table(path) -> np.ndarray:
@@ -297,7 +299,9 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     return {"dims": list(matrix.shape), "data": matrix.tolist()}
 
 
-def matrix_from_json(obj, name="matrix") -> np.ndarray:
+def matrix_from_json(obj, name="matrix", shape=None) -> np.ndarray:
+    """The finite matrix an object of :func:`matrix_to_json` holds, of
+    ``shape`` where given; anything else is a DataValidationError naming it."""
     try:
         dims = obj["dims"]
         data = obj["data"]
@@ -306,11 +310,11 @@ def matrix_from_json(obj, name="matrix") -> np.ndarray:
     if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)
             and min(dims) >= 0):  # a bool is not an int here
         raise DataValidationError(f"{name}: dims must be two non-negative integers: {dims!r}")
-    arr = np.asarray(data, dtype=float)
+    arr = require_finite_array(name, data)
     if arr.ndim != 2 or list(arr.shape) != dims:
         raise DataValidationError(
             f"{name}: declared dims {dims} do not match data shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise DataValidationError(f"{name}: contains non-finite entries")
+    if shape is not None and arr.shape != shape:
+        raise DataValidationError(f"{name} has shape {arr.shape}, expected {shape}")
     return arr

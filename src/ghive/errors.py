@@ -1,11 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the argument checks.
 
 The CLI maps these onto process exit codes: validation and usage problems
 exit with 2, numerical failures (degenerate spectra, singular systems,
 overflow) exit with 1.
+
+This module is the one place that decides what a valid integer, number or
+array argument is. Each check raises a ``DataValidationError`` naming the
+argument, in one form: "<name> must be an integer / a finite number / at
+least k / in a..b / an array of numbers, got ...".
 """
 
 import numbers
+import reprlib
+import sys
+
+import numpy as np
 
 
 class GhiveError(Exception):
@@ -20,8 +29,43 @@ class NumericalError(GhiveError):
     """A computation could not be completed reliably (CLI exit code 1)."""
 
 
-def require_integer(name: str, value) -> None:
+def _require_bounds(name: str, value, low, high) -> None:
+    """Refuse ``value`` below ``low`` or above ``high``, each inclusive and
+    open if None; ``high`` is given only with ``low``."""
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise DataValidationError(f"{name} must be {bound}, got {value}")
+
+
+def require_integer(name: str, value, low=None, high=None) -> None:
     """Refuse ``value`` for the argument ``name`` unless it is an integer (a
-    bool is not)."""
+    bool is not) of at least ``low``, or in ``low..high``, where given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataValidationError(f"{name} must be an integer, got {value!r}")
+        raise DataValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    _require_bounds(name, value, low, high)
+
+
+def require_number(name: str, value, low=None) -> None:
+    """Refuse ``value`` for the argument ``name`` unless it is a finite real
+    number (a bool is not) of at least ``low``, if given."""
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise DataValidationError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+    _require_bounds(name, value, low, None)
+
+
+def require_finite_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``, refused for the argument ``name``
+    if ``value`` is a string, a ragged nesting or anything else that is not
+    an array of numbers, or if an entry is not finite."""
+    try:
+        arr = None if isinstance(value, (str, bytes)) else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None:
+        raise DataValidationError(f"{name} must be an array of numbers, got {reprlib.repr(value)}")
+    if not np.isfinite(arr).all():
+        where = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        msg = f"{name} must be an array of finite numbers, got {arr[where]} at position {where}"
+        raise DataValidationError(msg)
+    return arr

@@ -124,10 +124,8 @@ class ExperimentSpec:
     n_mc: int = 50_000
 
     def __post_init__(self):
-        for name in ("reps", "seed"):
-            require_integer(name, getattr(self, name))
-        if self.reps < 1:
-            raise DataValidationError(f"reps must be at least 1, got {self.reps}")
+        require_integer("reps", self.reps, low=1)
+        require_integer("seed", self.seed)
         if not self.grid:
             raise DataValidationError(f"experiment {self.name!r} has an empty grid")
         check_n_mc(self.n_mc)  # else fig1-bias would fail every replicate instead

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, require_finite_array
 
 # Variance floor applied when dividing by b''(eta); keeps weighted residuals
 # and curvature ratios finite when the linear predictor is far in the tails.
@@ -297,12 +297,12 @@ def quasi_response(family: GlmFamily, y):
 def validate_response(family: GlmFamily, y) -> None:
     """Check that a response matrix is usable under the family.
 
-    Finiteness always; {0,1} entries for bernoulli; nonnegative entries for
-    poisson.
+    ``family`` must be a GlmFamily; finite entries always; {0,1} entries
+    for bernoulli; nonnegative entries for poisson.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DataValidationError("response contains non-finite entries")
+    if not isinstance(family, GlmFamily):
+        raise DataValidationError(f"family must be a GlmFamily (family_from_name), got {family!r}")
+    y = require_finite_array("response", y)
     if family.kind == "bernoulli":
         bad = (y != 0.0) & (y != 1.0)
         if np.any(bad):

@@ -28,8 +28,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_io import Dataset
-from .errors import DataValidationError, NumericalError, require_integer
+from .data_io import Dataset, require_dataset
+from .errors import (
+    DataValidationError, NumericalError, require_finite_array, require_integer, require_number,
+)
 from . import families
 from .families import GlmFamily, cumulant_d2, hessian_weight, validate_response, weighted_residual
 from .qml import CoefMatrix, weighted_gram
@@ -56,9 +58,7 @@ class Contrast:
 
     def __init__(self, u, v):
         for name, vec in (("u", u), ("v", v)):
-            vec = np.asarray(vec, dtype=float).ravel()
-            if not np.all(np.isfinite(vec)):
-                raise DataValidationError(f"contrast {name} has non-finite entries")
+            vec = require_finite_array(f"contrast {name}", vec).ravel()
             peak = np.max(np.abs(vec), initial=0.0)
             if peak == 0.0:
                 raise DataValidationError(f"contrast {name} is the zero vector")
@@ -78,10 +78,10 @@ class Contrast:
 def basis_contrast(i: int, j: int, m_dim: int, p: int) -> Contrast:
     """Contrast picking out entry (i, j), 0-based: response i of m_dim,
     covariate j of p."""
-    for name, index, size in (("i", i, m_dim), ("j", j, p)):
-        require_integer(name, index)
-        if not 0 <= index < size:
-            raise DataValidationError(f"{name} must be in [0, {size}), got {index}")
+    require_integer("m_dim", m_dim, low=1)
+    require_integer("p", p, low=1)
+    require_integer("i", i, 0, m_dim - 1)
+    require_integer("j", j, 0, p - 1)
     return Contrast(np.eye(m_dim)[i], np.eye(p)[j])
 
 
@@ -89,6 +89,7 @@ def normal_quantile(q: float) -> float:
     """Standard normal quantile by Wichura's AS241, as ``statistics.NormalDist``
     has it; on (0.5, 1) within 6 ulp of the correctly rounded value, the most
     found over 650k random levels."""
+    require_number("quantile level q", q)
     if not 0.0 < q < 1.0:
         raise DataValidationError(f"quantile level must be in (0, 1), got {q}")
     return NormalDist().inv_cdf(q)
@@ -167,11 +168,25 @@ class InferenceResult:
     g_regularized: list  # response indices whose G matrix needed a bump
 
 
-def _quantile(alpha: float) -> float:
-    """Normal quantile of a two-sided level 1 - alpha interval; alpha = 1 is
-    allowed and gives a zero-width interval."""
+def _checked_quantile(data, family, coef: CoefMatrix, contrast: Contrast, alpha) -> float:
+    """Check an interval's inputs, and return the normal quantile of its
+    two-sided level 1 - alpha; alpha = 1 is allowed and gives a zero-width
+    interval. ``data`` must be a Dataset whose responses ``family`` (a
+    GlmFamily, ``coef``'s) admits, ``coef`` (M, p) for the data, and the
+    contrast (u, v) of lengths (M, p)."""
+    require_dataset("data", data)
+    validate_response(family, data.y)
+    require_number("alpha", alpha)
     if not 0.0 < alpha <= 1.0:
         raise DataValidationError(f"alpha must be in (0, 1], got {alpha}")
+    if family != coef.family:
+        raise DataValidationError(f"family {family.kind!r} is not the fit's {coef.family.kind!r}")
+    if coef.values.shape != (data.m_dim, data.p):
+        msg = f"fit (M, p) = {coef.values.shape} do not match data {(data.m_dim, data.p)}"
+        raise DataValidationError(msg)
+    if (len(contrast.u), len(contrast.v)) != coef.values.shape:
+        msg = f"contrast (u, v) has lengths {(len(contrast.u), len(contrast.v))}, expected (M, p)"
+        raise DataValidationError(f"{msg} = {coef.values.shape}")
     return 0.0 if alpha == 1.0 else normal_quantile(1.0 - alpha / 2.0)
 
 
@@ -199,20 +214,9 @@ def confidence_interval(
     discussion. It is computed under ``fit.family``: another ``family``, or
     a response outside its support, is a DataValidationError.
     """
-    q = _quantile(alpha)
-    if family != fit.family:
-        raise DataValidationError(f"family {family.kind!r} is not the fit's {fit.family.kind!r}")
-    if (fit.n, fit.m_dim, fit.p) != (data.n, data.m_dim, data.p):
-        raise DataValidationError(
-            f"fit dimensions (n={fit.n}, M={fit.m_dim}, p={fit.p}) do not match data "
-            f"(n={data.n}, M={data.m_dim}, p={data.p})"
-        )
-    if (len(contrast.u), len(contrast.v)) != (fit.m_dim, fit.p):
-        raise DataValidationError(
-            f"contrast (u, v) has lengths ({len(contrast.u)}, {len(contrast.v)}), "
-            f"expected (M={fit.m_dim}, p={fit.p})"
-        )
-    validate_response(fit.family, data.y)
+    q = _checked_quantile(data, family, fit.f_hat, contrast, alpha)
+    if fit.n != data.n:
+        raise DataValidationError(f"the fit was made on n={fit.n} rows, the data have n={data.n}")
     eta, eps = _residuals(data, fit.family, fit.f_hat.values)
     g, regularized = _g_matrices(data.x, fit.family, eta, eps)
     h = _influence_terms(data.x, eps, g, contrast.v)
@@ -232,17 +236,10 @@ def naive_wald_interval(
     Treats each response as an ordinary GLM in x: the coefficient covariance
     for response m is the inverse of ``sum_i b''(eta_i) x_i x_i'`` and the
     responses are treated as independent. A ``family`` other than
-    ``coef.family``, or a fit not (M, p) for the data, is a
-    DataValidationError.
+    ``coef.family``, a response outside its support, or a fit not (M, p) for
+    the data, is a DataValidationError.
     """
-    q = _quantile(alpha)
-    if family != coef.family:
-        raise DataValidationError(f"family {family.kind!r} is not the fit's {coef.family.kind!r}")
-    if coef.values.shape != (data.m_dim, data.p):
-        msg = f"fit (M, p) = {coef.values.shape} do not match data {(data.m_dim, data.p)}"
-        raise DataValidationError(msg)
-    if len(contrast.u) != coef.values.shape[0] or len(contrast.v) != coef.values.shape[1]:
-        raise DataValidationError("contrast dimensions do not match the fit")
+    q = _checked_quantile(data, family, coef, contrast, alpha)
     rows = np.flatnonzero(contrast.u)
     eta = _finite_predictors((data.x @ coef.values.T).T[rows], coef.values[rows])
     name = "the Fisher information of a response in u"

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, spectral
-from .data_io import Dataset, matrix_from_json, matrix_to_json
-from .errors import DataValidationError, GhiveError, require_integer
+from .data_io import Dataset, matrix_from_json, matrix_to_json, require_dataset
+from .errors import DataValidationError, GhiveError, require_finite_array, require_integer
 from .families import GlmFamily, family_from_name, validate_response
 from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, _fit_matrix, check_fold_rows, make_split
 
@@ -60,18 +60,14 @@ class Mode:
 
     @staticmethod
     def oracle_k(k: int) -> "Mode":
-        require_integer("oracle factor count k", k)
-        if k < 1:
-            raise DataValidationError(f"oracle factor count must be >= 1, got {k}")
+        require_integer("oracle factor count k", k, low=1)
         return Mode(ORACLE_K, k=int(k))
 
     @staticmethod
     def oracle_p(projector: np.ndarray) -> "Mode":
-        projector = np.asarray(projector, dtype=float)
+        projector = require_finite_array("projector", projector)
         if projector.ndim != 2 or projector.shape[0] != projector.shape[1]:
             raise DataValidationError("projector must be a square matrix")
-        if not np.all(np.isfinite(projector)):
-            raise DataValidationError("projector contains non-finite entries")
         defect = np.stack([projector - projector.T, projector @ projector - projector])
         if not np.all(np.abs(defect) <= 1e-8):  # the acceptance gate's projector tolerance
             msg = "projector (the fit's p_perp) must be symmetric and idempotent within 1e-8"
@@ -173,10 +169,11 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     if len(seeds) != len(datasets):
         msg = f"seeds must give one seed per dataset, got {len(seeds)} for {len(datasets)} datasets"
         raise DataValidationError(msg)
-    splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds)]
     for data in datasets:
+        require_dataset("data", data)
         validate_response(family, data.y)
         check_fold_rows(data.n, data.p)
+    splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds)]
     folds = [[(data.x[r], data.y[r]) for r in (s.d1, s.d2)] for data, s in zip(datasets, splits)]
     fitted = _fit_matrix([d for pair in folds for d in pair], family, kind="quasi")
     # coefficients (dataset, fold, M, p) and grad norms (dataset, fold, M), fold d1 first
@@ -282,10 +279,9 @@ def _diagnostics_record(d):
 def _doc_integer(value, name: str, nullable: bool = False):
     """``value`` if it is an integer (a bool is not), or null where
     ``nullable``; anything else makes the fit document malformed."""
-    if (value is None and nullable) or (isinstance(value, int) and not isinstance(value, bool)):
-        return value
-    kind = "null or an integer" if nullable else "an integer"
-    raise DataValidationError(f"fit document {name} must be {kind}: {value!r}")
+    if not (value is None and nullable):
+        require_integer(f"fit document {name}", value)
+    return value
 
 
 def _doc_indices(value, name: str) -> np.ndarray:
@@ -352,14 +348,8 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         mode_doc, split_doc = doc["mode"], doc["split"]
         if not (isinstance(mode_doc, dict) and isinstance(split_doc, dict)):
             raise DataValidationError("fit document fields mode and split must be objects")
-        f_hat = matrix_from_json(doc["f_hat"], "f_hat")
-        sigma_hat = matrix_from_json(doc["sigma_hat"], "sigma_hat")
-        for name, arr, shape in (("f_hat", f_hat, (m_dim, p)), ("sigma_hat", sigma_hat, (m_dim, m_dim))):
-            if arr.shape != shape:
-                raise DataValidationError(
-                    f"fit document {name} has shape {arr.shape}, expected {shape} "
-                    f"for m_dim={m_dim}, p={p}"
-                )
+        f_hat = matrix_from_json(doc["f_hat"], "f_hat", (m_dim, p))
+        sigma_hat = matrix_from_json(doc["sigma_hat"], "sigma_hat", (m_dim, m_dim))
         mode_kind = mode_doc.get("kind")
         if mode_kind == ORACLE_P:
             mode = Mode.oracle_p(matrix_from_json(doc["p_perp"], "p_perp"))

@@ -68,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
+from .data_io import require_dataset
 from .errors import DataValidationError, require_integer
 from .families import (
     VARIANCE_FLOOR,
@@ -146,14 +147,9 @@ class SplitPlan:
 
 def make_split(n: int, seed: int) -> SplitPlan:
     """Randomly split ``range(n)`` into two folds via a seeded permutation."""
-    require_integer("n", n)
-    if n < 2:
-        raise DataValidationError(f"need at least 2 rows to split, got n={n}")
-    try:
-        perm = np.random.default_rng(seed).permutation(n)
-    except (TypeError, ValueError):
-        msg = f"split seed must be a non-negative integer, got {seed!r}"
-        raise DataValidationError(msg) from None
+    require_integer("n", n, low=2)
+    require_integer("split seed", seed, low=0)
+    perm = np.random.default_rng(seed).permutation(n)
     half = (n + 1) // 2
     d1 = np.sort(perm[:half])
     d2 = np.sort(perm[half:])
@@ -524,6 +520,7 @@ def fit_naive_many(datasets, family: GlmFamily) -> list:
     :func:`_newton_ascent`), and each fit is the one its dataset gets alone,
     bit for bit. Every response is validated first."""
     for data in datasets:
+        require_dataset("data", data)
         validate_response(family, data.y)
     values, norms = _fit_matrix([(data.x, data.y) for data in datasets], family, kind="loglik")
     return [CoefMatrix(f, g, family) for f, g in zip(values, norms)]

@@ -32,14 +32,12 @@ Three scores compare with the truth, each from plain arrays: ``frob_err``
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .data_io import Dataset
-from .errors import DataValidationError, NumericalError, require_integer
+from .errors import DataValidationError, NumericalError, require_integer, require_number
 from .families import family_from_name, is_quadratic
 from .qml import CoefMatrix, _newton_ascent
 
@@ -92,24 +90,10 @@ class SimConfig:
     def __post_init__(self):
         # keep the canonical name: the sampler branches on it
         object.__setattr__(self, "family", family_from_name(self.family).kind)
-        for name in ("n", "p", "m_dim", "k", "seed", "reps"):
-            require_integer(name, getattr(self, name))
-        eta = self.eta
-        if isinstance(eta, bool) or not (isinstance(eta, numbers.Real) and math.isfinite(eta)):
-            raise DataValidationError(f"eta must be a finite number, got {eta!r}")
-        if self.n < 2:
-            raise DataValidationError(f"n must be >= 2, got {self.n}")
-        if self.p < 1 or self.m_dim < 1:
-            raise DataValidationError("p and m_dim must be >= 1")
-        if not 1 <= self.k <= min(self.p, self.m_dim):
-            raise DataValidationError(
-                f"k must satisfy 1 <= k <= min(p, m_dim) = "
-                f"{min(self.p, self.m_dim)}, got {self.k}"
-            )
-        if self.eta < 0:
-            raise DataValidationError(f"eta must be nonnegative, got {self.eta}")
-        if self.reps < 1:
-            raise DataValidationError(f"reps must be >= 1, got {self.reps}")
+        for name, low in (("n", 2), ("p", 1), ("m_dim", 1), ("seed", None), ("reps", 1)):
+            require_integer(name, getattr(self, name), low)
+        require_integer("k", self.k, 1, min(self.p, self.m_dim))
+        require_number("eta", self.eta, low=0)
         if self.sigma_z_decay not in DECAY_CONVENTIONS:
             raise DataValidationError(
                 f"sigma_z_decay must be one of {DECAY_CONVENTIONS}"
@@ -217,6 +201,7 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     then the response draw. z is sampled through the eigendecomposition
     square root of sigma_z, which tolerates the singular default covariance.
     """
+    require_integer("rep_seed", rep_seed)
     rng = _stream(_DATA_DOMAIN, rep_seed)
     n = config.n
     k = truth.sigma_z.shape[0]
@@ -244,11 +229,7 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
 
 def check_n_mc(n_mc: int) -> None:
     """Refuse an oracle draw of ``n_mc`` rows unless n_mc is an integer of at least 10000."""
-    require_integer("n_mc", n_mc)
-    if n_mc < 10_000:
-        raise DataValidationError(
-            f"n_mc must be at least 10000 for a usable oracle, got {n_mc}"
-        )
+    require_integer("n_mc", n_mc, low=10_000)
 
 
 def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> CoefMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError, NumericalError
+from .errors import DataValidationError, NumericalError, require_integer
 
 # ratio denominators are floored here to keep the eigenvalue-ratio statistic
 # finite when trailing eigenvalues hit exact zero
@@ -78,7 +78,6 @@ def select_k(eigvals: np.ndarray, n: int) -> int:
 def projector_complement(eigvecs: np.ndarray, k: int) -> np.ndarray:
     """``I - V_k V_k^T`` for the leading k eigenvector columns."""
     m_dim = eigvecs.shape[0]
-    if not 0 <= k <= m_dim:
-        raise DataValidationError(f"k={k} outside the valid range 0..{m_dim}")
+    require_integer("k", k, 0, m_dim)
     v = eigvecs[:, :k]
     return np.eye(m_dim) - v @ v.T

@@ -11,6 +11,7 @@ failure.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -19,12 +20,17 @@ import pytest
 from ghive import GAUSSIAN
 from ghive.cli import main
 from ghive.data_io import Dataset, save_matrix_csv
-from ghive.errors import DataValidationError, GhiveError, NumericalError
+from ghive.errors import (
+    DataValidationError, GhiveError, NumericalError, require_finite_array, require_integer,
+    require_number,
+)
 from ghive.families import FAMILY_NAMES, family_from_name
-from ghive.inference import basis_contrast, confidence_interval, naive_wald_interval
+from ghive.inference import (
+    Contrast, basis_contrast, confidence_interval, naive_wald_interval, normal_quantile,
+)
 from ghive.pipeline import Mode, ghive_fit, ghive_fit_many
-from ghive.qml import fit_naive_many, make_split
-from ghive.simulate import SimConfig, check_n_mc, fstar_oracle, make_truth
+from ghive.qml import fit_naive_many, fit_naive_mle, make_split
+from ghive.simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, sample_dataset
 
 SEED = 0
 EXIT_CODES = {None: 0, DataValidationError: 2, NumericalError: 1}
@@ -133,6 +139,17 @@ def test_batched_fits_refuse_datasets_that_do_not_share_p_and_m(call, other):
 
 
 _ORACLE_CFG = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0)
+_GOOD = Dataset(*np.random.default_rng(0).standard_normal((2, 40, 2)))
+
+
+def _interval(kind, data=_GOOD, family=GAUSSIAN, alpha=0.05):
+    """A ``kind`` ("ghive" or "naive") interval from a gaussian fit of
+    ``_GOOD``, with its data, family or alpha replaced where given."""
+    c = basis_contrast(0, 0, 2, 2)
+    if kind == "naive":
+        return naive_wald_interval(data, family, fit_naive_mle(_GOOD, GAUSSIAN), c, alpha)
+    return confidence_interval(data, family, ghive_fit(_GOOD, GAUSSIAN, SEED), c, alpha)
+
 
 # Arguments that entry points once refused with another exception type, or
 # took silently (a negative response index, a fractional factor count or
@@ -153,6 +170,44 @@ BAD_ARGUMENTS = {
         lambda: fstar_oracle(make_truth(_ORACLE_CFG), _ORACLE_CFG, n_mc=10000.7),
         "n_mc must be an integer",
     ),
+    "rep-seed-fraction": (
+        lambda: sample_dataset(make_truth(_ORACLE_CFG), _ORACLE_CFG, rep_seed=1.5),
+        "rep_seed must be an integer",
+    ),
+    "ghive-alpha-string": (lambda: _interval("ghive", alpha="0.05"), "alpha must be a finite"),
+    "ghive-alpha-none": (lambda: _interval("ghive", alpha=None), "alpha must be a finite"),
+    "ghive-alpha-bool": (lambda: _interval("ghive", alpha=True), "alpha must be a finite"),
+    "naive-alpha-string": (lambda: _interval("naive", alpha="0.05"), "alpha must be a finite"),
+    "naive-alpha-none": (lambda: _interval("naive", alpha=None), "alpha must be a finite"),
+    "naive-alpha-bool": (lambda: _interval("naive", alpha=True), "alpha must be a finite"),
+    "contrast-size-fraction": (lambda: basis_contrast(0, 0, 2.5, 3), "m_dim must be an integer"),
+    "contrast-columns-bool": (lambda: basis_contrast(0, 0, 2, True), "p must be an integer"),
+    "quantile-string": (lambda: normal_quantile("0.5"), "q must be a finite number"),
+    "projector-string": (lambda: Mode.oracle_p("abc"), "projector must be an array of numbers"),
+    "projector-ragged": (
+        lambda: Mode.oracle_p([[1.0, 0.0], [0.0]]), "projector must be an array of numbers"
+    ),
+    "contrast-string": (lambda: Contrast("abc", [1.0]), "contrast u must be an array of numbers"),
+    "dataset-ragged": (
+        lambda: Dataset([[1.0, 2.0], [3.0]], [[1.0], [2.0]]), "x must be an array of numbers"
+    ),
+    "fit-family-name": (lambda: ghive_fit(_GOOD, "gaussian", SEED), "family must be a GlmFamily"),
+    "naive-family-name": (lambda: fit_naive_mle(_GOOD, "gaussian"), "family must be a GlmFamily"),
+    "ghive-interval-family-name": (
+        lambda: _interval("ghive", family="gaussian"), "family must be a GlmFamily"
+    ),
+    "naive-interval-family-name": (
+        lambda: _interval("naive", family="gaussian"), "family must be a GlmFamily"
+    ),
+    "fit-data-tuple": (
+        lambda: ghive_fit((_GOOD.x, _GOOD.y), GAUSSIAN, SEED), "data must be a Dataset"
+    ),
+    "naive-data-tuple": (
+        lambda: fit_naive_mle((_GOOD.x, _GOOD.y), GAUSSIAN), "data must be a Dataset"
+    ),
+    "ghive-interval-data-tuple": (
+        lambda: _interval("ghive", data=(_GOOD.x, _GOOD.y)), "data must be a Dataset"
+    ),
 }
 
 
@@ -161,6 +216,34 @@ def test_bad_arguments_are_refused_by_name(case):
     call, match = BAD_ARGUMENTS[case]
     with pytest.raises(DataValidationError, match=match):
         call()
+
+
+def test_the_argument_checks_keep_their_bounds_and_refuse_bools_and_non_finite_numbers():
+    for good in (1, 3, np.int64(2), np.uint8(3)):
+        require_integer("k", good, 1, 3)
+    for bad, message in [(0, "in 1..3, got 0"), (4, "in 1..3, got 4"), (True, "an integer"),
+                         (np.bool_(True), "an integer"), (2.0, "an integer")]:
+        with pytest.raises(DataValidationError, match=f"^k must be {message}"):
+            require_integer("k", bad, 1, 3)
+    with pytest.raises(DataValidationError, match="^n must be at least 2, got 1$"):
+        require_integer("n", np.int32(1), low=2)
+    for good in (0, 0.0, np.float64(0.5), np.int64(7), 1e308):
+        require_number("eta", good, low=0)
+    for bad, message in [(-1e-300, "at least 0"), (True, "a finite number"),
+                         (math.inf, "a finite number"), (-math.inf, "a finite number"),
+                         (math.nan, "a finite number"), (np.float64("nan"), "a finite number"),
+                         (10**400, "a finite number"), ("1", "a finite number")]:
+        with pytest.raises(DataValidationError, match=f"^eta must be {message}"):
+            require_number("eta", bad, low=0)
+    floats = np.arange(3.0)
+    assert require_finite_array("x", floats) is floats
+    assert require_finite_array("x", [[1, np.int64(2)]]).tolist() == [[1.0, 2.0]]
+    for bad in ([1.0, math.inf], [[0.0], [math.nan]], None):
+        with pytest.raises(DataValidationError, match="^x must be an array of finite numbers"):
+            require_finite_array("x", bad)
+    for bad in ("1.5", b"1.5", [[1.0], [2.0, 3.0]], {"a": 1.0}, [True, "a"]):
+        with pytest.raises(DataValidationError, match="^x must be an array of numbers"):
+            require_finite_array("x", bad)
 
 
 def _cli(capsys, argv, out, want):

@@ -203,10 +203,21 @@ def test_the_oracle_climbs_from_its_head_then_on_the_whole_draw(monkeypatch):
 # zero start, and the two-start fit's gaussian rule, bit for bit.
 ORACLE_AGREEMENT = 1e-8
 
+# The truth seeds where the head-start oracle misses at n_mc 10k: bernoulli
+# seed 8 ends 1.2e-8 from the two-start fit and unconverged, poisson seed 15
+# ends 1.1e-8 from it, and poisson seeds 3, 11, 17 and 18 end unconverged.
+# ROADMAP item 16's line search is expected to mend them.
+ORACLE_MISSES = {("bernoulli", 8), ("poisson", 3), ("poisson", 11), ("poisson", 15),
+                 ("poisson", 17), ("poisson", 18)}
 
-@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson"])
-def test_the_oracle_agrees_with_the_two_start_fit(family):
-    cfg = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, seed=0, family=family)
+
+@pytest.mark.parametrize("family, seed", [
+    pytest.param(family, seed, marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 16")]
+                 if (family, seed) in ORACLE_MISSES else [])
+    for family in ("gaussian", "bernoulli", "poisson") for seed in range(20)
+])
+def test_the_oracle_agrees_with_the_two_start_fit(family, seed):
+    cfg = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, seed=seed, family=family)
     truth = make_truth(cfg)
     oracle = fstar_oracle(truth, cfg, n_mc=10_000)
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=10_000), rep_seed=cfg.seed ^ ORACLE_SALT)
