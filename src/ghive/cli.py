@@ -143,14 +143,9 @@ def cmd_fit(args) -> int:
 def cmd_infer(args) -> int:
     fit = deserialize_fit(read_json(args.fit))
     data = load_dataset(args.x, args.y)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        contrast = Contrast(
-            _parse_direction(args.u, fit.m_dim, "--u"),
-            _parse_direction(args.v, fit.p, "--v"),
-        )
-    for warning in caught:  # one line each, as errors are printed
-        print(f"warning: {warning.message}", file=sys.stderr)
+    contrast = Contrast(
+        _parse_direction(args.u, fit.m_dim, "--u"), _parse_direction(args.v, fit.p, "--v")
+    )
     result = confidence_interval(data, fit.family, fit, contrast, alpha=args.alpha)
     write_json_atomic(args.out, serialize_inference(result, contrast))
     print(
@@ -292,7 +287,10 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return int(args.func(args) or 0)
+        with warnings.catch_warnings():  # a library warning prints as one line, as errors do
+            warnings.simplefilter("default")
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return int(args.func(args) or 0)
     except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -88,12 +88,6 @@ class Dataset:
         return self.y.shape[1]
 
 
-def require_dataset(name: str, value) -> None:
-    """Refuse ``value`` for the argument ``name`` unless it is a Dataset."""
-    if not isinstance(value, Dataset):
-        raise DataValidationError(f"{name} must be a Dataset, got {type(value).__name__}")
-
-
 def read_csv_table(path) -> np.ndarray:
     """Read a numeric CSV as a float matrix, skipping an auto-detected header row."""
     table = _read_plain_numbers(path)

@@ -4,10 +4,10 @@ The CLI maps these onto process exit codes: validation and usage problems
 exit with 2, numerical failures (degenerate spectra, singular systems,
 overflow) exit with 1.
 
-This module is the one place that decides what a valid integer, number or
-array argument is. Each check raises a ``DataValidationError`` naming the
-argument, in one form: "<name> must be an integer / a finite number / at
-least k / in a..b / an array of numbers, got ...".
+This module is the one place that decides what a valid integer, number,
+array or object argument is. Each check raises a ``DataValidationError``
+naming the argument, in one form: "<name> must be an integer / a finite
+number / at least k / in a..b / an array of numbers / a <class>, got ...".
 """
 
 import numbers
@@ -54,16 +54,25 @@ def require_number(name: str, value, low=None) -> None:
     _require_bounds(name, value, low, None)
 
 
+def require_instance(name: str, value, cls) -> None:
+    """Refuse ``value`` for the argument ``name`` unless it is a ``cls``, or
+    one of a tuple of classes."""
+    if not isinstance(value, cls):
+        want = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise DataValidationError(f"{name} must be a {want}, got {type(value).__name__}")
+
+
 def require_finite_array(name: str, value) -> np.ndarray:
     """``np.asarray(value, dtype=float)``, refused for the argument ``name``
-    if ``value`` is a string, a ragged nesting or anything else that is not
-    an array of numbers, or if an entry is not finite."""
+    unless ``value`` is an array of bools, integers or floats (text, a ragged
+    nesting or other objects are not) whose entries are all finite."""
     try:
-        arr = None if isinstance(value, (str, bytes)) else np.asarray(value, dtype=float)
+        arr = np.asarray(value)
     except (TypeError, ValueError):
         arr = None
-    if arr is None:
+    if arr is None or arr.dtype.kind not in "biuf":
         raise DataValidationError(f"{name} must be an array of numbers, got {reprlib.repr(value)}")
+    arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         where = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
         msg = f"{name} must be an array of finite numbers, got {arr[where]} at position {where}"

@@ -125,7 +125,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         require_integer("reps", self.reps, low=1)
-        require_integer("seed", self.seed)
+        require_integer("seed", self.seed, 0, _MASK64)
         if not self.grid:
             raise DataValidationError(f"experiment {self.name!r} has an empty grid")
         check_n_mc(self.n_mc)  # else fig1-bias would fail every replicate instead

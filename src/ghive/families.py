@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError, require_finite_array
+from .errors import DataValidationError, require_finite_array, require_instance
 
 # Variance floor applied when dividing by b''(eta); keeps weighted residuals
 # and curvature ratios finite when the linear predictor is far in the tails.
@@ -297,11 +297,11 @@ def quasi_response(family: GlmFamily, y):
 def validate_response(family: GlmFamily, y) -> None:
     """Check that a response matrix is usable under the family.
 
-    ``family`` must be a GlmFamily; finite entries always; {0,1} entries
-    for bernoulli; nonnegative entries for poisson.
+    ``family`` must be a GlmFamily (see :func:`family_from_name`); finite
+    entries always; {0,1} entries for bernoulli; nonnegative entries for
+    poisson.
     """
-    if not isinstance(family, GlmFamily):
-        raise DataValidationError(f"family must be a GlmFamily (family_from_name), got {family!r}")
+    require_instance("family", family, GlmFamily)
     y = require_finite_array("response", y)
     if family.kind == "bernoulli":
         bad = (y != 0.0) & (y != 1.0)

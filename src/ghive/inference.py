@@ -28,12 +28,14 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data_io import Dataset, require_dataset
+from .data_io import Dataset
 from .errors import (
-    DataValidationError, NumericalError, require_finite_array, require_integer, require_number,
+    DataValidationError, NumericalError, require_finite_array, require_instance, require_integer,
+    require_number,
 )
 from . import families
 from .families import GlmFamily, cumulant_d2, hessian_weight, validate_response, weighted_residual
+from .pipeline import GhiveFit
 from .qml import CoefMatrix, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
@@ -172,10 +174,12 @@ def _checked_quantile(data, family, coef: CoefMatrix, contrast: Contrast, alpha)
     """Check an interval's inputs, and return the normal quantile of its
     two-sided level 1 - alpha; alpha = 1 is allowed and gives a zero-width
     interval. ``data`` must be a Dataset whose responses ``family`` (a
-    GlmFamily, ``coef``'s) admits, ``coef`` (M, p) for the data, and the
-    contrast (u, v) of lengths (M, p)."""
-    require_dataset("data", data)
+    GlmFamily, ``coef``'s) admits, ``coef`` an (M, p) CoefMatrix for the
+    data, and ``contrast`` a Contrast of lengths (M, p)."""
+    require_instance("data", data, Dataset)
     validate_response(family, data.y)
+    require_instance("coef", coef, CoefMatrix)
+    require_instance("contrast", contrast, Contrast)
     require_number("alpha", alpha)
     if not 0.0 < alpha <= 1.0:
         raise DataValidationError(f"alpha must be in (0, 1], got {alpha}")
@@ -201,7 +205,7 @@ def _interval(estimate, se, s_sq, alpha, q, g_regularized) -> InferenceResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is caught as non-finite
 def confidence_interval(
-    data: Dataset, family: GlmFamily, fit, contrast: Contrast, alpha: float = 0.05
+    data: Dataset, family: GlmFamily, fit: GhiveFit, contrast: Contrast, alpha: float = 0.05
 ) -> InferenceResult:
     """Two-sided interval for ``u' theta_hat v`` at level 1 - alpha.
 
@@ -214,6 +218,7 @@ def confidence_interval(
     discussion. It is computed under ``fit.family``: another ``family``, or
     a response outside its support, is a DataValidationError.
     """
+    require_instance("fit", fit, GhiveFit)
     q = _checked_quantile(data, family, fit.f_hat, contrast, alpha)
     if fit.n != data.n:
         raise DataValidationError(f"the fit was made on n={fit.n} rows, the data have n={data.n}")

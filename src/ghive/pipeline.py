@@ -27,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, spectral
-from .data_io import Dataset, matrix_from_json, matrix_to_json, require_dataset
-from .errors import DataValidationError, GhiveError, require_finite_array, require_integer
+from .data_io import Dataset, matrix_from_json, matrix_to_json
+from .errors import (
+    DataValidationError, GhiveError, require_finite_array, require_instance, require_integer,
+)
 from .families import GlmFamily, family_from_name, validate_response
 from .qml import MAX_ITER, TOL, CoefMatrix, SplitPlan, _fit_matrix, check_fold_rows, make_split
 
@@ -166,11 +168,13 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     dataset that cannot be fitted at all raises for the whole call.
     """
     mode, seeds = mode or Mode.data_driven(), list(seeds)
+    require_instance("mode", mode, Mode)
+    require_instance("datasets", datasets, (list, tuple))
     if len(seeds) != len(datasets):
         msg = f"seeds must give one seed per dataset, got {len(seeds)} for {len(datasets)} datasets"
         raise DataValidationError(msg)
     for data in datasets:
-        require_dataset("data", data)
+        require_instance("data", data, Dataset)
         validate_response(family, data.y)
         check_fold_rows(data.n, data.p)
     splits = [make_split(data.n, seed) for data, seed in zip(datasets, seeds)]
@@ -207,6 +211,8 @@ def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:
     Reuses the fold fits and residual covariance, so oracle variants of a
     data-driven fit cost one M x M eigendecomposition and a matrix product.
     """
+    require_instance("fit", fit, GhiveFit)
+    require_instance("mode", mode, Mode)
     return _assemble(fit.split, mode, fit.f_hat, fit.spectral.sigma_hat)
 
 
@@ -244,10 +250,17 @@ def _fold_diagnostics(diagnostics, m_dim: int):
     each (M, 2) with fold d1 first.
 
     Records are matched by their (response, fold) key, never by list
-    position; each of the 2M pairs must appear exactly once.
+    position; each of the 2M pairs must appear exactly once. A mistyped
+    entry makes the fit document malformed.
     """
+    keyed = {}
     try:
-        keyed = dict(_diagnostics_record(d) for d in diagnostics)
+        for d in diagnostics:
+            flag, norm = d["converged"], d["grad_norm"]
+            if not isinstance(flag, bool) or type(norm) not in (int, float):  # type(True) is bool
+                msg = "fit document diagnostics converged must be true or false, grad_norm a number"
+                raise DataValidationError(f"{msg}: got {flag!r} and {norm!r}")
+            keyed[_doc_integer(d["response"], "diagnostics response"), d["fold"]] = flag, norm
     except (TypeError, KeyError):
         raise DataValidationError(
             "fit diagnostics records need response, fold, converged and grad_norm"
@@ -261,19 +274,6 @@ def _fold_diagnostics(diagnostics, m_dim: int):
     # records[m, fold] = (converged, grad_norm)
     records = np.array([keyed[pair] for pair in pairs], dtype=float).reshape(m_dim, 2, 2)
     return records[..., 0] == 1.0, records[..., 1]
-
-
-def _diagnostics_record(d):
-    """One diagnostics record as ``((response, fold), (converged, grad_norm))``;
-    a mistyped entry makes the fit document malformed."""
-    converged, grad_norm = d["converged"], d["grad_norm"]
-    if not isinstance(converged, bool):
-        msg = f"fit document diagnostics converged must be true or false: {converged!r}"
-        raise DataValidationError(msg)
-    if type(grad_norm) not in (int, float):  # a bool is not a number
-        msg = f"fit document diagnostics grad_norm must be a number: {grad_norm!r}"
-        raise DataValidationError(msg)
-    return (_doc_integer(d["response"], "diagnostics response"), d["fold"]), (converged, grad_norm)
 
 
 def _doc_integer(value, name: str, nullable: bool = False):

@@ -68,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
-from .data_io import require_dataset
-from .errors import DataValidationError, require_integer
+from .data_io import Dataset
+from .errors import DataValidationError, require_instance, require_integer
 from .families import (
     VARIANCE_FLOOR,
     GlmFamily,
@@ -519,8 +519,9 @@ def fit_naive_many(datasets, family: GlmFamily) -> list:
     as one solve: designs of one row count share the solver's blocks (see
     :func:`_newton_ascent`), and each fit is the one its dataset gets alone,
     bit for bit. Every response is validated first."""
+    require_instance("datasets", datasets, (list, tuple))
     for data in datasets:
-        require_dataset("data", data)
+        require_instance("data", data, Dataset)
         validate_response(family, data.y)
     values, norms = _fit_matrix([(data.x, data.y) for data in datasets], family, kind="loglik")
     return [CoefMatrix(f, g, family) for f, g in zip(values, norms)]

@@ -32,7 +32,7 @@ Three scores compare with the truth, each from plain arrays: ``frob_err``
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .errors import DataValidationError, NumericalError, require_integer, requir
 from .families import family_from_name, is_quadratic
 from .qml import CoefMatrix, _newton_ascent
 
-_MASK64 = (1 << 64) - 1
 _TRUTH_DOMAIN = 1
 _DATA_DOMAIN = 2
 ORACLE_SALT = 0x9E3779B97F4A7C15
@@ -65,8 +64,7 @@ DECAY_CONVENTIONS = ("negative", "positive")
 
 
 def _stream(domain: int, seed: int) -> np.random.Generator:
-    key = (domain << 64) | (int(seed) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=(domain << 64) | int(seed)))
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,9 @@ class SimConfig:
     def __post_init__(self):
         # keep the canonical name: the sampler branches on it
         object.__setattr__(self, "family", family_from_name(self.family).kind)
-        for name, low in (("n", 2), ("p", 1), ("m_dim", 1), ("seed", None), ("reps", 1)):
+        for name, low in (("n", 2), ("p", 1), ("m_dim", 1), ("reps", 1)):
             require_integer(name, getattr(self, name), low)
+        require_integer("seed", self.seed, 0, 2**64 - 1)  # a Philox key holds 64 bits of it
         require_integer("k", self.k, 1, min(self.p, self.m_dim))
         require_number("eta", self.eta, low=0)
         if self.sigma_z_decay not in DECAY_CONVENTIONS:
@@ -104,19 +103,10 @@ class SimConfig:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimConfig":
-        known = {f.name for f in fields(SimConfig)}
-        required = {f.name for f in fields(SimConfig) if f.default is MISSING}
-        missing = required - set(doc)
-        if missing:
-            raise DataValidationError(
-                f"simulation config is missing fields: {sorted(missing)}"
-            )
-        unknown = set(doc) - known
-        if unknown:
-            raise DataValidationError(
-                f"simulation config has unknown fields: {sorted(unknown)}"
-            )
-        return SimConfig(**doc)
+        try:  # the generated __init__ refuses a missing or unknown field by name
+            return SimConfig(**doc)
+        except TypeError as exc:
+            raise DataValidationError(f"simulation config: {exc}") from None
 
 
 @dataclass
@@ -201,7 +191,7 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     then the response draw. z is sampled through the eigendecomposition
     square root of sigma_z, which tolerates the singular default covariance.
     """
-    require_integer("rep_seed", rep_seed)
+    require_integer("rep_seed", rep_seed, 0, 2**64 - 1)
     rng = _stream(_DATA_DOMAIN, rep_seed)
     n = config.n
     k = truth.sigma_z.shape[0]

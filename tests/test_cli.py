@@ -434,6 +434,15 @@ def _edit(*path, to):
         ("v2", [_edit("f_hat", "dims", to=lambda d: d[:1])], None, "f_hat"),
         ("v2", [_edit("f_hat", "dims", to=lambda d: [d[0] + 0.7, d[1]])], None, "f_hat"),
         ("v2", [_edit("f_hat", "dims", to=lambda d: [True, d[1]])], None, "f_hat"),
+        ("v2", [_edit("f_hat", "dims", to=lambda d: [d[0], d[1] - 1])], None, "declared dims"),
+        ("v2", [_edit("f_hat", to=lambda f: {"data": f["data"]})], None,
+         "f_hat: expected an object with dims and data"),
+        ("v2", [_edit("f_hat", "data", 0, 0, to=str)], None, "f_hat must be an array of numbers"),
+        ("v2", [_edit("mode", "kind", to=lambda k: "oracle-x")], None, "unknown fit mode"),
+        ("v2", [_edit("diagnostics", to=lambda d: 7)], None,
+         "records need response, fold, converged and grad_norm"),
+        ("v2", [_edit("diagnostics", 2, to=lambda r: {"response": r["response"]})], None,
+         "records need response, fold, converged and grad_norm"),
     ],
     ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
          "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "split-d1-beyond-64-bits",
@@ -441,7 +450,8 @@ def _edit(*path, to):
          "oracle-p-nan", "oracle-p-theta", "oracle-p-not-a-projector", "tol-1e-6", "max_iter-50",
          "converged-string", "response-float", "grad_norm-string", "converged-flipped",
          "converged-contradicts-grad_norm", "f_hat-dims-one", "f_hat-dims-float",
-         "f_hat-dims-bool"],
+         "f_hat-dims-bool", "f_hat-dims-mismatch", "f_hat-no-dims", "f_hat-text",
+         "mode-kind-unknown", "diagnostics-number", "diagnostics-record-keys"],
 )
 def test_edited_fit_documents_exit_two_naming_the_field(tmp_path, capsys, base, edits, rows, field):
     family = "bernoulli" if base == "v1-oracle-p" else "gaussian"
@@ -553,12 +563,18 @@ def _with_eta(args, eta):
         (["fstar-oracle"], {"n": "100"}),
         (["fstar-oracle"], {"family": 7}),
         (["simulate"], {"reps": True}),
+        (["fstar-oracle"], {"seed": -1}),
+        (["simulate"], {"seed": 2**64}),
+        (["simulate"], {"mystery": 1}),
+        (["reproduce", "table1", "--reps", "2", "--seed", "-1"], "seed must be in"),
         (["simulate"], "--family"),
         (["simulate", "--family", "gaussian", "--n", "6", "--p", "4", "--m", "3", "--k-true", "2",
           "--eta", "1", "--reps", "3"], "n=6 leaves a fold of 3 rows, too few for p=4"),
     ],
     ids=["simulate-eta-nan", "simulate-eta-inf", "oracle-eta-nan", "oracle-n-string",
-         "oracle-family-number", "simulate-reps-bool", "simulate-neither-flags-nor-config",
+         "oracle-family-number", "simulate-reps-bool", "oracle-seed-below-zero",
+         "simulate-seed-past-64-bits", "simulate-unknown-field", "reproduce-seed-below-zero",
+         "simulate-neither-flags-nor-config",
          "simulate-fold-below-p"],
 )
 def test_malformed_simulation_config_exits_two(tmp_path, capsys, argv, field):
@@ -692,6 +708,14 @@ def test_reproduce_all_runs_every_experiment_in_order(tmp_path, monkeypatch):
     calls.clear()
     assert main(["reproduce", "all", "--seed", "3", "--out", str(tmp_path)]) == 0
     assert calls == [(name, 3) for name in EXPERIMENT_NAMES]
+
+
+def test_a_library_warning_prints_as_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GHIVE_THREADS", "abc")
+    assert main(["reproduce", "table1", "--reps", "2", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: ignoring non-integer GHIVE_THREADS='abc'; running serially"
+    ]
 
 
 @pytest.mark.parametrize("reps", ["0", "-2"])

@@ -28,7 +28,8 @@ from ghive.families import FAMILY_NAMES, family_from_name
 from ghive.inference import (
     Contrast, basis_contrast, confidence_interval, naive_wald_interval, normal_quantile,
 )
-from ghive.pipeline import Mode, ghive_fit, ghive_fit_many
+from ghive.experiments import ExperimentSpec
+from ghive.pipeline import Mode, deserialize_fit, ghive_fit, ghive_fit_many, with_projection
 from ghive.qml import fit_naive_many, fit_naive_mle, make_split
 from ghive.simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, sample_dataset
 
@@ -139,6 +140,7 @@ def test_batched_fits_refuse_datasets_that_do_not_share_p_and_m(call, other):
 
 
 _ORACLE_CFG = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0)
+_SEEDS = r"must be in 0\.\.18446744073709551615"  # a seed keys Philox with 64 bits
 _GOOD = Dataset(*np.random.default_rng(0).standard_normal((2, 40, 2)))
 
 
@@ -153,7 +155,9 @@ def _interval(kind, data=_GOOD, family=GAUSSIAN, alpha=0.05):
 
 # Arguments that entry points once refused with another exception type, or
 # took silently (a negative response index, a fractional factor count or
-# oracle draw); each now names its argument in a DataValidationError.
+# oracle draw, a negative seed that aliased one modulo 2**64, text parsed as
+# numbers); each now names its argument in a DataValidationError. The last
+# rows pin refusals that no other test reaches.
 BAD_ARGUMENTS = {
     "contrast-row-below-zero": (lambda: basis_contrast(-1, 0, 4, 4), "i must be in"),
     "contrast-row-past-m": (lambda: basis_contrast(5, 0, 4, 4), "i must be in"),
@@ -208,6 +212,71 @@ BAD_ARGUMENTS = {
     "ghive-interval-data-tuple": (
         lambda: _interval("ghive", data=(_GOOD.x, _GOOD.y)), "data must be a Dataset"
     ),
+    "config-seed-below-zero": (
+        lambda: SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, seed=-1), f"^seed {_SEEDS}, got -1$"
+    ),
+    "config-seed-past-64-bits": (
+        lambda: SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, seed=2**64 + 5), f"^seed {_SEEDS}"
+    ),
+    "rep-seed-below-zero": (
+        lambda: sample_dataset(make_truth(_ORACLE_CFG), _ORACLE_CFG, rep_seed=-1),
+        f"^rep_seed {_SEEDS}",
+    ),
+    "experiment-seed-below-zero": (
+        lambda: ExperimentSpec("fig2-n", (_ORACLE_CFG,), reps=1, seed=-1), f"^seed {_SEEDS}"
+    ),
+    "ghive-interval-contrast-tuple": (
+        lambda: confidence_interval(
+            _GOOD, GAUSSIAN, ghive_fit(_GOOD, GAUSSIAN, SEED), ([1.0, 0.0], [1.0, 0.0])
+        ),
+        "contrast must be a Contrast, got tuple",
+    ),
+    "naive-interval-ghive-fit": (
+        lambda: naive_wald_interval(
+            _GOOD, GAUSSIAN, ghive_fit(_GOOD, GAUSSIAN, SEED), basis_contrast(0, 0, 2, 2)
+        ),
+        "coef must be a CoefMatrix, got GhiveFit",
+    ),
+    "ghive-interval-coef-matrix": (
+        lambda: confidence_interval(
+            _GOOD, GAUSSIAN, fit_naive_mle(_GOOD, GAUSSIAN), basis_contrast(0, 0, 2, 2)
+        ),
+        "fit must be a GhiveFit, got CoefMatrix",
+    ),
+    "fit-many-one-dataset": (
+        lambda: ghive_fit_many(_GOOD, GAUSSIAN, [0]), "datasets must be a list or tuple, got Data"
+    ),
+    "naive-many-one-dataset": (
+        lambda: fit_naive_many(_GOOD, GAUSSIAN), "datasets must be a list or tuple, got Dataset"
+    ),
+    "projection-mode-name": (
+        lambda: with_projection(ghive_fit(_GOOD, GAUSSIAN, SEED), "oracle-k"),
+        "mode must be a Mode, got str",
+    ),
+    "fit-mode-name": (
+        lambda: ghive_fit(_GOOD, GAUSSIAN, SEED, mode="oracle-k"), "mode must be a Mode, got str"
+    ),
+    "dataset-text": (
+        lambda: Dataset([["1", "2"], ["3", "4"]], [[1.0], [2.0]]), "x must be an array of numbers"
+    ),
+    "contrast-text": (
+        lambda: Contrast(["1", "0"], [1.0]), "contrast u must be an array of numbers"
+    ),
+    "projector-text": (
+        lambda: Mode.oracle_p([["1", "0"], ["0", "1"]]), "projector must be an array of numbers"
+    ),
+    "projector-past-m": (
+        lambda: with_projection(ghive_fit(_GOOD, GAUSSIAN, SEED), Mode.oracle_p(np.eye(3))),
+        "projector is 3x3 but the fit has M=2 responses",
+    ),
+    "config-decay-name": (
+        lambda: SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, sigma_z_decay="zero"),
+        "sigma_z_decay must be one of",
+    ),
+    "dataset-three-dimensional": (
+        lambda: Dataset(np.zeros((4, 2, 1)), np.zeros((4, 1))), "must both be 2-dimensional"
+    ),
+    "fit-document-list": (lambda: deserialize_fit([1, 2]), "missing format_version"),
 }
 
 
@@ -238,10 +307,11 @@ def test_the_argument_checks_keep_their_bounds_and_refuse_bools_and_non_finite_n
     floats = np.arange(3.0)
     assert require_finite_array("x", floats) is floats
     assert require_finite_array("x", [[1, np.int64(2)]]).tolist() == [[1.0, 2.0]]
-    for bad in ([1.0, math.inf], [[0.0], [math.nan]], None):
+    for bad in ([1.0, math.inf], [[0.0], [math.nan]]):
         with pytest.raises(DataValidationError, match="^x must be an array of finite numbers"):
             require_finite_array("x", bad)
-    for bad in ("1.5", b"1.5", [[1.0], [2.0, 3.0]], {"a": 1.0}, [True, "a"]):
+    for bad in ("1.5", b"1.5", [[1.0], [2.0, 3.0]], {"a": 1.0}, [True, "a"], [["1", "2"]], None,
+                [1j]):
         with pytest.raises(DataValidationError, match="^x must be an array of numbers"):
             require_finite_array("x", bad)
 
