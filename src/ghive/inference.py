@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -255,17 +255,7 @@ def naive_wald_interval(
 
 
 def serialize_inference(result: InferenceResult, contrast: Contrast) -> dict:
-    """JSON-ready dict; see schemas/inference_result.schema.json."""
-    return {
-        "format_version": INFERENCE_FORMAT_VERSION,
-        "estimate": result.estimate,
-        "se": result.se,
-        "ci_lo": result.ci_lo,
-        "ci_hi": result.ci_hi,
-        "alpha": result.alpha,
-        "quantile": result.quantile,
-        "s_sq": result.s_sq,
-        "g_regularized": result.g_regularized,
-        "u": [float(x) for x in contrast.u],
-        "v": [float(x) for x in contrast.v],
-    }
+    """JSON-ready dict: the fields of ``result`` plus ``format_version`` and
+    the contrast's ``u`` and ``v``; see schemas/inference_result.schema.json."""
+    u, v = ([float(x) for x in vec] for vec in (contrast.u, contrast.v))
+    return {"format_version": INFERENCE_FORMAT_VERSION, **asdict(result), "u": u, "v": v}

@@ -156,10 +156,11 @@ def ghive_fit(data: Dataset, family: GlmFamily, seed: int, mode: Mode | None = N
 
 def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None) -> list:
     """Run the pipeline on several datasets with one p and M, one split seed
-    each, once every response is checked against the family and every fold's
-    rows against p. All fold fits are one solve, never padding a fold (that
-    would change the divisor of every mean), and each fit is the one its
-    dataset gets alone, bit for bit. ``f_hat`` keeps both folds' grad norms, d1 first.
+    each from the list, tuple or range ``seeds``, once every response is
+    checked against the family and every fold's rows against p. All fold fits
+    are one solve, never padding a fold (that would change the divisor of
+    every mean), and each fit is the one its dataset gets alone, bit for
+    bit. ``f_hat`` keeps both folds' grad norms, d1 first.
 
     Returns one entry per dataset: its GhiveFit, or the ``GhiveError``
     raised while assembling it (a non-finite ``sigma_hat`` or a spectrum with
@@ -167,6 +168,7 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
     A fold fit that overflows is flagged unconverged, not raised. A seed or
     dataset that cannot be fitted at all raises for the whole call.
     """
+    require_instance("seeds", seeds, (list, tuple, range))
     mode, seeds = mode or Mode.data_driven(), list(seeds)
     require_instance("mode", mode, Mode)
     require_instance("datasets", datasets, (list, tuple))
@@ -298,10 +300,20 @@ def _doc_indices(value, name: str) -> np.ndarray:
         raise DataValidationError(f"fit document {name} holds an integer beyond 64 bits") from None
 
 
-def _close(stored, derived, scale: float = 1.0) -> bool:
-    """Whether a stored copy of a derived array matches it to DERIVED_TOL."""
+def _close(stored, derived, relative_to=None) -> bool:
+    """Whether a stored copy of a derived array matches it to DERIVED_TOL, times
+    max(1, the largest absolute entry of ``relative_to``) where that is given."""
     stored = np.asarray(stored, dtype=float)
+    scale = 1.0 if relative_to is None else max(1.0, np.max(np.abs(relative_to)))
     return stored.shape == derived.shape and np.all(np.abs(stored - derived) <= DERIVED_TOL * scale)
+
+
+def _require_match(name: str, matches, source: str = "sigma_hat, f_hat, mode, n and seed"):
+    """Refuse a fit document whose stored copy ``name`` does not match its
+    derivation from the document's ``source``, by default what most copies derive from."""
+    if not matches:
+        msg = f"fit document {name} does not match its derivation from the document's {source}"
+        raise DataValidationError(msg)
 
 
 def deserialize_fit(doc: dict) -> GhiveFit:
@@ -367,32 +379,19 @@ def deserialize_fit(doc: dict) -> GhiveFit:
         converged, grad_norm = _fold_diagnostics(doc["diagnostics"], m_dim)
         fit = _assemble(make_split(n, seed), mode, CoefMatrix(f_hat, grad_norm, family), sigma_hat)
         derived = fit.spectral
-        primary = "sigma_hat, f_hat, mode, n and seed"  # what most copies derive from
-        checks = [
-            ("diagnostics converged", np.array_equal(converged, fit.f_hat.converged), "grad_norm"),
-            ("split.d1", np.array_equal(d1, fit.split.d1), primary),
-            ("split.d2", np.array_equal(d2, fit.split.d2), primary),
-            ("k_hat", _doc_integer(doc["k_hat"], "k_hat", nullable=True) == derived.k_hat, primary),
-            ("p_perp", _close(matrix_from_json(doc["p_perp"], "p_perp"), derived.p_perp), primary),
-            ("theta_hat", _close(
-                matrix_from_json(doc["theta_hat"], "theta_hat"), fit.theta_hat,
-                max(1.0, float(np.max(np.abs(f_hat)))),
-            ), primary),
-        ]
+        flags_match = np.array_equal(converged, fit.f_hat.converged)
+        _require_match("diagnostics converged", flags_match, "grad_norm")
+        _require_match("split.d1", np.array_equal(d1, fit.split.d1))
+        _require_match("split.d2", np.array_equal(d2, fit.split.d2))
+        _require_match("k_hat", _doc_integer(doc["k_hat"], "k_hat", nullable=True) == derived.k_hat)
+        _require_match("p_perp", _close(matrix_from_json(doc["p_perp"], "p_perp"), derived.p_perp))
+        theta_hat = matrix_from_json(doc["theta_hat"], "theta_hat")
+        _require_match("theta_hat", _close(theta_hat, fit.theta_hat, f_hat))
         if version == 1:
-            checks += [
-                ("split.seed", _doc_integer(split_doc["seed"], "split.seed") == seed, primary),
-                ("eigvals", _close(
-                    doc["eigvals"], derived.eigvals, max(1.0, float(np.max(np.abs(derived.eigvals))))
-                ), primary),
-            ]
+            _require_match("split.seed", _doc_integer(split_doc["seed"], "split.seed") == seed)
+            _require_match("eigvals", _close(doc["eigvals"], derived.eigvals, derived.eigvals))
     except KeyError as missing:
         raise DataValidationError(f"fit document is missing field {missing}")
     except (TypeError, ValueError) as bad:
         raise DataValidationError(f"malformed fit document: {bad}")
-    for name, matches, source in checks:
-        if not matches:
-            raise DataValidationError(
-                f"fit document {name} does not match its derivation from the document's {source}"
-            )
     return fit

@@ -416,6 +416,7 @@ def _edit(*path, to):
         ("v2", [_edit("k_hat", to=lambda k: 99)], None, "k_hat"),
         ("v2", [_edit("seed", to=lambda s: s + 1)], None, "split.d1"),
         ("v1", [_edit("split", "seed", to=lambda s: s + 1)], None, "split.seed"),
+        ("v1", [_edit("eigvals", to=lambda e: "nine")], None, "malformed fit document"),
         ("v2", [_edit("split", "d1", to=lambda d: [0, 0, 0])], None, "split"),
         ("v2", [_edit("split", "d1", to=lambda d: [d[1], d[0]] + d[2:])], None, "split.d1"),
         ("v2", [_edit("split", "d1", to=lambda d: [2**70] + d[1:])], None, "split.d1"),
@@ -445,8 +446,8 @@ def _edit(*path, to):
          "records need response, fold, converged and grad_norm"),
     ],
     ids=["theta-k_hat-eigvals", "theta", "eigvals", "fewer-rows", "center-string", "k_hat-99",
-         "seed", "split-seed", "split-d1-repeated", "split-d1-unsorted", "split-d1-beyond-64-bits",
-         "theta-nan",
+         "seed", "split-seed", "eigvals-text", "split-d1-repeated", "split-d1-unsorted",
+         "split-d1-beyond-64-bits", "theta-nan",
          "oracle-p-nan", "oracle-p-theta", "oracle-p-not-a-projector", "tol-1e-6", "max_iter-50",
          "converged-string", "response-float", "grad_norm-string", "converged-flipped",
          "converged-contradicts-grad_norm", "f_hat-dims-one", "f_hat-dims-float",

@@ -157,6 +157,14 @@ def test_undecodable_file_names_the_path_and_the_byte(tmp_path):
         read_csv_table(path)
 
 
+def test_a_failed_rename_raises_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        data_io.atomic_write_text(target, "1,2\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"] and target.is_dir()
+
+
 def test_save_then_read_is_bit_exact_down_to_subnormals(tmp_path):
     rng = np.random.default_rng(8)
     values = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-300, 301, (40, 6))

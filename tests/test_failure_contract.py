@@ -166,6 +166,10 @@ BAD_ARGUMENTS = {
     "seed-per-dataset": (
         lambda: ghive_fit_many([Dataset(np.eye(4), np.eye(4))], GAUSSIAN, [0, 1]), "seeds"
     ),
+    "seeds-one-integer": (
+        lambda: ghive_fit_many([Dataset(np.eye(4), np.eye(4))], GAUSSIAN, 0),
+        "seeds must be a list or tuple or range, got int",
+    ),
     "split-rows-fraction": (lambda: make_split(3.5, 0), "n must be an integer"),
     "oracle-k-fraction": (lambda: Mode.oracle_k(2.5), "k must be an integer"),
     "oracle-k-bool": (lambda: Mode.oracle_k(True), "k must be an integer"),

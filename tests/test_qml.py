@@ -130,6 +130,14 @@ def test_a_column_whose_curvature_or_gradient_overflows_stops_where_it_is(overfl
     assert together[0].values.tobytes() == alone.values.tobytes() and alone.converged.all()
 
 
+def test_a_curvature_indefinite_after_its_bump_gets_the_gradient_as_its_direction():
+    curv = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, -5.0]]])
+    grad = np.array([[0.3, -1.2], [0.7, 0.4]])
+    d = qml._ascent_directions(curv, grad)
+    assert d[0].tobytes() == qml._cholesky_solve(curv[:1], grad[:1])[0].tobytes()
+    assert d[1].tobytes() == grad[1].tobytes()
+
+
 _X = np.random.default_rng(2).standard_normal((40, 2))
 _Y01 = (_X[:, 0] > 0).astype(float)[:, None]
 

@@ -50,6 +50,10 @@ def test_circulant_cov_matches_hand_values():
     pos = circulant_cov(4, "positive")
     assert np.all(np.linalg.eigvalsh(pos) >= -1e-12)
     assert pos[0, 1] == 0.5
+    for k in range(1, 65):  # exactly symmetric and PSD in both conventions
+        for decay in ("negative", "positive"):
+            cov = circulant_cov(k, decay)
+            assert np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov)[0] >= -1e-12
     with pytest.raises(DataValidationError):
         circulant_cov(3, "sideways")
 
