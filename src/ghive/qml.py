@@ -8,6 +8,15 @@ Each response column is fit separately by maximising either
 * the ordinary log-likelihood ``(1/n) sum_i [y_i f.x_i - b(f.x_i)]``
   (the naive baseline that ignores hidden confounding).
 
+Each objective has two named kernels. :func:`quasi_objective` and
+:func:`loglik_objective` return the mean objective at a coefficient row or
+block and the predictors ``eta = x . coef`` it was evaluated at;
+:func:`quasi_gradient` and :func:`loglik_gradient` take those predictors and
+return the gradient and the input of the curvature weight: the weighted
+residual for :func:`~ghive.families.hessian_weight`, or ``b'`` for
+:func:`~ghive.families.cumulant_d2`. A column block picks its objective,
+gradient and weight once, by the kind of fit, and runs on them alone.
+
 Both use the same damped Newton ascent: solve the Newton system against the
 negated Hessian (one batched Cholesky solve over a block's columns, see
 :func:`_cholesky_solve`), fall back to a plain gradient step when the
@@ -82,7 +91,6 @@ from .families import (
     quasi_response,
     quasi_term,
     validate_response,
-    weighted_residual,
 )
 
 TOL = 1e-8
@@ -197,42 +205,42 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _evaluate(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef, kind: str):
-    """Mean objective of ``kind`` ("quasi" or "loglik") at ``coef``, and the
-    predictors ``x . coef`` it was evaluated at, for the gradient and
-    curvature at that point to reuse. For "quasi", ``y`` is the response as
+def _gradient(x: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Mean of ``score`` times x: the gradient, given the score residual."""
+    return (x.swapaxes(-1, -2) @ score[..., None])[..., 0] / x.shape[-2]
+
+
+def quasi_objective(x: np.ndarray, r: np.ndarray, family: GlmFamily, coef):
+    """Mean modified quasi-log-likelihood at ``coef``, and the predictors
+    ``eta = x . coef`` it was evaluated at. ``r`` is the response as
     :func:`~ghive.families.quasi_response` forms it."""
     eta = _eta(x, coef)
-    if kind == "quasi":
-        return np.mean(quasi_term(family, y, eta), axis=-1), eta
+    return np.mean(quasi_term(family, r, eta), axis=-1), eta
+
+
+def quasi_gradient(x: np.ndarray, r: np.ndarray, family: GlmFamily, eta: np.ndarray):
+    """Gradient of :func:`quasi_objective` at the predictors ``eta``, the mean
+    of weighted residual times x, and that residual, from which
+    :func:`~ghive.families.hessian_weight` gives the curvature weight."""
+    residual = quasi_residual(family, r, eta, VARIANCE_FLOOR)
+    return _gradient(x, residual), residual
+
+
+def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
+    """Mean ordinary log-likelihood (up to the y-only term) at ``coef``, and
+    the predictors ``eta = x . coef`` it was evaluated at."""
+    eta = _eta(x, coef)
     b = cumulant(family, eta)
     with np.errstate(invalid="ignore"):
         return np.mean(y * eta - b, axis=-1), eta
 
 
-def _gradient(x: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Mean of ``score`` times x: the gradient, given the score residual
-    (the weighted residual for "quasi", ``y - b'`` for "loglik")."""
-    return (x.swapaxes(-1, -2) @ score[..., None])[..., 0] / x.shape[-2]
-
-
-def quasi_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
-    """Mean modified quasi-log-likelihood at ``coef``."""
-    return _evaluate(x, quasi_response(family, y), family, coef, "quasi")[0]
-
-
-def quasi_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
-    """Gradient of :func:`quasi_objective`: mean of weighted residual times x."""
-    return _gradient(x, weighted_residual(family, y, _eta(x, coef)))
-
-
-def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
-    """Mean ordinary log-likelihood (up to the y-only term) at ``coef``."""
-    return _evaluate(x, y, family, coef, "loglik")[0]
-
-
-def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef) -> np.ndarray:
-    return _gradient(x, y - cumulant_d1(family, _eta(x, coef)))
+def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, eta: np.ndarray):
+    """Gradient of :func:`loglik_objective` at the predictors ``eta``, the mean
+    of ``y - b'`` times x, and ``b'``, from which
+    :func:`~ghive.families.cumulant_d2` gives the curvature weight."""
+    d1 = cumulant_d1(family, eta)
+    return _gradient(x, y - d1), d1
 
 
 def gram_buffer(x: np.ndarray, n_cols: int) -> np.ndarray:
@@ -413,10 +421,11 @@ def _ascent_block(x, xt, y, family, f, kind):
     round's candidates broadcast over their columns' design rows, which are
     never copied per candidate.
 
-    Each iterate is evaluated once: the predictors of the accepted candidate
-    are kept for the next gradient and curvature, and the score residual
-    behind the gradient also gives the curvature weight (the quasi-Hessian
-    weight for "quasi", ``b''`` from ``b'`` for "loglik"). A "quasi" block
+    The block picks its objective, gradient and curvature-weight kernels
+    once, by ``kind``, reading them by their module-level names as it runs.
+    Each iterate is evaluated once: the predictors of the accepted
+    candidate are kept for the next gradient and curvature, and the second
+    value of the gradient kernel gives the curvature weight. A "quasi" block
     forms its :func:`~ghive.families.quasi_response` once. Also returns each
     column's iteration count and its objective after every iteration run,
     ``path`` (C, iterations + 1). One :func:`gram_buffer` serves the
@@ -424,8 +433,11 @@ def _ascent_block(x, xt, y, family, f, kind):
     n, shared, buf = x.shape[-2], x.ndim == 2, gram_buffer(x, len(f))
     if kind == "quasi":
         y = quasi_response(family, y)
+        objective, gradient, weight = quasi_objective, quasi_gradient, hessian_weight
+    else:
+        objective, gradient, weight = loglik_objective, loglik_gradient, cumulant_d2
     f = _ball_project(f)  # callers pass a copy; it is updated in place
-    value, eta = _evaluate(x, y, family, f, kind)
+    value, eta = objective(x, y, family, f)
     path = [value.copy()]
     grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
     n_iter = np.zeros(len(f), dtype=int)
@@ -435,29 +447,21 @@ def _ascent_block(x, xt, y, family, f, kind):
             break
         # the live columns' rows: views while no column has stopped
         rows = slice(None) if live.size == len(f) else live
-        eta_live, y_live, d1 = eta[rows], y[rows], None
-        if kind == "quasi":
-            score = quasi_residual(family, y_live, eta_live, VARIANCE_FLOOR)
-        else:
-            d1 = cumulant_d1(family, eta_live)
-            score = y_live - d1
-        grad[live] = _gradient(x if shared else x[rows], score)
+        eta_live = eta[rows]
+        grad[live], score = gradient(x if shared else x[rows], y[rows], family, eta_live)
         norm = grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
         going = (norm >= TOL) & np.isfinite(norm)
         live = live[going]
         if it == MAX_ITER or not live.size:
             break
         keep = slice(None) if going.all() else going
-        if kind == "quasi":
-            weight = hessian_weight(family, eta_live[keep], score[keep])
-        else:
-            weight = cumulant_d2(family, eta_live[keep], d1=d1[keep])
+        w = weight(family, eta_live[keep], score[keep])
         # free the iterate's (C, n) arrays before the gram and the line search
         # make their own; the going columns' rows are x itself while every
         # column goes on
-        del eta_live, y_live, d1, score
-        curv = weighted_gram(x if shared or live.size == len(f) else x[live], weight, xt, buf) / n
-        del weight
+        del eta_live, score
+        curv = weighted_gram(x if shared or live.size == len(f) else x[live], w, xt, buf) / n
+        del w
         if not np.isfinite(curv).all():
             finite = np.isfinite(curv).all(axis=(1, 2))
             live, curv = live[finite], curv[finite]
@@ -480,9 +484,9 @@ def _ascent_block(x, xt, y, family, f, kind):
             cand = f[cols] + steps[:, None, None] * direction[todo]
             cand = _ball_project(cand.reshape(-1, f.shape[1]))
             # a column's k candidates broadcast over its rows, gathered once
-            cand_value, cand_eta = _evaluate(
+            cand_value, cand_eta = objective(
                 x if shared or cols.size == len(f) else x[cols], y[cols], family,
-                cand.reshape(k, cols.size, -1), kind,
+                cand.reshape(k, cols.size, -1),
             )
             up = np.isfinite(cand_value) & (cand_value > value[cols])
             # each column takes its first (longest) increasing step, as when

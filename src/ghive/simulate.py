@@ -15,9 +15,14 @@ stream:
 * dataset stream   key = (2 << 64) | rep_seed, draw order z, w, response
 * oracle dataset   rep_seed = seed XOR 0x9E3779B97F4A7C15
 
-The pseudo-true coefficient matrix (the population target of the per-response
-quasi-likelihood fit) has no closed form outside the gaussian family, so
-``fstar_oracle`` approximates it by fitting one very large simulated sample.
+The pseudo-true coefficient matrix F* (the population target of the
+per-response quasi-likelihood fit) has a closed form for the gaussian family,
+``gaussian_fstar_closed_form``, and the same one for poisson under this
+simulator's design: (x, z) is jointly gaussian with mean zero, so by Stein's
+lemma the poisson quasi-score ``E[(y e^(-f.x) - 1) x]`` vanishes at the
+population least-squares coefficients. That rests on the design; bernoulli
+has no closed form here. ``fstar_oracle`` approximates F* in every family by
+fitting one very large simulated sample.
 Its Newton ascent starts from zero on the first 1/16 of the draw's rows and
 finishes on all of them from there. The quasi-objective is concave, so on at
 least 10k rows the start changes only the digits TOL leaves open. A gaussian
@@ -248,10 +253,12 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
 
 
 def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:
-    """Exact pseudo-true coefficients for the gaussian family.
+    """Exact pseudo-true coefficients for the gaussian family, and for
+    poisson under this simulator's jointly gaussian, mean-zero (x, z).
 
     F* = theta + B sigma_z A' (A sigma_z A' + I)^{-1}, the population
-    least-squares coefficient of the confounded regression.
+    least-squares coefficient of the confounded regression. The poisson
+    quasi-score vanishes there too (Stein's lemma; see the module docstring).
     """
     p = truth.a.shape[0]
     sigma_x = truth.a @ truth.sigma_z @ truth.a.T + np.eye(p)

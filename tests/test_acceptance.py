@@ -14,7 +14,7 @@ from conftest import agg_lookup, small_sim_dataset
 from ghive import BERNOULLI, GAUSSIAN
 from ghive.data_io import Dataset
 from ghive.experiments import experiment_spec
-from ghive.families import quasi_loglik_term, weighted_residual
+from ghive.families import quasi_loglik_term, quasi_response, weighted_residual
 from ghive.pipeline import ghive_fit
 from ghive.qml import (
     _newton_ascent,
@@ -181,12 +181,12 @@ def test_criterion_7_numerical_property_suite():
     y = (rng.random(60) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     coef = rng.uniform(-0.3, 0.3, size=4)
     worst_grad = 0.0
-    for obj, grad in (
-        (quasi_objective, quasi_gradient),
-        (loglik_objective, loglik_gradient),
+    for obj, grad, r in (
+        (quasi_objective, quasi_gradient, quasi_response(BERNOULLI, y)),
+        (loglik_objective, loglik_gradient, y),
     ):
-        ana = grad(x, y, BERNOULLI, coef)
-        num = _num_grad(lambda c: obj(x, y, BERNOULLI, c), coef)
+        ana = grad(x, r, BERNOULLI, obj(x, r, BERNOULLI, coef)[1])[0]
+        num = _num_grad(lambda c: obj(x, r, BERNOULLI, c)[0], coef)
         worst_grad = max(
             worst_grad, float(np.max(np.abs(ana - num) / np.maximum(np.abs(num), 1e-8)))
         )

@@ -90,12 +90,12 @@ def test_gradients_match_finite_differences(family):
     else:
         y = eta + rng.standard_normal(n)
     coef = rng.uniform(-0.3, 0.3, size=p)
-    for obj, grad in (
-        (quasi_objective, quasi_gradient),
-        (loglik_objective, loglik_gradient),
+    for obj, grad, r in (
+        (quasi_objective, quasi_gradient, families.quasi_response(family, y)),
+        (loglik_objective, loglik_gradient, y),
     ):
-        ana = grad(x, y, family, coef)
-        num = _num_grad(lambda c: obj(x, y, family, c), coef)
+        ana = grad(x, r, family, obj(x, r, family, coef)[1])[0]
+        num = _num_grad(lambda c: obj(x, r, family, c)[0], coef)
         assert np.allclose(ana, num, rtol=1e-5, atol=1e-7)
 
 
@@ -466,13 +466,16 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
 ):
     x, y = _column_cases(POISSON)
     calls, costs = [0], []
-    evaluate = qml._evaluate  # the line search's objective evaluation
 
-    def counted(*args):
-        calls[0] += 1
-        return evaluate(*args)
+    def count(kernel):  # the objective kernels, which the line search calls
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
 
-    monkeypatch.setattr(qml, "_evaluate", counted)
+        return counted
+
+    for name in ("quasi_objective", "loglik_objective"):
+        monkeypatch.setattr(qml, name, count(getattr(qml, name)))
     block = qml._ascent_block
 
     def measured(*args):
@@ -510,7 +513,10 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     """Per block, x . coef runs once per objective evaluation (the start and
     each line-search round), never again for the gradient or the curvature,
     a quasi iteration computes its weighted residual once, and a quasi block
-    forms the response its kernels read (the bernoulli sign) once."""
+    forms the response its kernels read (the bernoulli sign) once. The
+    solver runs on the named kernels of the block's kind: its objective
+    kernel makes every evaluation, its gradient kernel runs once per
+    iteration, and the other kind's kernels never run."""
     counts, costs = {}, []
 
     def count(module, name):
@@ -524,7 +530,8 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
 
     # quasi_term and cumulant are called once per objective evaluation; the
     # residual is counted wherever the solver or a families kernel asks
-    names = ("_eta", "quasi_term", "cumulant", "quasi_residual", "quasi_response")
+    kernels = ("quasi_objective", "quasi_gradient", "loglik_objective", "loglik_gradient")
+    names = ("_eta", "quasi_term", "cumulant", "quasi_residual", "quasi_response", *kernels)
     for name in names:
         count(qml, name)
     count(families, "quasi_residual")
@@ -546,6 +553,10 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     for kind, n, iterations in costs:
         evaluations = n["quasi_term"] + n["cumulant"]  # 1 + line-search rounds
         assert n["_eta"] <= evaluations
+        other = "loglik" if kind == "quasi" else "quasi"
+        assert n[f"{kind}_objective"] == evaluations
+        assert 1 <= n[f"{kind}_gradient"] <= iterations + 1
+        assert n[f"{other}_objective"] == n[f"{other}_gradient"] == 0
         if kind == "quasi":
             assert n["quasi_residual"] <= iterations + 1
             assert n["quasi_response"] == 1
