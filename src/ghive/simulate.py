@@ -194,6 +194,13 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     Draw order (single dataset stream): hidden factors z, covariate noise w,
     then the response draw. z is sampled through the eigendecomposition
     square root of sigma_z, which tolerates the singular default covariance.
+
+    x = z A' + w, lin = x theta' + z B' and y are built in arrays the draw
+    owns: z A' is added into w, z B' into lin, and the response rule (lin + e,
+    u < 1/(1 + e^-lin), or poisson(e^lin)) runs in place. IEEE addition is
+    commutative and every other step is the same operation on the same
+    operands, so the draw order and every bit are those of the plain
+    expressions.
     """
     require_integer("rep_seed", rep_seed, 0, 2**64 - 1)
     rng = _stream(_DATA_DOMAIN, rep_seed)
@@ -202,22 +209,31 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     p = truth.a.shape[0]
     m_dim = truth.b.shape[0]
     z = rng.standard_normal((n, k)) @ _sigma_z_sqrt(truth.sigma_z).T
-    w = rng.standard_normal((n, p))
-    x = z @ truth.a.T + w
-    lin = x @ truth.theta.T + z @ truth.b.T
+    x = rng.standard_normal((n, p))
+    x += z @ truth.a.T
+    lin = x @ truth.theta.T
+    lin += z @ truth.b.T
     kind = config.family
     if kind == "gaussian":
-        y = lin + rng.standard_normal((n, m_dim))
+        y = rng.standard_normal((n, m_dim))
+        y += lin
     elif kind == "bernoulli":
-        y = (rng.random((n, m_dim)) < 1.0 / (1.0 + np.exp(-lin))).astype(float)
+        np.negative(lin, out=lin)
+        np.exp(lin, out=lin)
+        lin += 1.0
+        np.divide(1.0, lin, out=lin)
+        y = rng.random((n, m_dim))
+        np.less(y, lin, out=y)
     else:  # poisson
+        top = lin.max()  # for the refusal below: exp overwrites lin
         try:
-            y = rng.poisson(np.exp(lin)).astype(float)
+            lin[...] = rng.poisson(np.exp(lin, out=lin))
         except ValueError:  # numpy refuses rates above about 9.2e18
             raise NumericalError(
-                f"poisson rate exp({lin.max():.4g}) is too large to draw counts from; "
+                f"poisson rate exp({top:.4g}) is too large to draw counts from; "
                 "lower eta or the coefficient scale"
             ) from None
+        y = lin
     return Dataset(x, y)
 
 

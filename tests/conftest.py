@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 
 from ghive import SimConfig, make_truth, sample_dataset
 from ghive.experiments import experiment_spec, run_experiment
+from ghive.simulate import _DATA_DOMAIN, _sigma_z_sqrt, _stream
 
 settings.register_profile(
     "suite",
@@ -29,6 +30,16 @@ def small_sim_dataset(
     cfg = SimConfig(n=n, p=p, m_dim=m_dim, k=k, eta=eta, seed=seed, family=family)
     truth = make_truth(cfg)
     return sample_dataset(truth, cfg, rep_seed=rep_seed), truth, cfg
+
+
+def replay_draw(truth, cfg, rep_seed):
+    """sample_dataset's stream replayed by the plain expressions up to the
+    response draw: the generator there, x = z A' + w and lin = x theta' + z B'."""
+    rng = _stream(_DATA_DOMAIN, rep_seed)
+    z = rng.standard_normal((cfg.n, cfg.k)) @ _sigma_z_sqrt(truth.sigma_z).T
+    x = z @ truth.a.T + rng.standard_normal((cfg.n, cfg.p))
+    lin = x @ truth.theta.T + z @ truth.b.T
+    return rng, x, lin
 
 
 def json_bits(value):

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import json_bits, small_sim_dataset
+from conftest import json_bits, replay_draw, small_sim_dataset
 import ghive
 from ghive import cli, data_io, experiments
 from ghive.cli import main
@@ -24,7 +24,7 @@ from ghive.experiments import (
     run_experiment,
 )
 from ghive.pipeline import DERIVED_TOL
-from ghive.simulate import SimConfig
+from ghive.simulate import ORACLE_SALT, SimConfig, make_truth
 
 # format-1 fit documents with their CSVs and the intervals `ghive infer`
 # wrote for them when they were made: a gaussian data-driven fit and a
@@ -671,6 +671,8 @@ def test_a_seed_beyond_64_bits_is_written_and_read_back(tmp_path, csv_data):
 def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     for eta in ("12", "1e300"):  # rates past what numpy draws, and past overflow
+        cfg = SimConfig(n=10_000, p=3, m_dim=3, k=2, eta=float(eta), family="poisson")
+        _, _, lin = replay_draw(make_truth(cfg), cfg, cfg.seed ^ ORACLE_SALT)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(
@@ -679,7 +681,7 @@ def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsy
             )
         assert code == 1 and not caught
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: poisson rate")
+        assert line.startswith(f"error: poisson rate exp({lin.max():.4g}) is")
         assert not out.exists()
 
 

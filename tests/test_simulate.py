@@ -1,22 +1,23 @@
 """Synthetic-data generator, pseudo-true-coefficient oracle, error metrics."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import circulant
 from scipy.special import expit
 
+from conftest import replay_draw
 from ghive import qml, simulate
 from ghive.errors import DataValidationError, NumericalError
+from ghive.experiments import _mix, experiment_spec
 from ghive.families import family_from_name
 from ghive.pipeline import ghive_fit
 from ghive.qml import _fit_matrix
 from ghive.simulate import (
-    _DATA_DOMAIN,
     ORACLE_SALT,
-    _sigma_z_sqrt,
-    _stream,
     SimConfig,
     circulant_cov,
     frob_err,
@@ -113,25 +114,71 @@ def test_sample_dataset_shapes_families_and_determinism():
 
 
 def test_poisson_rates_beyond_numpys_draw_limit_are_a_numerical_error():
-    # e^lin passes numpy's largest poisson rate (about 9.2e18) on this draw
+    # e^lin passes numpy's largest poisson rate (about 9.2e18) on this draw;
+    # the message names the largest lin, which the draw's exp overwrites
     cfg = SimConfig(n=1000, p=3, m_dim=3, k=2, eta=12.0, seed=3, family="poisson")
-    with pytest.raises(NumericalError, match="poisson rate"):
-        sample_dataset(make_truth(cfg), cfg, rep_seed=1)
+    truth = make_truth(cfg)
+    _, _, lin = replay_draw(truth, cfg, 1)
+    with pytest.raises(NumericalError, match=re.escape(f"poisson rate exp({lin.max():.4g}) is")):
+        sample_dataset(truth, cfg, rep_seed=1)
+
+
+def _assert_bernoulli_replay(cfg, rep_seed):
+    truth = make_truth(cfg)
+    rng, x, lin = replay_draw(truth, cfg, rep_seed)
+    y = (rng.random((cfg.n, cfg.m_dim)) < expit(lin)).astype(float)
+    ds = sample_dataset(truth, cfg, rep_seed=rep_seed)
+    assert np.array_equal(ds.x, x)
+    assert np.array_equal(ds.y, y)
 
 
 def test_bernoulli_responses_replay_the_documented_stream_through_expit():
     # The response rule is u < scipy.special.expit(lin), not the fitting
     # kernels' sigmoid, so simulated datasets stay fixed when those change.
-    cfg = SimConfig(n=2000, p=4, m_dim=4, k=2, eta=4.0, seed=15, family="bernoulli")
+    _assert_bernoulli_replay(
+        SimConfig(n=2000, p=4, m_dim=4, k=2, eta=4.0, seed=15, family="bernoulli"), 3
+    )
+
+
+def _table1_oracle_draw():
+    """The config and seed of the default table1 run's 100k-row oracle draw."""
+    spec = experiment_spec("table1")
+    cfg = dataclasses.replace(spec.grid[0], n=spec.n_mc, seed=_mix(spec.seed, 0))
+    return cfg, cfg.seed ^ ORACLE_SALT
+
+
+def test_bernoulli_responses_replay_at_the_table1_oracle_draw():
+    cfg, rep_seed = _table1_oracle_draw()
+    assert (cfg.n, cfg.p, cfg.m_dim, cfg.k, cfg.eta) == (100_000, 4, 4, 3, 4.0)
+    _assert_bernoulli_replay(cfg, rep_seed)
+
+
+@pytest.mark.parametrize("family, eta", [("gaussian", 4.0), ("poisson", 1.0)])
+def test_responses_replay_the_documented_stream(family, eta):
+    cfg = SimConfig(n=2000, p=4, m_dim=4, k=2, eta=eta, seed=15, family=family)
     truth = make_truth(cfg)
-    rng = _stream(_DATA_DOMAIN, 3)
-    z = rng.standard_normal((cfg.n, cfg.k)) @ _sigma_z_sqrt(truth.sigma_z).T
-    x = z @ truth.a.T + rng.standard_normal((cfg.n, cfg.p))
-    lin = x @ truth.theta.T + z @ truth.b.T
-    y = (rng.random((cfg.n, cfg.m_dim)) < expit(lin)).astype(float)
+    rng, x, lin = replay_draw(truth, cfg, 3)
+    if family == "gaussian":
+        y = lin + rng.standard_normal((cfg.n, cfg.m_dim))
+    else:
+        y = rng.poisson(np.exp(lin)).astype(float)
     ds = sample_dataset(truth, cfg, rep_seed=3)
     assert np.array_equal(ds.x, x)
     assert np.array_equal(ds.y, y)
+
+
+def test_the_table1_oracle_draw_is_built_in_place():
+    cfg, rep_seed = _table1_oracle_draw()
+    truth = make_truth(cfg)
+    tracemalloc.start()
+    try:
+        sample_dataset(truth, cfg, rep_seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured at 11.8 MiB, 20.6 MiB with a fresh array per operation; z, x, lin
+    # and one 100k x 4 temporary alone are 11.4 MiB
+    assert peak < 14 * 2**20
 
 
 def test_covariate_covariance_obeys_the_factor_structure():
