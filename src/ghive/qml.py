@@ -23,11 +23,15 @@ negated Hessian (one batched Cholesky solve over a block's columns, see
 curvature matrix is not usable, and halve the step until the objective
 strictly increases.
 Accepted iterates therefore have a monotone objective path. The full step is
-tried first; the halvings after it run in stacked rounds, each evaluating as
-many of a column's next steps ``2**-j`` as STACK_ELEMENTS allows in one
-objective call, and the column takes the first of them that increases the
-objective: the step the one-at-a-time search would take. A column stops once
-its gradient sup-norm is below TOL, after MAX_ITER iterations or when no step
+tried first; the halvings after it run in stacked rounds, each evaluating
+some of a column's next steps ``2**-j`` in one objective call, and the
+column takes the first of them that increases the objective: the step the
+one-at-a-time search would take. A round holds as many halvings as
+STACK_ELEMENTS allows or, if more, as many as the column has already tried,
+so that they double, but no more candidates than the block has columns: a
+column stalled alone runs its 29 halvings in one call on a 100-row fold,
+and in six on a 5000-row fold's block of 8 columns. A column stops once its
+gradient sup-norm is below TOL, after MAX_ITER iterations or when no step
 increases the objective. This stopping rule belongs to the solver, so no
 caller sets it; a fit document records both constants.
 
@@ -110,10 +114,16 @@ BLOCK_ELEMENTS = 2**17
 
 # Element budget of the (candidates, n) predictors of one stacked round of
 # step halvings (64 KB). A stalled column on a 100-row fold gets all its
-# halvings in one objective call, while folds of more than 4096 rows keep one
-# halving per call: there a candidate nobody takes costs more than the call
-# it might save. The temporaries stay below glibc malloc's default 128 KB mmap
-# threshold, so the calls do not map and page-fault them afresh.
+# halvings in one objective call, and such temporaries stay below glibc
+# malloc's default 128 KB mmap threshold, so the calls do not map and
+# page-fault them afresh. Past 4096 rows the budget allows one halving per
+# call, and a round takes as many halvings as were already tried instead, up
+# to as many candidates as the block has columns: a column stalled alone in a
+# block of 8 or more costs at most 7 objective calls per iteration rather
+# than 30, and a fit-large op makes 304 line-search calls rather than 778, on
+# 1963 candidate rows rather than 1916. Rounds of up to BLOCK_ELEMENTS
+# candidates were faster in-process but took about 10k more minor page
+# faults per fit-large op.
 STACK_ELEMENTS = 2**13
 
 # Element budget (128 KB) of one column's (p, rows) chunk of scaled design
@@ -416,10 +426,14 @@ def _ascent_block(x, xt, y, family, f, kind):
     curvature is not finite (overflow, not warned about) stops where it is,
     unconverged. The line search tries the full step for every column, then
     stacks each failing column's next halvings, as many per round as keep
-    the (candidates, n) predictors within STACK_ELEMENTS, and takes the
-    first that increases the objective, as one halving at a time would. A
-    round's candidates broadcast over their columns' design rows, which are
-    never copied per candidate.
+    the (candidates, n) predictors within STACK_ELEMENTS or, if more, as
+    many as it has tried so far while the round's candidates number no more
+    than the block's columns, and takes the first that increases the
+    objective, as one halving at a time would. A stalled column alone in
+    its search thus pays 1, 2, 4, 8, ... halvings per call: in a block of 8
+    columns on a 5000-row fold, 7 calls where one halving per call takes
+    30. A round's candidates broadcast over their columns' design rows,
+    which are never copied per candidate.
 
     The block picks its objective, gradient and curvature-weight kernels
     once, by ``kind``, reading them by their module-level names as it runs.
@@ -475,10 +489,12 @@ def _ascent_block(x, xt, y, family, f, kind):
         direction[long] = direction[long] * (2.0 * RADIUS / dnorm[long])[:, None]
         halving, todo = 0, np.arange(live.size)
         while todo.size and halving < MAX_STEP_HALVINGS:
-            # round 0 tries the full step; later rounds stack as many of the
-            # failing columns' next halvings as STACK_ELEMENTS allows
-            k = 1 if halving == 0 else max(1, STACK_ELEMENTS // (n * todo.size))
-            k = min(k, MAX_STEP_HALVINGS - halving)
+            # round 0 tries the full step; later rounds stack the failing
+            # columns' next halvings: as many as STACK_ELEMENTS allows or, if
+            # more, as many as were tried before, while the round holds no
+            # more candidates than the block has columns
+            per = max(1, STACK_ELEMENTS // (n * todo.size), min(halving, len(f) // todo.size))
+            k = min(per if halving else 1, MAX_STEP_HALVINGS - halving)
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]

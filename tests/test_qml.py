@@ -492,6 +492,58 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
         assert n_calls <= 1 + 2 * iterations
 
 
+def test_a_stalled_column_on_a_large_fold_doubles_its_halvings_per_round(monkeypatch):
+    # fit-large's shape: 10000 rows, p = 20 and 8 poisson responses, one
+    # block of 8 columns, where STACK_ELEMENTS allows one halving per call
+    data = small_sim_dataset(
+        n=10000, p=20, m_dim=8, k=3, eta=4.0, seed=0, rep_seed=0, family="poisson"
+    )[0]
+    assert qml.STACK_ELEMENTS // data.n <= 1  # the budget alone: one halving per call
+    blocks, calls, block = [], [], qml._ascent_block
+
+    def objective(x, y, family, coef):
+        if np.ndim(coef) == 3:  # a line-search round: (steps, columns, p)
+            calls[-1].append(coef.shape[0] * coef.shape[1])
+        return loglik_objective(x, y, family, coef)
+
+    def gradient(*args):  # once per iteration: the next calls are its line search
+        calls.append([])
+        return loglik_gradient(*args)
+
+    def recorded(*args):
+        out = block(*args)
+        blocks.append((len(args[4]), out))
+        return out
+
+    monkeypatch.setattr(qml, "_ascent_block", recorded)
+    monkeypatch.setattr(qml, "loglik_objective", objective)
+    monkeypatch.setattr(qml, "loglik_gradient", gradient)
+    fit = fit_naive_mle(data, POISSON)
+    ((width, together),), searches = blocks, calls
+    assert width == 8 and not fit.converged.all()  # stalled columns ran
+    # no round passes the kernel more candidate rows than the block has columns
+    assert max(max(rounds) for rounds in searches if rounds) <= width
+    # a column that searches alone past the full step runs its 29 halvings in
+    # at most 6 rounds (1, 2, 4, 8, 8, 6): its line search makes at most 7
+    # calls, where one halving per call makes 30
+    alone = [rounds for rounds in searches if rounds[1:2] == [1]]
+    assert any(sum(rounds[1:]) == qml.MAX_STEP_HALVINGS - 1 for rounds in alone)
+    assert all(len(rounds) <= 7 for rounds in alone)
+    # the fits of the one-at-a-time search: one column per block, one
+    # halving per call
+    blocks.clear()
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(qml, "STACK_ELEMENTS", 1)
+    fit_naive_mle(data, POISSON)
+    assert [w for w, _ in blocks] == [1] * width
+    for c, (_, one) in enumerate(blocks):
+        *got, path = (a[c] for a in together)
+        for a, b in zip(got, (a[0] for a in one[:4])):  # f, value, grad_norm, n_iter
+            assert np.array_equal(a, b)
+        # a column that stopped keeps its value for the block's later iterations
+        assert np.array_equal(path, np.pad(one[4][0], (0, len(path) - one[4].shape[1]), "edge"))
+
+
 def test_memory_follows_the_iterations_run_not_max_iter(monkeypatch):
     x, y = _column_cases(GAUSSIAN)
     short = _ascent(x, y[:, 0], GAUSSIAN, [np.zeros(3), np.ones(3)])
