@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print the minor page faults and the CPU time of warm benchmark ops.
+
+Runs ops of one ghbench workload in this process the way the benchmark's
+timed loop does (see ghbench/harness.py): one warm-up op, then for each op
+its input is made outside the measured region, ``gc.collect()`` runs, and
+the benchmark's speed kernel runs right before and right after the op, so
+each op starts from the heap a benchmark op starts from. Threads are pinned
+as ghbench/run.py pins them. Each line gives an op's pool entry, its minor
+page faults (the ``ru_minflt`` delta) and its CPU seconds; the last line
+gives their medians. Outputs are not checked, and nothing is gated.
+
+    python scripts/op_faults.py [--workload fit-large] [--ops 4] [--first 0]
+"""
+
+import argparse
+import gc
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ghbench")]
+
+import run  # noqa: E402
+
+run.pin_threads()  # before numpy loads
+
+import workloads  # noqa: E402
+from speed import SpeedProbe  # noqa: E402
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="fit-large", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--ops", type=int, default=4)
+    parser.add_argument("--first", type=int, default=0, help="pool entry of the first op")
+    args = parser.parse_args()
+    workload = workloads.WORKLOADS[args.workload]
+    speed = SpeedProbe(workloads.kernel_passes(workload))
+    entries = [(args.first + i) % workload.pool for i in range(args.ops)]
+    faults, cpus = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for op, entry in enumerate([workload.pool - 1, *entries]):  # the first is the warm-up
+            inputs = workload.prepare(entry, workloads.fresh_dir(work / "input"))
+            outdir = workloads.fresh_dir(work / "output")
+            gc.collect()
+            speed.kernel_s()
+            minflt, cpu = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
+            out = workload.run(inputs, entry, outdir)
+            cpu = time.process_time() - cpu
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
+            speed.kernel_s()
+            del out, inputs
+            if op:
+                faults.append(minflt)
+                cpus.append(cpu)
+                print(f"{args.workload} entry {entry:3d}: {minflt:7d} minor faults, "
+                      f"{cpu * 1e3:8.1f} ms CPU")
+    print(f"{args.workload} median of {len(cpus)} ops: {statistics.median(faults):9.1f} "
+          f"minor faults, {statistics.median(cpus) * 1e3:8.1f} ms CPU")
+
+
+if __name__ == "__main__":
+    main()

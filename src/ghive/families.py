@@ -18,11 +18,15 @@ block instead of on every call. Callers that already hold ``b'`` or the
 weighted residual at a point pass it on, to ``cumulant_d2`` or
 :func:`hessian_weight`, rather than have it recomputed.
 
-The bernoulli and poisson kernels, which the solver calls on every
-iteration, compute in the one array they return: each step writes over the
-last (``out=`` and in-place operators) instead of allocating a temporary
-per arithmetic step. The steps and their order are those of the formulas,
-so the results are the same bit for bit.
+The kernels the solver calls on every iteration compute in the one array
+they return: each step writes over the last (``out=`` and in-place
+operators) instead of allocating a temporary per arithmetic step, and a
+step that needs a second array writes it into ``tmp``. A caller that passes
+``out`` (and ``tmp``), arrays of the result's shape, gets the result in
+``out`` and allocates nothing; the solver carves them out of one workspace
+per solve. Without them each kernel allocates its own. The steps and their
+order are those of the formulas either way, so the results are the same
+bit for bit.
 
 Every bernoulli kernel runs on numpy's vectorised ``exp`` and ``log1p``:
 the sigmoid is ``1 / (1 + e^-t)``, the formula ``scipy.special.expit``
@@ -95,47 +99,51 @@ def family_from_name(name: str) -> GlmFamily:
     return GlmFamily(name.strip().lower())
 
 
-def cumulant(family: GlmFamily, t):
+def cumulant(family: GlmFamily, t, out=None, tmp=None):
     """Cumulant ``b(t)``: t^2/2, softplus log(1 + e^t), e^t."""
     t = np.asarray(t, dtype=float)
+    b = np.empty(t.shape) if out is None else out
     if family.kind == "gaussian":
-        return 0.5 * t * t
-    if family.kind == "bernoulli":
-        b = np.abs(t, out=np.empty(t.shape))
+        np.multiply(0.5, t, out=b)
+        b *= t
+    elif family.kind == "bernoulli":
+        np.abs(t, out=b)
         np.negative(b, out=b)
         np.log1p(np.exp(b, out=b), out=b)
-        b += np.maximum(t, 0.0)
-        return b
-    return np.exp(t)
+        b += np.maximum(t, 0.0, out=tmp)
+    else:
+        np.exp(t, out=b)
+    return b
 
 
-def cumulant_d1(family: GlmFamily, t):
+def cumulant_d1(family: GlmFamily, t, out=None):
     """Mean function ``b'`` at t: t, sigma(t), e^t."""
     t = np.asarray(t, dtype=float)
     if family.kind == "gaussian":
-        return t.copy()
+        return _filled(out, t)
     if family.kind == "bernoulli":
-        return _sigmoid(t)
-    return np.exp(t)
+        return _sigmoid(t, out)
+    return np.exp(t, out=out)
 
 
-def cumulant_d2(family: GlmFamily, t, d1=None):
+def cumulant_d2(family: GlmFamily, t, d1=None, out=None):
     """Variance function ``b''`` at t: 1, sigma(t) sigma(-t), e^t.
 
     A caller that already holds ``d1 = b'(t)`` passes it to save the second
-    sigma(t) or e^t: b'' is then ``d1 * sigma(-t)`` or ``d1`` itself.
+    sigma(t) or e^t: b'' is then ``d1 * sigma(-t)``, or ``d1`` itself, which
+    is returned as it is.
     """
     t = np.asarray(t, dtype=float)
     if family.kind == "gaussian":
-        return np.ones_like(t)
+        return _filled(out, 1.0, t.shape)
+    if family.kind == "poisson":
+        return cumulant_d1(family, t, out) if d1 is None else d1
     if d1 is None:
         d1 = cumulant_d1(family, t)
-    if family.kind == "bernoulli":
-        # sigma(t) * sigma(-t) stays accurate in both tails, unlike p*(1-p).
-        b2 = _sigmoid(-t)
-        b2 *= d1
-        return b2
-    return d1
+    # sigma(t) * sigma(-t) stays accurate in both tails, unlike p*(1-p).
+    b2 = _sigmoid(-t if out is None else np.negative(t, out=out), out)
+    b2 *= d1
+    return b2
 
 
 def weighted_residual(family: GlmFamily, y, eta, floor=None):
@@ -166,14 +174,14 @@ def weighted_residual(family: GlmFamily, y, eta, floor=None):
     return quasi_residual(family, quasi_response(family, y), eta, floor)
 
 
-def quasi_residual(family: GlmFamily, r, eta, floor):
+def quasi_residual(family: GlmFamily, r, eta, floor, out=None, tmp=None):
     """:func:`weighted_residual` with the response given as
     :func:`quasi_response` forms it, and the floor given."""
     eta = np.asarray(eta, dtype=float)
     if family.kind == "gaussian":
-        return r - eta
+        return np.subtract(r, eta, out=out)
     cap = 1.0 / floor
-    res = np.empty(np.broadcast(r, eta).shape)
+    res = np.empty(np.broadcast(r, eta).shape) if out is None else out
     if family.kind == "bernoulli":
         # e^(-s eta): -(s eta) has the bits of (-s) eta
         np.negative(np.multiply(r, eta, out=res), out=res)
@@ -184,7 +192,7 @@ def quasi_residual(family: GlmFamily, r, eta, floor):
         return np.clip(res, -cap, cap, out=res)
     # poisson
     with np.errstate(over="ignore"):
-        e = np.exp(eta, out=np.empty(eta.shape))
+        e = np.exp(eta, out=np.empty(eta.shape) if tmp is None else tmp)
     np.subtract(r, e, out=res)
     np.maximum(e, floor, out=e)  # finite exactly where e^eta is
     with np.errstate(invalid="ignore"):
@@ -194,7 +202,7 @@ def quasi_residual(family: GlmFamily, r, eta, floor):
     return res
 
 
-def hessian_weight(family: GlmFamily, eta, res):
+def hessian_weight(family: GlmFamily, eta, res, out=None):
     """Per-observation curvature weight, minus the ``eta``-derivative of the
     weighted residual ``res`` at ``eta``: ``1 + res * d/deta log b''(eta)``.
 
@@ -205,15 +213,15 @@ def hessian_weight(family: GlmFamily, eta, res):
     weight is 1, ``1 + res (1 - 2 sigma)`` and ``1 + res``.
     """
     if family.kind == "gaussian":
-        return np.ones_like(res)
+        return _filled(out, 1.0, np.shape(res))
     if family.kind == "bernoulli":
-        w = _sigmoid(eta, np.empty(np.broadcast(eta, res).shape))
+        w = _sigmoid(eta, np.empty(np.broadcast(eta, res).shape) if out is None else out)
         w *= 2.0
         np.subtract(1.0, w, out=w)
         w *= res
         w += 1.0
         return w
-    return 1.0 + res
+    return np.add(1.0, res, out=out)
 
 
 def quasi_loglik_term(family: GlmFamily, y, eta):
@@ -233,16 +241,20 @@ def quasi_loglik_term(family: GlmFamily, y, eta):
     return quasi_term(family, quasi_response(family, y), eta)
 
 
-def quasi_term(family: GlmFamily, r, eta):
+def quasi_term(family: GlmFamily, r, eta, out=None, tmp=None):
     """:func:`quasi_loglik_term` with the response given as
     :func:`quasi_response` forms it."""
     eta = np.asarray(eta, dtype=float)
+    term = np.empty(np.broadcast(r, eta).shape) if out is None else out
     if family.kind == "gaussian":
-        return r * eta - 0.5 * eta * eta
-    term = np.empty(np.broadcast(r, eta).shape)
+        np.multiply(r, eta, out=term)
+        half = np.multiply(0.5, eta, out=tmp)
+        half *= eta
+        term -= half
+        return term
     if family.kind == "bernoulli":
         np.multiply(r, eta, out=term)  # t = s eta
-        e = np.negative(term, out=np.empty(term.shape))
+        e = np.negative(term, out=np.empty(term.shape) if tmp is None else tmp)
         with np.errstate(over="ignore"):
             np.exp(e, out=e)
         term -= e
@@ -257,6 +269,15 @@ def quasi_term(family: GlmFamily, r, eta):
     term -= eta
     term += r
     return term
+
+
+def _filled(out, value, shape=None):
+    """``value`` broadcast to ``shape`` (its own shape by default), in ``out``
+    if given."""
+    if out is None:
+        out = np.empty(np.shape(value) if shape is None else shape)
+    np.copyto(out, value)
+    return out
 
 
 def _sigmoid(t, out=None):

@@ -63,6 +63,18 @@ stacked arrays, coefficients (designs, C, p) and gradient sup-norms
 the start rule, and :func:`fit_naive_many` wraps each design's rows in a
 :class:`CoefMatrix`.
 
+Each :func:`_newton_ascent` call allocates one float workspace, sized for
+its largest block, and every block carves its (columns, n) arrays out of it
+as views: the predictors; the gradient's residual, later a line-search
+round's candidate predictors; the curvature weight, later the objective
+terms; the kernels' temporaries; and the :func:`gram_buffer`. The kernels
+write into these arrays, passed as ``out``, and allocate their own when
+called without them, as :mod:`ghive.inference` and the tests call them,
+with the same bits either way. So a block's iterations, and the blocks
+after it, reuse the pages the first block touched rather than map and
+page-fault fresh arrays; the workspace goes when the call returns, and
+nothing is kept across calls.
+
 :func:`weighted_gram` sums each column's curvature matrix over consecutive
 row chunks sized by p alone, so its operands stay in cache and its bits do
 not depend on the columns beside it; each chunk's rows are scaled for a
@@ -102,7 +114,8 @@ MAX_ITER = 100
 MAX_STEP_HALVINGS = 30
 
 # Element budget (1 MB) of a column block's per-column working set: its
-# (columns, n) predictors, responses, residuals and weights. A solve with
+# (columns, n) predictors, responses, residuals and weights, all but the
+# responses views of the solve's workspace (see _block_size). A solve with
 # more columns runs them in several blocks, each paying its own iteration and
 # line-search bookkeeping, so a 5000-row fold runs up to 26 columns in one
 # block while a 100k-row oracle fit still runs one column at a time. The same
@@ -114,16 +127,16 @@ BLOCK_ELEMENTS = 2**17
 
 # Element budget of the (candidates, n) predictors of one stacked round of
 # step halvings (64 KB). A stalled column on a 100-row fold gets all its
-# halvings in one objective call, and such temporaries stay below glibc
-# malloc's default 128 KB mmap threshold, so the calls do not map and
-# page-fault them afresh. Past 4096 rows the budget allows one halving per
-# call, and a round takes as many halvings as were already tried instead, up
-# to as many candidates as the block has columns: a column stalled alone in a
-# block of 8 or more costs at most 7 objective calls per iteration rather
-# than 30, and a fit-large op makes 304 line-search calls rather than 778, on
-# 1963 candidate rows rather than 1916. Rounds of up to BLOCK_ELEMENTS
-# candidates were faster in-process but took about 10k more minor page
-# faults per fit-large op.
+# halvings in one objective call. Past 4096 rows the budget allows one
+# halving per call, and a round takes as many halvings as were already tried
+# instead, up to as many candidates as the block has columns: a column
+# stalled alone in a block of 8 or more costs at most 7 objective calls per
+# iteration rather than 30, and a fit-large op makes 304 line-search calls
+# rather than 778, on 1963 candidate rows rather than 1916. A round thus
+# holds at most max(columns, STACK_ELEMENTS // n) candidates, the rows of
+# the workspace's candidate arrays (see _block_size). Rounds of up to
+# BLOCK_ELEMENTS candidates, each allocating its own arrays, were faster
+# in-process but took about 10k more minor page faults per fit-large op.
 STACK_ELEMENTS = 2**13
 
 # Element budget (128 KB) of one column's (p, rows) chunk of scaled design
@@ -206,8 +219,9 @@ class CoefMatrix:
 # row at a block (C, p) with y (C, n), by stacked matmuls and row means only
 
 
-def _eta(x: np.ndarray, coef) -> np.ndarray:
-    return (x @ np.asarray(coef, dtype=float)[..., None])[..., 0]
+def _eta(x: np.ndarray, coef, out=None) -> np.ndarray:
+    coef = np.asarray(coef, dtype=float)[..., None]
+    return np.matmul(x, coef, out=None if out is None else out[..., None])[..., 0]
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,49 +234,69 @@ def _gradient(x: np.ndarray, score: np.ndarray) -> np.ndarray:
     return (x.swapaxes(-1, -2) @ score[..., None])[..., 0] / x.shape[-2]
 
 
-def quasi_objective(x: np.ndarray, r: np.ndarray, family: GlmFamily, coef):
+# Each kernel below allocates its (rows, n) arrays, or writes them into
+# ``out``, arrays of the predictors' shape: for an objective the predictors,
+# the terms and a temporary; for a gradient the curvature weight's input and
+# a temporary.
+
+
+def quasi_objective(x: np.ndarray, r: np.ndarray, family: GlmFamily, coef, out=(None,) * 3):
     """Mean modified quasi-log-likelihood at ``coef``, and the predictors
     ``eta = x . coef`` it was evaluated at. ``r`` is the response as
     :func:`~ghive.families.quasi_response` forms it."""
-    eta = _eta(x, coef)
-    return np.mean(quasi_term(family, r, eta), axis=-1), eta
+    eta, term, tmp = out
+    eta = _eta(x, coef, eta)
+    return np.mean(quasi_term(family, r, eta, out=term, tmp=tmp), axis=-1), eta
 
 
-def quasi_gradient(x: np.ndarray, r: np.ndarray, family: GlmFamily, eta: np.ndarray):
+def quasi_gradient(
+    x: np.ndarray, r: np.ndarray, family: GlmFamily, eta: np.ndarray, out=(None,) * 2
+):
     """Gradient of :func:`quasi_objective` at the predictors ``eta``, the mean
     of weighted residual times x, and that residual, from which
     :func:`~ghive.families.hessian_weight` gives the curvature weight."""
-    residual = quasi_residual(family, r, eta, VARIANCE_FLOOR)
+    res, tmp = out
+    residual = quasi_residual(family, r, eta, VARIANCE_FLOOR, out=res, tmp=tmp)
     return _gradient(x, residual), residual
 
 
-def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef):
+def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef, out=(None,) * 3):
     """Mean ordinary log-likelihood (up to the y-only term) at ``coef``, and
     the predictors ``eta = x . coef`` it was evaluated at."""
-    eta = _eta(x, coef)
-    b = cumulant(family, eta)
+    eta, b, tmp = out
+    eta = _eta(x, coef, eta)
+    b = cumulant(family, eta, out=b, tmp=tmp)
     with np.errstate(invalid="ignore"):
-        return np.mean(y * eta - b, axis=-1), eta
+        term = np.multiply(y, eta, out=tmp)
+        term -= b
+        return np.mean(term, axis=-1), eta
 
 
-def loglik_gradient(x: np.ndarray, y: np.ndarray, family: GlmFamily, eta: np.ndarray):
+def loglik_gradient(
+    x: np.ndarray, y: np.ndarray, family: GlmFamily, eta: np.ndarray, out=(None,) * 2
+):
     """Gradient of :func:`loglik_objective` at the predictors ``eta``, the mean
     of ``y - b'`` times x, and ``b'``, from which
     :func:`~ghive.families.cumulant_d2` gives the curvature weight."""
-    d1 = cumulant_d1(family, eta)
-    return _gradient(x, y - d1), d1
+    d1, tmp = out
+    d1 = cumulant_d1(family, eta, out=d1)
+    return _gradient(x, np.subtract(y, d1, out=tmp)), d1
 
 
-def gram_buffer(x: np.ndarray, n_cols: int) -> np.ndarray:
+def gram_buffer(x: np.ndarray, n_cols: int, out=None) -> np.ndarray:
     """A buffer for :func:`weighted_gram` over ``x`` (n, p), or (C, n, p),
     with up to ``n_cols`` weight rows: room for one row chunk of the scaled
     design, (columns, p, rows), with ``rows = min(n, _GRAM_ELEMENTS // p)``
     and as many columns as keep it within BLOCK_ELEMENTS (at least one of
-    each)."""
-    n, p = x.shape[-2:]
+    each). Given ``out``, a flat float array, the buffer is a view of its
+    first elements."""
+    width, p, rows = shape = _gram_shape(*x.shape[-2:], n_cols)
+    return np.empty(shape) if out is None else out[: width * p * rows].reshape(shape)
+
+
+def _gram_shape(n: int, p: int, n_cols: int) -> tuple:
     rows = min(n, max(1, _GRAM_ELEMENTS // p))
-    width = max(1, min(n_cols, BLOCK_ELEMENTS // (p * rows)))
-    return np.empty((width, p, rows))
+    return max(1, min(n_cols, BLOCK_ELEMENTS // (p * rows))), p, rows
 
 
 def weighted_gram(x: np.ndarray, weights: np.ndarray, xt=None, buf=None) -> np.ndarray:
@@ -390,33 +424,53 @@ def _newton_ascent(designs, family, starts, kind):
     per stage, and so do the 40 folds of a table1 grid point. A design whose
     C columns fill that alone (a fit-large or cli-roundtrip fold, the
     100k-row oracle) runs by itself, its design broadcast over blocks of
-    ``BLOCK_ELEMENTS // n`` columns rather than gathered."""
+    ``BLOCK_ELEMENTS // n`` columns rather than gathered.
+
+    Every block runs in one workspace, allocated once per call and sized for
+    the largest block (see :func:`_block_size`): later blocks reuse the
+    pages the first one touched, and nothing is kept across calls."""
     d_dim, c_dim, p = starts.shape
     f, value, grad_norm = np.empty(starts.shape), np.empty((d_dim, c_dim)), np.empty((d_dim, c_dim))
+    plan = []  # (n, designs, columns per block of each design)
     for n in dict.fromkeys(len(x) for x, _ in designs):
         group = [d for d, (x, _) in enumerate(designs) if len(x) == n]
-        response = np.arange(c_dim) % designs[group[0]][1].shape[1]
         per = max(1, BLOCK_ELEMENTS // (p * c_dim * n))
         for chunk in (group[g : g + per] for g in range(0, len(group), per)):
-            if len(chunk) == 1:  # its design broadcast over blocks of columns
-                (d,), width = chunk, max(1, BLOCK_ELEMENTS // n)
-                x, y = designs[d]
-                xt = np.ascontiguousarray(x.T)
-                for cols in np.split(np.arange(c_dim), range(width, c_dim, width)):
-                    block = _ascent_block(x, xt, y.T[response[cols]], family, starts[d, cols], kind)
-                    f[d, cols], value[d, cols], grad_norm[d, cols] = block[:3]
-            else:  # each column gets its design's rows
-                x = np.repeat(np.stack([designs[d][0] for d in chunk]), c_dim, axis=0)
-                y = np.stack([designs[d][1] for d in chunk]).transpose(0, 2, 1)[:, response]
-                start = starts[chunk].reshape(-1, p)
-                block = _ascent_block(x, None, y.reshape(-1, n), family, start, kind)
-                f[chunk] = block[0].reshape(-1, c_dim, p)
-                value[chunk], grad_norm[chunk] = (a.reshape(-1, c_dim) for a in block[1:3])
+            width = min(c_dim, max(1, BLOCK_ELEMENTS // n)) if len(chunk) == 1 else c_dim
+            plan.append((n, chunk, width))
+    work = np.empty(max((_block_size(n, p, len(c) * width) for n, c, width in plan), default=0))
+    for n, chunk, width in plan:
+        response = np.arange(c_dim) % designs[chunk[0]][1].shape[1]
+        if len(chunk) == 1:  # its design broadcast over blocks of columns
+            (d,) = chunk
+            x, y = designs[d]
+            xt = np.ascontiguousarray(x.T)
+            for cols in np.split(np.arange(c_dim), range(width, c_dim, width)):
+                block = _ascent_block(
+                    x, xt, y.T[response[cols]], family, starts[d, cols], kind, work=work
+                )
+                f[d, cols], value[d, cols], grad_norm[d, cols] = block[:3]
+        else:  # each column gets its design's rows
+            x = np.repeat(np.stack([designs[d][0] for d in chunk]), c_dim, axis=0)
+            y = np.stack([designs[d][1] for d in chunk]).transpose(0, 2, 1)[:, response]
+            start = starts[chunk].reshape(-1, p)
+            block = _ascent_block(x, None, y.reshape(-1, n), family, start, kind, work=work)
+            f[chunk] = block[0].reshape(-1, c_dim, p)
+            value[chunk], grad_norm[chunk] = (a.reshape(-1, c_dim) for a in block[1:3])
     return f, value, grad_norm
 
 
+def _block_size(n: int, p: int, columns: int) -> int:
+    """Elements of an :func:`_ascent_block` workspace: the (columns, n)
+    predictors, three (rows, n) arrays, where rows is the most candidates a
+    line-search round evaluates, the larger of ``columns`` and
+    ``STACK_ELEMENTS // n``, and the :func:`gram_buffer`."""
+    width, _, rows = _gram_shape(n, p, columns)
+    return (columns + 3 * max(columns, STACK_ELEMENTS // n)) * n + width * p * rows
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _ascent_block(x, xt, y, family, f, kind):
+def _ascent_block(x, xt, y, family, f, kind, work):
     """One block of :func:`_newton_ascent`, ``y`` (C, n). ``x`` is the
     design the columns share, (n, p), with ``xt`` its C-contiguous transpose
     for :func:`weighted_gram`, or each column's own design, (C, n, p), with
@@ -442,39 +496,48 @@ def _ascent_block(x, xt, y, family, f, kind):
     value of the gradient kernel gives the curvature weight. A "quasi" block
     forms its :func:`~ghive.families.quasi_response` once. Also returns each
     column's iteration count and its objective after every iteration run,
-    ``path`` (C, iterations + 1). One :func:`gram_buffer` serves the
-    curvature matrices of every iteration."""
-    n, shared, buf = x.shape[-2], x.ndim == 2, gram_buffer(x, len(f))
+    ``path`` (C, iterations + 1).
+
+    The kernels write their (C, n) arrays into views of ``work``, a flat
+    float array of at least :func:`_block_size` elements, made once per
+    block, or per round for the candidates: the predictors; the gradient's
+    residual, then the candidates' predictors; the curvature weight, then
+    the objective terms; the kernels' temporaries; and the gram buffer of
+    every iteration."""
+    n, shared, width = x.shape[-2], x.ndim == 2, len(f)
+    stack = max(width, STACK_ELEMENTS // n)
+    eta = work[: width * n].reshape(width, n)
+    bufs = work[width * n : (width + 3 * stack) * n].reshape(3, stack, n)
+    buf = gram_buffer(x, width, work[(width + 3 * stack) * n :])
     if kind == "quasi":
         y = quasi_response(family, y)
         objective, gradient, weight = quasi_objective, quasi_gradient, hessian_weight
     else:
         objective, gradient, weight = loglik_objective, loglik_gradient, cumulant_d2
     f = _ball_project(f)  # callers pass a copy; it is updated in place
-    value, eta = objective(x, y, family, f)
+    value = objective(x, y, family, f, (eta, *bufs[1:, :width]))[0]
     path = [value.copy()]
-    grad, grad_norm = np.zeros_like(f), np.full(len(f), np.inf)
-    n_iter = np.zeros(len(f), dtype=int)
+    grad, grad_norm = np.zeros_like(f), np.full(width, np.inf)
+    n_iter = np.zeros(width, dtype=int)
     live = np.flatnonzero(np.isfinite(value))
     for it in range(MAX_ITER + 1):
         if not live.size:
             break
         # the live columns' rows: views while no column has stopped
-        rows = slice(None) if live.size == len(f) else live
+        rows = slice(None) if live.size == width else live
         eta_live = eta[rows]
-        grad[live], score = gradient(x if shared else x[rows], y[rows], family, eta_live)
+        grad[live], score = gradient(
+            x if shared else x[rows], y[rows], family, eta_live, bufs[::2, : live.size]
+        )
         norm = grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
         going = (norm >= TOL) & np.isfinite(norm)
         live = live[going]
         if it == MAX_ITER or not live.size:
             break
         keep = slice(None) if going.all() else going
-        w = weight(family, eta_live[keep], score[keep])
-        # free the iterate's (C, n) arrays before the gram and the line search
-        # make their own; the going columns' rows are x itself while every
-        # column goes on
-        del eta_live, score
-        curv = weighted_gram(x if shared or live.size == len(f) else x[live], w, xt, buf) / n
+        w = weight(family, eta_live[keep], score[keep], bufs[1, : live.size])
+        del eta_live, score  # a copy once some column has stopped
+        curv = weighted_gram(x if shared or live.size == width else x[live], w, xt, buf) / n
         del w
         if not np.isfinite(curv).all():
             finite = np.isfinite(curv).all(axis=(1, 2))
@@ -493,16 +556,17 @@ def _ascent_block(x, xt, y, family, f, kind):
             # columns' next halvings: as many as STACK_ELEMENTS allows or, if
             # more, as many as were tried before, while the round holds no
             # more candidates than the block has columns
-            per = max(1, STACK_ELEMENTS // (n * todo.size), min(halving, len(f) // todo.size))
+            per = max(1, STACK_ELEMENTS // (n * todo.size), min(halving, width // todo.size))
             k = min(per if halving else 1, MAX_STEP_HALVINGS - halving)
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
             cand = _ball_project(cand.reshape(-1, f.shape[1]))
             # a column's k candidates broadcast over its rows, gathered once
+            out = bufs[:, : k * cols.size].reshape(3, k, cols.size, n)
             cand_value, cand_eta = objective(
-                x if shared or cols.size == len(f) else x[cols], y[cols], family,
-                cand.reshape(k, cols.size, -1),
+                x if shared or cols.size == width else x[cols], y[cols], family,
+                cand.reshape(k, cols.size, -1), out,
             )
             up = np.isfinite(cand_value) & (cand_value > value[cols])
             # each column takes its first (longest) increasing step, as when

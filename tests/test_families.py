@@ -361,3 +361,38 @@ def test_bernoulli_kernels_are_finite_and_quiet_in_the_far_tails():
     assert b.tolist() == [0.0, 5e-324, 745.0, 1e3]
     assert b2.tolist() == [0.0, 0.0, 0.0, 0.0]
     assert weight.tolist() == [2.0, 2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_kernels_writing_into_out_give_the_bits_they_allocate(name):
+    # the solver's kernels write into the arrays of its workspace, whatever
+    # they held; the far tails included: bernoulli at eta = +-800, and poisson
+    # where e^eta overflows to inf and the weighted residual is -1
+    family = FAMILIES[name]
+    rng = np.random.default_rng(5)
+    eta = np.concatenate([[-800.0, -0.0, 0.0, 800.0], rng.uniform(-30.0, 30.0, 60)])
+    y = {"gaussian": rng.standard_normal, "bernoulli": lambda size: rng.integers(0, 2, size),
+         "poisson": lambda size: rng.poisson(3.0, size)}[name](eta.size).astype(float)
+    r = quasi_response(family, y)
+    with np.errstate(over="ignore"):
+        d1, res = cumulant_d1(family, eta), quasi_residual(family, r, eta, VARIANCE_FLOOR)
+    calls = {
+        "cumulant": (cumulant, (family, eta), ("out", "tmp")),
+        "cumulant_d1": (cumulant_d1, (family, eta), ("out",)),
+        "cumulant_d2": (cumulant_d2, (family, eta), ("out",)),
+        "cumulant_d2 from b'": (cumulant_d2, (family, eta, d1), ("out",)),
+        "hessian_weight": (hessian_weight, (family, eta, res), ("out",)),
+        "quasi_residual": (quasi_residual, (family, r, eta, VARIANCE_FLOOR), ("out", "tmp")),
+        "quasi_term": (quasi_term, (family, r, eta), ("out", "tmp")),
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, (kernel, args, names) in calls.items():
+            want = kernel(*args)
+            given = {key: np.full(eta.shape, np.nan) for key in names}
+            got = kernel(*args, **given)
+            assert got.tobytes() == want.tobytes(), label
+            # the result is ``out`` itself, except b'' handed back as the given b'
+            handed_back = name == "poisson" and label.endswith("b'")
+            assert got is (d1 if handed_back else given["out"]), label
+    if name == "poisson":
+        assert np.isinf(d1[3]) and res[3] == -1.0

@@ -1,6 +1,7 @@
 """End-to-end fitting pipeline: cross-fitting, modes, projection, serialization."""
 
 import json
+import threading
 
 import jsonschema
 import numpy as np
@@ -140,6 +141,32 @@ def test_refit_with_same_seed_is_bitwise_identical(fitted):
     assert np.array_equal(fit.f_hat.values, again.f_hat.values)
     assert np.array_equal(fit.spectral.eigvals, again.spectral.eigvals)
     assert np.array_equal(fit.split.d1, again.split.d1)
+
+
+def test_fits_running_in_two_threads_are_the_serial_fits_bit_for_bit():
+    # each solve owns its workspace; nothing is shared between threads
+    cases = [
+        (small_sim_dataset(n=4000, p=10, m_dim=6, seed=5, rep_seed=6, family=family.kind)[0], family)
+        for family in (POISSON, BERNOULLI)
+    ]
+
+    def bits(fit):
+        return [a.tobytes() for a in (fit.f_hat.values, fit.f_hat.grad_norm, fit.theta_hat)]
+
+    serial = [bits(ghive_fit(data, family, seed=1)) for data, family in cases]
+    start, results = threading.Barrier(len(cases)), [[] for _ in cases]
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            results[i].append(bits(ghive_fit(*cases[i], seed=1)))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [[want] * 3 for want in serial]
 
 
 def test_different_split_seed_changes_the_answer(fitted):

@@ -45,9 +45,9 @@ def _ascent(x, y, family, starts):
     ``starts`` on the response ``y`` (n,): ``(f, value, grad_norm, n_iter,
     path)``, one row per start, as :func:`qml._ascent_block` returns them."""
     starts = np.array(starts, dtype=float)
-    return qml._ascent_block(
-        x, np.ascontiguousarray(x.T), np.tile(y, (len(starts), 1)), family, starts, "quasi"
-    )
+    work = np.empty(qml._block_size(len(x), x.shape[1], len(starts)))
+    y = np.tile(y, (len(starts), 1))
+    return qml._ascent_block(x, np.ascontiguousarray(x.T), y, family, starts, "quasi", work=work)
 
 
 def test_gaussian_qml_and_naive_mle_equal_least_squares():
@@ -478,9 +478,9 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
         monkeypatch.setattr(qml, name, count(getattr(qml, name)))
     block = qml._ascent_block
 
-    def measured(*args):
+    def measured(*args, **kwargs):
         calls[0] = 0
-        out = block(*args)
+        out = block(*args, **kwargs)
         costs.append((calls[0], out[4].shape[1] - 1))  # (calls, iterations)
         return out
 
@@ -501,17 +501,18 @@ def test_a_stalled_column_on_a_large_fold_doubles_its_halvings_per_round(monkeyp
     assert qml.STACK_ELEMENTS // data.n <= 1  # the budget alone: one halving per call
     blocks, calls, block = [], [], qml._ascent_block
 
-    def objective(x, y, family, coef):
+    def objective(*args, **kwargs):
+        coef = args[3]
         if np.ndim(coef) == 3:  # a line-search round: (steps, columns, p)
             calls[-1].append(coef.shape[0] * coef.shape[1])
-        return loglik_objective(x, y, family, coef)
+        return loglik_objective(*args, **kwargs)
 
-    def gradient(*args):  # once per iteration: the next calls are its line search
+    def gradient(*args, **kwargs):  # once per iteration: the next calls are its line search
         calls.append([])
-        return loglik_gradient(*args)
+        return loglik_gradient(*args, **kwargs)
 
-    def recorded(*args):
-        out = block(*args)
+    def recorded(*args, **kwargs):
+        out = block(*args, **kwargs)
         blocks.append((len(args[4]), out))
         return out
 
@@ -589,9 +590,9 @@ def test_each_iterate_is_evaluated_once(monkeypatch):
     count(families, "quasi_residual")
     block = qml._ascent_block
 
-    def measured(*args):
+    def measured(*args, **kwargs):
         counts.update(dict.fromkeys(names, 0))
-        out = block(*args)
+        out = block(*args, **kwargs)
         costs.append((args[-1], dict(counts), out[4].shape[1] - 1))  # kind, counts, iterations
         return out
 
@@ -630,9 +631,9 @@ def _block_designs(monkeypatch, record=np.ndim):
     designs gathered per column; ``np.shape`` gives (n, p) or (columns, n, p)."""
     seen, block = [], qml._ascent_block
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         seen.append(record(args[0]))
-        return block(*args)
+        return block(*args, **kwargs)
 
     monkeypatch.setattr(qml, "_ascent_block", recorded)
     return seen
@@ -681,6 +682,39 @@ def test_stacked_designs_over_several_gram_chunks_and_halving_rounds(family, mon
     for got, want in zip(qml._newton_ascent(designs, family, starts, "quasi"), together):
         assert np.array_equal(got, want)
     assert seen == [3]
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
+@pytest.mark.parametrize("kind", ["quasi", "loglik"])
+def test_blocks_reusing_one_workspace_keep_the_bits_of_each_column_alone(
+    family, kind, monkeypatch
+):
+    # one solve over a gathered block of two 40-row designs, then a 300-row
+    # design broadcast over two blocks of columns, which needs a larger
+    # workspace, then a 60-row design, which needs a smaller one
+    datasets = _datasets(family, n=40, p=3, m_dim=3, count=2, seed=50)
+    datasets += [_datasets(family, n=n, p=3, m_dim=3, count=1, seed=n)[0] for n in (300, 60)]
+    designs = [(d.x, d.y) for d in datasets]
+    starts = 0.3 * np.random.default_rng(8).standard_normal((4, 6, 3))
+    monkeypatch.setattr(qml, "BLOCK_ELEMENTS", 1500)  # 5 columns per 300-row block
+    assert qml._block_size(300, 3, 5) > qml._block_size(40, 3, 12) > qml._block_size(60, 3, 6)
+    seen, works = _block_designs(monkeypatch, np.shape), []
+    block = qml._ascent_block
+
+    def recorded(*args, **kwargs):
+        works.append(kwargs["work"])
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(qml, "_ascent_block", recorded)
+    together = qml._newton_ascent(designs, family, starts, kind)
+    assert seen == [(12, 40, 3), (300, 3), (300, 3), (60, 3)]
+    assert all(np.shares_memory(w, works[0]) for w in works)  # one array's views
+    kept = [a.copy() for a in together]
+    _assert_columns_alone(designs, family, starts, kind, together)
+    # a later solve writes into a workspace of its own, never the results
+    qml._newton_ascent(designs[::-1], family, -starts, kind)
+    for a, b in zip(together, kept):  # f, value, grad_norm
+        assert a.tobytes() == b.tobytes()
 
 
 def _f_hat_alone(data, split, family):
