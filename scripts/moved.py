@@ -1,0 +1,236 @@
+#!/usr/bin/env python3
+"""Say what a change moved: the numbers of this checkout against those of REV.
+
+    python scripts/moved.py REV
+
+Unpacks ``git archive REV src`` into a temporary directory (local git, no
+network), then runs one fixed list of cases twice, in two subprocesses: one
+on REV's ``src``, one on this checkout's, each with its own ``PYTHONPATH``,
+one BLAS thread and no worker pool. The cases:
+
+* fit-small entries 0-47 and fit-large entries 0-15: the ghbench op on each
+  entry's input, both built by ``ghbench/workloads.py`` (imported, never
+  changed): ``ghive_fit``, the interval on contrast (1, 1), the naive MLE
+  and its Wald interval, for each family;
+* the same op on the golden fit and infer inputs (``FIT_CONFIG`` and
+  ``FIT_SEEDS`` of ``tests/test_golden.py``), one per family;
+* table1 at seeds 0, 5, 15 and 26, 100 replicates each.
+
+Per case and family (table1: per seed and estimator) it prints ``bit-equal``,
+or for each quantity that moved its max abs and max relative change (relative
+to REV's value): ``f_hat``, ``theta_hat`` and the fold grad norms; the
+interval ends, ``k_hat`` and the converged counts; the naive fits; table1's
+two targets and each replicate metric. In the fit cases, response rows where
+a fold fit (re-solved by ``qml._fit_matrix``) or the naive fit lies on the
+coefficient ball (``qml.RADIUS``) in either tree are counted apart; the other
+quantities of an entry with such a row are too. Each table1 replicate whose
+``covered`` flips is listed. The script gates nothing: it exits 0 whatever
+moved. Each subprocess runs ``moved.py --dump PATH``.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+FIT_CASES = (("fit-small", range(48)), ("fit-large", range(16)))
+TABLE1_SEEDS = (0, 5, 15, 26)
+TABLE1_REPS = 100
+ON_BALL = 1.0 - 1e-9  # a row of norm above ON_BALL * RADIUS lies on the ball
+
+
+# ---------------------------------------------------------------------------
+# the cases, run in the tree that PYTHONPATH names
+
+
+def _fit_quantities(runs):
+    """The compared quantities of fit ops ``(data, family, fit, ci, naive,
+    wald)``, stacked over entries, and the rows of each that lie on the ball."""
+    from ghive.qml import RADIUS, _fit_matrix
+
+    def on_ball(f):
+        return np.linalg.norm(f, axis=-1) > ON_BALL * RADIUS
+
+    got = {k: [] for k in ("f_hat", "theta_hat", "grad_norm", "converged", "k_hat", "ci", "naive",
+                           "naive_grad_norm", "naive_converged", "wald", "fold_ball", "naive_ball")}
+    for data, family, fit, ci, naive, wald in runs:
+        folds = [(data.x[rows], data.y[rows]) for rows in (fit.split.d1, fit.split.d2)]
+        got["fold_ball"].append(on_ball(_fit_matrix(folds, family, "quasi")[0]).any(axis=0))
+        got["naive_ball"].append(on_ball(naive.values))
+        got["f_hat"].append(fit.f_hat.values)
+        got["theta_hat"].append(fit.theta_hat)
+        got["grad_norm"].append(fit.f_hat.grad_norm)
+        got["converged"].append(fit.f_hat.converged)
+        got["k_hat"].append([fit.spectral.k_hat])
+        got["ci"].append([[ci.ci_lo, ci.ci_hi]])
+        got["naive"].append(naive.values)
+        got["naive_grad_norm"].append(naive.grad_norm)
+        got["naive_converged"].append(naive.converged)
+        got["wald"].append([[wald.ci_lo, wald.ci_hi]])
+    out = {k: np.concatenate([np.asarray(a) for a in v]) for k, v in got.items()}
+    fold_ball, naive_ball = out.pop("fold_ball"), out.pop("naive_ball")
+    entry_ball = (fold_ball | naive_ball).reshape(len(runs), -1).any(axis=1)
+    balls = {k: fold_ball for k in ("f_hat", "theta_hat", "grad_norm", "converged")}
+    balls |= {k: naive_ball for k in ("naive", "naive_grad_norm", "naive_converged")}
+    balls |= {k: entry_ball for k in ("k_hat", "ci", "wald")}
+    return out, balls
+
+
+def _fit_cases():
+    import test_golden
+    import workloads
+    from ghive import families, make_truth, sample_dataset
+    from ghive.simulate import SimConfig
+
+    def ops(workload, inputs, seed):
+        """``(data, family, fit, ci, naive, wald)`` of each family's op."""
+        outs = workload.run(inputs, seed, None)
+        return [(data, families.family_from_name(fam), *out) for (fam, data), out in zip(inputs, outs)]
+
+    cases = {}
+    for name, entries in FIT_CASES:
+        workload = workloads.WORKLOADS[name]
+        runs = [ops(workload, workload.prepare(entry, None), entry) for entry in entries]
+        for i, fam in enumerate(workloads.FAMILIES):
+            cases[(f"{name} {entries[0]}-{entries[-1]}", fam)] = _fit_quantities([r[i] for r in runs])
+    for fam, seed in test_golden.FIT_SEEDS.items():
+        cfg = SimConfig(family=fam, seed=seed, **test_golden.FIT_CONFIG)
+        data = sample_dataset(make_truth(cfg), cfg, rep_seed=cfg.seed)
+        cases[("golden", fam)] = _fit_quantities(ops(workloads.WORKLOADS["fit-small"], [(fam, data)], seed))
+    return cases
+
+
+def _table1_cases():
+    from ghive.experiments import _targets, experiment_spec, run_experiment
+
+    cases = {}
+    for seed in TABLE1_SEEDS:
+        spec = experiment_spec("table1", reps=TABLE1_REPS, seed=seed)
+        targets = np.array([_targets(spec, gi)[1:] for gi in range(len(spec.grid))])
+        cases[(f"table1 seed {seed}", "targets")] = ({"target_fstar, target_theta": targets}, {})
+        by_estimator = {}
+        for row in run_experiment(spec).long_rows:  # sorted by grid point, estimator, rep, metric
+            metrics = by_estimator.setdefault(row["estimator"], {})
+            metrics.setdefault(row["metric"], []).append(
+                (row["grid_index"], row["rep"], row["value"], row["failed"])
+            )
+        for est, metrics in by_estimator.items():
+            quantities = {m: np.array(rows, dtype=float) for m, rows in metrics.items()}
+            cases[(f"table1 seed {seed}", est)] = (quantities, {})
+    return cases
+
+
+def dump(path):
+    import ghive
+
+    src = Path(os.environ["PYTHONPATH"].split(os.pathsep)[0]).resolve()
+    if Path(ghive.__file__).resolve().parent.parent != src:
+        sys.exit(f"ghive was imported from {ghive.__file__}, not from {src}")
+    with open(path, "wb") as fh:
+        pickle.dump(_fit_cases() | _table1_cases(), fh)
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+
+
+def _changes(a, b):
+    """Per row of ``a`` and ``b``: whether any bit differs, and the abs and
+    relative (to ``a``) change of each element (inf where one is not finite)."""
+    a, b = (np.ascontiguousarray(m).reshape(len(m), int(np.prod(m.shape[1:]))) for m in (a, b))
+    same = a.view(f"u{a.itemsize}") == b.view(f"u{b.itemsize}")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.where(same, 0.0, np.abs(b - a))
+        diff[~same & ~np.isfinite(diff)] = np.inf
+        rel = np.where(diff == 0.0, 0.0, diff / np.abs(a))
+    return ~same.all(axis=1), diff, rel
+
+
+def _moves(label, a, b, rows):
+    """One line for rows ``rows`` of quantity ``label``, or None if none moved."""
+    moved, diff, rel = _changes(a[rows], b[rows])
+    if not moved.any():
+        return None
+    return (f"{label}: max abs {diff.max():.3g}, max rel {rel.max():.3g} "
+            f"({moved.sum()} of {len(moved)} rows moved)")
+
+
+def _flags(label, a, b):
+    """One line for the flags ``label`` if any flips, else None."""
+    flips = int((a != b).sum())
+    if flips:
+        return f"{label}: {int(a.sum())} -> {int(b.sum())} of {a.size} ({flips} flags flip)"
+    return None
+
+
+def _covered_flips(a, b):
+    """Each replicate whose covered value flips, from rows (grid point, rep,
+    value, failed); a NaN (failed) value flips only to a number."""
+    va, vb = a[:, 2], b[:, 2]
+    flips = np.flatnonzero((va != vb) & ~(np.isnan(va) & np.isnan(vb)))
+    return [f"grid point {a[i, 0]:g} rep {a[i, 1]:g}: covered {va[i]:g} -> {vb[i]:g}" for i in flips]
+
+
+def compare(base, head):
+    """The report lines of each (case, group), REV's numbers first."""
+    lines = []
+    for key in [*base, *(k for k in head if k not in base)]:
+        if key not in base or key not in head:
+            lines.append(f"{key[0]:20} {key[1]:12} only in {'REV' if key in base else 'this tree'}")
+            continue
+        (qa, balls_a), (qb, balls_b) = base[key], head[key]
+        notes = []
+        for q in [*qa, *(q for q in qb if q not in qa)]:
+            a, b = qa.get(q), qb.get(q)
+            if a is None or b is None or a.shape != b.shape:
+                notes.append(f"{q}: shape {None if a is None else a.shape} -> "
+                             f"{None if b is None else b.shape}")
+            elif a.dtype == bool:
+                notes.append(_flags(q, a, b))
+            elif q in balls_a:
+                ball = balls_a[q] | balls_b[q]
+                notes.append(_moves(q, a, b, ~ball))
+                notes.append(_moves(f"{q} on the ball ({ball.sum()} rows)", a, b, ball))
+            else:
+                notes.append(_moves(q, a, b, slice(None)))
+                if q == "covered":
+                    notes.extend(_covered_flips(a, b))
+        notes = [n for n in notes if n]
+        lines.append(f"{key[0]:20} {key[1]:12} " + ("\n" + " " * 34).join(notes or ["bit-equal"]))
+    return lines
+
+
+def main():
+    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        return dump(sys.argv[2])
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    rev = sys.argv[1]
+    start = time.perf_counter()
+    env = {k: v for k, v in os.environ.items() if k != "GHIVE_THREADS"}
+    env |= dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, __file__, "--dump", f"{tmp}/{name}.pickle"],
+                env=env | {"PYTHONPATH": os.pathsep.join([src, str(ROOT / "ghbench"), str(ROOT / "tests")])},
+            )
+            for name, src in (("base", f"{tmp}/src"), ("head", str(ROOT / "src")))
+        ]
+        if any([p.wait() for p in procs]):
+            sys.exit("a run of the cases failed")
+        base, head = (pickle.loads(Path(f"{tmp}/{name}.pickle").read_bytes()) for name in ("base", "head"))
+    print(f"{rev} -> this checkout, {time.perf_counter() - start:.1f} s")
+    print("\n".join(compare(base, head)))
+
+
+if __name__ == "__main__":
+    main()

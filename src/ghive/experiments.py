@@ -5,10 +5,11 @@ Five named experiments cover the study: the approximation-bias sweep
 confounding strength, "fig2-n" over sample size, "fig2-m" over response
 count), and the coverage experiment ("table1"). Default grids and
 replication counts are desk scale; ``full_scale=True`` restores the original
-protocol sizes. ``ghive simulate`` runs a one-point error spec through the
-same :func:`run_experiment`. Every spec, named or built directly, is checked
-once, when it is built (:class:`ExperimentSpec`), so a bad one fails before
-any grid point runs.
+protocol sizes. Both scales of every experiment are one row of one table,
+``_PROTOCOLS``, which :func:`experiment_spec` reads. ``ghive simulate`` runs
+a one-point error spec through the same :func:`run_experiment`. Every spec,
+named or built directly, is checked once, when it is built
+(:class:`ExperimentSpec`), so a bad one fails before any grid point runs.
 
 Seed discipline: the experiment seed is mixed (splitmix-style) with the grid
 index to give each grid point its own stream family. Error experiments
@@ -134,6 +135,25 @@ class ExperimentSpec:
                 check_fold_rows(cfg.n, cfg.p)
 
 
+# The study protocol, one row per experiment: the SimConfig field its grid
+# sweeps, that field's values and the default reps (each at desk scale, then
+# at full scale), and the SimConfig fields every grid point shares.
+_PROTOCOLS = {
+    # Identity link: the approximation error of the pseudo-true coefficient
+    # has a closed form there, and its decay in p is clean.  Under the logit
+    # link the attenuation of the population coefficients grows with p fast
+    # enough to mask the decay on a grid this short.
+    "fig1-bias": ("p", ((3, 6, 9, 12, 15), tuple(range(3, 16))), (5, 20),
+                  {"n": 100, "m_dim": 3, "k": 3, "eta": 10.0, "family": "gaussian"}),
+    "fig1-eta": ("eta", ((1.0, 2.0, 4.0, 6.0, 8.0), tuple(map(float, range(1, 9)))), (100, 500),
+                 {"n": 100, "p": 4, "m_dim": 4, "k": 3}),
+    "fig2-n": ("n", ((100, 200, 300, 400), tuple(range(100, 401, 50))), (50, 200),
+               {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
+    "fig2-m": ("m_dim", ((4, 12, 20), (4, 8, 12, 16, 20)), (30, 100),
+               {"n": 200, "p": 4, "k": 3, "eta": 4.0}),
+    "table1": ("n", ((70,), (40, 70)), (100, 100), {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
+}
+
 # The coverage table fixes one truth draw per grid point, and draws differ in
 # how far confounding shifts the target coordinate; seed 15 is one where the
 # shift is material, which is the regime the table is about.
@@ -144,7 +164,8 @@ DEFAULT_SEEDS["table1"] = 15
 def experiment_spec(
     name: str, reps: int | None = None, seed: int | None = None, full_scale: bool = False
 ) -> ExperimentSpec:
-    """Build the canonical spec for a named experiment.
+    """Build the canonical spec for a named experiment from its row of
+    ``_PROTOCOLS``.
 
     ``reps=None`` takes the experiment's default replication count (desk
     scale unless ``full_scale``); ``seed=None`` takes its default seed
@@ -155,44 +176,11 @@ def experiment_spec(
         raise DataValidationError(msg)
     if seed is None:
         seed = DEFAULT_SEEDS[name]
-    n_mc = 50_000
-    if name == "fig1-bias":
-        ps = tuple(range(3, 16)) if full_scale else (3, 6, 9, 12, 15)
-        # Identity link: the approximation error of the pseudo-true coefficient
-        # has a closed form there, and its decay in p is clean.  Under the
-        # logit link the attenuation of the population coefficients grows with
-        # p fast enough to mask the decay on a grid this short.
-        grid = tuple(
-            SimConfig(n=100, p=p, m_dim=3, k=3, eta=10.0, seed=seed, family="gaussian")
-            for p in ps
-        )
-        default_reps = 20 if full_scale else 5
-        n_mc = 200_000 if full_scale else 50_000
-    elif name == "fig1-eta":
-        etas = tuple(range(1, 9)) if full_scale else (1, 2, 4, 6, 8)
-        grid = tuple(
-            SimConfig(n=100, p=4, m_dim=4, k=3, eta=float(e), seed=seed) for e in etas
-        )
-        default_reps = 500 if full_scale else 100
-    elif name == "fig2-n":
-        ns = tuple(range(100, 401, 50)) if full_scale else (100, 200, 300, 400)
-        grid = tuple(SimConfig(n=n, p=4, m_dim=4, k=3, eta=4.0, seed=seed) for n in ns)
-        default_reps = 200 if full_scale else 50
-    elif name == "fig2-m":
-        ms = (4, 8, 12, 16, 20) if full_scale else (4, 12, 20)
-        grid = tuple(SimConfig(n=200, p=4, m_dim=m, k=3, eta=4.0, seed=seed) for m in ms)
-        default_reps = 100 if full_scale else 30
-    else:  # table1
-        ns = (40, 70) if full_scale else (70,)
-        grid = tuple(SimConfig(n=n, p=4, m_dim=4, k=3, eta=4.0, seed=seed) for n in ns)
-        default_reps, n_mc = 100, 100_000
-    return ExperimentSpec(
-        name=name,
-        grid=grid,
-        reps=default_reps if reps is None else reps,
-        seed=seed,
-        n_mc=n_mc,
-    )
+    field, values, default_reps, shared = _PROTOCOLS[name]
+    grid = tuple(SimConfig(**shared, **{field: v}, seed=seed) for v in values[full_scale])
+    reps = default_reps[full_scale] if reps is None else reps
+    n_mc = 200_000 if full_scale and name == "fig1-bias" else 100_000 if name == "table1" else 50_000
+    return ExperimentSpec(name=name, grid=grid, reps=reps, seed=seed, n_mc=n_mc)
 
 
 # ---------------------------------------------------------------------------

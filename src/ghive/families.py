@@ -224,8 +224,9 @@ def hessian_weight(family: GlmFamily, eta, res, out=None):
     return np.add(1.0, res, out=out)
 
 
-def quasi_loglik_term(family: GlmFamily, y, eta):
-    """Antiderivative of the weighted residual in ``eta``, zero at eta = 0.
+def quasi_term(family: GlmFamily, r, eta, out=None, tmp=None):
+    """Antiderivative of the weighted residual in ``eta``, zero at eta = 0,
+    with the response ``y`` given as :func:`quasi_response` forms it (``r``).
 
     Closed forms (all checked against adaptive quadrature in the tests):
 
@@ -238,12 +239,6 @@ def quasi_loglik_term(family: GlmFamily, y, eta):
     The bernoulli form assumes binary y (see :func:`validate_response`) and,
     like the residual, takes one exponential per element.
     """
-    return quasi_term(family, quasi_response(family, y), eta)
-
-
-def quasi_term(family: GlmFamily, r, eta, out=None, tmp=None):
-    """:func:`quasi_loglik_term` with the response given as
-    :func:`quasi_response` forms it."""
     eta = np.asarray(eta, dtype=float)
     term = np.empty(np.broadcast(r, eta).shape) if out is None else out
     if family.kind == "gaussian":

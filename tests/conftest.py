@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 
 from ghive import SimConfig, make_truth, sample_dataset
 from ghive.experiments import experiment_spec, run_experiment
+from ghive.families import quasi_response, quasi_term
 from ghive.simulate import _DATA_DOMAIN, _sigma_z_sqrt, _stream
 
 settings.register_profile(
@@ -21,6 +22,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")
+
+
+def quasi_loglik_term(family, y, eta):
+    """The quasi-log-likelihood term of responses ``y`` at ``eta``: the
+    antiderivative of the weighted residual, zero at eta = 0."""
+    return quasi_term(family, quasi_response(family, y), eta)
 
 
 def small_sim_dataset(

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import agg_lookup, small_sim_dataset
+from conftest import agg_lookup, quasi_loglik_term, small_sim_dataset
 from ghive import BERNOULLI, GAUSSIAN
 from ghive.data_io import Dataset
 from ghive.experiments import experiment_spec
-from ghive.families import quasi_loglik_term, quasi_response, weighted_residual
+from ghive.families import quasi_response, weighted_residual
 from ghive.pipeline import ghive_fit
 from ghive.qml import (
     _newton_ascent,

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,37 +25,62 @@ from ghive.experiments import (
 )
 
 
+# The study protocol, written out: per experiment, the SimConfig field its
+# grid sweeps, the values at desk and at full scale, the fields every grid
+# point shares, the default reps at desk and at full scale, the default seed,
+# and the oracle draw size n_mc at desk and at full scale.
+_PROTOCOL = {
+    "fig1-bias": (
+        "p", (3, 6, 9, 12, 15), tuple(range(3, 16)),
+        {"n": 100, "m_dim": 3, "k": 3, "eta": 10.0, "family": "gaussian"},
+        (5, 20), 0, (50_000, 200_000),
+    ),
+    "fig1-eta": (
+        "eta", (1.0, 2.0, 4.0, 6.0, 8.0), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
+        {"n": 100, "p": 4, "m_dim": 4, "k": 3, "family": "bernoulli"},
+        (100, 500), 0, (50_000, 50_000),
+    ),
+    "fig2-n": (
+        "n", (100, 200, 300, 400), (100, 150, 200, 250, 300, 350, 400),
+        {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0, "family": "bernoulli"},
+        (50, 200), 0, (50_000, 50_000),
+    ),
+    "fig2-m": (
+        "m_dim", (4, 12, 20), (4, 8, 12, 16, 20),
+        {"n": 200, "p": 4, "k": 3, "eta": 4.0, "family": "bernoulli"},
+        (30, 100), 0, (50_000, 50_000),
+    ),
+    "table1": (
+        "n", (70,), (40, 70),
+        {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0, "family": "bernoulli"},
+        (100, 100), 15, (100_000, 100_000),
+    ),
+}
+
+
 def test_experiment_catalog_grids():
-    spec = experiment_spec("fig1-eta")
-    assert tuple(c.eta for c in spec.grid) == (1.0, 2.0, 4.0, 6.0, 8.0)
-    assert all(c.p == 4 and c.m_dim == 4 and c.n == 100 for c in spec.grid)
-    assert spec.reps == 100
-    spec = experiment_spec("fig2-n")
-    assert tuple(c.n for c in spec.grid) == (100, 200, 300, 400)
-    spec = experiment_spec("fig2-m")
-    assert tuple(c.m_dim for c in spec.grid) == (4, 12, 20)
-    spec = experiment_spec("fig1-bias")
-    assert tuple(c.p for c in spec.grid) == (3, 6, 9, 12, 15)
-    assert all(c.family == "gaussian" and c.m_dim == 3 == c.k for c in spec.grid)
-    assert experiments._kind(spec).estimators == ("fstar-oracle",)
-    spec = experiment_spec("table1")
+    for (name, row), full_scale in itertools.product(_PROTOCOL.items(), (False, True)):
+        field, desk, full, shared, reps, seed, n_mc = row
+        spec = experiment_spec(name, full_scale=full_scale)
+        assert (spec.name, spec.reps, spec.seed, spec.n_mc) == (
+            name, reps[full_scale], seed, n_mc[full_scale]
+        )
+        values = full if full_scale else desk
+        assert tuple(getattr(c, field) for c in spec.grid) == values
+        assert all(type(getattr(c, field)) is type(values[0]) for c in spec.grid)
+        rest = {"reps": 1, "sigma_z_decay": "negative", "seed": seed, **shared}
+        for cfg in spec.grid:
+            fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+            assert fields.pop(field) in values and fields == rest
+        other = experiment_spec(name, reps=3, seed=7, full_scale=full_scale)
+        assert (other.reps, other.seed, other.n_mc) == (3, 7, n_mc[full_scale])
+        assert other.grid == tuple(dataclasses.replace(c, seed=7) for c in spec.grid)
     assert ALPHA == 0.05
-    assert set(experiments._kind(spec).estimators) == {"data-driven", "naive-mle"}
-    assert tuple(c.n for c in spec.grid) == (70,)
-    full = experiment_spec("table1", full_scale=True)
-    assert tuple(c.n for c in full.grid) == (40, 70)
-    assert experiment_spec("table1").seed == 15
-    assert experiment_spec("fig2-n").seed == 0
-    assert experiment_spec("table1", seed=0).seed == 0
+    assert experiments._kind(experiment_spec("fig1-bias")).estimators == ("fstar-oracle",)
+    assert set(experiments._kind(experiment_spec("table1")).estimators) == {"data-driven", "naive-mle"}
     with pytest.raises(DataValidationError, match="fig9"):
         experiment_spec("fig9")
-    assert set(EXPERIMENT_NAMES) == {
-        "fig1-bias",
-        "fig1-eta",
-        "fig2-n",
-        "fig2-m",
-        "table1",
-    }
+    assert set(EXPERIMENT_NAMES) == set(_PROTOCOL)
 
 
 def test_reps_override_shrinks_the_run():

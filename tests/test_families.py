@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
+from conftest import quasi_loglik_term
 from ghive import BERNOULLI, GAUSSIAN, POISSON
 from ghive.errors import DataValidationError
 from ghive.families import (
@@ -22,7 +23,6 @@ from ghive.families import (
     family_from_name,
     hessian_weight,
     is_quadratic,
-    quasi_loglik_term,
     quasi_residual,
     quasi_response,
     quasi_term,

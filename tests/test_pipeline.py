@@ -12,7 +12,8 @@ from ghive import BERNOULLI, GAUSSIAN, POISSON, spectral
 from ghive.data_io import Dataset, matrix_to_json
 from ghive.errors import DataValidationError, NumericalError
 from ghive.families import RESIDUAL_CURVATURE_FLOOR, weighted_residual
-from ghive.qml import MAX_ITER, TOL, CoefMatrix, _fit_matrix, make_split
+from ghive.inference import basis_contrast, naive_wald_interval
+from ghive.qml import MAX_ITER, TOL, CoefMatrix, _fit_matrix, fit_naive_many, make_split
 from ghive.spectral import eigendecomposition
 from ghive.pipeline import (
     DERIVED_TOL,
@@ -450,6 +451,34 @@ def test_many_datasets_fit_as_one_ghive_fit_each(family, n):
     for data, seed, fit in zip(datasets, seeds, ghive_fit_many(datasets, family, seeds)):
         # the document holds every fitted number, so equal documents are equal bits
         assert serialize_fit(fit) == serialize_fit(ghive_fit(data, family, seed))
+
+
+# sigma_hat's GEMM sums an entry in another order at another position: over
+# truth seeds 0-11 of each family at this shape its entries moved by at most
+# 1.95 eps times the largest entry (7.1e-15 absolute).
+SIGMA_PERMUTED_EPS = 4.0
+
+
+@pytest.mark.parametrize("family, eta", [(GAUSSIAN, 4.0), (BERNOULLI, 4.0), (POISSON, 1.0)], ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permuting_the_responses_permutes_the_fits_bit_for_bit(family, eta, seed):
+    data = small_sim_dataset(200, 4, 20, 3, eta, seed, seed, family.kind)[0]
+    perm = np.random.default_rng(seed).permutation(20)
+    moved = Dataset(data.x, data.y[:, perm])
+    fit, fit_moved = ghive_fit(data, family, seed), ghive_fit(moved, family, seed)
+    assert fit_moved.f_hat.values.tobytes() == fit.f_hat.values[perm].tobytes()
+    assert fit_moved.f_hat.grad_norm.tobytes() == fit.f_hat.grad_norm[perm].tobytes()
+    assert fit_moved.spectral.k_hat == fit.spectral.k_hat
+    sigma = fit.spectral.sigma_hat[np.ix_(perm, perm)]
+    bound = SIGMA_PERMUTED_EPS * np.finfo(float).eps * np.max(np.abs(sigma))
+    assert np.max(np.abs(fit_moved.spectral.sigma_hat - sigma)) <= bound
+    naive, naive_moved = fit_naive_many([data, moved], family)
+    assert naive_moved.values.tobytes() == naive.values[perm].tobytes()
+    assert naive_moved.grad_norm.tobytes() == naive.grad_norm[perm].tobytes()
+    for m in range(0, 20, 5):
+        wald = naive_wald_interval(data, family, naive, basis_contrast(perm[m], 1, 20, 4))
+        wald_moved = naive_wald_interval(moved, family, naive_moved, basis_contrast(m, 1, 20, 4))
+        assert (wald_moved.ci_lo, wald_moved.ci_hi) == (wald.ci_lo, wald.ci_hi)
 
 
 def test_a_dataset_that_fails_to_assemble_fails_alone(monkeypatch):
