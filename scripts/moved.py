@@ -14,6 +14,9 @@ one BLAS thread and no worker pool. The cases:
   and its Wald interval, for each family;
 * the same op on the golden fit and infer inputs (``FIT_CONFIG`` and
   ``FIT_SEEDS`` of ``tests/test_golden.py``), one per family;
+* the same op on bernoulli draws of table1's shape (n = 70, p = M = 4,
+  k = 3, eta = 4) at the truth seeds ``BALL_SEEDS``, where a fold fit lies
+  on the coefficient ball;
 * table1 at seeds 0, 5, 15 and 26, 100 replicates each.
 
 Per case and family (table1: per seed and estimator) it prints ``bit-equal``,
@@ -43,6 +46,13 @@ FIT_CASES = (("fit-small", range(48)), ("fit-large", range(16)))
 TABLE1_SEEDS = (0, 5, 15, 26)
 TABLE1_REPS = 100
 ON_BALL = 1.0 - 1e-9  # a row of norm above ON_BALL * RADIUS lies on the ball
+# table1's shape, drawn as ghbench draws its fit inputs; its 35-row folds put
+# fits on the ball, which the ghbench and golden inputs never do
+BALL_SHAPE = dict(n=70, p=4, m_dim=4, k=3, eta=4.0)
+# the truth seeds in 0-199 at BALL_SHAPE where a bernoulli fold fit lies on
+# the ball: 41 of their 288 fold fits do, and no naive fit
+BALL_SEEDS = (0, 7, 14, 17, 20, 24, 30, 33, 41, 46, 60, 63, 65, 69, 71, 75, 79, 95, 96, 98, 99,
+              109, 111, 121, 131, 133, 139, 143, 149, 153, 156, 157, 158, 166, 169, 190)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +103,12 @@ def _fit_cases():
         outs = workload.run(inputs, seed, None)
         return [(data, families.family_from_name(fam), *out) for (fam, data), out in zip(inputs, outs)]
 
+    def drawn_op(fam, seed, shape):
+        """The fit-small op on a draw of ``shape`` at truth and replicate seed ``seed``."""
+        cfg = SimConfig(family=fam, seed=seed, **shape)
+        data = sample_dataset(make_truth(cfg), cfg, rep_seed=cfg.seed)
+        return ops(workloads.WORKLOADS["fit-small"], [(fam, data)], seed)
+
     cases = {}
     for name, entries in FIT_CASES:
         workload = workloads.WORKLOADS[name]
@@ -100,9 +116,9 @@ def _fit_cases():
         for i, fam in enumerate(workloads.FAMILIES):
             cases[(f"{name} {entries[0]}-{entries[-1]}", fam)] = _fit_quantities([r[i] for r in runs])
     for fam, seed in test_golden.FIT_SEEDS.items():
-        cfg = SimConfig(family=fam, seed=seed, **test_golden.FIT_CONFIG)
-        data = sample_dataset(make_truth(cfg), cfg, rep_seed=cfg.seed)
-        cases[("golden", fam)] = _fit_quantities(ops(workloads.WORKLOADS["fit-small"], [(fam, data)], seed))
+        cases[("golden", fam)] = _fit_quantities(drawn_op(fam, seed, test_golden.FIT_CONFIG))
+    runs = [run for seed in BALL_SEEDS for run in drawn_op("bernoulli", seed, BALL_SHAPE)]
+    cases[("table1-shape ball", "bernoulli")] = _fit_quantities(runs)
     return cases
 
 

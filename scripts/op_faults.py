@@ -7,8 +7,13 @@ its input is made outside the measured region, ``gc.collect()`` runs, and
 the benchmark's speed kernel runs right before and right after the op, so
 each op starts from the heap a benchmark op starts from. Threads are pinned
 as ghbench/run.py pins them. Each line gives an op's pool entry, its minor
-page faults (the ``ru_minflt`` delta) and its CPU seconds; the last line
-gives their medians. Outputs are not checked, and nothing is gated.
+page faults (the ``ru_minflt`` delta), its CPU seconds and its work: the
+calls of the objective kernels (``qml.quasi_objective`` and
+``qml.loglik_objective``), the coefficient rows they evaluated (the starts
+and every line-search candidate) and those rows times their design rows.
+The work comes from a second, untimed pass over the same entries with both
+kernels wrapped, so the timed ops run unwrapped. The last line gives the
+medians. Outputs are not checked, and nothing is gated.
 
     python scripts/op_faults.py [--workload fit-large] [--ops 4] [--first 0]
 """
@@ -29,7 +34,9 @@ import run  # noqa: E402
 
 run.pin_threads()  # before numpy loads
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+from ghive import qml  # noqa: E402
 from speed import SpeedProbe  # noqa: E402
 
 
@@ -59,10 +66,41 @@ def main():
             if op:
                 faults.append(minflt)
                 cpus.append(cpu)
-                print(f"{args.workload} entry {entry:3d}: {minflt:7d} minor faults, "
-                      f"{cpu * 1e3:8.1f} ms CPU")
+        counts = objective_work(workload, entries, work)
+    for entry, minflt, cpu, (calls, rows, elements) in zip(entries, faults, cpus, counts):
+        print(f"{args.workload} entry {entry:3d}: {minflt:7d} minor faults, {cpu * 1e3:8.1f} ms CPU, "
+              f"{calls:4d} objective calls on {rows:6d} rows ({elements:9d} row elements)")
+    calls, rows, elements = (statistics.median(c) for c in zip(*counts))
     print(f"{args.workload} median of {len(cpus)} ops: {statistics.median(faults):9.1f} "
-          f"minor faults, {statistics.median(cpus) * 1e3:8.1f} ms CPU")
+          f"minor faults, {statistics.median(cpus) * 1e3:8.1f} ms CPU, {calls:6.1f} objective "
+          f"calls on {rows:8.1f} rows ({elements:11.1f} row elements)")
+
+
+def objective_work(workload, entries, work):
+    """Per op of ``entries``: the objective-kernel calls, the coefficient rows
+    they evaluated and those rows times the rows of their design, counted by
+    wrapping the kernels that ``qml._ascent_block`` reads by name."""
+    counts = []
+
+    def counted(kernel):
+        def wrapper(x, y, family, coef, *args, **kwargs):
+            rows = int(np.prod(np.shape(coef)[:-1]))
+            counts[-1] += (1, rows, rows * x.shape[-2])
+            return kernel(x, y, family, coef, *args, **kwargs)
+        return wrapper
+
+    kernels = {name: getattr(qml, name) for name in ("quasi_objective", "loglik_objective")}
+    try:
+        for name, kernel in kernels.items():
+            setattr(qml, name, counted(kernel))
+        for entry in entries:
+            inputs = workload.prepare(entry, workloads.fresh_dir(work / "input"))
+            counts.append(np.zeros(3, dtype=int))
+            workload.run(inputs, entry, workloads.fresh_dir(work / "output"))
+    finally:
+        for name, kernel in kernels.items():
+            setattr(qml, name, kernel)
+    return [tuple(int(c) for c in count) for count in counts]
 
 
 if __name__ == "__main__":

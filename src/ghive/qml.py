@@ -26,11 +26,11 @@ Accepted iterates therefore have a monotone objective path. The full step is
 tried first; the halvings after it run in stacked rounds, each evaluating
 some of a column's next steps ``2**-j`` in one objective call, and the
 column takes the first of them that increases the objective: the step the
-one-at-a-time search would take. A round holds as many halvings as
-STACK_ELEMENTS allows or, if more, as many as the column has already tried,
-so that they double, but no more candidates than the block has columns: a
-column stalled alone runs its 29 halvings in one call on a 100-row fold,
-and in six on a 5000-row fold's block of 8 columns. A column stops once its
+one-at-a-time search would take. Each round shares the block's candidate
+rows, the larger of its columns and ``STACK_ELEMENTS // n``, among its
+failing columns, at least one halving each: a column stalled alone runs its
+29 halvings in one call on a 100-row fold, and in four (8, 8, 8, 5) on a
+5000-row fold's block of 8 columns. A column stops once its
 gradient sup-norm is below TOL, after MAX_ITER iterations or when no step
 increases the objective. This stopping rule belongs to the solver, so no
 caller sets it; a fit document records both constants.
@@ -126,15 +126,13 @@ MAX_STEP_HALVINGS = 30
 BLOCK_ELEMENTS = 2**17
 
 # Element budget of the (candidates, n) predictors of one stacked round of
-# step halvings (64 KB). A stalled column on a 100-row fold gets all its
-# halvings in one objective call. Past 4096 rows the budget allows one
-# halving per call, and a round takes as many halvings as were already tried
-# instead, up to as many candidates as the block has columns: a column
-# stalled alone in a block of 8 or more costs at most 7 objective calls per
-# iteration rather than 30, and a fit-large op makes 304 line-search calls
-# rather than 778, on 1963 candidate rows rather than 1916. A round thus
-# holds at most max(columns, STACK_ELEMENTS // n) candidates, the rows of
-# the workspace's candidate arrays (see _block_size). Rounds of up to
+# step halvings (64 KB). A block's workspace holds max(columns,
+# STACK_ELEMENTS // n) candidate rows (see _block_size), and every round
+# after the full step shares them among the failing columns: a stalled
+# column on a 100-row fold gets all its halvings in one objective call, and
+# one stalled alone in a block of 8 columns on a 5000-row fold gets 8 per
+# call. A fit-large op makes 264 objective calls on 2210 coefficient rows
+# (median of pool entries 0-3, scripts/op_faults.py). Rounds of up to
 # BLOCK_ELEMENTS candidates, each allocating its own arrays, were faster
 # in-process but took about 10k more minor page faults per fit-large op.
 STACK_ELEMENTS = 2**13
@@ -479,15 +477,14 @@ def _ascent_block(x, xt, y, family, f, kind, work):
     on a line search with no increase; one whose start, gradient or
     curvature is not finite (overflow, not warned about) stops where it is,
     unconverged. The line search tries the full step for every column, then
-    stacks each failing column's next halvings, as many per round as keep
-    the (candidates, n) predictors within STACK_ELEMENTS or, if more, as
-    many as it has tried so far while the round's candidates number no more
-    than the block's columns, and takes the first that increases the
-    objective, as one halving at a time would. A stalled column alone in
-    its search thus pays 1, 2, 4, 8, ... halvings per call: in a block of 8
-    columns on a 5000-row fold, 7 calls where one halving per call takes
-    30. A round's candidates broadcast over their columns' design rows,
-    which are never copied per candidate.
+    gives each failing column ``max(1, stack // failing)`` of its next
+    halvings per round, where ``stack``, the larger of the block's columns
+    and ``STACK_ELEMENTS // n``, is the workspace's candidate rows, and
+    takes the first that increases the objective, as one halving at a time
+    would: in a block of 8 columns on a 5000-row fold, a column stalled
+    alone makes 5 calls where one halving per call makes 30. A round's
+    candidates broadcast over their columns' design rows, which are never
+    copied per candidate.
 
     The block picks its objective, gradient and curvature-weight kernels
     once, by ``kind``, reading them by their module-level names as it runs.
@@ -552,12 +549,9 @@ def _ascent_block(x, xt, y, family, f, kind, work):
         direction[long] = direction[long] * (2.0 * RADIUS / dnorm[long])[:, None]
         halving, todo = 0, np.arange(live.size)
         while todo.size and halving < MAX_STEP_HALVINGS:
-            # round 0 tries the full step; later rounds stack the failing
-            # columns' next halvings: as many as STACK_ELEMENTS allows or, if
-            # more, as many as were tried before, while the round holds no
-            # more candidates than the block has columns
-            per = max(1, STACK_ELEMENTS // (n * todo.size), min(halving, width // todo.size))
-            k = min(per if halving else 1, MAX_STEP_HALVINGS - halving)
+            # round 0 tries the full step; later rounds share the workspace's
+            # stack candidate rows among the failing columns' next halvings
+            k = min(max(1, stack // todo.size) if halving else 1, MAX_STEP_HALVINGS - halving)
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]

@@ -481,6 +481,52 @@ def test_permuting_the_responses_permutes_the_fits_bit_for_bit(family, eta, seed
         assert (wald_moved.ci_lo, wald_moved.ci_hi) == (wald.ci_lo, wald.ci_hi)
 
 
+# Permuting the covariates, or scaling one by 4, sums each product in another
+# order, and a column that stops short of its optimum stops elsewhere. Over
+# truth seeds 0-11 of each family at this shape, f_hat moved by at most
+# 8.0e-16 (gaussian), 9.4e-9 (bernoulli) and 1.7e-8 (poisson) relative to
+# max(1, |f|) under a permutation, and by 0, 6.0e-9 and 6.2e-9 under the
+# scaling; k_hat never moved. Scaling down instead moves coefficients towards
+# the ball, which is in the units of f: by 2**-3, gaussian fits moved by up to
+# 0.17.
+COVARIATE_MOVE = {"gaussian": 4e-15, "bernoulli": 5e-8, "poisson": 5e-8}
+
+
+def _unit_change_cases(family, eta, seed):
+    """The fit of a fit-small-shaped draw, and those of its covariates
+    permuted and of covariate ``seed % 4`` scaled by 4, mapped back to the
+    original covariates."""
+    data = small_sim_dataset(200, 4, 20, 3, eta, seed, seed, family.kind)[0]
+    perm, j = np.random.default_rng(seed).permutation(4), seed % 4
+    scaled = data.x.copy()
+    scaled[:, j] *= 4.0
+    fit = ghive_fit(data, family, seed)
+    permuted = ghive_fit(Dataset(data.x[:, perm], data.y), family, seed)
+    rescaled = ghive_fit(Dataset(scaled, data.y), family, seed)
+    f_permuted = np.empty_like(permuted.f_hat.values)
+    f_permuted[:, perm] = permuted.f_hat.values
+    f_rescaled = rescaled.f_hat.values.copy()
+    f_rescaled[:, j] *= 4.0
+    return fit, (permuted, f_permuted), (rescaled, f_rescaled)
+
+
+@pytest.mark.parametrize("family, eta", [(GAUSSIAN, 4.0), (BERNOULLI, 4.0), (POISSON, 1.0)], ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_permuting_or_rescaling_the_covariates_keeps_the_fits(family, eta, seed):
+    fit, *moved = _unit_change_cases(family, eta, seed)
+    f = fit.f_hat.values
+    for other, f_other in moved:
+        assert np.max(np.abs(f_other - f) / np.maximum(1.0, np.abs(f))) <= COVARIATE_MOVE[family.kind]
+        assert other.spectral.k_hat == fit.spectral.k_hat
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 16 and 23: grad_norm < TOL is in the units of x")
+def test_rescaling_a_covariate_keeps_the_converged_flags():
+    # seed 0's bernoulli fit flips 3 of its 40 fold flags when x[:, 0] is scaled by 4
+    fit, _, (rescaled, _) = _unit_change_cases(BERNOULLI, 4.0, 0)
+    assert np.array_equal(rescaled.f_hat.converged, fit.f_hat.converged)
+
+
 def test_a_dataset_that_fails_to_assemble_fails_alone(monkeypatch):
     datasets = [small_sim_dataset(n=60, p=3, m_dim=4, k=2, seed=g, rep_seed=g)[0] for g in range(3)]
     fits = [ghive_fit(data, BERNOULLI, seed=g) for g, data in enumerate(datasets)]

@@ -492,19 +492,20 @@ def test_a_stalled_column_costs_one_objective_call_per_iteration_after_the_full_
         assert n_calls <= 1 + 2 * iterations
 
 
-def test_a_stalled_column_on_a_large_fold_doubles_its_halvings_per_round(monkeypatch):
+def test_a_stalled_column_on_a_large_fold_fills_the_candidate_rows(monkeypatch):
     # fit-large's shape: 10000 rows, p = 20 and 8 poisson responses, one
-    # block of 8 columns, where STACK_ELEMENTS allows one halving per call
+    # block of 8 columns, where STACK_ELEMENTS allows less than one halving
+    # per call and the workspace holds the block's 8 candidate rows
     data = small_sim_dataset(
         n=10000, p=20, m_dim=8, k=3, eta=4.0, seed=0, rep_seed=0, family="poisson"
     )[0]
-    assert qml.STACK_ELEMENTS // data.n <= 1  # the budget alone: one halving per call
+    assert qml.STACK_ELEMENTS // data.n <= 1
     blocks, calls, block = [], [], qml._ascent_block
 
     def objective(*args, **kwargs):
         coef = args[3]
         if np.ndim(coef) == 3:  # a line-search round: (steps, columns, p)
-            calls[-1].append(coef.shape[0] * coef.shape[1])
+            calls[-1].append(coef.shape[:2])
         return loglik_objective(*args, **kwargs)
 
     def gradient(*args, **kwargs):  # once per iteration: the next calls are its line search
@@ -520,16 +521,22 @@ def test_a_stalled_column_on_a_large_fold_doubles_its_halvings_per_round(monkeyp
     monkeypatch.setattr(qml, "loglik_objective", objective)
     monkeypatch.setattr(qml, "loglik_gradient", gradient)
     fit = fit_naive_mle(data, POISSON)
-    ((width, together),), searches = blocks, calls
+    ((width, together),), searches = blocks, [s for s in calls if s]
     assert width == 8 and not fit.converged.all()  # stalled columns ran
-    # no round passes the kernel more candidate rows than the block has columns
-    assert max(max(rounds) for rounds in searches if rounds) <= width
+    # after the full step, a round gives each failing column its share of
+    # the candidate rows, at least one halving, up to the last one
+    stack = max(width, qml.STACK_ELEMENTS // data.n)
+    for rounds in searches:
+        assert rounds[0][0] == 1
+        halving = 1
+        for k, columns in rounds[1:]:
+            assert k == min(max(1, stack // columns), qml.MAX_STEP_HALVINGS - halving)
+            halving += k
+    # so no round passes the kernel more candidate rows than the workspace holds
+    assert max(k * columns for rounds in searches for k, columns in rounds) == stack
     # a column that searches alone past the full step runs its 29 halvings in
-    # at most 6 rounds (1, 2, 4, 8, 8, 6): its line search makes at most 7
-    # calls, where one halving per call makes 30
-    alone = [rounds for rounds in searches if rounds[1:2] == [1]]
-    assert any(sum(rounds[1:]) == qml.MAX_STEP_HALVINGS - 1 for rounds in alone)
-    assert all(len(rounds) <= 7 for rounds in alone)
+    # 4 calls where one halving per call takes 29
+    assert [(8, 1), (8, 1), (8, 1), (5, 1)] in [rounds[1:] for rounds in searches]
     # the fits of the one-at-a-time search: one column per block, one
     # halving per call
     blocks.clear()
