@@ -10,10 +10,13 @@ as ghbench/run.py pins them. Each line gives an op's pool entry, its minor
 page faults (the ``ru_minflt`` delta), its CPU seconds and its work: the
 calls of the objective kernels (``qml.quasi_objective`` and
 ``qml.loglik_objective``), the coefficient rows they evaluated (the starts
-and every line-search candidate) and those rows times their design rows.
-The work comes from a second, untimed pass over the same entries with both
-kernels wrapped, so the timed ops run unwrapped. The last line gives the
-medians. Outputs are not checked, and nothing is gated.
+and every line-search candidate) and those rows times their design rows;
+then its block-iterations, the Newton iterations run summed over its
+``qml._ascent_block`` calls, and its CPU per block-iteration, the figure
+the solver's fixed cost per iteration moves. The work comes from a second,
+untimed pass over the same entries with the kernels and the block wrapped,
+so the timed ops run unwrapped. The last line gives the medians. Outputs
+are not checked, and nothing is gated.
 
     python scripts/op_faults.py [--workload fit-large] [--ops 4] [--first 0]
 """
@@ -67,35 +70,50 @@ def main():
                 faults.append(minflt)
                 cpus.append(cpu)
         counts = objective_work(workload, entries, work)
-    for entry, minflt, cpu, (calls, rows, elements) in zip(entries, faults, cpus, counts):
+    per_iter = [cpu / max(count[3], 1) for cpu, count in zip(cpus, counts)]
+    for entry, minflt, cpu, (calls, rows, elements, iters), each in zip(
+        entries, faults, cpus, counts, per_iter
+    ):
         print(f"{args.workload} entry {entry:3d}: {minflt:7d} minor faults, {cpu * 1e3:8.1f} ms CPU, "
-              f"{calls:4d} objective calls on {rows:6d} rows ({elements:9d} row elements)")
-    calls, rows, elements = (statistics.median(c) for c in zip(*counts))
+              f"{calls:4d} objective calls on {rows:6d} rows ({elements:9d} row elements), "
+              f"{iters:4d} block-iterations, {each * 1e6:7.1f} us CPU each")
+    calls, rows, elements, iters = (statistics.median(c) for c in zip(*counts))
     print(f"{args.workload} median of {len(cpus)} ops: {statistics.median(faults):9.1f} "
           f"minor faults, {statistics.median(cpus) * 1e3:8.1f} ms CPU, {calls:6.1f} objective "
-          f"calls on {rows:8.1f} rows ({elements:11.1f} row elements)")
+          f"calls on {rows:8.1f} rows ({elements:11.1f} row elements), {iters:6.1f} "
+          f"block-iterations, {statistics.median(per_iter) * 1e6:7.1f} us CPU each")
 
 
 def objective_work(workload, entries, work):
     """Per op of ``entries``: the objective-kernel calls, the coefficient rows
-    they evaluated and those rows times the rows of their design, counted by
-    wrapping the kernels that ``qml._ascent_block`` reads by name."""
+    they evaluated, those rows times the rows of their design and the
+    block-iterations, counted by wrapping the kernels that
+    ``qml._ascent_block`` reads by name, and the block itself, whose ``path``
+    has one column per iteration run after its start."""
     counts = []
 
     def counted(kernel):
         def wrapper(x, y, family, coef, *args, **kwargs):
             rows = int(np.prod(np.shape(coef)[:-1]))
-            counts[-1] += (1, rows, rows * x.shape[-2])
+            counts[-1] += (1, rows, rows * x.shape[-2], 0)
             return kernel(x, y, family, coef, *args, **kwargs)
         return wrapper
 
-    kernels = {name: getattr(qml, name) for name in ("quasi_objective", "loglik_objective")}
+    def iterations(block):
+        def wrapper(*args, **kwargs):
+            out = block(*args, **kwargs)
+            counts[-1][3] += out[4].shape[1] - 1
+            return out
+        return wrapper
+
+    wrappers = {"quasi_objective": counted, "loglik_objective": counted, "_ascent_block": iterations}
+    kernels = {name: getattr(qml, name) for name in wrappers}
     try:
         for name, kernel in kernels.items():
-            setattr(qml, name, counted(kernel))
+            setattr(qml, name, wrappers[name](kernel))
         for entry in entries:
             inputs = workload.prepare(entry, workloads.fresh_dir(work / "input"))
-            counts.append(np.zeros(3, dtype=int))
+            counts.append(np.zeros(4, dtype=int))
             workload.run(inputs, entry, workloads.fresh_dir(work / "output"))
     finally:
         for name, kernel in kernels.items():

@@ -41,6 +41,20 @@ score residual behind the gradient also gives the curvature weight (the
 quasi-Hessian weight, or ``b''`` from the gradient's ``b'``), with the same
 bits as evaluating each quantity afresh.
 
+On small folds an iteration's arithmetic is a few microseconds per column,
+so its fixed cost, the numpy calls the loop makes, weighs as much. The loop
+skips the calls that no column's arithmetic needs, and each call it makes
+has the bits of the call it replaces. :func:`_cholesky_solve` calls the
+LAPACK gufuncs behind ``np.linalg.cholesky`` and ``np.linalg.solve``
+directly, without the wrappers' argument checks: the same LAPACK routines
+on the same arrays. Row means are ``np.add.reduce`` over n, the reduction
+and the division ``np.mean`` performs. The ball projection, the direction
+cap and the gradient fallback assign nothing when no row needs it. The
+full step is evaluated without the halving rounds' bookkeeping, its
+candidates ``f + d`` having the bits of ``f + 1.0 * d``. A gathered block
+copies its live columns' design and response rows only when a column
+stops, not on every iteration.
+
 One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit outside the gaussian family, whose fit climbs
 from zero alone): predictors, gradients and curvatures are stacked matmuls
@@ -91,7 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .data_io import Dataset
 from .errors import DataValidationError, require_instance, require_integer
@@ -227,6 +241,12 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _row_mean(terms: np.ndarray):
+    """``np.mean(terms, axis=-1)`` bit for bit: the reduction and the division
+    it performs, without its wrapper's dispatch."""
+    return np.add.reduce(terms, axis=-1) / terms.shape[-1]
+
+
 def _gradient(x: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Mean of ``score`` times x: the gradient, given the score residual."""
     return (x.swapaxes(-1, -2) @ score[..., None])[..., 0] / x.shape[-2]
@@ -244,7 +264,7 @@ def quasi_objective(x: np.ndarray, r: np.ndarray, family: GlmFamily, coef, out=(
     :func:`~ghive.families.quasi_response` forms it."""
     eta, term, tmp = out
     eta = _eta(x, coef, eta)
-    return np.mean(quasi_term(family, r, eta, out=term, tmp=tmp), axis=-1), eta
+    return _row_mean(quasi_term(family, r, eta, out=term, tmp=tmp)), eta
 
 
 def quasi_gradient(
@@ -267,7 +287,7 @@ def loglik_objective(x: np.ndarray, y: np.ndarray, family: GlmFamily, coef, out=
     with np.errstate(invalid="ignore"):
         term = np.multiply(y, eta, out=tmp)
         term -= b
-        return np.mean(term, axis=-1), eta
+        return _row_mean(term), eta
 
 
 def loglik_gradient(
@@ -378,7 +398,7 @@ def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
                 except LinAlgError:
                     pass
     usable = np.isfinite(d).all(axis=1) & (_dots(grad, d) > 0.0)
-    return np.where(usable[:, None], d, grad)
+    return d if usable.all() else np.where(usable[:, None], d, grad)
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -394,19 +414,51 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is an LU solve of an upper-triangular matrix (the lower factor with its
     rows and columns reversed, then its transpose), where LU's pivoting never
     swaps a row. A matrix's bits do not depend on the matrices beside it.
+
+    The factorisation and the solves call the LAPACK gufuncs that
+    ``np.linalg.cholesky`` and ``np.linalg.solve`` wrap, skipping those
+    wrappers' checks, which cost about as much as a small stack's
+    arithmetic: the same LAPACK calls on the same arrays, so the same bits.
+    A gufunc fills a matrix whose factorisation fails with NaN and raises
+    the invalid flag, which the wrapper turns into LinAlgError; here the
+    flag is ignored and a NaN in the factor raises it. The factor of a
+    positive definite matrix has a positive diagonal, so the solves cannot
+    fail.
     """
-    s = np.ldexp(1.0, -(np.frexp(np.diagonal(a, axis1=1, axis2=2))[1] >> 1))
-    low = cholesky(a * s[:, :, None] * s[:, None, :])
-    y = np.linalg.solve(low[:, ::-1, ::-1], (b * s)[:, ::-1, None])[:, ::-1]
-    return s * np.linalg.solve(low.swapaxes(1, 2), y)[..., 0]
+    s = np.ldexp(1.0, -(np.frexp(a.diagonal(0, 1, 2))[1] >> 1))
+    with np.errstate(invalid="ignore"):
+        low = _umath_linalg.cholesky_lo(a * s[:, :, None] * s[:, None, :])
+        if np.isnan(low).any():
+            raise LinAlgError("Matrix is not positive definite")
+        y = _umath_linalg.solve(low[:, ::-1, ::-1], (b * s)[:, ::-1, None])[:, ::-1]
+        return s * _umath_linalg.solve(low.swapaxes(1, 2), y)[..., 0]
 
 
 def _ball_project(f: np.ndarray) -> np.ndarray:
     """Scale the rows of ``f`` (C, p) lying outside the ball onto it, in place."""
     norm = np.sqrt(_dots(f, f))
     out = ~(norm <= RADIUS)  # as the one-vector test, NaN norms included
-    f[out] = f[out] * (RADIUS / norm[out])[:, None]
+    if out.any():
+        f[out] = f[out] * (RADIUS / norm[out])[:, None]
     return f
+
+
+def _cap_length(d: np.ndarray) -> np.ndarray:
+    """Scale the rows of the finite ``d`` (C, p) longer than 2 * RADIUS to
+    that length, in place. A row whose squared norm overflows (entries past
+    about 1e154) is measured after scaling by the power of two that brings
+    its largest entry into [0.5, 1), which is exact, as ``inference.Contrast``
+    measures a contrast; every row whose squared norm is finite keeps its
+    bits."""
+    norm = np.sqrt(_dots(d, d))
+    long = norm > 2.0 * RADIUS
+    if long.any():
+        huge = np.isinf(norm)
+        if huge.any():
+            d[huge] = np.ldexp(d[huge], -np.frexp(np.abs(d[huge]).max(axis=1))[1][:, None])
+            norm[huge] = np.sqrt(_dots(d[huge], d[huge]))
+        d[long] = d[long] * (2.0 * RADIUS / norm[long])[:, None]
+    return d
 
 
 def _newton_ascent(designs, family, starts, kind):
@@ -484,7 +536,13 @@ def _ascent_block(x, xt, y, family, f, kind, work):
     would: in a block of 8 columns on a 5000-row fold, a column stalled
     alone makes 5 calls where one halving per call makes 30. A round's
     candidates broadcast over their columns' design rows, which are never
-    copied per candidate.
+    copied per candidate. A direction longer than ``2 * RADIUS`` is scaled
+    to that length (see :func:`_cap_length`).
+
+    Once a column stops, the block replaces its response rows, and in a
+    gathered block its design rows, by the live columns' rows: one copy per
+    stop rather than several per iteration. Each iteration's gradient, gram
+    and full step read them as they are.
 
     The block picks its objective, gradient and curvature-weight kernels
     once, by ``kind``, reading them by their module-level names as it runs.
@@ -514,44 +572,57 @@ def _ascent_block(x, xt, y, family, f, kind, work):
     f = _ball_project(f)  # callers pass a copy; it is updated in place
     value = objective(x, y, family, f, (eta, *bufs[1:, :width]))[0]
     path = [value.copy()]
-    grad, grad_norm = np.zeros_like(f), np.full(width, np.inf)
-    n_iter = np.zeros(width, dtype=int)
-    live = np.flatnonzero(np.isfinite(value))
+    grad_norm, n_iter = np.full(width, np.inf), np.zeros(width, dtype=int)
+    live = np.isfinite(value).nonzero()[0]
+    # from here on x and y hold the live columns' rows (a shared design
+    # stays whole), gathered again only when a column stops
+    if live.size < width:
+        x, y = x if shared else x[live], y[live]
+
+    def kept(rows):  # the entries ``rows`` of live, with their design and response rows
+        return live[rows], x if shared else x[rows], y[rows]
+
     for it in range(MAX_ITER + 1):
         if not live.size:
             break
-        # the live columns' rows: views while no column has stopped
         rows = slice(None) if live.size == width else live
         eta_live = eta[rows]
-        grad[live], score = gradient(
-            x if shared else x[rows], y[rows], family, eta_live, bufs[::2, : live.size]
-        )
-        norm = grad_norm[live] = np.max(np.abs(grad[live]), axis=1)
+        grad, score = gradient(x, y, family, eta_live, bufs[::2, : live.size])
+        norm = grad_norm[live] = np.maximum.reduce(np.abs(grad), axis=1)
         going = (norm >= TOL) & np.isfinite(norm)
-        live = live[going]
+        if not going.all():
+            (live, x, y), grad = kept(going), grad[going]
+            eta_live, score = eta_live[going], score[going]
         if it == MAX_ITER or not live.size:
             break
-        keep = slice(None) if going.all() else going
-        w = weight(family, eta_live[keep], score[keep], bufs[1, : live.size])
+        w = weight(family, eta_live, score, bufs[1, : live.size])
         del eta_live, score  # a copy once some column has stopped
-        curv = weighted_gram(x if shared or live.size == width else x[live], w, xt, buf) / n
+        curv = weighted_gram(x, w, xt, buf)
+        curv /= n
         del w
         if not np.isfinite(curv).all():
             finite = np.isfinite(curv).all(axis=(1, 2))
-            live, curv = live[finite], curv[finite]
+            (live, x, y), curv, grad = kept(finite), curv[finite], grad[finite]
         n_iter[live] = it + 1
-        direction = _ascent_directions(curv, grad[live])
         # keep the backtracking scale meaningful: a near-singular curvature
         # matrix can suggest steps many orders of magnitude longer than the
         # feasible ball
-        dnorm = np.sqrt(_dots(direction, direction))
-        long = dnorm > 2.0 * RADIUS
-        direction[long] = direction[long] * (2.0 * RADIUS / dnorm[long])[:, None]
-        halving, todo = 0, np.arange(live.size)
+        direction = _cap_length(_ascent_directions(curv, grad))
+        # round 0: the full step, its candidates f + direction (the bits of
+        # f + 1.0 * direction), passed as one round of (1, columns) rows
+        rows = slice(None) if live.size == width else live
+        cand = _ball_project(f[rows] + direction)
+        cand_value, cand_eta = objective(x, y, family, cand[None], bufs[:, None, : live.size])
+        cand_value, cand_eta = cand_value[0], cand_eta[0]
+        hit = np.isfinite(cand_value) & (cand_value > value[rows])
+        if not hit.all():
+            rows, cand, cand_value, cand_eta = live[hit], cand[hit], cand_value[hit], cand_eta[hit]
+        f[rows], value[rows], eta[rows] = cand, cand_value, cand_eta
+        todo, halving = (~hit).nonzero()[0], 1
         while todo.size and halving < MAX_STEP_HALVINGS:
-            # round 0 tries the full step; later rounds share the workspace's
-            # stack candidate rows among the failing columns' next halvings
-            k = min(max(1, stack // todo.size) if halving else 1, MAX_STEP_HALVINGS - halving)
+            # later rounds share the workspace's stack candidate rows among
+            # the failing columns' next halvings
+            k = min(max(1, stack // todo.size), MAX_STEP_HALVINGS - halving)
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
@@ -559,18 +630,20 @@ def _ascent_block(x, xt, y, family, f, kind, work):
             # a column's k candidates broadcast over its rows, gathered once
             out = bufs[:, : k * cols.size].reshape(3, k, cols.size, n)
             cand_value, cand_eta = objective(
-                x if shared or cols.size == width else x[cols], y[cols], family,
-                cand.reshape(k, cols.size, -1), out,
+                x if shared else x[todo], y[todo], family, cand.reshape(k, cols.size, -1), out
             )
             up = np.isfinite(cand_value) & (cand_value > value[cols])
             # each column takes its first (longest) increasing step, as when
             # the halvings run one at a time
             hit = up.any(axis=0)
-            first = up.argmax(axis=0)[hit] * todo.size + np.flatnonzero(hit)
+            first = up.argmax(axis=0)[hit] * todo.size + hit.nonzero()[0]
             f[cols[hit]], value[cols[hit]] = cand[first], cand_value.ravel()[first]
             eta[cols[hit]] = cand_eta.reshape(-1, n)[first]
             todo, halving = todo[~hit], halving + k
-        live = np.delete(live, todo)
+        if todo.size:  # no step increased these columns' objective: they stop
+            stays = np.ones(live.size, dtype=bool)
+            stays[todo] = False
+            live, x, y = kept(stays)
         path.append(value.copy())
     return f, value, grad_norm, n_iter, np.array(path).T
 

@@ -138,6 +138,77 @@ def test_a_curvature_indefinite_after_its_bump_gets_the_gradient_as_its_directio
     assert d[1].tobytes() == grad[1].tobytes()
 
 
+def _linalg_cholesky_solve(a, b):
+    """:func:`qml._cholesky_solve` through the ``np.linalg`` wrappers."""
+    s = np.ldexp(1.0, -(np.frexp(np.diagonal(a, axis1=1, axis2=2))[1] >> 1))
+    low = np.linalg.cholesky(a * s[:, :, None] * s[:, None, :])
+    y = np.linalg.solve(low[:, ::-1, ::-1], (b * s)[:, ::-1, None])[:, ::-1]
+    return s * np.linalg.solve(low.swapaxes(1, 2), y)[..., 0]
+
+
+def _curvature_stacks(seed):
+    """Stacks of C symmetric (p, p) matrices, p in 1-20 and C in 1-80, with
+    diagonals spread over 1e-150 to 1e150: positive definite ones, and
+    stacks holding rank-deficient (semidefinite) or indefinite ones."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        p, c = int(rng.integers(1, 21)), int(rng.integers(1, 81))
+        g = rng.standard_normal((c, p, p + 2))
+        kind = rng.integers(3)
+        if kind == 1:  # some matrices of rank below p
+            g[rng.random(c) < 0.3, :, max(p - 2, 1):] = 0.0
+        a = g @ g.swapaxes(1, 2) / (p + 2)
+        if kind == 2:  # some matrices indefinite
+            bad = rng.random(c) < 0.3
+            a[bad] -= (1.0 + rng.random((bad.sum(), 1, 1))) * np.eye(p)
+        scale = 10.0 ** rng.uniform(-75.0, 75.0, (c, p))
+        yield a * scale[:, :, None] * scale[:, None, :], rng.standard_normal((c, p)) * scale
+
+
+def test_cholesky_solve_has_the_bits_of_numpy_linalg_and_fails_where_it_does():
+    raised = 0
+    for a, b in _curvature_stacks(0):
+        try:
+            want = _linalg_cholesky_solve(a, b)
+        except np.linalg.LinAlgError:
+            raised += 1
+            with pytest.raises(np.linalg.LinAlgError):
+                qml._cholesky_solve(a, b)
+            # matrix by matrix, the direct path fails exactly where numpy does
+            for c in range(len(a)):
+                try:
+                    want_c = _linalg_cholesky_solve(a[c : c + 1], b[c : c + 1])
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        qml._cholesky_solve(a[c : c + 1], b[c : c + 1])
+                else:
+                    got_c = qml._cholesky_solve(a[c : c + 1], b[c : c + 1])
+                    assert got_c.tobytes() == want_c.tobytes()
+        else:
+            assert qml._cholesky_solve(a, b).tobytes() == want.tobytes()
+    assert 0 < raised < 40  # both paths ran
+
+
+def test_a_direction_whose_squared_norm_overflows_is_capped_not_zeroed():
+    # a least-squares fit whose Newton direction has norm c: past c ~ 1e154
+    # its squared norm overflows, and the cap must still scale the
+    # direction to 2 * RADIUS rather than to zero
+    x = np.random.default_rng(0).standard_normal((40, 2))
+    lin = x @ [1.0, 0.5]
+    fits = [
+        fit_naive_mle(Dataset(x, (c / np.abs(lin).max() * lin)[:, None]), GAUSSIAN).values[0]
+        for c in (1e150, 1e155, 1e160, 1e200)
+    ]
+    for f in fits:  # each ends on the ball, along (1, 0.5)
+        assert np.allclose(f, RADIUS * np.array([2.0, 1.0]) / np.sqrt(5.0), rtol=1e-12)
+    # rows whose squared norm is finite keep their bits
+    d = np.array([[3e153, -4e153], [30.0, 40.0], [3.0, 4.0]])
+    capped = qml._cap_length(d.copy())
+    assert np.allclose(capped[0], [24.0, -32.0], rtol=1e-15)
+    assert capped[1].tobytes() == (d[1] * (2.0 * RADIUS / 50.0)).tobytes()
+    assert capped[2].tobytes() == d[2].tobytes()
+
+
 _X = np.random.default_rng(2).standard_normal((40, 2))
 _Y01 = (_X[:, 0] > 0).astype(float)[:, None]
 
@@ -397,16 +468,16 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
         assert np.allclose(norms, RADIUS, rtol=1e-9)
     # a duplicated covariate makes the curvature matrices singular, so the
     # columns go through the Cholesky retry and the gradient fallback
-    infos, factor = [], qml.cholesky
+    infos, solve = [], qml._cholesky_solve
 
-    def cholesky(a):
+    def cholesky_solve(a, b):
         try:
-            return factor(a)
+            return solve(a, b)
         except np.linalg.LinAlgError:
             infos.append(len(a) == 1)  # a column's own factorisation: the retry follows
             raise
 
-    monkeypatch.setattr(qml, "cholesky", cholesky)
+    monkeypatch.setattr(qml, "_cholesky_solve", cholesky_solve)
     x_dup = np.column_stack([x, x[:, 1]])
     _assert_same_fits(_all_fits(x_dup, y, family), _one_column_at_a_time(x_dup, y, family))
     assert any(infos)
