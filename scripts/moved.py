@@ -17,13 +17,22 @@ one BLAS thread and no worker pool. The cases:
 * the same op on bernoulli draws of table1's shape (n = 70, p = M = 4,
   k = 3, eta = 4) at the truth seeds ``BALL_SEEDS``, where a fold fit lies
   on the coefficient ball;
+* "collinear": the same op on fit-small entries 0-11, each design with a
+  copy of covariate 1 appended, so that its curvature matrices are singular
+  and Newton solves reach the solver's diagonal-bump retry. An interval
+  that raises a ``GhiveError`` (the naive Wald interval's singular
+  information) is recorded as its error type, and a change of it is a move.
+  The script also prints how many curvature matrices of the case's fold
+  and naive fits fail their Cholesky factorisation (one per column and
+  Newton iteration) in each tree;
 * table1 at seeds 0, 5, 15 and 26, 100 replicates each.
 
 Per case and family (table1: per seed and estimator) it prints ``bit-equal``,
 or for each quantity that moved its max abs and max relative change (relative
 to REV's value): ``f_hat``, ``theta_hat`` and the fold grad norms; the
 interval ends, ``k_hat`` and the converged counts; the naive fits; table1's
-two targets and each replicate metric. In the fit cases, response rows where
+two targets and each replicate metric; the fit cases' ``ci_error`` and
+``wald_error``. In the fit cases, response rows where
 a fold fit (re-solved by ``qml._fit_matrix``) or the naive fit lies on the
 coefficient ball (``qml.RADIUS``) in either tree are counted apart; the other
 quantities of an entry with such a row are too. Each table1 replicate whose
@@ -37,12 +46,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 FIT_CASES = (("fit-small", range(48)), ("fit-large", range(16)))
+COLLINEAR = ("fit-small", range(12))
 TABLE1_SEEDS = (0, 5, 15, 26)
 TABLE1_REPS = 100
 ON_BALL = 1.0 - 1e-9  # a row of norm above ON_BALL * RADIUS lies on the ball
@@ -61,14 +72,22 @@ BALL_SEEDS = (0, 7, 14, 17, 20, 24, 30, 33, 41, 46, 60, 63, 65, 69, 71, 75, 79, 
 
 def _fit_quantities(runs):
     """The compared quantities of fit ops ``(data, family, fit, ci, naive,
-    wald)``, stacked over entries, and the rows of each that lie on the ball."""
+    wald)``, stacked over entries, and the rows of each that lie on the ball.
+    An interval may be the ``GhiveError`` it raised: its ends are NaN."""
     from ghive.qml import RADIUS, _fit_matrix
 
     def on_ball(f):
         return np.linalg.norm(f, axis=-1) > ON_BALL * RADIUS
 
-    got = {k: [] for k in ("f_hat", "theta_hat", "grad_norm", "converged", "k_hat", "ci", "naive",
-                           "naive_grad_norm", "naive_converged", "wald", "fold_ball", "naive_ball")}
+    def ends(interval):
+        return [[np.nan] * 2] if isinstance(interval, Exception) else [[interval.ci_lo, interval.ci_hi]]
+
+    def error(interval):
+        return [type(interval).__name__ if isinstance(interval, Exception) else ""]
+
+    got = {k: [] for k in ("f_hat", "theta_hat", "grad_norm", "converged", "k_hat", "ci", "ci_error",
+                           "naive", "naive_grad_norm", "naive_converged", "wald", "wald_error",
+                           "fold_ball", "naive_ball")}
     for data, family, fit, ci, naive, wald in runs:
         folds = [(data.x[rows], data.y[rows]) for rows in (fit.split.d1, fit.split.d2)]
         got["fold_ball"].append(on_ball(_fit_matrix(folds, family, "quasi")[0]).any(axis=0))
@@ -78,11 +97,13 @@ def _fit_quantities(runs):
         got["grad_norm"].append(fit.f_hat.grad_norm)
         got["converged"].append(fit.f_hat.converged)
         got["k_hat"].append([fit.spectral.k_hat])
-        got["ci"].append([[ci.ci_lo, ci.ci_hi]])
+        got["ci"].append(ends(ci))
+        got["ci_error"].append(error(ci))
         got["naive"].append(naive.values)
         got["naive_grad_norm"].append(naive.grad_norm)
         got["naive_converged"].append(naive.converged)
-        got["wald"].append([[wald.ci_lo, wald.ci_hi]])
+        got["wald"].append(ends(wald))
+        got["wald_error"].append(error(wald))
     out = {k: np.concatenate([np.asarray(a) for a in v]) for k, v in got.items()}
     fold_ball, naive_ball = out.pop("fold_ball"), out.pop("naive_ball")
     entry_ball = (fold_ball | naive_ball).reshape(len(runs), -1).any(axis=1)
@@ -122,6 +143,65 @@ def _fit_cases():
     return cases
 
 
+def _unfactorable(curv):
+    """How many matrices of the stack ``curv`` (C, p, p), equilibrated as the
+    solver equilibrates them, fail their Cholesky factorisation: the LAPACK
+    gufunc behind ``np.linalg.cholesky`` fills each such factor with NaN."""
+    s = np.ldexp(1.0, -(np.frexp(curv.diagonal(0, 1, 2))[1] >> 1))
+    with np.errstate(invalid="ignore"):
+        low = np.linalg._umath_linalg.cholesky_lo(curv * s[:, :, None] * s[:, None, :])
+    return int(np.isnan(low).any(axis=(1, 2)).sum())
+
+
+def _collinear_cases():
+    """The collinear case per family, and per family the curvature matrices
+    that fail their factorisation in its fold fits and its naive fits."""
+    import workloads
+    from ghive import families, inference, pipeline, qml
+    from ghive.data_io import Dataset
+    from ghive.errors import GhiveError
+
+    flagged = {fam: {"fold": 0, "naive": 0} for fam in workloads.FAMILIES}
+    counting, directions = [None], qml._ascent_directions
+
+    def ascent_directions(curv, grad):
+        if counting[0] is not None:
+            flagged[counting[0]][counting[1]] += _unfactorable(curv)
+        return directions(curv, grad)
+
+    def interval(ci, *args):
+        try:
+            return ci(*args)
+        except GhiveError as exc:
+            return exc
+
+    def op(fam, data, seed):
+        """The fit-small op of ghbench's ``workloads.py``, its intervals allowed to raise."""
+        family = families.family_from_name(fam)
+        contrast = inference.basis_contrast(0, 0, data.m_dim, data.p)
+        counting[:] = fam, "fold"
+        fit = pipeline.ghive_fit(data, family, seed=seed)
+        counting[1] = "naive"
+        naive = qml.fit_naive_mle(data, family)
+        counting[0] = None
+        ci = interval(inference.confidence_interval, data, family, fit, contrast)
+        wald = interval(inference.naive_wald_interval, data, family, naive, contrast)
+        return data, family, fit, ci, naive, wald
+
+    name, entries = COLLINEAR
+    runs = {fam: [] for fam in workloads.FAMILIES}
+    qml._ascent_directions = ascent_directions
+    try:
+        for entry in entries:
+            for fam, data in workloads.WORKLOADS[name].prepare(entry, None):
+                x = np.column_stack([data.x, data.x[:, 1]])
+                runs[fam].append(op(fam, Dataset(x, data.y), entry))
+    finally:
+        qml._ascent_directions = directions
+    label = f"collinear {entries[0]}-{entries[-1]}"
+    return {(label, fam): _fit_quantities(r) for fam, r in runs.items()}, flagged
+
+
 def _table1_cases():
     from ghive.experiments import _targets, experiment_spec, run_experiment
 
@@ -148,8 +228,9 @@ def dump(path):
     src = Path(os.environ["PYTHONPATH"].split(os.pathsep)[0]).resolve()
     if Path(ghive.__file__).resolve().parent.parent != src:
         sys.exit(f"ghive was imported from {ghive.__file__}, not from {src}")
+    collinear, flagged = _collinear_cases()
     with open(path, "wb") as fh:
-        pickle.dump(_fit_cases() | _table1_cases(), fh)
+        pickle.dump((_fit_cases() | collinear | _table1_cases(), flagged), fh)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +246,7 @@ def _changes(a, b):
         diff = np.where(same, 0.0, np.abs(b - a))
         diff[~same & ~np.isfinite(diff)] = np.inf
         rel = np.where(diff == 0.0, 0.0, diff / np.abs(a))
+        rel[np.isnan(rel)] = np.inf  # a NaN in REV, as a failed interval's ends
     return ~same.all(axis=1), diff, rel
 
 
@@ -183,6 +265,15 @@ def _flags(label, a, b):
     if flips:
         return f"{label}: {int(a.sum())} -> {int(b.sum())} of {a.size} ({flips} flags flip)"
     return None
+
+
+def _errors(label, a, b):
+    """One line for the error types ``label`` ("" for none) if any changes, else None."""
+    changed = a != b
+    if not changed.any():
+        return None
+    pairs = Counter(zip(a[changed].tolist(), b[changed].tolist()))
+    return f"{label}: " + ", ".join(f"{x or 'none'} -> {y or 'none'} ({k} rows)" for (x, y), k in pairs.items())
 
 
 def _covered_flips(a, b):
@@ -209,6 +300,8 @@ def compare(base, head):
                              f"{None if b is None else b.shape}")
             elif a.dtype == bool:
                 notes.append(_flags(q, a, b))
+            elif a.dtype.kind == "U":
+                notes.append(_errors(q, a, b))
             elif q in balls_a:
                 ball = balls_a[q] | balls_b[q]
                 notes.append(_moves(q, a, b, ~ball))
@@ -243,9 +336,14 @@ def main():
         ]
         if any([p.wait() for p in procs]):
             sys.exit("a run of the cases failed")
-        base, head = (pickle.loads(Path(f"{tmp}/{name}.pickle").read_bytes()) for name in ("base", "head"))
+        (base, flags_a), (head, flags_b) = (pickle.loads(Path(f"{tmp}/{name}.pickle").read_bytes())
+                                            for name in ("base", "head"))
     print(f"{rev} -> this checkout, {time.perf_counter() - start:.1f} s")
     print("\n".join(compare(base, head)))
+    print("curvature matrices failing their factorisation in the collinear case, fold / naive fits:")
+    for fam, a in flags_a.items():
+        b = flags_b[fam]
+        print(f"  {fam:12} {a['fold']} / {a['naive']} -> {b['fold']} / {b['naive']}")
 
 
 if __name__ == "__main__":

@@ -33,8 +33,9 @@ document exactly. A writer hands it an object holding a non-finite float
 (orjson would write ``null``; the stdlib writes ``Infinity`` or ``NaN``, which
 Python reads back but strict parsers refuse) or an integer beyond 64 bits
 (orjson raises). A reader hands it a file orjson refuses (the ``NaN`` and
-``Infinity`` tokens among them) or one holding an integer literal of 19 or
-more digits, which orjson may return as a float.
+``Infinity`` tokens among them, and a leading BOM, which it skips) or one
+holding an integer literal of 19 or more digits, which orjson may return as
+a float. Writers never write a BOM.
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def write_json_atomic(path, obj) -> None:
 def read_json(path):
     """The JSON document at ``path``: read by orjson, unless it refuses the
     bytes or they hold an integer literal of 19 or more digits, where the
-    stdlib decoder reads them. Bad JSON or UTF-8 is a DataValidationError."""
+    stdlib decoder reads them. A leading UTF-8 BOM, which orjson refuses, is
+    skipped (RFC 8259 lets a parser ignore one, and the CSV readers do). Bad
+    JSON or UTF-8 is a DataValidationError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     # every digit read as 0, whitespace dropped: a run of 19 zeros not preceded
@@ -279,7 +282,7 @@ def read_json(path):
         except orjson.JSONDecodeError:
             pass
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None

@@ -36,7 +36,7 @@ from .errors import (
 from . import families
 from .families import GlmFamily, cumulant_d2, hessian_weight, validate_response, weighted_residual
 from .pipeline import GhiveFit
-from .qml import CoefMatrix, weighted_gram
+from .qml import CoefMatrix, bump_diagonal, weighted_gram
 
 INFERENCE_FORMAT_VERSION = 1
 
@@ -120,16 +120,15 @@ def _g_matrices(x: np.ndarray, family: GlmFamily, eta: np.ndarray, eps: np.ndarr
 
     Uses exactly the weights of the quasi-likelihood Hessian and the
     solver's :func:`weighted_gram`. A matrix whose smallest eigenvalue falls
-    below ``1e-8 * max(1, largest eigenvalue)`` gets ``delta = 1e-8 * (1 +
-    |min eig|)`` added to its diagonal and is flagged. Returns the (M, p, p)
-    matrices and the (M,) bool flags.
+    below ``_G_EIG_RTOL * max(1, largest eigenvalue)`` gets the solver's
+    diagonal bump, :func:`~ghive.qml.bump_diagonal` by that eigenvalue, and
+    is flagged. Returns the (M, p, p) matrices and the (M,) bool flags.
     """
     g = _finite_grams(x, hessian_weight(family, eta.T, eps.T), "a curvature matrix") / len(x)
     g = 0.5 * (g + g.transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(g)
     bumped = eigs[:, 0] < _G_EIG_RTOL * np.maximum(1.0, eigs[:, -1])
-    delta = 1e-8 * (1.0 + np.abs(eigs[bumped, :1]))
-    g[bumped] += delta[:, :, None] * np.eye(g.shape[1])
+    g[bumped] = bump_diagonal(g[bumped], eigs[bumped, 0])
     return g, bumped
 
 

@@ -19,7 +19,9 @@ gradient and weight once, by the kind of fit, and runs on them alone.
 
 Both use the same damped Newton ascent: solve the Newton system against the
 negated Hessian (one batched Cholesky solve over a block's columns, see
-:func:`_cholesky_solve`), fall back to a plain gradient step when the
+:func:`_cholesky_solve`, which flags each matrix whose factorisation
+fails; the flagged columns are solved again as one stack after
+:func:`bump_diagonal`), fall back to a plain gradient step when the
 curvature matrix is not usable, and halve the step until the objective
 strictly increases.
 Accepted iterates therefore have a monotone objective path. The full step is
@@ -105,7 +107,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from .data_io import Dataset
 from .errors import DataValidationError, require_instance, require_integer
@@ -378,33 +380,35 @@ def _ascent_directions(curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton directions from the finite negated Hessians ``curv`` (C, p, p),
     and the gradient where those are unusable.
 
-    All columns are solved by one :func:`_cholesky_solve`. Only when some
-    factorisation fails are they solved one at a time, and a column whose
-    factorisation fails gets one retry after adding
-    ``delta = 1e-8 * (1 + |min eigenvalue|)`` to the diagonal.
+    All columns are solved by one :func:`_cholesky_solve`, which flags each
+    matrix whose factorisation fails. The flagged columns are solved again,
+    as one stack, after :func:`bump_diagonal` by their smallest eigenvalue;
+    a column that fails again has a NaN row, so it takes the gradient.
     """
-    try:
-        d = _cholesky_solve(curv, grad)
-    except LinAlgError:
-        d, eye = grad.copy(), np.eye(curv.shape[1])
-        for c in range(len(grad)):
-            a, b = curv[c : c + 1], grad[c : c + 1]
-            try:
-                d[c] = _cholesky_solve(a, b)[0]
-            except LinAlgError:
-                delta = 1e-8 * (1.0 + abs(float(np.linalg.eigvalsh(a[0])[0])))
-                try:
-                    d[c] = _cholesky_solve(a + delta * eye, b)[0]
-                except LinAlgError:
-                    pass
+    d, failed = _cholesky_solve(curv, grad)
+    if failed.any():
+        bumped = bump_diagonal(curv[failed], np.linalg.eigvalsh(curv[failed])[:, 0])
+        d[failed] = _cholesky_solve(bumped, grad[failed])[0]
     usable = np.isfinite(d).all(axis=1) & (_dots(grad, d) > 0.0)
     return d if usable.all() else np.where(usable[:, None], d, grad)
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def bump_diagonal(a: np.ndarray, min_eig: np.ndarray) -> np.ndarray:
+    """A copy of the stack ``a`` (C, p, p) with ``1e-8 * (1 + |min_eig|)``
+    added to each matrix's diagonal, ``min_eig`` (C,) its smallest
+    eigenvalue: the added multiple of the identity in Nocedal & Wright,
+    *Numerical Optimization*, section 3.4. The solver's retry and
+    ``inference._g_matrices`` both bump by this rule."""
+    delta = 1e-8 * (1.0 + np.abs(min_eig))
+    return a + delta[:, None, None] * np.eye(a.shape[-1])
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray):
     """Rows ``a[c]^{-1} b[c]`` for a stack of symmetric (p, p) matrices, by one
-    batched Cholesky factorisation (LinAlgError if any matrix is not positive
-    definite) and two batched triangular solves.
+    batched Cholesky factorisation and two batched triangular solves, and
+    a (C,) flag per matrix, true where its factorisation failed (the matrix
+    is not positive definite); a flagged matrix's row is NaN. It never
+    raises.
 
     The system solved is equilibrated by powers of two, as in LAPACK's
     ``dpoequb``: ``s = 2**-(e >> 1)`` from the exponents ``e`` of the
@@ -413,25 +417,25 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     of a solve that neither overflows nor underflows. Each triangular solve
     is an LU solve of an upper-triangular matrix (the lower factor with its
     rows and columns reversed, then its transpose), where LU's pivoting never
-    swaps a row. A matrix's bits do not depend on the matrices beside it.
+    swaps a row. A matrix's bits, and its flag, do not depend on the
+    matrices beside it.
 
     The factorisation and the solves call the LAPACK gufuncs that
     ``np.linalg.cholesky`` and ``np.linalg.solve`` wrap, skipping those
     wrappers' checks, which cost about as much as a small stack's
     arithmetic: the same LAPACK calls on the same arrays, so the same bits.
     A gufunc fills a matrix whose factorisation fails with NaN and raises
-    the invalid flag, which the wrapper turns into LinAlgError; here the
-    flag is ignored and a NaN in the factor raises it. The factor of a
-    positive definite matrix has a positive diagonal, so the solves cannot
-    fail.
+    the invalid flag, which the wrapper turns into LinAlgError for the
+    whole stack; here the flag is ignored, and a NaN factor flags that
+    matrix alone. The factor of a positive definite matrix has a
+    positive diagonal, so its solves cannot fail.
     """
     s = np.ldexp(1.0, -(np.frexp(a.diagonal(0, 1, 2))[1] >> 1))
     with np.errstate(invalid="ignore"):
         low = _umath_linalg.cholesky_lo(a * s[:, :, None] * s[:, None, :])
-        if np.isnan(low).any():
-            raise LinAlgError("Matrix is not positive definite")
         y = _umath_linalg.solve(low[:, ::-1, ::-1], (b * s)[:, ::-1, None])[:, ::-1]
-        return s * _umath_linalg.solve(low.swapaxes(1, 2), y)[..., 0]
+        x = s * _umath_linalg.solve(low.swapaxes(1, 2), y)[..., 0]
+    return x, np.isnan(low[:, 0, 0])  # a failed factor is NaN throughout
 
 
 def _ball_project(f: np.ndarray) -> np.ndarray:

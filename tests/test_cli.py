@@ -529,6 +529,15 @@ def test_simulate_config_file_reproduces_the_flags(tmp_path):
         assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
+def test_simulate_config_file_saved_with_a_utf8_bom_reproduces_the_flags(tmp_path):
+    assert main(SIMULATE_ARGS + ["--out", str(tmp_path / "flags")]) == 0
+    config = tmp_path / "bom.json"
+    config.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "flags" / "simulate_config.json").read_bytes())
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "file")]) == 0
+    for name in ("simulate_long.csv", "simulate_config.json"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [

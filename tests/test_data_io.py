@@ -294,6 +294,15 @@ def test_json_documents_read_as_the_stdlib_encoding_bit_for_bit(tmp_path, name):
     assert ("Infinity" in text) == (name == "non-finite")
 
 
+@pytest.mark.parametrize("name", list(JSON_DOCUMENTS))
+def test_json_documents_saved_with_a_utf8_bom_read_as_without_it(tmp_path, name):
+    obj, path = JSON_DOCUMENTS[name], tmp_path / "doc.json"
+    data_io.write_json_atomic(path, obj)
+    want = json_bits(data_io.read_json(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert json_bits(data_io.read_json(path)) == want
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -134,7 +134,8 @@ def test_a_curvature_indefinite_after_its_bump_gets_the_gradient_as_its_directio
     curv = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, -5.0]]])
     grad = np.array([[0.3, -1.2], [0.7, 0.4]])
     d = qml._ascent_directions(curv, grad)
-    assert d[0].tobytes() == qml._cholesky_solve(curv[:1], grad[:1])[0].tobytes()
+    solved, failed = qml._cholesky_solve(curv[:1], grad[:1])
+    assert not failed[0] and d[0].tobytes() == solved[0].tobytes()
     assert d[1].tobytes() == grad[1].tobytes()
 
 
@@ -166,27 +167,75 @@ def _curvature_stacks(seed):
 
 
 def test_cholesky_solve_has_the_bits_of_numpy_linalg_and_fails_where_it_does():
-    raised = 0
+    # a matrix is flagged exactly where numpy cannot factor it alone, and
+    # every unflagged row has numpy's bits, in stacks holding flagged ones too
+    clean = mixed = 0
     for a, b in _curvature_stacks(0):
-        try:
-            want = _linalg_cholesky_solve(a, b)
-        except np.linalg.LinAlgError:
-            raised += 1
+        got, failed = qml._cholesky_solve(a, b)
+        assert failed.shape == (len(a),) and failed.dtype == bool
+        for c in range(len(a)):
+            try:
+                want = _linalg_cholesky_solve(a[c : c + 1], b[c : c + 1])
+            except np.linalg.LinAlgError:
+                assert failed[c] and np.isnan(got[c]).all()
+            else:
+                assert not failed[c] and got[c].tobytes() == want[0].tobytes()
+        if failed.any():
+            mixed += not failed.all()
             with pytest.raises(np.linalg.LinAlgError):
-                qml._cholesky_solve(a, b)
-            # matrix by matrix, the direct path fails exactly where numpy does
-            for c in range(len(a)):
-                try:
-                    want_c = _linalg_cholesky_solve(a[c : c + 1], b[c : c + 1])
-                except np.linalg.LinAlgError:
-                    with pytest.raises(np.linalg.LinAlgError):
-                        qml._cholesky_solve(a[c : c + 1], b[c : c + 1])
-                else:
-                    got_c = qml._cholesky_solve(a[c : c + 1], b[c : c + 1])
-                    assert got_c.tobytes() == want_c.tobytes()
+                _linalg_cholesky_solve(a, b)
         else:
-            assert qml._cholesky_solve(a, b).tobytes() == want.tobytes()
-    assert 0 < raised < 40  # both paths ran
+            clean += 1
+            assert got.tobytes() == _linalg_cholesky_solve(a, b).tobytes()
+    assert 0 < clean < 40 and mixed > 0  # both kinds of stack ran
+
+
+def _one_column_directions(curv, grad, counts):
+    """The Newton directions of :func:`qml._ascent_directions`, one column at
+    a time through ``np.linalg``: solve; where the factorisation fails, add
+    ``1e-8 * (1 + |min eigenvalue|)`` to the diagonal and retry once; where
+    that fails too, the gradient; then the gradient wherever the direction
+    is not finite or not an ascent direction. ``counts`` tallies the
+    retries and the retries that failed."""
+    d = grad.copy()
+    for c in range(len(grad)):
+        a, b = curv[c : c + 1], grad[c : c + 1]
+        try:
+            d[c] = _linalg_cholesky_solve(a, b)[0]
+        except np.linalg.LinAlgError:
+            counts["retried"] += 1
+            delta = 1e-8 * (1.0 + abs(float(np.linalg.eigvalsh(a[0])[0])))
+            try:
+                d[c] = _linalg_cholesky_solve(a + delta * np.eye(a.shape[1]), b)[0]
+            except np.linalg.LinAlgError:
+                counts["failed again"] += 1
+        if not (np.isfinite(d[c]).all() and qml._dots(b, d[c : c + 1])[0] > 0.0):
+            d[c] = grad[c]
+    return d
+
+
+def test_ascent_directions_equal_the_one_column_at_a_time_rule(monkeypatch):
+    counts = dict.fromkeys(("retried", "failed again"), 0)
+    for curv, grad in _curvature_stacks(0):
+        got = qml._ascent_directions(curv, grad)
+        assert got.tobytes() == _one_column_directions(curv, grad, counts).tobytes()
+    assert counts["retried"] > counts["failed again"] > 0  # both outcomes of the retry ran
+    # the stacks the solver builds on a design with a duplicated covariate
+    stacks, directions = [], qml._ascent_directions
+
+    def ascent_directions(curv, grad):
+        stacks.append((curv.copy(), grad.copy()))
+        return directions(curv, grad)
+
+    monkeypatch.setattr(qml, "_ascent_directions", ascent_directions)
+    for family in (GAUSSIAN, BERNOULLI, POISSON):
+        x, y = _column_cases(family)
+        _all_fits(np.column_stack([x, x[:, 1]]), y, family)
+    counts = dict.fromkeys(counts, 0)
+    for curv, grad in stacks:
+        got = directions(curv, grad)
+        assert got.tobytes() == _one_column_directions(curv, grad, counts).tobytes()
+    assert counts["retried"] > 0
 
 
 def test_a_direction_whose_squared_norm_overflows_is_capped_not_zeroed():
@@ -467,20 +516,28 @@ def test_columns_solved_together_equal_columns_solved_alone(family, monkeypatch)
         norms = [np.linalg.norm(f.values[-1]) for f in (fold1, fold2)]
         assert np.allclose(norms, RADIUS, rtol=1e-9)
     # a duplicated covariate makes the curvature matrices singular, so the
-    # columns go through the Cholesky retry and the gradient fallback
-    infos, solve = [], qml._cholesky_solve
+    # columns go through the Cholesky retry and the gradient fallback: a
+    # call that flags columns is followed by one call holding just those,
+    # each bumped
+    calls, solve = [], qml._cholesky_solve
 
     def cholesky_solve(a, b):
-        try:
-            return solve(a, b)
-        except np.linalg.LinAlgError:
-            infos.append(len(a) == 1)  # a column's own factorisation: the retry follows
-            raise
+        d, failed = solve(a, b)
+        calls.append((a.copy(), failed))
+        return d, failed
 
     monkeypatch.setattr(qml, "_cholesky_solve", cholesky_solve)
     x_dup = np.column_stack([x, x[:, 1]])
     _assert_same_fits(_all_fits(x_dup, y, family), _one_column_at_a_time(x_dup, y, family))
-    assert any(infos)
+    retries, calls = 0, iter(calls)
+    for a, failed in calls:
+        if failed.any():
+            flagged = a[failed]
+            bumped, _ = next(calls)
+            want = qml.bump_diagonal(flagged, np.linalg.eigvalsh(flagged)[:, 0])
+            assert bumped.tobytes() == want.tobytes()
+            retries += 1
+    assert retries
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=str)
