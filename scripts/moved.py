@@ -25,17 +25,21 @@ one BLAS thread and no worker pool. The cases:
   The script also prints how many curvature matrices of the case's fold
   and naive fits fail their Cholesky factorisation (one per column and
   Newton iteration) in each tree;
-* table1 at seeds 0, 5, 15 and 26, 100 replicates each.
+* table1 at seeds 0, 5, 15 and 26, 100 replicates each;
+* "specs": ``repr(experiment_spec(name, ...))`` of every named experiment,
+  at desk and at full scale, with its defaults and with ``reps=3, seed=7``,
+  compared as text.
 
 Per case and family (table1: per seed and estimator) it prints ``bit-equal``,
 or for each quantity that moved its max abs and max relative change (relative
 to REV's value): ``f_hat``, ``theta_hat`` and the fold grad norms; the
 interval ends, ``k_hat`` and the converged counts; the naive fits; table1's
 two targets and each replicate metric; the fit cases' ``ci_error`` and
-``wald_error``. In the fit cases, response rows where
-a fold fit (re-solved by ``qml._fit_matrix``) or the naive fit lies on the
-coefficient ball (``qml.RADIUS``) in either tree are counted apart; the other
-quantities of an entry with such a row are too. Each table1 replicate whose
+``wald_error``; a spec's text, from just before its first differing
+character. In the fit cases, response rows where a fold fit (re-solved by
+``qml._fit_matrix``) or the naive fit lies on the coefficient ball
+(``qml.RADIUS``) in either tree are counted apart; the other quantities of
+an entry with such a row are too. Each table1 replicate whose
 ``covered`` flips is listed. The script gates nothing: it exits 0 whatever
 moved. Each subprocess runs ``moved.py --dump PATH``.
 """
@@ -222,6 +226,21 @@ def _table1_cases():
     return cases
 
 
+def _spec_cases():
+    from ghive.experiments import EXPERIMENT_NAMES, experiment_spec
+
+    def text(spec):
+        return np.array([repr(spec)])
+
+    return {
+        (f"specs {name}", "full" if full_scale else "desk"): ({
+            "defaults": text(experiment_spec(name, full_scale=full_scale)),
+            "reps=3 seed=7": text(experiment_spec(name, reps=3, seed=7, full_scale=full_scale)),
+        }, {})
+        for name in EXPERIMENT_NAMES for full_scale in (False, True)
+    }
+
+
 def dump(path):
     import ghive
 
@@ -230,7 +249,7 @@ def dump(path):
         sys.exit(f"ghive was imported from {ghive.__file__}, not from {src}")
     collinear, flagged = _collinear_cases()
     with open(path, "wb") as fh:
-        pickle.dump((_fit_cases() | collinear | _table1_cases(), flagged), fh)
+        pickle.dump((_fit_cases() | collinear | _table1_cases() | _spec_cases(), flagged), fh)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +295,17 @@ def _errors(label, a, b):
     return f"{label}: " + ", ".join(f"{x or 'none'} -> {y or 'none'} ({k} rows)" for (x, y), k in pairs.items())
 
 
+def _text(label, a, b):
+    """One line for the text ``label`` if it changed, else None: both texts
+    from a little before their first differing character."""
+    a, b = str(a[0]), str(b[0])
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    start = max(0, i - 20)
+    return f"{label}: from character {start}, {a[start:i + 40]!r} -> {b[start:i + 40]!r}"
+
+
 def _covered_flips(a, b):
     """Each replicate whose covered value flips, from rows (grid point, rep,
     value, failed); a NaN (failed) value flips only to a number."""
@@ -300,6 +330,8 @@ def compare(base, head):
                              f"{None if b is None else b.shape}")
             elif a.dtype == bool:
                 notes.append(_flags(q, a, b))
+            elif key[0].startswith("specs"):
+                notes.append(_text(q, a, b))
             elif a.dtype.kind == "U":
                 notes.append(_errors(q, a, b))
             elif q in balls_a:

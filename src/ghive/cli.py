@@ -30,54 +30,51 @@ from .errors import DataValidationError, GhiveError, require_integer
 from .families import FAMILY_NAMES, family_from_name
 from .inference import Contrast, confidence_interval, serialize_inference
 from .pipeline import Mode, deserialize_fit, ghive_fit, serialize_fit
-from .simulate import SimConfig, fstar_oracle, make_truth, oracle_bias
+from .simulate import DECAY_CONVENTIONS, SimConfig, fstar_oracle, make_truth, oracle_bias
 
-DEFAULT_SEED = 0  # used by `fit` when --seed is not given
-
-
-# SimConfig field set by each simulation flag (argparse dest -> field); the
-# first six are required unless --config gives the whole config instead.
+# Each simulation flag: the SimConfig field it sets, whether it is required
+# (unless --config gives the whole config instead), and its argparse options.
 _SIM_FLAGS = {
-    "family": "family", "n": "n", "p": "p", "m": "m_dim", "k_true": "k", "eta": "eta",
-    "seed": "seed", "sigma_z_decay": "sigma_z_decay", "reps": "reps",
+    "--family": ("family", True, {"choices": FAMILY_NAMES}),
+    "--n": ("n", True, {"type": int, "help": "sample size per replicate"}),
+    "--p": ("p", True, {"type": int, "help": "number of covariates"}),
+    "--m": ("m_dim", True, {"type": int, "help": "number of responses"}),
+    "--k-true": ("k", True, {"type": int, "help": "true factor count"}),
+    "--eta": ("eta", True, {"type": float, "help": "confounding strength"}),
+    "--seed": ("seed", False, {"type": int, "help": "truth and replicate seed (default: 0)"}),
+    "--sigma-z-decay": ("sigma_z_decay", False, {"choices": DECAY_CONVENTIONS,
+                        "help": "circulant covariance convention (default: negative)"}),
+    "--reps": ("reps", False, {"type": int, "help": "replicates (default: 1)"}),
 }
 
 
-def _add_sim_config_flags(sub):
+def _add_sim_config_flags(sub, reps: bool):
+    """Declare --config and the simulation flags on ``sub``; --reps only if ``reps``."""
     sub.add_argument("--config", help="simulation config JSON file (excludes the flags below)")
-    sub.add_argument("--family", choices=FAMILY_NAMES)
-    sub.add_argument("--n", type=int, help="sample size per replicate")
-    sub.add_argument("--p", type=int, help="number of covariates")
-    sub.add_argument("--m", type=int, help="number of responses")
-    sub.add_argument("--k-true", type=int, help="true factor count")
-    sub.add_argument("--eta", type=float, help="confounding strength")
-    sub.add_argument("--seed", type=int, help="truth and replicate seed (default: 0)")
-    sub.add_argument(
-        "--sigma-z-decay",
-        choices=("negative", "positive"),
-        help="circulant covariance convention (default: negative)",
-    )
+    for flag, (_, _, options) in _SIM_FLAGS.items():
+        if reps or flag != "--reps":
+            sub.add_argument(flag, **options)
 
 
 def _sim_config_from_args(args) -> SimConfig:
-    given = {d: getattr(args, d) for d in _SIM_FLAGS if getattr(args, d, None) is not None}
-    flags = {d: "--" + d.replace("_", "-") for d in _SIM_FLAGS}
+    given = {f: getattr(args, f[2:].replace("-", "_"), None) for f in _SIM_FLAGS}  # default dests
+    given = {f: v for f, v in given.items() if v is not None}
     if args.config:
         if given:
             raise DataValidationError(
-                f"{' '.join(flags[d] for d in given)} cannot be combined with --config; "
+                f"{' '.join(given)} cannot be combined with --config; "
                 "set the values in the config file"
             )
         doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise DataValidationError(f"{args.config}: expected a JSON object")
         return SimConfig.from_json_dict(doc)
-    missing = [flags[d] for d in list(_SIM_FLAGS)[:6] if d not in given]
+    missing = [f for f, (_, required, _) in _SIM_FLAGS.items() if required and f not in given]
     if missing:
         raise DataValidationError(
             f"missing {' '.join(missing)} (or pass --config FILE)"
         )
-    return SimConfig(**{_SIM_FLAGS[d]: v for d, v in given.items()})
+    return SimConfig(**{field: given[f] for f, (field, _, _) in _SIM_FLAGS.items() if f in given})
 
 
 def _parse_direction(spec: str, dim: int, name: str) -> np.ndarray:
@@ -225,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="factor count: 'auto' (eigenvalue-ratio selection, the default) or a positive integer",
     )
     fit.add_argument("--projector", help="CSV of an M x M complement projector (excludes --k)")
-    fit.add_argument("--seed", type=int, default=DEFAULT_SEED, help="split seed")
+    fit.add_argument("--seed", type=int, default=0, help="split seed")
     fit.add_argument("--out", required=True, help="output fit JSON path")
     fit.set_defaults(func=cmd_fit)
 
@@ -244,15 +241,14 @@ def _build_parser() -> argparse.ArgumentParser:
     infer.set_defaults(func=cmd_infer)
 
     sim = sub.add_parser("simulate", help="score estimators on synthetic replicates")
-    _add_sim_config_flags(sim)
-    sim.add_argument("--reps", type=int, help="replicates (default: 1)")
+    _add_sim_config_flags(sim, reps=True)
     sim.add_argument("--out", required=True, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
     oracle = sub.add_parser(
         "fstar-oracle", help="Monte-Carlo pseudo-true coefficients for a config"
     )
-    _add_sim_config_flags(oracle)
+    _add_sim_config_flags(oracle, reps=False)
     oracle.add_argument("--n-mc", type=int, default=50_000)
     oracle.add_argument("--out", required=True, help="output JSON path")
     oracle.set_defaults(func=cmd_fstar_oracle)

@@ -5,11 +5,12 @@ Five named experiments cover the study: the approximation-bias sweep
 confounding strength, "fig2-n" over sample size, "fig2-m" over response
 count), and the coverage experiment ("table1"). Default grids and
 replication counts are desk scale; ``full_scale=True`` restores the original
-protocol sizes. Both scales of every experiment are one row of one table,
-``_PROTOCOLS``, which :func:`experiment_spec` reads. ``ghive simulate`` runs
-a one-point error spec through the same :func:`run_experiment`. Every spec,
-named or built directly, is checked once, when it is built
-(:class:`ExperimentSpec`), so a bad one fails before any grid point runs.
+protocol sizes. Both scales of every experiment, with its default seed and
+its oracle's draw size, are one row of one table, ``_PROTOCOLS``, which
+:func:`experiment_spec` reads. ``ghive simulate`` runs a one-point error
+spec through the same :func:`run_experiment`. Every spec, named or built
+directly, is checked once, when it is built (:class:`ExperimentSpec`), so a
+bad one fails before any grid point runs.
 
 Seed discipline: the experiment seed is mixed (splitmix-style) with the grid
 index to give each grid point its own stream family. Error experiments
@@ -24,13 +25,14 @@ every other name estimation error.
 A grid point's replicates run in chunks, each one :func:`_replicates` task:
 one chunk per grid point when serial, one per worker when the GHIVE_THREADS
 environment variable asks for a process pool (the tasks are picklable
-``functools.partial`` calls). A chunk draws each replicate (:func:`_draw`),
-then makes all its pipeline fits in one ``ghive_fit_many`` call and all its
-naive MLEs in one ``fit_naive_many`` call, so the replicates' small fold
-fits share the solver's Newton loops; fig1-bias chunks draw one large
-oracle per replicate and fit nothing. Every fit is the one its replicate
-gets alone, bit for bit, so the rows do not depend on the chunking; output
-ordering is canonicalised either way.
+``functools.partial`` calls, and the parent raises each worker's warnings
+again). A chunk draws each replicate (:func:`_draw`), then makes all its
+pipeline fits in one ``ghive_fit_many`` call and all its naive MLEs in one
+``fit_naive_many`` call, so the replicates' small fold fits share the
+solver's Newton loops; fig1-bias chunks draw one large oracle per
+replicate and fit nothing. Every fit is the one its replicate gets alone,
+bit for bit, so the rows do not depend on the chunking; output ordering is
+canonicalised either way.
 
 Each replicate's rows come from one call of its worker (``_bias_rep``,
 ``_error_rep``, ``_coverage_rep``), which hands ``_rows`` a
@@ -67,8 +69,6 @@ ESTIMATOR_NAIVE = "naive-mle"
 ESTIMATOR_FSTAR = "fstar-oracle"
 
 ERROR_ESTIMATORS = (ORACLE_P, ORACLE_K, DATA_DRIVEN, ESTIMATOR_NAIVE)
-
-EXPERIMENT_NAMES = ("fig1-bias", "fig1-eta", "fig2-n", "fig2-m", "table1")
 
 ALPHA = 0.05  # the coverage experiment's intervals are at level 1 - ALPHA
 
@@ -136,29 +136,30 @@ class ExperimentSpec:
 
 
 # The study protocol, one row per experiment: the SimConfig field its grid
-# sweeps, that field's values and the default reps (each at desk scale, then
-# at full scale), and the SimConfig fields every grid point shares.
+# sweeps, that field's values, the default reps and the oracle's draw size
+# n_mc (each at desk scale, then at full scale), the default seed, and the
+# SimConfig fields every grid point shares.
 _PROTOCOLS = {
     # Identity link: the approximation error of the pseudo-true coefficient
     # has a closed form there, and its decay in p is clean.  Under the logit
     # link the attenuation of the population coefficients grows with p fast
     # enough to mask the decay on a grid this short.
-    "fig1-bias": ("p", ((3, 6, 9, 12, 15), tuple(range(3, 16))), (5, 20),
+    "fig1-bias": ("p", ((3, 6, 9, 12, 15), tuple(range(3, 16))), (5, 20), (50_000, 200_000), 0,
                   {"n": 100, "m_dim": 3, "k": 3, "eta": 10.0, "family": "gaussian"}),
     "fig1-eta": ("eta", ((1.0, 2.0, 4.0, 6.0, 8.0), tuple(map(float, range(1, 9)))), (100, 500),
-                 {"n": 100, "p": 4, "m_dim": 4, "k": 3}),
+                 (50_000, 50_000), 0, {"n": 100, "p": 4, "m_dim": 4, "k": 3}),
     "fig2-n": ("n", ((100, 200, 300, 400), tuple(range(100, 401, 50))), (50, 200),
-               {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
-    "fig2-m": ("m_dim", ((4, 12, 20), (4, 8, 12, 16, 20)), (30, 100),
+               (50_000, 50_000), 0, {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
+    "fig2-m": ("m_dim", ((4, 12, 20), (4, 8, 12, 16, 20)), (30, 100), (50_000, 50_000), 0,
                {"n": 200, "p": 4, "k": 3, "eta": 4.0}),
-    "table1": ("n", ((70,), (40, 70)), (100, 100), {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
+    # The coverage table fixes one truth draw per grid point, and draws differ
+    # in how far confounding shifts the target coordinate; seed 15 is one
+    # where the shift is material, which is the regime the table is about.
+    "table1": ("n", ((70,), (40, 70)), (100, 100), (100_000, 100_000), 15,
+               {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
 }
-
-# The coverage table fixes one truth draw per grid point, and draws differ in
-# how far confounding shifts the target coordinate; seed 15 is one where the
-# shift is material, which is the regime the table is about.
-DEFAULT_SEEDS = {name: 0 for name in EXPERIMENT_NAMES}
-DEFAULT_SEEDS["table1"] = 15
+EXPERIMENT_NAMES = tuple(_PROTOCOLS)
+DEFAULT_SEEDS = {name: seed for name, (_, _, _, _, seed, _) in _PROTOCOLS.items()}
 
 
 def experiment_spec(
@@ -167,20 +168,18 @@ def experiment_spec(
     """Build the canonical spec for a named experiment from its row of
     ``_PROTOCOLS``.
 
-    ``reps=None`` takes the experiment's default replication count (desk
-    scale unless ``full_scale``); ``seed=None`` takes its default seed
-    (``DEFAULT_SEEDS``).
+    ``reps=None`` takes the experiment's default replication count and
+    ``seed=None`` its default seed. The replication count and the oracle's
+    draw size are desk scale unless ``full_scale``.
     """
     if name not in EXPERIMENT_NAMES:
         msg = f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
         raise DataValidationError(msg)
-    if seed is None:
-        seed = DEFAULT_SEEDS[name]
-    field, values, default_reps, shared = _PROTOCOLS[name]
+    field, values, default_reps, n_mc, default_seed, shared = _PROTOCOLS[name]
+    seed = default_seed if seed is None else seed
     grid = tuple(SimConfig(**shared, **{field: v}, seed=seed) for v in values[full_scale])
     reps = default_reps[full_scale] if reps is None else reps
-    n_mc = 200_000 if full_scale and name == "fig1-bias" else 100_000 if name == "table1" else 50_000
-    return ExperimentSpec(name=name, grid=grid, reps=reps, seed=seed, n_mc=n_mc)
+    return ExperimentSpec(name=name, grid=grid, reps=reps, seed=seed, n_mc=n_mc[full_scale])
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +399,14 @@ def aggregate_rows(long_rows) -> list:
     return out
 
 
-def _call(task) -> list:
-    return task()
+def _call(task) -> tuple:
+    """``task()`` in a pool worker: its rows, and the warnings it raised,
+    which the parent raises again so that its own filters and printer apply,
+    as in a serial run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = task()
+    return rows, [w.message for w in caught]
 
 
 def _chunks(reps: int, workers: int) -> list:
@@ -419,7 +424,10 @@ def _map_tasks(tasks, workers: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_call, tasks))
+            results, caught = zip(*pool.map(_call, tasks))
+        for messages in caught:
+            for message in messages:
+                warnings.warn(message)
     return [row for rows in results for row in rows]
 
 

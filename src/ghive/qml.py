@@ -504,11 +504,13 @@ def _newton_ascent(designs, family, starts, kind):
                     x, xt, y.T[response[cols]], family, starts[d, cols], kind, work=work
                 )
                 f[d, cols], value[d, cols], grad_norm[d, cols] = block[:3]
-        else:  # each column gets its design's rows
-            x = np.repeat(np.stack([designs[d][0] for d in chunk]), c_dim, axis=0)
-            y = np.stack([designs[d][1] for d in chunk]).transpose(0, 2, 1)[:, response]
-            start = starts[chunk].reshape(-1, p)
-            block = _ascent_block(x, None, y.reshape(-1, n), family, start, kind, work=work)
+        else:  # each column gets its design's rows, passed as temporaries so
+            # that the block holds the only reference once it compacts them
+            block = _ascent_block(
+                np.repeat(np.stack([designs[d][0] for d in chunk]), c_dim, axis=0), None,
+                np.concatenate([designs[d][1].T[response] for d in chunk]),
+                family, starts[chunk].reshape(-1, p), kind, work=work,
+            )
             f[chunk] = block[0].reshape(-1, c_dim, p)
             value[chunk], grad_norm[chunk] = (a.reshape(-1, c_dim) for a in block[1:3])
     return f, value, grad_norm

@@ -538,6 +538,22 @@ def test_simulate_config_file_saved_with_a_utf8_bom_reproduces_the_flags(tmp_pat
         assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
+def test_every_simulation_flag_reaches_its_field(tmp_path, capsys):
+    # every flag off its default, and no two flags at one value
+    flags = ["--family", "poisson", "--n", "31", "--p", "2", "--m", "4", "--k-true", "1",
+             "--eta", "2.5", "--seed", "6", "--sigma-z-decay", "positive", "--reps", "3"]
+    assert main(["simulate", *flags, "--out", str(tmp_path / "sim")]) == 0
+    assert json.loads((tmp_path / "sim" / "simulate_config.json").read_text()) == {
+        "n": 31, "p": 2, "m_dim": 4, "k": 1, "eta": 2.5, "family": "poisson", "seed": 6,
+        "reps": 3, "sigma_z_decay": "positive",
+    }
+    capsys.readouterr()
+    out = tmp_path / "oracle.json"  # --reps belongs to simulate alone
+    assert main(["fstar-oracle", *flags[:-2], "--reps", "2", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --reps 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [

@@ -2,8 +2,11 @@
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import math
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +225,26 @@ def test_the_process_pool_has_no_more_workers_than_tasks(monkeypatch):
     spec = dataclasses.replace(experiment_spec("table1", reps=2), n_mc=10_000)
     assert not any(row["failed"] for row in run_experiment(spec).long_rows)
     assert sizes == [2]
+
+
+def _warn_and_return(i):
+    warnings.warn(f"task {i} warns")
+    return [i]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_pool_worker_s_warnings_reach_the_parent(monkeypatch):
+    # a forked worker records into its own copy of the parent's list, and a
+    # spawned one prints with its own printer; the parent raises them again
+    fork = multiprocessing.get_context("fork")
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    tasks = [functools.partial(_warn_and_return, i) for i in range(2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert experiments._map_tasks(tasks, workers=2) == [0, 1]
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    assert messages == ["task 0 warns", "task 1 warns"]
 
 
 def _raise_on(monkeypatch, name, calls):
