@@ -184,15 +184,13 @@ def quasi_residual(family: GlmFamily, r, eta, floor, out=None, tmp=None):
     res = np.empty(np.broadcast(r, eta).shape) if out is None else out
     if family.kind == "bernoulli":
         # e^(-s eta): -(s eta) has the bits of (-s) eta
-        np.negative(np.multiply(r, eta, out=res), out=res)
-        with np.errstate(over="ignore"):
-            np.exp(res, out=res)
+        _exp(np.negative(np.multiply(r, eta, out=res), out=res), res)
         res += 1.0
         res *= r
-        return np.clip(res, -cap, cap, out=res)
+        np.minimum(res, cap, out=res)  # np.clip's bits, without its Python wrapper
+        return np.maximum(res, -cap, out=res)
     # poisson
-    with np.errstate(over="ignore"):
-        e = np.exp(eta, out=np.empty(eta.shape) if tmp is None else tmp)
+    e = _exp(eta, np.empty(eta.shape) if tmp is None else tmp)
     np.subtract(r, e, out=res)
     np.maximum(e, floor, out=e)  # finite exactly where e^eta is
     with np.errstate(invalid="ignore"):
@@ -249,16 +247,12 @@ def quasi_term(family: GlmFamily, r, eta, out=None, tmp=None):
         return term
     if family.kind == "bernoulli":
         np.multiply(r, eta, out=term)  # t = s eta
-        e = np.negative(term, out=np.empty(term.shape) if tmp is None else tmp)
-        with np.errstate(over="ignore"):
-            np.exp(e, out=e)
-        term -= e
+        e = np.empty(term.shape) if tmp is None else tmp
+        term -= _exp(np.negative(term, out=e), e)
         term += 1.0
         return term
     # -(y e^(-eta)) has the bits of (-y) e^(-eta)
-    np.negative(eta, out=term)
-    with np.errstate(over="ignore"):
-        np.exp(term, out=term)
+    _exp(np.negative(eta, out=term), term)
     term *= r
     np.negative(term, out=term)
     term -= eta
@@ -275,13 +269,26 @@ def _filled(out, value, shape=None):
     return out
 
 
+@np.errstate(over="ignore")
+def _exp(t, out=None):
+    """``e^t``, in ``out`` if given, under the kernels' one overflow rule:
+    where t exceeds ~709.78 the result is inf, with no warning, and the
+    solver rejects any step whose objective is not finite. Every exponential
+    of this module that can overflow when a kernel is called directly goes
+    through here. Two are left unguarded: the bernoulli ``cumulant``'s
+    ``e^(-|t|)``, which cannot overflow, and the poisson ``cumulant`` and
+    ``cumulant_d1``, which only callers that guard themselves reach (the
+    solver's Newton block), and which would otherwise pay for a second
+    guard."""
+    return np.exp(t, out=out)
+
+
 def _sigmoid(t, out=None):
     """``1 / (1 + e^-t)``, in ``out`` if given; below t ~ -709.78 e^-t
     overflows to inf and the quotient flushes to 0 (as in ``expit``), where
     sigma is subnormal."""
-    sigma = np.negative(t, out=np.empty(np.shape(t)) if out is None else out)
-    with np.errstate(over="ignore"):
-        np.exp(sigma, out=sigma)
+    sigma = np.empty(np.shape(t)) if out is None else out
+    _exp(np.negative(t, out=sigma), sigma)
     sigma += 1.0
     return np.divide(1.0, sigma, out=sigma)
 
