@@ -104,7 +104,10 @@ def worker_count() -> int:
             RuntimeWarning,
         )
         return 1
-    return max(1, value)
+    if value < 1:
+        warnings.warn(f"ignoring GHIVE_THREADS={raw!r} below 1; running serially", RuntimeWarning)
+        return 1
+    return value
 
 
 @dataclass(frozen=True)

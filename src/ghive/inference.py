@@ -72,7 +72,7 @@ class Contrast:
                 warnings.warn(
                     f"contrast {name} had norm {length:.6g}; renormalising to 1",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
             object.__setattr__(self, name, vec / norm)
 

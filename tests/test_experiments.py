@@ -179,9 +179,10 @@ def test_worker_count_env_parsing(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("GHIVE_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("GHIVE_THREADS", "zero")
-    with pytest.warns(RuntimeWarning):
-        assert worker_count() == 1
+    for raw in ("zero", "0", "-2"):
+        monkeypatch.setenv("GHIVE_THREADS", raw)
+        with pytest.warns(RuntimeWarning, match=f"ignoring .*GHIVE_THREADS='{raw}'.*; running serially"):
+            assert worker_count() == 1
 
 
 def test_process_pool_rows_match_the_serial_run(monkeypatch):

@@ -1,5 +1,6 @@
 """Confidence intervals: contrasts, quantiles, variance pieces, Wald baseline."""
 
+import inspect
 import json
 import math
 
@@ -40,8 +41,11 @@ def _schema(name):
 
 
 def test_contrast_renormalizes_with_a_warning():
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning) as record:
+        line = inspect.currentframe().f_lineno + 1
         c = Contrast(u=np.array([2.0, 0.0]), v=np.array([0.0, 3.0]))
+    # each warning names the line that built the contrast
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)] * 2
     assert np.linalg.norm(c.u) == pytest.approx(1.0)
     assert np.linalg.norm(c.v) == pytest.approx(1.0)
 
