@@ -39,6 +39,11 @@ Measured so on a 2-core Intel Xeon VM with one BLAS thread: fit-small
 0.999-1.001 over 20-40 pairs, study 1.004 over 16, but cli-roundtrip
 0.95-0.98 over 8-12 pairs in seven runs, a side bias that changes from
 process to process; read a cli-roundtrip ratio beside such checks.
+Few pairs resolve no few-percent effect: on the same VM, HEAD-against-HEAD
+runs of 12 fit-small pairs read 0.955-1.013 (this checkout "faster" in 10
+of 12 pairs in one of them), and of 4 fit-large pairs 0.927-1.092. So a
+ratio from CI's 4 and 12 pairs is only a sign; a claim needs 20 or more
+pairs.
 """
 
 import argparse

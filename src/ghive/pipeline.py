@@ -198,13 +198,15 @@ def ghive_fit_many(datasets, family: GlmFamily, seeds, mode: Mode | None = None)
 def _crossfit_sigma(folds, f: np.ndarray, family: GlmFamily):
     """``sigma_hat``: the average of the two folds' second moments of weighted
     residuals, the ``(x, y)`` rows of fold d1 scored with fold d2's
-    coefficients ``f[1]`` and fold d2's with ``f[0]``, symmetrised."""
+    coefficients ``f[1]`` and fold d2's with ``f[0]``. numpy forms each
+    ``e.T @ e`` as a symmetric rank-k update, so the average is exactly
+    symmetric; :func:`~ghive.spectral.eigendecomposition` symmetrises every
+    matrix it decomposes all the same."""
     e1, e2 = (
         families.weighted_residual(family, y, x @ coef.T, floor=families.RESIDUAL_CURVATURE_FLOOR)
         for (x, y), coef in zip(folds, f[::-1])
     )
-    sigma = 0.5 * (e1.T @ e1 / len(e1) + e2.T @ e2 / len(e2))
-    return 0.5 * (sigma + sigma.T)
+    return 0.5 * (e1.T @ e1 / len(e1) + e2.T @ e2 / len(e2))
 
 
 def with_projection(fit: GhiveFit, mode: Mode) -> GhiveFit:

@@ -50,12 +50,13 @@ has the bits of the call it replaces. :func:`_cholesky_solve` calls the
 LAPACK gufuncs behind ``np.linalg.cholesky`` and ``np.linalg.solve``
 directly, without the wrappers' argument checks: the same LAPACK routines
 on the same arrays. Row means are ``np.add.reduce`` over n, the reduction
-and the division ``np.mean`` performs. The ball projection, the direction
-cap and the gradient fallback assign nothing when no row needs it. The
-full step is evaluated without the halving rounds' bookkeeping, its
-candidates ``f + d`` having the bits of ``f + 1.0 * d``. A gathered block
-copies its live columns' design and response rows only when a column
-stops, not on every iteration.
+and the division ``np.mean`` performs. One helper, :func:`_cap_rows`,
+caps starts and line-search candidates at RADIUS and Newton directions at
+``2 * RADIUS``; it and the gradient fallback assign nothing when no row
+needs it. The full step is evaluated without the halving rounds'
+bookkeeping, its candidates ``f + d`` having the bits of ``f + 1.0 * d``.
+A gathered block copies its live columns' design and response rows only
+when a column stops, not on every iteration.
 
 One ascent solves many coefficient columns at once (every response, and both
 starts of a quasi-likelihood fit outside the gaussian family, whose fit climbs
@@ -148,9 +149,14 @@ BLOCK_ELEMENTS = 2**17
 # column on a 100-row fold gets all its halvings in one objective call, and
 # one stalled alone in a block of 8 columns on a 5000-row fold gets 8 per
 # call. A fit-large op makes 264 objective calls on 2210 coefficient rows
-# (median of pool entries 0-3, scripts/op_faults.py). Rounds of up to
-# BLOCK_ELEMENTS candidates, each allocating its own arrays, were faster
-# in-process but took about 10k more minor page faults per fit-large op.
+# (median of pool entries 0-3, scripts/ab.py REV --workload fit-large
+# --pairs 4).
+# A larger budget makes fewer calls but evaluates more halvings that no
+# column takes: with BLOCK_ELEMENTS // n candidate rows a fit-small op made
+# 106 instead of 132 calls, on 1.00M instead of 0.61M row elements, and took
+# 10% more CPU (paired ratio 1.10, slower in 23 of 24 pairs; 2-core Xeon VM,
+# one BLAS thread); a fit-large op made 209 calls on 14.4M instead of 13.25M
+# row elements, with about twice the minor page faults.
 STACK_ELEMENTS = 2**13
 
 # Element budget (128 KB) of one column's (p, rows) chunk of scaled design
@@ -438,31 +444,22 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray):
     return x, np.isnan(low[:, 0, 0])  # a failed factor is NaN throughout
 
 
-def _ball_project(f: np.ndarray) -> np.ndarray:
-    """Scale the rows of ``f`` (C, p) lying outside the ball onto it, in place."""
-    norm = np.sqrt(_dots(f, f))
-    out = ~(norm <= RADIUS)  # as the one-vector test, NaN norms included
-    if out.any():
-        f[out] = f[out] * (RADIUS / norm[out])[:, None]
-    return f
-
-
-def _cap_length(d: np.ndarray) -> np.ndarray:
-    """Scale the rows of the finite ``d`` (C, p) longer than 2 * RADIUS to
-    that length, in place. A row whose squared norm overflows (entries past
-    about 1e154) is measured after scaling by the power of two that brings
-    its largest entry into [0.5, 1), which is exact, as ``inference.Contrast``
-    measures a contrast; every row whose squared norm is finite keeps its
-    bits."""
-    norm = np.sqrt(_dots(d, d))
-    long = norm > 2.0 * RADIUS
+def _cap_rows(a: np.ndarray, limit: float) -> np.ndarray:
+    """Scale the rows of ``a`` (C, p) longer than ``limit``, or of NaN
+    length, to that length, in place. A row whose squared norm overflows
+    (entries past about 1e154) is measured after scaling by the power of two
+    that brings its largest entry into [0.5, 1), which is exact, as
+    ``inference.Contrast`` measures a contrast; every row whose squared norm
+    is finite keeps its bits."""
+    norm = np.sqrt(_dots(a, a))
+    long = ~(norm <= limit)  # NaN norms included
     if long.any():
         huge = np.isinf(norm)
         if huge.any():
-            d[huge] = np.ldexp(d[huge], -np.frexp(np.abs(d[huge]).max(axis=1))[1][:, None])
-            norm[huge] = np.sqrt(_dots(d[huge], d[huge]))
-        d[long] = d[long] * (2.0 * RADIUS / norm[long])[:, None]
-    return d
+            a[huge] = np.ldexp(a[huge], -np.frexp(np.abs(a[huge]).max(axis=1))[1][:, None])
+            norm[huge] = np.sqrt(_dots(a[huge], a[huge]))
+        a[long] = a[long] * (limit / norm[long])[:, None]
+    return a
 
 
 def _newton_ascent(designs, family, starts, kind):
@@ -542,8 +539,9 @@ def _ascent_block(x, xt, y, family, f, kind, work):
     would: in a block of 8 columns on a 5000-row fold, a column stalled
     alone makes 5 calls where one halving per call makes 30. A round's
     candidates broadcast over their columns' design rows, which are never
-    copied per candidate. A direction longer than ``2 * RADIUS`` is scaled
-    to that length (see :func:`_cap_length`).
+    copied per candidate. One helper, :func:`_cap_rows`, scales the start
+    and every candidate longer than RADIUS onto the coefficient ball, and a
+    direction longer than ``2 * RADIUS`` to that length.
 
     Once a column stops, the block replaces its response rows, and in a
     gathered block its design rows, by the live columns' rows: one copy per
@@ -575,7 +573,7 @@ def _ascent_block(x, xt, y, family, f, kind, work):
         objective, gradient, weight = quasi_objective, quasi_gradient, hessian_weight
     else:
         objective, gradient, weight = loglik_objective, loglik_gradient, cumulant_d2
-    f = _ball_project(f)  # callers pass a copy; it is updated in place
+    f = _cap_rows(f, RADIUS)  # callers pass a copy; it is updated in place
     value = objective(x, y, family, f, (eta, *bufs[1:, :width]))[0]
     path = [value.copy()]
     grad_norm, n_iter = np.full(width, np.inf), np.zeros(width, dtype=int)
@@ -613,11 +611,11 @@ def _ascent_block(x, xt, y, family, f, kind, work):
         # keep the backtracking scale meaningful: a near-singular curvature
         # matrix can suggest steps many orders of magnitude longer than the
         # feasible ball
-        direction = _cap_length(_ascent_directions(curv, grad))
+        direction = _cap_rows(_ascent_directions(curv, grad), 2.0 * RADIUS)
         # round 0: the full step, its candidates f + direction (the bits of
         # f + 1.0 * direction), passed as one round of (1, columns) rows
         rows = slice(None) if live.size == width else live
-        cand = _ball_project(f[rows] + direction)
+        cand = _cap_rows(f[rows] + direction, RADIUS)
         cand_value, cand_eta = objective(x, y, family, cand[None], bufs[:, None, : live.size])
         cand_value, cand_eta = cand_value[0], cand_eta[0]
         hit = np.isfinite(cand_value) & (cand_value > value[rows])
@@ -632,7 +630,7 @@ def _ascent_block(x, xt, y, family, f, kind, work):
             steps = np.ldexp(1.0, -np.arange(halving, halving + k))
             cols = live[todo]
             cand = f[cols] + steps[:, None, None] * direction[todo]
-            cand = _ball_project(cand.reshape(-1, f.shape[1]))
+            cand = _cap_rows(cand.reshape(-1, f.shape[1]), RADIUS)
             # a column's k candidates broadcast over its rows, gathered once
             out = bufs[:, : k * cols.size].reshape(3, k, cols.size, n)
             cand_value, cand_eta = objective(

@@ -34,11 +34,15 @@ def eigendecomposition(sigma: np.ndarray):
 
     The residual covariance is not forced to be PSD; an eigenvalue below
     ``-1e-10 * lambda_1`` indicates something numerically off and triggers
-    a warning; a non-finite ``sigma`` is a NumericalError.
+    a warning. ``sigma`` is symmetrised first, as ``0.5 * (sigma + sigma.T)``;
+    a ``sigma`` whose symmetrised form is not finite (entries past about
+    9e307 overflow its sum) is a NumericalError.
     """
-    if not np.isfinite(sigma).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (sigma + sigma.T)
+    if not np.isfinite(sym).all():
         raise NumericalError("the residual covariance is not finite; the data are too large")
-    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    vals, vecs = np.linalg.eigh(sym)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     if vals[-1] < -1e-10 * max(vals[0], 0.0):

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, error reporting."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -781,6 +782,23 @@ codes = [
 ]
 print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+
+
+def test_the_module_entry_point_exits_two_with_one_error_line(tmp_path):
+    # ``python -m ghive.cli`` runs the module's ``__main__`` call and
+    # ``cli.entry``'s ``sys.exit(main())``, which the in-process tests skip
+    src = str(Path(ghive.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghive.cli", "reproduce", "table1", "--seed", "-1",
+         "--out", str(tmp_path / "bad_seed")],
+        capture_output=True, text=True, timeout=120,
+        env=os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: seed must ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_fit_infer_and_reproduce_import_no_scipy(tmp_path):

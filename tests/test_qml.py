@@ -250,12 +250,21 @@ def test_a_direction_whose_squared_norm_overflows_is_capped_not_zeroed():
     ]
     for f in fits:  # each ends on the ball, along (1, 0.5)
         assert np.allclose(f, RADIUS * np.array([2.0, 1.0]) / np.sqrt(5.0), rtol=1e-12)
-    # rows whose squared norm is finite keep their bits
+    # one helper caps directions at 2 * RADIUS and candidates at RADIUS: an
+    # overflowing row is capped at either limit, and rows whose squared norm
+    # is finite keep their bits
     d = np.array([[3e153, -4e153], [30.0, 40.0], [3.0, 4.0]])
-    capped = qml._cap_length(d.copy())
+    capped = qml._cap_rows(d.copy(), 2.0 * RADIUS)
     assert np.allclose(capped[0], [24.0, -32.0], rtol=1e-15)
     assert capped[1].tobytes() == (d[1] * (2.0 * RADIUS / 50.0)).tobytes()
     assert capped[2].tobytes() == d[2].tobytes()
+    f = np.array([[3e154, -4e154], [30.0, 40.0], [3.0, 4.0], [np.nan, 1.0]])
+    with np.errstate(over="ignore"):  # as inside the ascent
+        capped = qml._cap_rows(f.copy(), RADIUS)
+    assert np.allclose(capped[0], [12.0, -16.0], rtol=1e-15)
+    assert capped[1].tobytes() == (f[1] * (RADIUS / 50.0)).tobytes()
+    assert capped[2].tobytes() == f[2].tobytes()
+    assert np.isnan(capped[3]).all()  # a NaN-length row is scaled, to NaN
 
 
 _X = np.random.default_rng(2).standard_normal((40, 2))

@@ -30,8 +30,11 @@ def test_eigendecomposition_warns_on_clearly_negative_spectrum():
 
 
 def test_eigendecomposition_refuses_a_non_finite_covariance():
-    with pytest.raises(NumericalError, match="residual covariance is not finite"):
-        eigendecomposition(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # the second is finite, but its symmetrised form overflows: a fit's
+    # sigma_hat past about 9e307 fails here, as when the fit symmetrised it
+    for sigma in ([[np.inf, 0.0], [0.0, 1.0]], [[1e308, 1.0], [1.0, 1.0]]):
+        with pytest.raises(NumericalError, match="residual covariance is not finite"):
+            eigendecomposition(np.array(sigma))
 
 
 def test_select_k_picks_the_largest_adjacent_ratio():
