@@ -12,11 +12,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or validation error.
 Set GHIVE_THREADS to parallelise experiment replications.
+
+The argument parser is built once per process, on the first ``main`` call;
+``main`` runs the ``cmd_*`` function its subcommand names as bound when it
+runs, so a wrapped or patched ``cmd_*`` is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -205,6 +210,7 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghive",
@@ -224,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--projector", help="CSV of an M x M complement projector (excludes --k)")
     fit.add_argument("--seed", type=int, default=0, help="split seed")
     fit.add_argument("--out", required=True, help="output fit JSON path")
-    fit.set_defaults(func=cmd_fit)
 
     infer = sub.add_parser("infer", help="confidence interval from a saved fit")
     infer.add_argument("--fit", required=True, help="fit JSON from `ghive fit`")
@@ -238,12 +243,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument("--alpha", type=float, default=0.05)
     infer.add_argument("--out", required=True, help="output JSON path")
-    infer.set_defaults(func=cmd_infer)
 
     sim = sub.add_parser("simulate", help="score estimators on synthetic replicates")
     _add_sim_config_flags(sim, reps=True)
     sim.add_argument("--out", required=True, help="output directory")
-    sim.set_defaults(func=cmd_simulate)
 
     oracle = sub.add_parser(
         "fstar-oracle", help="Monte-Carlo pseudo-true coefficients for a config"
@@ -251,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sim_config_flags(oracle, reps=False)
     oracle.add_argument("--n-mc", type=int, default=50_000)
     oracle.add_argument("--out", required=True, help="output JSON path")
-    oracle.set_defaults(func=cmd_fstar_oracle)
 
     rep = sub.add_parser(
         "reproduce", help="run a named simulation-study experiment, or all of them"
@@ -270,15 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the original protocol sizes instead of desk-scale defaults",
     )
-    rep.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
@@ -286,7 +286,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # a library warning prints as one line, as errors do
             warnings.simplefilter("default")
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            return int(args.func(args) or 0)
+            command = globals()["cmd_" + args.command.replace("-", "_")]
+            return int(command(args) or 0)
     except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

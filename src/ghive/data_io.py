@@ -9,17 +9,20 @@ counting the header row as row 1 when present.
 A plain numeric file is parsed by orjson, in chunks of whole lines of about
 32 KiB (some 1,600 cells of 17-digit numbers), each passed to
 ``orjson.loads`` as one JSON array of rows. orjson's number parser is
-correctly rounded, as ``float()`` is, so the two give the same bits. A chunk
-takes this path only if it holds nothing but ASCII digits, ``+-.eE``,
-commas, spaces, tabs and line ends; has no integer ``-0`` cell (orjson reads
-it as the int 0 and drops the sign); and its rows, like every other chunk's,
-hold the same number of cells. Lines left empty by LF, CRLF or CR endings
-are skipped, as ``csv.reader`` skips them. Any file with a chunk that fails
-goes through the csv module instead, the one place that detects headers,
-accepts the rest of ``float()``'s syntax (``1_000``, ``.5``, ``+1``,
-non-ASCII digits, quoted cells) and locates bad cells. A file that is not
-UTF-8, or a JSON input that does not parse, is a ``DataValidationError``
-naming the path.
+correctly rounded, as ``float()`` is, so the two give the same bits. One
+``np.array(rows, dtype=float)`` call turns the parsed rows (Python floats,
+and ints, which it converts as ``float()`` does) into the chunk's block, and
+refuses rows of different widths. A chunk takes this path only if it holds
+nothing but ASCII digits, ``+-.eE``, commas, spaces, tabs and line ends; has
+no integer ``-0`` cell (orjson reads it as the int 0 and drops the sign);
+and its rows, like every other chunk's, hold the same number of cells. Lines
+left empty by LF, CRLF or CR endings are skipped, as ``csv.reader`` skips
+them. Any file with a chunk that fails goes through the csv module instead,
+the one place that detects headers (so a file with a header row is read
+whole by it), accepts the rest of ``float()``'s syntax (``1_000``, ``.5``,
+``+1``, non-ASCII digits, quoted cells) and locates bad cells. A file that
+is not UTF-8, or a JSON input that does not parse, is a
+``DataValidationError`` naming the path.
 
 Floats are written with 17 significant digits so that write -> read is
 bit-exact for every finite double. All file writes go through a temp file

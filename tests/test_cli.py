@@ -122,6 +122,45 @@ def test_fixed_factor_count_flag(tmp_path, csv_data):
     assert doc["k_hat"] == 2 and doc["mode"]["kind"] == "oracle-k"
 
 
+# One parser serves every main() call in a process: what one call parses
+# must not carry into the next.
+def test_a_fit_without_k_after_one_with_k_is_data_driven(tmp_path, csv_data):
+    _, fixed = _fit(tmp_path, csv_data, "--k", "2")
+    assert json.loads(fixed.read_text())["mode"]["kind"] == "oracle-k"
+    code, auto = _fit(tmp_path, csv_data)
+    assert code == 0 and json.loads(auto.read_text())["mode"] == {"kind": "data-driven", "k": None}
+
+
+def test_an_infer_without_alpha_after_one_with_alpha_uses_the_default(tmp_path, csv_data):
+    _, fit_path = _fit(tmp_path, csv_data)
+    xp, yp = csv_data
+    base = ["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp), "--u", "e1",
+            "--v", "e1", "--out", str(tmp_path / "ci.json")]
+    assert main([*base, "--alpha", "0.1"]) == 0
+    assert json.loads((tmp_path / "ci.json").read_text())["alpha"] == 0.1
+    assert main(base) == 0
+    assert json.loads((tmp_path / "ci.json").read_text())["alpha"] == 0.05
+
+
+def test_a_usage_error_leaves_the_next_call_to_run(tmp_path, csv_data, capsys):
+    xp, yp = csv_data
+    assert main(["fit", "--x", str(xp), "--family", "bernoulli",
+                 "--out", str(tmp_path / "f.json")]) == 2
+    assert "--y" in capsys.readouterr().err
+    code, fit_path = _fit(tmp_path, csv_data)
+    assert code == 0 and fit_path.is_file()
+
+
+def test_main_runs_the_command_function_bound_when_it_runs(tmp_path, csv_data, monkeypatch):
+    _, fit_path = _fit(tmp_path, csv_data)  # the parser is built by now
+    seen = []
+    monkeypatch.setattr(cli, "cmd_infer", lambda args: seen.append(args.alpha) or 0)
+    xp, yp = csv_data
+    assert main(["infer", "--fit", str(fit_path), "--x", str(xp), "--y", str(yp), "--u", "e1",
+                 "--v", "e1", "--alpha", "0.2", "--out", str(tmp_path / "ci.json")]) == 0
+    assert seen == [0.2] and not (tmp_path / "ci.json").exists()
+
+
 def test_zero_factor_count_is_rejected_with_guidance(tmp_path, csv_data, capsys):
     code, _ = _fit(tmp_path, csv_data, "--k", "0")
     assert code == 2

@@ -254,6 +254,40 @@ def test_a_chunk_of_narrower_rows_is_a_ragged_file(tmp_path):
             read_csv_table(path)
 
 
+# Rows inside one chunk: orjson parses ragged rows, and numpy refuses to
+# make them one float block, so a short, long or whitespace-only row sends
+# the file to the csv module; integer cells stay on the orjson path.
+@pytest.mark.parametrize(
+    "text, csv_module, message",
+    [
+        ("1,2\n3\n5,6\n", True, "row 2 has 1 cells, expected 2"),
+        ("1,2\n3,4,5\n5,6\n", True, "row 2 has 3 cells, expected 2"),
+        ("a,b\n1,2\n3,4,5\n", True, "row 3 has 3 cells, expected 2"),
+        ("1,2\n  \n3,4\n", True, "row 2 has 1 cells, expected 2"),
+        ("1\n \n3\n", True, "row 2, column 1: could not parse '' as a number"),
+        ("1,-2\n30,0\n", False, None),
+        ("12345678901234567890,-12345678901234567890\n18446744073709551617,1\n", False, None),
+    ],
+    ids=["short-row", "long-row", "long-row-under-header", "whitespace-line",
+         "whitespace-line-one-column", "integers", "20-digit-integers"],
+)
+def test_rows_of_one_chunk_take_the_path_and_give_the_result_of_the_csv_contract(
+    tmp_path, monkeypatch, text, csv_module, message
+):
+    path = tmp_path / "chunk.csv"
+    path.write_text(text)
+    read_rows, calls = data_io._read_csv_rows, []
+    monkeypatch.setattr(data_io, "_read_csv_rows", lambda p: calls.append(p) or read_rows(p))
+    if message:
+        with pytest.raises(DataValidationError) as exc:
+            read_csv_table(path)
+        assert str(exc.value) == f"{path}: {message}"
+    else:
+        got, want = read_csv_table(path), _reference_read(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert calls == [path] * csv_module
+
+
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_a_read_holds_the_table_and_a_few_chunks_not_the_file(tmp_path, ending):
     values = np.random.default_rng(3).standard_normal((2000, 50))
