@@ -7,7 +7,9 @@ Subcommands:
 * ``ghive simulate``     score the estimators on synthetic replicates of one
                          config: a one-point run of the study harness, with
                          the error experiments' seeds and CSVs
-* ``ghive fstar-oracle`` Monte-Carlo pseudo-true coefficient matrix
+* ``ghive fstar-oracle`` pseudo-true coefficient matrix: exact for gaussian
+                         and poisson, a Monte-Carlo fit of ``--n-mc`` drawn
+                         rows for bernoulli
 * ``ghive reproduce``    run one named simulation-study experiment, or ``all``
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or validation error.
@@ -249,10 +251,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
 
     oracle = sub.add_parser(
-        "fstar-oracle", help="Monte-Carlo pseudo-true coefficients for a config"
+        "fstar-oracle", help="pseudo-true coefficients for a config"
     )
     _add_sim_config_flags(oracle, reps=False)
-    oracle.add_argument("--n-mc", type=int, default=50_000)
+    oracle.add_argument("--n-mc", type=int, default=50_000, help="rows of the bernoulli draw, "
+                        "at least 10000 (default: 50000); gaussian and poisson are exact")
     oracle.add_argument("--out", required=True, help="output JSON path")
 
     rep = sub.add_parser(

@@ -5,9 +5,11 @@ Five named experiments cover the study: the approximation-bias sweep
 confounding strength, "fig2-n" over sample size, "fig2-m" over response
 count), and the coverage experiment ("table1"). Default grids and
 replication counts are desk scale; ``full_scale=True`` restores the original
-protocol sizes. Both scales of every experiment, with its default seed and
-its oracle's draw size, are one row of one table, ``_PROTOCOLS``, which
-:func:`experiment_spec` reads. ``ghive simulate`` runs a one-point error
+protocol sizes. Both scales of every experiment, with its default seed, are
+one row of one table, ``_PROTOCOLS``, which :func:`experiment_spec` reads.
+The rows carry no oracle size: fig1-bias's gaussian oracle is exact and
+draws nothing, and table1's bernoulli oracle draws ``TABLE1_ORACLE_ROWS``
+rows at both scales. ``ghive simulate`` runs a one-point error
 spec through the same :func:`run_experiment`. Every spec, named or built
 directly, is checked once, when it is built (:class:`ExperimentSpec`), so a
 bad one fails before any grid point runs.
@@ -29,8 +31,8 @@ environment variable asks for a process pool (the tasks are picklable
 again). A chunk draws each replicate (:func:`_draw`), then makes all its
 pipeline fits in one ``ghive_fit_many`` call and all its naive MLEs in one
 ``fit_naive_many`` call, so the replicates' small fold fits share the
-solver's Newton loops; fig1-bias chunks draw one large oracle per
-replicate and fit nothing. Every fit is the one its replicate gets alone,
+solver's Newton loops; fig1-bias chunks compute one oracle per replicate
+and fit nothing. Every fit is the one its replicate gets alone,
 bit for bit, so the rows do not depend on the chunking; output ordering is
 canonicalised either way.
 
@@ -62,7 +64,7 @@ from .inference import basis_contrast, confidence_interval, naive_wald_interval
 from .pipeline import DATA_DRIVEN, ORACLE_K, ORACLE_P, Mode, ghive_fit_many, with_projection
 from .qml import check_fold_rows, fit_naive_many
 from .simulate import (
-    SimConfig, check_n_mc, frob_err, fstar_oracle, make_truth, oracle_bias, proj_err, sample_dataset,
+    SimConfig, frob_err, fstar_oracle, make_truth, oracle_bias, proj_err, sample_dataset,
 )
 
 ESTIMATOR_NAIVE = "naive-mle"
@@ -71,6 +73,10 @@ ESTIMATOR_FSTAR = "fstar-oracle"
 ERROR_ESTIMATORS = (ORACLE_P, ORACLE_K, DATA_DRIVEN, ESTIMATOR_NAIVE)
 
 ALPHA = 0.05  # the coverage experiment's intervals are at level 1 - ALPHA
+
+# Rows of table1's bernoulli oracle draw, at both scales (the gaussian and
+# poisson oracles are exact and draw nothing).
+TABLE1_ORACLE_ROWS = 100_000
 
 # Fields a long row shares with the aggregate row of its grid point.
 _POINT_FIELDS = ("experiment", "grid_index", "n", "p", "m_dim", "k_true", "eta", "estimator")
@@ -117,52 +123,47 @@ class ExperimentSpec:
 
     A spec is checked once, when it is built, so that a bad one fails before
     any replicate runs: reps must be an integer of at least 1, seed an
-    integer, the grid not empty, n_mc an oracle draw :func:`check_n_mc`
-    accepts, and, for an experiment that fits, each grid config's folds
-    must hold its covariates (:func:`check_fold_rows`)."""
+    integer, the grid not empty, and, for an experiment that fits, each
+    grid config's folds must hold its covariates (:func:`check_fold_rows`)."""
 
     name: str
     grid: tuple
     reps: int
     seed: int
-    n_mc: int = 50_000
 
     def __post_init__(self):
         require_integer("reps", self.reps, low=1)
         require_integer("seed", self.seed, 0, _MASK64)
         if not self.grid:
             raise DataValidationError(f"experiment {self.name!r} has an empty grid")
-        check_n_mc(self.n_mc)  # else fig1-bias would fail every replicate instead
         if _kind(self).fits:  # else every fit would fail instead
             for cfg in self.grid:
                 check_fold_rows(cfg.n, cfg.p)
 
 
 # The study protocol, one row per experiment: the SimConfig field its grid
-# sweeps, that field's values, the default reps and the oracle's draw size
-# n_mc (each at desk scale, then at full scale), the default seed, and the
-# SimConfig fields every grid point shares.
+# sweeps, that field's values and the default reps (each at desk scale, then
+# at full scale), the default seed, and the SimConfig fields every grid point
+# shares.
 _PROTOCOLS = {
     # Identity link: the approximation error of the pseudo-true coefficient
     # has a closed form there, and its decay in p is clean.  Under the logit
     # link the attenuation of the population coefficients grows with p fast
     # enough to mask the decay on a grid this short.
-    "fig1-bias": ("p", ((3, 6, 9, 12, 15), tuple(range(3, 16))), (5, 20), (50_000, 200_000), 0,
+    "fig1-bias": ("p", ((3, 6, 9, 12, 15), tuple(range(3, 16))), (5, 20), 0,
                   {"n": 100, "m_dim": 3, "k": 3, "eta": 10.0, "family": "gaussian"}),
     "fig1-eta": ("eta", ((1.0, 2.0, 4.0, 6.0, 8.0), tuple(map(float, range(1, 9)))), (100, 500),
-                 (50_000, 50_000), 0, {"n": 100, "p": 4, "m_dim": 4, "k": 3}),
-    "fig2-n": ("n", ((100, 200, 300, 400), tuple(range(100, 401, 50))), (50, 200),
-               (50_000, 50_000), 0, {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
-    "fig2-m": ("m_dim", ((4, 12, 20), (4, 8, 12, 16, 20)), (30, 100), (50_000, 50_000), 0,
+                 0, {"n": 100, "p": 4, "m_dim": 4, "k": 3}),
+    "fig2-n": ("n", ((100, 200, 300, 400), tuple(range(100, 401, 50))), (50, 200), 0,
+               {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
+    "fig2-m": ("m_dim", ((4, 12, 20), (4, 8, 12, 16, 20)), (30, 100), 0,
                {"n": 200, "p": 4, "k": 3, "eta": 4.0}),
     # The coverage table fixes one truth draw per grid point, and draws differ
     # in how far confounding shifts the target coordinate; seed 15 is one
     # where the shift is material, which is the regime the table is about.
-    "table1": ("n", ((70,), (40, 70)), (100, 100), (100_000, 100_000), 15,
-               {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
+    "table1": ("n", ((70,), (40, 70)), (100, 100), 15, {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0}),
 }
 EXPERIMENT_NAMES = tuple(_PROTOCOLS)
-DEFAULT_SEEDS = {name: seed for name, (_, _, _, _, seed, _) in _PROTOCOLS.items()}
 
 
 def experiment_spec(
@@ -172,17 +173,17 @@ def experiment_spec(
     ``_PROTOCOLS``.
 
     ``reps=None`` takes the experiment's default replication count and
-    ``seed=None`` its default seed. The replication count and the oracle's
-    draw size are desk scale unless ``full_scale``.
+    ``seed=None`` its default seed. The grid and the replication count are
+    desk scale unless ``full_scale``.
     """
     if name not in EXPERIMENT_NAMES:
         msg = f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
         raise DataValidationError(msg)
-    field, values, default_reps, n_mc, default_seed, shared = _PROTOCOLS[name]
+    field, values, default_reps, default_seed, shared = _PROTOCOLS[name]
     seed = default_seed if seed is None else seed
     grid = tuple(SimConfig(**shared, **{field: v}, seed=seed) for v in values[full_scale])
     reps = default_reps[full_scale] if reps is None else reps
-    return ExperimentSpec(name=name, grid=grid, reps=reps, seed=seed, n_mc=n_mc[full_scale])
+    return ExperimentSpec(name=name, grid=grid, reps=reps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ class _Kind(NamedTuple):
     worker: Callable  # (spec, gi, rep, drawn[, fitted, naive][, point]) -> rows
     estimators: tuple
     failed: tuple  # the metrics a failed estimator reports, as NaN
-    fits: bool  # draws and fits a dataset; else draws the oracle
+    fits: bool  # draws and fits a dataset; else computes the oracle
     point: Callable | None  # (spec, gi) -> what a grid point fixes
 
 
@@ -213,7 +214,7 @@ def _targets(spec: ExperimentSpec, gi: int) -> tuple:
     """table1's grid point: its truth, and the oracle's and truth's targets."""
     cfg = replace(spec.grid[gi], seed=_mix(spec.seed, gi))
     truth = make_truth(cfg)
-    oracle = fstar_oracle(truth, cfg, n_mc=spec.n_mc)
+    oracle = fstar_oracle(truth, cfg, n_mc=TABLE1_ORACLE_ROWS)
     return truth, float((truth.p_b_perp @ oracle.values)[0, 0]), float(truth.theta[0, 0])
 
 
@@ -265,7 +266,7 @@ def _draw(spec: ExperimentSpec, cfg: SimConfig, truth):
         truth = make_truth(cfg)
     if _kind(spec).fits:
         return truth, sample_dataset(truth, cfg, rep_seed=cfg.seed)
-    return truth, fstar_oracle(truth, cfg, n_mc=spec.n_mc)
+    return truth, fstar_oracle(truth, cfg)
 
 
 def _replicates(spec: ExperimentSpec, gi: int, point, reps) -> list:

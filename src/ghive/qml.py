@@ -176,9 +176,10 @@ _GRAM_ELEMENTS = 2**14
 # attention to a compact coefficient class anyway (a lower bound on b'' along
 # fitted predictors amounts to the same thing). Fits are therefore maximised
 # over the L2 ball of this radius. Population-level coefficient rows in every
-# setting exercised by the study and the tests stay below norm 6.2 (the
-# largest, 6.12, is a gaussian fig1-bias row at eta = 10), so the bound leaves
-# regular problems untouched.
+# setting exercised by the study and the tests stay below norm 6.2. The
+# largest, 6.12, is a row of the exact gaussian F* at eta = 10 over the
+# fig1-bias replicate truths: 6.1219 at full scale, 6.0915 at desk scale. So
+# the bound leaves regular problems untouched.
 RADIUS = 20.0
 
 
@@ -689,8 +690,8 @@ def _fit_matrix(designs, family, kind):
     the quasi-likelihood from both zero and that MLE, as 2M columns of one
     ascent (the zero start wins ties). On the small folds of a data fit a
     column can stall near TOL, and there the start decides the last digits;
-    the oracle (:func:`~ghive.simulate.fstar_oracle`) climbs from its head
-    instead. A gaussian quasi fit (:func:`~ghive.families.is_quadratic`)
+    the bernoulli oracle (:func:`~ghive.simulate.fstar_oracle`) climbs from
+    its head instead. A gaussian quasi fit (:func:`~ghive.families.is_quadratic`)
     climbs once, from zero: its MLE stage would replay that climb bit for
     bit, and the MLE start would tie it and lose. Each stage is one
     :func:`_newton_ascent` over every design, whatever its row count. The

@@ -13,22 +13,21 @@ stream:
 
 * truth stream     key = (1 << 64) | seed, draw order A, B, theta
 * dataset stream   key = (2 << 64) | rep_seed, draw order z, w, response
-* oracle dataset   rep_seed = seed XOR 0x9E3779B97F4A7C15
+* oracle dataset   rep_seed = seed XOR 0x9E3779B97F4A7C15 (bernoulli only)
 
 The pseudo-true coefficient matrix F* (the population target of the
-per-response quasi-likelihood fit) has a closed form for the gaussian family,
-``gaussian_fstar_closed_form``, and the same one for poisson under this
-simulator's design: (x, z) is jointly gaussian with mean zero, so by Stein's
-lemma the poisson quasi-score ``E[(y e^(-f.x) - 1) x]`` vanishes at the
-population least-squares coefficients. That rests on the design; bernoulli
-has no closed form here. ``fstar_oracle`` approximates F* in every family by
-fitting one very large simulated sample.
-Its Newton ascent starts from zero on the first 1/16 of the draw's rows and
-finishes on all of them from there. The quasi-objective is concave, so on at
-least 10k rows the start changes only the digits TOL leaves open. A gaussian
-objective is quadratic, maximised by one Newton step from any start, so the
-gaussian oracle climbs from zero on the whole draw, as a gaussian data fit
-does, bit for bit.
+per-response quasi-likelihood fit) is exact for the gaussian and poisson
+families: ``gaussian_fstar_closed_form``, the population least-squares
+coefficient. For gaussian that is the least-squares identity. For poisson it
+holds because (x, z) is jointly gaussian with mean zero: by Stein's lemma the
+poisson quasi-score ``E[(y e^(-f.x) - 1) x]`` vanishes at the population
+least-squares coefficients (Brillinger 1982; Li & Duan 1989). That rests on
+the simulator's design, not on the estimator. Bernoulli has no closed form
+here, so ``fstar_oracle`` approximates its F* by fitting one very large
+simulated sample. Its Newton ascent starts from zero on the first 1/16 of the
+draw's rows and finishes on all of them from there. The quasi-objective is
+concave, so on at least 10k rows the start changes only the digits TOL leaves
+open.
 
 Three scores compare with the truth, each from plain arrays: ``frob_err``
 (an estimated theta), ``oracle_bias`` (F*, before and after projection) and
@@ -43,26 +42,23 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import DataValidationError, NumericalError, require_integer, require_number
-from .families import family_from_name, is_quadratic
+from .families import family_from_name
 from .qml import CoefMatrix, _newton_ascent
 
 _TRUTH_DOMAIN = 1
 _DATA_DOMAIN = 2
 ORACLE_SALT = 0x9E3779B97F4A7C15
 
-# fstar_oracle first climbs from zero on the first n_mc // _HEAD_DIVISOR rows
-# of its draw, then finishes on every row from where the head stopped: the rows
-# are iid, so the head's maximiser lies within about n^-1/2 of the full one,
-# and the full ascent needs 2-4 Newton steps instead of 3-7 (p = M = 4, truth
-# seed 0, bernoulli and poisson, 100k rows). Oracle ascent CPU time, zero
-# start -> head start, mean over truth seeds 0-5 (one BLAS thread):
-# bernoulli p = M = 4, eta = 4: 21.5 -> 14.9 ms at 100k rows, 50.7 -> 31.7 ms
-# at 200k; poisson p = M = 4, eta = 1: 15.8 -> 11.6 ms and 33.1 -> 20.2 ms;
-# bernoulli p = 15, M = 6, eta = 2: 118 -> 79 ms and 292 -> 181 ms. At 10k
-# rows (check_n_mc's floor, a 625-row head) it is a wash. A gaussian ascent,
-# one Newton step from any start, would pay for the head (5.8 -> 6.1 ms at
-# p = 3, 29.4 -> 30.3 ms at p = 15, 200k rows), so it has none. A head of
-# n // 8 rows was no faster overall.
+# A bernoulli fstar_oracle first climbs from zero on the first
+# n_mc // _HEAD_DIVISOR rows of its draw, then finishes on every row from where
+# the head stopped: the rows are iid, so the head's maximiser lies within about
+# n^-1/2 of the full one, and the full ascent needs 2-4 Newton steps instead of
+# 3-7 (p = M = 4, truth seed 0, 100k rows). Oracle ascent CPU time, zero start
+# -> head start, mean over truth seeds 0-5 (one BLAS thread): p = M = 4,
+# eta = 4: 21.5 -> 14.9 ms at 100k rows, 50.7 -> 31.7 ms at 200k; p = 15,
+# M = 6, eta = 2: 118 -> 79 ms and 292 -> 181 ms. At 10k rows (the oracle's
+# floor on n_mc, a 625-row head) it is a wash. A head of n // 8 rows was no
+# faster overall.
 _HEAD_DIVISOR = 16
 
 DECAY_CONVENTIONS = ("negative", "positive")
@@ -237,37 +233,6 @@ def sample_dataset(truth: SimTruth, config: SimConfig, rep_seed: int) -> Dataset
     return Dataset(x, y)
 
 
-def check_n_mc(n_mc: int) -> None:
-    """Refuse an oracle draw of ``n_mc`` rows unless n_mc is an integer of at least 10000."""
-    require_integer("n_mc", n_mc, low=10_000)
-
-
-def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> CoefMatrix:
-    """Monte-Carlo approximation of the pseudo-true coefficient matrix.
-
-    Fits every response by quasi-likelihood, in the config's family, on one
-    simulated sample of ``n_mc`` rows (no data splitting), one column per
-    response: a Newton ascent from zero on the first ``n_mc // 16`` rows,
-    then one on every row from where that stopped. The objective is concave,
-    so the start moves F* only in the digits TOL leaves open: by less than
-    7.1e-9 from a zero start on the whole draw (n_mc 50k, p = M = 3, truth
-    seeds 0-19, every family). A quadratic (gaussian) objective skips the
-    head and climbs from zero on every row, the data fits' rule bit for bit.
-    The oracle draw uses a salted seed so it never shares a stream with
-    replication datasets derived from the same config.
-    """
-    check_n_mc(n_mc)
-    family = family_from_name(config.family)
-    big = replace(config, n=n_mc)
-    ds = sample_dataset(truth, big, rep_seed=config.seed ^ ORACLE_SALT)
-    f = np.zeros((1, config.m_dim, config.p))
-    if not is_quadratic(family):
-        head = big.n // _HEAD_DIVISOR
-        f = _newton_ascent([(ds.x[:head], ds.y[:head])], family, f, "quasi")[0]
-    f, _, grad_norm = _newton_ascent([(ds.x, ds.y)], family, f, "quasi")
-    return CoefMatrix(f[0], grad_norm[0], family)
-
-
 def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:
     """Exact pseudo-true coefficients for the gaussian family, and for
     poisson under this simulator's jointly gaussian, mean-zero (x, z).
@@ -280,6 +245,37 @@ def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:
     sigma_x = truth.a @ truth.sigma_z @ truth.a.T + np.eye(p)
     gamma = np.linalg.solve(sigma_x, truth.a @ truth.sigma_z).T
     return truth.theta + truth.b @ gamma
+
+
+def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> CoefMatrix:
+    """The pseudo-true coefficient matrix of the config's family.
+
+    ``n_mc``, the rows of a bernoulli oracle's draw, must be an integer of at
+    least 10000 in every family. For gaussian and poisson the oracle is
+    exact: ``gaussian_fstar_closed_form(truth)``, every column converged,
+    with nothing drawn or fitted. That rests on the simulator's Gaussian
+    design (see the module docstring), not on the estimator.
+
+    For bernoulli it is a Monte-Carlo approximation. Every response is fitted
+    by quasi-likelihood on one simulated sample of ``n_mc`` rows (no data
+    splitting), one column per response: a Newton ascent from zero on the
+    first ``n_mc // 16`` rows, then one on every row from where that stopped.
+    The objective is concave, so the start moves F* only in the digits TOL
+    leaves open: by less than 7.1e-9 from a zero start on the whole draw
+    (n_mc 50k, p = M = 3, truth seeds 0-19). The oracle draw uses a salted
+    seed so it never shares a stream with replication datasets derived from
+    the same config.
+    """
+    require_integer("n_mc", n_mc, low=10_000)
+    family = family_from_name(config.family)
+    if config.family in ("gaussian", "poisson"):
+        return CoefMatrix(gaussian_fstar_closed_form(truth), np.zeros(config.m_dim), family)
+    ds = sample_dataset(truth, replace(config, n=n_mc), rep_seed=config.seed ^ ORACLE_SALT)
+    head = n_mc // _HEAD_DIVISOR
+    f = np.zeros((1, config.m_dim, config.p))
+    f = _newton_ascent([(ds.x[:head], ds.y[:head])], family, f, "quasi")[0]
+    f, _, grad_norm = _newton_ascent([(ds.x, ds.y)], family, f, "quasi")
+    return CoefMatrix(f[0], grad_norm[0], family)
 
 
 def frob_err(theta_hat: np.ndarray, truth: SimTruth) -> float:

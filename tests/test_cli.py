@@ -1,6 +1,9 @@
 """Command-line interface: artifacts, exit codes, error reporting."""
 
+import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,15 +20,17 @@ import ghive
 from ghive import cli, data_io, experiments
 from ghive.cli import main
 from ghive.data_io import save_matrix_csv
+from ghive.errors import NumericalError
 from ghive.experiments import (
-    DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
     ExperimentResult,
     ExperimentSpec,
+    _mix,
+    experiment_spec,
     run_experiment,
 )
 from ghive.pipeline import DERIVED_TOL
-from ghive.simulate import ORACLE_SALT, SimConfig, make_truth
+from ghive.simulate import SimConfig, gaussian_fstar_closed_form, make_truth
 
 # format-1 fit documents with their CSVs and the intervals `ghive infer`
 # wrote for them when they were made: a gaussian data-driven fit and a
@@ -733,21 +738,50 @@ def test_a_seed_beyond_64_bits_is_written_and_read_back(tmp_path, csv_data):
     assert _infer(fit_path, *csv_data, tmp_path / "ci.json") == 0
 
 
-def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys):
-    out = tmp_path / "oracle.json"
+def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # `ghive simulate` draws its replicates; the harness keeps a failed draw as
+    # its replicate's failure, so the command writes failed rows and exits 0
+    refusals, draw = [], experiments.sample_dataset
+
+    def recorded(*args, **kwargs):
+        try:
+            return draw(*args, **kwargs)
+        except NumericalError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(experiments, "sample_dataset", recorded)
+    out = tmp_path / "sim"
     for eta in ("12", "1e300"):  # rates past what numpy draws, and past overflow
         cfg = SimConfig(n=10_000, p=3, m_dim=3, k=2, eta=float(eta), family="poisson")
-        _, _, lin = replay_draw(make_truth(cfg), cfg, cfg.seed ^ ORACLE_SALT)
+        cfg = dataclasses.replace(cfg, seed=_mix(_mix(cfg.seed, 0), 0))  # replicate 0's seed
+        _, _, lin = replay_draw(make_truth(cfg), cfg, cfg.seed)
+        refusals.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(
-                ["fstar-oracle", "--family", "poisson", "--n", "50", "--p", "3", "--m", "3",
-                 "--k-true", "2", "--eta", eta, "--n-mc", "10000", "--out", str(out)]
+                ["simulate", "--family", "poisson", "--n", "10000", "--p", "3", "--m", "3",
+                 "--k-true", "2", "--eta", eta, "--out", str(out)]
             )
-        assert code == 1 and not caught
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: poisson rate exp({lin.max():.4g}) is")
-        assert not out.exists()
+        assert code == 0 and not caught and not capsys.readouterr().err
+        (message,) = refusals
+        assert message.startswith(f"poisson rate exp({lin.max():.4g}) is")
+        with open(out / "simulate_long.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["failed"] == "1" and math.isnan(float(r["value"])) for r in rows)
+
+
+def test_a_poisson_oracle_is_exact_where_a_draw_would_overflow(tmp_path):
+    out = tmp_path / "oracle.json"
+    code = main(
+        ["fstar-oracle", "--family", "poisson", "--n", "50", "--p", "3", "--m", "3",
+         "--k-true", "2", "--eta", "12", "--n-mc", "10000", "--out", str(out)]
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    truth = make_truth(SimConfig(n=50, p=3, m_dim=3, k=2, eta=12.0, family="poisson"))
+    assert np.array_equal(np.array(doc["f_star"]["data"]), gaussian_fstar_closed_form(truth))
+    assert doc["converged_fraction"] == 1.0
 
 
 def test_reproduce_runs_a_named_experiment(tmp_path, capsys):
@@ -771,7 +805,7 @@ def test_reproduce_all_runs_every_experiment_in_order(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "run_experiment", record)
     assert main(["reproduce", "all", "--out", str(tmp_path)]) == 0
-    assert calls == [(name, DEFAULT_SEEDS[name]) for name in EXPERIMENT_NAMES]
+    assert calls == [(name, experiment_spec(name).seed) for name in EXPERIMENT_NAMES]
     assert dict(calls)["table1"] == 15
     calls.clear()
     assert main(["reproduce", "all", "--seed", "3", "--out", str(tmp_path)]) == 0

@@ -30,44 +30,42 @@ from ghive.experiments import (
 
 # The study protocol, written out: per experiment, the SimConfig field its
 # grid sweeps, the values at desk and at full scale, the fields every grid
-# point shares, the default reps at desk and at full scale, the default seed,
-# and the oracle draw size n_mc at desk and at full scale.
+# point shares, the default reps at desk and at full scale, and the default
+# seed.
 _PROTOCOL = {
     "fig1-bias": (
         "p", (3, 6, 9, 12, 15), tuple(range(3, 16)),
         {"n": 100, "m_dim": 3, "k": 3, "eta": 10.0, "family": "gaussian"},
-        (5, 20), 0, (50_000, 200_000),
+        (5, 20), 0,
     ),
     "fig1-eta": (
         "eta", (1.0, 2.0, 4.0, 6.0, 8.0), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
         {"n": 100, "p": 4, "m_dim": 4, "k": 3, "family": "bernoulli"},
-        (100, 500), 0, (50_000, 50_000),
+        (100, 500), 0,
     ),
     "fig2-n": (
         "n", (100, 200, 300, 400), (100, 150, 200, 250, 300, 350, 400),
         {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0, "family": "bernoulli"},
-        (50, 200), 0, (50_000, 50_000),
+        (50, 200), 0,
     ),
     "fig2-m": (
         "m_dim", (4, 12, 20), (4, 8, 12, 16, 20),
         {"n": 200, "p": 4, "k": 3, "eta": 4.0, "family": "bernoulli"},
-        (30, 100), 0, (50_000, 50_000),
+        (30, 100), 0,
     ),
     "table1": (
         "n", (70,), (40, 70),
         {"p": 4, "m_dim": 4, "k": 3, "eta": 4.0, "family": "bernoulli"},
-        (100, 100), 15, (100_000, 100_000),
+        (100, 100), 15,
     ),
 }
 
 
 def test_experiment_catalog_grids():
     for (name, row), full_scale in itertools.product(_PROTOCOL.items(), (False, True)):
-        field, desk, full, shared, reps, seed, n_mc = row
+        field, desk, full, shared, reps, seed = row
         spec = experiment_spec(name, full_scale=full_scale)
-        assert (spec.name, spec.reps, spec.seed, spec.n_mc) == (
-            name, reps[full_scale], seed, n_mc[full_scale]
-        )
+        assert (spec.name, spec.reps, spec.seed) == (name, reps[full_scale], seed)
         values = full if full_scale else desk
         assert tuple(getattr(c, field) for c in spec.grid) == values
         assert all(type(getattr(c, field)) is type(values[0]) for c in spec.grid)
@@ -76,8 +74,9 @@ def test_experiment_catalog_grids():
             fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
             assert fields.pop(field) in values and fields == rest
         other = experiment_spec(name, reps=3, seed=7, full_scale=full_scale)
-        assert (other.reps, other.seed, other.n_mc) == (3, 7, n_mc[full_scale])
+        assert (other.reps, other.seed) == (3, 7)
         assert other.grid == tuple(dataclasses.replace(c, seed=7) for c in spec.grid)
+    assert [f.name for f in dataclasses.fields(ExperimentSpec)] == ["name", "grid", "reps", "seed"]
     assert ALPHA == 0.05
     assert experiments._kind(experiment_spec("fig1-bias")).estimators == ("fstar-oracle",)
     assert set(experiments._kind(experiment_spec("table1")).estimators) == {"data-driven", "naive-mle"}
@@ -105,14 +104,6 @@ def test_reps_below_one_are_rejected(field, value):
     spec = {"name": "simulate", "grid": experiment_spec("fig2-n").grid, "reps": 2, "seed": 4}
     with pytest.raises(DataValidationError, match=field):
         ExperimentSpec(**{**spec, field: value})
-
-
-@pytest.mark.parametrize("name", ["fig1-bias", "table1"])
-def test_too_small_oracle_sample_is_rejected_before_any_replicate(name, monkeypatch):
-    monkeypatch.setattr(experiments, "_map_tasks", lambda tasks: pytest.fail("a replicate ran"))
-    # the spec is refused when it is built, so no run can start
-    with pytest.raises(DataValidationError, match="n_mc"):
-        run_experiment(dataclasses.replace(experiment_spec(name, reps=2), n_mc=5000))
 
 
 def _tiny_spec():
@@ -193,7 +184,7 @@ def test_process_pool_rows_match_the_serial_run(monkeypatch):
         _tiny_spec(),
         dataclasses.replace(_tiny_spec(), reps=3),
         experiment_spec("table1", reps=2, seed=15),
-        dataclasses.replace(bias, grid=bias.grid[:1], n_mc=10_000),
+        dataclasses.replace(bias, grid=bias.grid[:1]),
     )
     assert experiments._chunks(3, 2) == [range(0, 1), range(1, 3)]
     monkeypatch.delenv("GHIVE_THREADS", raising=False)
@@ -223,7 +214,7 @@ def test_the_process_pool_has_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setenv("GHIVE_THREADS", "1000")
-    spec = dataclasses.replace(experiment_spec("table1", reps=2), n_mc=10_000)
+    spec = experiment_spec("table1", reps=2)
     assert not any(row["failed"] for row in run_experiment(spec).long_rows)
     assert sizes == [2]
 
@@ -317,7 +308,7 @@ def test_failed_estimators_get_nan_rows_and_drop_out_of_the_aggregate(
 ):
     monkeypatch.delenv("GHIVE_THREADS", raising=False)
     spec = experiment_spec(name, reps=3)
-    spec = dataclasses.replace(spec, grid=spec.grid[:1], n_mc=10_000)
+    spec = dataclasses.replace(spec, grid=spec.grid[:1])
     for fn, calls in injected.items():
         _raise_on(monkeypatch, fn, calls)
     res = run_experiment(spec)
@@ -346,7 +337,7 @@ def test_a_batched_fit_that_raises_fails_each_replicate_of_its_chunk(monkeypatch
         raise NumericalError("injected failure of the whole call")
 
     monkeypatch.setattr(experiments, "ghive_fit_many", broken)
-    spec = dataclasses.replace(experiment_spec("table1", reps=3), n_mc=10_000)
+    spec = experiment_spec("table1", reps=3)
     rows = run_experiment(spec).long_rows
     assert {(r["rep"], r["estimator"]) for r in rows if r["failed"]} == {
         (rep, "data-driven") for rep in range(3)

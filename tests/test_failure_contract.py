@@ -31,7 +31,7 @@ from ghive.inference import (
 from ghive.experiments import ExperimentSpec
 from ghive.pipeline import Mode, deserialize_fit, ghive_fit, ghive_fit_many, with_projection
 from ghive.qml import fit_naive_many, fit_naive_mle, make_split
-from ghive.simulate import SimConfig, check_n_mc, fstar_oracle, make_truth, sample_dataset
+from ghive.simulate import SimConfig, fstar_oracle, make_truth, sample_dataset
 
 SEED = 0
 EXIT_CODES = {None: 0, DataValidationError: 2, NumericalError: 1}
@@ -173,7 +173,10 @@ BAD_ARGUMENTS = {
     "split-rows-fraction": (lambda: make_split(3.5, 0), "n must be an integer"),
     "oracle-k-fraction": (lambda: Mode.oracle_k(2.5), "k must be an integer"),
     "oracle-k-bool": (lambda: Mode.oracle_k(True), "k must be an integer"),
-    "n-mc-string": (lambda: check_n_mc("20000"), "n_mc must be an integer"),
+    "n-mc-string": (
+        lambda: fstar_oracle(make_truth(_ORACLE_CFG), _ORACLE_CFG, n_mc="20000"),
+        "n_mc must be an integer",
+    ),
     "n-mc-fraction": (
         lambda: fstar_oracle(make_truth(_ORACLE_CFG), _ORACLE_CFG, n_mc=10000.7),
         "n_mc must be an integer",

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from ghive import SimConfig, cli, make_truth, sample_dataset
+from ghive import SimConfig, cli, experiments, make_truth, sample_dataset
 from ghive.data_io import save_matrix_csv, write_json_atomic
 from ghive.experiments import _targets, experiment_spec
 
@@ -145,7 +145,7 @@ def write_table1_targets(out: Path) -> None:
     spec = experiment_spec("table1", seed=0)
     targets = [_targets(spec, gi)[1:] for gi in range(len(spec.grid))]
     doc = {
-        "experiment": spec.name, "seed": spec.seed, "n_mc": spec.n_mc,
+        "experiment": spec.name, "seed": spec.seed, "n_mc": experiments.TABLE1_ORACLE_ROWS,
         "target_fstar": [fstar for fstar, _ in targets],
         "target_theta": [theta for _, theta in targets],
     }
