@@ -13,7 +13,13 @@ from conftest import replay_draw
 from ghive import qml, simulate
 from ghive.errors import DataValidationError, NumericalError
 from ghive.experiments import TABLE1_ORACLE_ROWS, _mix, experiment_spec
-from ghive.families import family_from_name
+from ghive.families import (
+    VARIANCE_FLOOR,
+    family_from_name,
+    hessian_weight,
+    quasi_residual,
+    quasi_response,
+)
 from ghive.pipeline import ghive_fit
 from ghive.qml import _fit_matrix
 from ghive.simulate import (
@@ -320,16 +326,41 @@ def test_the_oracle_climbs_from_its_head_then_on_the_whole_draw(monkeypatch):
 # below 4.4e-9 at p = 40, n_mc 10k (seeds 0-4).
 ORACLE_AGREEMENT = 1e-8
 
+# The exact gaussian and poisson oracle is no fit of the draw, so the draw's
+# two-start fit may stand from it by the fit's sampling error: at most this
+# many sandwich standard errors (:func:`_sandwich_se`), entry by entry. Over
+# seeds 0-19 (180 entries a family) the largest ratio is 2.97 (gaussian) and
+# 2.76 (poisson), and its root mean square 1.08 and 1.02, as for standard
+# normals. The truth's theta, which F* misses by its bias, is 24 to 66 away
+# at its largest entry.
+SAMPLING_Z = 5.0
+
 # The truth seeds where the head-start oracle misses at n_mc 10k: seed 8 ends
 # 1.2e-8 from the two-start fit and unconverged. ROADMAP item 16's line search
 # is expected to mend it.
 ORACLE_MISSES = {("bernoulli", 8)}
 
 
+def _sandwich_se(x, y, family, f):
+    """The sandwich standard errors (M, p) of a quasi-likelihood fit ``f`` of
+    the draw ``(x, y)``: H^-1 S H^-1 / n per column, with H the mean negated
+    Hessian and S the mean outer product of the score at ``f``."""
+    n = x.shape[0]
+    eta = x @ f.T
+    res = quasi_residual(family, quasi_response(family, y), eta, VARIANCE_FLOOR)
+    weight = hessian_weight(family, eta, res)
+    se = np.empty_like(f)
+    for m in range(f.shape[0]):
+        h_inv = np.linalg.inv((x * weight[:, m:m + 1]).T @ x / n)
+        score = x * res[:, m:m + 1]
+        se[m] = np.sqrt(np.diag(h_inv @ (score.T @ score / n) @ h_inv) / n)
+    return se
+
+
 @pytest.mark.parametrize("family, seed", [
     pytest.param(family, seed, marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 16")]
                  if (family, seed) in ORACLE_MISSES else [])
-    for family in ("bernoulli",) for seed in range(20)
+    for family in ("gaussian", "bernoulli", "poisson") for seed in range(20)
 ])
 def test_the_oracle_agrees_with_the_two_start_fit(family, seed):
     cfg = SimConfig(n=50, p=3, m_dim=3, k=2, eta=1.0, seed=seed, family=family)
@@ -337,7 +368,12 @@ def test_the_oracle_agrees_with_the_two_start_fit(family, seed):
     oracle = fstar_oracle(truth, cfg, n_mc=10_000)
     ds = sample_dataset(truth, dataclasses.replace(cfg, n=10_000), rep_seed=cfg.seed ^ ORACLE_SALT)
     both = _fit_matrix([(ds.x, ds.y)], family_from_name(family), "quasi")[0][0]
-    assert np.max(np.abs(oracle.values - both)) <= ORACLE_AGREEMENT
+    if family == "bernoulli":  # the oracle fits this very draw
+        assert np.max(np.abs(oracle.values - both)) <= ORACLE_AGREEMENT
+    else:  # the oracle is exact: Stein's lemma, checked on a sample
+        se = _sandwich_se(ds.x, ds.y, oracle.family, both)
+        assert np.all(np.abs(oracle.values - both) <= SAMPLING_Z * se)
+        assert not np.all(np.abs(truth.theta - both) <= SAMPLING_Z * se)
     assert np.all(oracle.converged)
 
 
