@@ -13,7 +13,8 @@ one BLAS thread and no worker pool. The cases:
   changed): ``ghive_fit``, the interval on contrast (1, 1), the naive MLE
   and its Wald interval, for each family;
 * the same op on the golden fit and infer inputs (``FIT_CONFIG`` and
-  ``FIT_SEEDS`` of ``tests/test_golden.py``), one per family;
+  ``FIT_SEEDS`` of ``tests/test_golden.py``, read from its text as
+  literals), one per family;
 * the same op on bernoulli draws of table1's shape (n = 70, p = M = 4,
   k = 3, eta = 4) at the truth seeds ``BALL_SEEDS``, where a fold fit lies
   on the coefficient ball;
@@ -44,6 +45,7 @@ an entry with such a row are too. Each table1 replicate whose
 moved. Each subprocess runs ``moved.py --dump PATH``.
 """
 
+import ast
 import os
 import pickle
 import subprocess
@@ -117,8 +119,21 @@ def _fit_quantities(runs):
     return out, balls
 
 
+def _golden_inputs():
+    """``FIT_CONFIG`` and ``FIT_SEEDS`` of ``tests/test_golden.py``, read
+    from its text as literals: importing the module would import the names
+    it takes from this checkout's ghive, which REV's may lack."""
+    values = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse((ROOT / "tests" / "test_golden.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+        and target.id in ("FIT_CONFIG", "FIT_SEEDS")
+    }
+    return values["FIT_CONFIG"], values["FIT_SEEDS"]
+
+
 def _fit_cases():
-    import test_golden
     import workloads
     from ghive import families, make_truth, sample_dataset
     from ghive.simulate import SimConfig
@@ -140,8 +155,9 @@ def _fit_cases():
         runs = [ops(workload, workload.prepare(entry, None), entry) for entry in entries]
         for i, fam in enumerate(workloads.FAMILIES):
             cases[(f"{name} {entries[0]}-{entries[-1]}", fam)] = _fit_quantities([r[i] for r in runs])
-    for fam, seed in test_golden.FIT_SEEDS.items():
-        cases[("golden", fam)] = _fit_quantities(drawn_op(fam, seed, test_golden.FIT_CONFIG))
+    config, seeds = _golden_inputs()
+    for fam, seed in seeds.items():
+        cases[("golden", fam)] = _fit_quantities(drawn_op(fam, seed, config))
     runs = [run for seed in BALL_SEEDS for run in drawn_op("bernoulli", seed, BALL_SHAPE)]
     cases[("table1-shape ball", "bernoulli")] = _fit_quantities(runs)
     return cases
@@ -362,7 +378,7 @@ def main():
         procs = [
             subprocess.Popen(
                 [sys.executable, __file__, "--dump", f"{tmp}/{name}.pickle"],
-                env=env | {"PYTHONPATH": os.pathsep.join([src, str(ROOT / "ghbench"), str(ROOT / "tests")])},
+                env=env | {"PYTHONPATH": os.pathsep.join([src, str(ROOT / "ghbench")])},
             )
             for name, src in (("base", f"{tmp}/src"), ("head", str(ROOT / "src")))
         ]

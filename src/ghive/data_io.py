@@ -12,12 +12,19 @@ A plain numeric file is parsed by orjson, in chunks of whole lines of about
 correctly rounded, as ``float()`` is, so the two give the same bits. One
 ``np.array(rows, dtype=float)`` call turns the parsed rows (Python floats,
 and ints, which it converts as ``float()`` does) into the chunk's block, and
-refuses rows of different widths. A chunk takes this path only if it holds
-nothing but ASCII digits, ``+-.eE``, commas, spaces, tabs and line ends; has
-no integer ``-0`` cell (orjson reads it as the int 0 and drops the sign);
-and its rows, like every other chunk's, hold the same number of cells. Lines
-left empty by LF, CRLF or CR endings are skipped, as ``csv.reader`` skips
-them. Any file with a chunk that fails goes through the csv module instead,
+refuses rows of different widths. A chunk holding a ``"``, ``[``, ``]`` or
+``{``, or a ``u`` or an ``a``, goes straight to the csv module: these are
+the bytes of a JSON string, array or object and of every ``true``, ``false``
+and ``null``, which orjson would read where ``float()`` does not. Any other
+byte outside JSON numbers, commas and JSON whitespace makes orjson raise,
+and the chunk goes there too. Otherwise its CRLF and CR line ends become LF
+(only if it holds a CR), and one ``replace`` of LF with ``],[`` frames its
+lines as rows. Lines left empty are skipped, as ``csv.reader`` skips them: a
+row that parses empty is dropped if its line is empty, while a
+whitespace-only line stays an empty row, which numpy refuses. A chunk also
+needs no integer ``-0`` cell (orjson reads it as the int 0 and drops the
+sign), and rows that, like every other chunk's, hold the same number of
+cells. Any file with a chunk that fails goes through the csv module instead,
 the one place that detects headers (so a file with a header row is read
 whole by it), accepts the rest of ``float()``'s syntax (``1_000``, ``.5``,
 ``+1``, non-ASCII digits, quoted cells) and locates bad cells. A file that
@@ -98,9 +105,6 @@ def read_csv_table(path) -> np.ndarray:
     return _read_csv_rows(path) if table is None else table
 
 
-# what a chunk may hold to take the orjson path: no quotes, no letters that
-# could spell true/false/null, nothing non-ASCII
-_PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
 # an integer -0 cell, which orjson returns as the int 0
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE\d])")
 # larger chunks parse no faster and hold more memory while they do
@@ -125,17 +129,29 @@ def _line_chunks(fh):
 
 def _read_plain_numbers(path):
     """The orjson path: the table, or None if any chunk is not plain numbers
-    in rows of one width."""
+    in rows of one width.
+
+    Per chunk: six single-byte searches turn away what orjson could read
+    that ``float()`` would not read the same way; line ends become LF when a
+    CR is in the chunk; one ``replace`` frames the lines as JSON rows. Only
+    when the parse holds an empty row are the lines split, to drop the rows
+    of empty lines; a whitespace-only line keeps its empty row, so numpy
+    refuses the block and the file goes to the csv module."""
     out, rows = None, 0
     with open(path, "rb") as fh:
         for chunk in _line_chunks(fh):
-            if chunk.translate(None, _PLAIN_BYTES):
+            if any(byte in chunk for byte in b'"[]{ua'):  # JSON that float() reads otherwise
                 return None
-            lines = list(filter(None, chunk.splitlines()))  # as csv.reader skips them
-            if not lines:
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            body = chunk.strip(b"\n")
+            if not body:
                 continue
             try:
-                block = np.array(orjson.loads(b"[[" + b"],[".join(lines) + b"]]"), dtype=float)
+                cells = orjson.loads(b"[[" + body.replace(b"\n", b"],[") + b"]]")
+                if not all(cells):  # drop the rows of empty lines, as csv.reader skips them
+                    cells = [row for row, line in zip(cells, body.split(b"\n")) if line]
+                block = np.array(cells, dtype=float)
             except ValueError:  # not JSON numbers, or rows of different widths
                 return None
             # only a chunk with a zero cell can hold an integer -0

@@ -284,12 +284,20 @@ def frob_err(theta_hat: np.ndarray, truth: SimTruth) -> float:
     return float(np.linalg.norm(theta_hat - truth.theta)) ** 2 / np.sqrt(p * m_dim)
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """``||a||_F``, its squares summed after scaling ``a`` by the power of two
+    just above its largest absolute entry: no overflow past 1e154, and as the
+    scaling is exact, the plain norm's bits below that."""
+    exponent = np.frexp(np.max(np.abs(a), initial=0.0))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -exponent)), exponent))
+
+
 def oracle_bias(f_star: np.ndarray, truth: SimTruth) -> tuple:
     """The unprojected and projected approximation bias of the pseudo-true
     matrix ``f_star`` (M, p), ``(bias1, bias2)``, in Frobenius norm over sqrt(M)."""
     scale = np.sqrt(truth.theta.shape[0])
-    bias1 = float(np.linalg.norm(f_star - truth.theta)) / scale
-    return bias1, float(np.linalg.norm(truth.p_b_perp @ f_star - truth.theta)) / scale
+    bias1 = _frobenius(f_star - truth.theta) / scale
+    return bias1, _frobenius(truth.p_b_perp @ f_star - truth.theta) / scale
 
 
 def proj_err(p_perp_hat: np.ndarray, truth: SimTruth) -> float:

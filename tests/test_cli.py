@@ -784,6 +784,27 @@ def test_a_poisson_oracle_is_exact_where_a_draw_would_overflow(tmp_path):
     assert doc["converged_fraction"] == 1.0
 
 
+@pytest.mark.parametrize("family", ["gaussian", "poisson"])
+def test_an_oracle_bias_past_1e154_is_finite_and_silent(tmp_path, capsys, family):
+    # the squares of the bias's entries overflow; the norm does not
+    out = tmp_path / "oracle.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["fstar-oracle", "--family", family, "--n", "50", "--p", "3", "--m", "3",
+             "--k-true", "2", "--eta", "1e200", "--out", str(out)]
+        )
+    assert code == 0 and not caught and not capsys.readouterr().err
+    text = out.read_text()
+    assert "Infinity" not in text
+    doc = json.loads(text)
+    f_star = np.array(doc["f_star"]["data"])
+    truth = make_truth(SimConfig(n=50, p=3, m_dim=3, k=2, eta=1e200, family=family))
+    for bias, f in ((doc["bias1"], f_star), (doc["bias2"], truth.p_b_perp @ f_star)):
+        want = np.linalg.norm(f * 1e-200 - truth.theta * 1e-200) * 1e200 / np.sqrt(3)
+        assert math.isfinite(bias) and bias == pytest.approx(want, rel=1e-12)
+
+
 def test_reproduce_runs_a_named_experiment(tmp_path, capsys):
     out = tmp_path / "study"
     code = main(

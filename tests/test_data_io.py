@@ -46,6 +46,8 @@ CELLS = [
     " 2.5", "2.5 ", "\t3", "nan", "-nan", "-inf", "Infinity", "1e999", "1e-400",
     "1_000", "\xa01.5\xa0", "\u0661\u0662\u0663", "\uff11\uff12", '"7"', '" 8 "',
     "0x10", "abc", "", "1.2.3", "1e", "--1", "1 2", "true", "null",
+    # JSON that orjson would parse (or, for the colon, refuse) inside a row
+    "1],[2", "[1]", "{}", "false", '"1"', "1:2",
 ]
 
 STRUCTURES = {
@@ -80,6 +82,8 @@ STRUCTURES = {
     "2.2250738585072009e-308,-4.9406564584124654e-324\n",
     "latin-1": b"1,2\n3,\xe9\n",
     "boolean-header": "true,false\n1,2\n",
+    "blank-line-inside": "1,2\n3,4\n\n5,6\n",
+    "blank-and-whitespace-lines": "1,2\n\n3,4\n \n5,6\n",
 }
 
 CORPUS = {
@@ -286,6 +290,60 @@ def test_rows_of_one_chunk_take_the_path_and_give_the_result_of_the_csv_contract
         got, want = read_csv_table(path), _reference_read(path)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert calls == [path] * csv_module
+
+
+def _reads_as_the_reference(path, monkeypatch):
+    """Read ``path`` as the reference does, its bits or its error, and
+    return the paths the csv module read."""
+    read_rows, calls = data_io._read_csv_rows, []
+    monkeypatch.setattr(data_io, "_read_csv_rows", lambda p: calls.append(p) or read_rows(p))
+    try:
+        want = _reference_read(path)
+    except ValueError:
+        with pytest.raises(DataValidationError, match=re.escape(str(path))):
+            read_csv_table(path)
+    else:
+        got = read_csv_table(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return calls
+
+
+# A chunk that holds a quote, a bracket, a brace, or a u or an a (every
+# true, false and null holds one) goes to the csv module before orjson sees
+# it; what else orjson cannot parse as rows of numbers, as 1:2, goes there
+# after. A blank line inside a chunk keeps it on the orjson path; a
+# whitespace-only line reads as an empty row, which numpy refuses.
+JSON_CELLS = {"brackets": "1],[2", "array": "[1]", "object": "{}", "false": "false",
+              "string": '"1"', "colon": "1:2"}
+
+
+@pytest.mark.parametrize(
+    "text, csv_module",
+    [
+        *[(f"1,2\n3,{cell}\n5,6\n", True) for cell in JSON_CELLS.values()],
+        *[(f"{cell},2\n3,4\n", True) for cell in JSON_CELLS.values()],
+        (CORPUS["blank-line-inside"], False),
+        (CORPUS["blank-and-whitespace-lines"], True),
+        ("1,2\n\t\n3,4\n", True),
+    ],
+    ids=[*(f"{name}-{at}" for at in ("inside", "first-row") for name in JSON_CELLS),
+         "blank-line", "blank-and-whitespace-lines", "tab-line"],
+)
+def test_json_cells_and_empty_lines_take_the_reader_the_chunk_rule_gives(
+    tmp_path, monkeypatch, text, csv_module
+):
+    path = tmp_path / "guard.csv"
+    path.write_text(text)
+    assert _reads_as_the_reference(path, monkeypatch) == [path] * csv_module
+
+
+def test_a_crlf_split_across_two_chunks_is_one_line_end(tmp_path, monkeypatch):
+    path = tmp_path / "split.csv"
+    path.write_bytes(b"1,2\r\n3,4\r\n5,6\r\n")
+    monkeypatch.setattr(data_io, "_CHUNK_BYTES", 6)
+    with open(path, "rb") as fh:
+        assert list(data_io._line_chunks(fh)) == [b"1,2\r\n3,4\r", b"\n5,6\r\n", b""]
+    assert _reads_as_the_reference(path, monkeypatch) == []
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+import test_golden
+
 _SPEC = importlib.util.spec_from_file_location(
     "moved", Path(__file__).resolve().parent.parent / "scripts" / "moved.py"
 )
@@ -74,3 +76,7 @@ def test_compare_reports_each_kind_of_move_once():
         _line("gone", "poisson", "only in REV"),
         _line("new", "poisson", "only in this tree"),
     ]
+
+
+def test_the_golden_inputs_are_read_as_test_golden_holds_them():
+    assert moved._golden_inputs() == (test_golden.FIT_CONFIG, test_golden.FIT_SEEDS)
