@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="factor count: 'auto' (eigenvalue-ratio selection, the default) or a positive integer",
     )
     fit.add_argument("--projector", help="CSV of an M x M complement projector (excludes --k)")
-    fit.add_argument("--seed", type=int, default=0, help="split seed")
+    fit.add_argument("--seed", type=int, default=0, help="split seed in 0..2**64-1 (default: 0)")
     fit.add_argument("--out", required=True, help="output fit JSON path")
 
     infer = sub.add_parser("infer", help="confidence interval from a saved fit")

@@ -36,16 +36,17 @@ bit-exact for every finite double. All file writes go through a temp file
 in the target directory followed by an atomic rename, so readers never see
 a partially written artifact.
 
-JSON documents (fits, intervals, configs, oracle summaries) are written and
-read by orjson, whose output stdlib ``json`` reads to the same values, floats
-bit for bit. The stdlib codec takes over only where orjson cannot represent a
-document exactly. A writer hands it an object holding a non-finite float
-(orjson would write ``null``; the stdlib writes ``Infinity`` or ``NaN``, which
-Python reads back but strict parsers refuse) or an integer beyond 64 bits
-(orjson raises). A reader hands it a file orjson refuses (the ``NaN`` and
-``Infinity`` tokens among them, and a leading BOM, which it skips) or one
-holding an integer literal of 19 or more digits, which orjson may return as
-a float. Writers never write a BOM.
+JSON documents (fits, intervals, configs, oracle summaries) are strict
+RFC 8259 JSON, written and read by orjson, whose output stdlib ``json``
+reads to the same values, floats bit for bit. A document that orjson cannot
+write exactly is refused, with nothing written: one holding a non-finite
+float (orjson would write ``null``) or an integer outside [-2**63, 2**64)
+(orjson raises). The callers check every integer that can reach a document
+against 64 bits where it enters. A reader hands the stdlib decoder only the
+files orjson refuses: a leading BOM, which it skips, and the ``NaN`` and
+``Infinity`` tokens of older builds' documents. orjson reads an integer
+literal outside 64 bits as its correctly rounded float, which the integer
+check it meets refuses. Writers never write a BOM.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .errors import DataValidationError, require_finite_array
+from .errors import DataValidationError, NumericalError, require_finite_array
 
 
 @dataclass
@@ -268,43 +269,36 @@ def write_csv_rows(path, fieldnames, rows) -> None:
 
 
 def write_json_atomic(path, obj) -> None:
-    """Write ``obj`` as JSON, two-space indented with sorted keys, atomically:
-    by orjson, unless it refuses ``obj`` (an integer beyond 64 bits) or its
-    output does not read back to ``obj`` (a non-finite float becomes
-    ``null``), where the stdlib encoder writes it."""
+    """Write ``obj`` as JSON, two-space indented with sorted keys, atomically,
+    by orjson. An object it cannot write exactly, one holding a non-finite
+    float (which it writes as ``null``) or an integer beyond 64 bits, is a
+    NumericalError naming ``path``, and nothing is written."""
     try:
         data = orjson.dumps(
             obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
         )
-    except orjson.JSONEncodeError:
-        data = None
-    if data is None or orjson.loads(data) != obj:
-        data = json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")
+    except orjson.JSONEncodeError as exc:  # an integer beyond 64 bits among them
+        raise NumericalError(f"{path}: not written: {exc}") from None
+    if orjson.loads(data) != obj:  # orjson wrote a non-finite float as null
+        raise NumericalError(f"{path}: not written: a non-finite number has no JSON form")
     atomic_write_text(path, data + b"\n")
 
 
 def read_json(path):
-    """The JSON document at ``path``: read by orjson, unless it refuses the
-    bytes or they hold an integer literal of 19 or more digits, where the
-    stdlib decoder reads them. A leading UTF-8 BOM, which orjson refuses, is
-    skipped (RFC 8259 lets a parser ignore one, and the CSV readers do). Bad
-    JSON or UTF-8 is a DataValidationError."""
+    """The JSON document at ``path``, read by orjson, or by the stdlib decoder
+    where orjson refuses the bytes: a leading UTF-8 BOM, which it skips
+    (RFC 8259 lets a parser ignore one, and the CSV readers do), or an older
+    build's ``NaN`` or ``Infinity`` token. Bad JSON or UTF-8 is a
+    DataValidationError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    # every digit read as 0, whitespace dropped: a run of 19 zeros not preceded
-    # by "." is an integer literal orjson may return as a float (from
-    # -9223372036854775809 down, and from 2**64 up); fraction digits may run long
-    zeros, run = raw.translate(bytes.maketrans(b"123456789", b"0" * 9), b" \t\r\n"), b"0" * 19
-    if zeros.count(run) == zeros.count(b"." + run):
-        try:
-            return orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise DataValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        try:
+            return json.loads(raw.decode("utf-8-sig"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise DataValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ Each replicate's rows come from one call of its worker (``_bias_rep``,
 fitted. ``_rows`` alone builds the long rows and records failures: when
 ``score`` raises a ``GhiveError`` (a failed draw or fit is kept as its error
 and raised there), that estimator gets the experiment's failed metrics as
-NaN with ``failed=1``, and the aggregate leaves those rows out of its mean
-and ``n_used``. A failed draw is raised for every estimator, so it fails
-only its replicate.
+NaN with ``failed=1``, the aggregate leaves those rows out of its mean
+and ``n_used``, and the error's message is raised as a ``RuntimeWarning``
+(Python's default filter, which ``ghive`` uses, shows each distinct message
+once). A failed draw is raised for every estimator, so it fails only its
+replicate.
 """
 
 from __future__ import annotations
@@ -222,7 +224,8 @@ def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
     """Long rows of one replicate, one per (estimator, metric), from
     ``score(estimator) -> {metric: value}``. A ``GhiveError`` in ``score``
     fails that estimator: it gets the experiment's failed metrics as NaN
-    with ``failed=1``. A failed draw, kept as its error, is raised through
+    with ``failed=1``, and the error's message is raised as a
+    ``RuntimeWarning``. A failed draw, kept as its error, is raised through
     :func:`_value` for every estimator.
     """
     cfg, kind = spec.grid[gi], _kind(spec)
@@ -234,8 +237,9 @@ def _rows(spec: ExperimentSpec, gi: int, rep: int, score) -> list:
     for est in kind.estimators:
         try:
             values, failed = score(est), 0
-        except GhiveError:
+        except GhiveError as failure:
             values, failed = dict.fromkeys(kind.failed, np.nan), 1
+            warnings.warn(f"{spec.name}: a replicate failed: {failure}", RuntimeWarning)
         rows.extend(
             {**shared, "estimator": est, "metric": m, "value": float(v), "failed": failed}
             for m, v in values.items()

@@ -16,7 +16,8 @@ data-driven fit is cheaply re-projected under an oracle mode.
 A fit document stores the builder's primary inputs plus copies of the
 derived split, ``k_hat``, ``p_perp``, ``theta_hat`` and ``converged`` flags
 (``grad_norm < tol``); the reader derives those again and rejects a document
-whose copies disagree. Its ``tol`` and ``max_iter`` record the solver's fixed
+whose copies disagree. A non-finite grad norm is written as ``null`` and read
+as inf. Its ``tol`` and ``max_iter`` record the solver's fixed
 stopping rule (``qml.TOL`` and ``qml.MAX_ITER``); any other rule is refused.
 """
 
@@ -110,10 +111,12 @@ class GhiveFit:
     @property
     def diagnostics(self) -> list:
         """Per (response, fold) convergence records of the fold fits, read off
-        ``f_hat``: fold d1 first, then by response."""
+        ``f_hat``: fold d1 first, then by response. A non-finite grad norm is
+        None, so that a fit document writes it as ``null``."""
         flags, norms = self.f_hat.converged.T.tolist(), self.f_hat.grad_norm.T.tolist()
         return [
-            {"response": m, "fold": fold, "converged": flags[d][m], "grad_norm": norms[d][m]}
+            {"response": m, "fold": fold, "converged": flags[d][m],
+             "grad_norm": norms[d][m] if np.isfinite(norms[d][m]) else None}
             for d, fold in enumerate(("d1", "d2"))
             for m in range(self.m_dim)
         ]
@@ -251,7 +254,7 @@ def serialize_fit(fit: GhiveFit) -> dict:
 
 def _fold_diagnostics(diagnostics, m_dim: int):
     """The stored ``converged`` flags and ``grad_norm`` of the fold fits,
-    each (M, 2) with fold d1 first.
+    each (M, 2) with fold d1 first; a null grad norm reads as inf.
 
     Records are matched by their (response, fold) key, never by list
     position; each of the 2M pairs must appear exactly once. A mistyped
@@ -261,8 +264,9 @@ def _fold_diagnostics(diagnostics, m_dim: int):
     try:
         for d in diagnostics:
             flag, norm = d["converged"], d["grad_norm"]
+            norm = np.inf if norm is None else norm  # a non-finite norm is written as null
             if not isinstance(flag, bool) or type(norm) not in (int, float):  # type(True) is bool
-                msg = "fit document diagnostics converged must be true or false, grad_norm a number"
+                msg = "fit document diagnostics converged must be true or false, grad_norm a number or null"
                 raise DataValidationError(f"{msg}: got {flag!r} and {norm!r}")
             keyed[_doc_integer(d["response"], "diagnostics response"), d["fold"]] = flag, norm
     except (TypeError, KeyError):
@@ -323,11 +327,11 @@ def deserialize_fit(doc: dict) -> GhiveFit:
 
     Reads only the primary fields: family, n, p, m_dim, seed, mode (for
     oracle-p, the projector stored as ``p_perp``), ``f_hat``, ``sigma_hat``
-    and the diagnostics' ``grad_norm``; ``tol`` and ``max_iter`` must be the
-    solver's ``TOL`` and ``MAX_ITER``. The fit returned holds the split
-    (``make_split(n, seed)``), spectrum, ``k_hat``, ``p_perp`` and
-    ``theta_hat`` derived by ``ghive_fit``'s builder, and the ``converged``
-    flags derived by ``CoefMatrix``. Stored copies must match: the split,
+    and the diagnostics' ``grad_norm`` (a null reads as inf); ``tol`` and
+    ``max_iter`` must be the solver's ``TOL`` and ``MAX_ITER``. The fit
+    returned holds the split (``make_split(n, seed)``), spectrum, ``k_hat``,
+    ``p_perp`` and ``theta_hat`` derived by ``ghive_fit``'s builder, and the
+    ``converged`` flags derived by ``CoefMatrix``. Stored copies must match: the split,
     ``k_hat`` and the flags exactly, the rest to ``DERIVED_TOL``.
     Format 1 adds ``eigvals``, compared the same way, and ``split.seed``,
     which must equal ``seed``; its ``eigvecs`` are not read, because

@@ -200,7 +200,7 @@ class SplitPlan:
 def make_split(n: int, seed: int) -> SplitPlan:
     """Randomly split ``range(n)`` into two folds via a seeded permutation."""
     require_integer("n", n, low=2)
-    require_integer("split seed", seed, low=0)
+    require_integer("split seed", seed, 0, 2**64 - 1)  # a fit document holds 64 bits of it
     perm = np.random.default_rng(seed).permutation(n)
     half = (n + 1) // 2
     d1 = np.sort(perm[:half])

@@ -90,7 +90,7 @@ class SimConfig:
         # keep the canonical name: the sampler branches on it
         object.__setattr__(self, "family", family_from_name(self.family).kind)
         for name, low in (("n", 2), ("p", 1), ("m_dim", 1), ("reps", 1)):
-            require_integer(name, getattr(self, name), low)
+            require_integer(name, getattr(self, name), low, 2**63 - 1)  # a JSON int64
         require_integer("seed", self.seed, 0, 2**64 - 1)  # a Philox key holds 64 bits of it
         require_integer("k", self.k, 1, min(self.p, self.m_dim))
         require_number("eta", self.eta, low=0)
@@ -250,8 +250,8 @@ def gaussian_fstar_closed_form(truth: SimTruth) -> np.ndarray:
 def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> CoefMatrix:
     """The pseudo-true coefficient matrix of the config's family.
 
-    ``n_mc``, the rows of a bernoulli oracle's draw, must be an integer of at
-    least 10000 in every family. For gaussian and poisson the oracle is
+    ``n_mc``, the rows of a bernoulli oracle's draw, must be an integer in
+    10000..2**63-1 in every family. For gaussian and poisson the oracle is
     exact: ``gaussian_fstar_closed_form(truth)``, every column converged,
     with nothing drawn or fitted. That rests on the simulator's Gaussian
     design (see the module docstring), not on the estimator.
@@ -266,7 +266,7 @@ def fstar_oracle(truth: SimTruth, config: SimConfig, n_mc: int = 50_000) -> Coef
     seed so it never shares a stream with replication datasets derived from
     the same config.
     """
-    require_integer("n_mc", n_mc, low=10_000)
+    require_integer("n_mc", n_mc, 10_000, 2**63 - 1)  # an oracle document holds it
     family = family_from_name(config.family)
     if config.family in ("gaussian", "poisson"):
         return CoefMatrix(gaussian_fstar_closed_form(truth), np.zeros(config.m_dim), family)

@@ -6,6 +6,8 @@ simulation-study experiments so the per-module tests and the acceptance
 gate can share the expensive computations instead of repeating them.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -58,6 +60,21 @@ def json_bits(value):
     if isinstance(value, list):
         return [json_bits(v) for v in value]
     return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def strict_json(text):
+    """``text`` read by the stdlib decoder as strict RFC 8259 JSON, whose
+    integers all lie in [-2**63, 2**64); a ``NaN`` or ``Infinity`` token or
+    an integer past that range fails the test."""
+
+    def constant(token):
+        raise AssertionError(f"{token} is not RFC 8259 JSON")
+
+    def integer(literal):
+        assert -(2**63) <= int(literal) < 2**64, f"{literal} is past 64 bits"
+        return int(literal)
+
+    return json.loads(text, parse_constant=constant, parse_int=integer)
 
 
 def gaussian_design(n=60, p=4, m_dim=3, seed=0, scale=1.0):

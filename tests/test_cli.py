@@ -13,13 +13,14 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 
-from conftest import json_bits, replay_draw, small_sim_dataset
+from conftest import json_bits, replay_draw, small_sim_dataset, strict_json
 import ghive
-from ghive import cli, data_io, experiments
+from ghive import BERNOULLI, cli, data_io, experiments
 from ghive.cli import main
-from ghive.data_io import save_matrix_csv
+from ghive.data_io import load_dataset, save_matrix_csv
 from ghive.errors import NumericalError
 from ghive.experiments import (
     EXPERIMENT_NAMES,
@@ -29,7 +30,7 @@ from ghive.experiments import (
     experiment_spec,
     run_experiment,
 )
-from ghive.pipeline import DERIVED_TOL
+from ghive.pipeline import DERIVED_TOL, deserialize_fit, ghive_fit
 from ghive.simulate import SimConfig, gaussian_fstar_closed_form, make_truth
 
 # format-1 fit documents with their CSVs and the intervals `ghive infer`
@@ -695,9 +696,26 @@ def written(monkeypatch):
     return docs
 
 
-def test_every_document_the_cli_writes_reads_as_the_stdlib_encoding(tmp_path, written):
-    # fits in three modes and three families with an interval on each, a
-    # simulate config and an oracle summary (whose biases are np.float64)
+def _overflowed_csvs(tmp_path):
+    """x/y CSVs of a 40x2 bernoulli dataset with one 1.7e308 cell, over which
+    a fold fit's gradient overflows: its grad norm is inf."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 2))
+    x[0, 0] = 1.7e308
+    xp, yp = tmp_path / "x_overflow.csv", tmp_path / "y_overflow.csv"
+    save_matrix_csv(xp, x)
+    save_matrix_csv(yp, (rng.random((40, 2)) < 0.5).astype(float))
+    return xp, yp
+
+
+def test_every_document_the_cli_writes_reads_as_the_stdlib_encoding(
+    tmp_path, written, monkeypatch
+):
+    # fits in three modes and three families with an interval on each, a fit
+    # whose grad norms overflow, a simulate config and an oracle summary
+    # (whose biases are np.float64): strict JSON from orjson alone
+    dumps = json.dumps
+    monkeypatch.setattr(data_io.json, "dumps", lambda *a, **k: pytest.fail("json.dumps"))
     for family in ("gaussian", "bernoulli", "poisson"):
         data, _, _ = small_sim_dataset(n=50, p=3, m_dim=3, seed=16, rep_seed=4, family=family)
         xp, yp, proj = (tmp_path / f"{family}_{name}.csv" for name in ("x", "y", "proj"))
@@ -709,15 +727,19 @@ def test_every_document_the_cli_writes_reads_as_the_stdlib_encoding(tmp_path, wr
             assert main(["fit", "--x", str(xp), "--y", str(yp), "--family", family,
                          "--seed", "7", "--out", str(fit_path), *mode]) == 0
             assert _infer(fit_path, xp, yp, tmp_path / "ci.json") == 0
+    xp, yp = _overflowed_csvs(tmp_path)
+    assert main(["fit", "--x", str(xp), "--y", str(yp), "--family", "bernoulli",
+                 "--seed", str(2**64 - 1), "--out", str(tmp_path / "overflowed.json")]) == 0
     assert main(SIMULATE_ARGS + ["--out", str(tmp_path / "sim")]) == 0
     assert main(["fstar-oracle", "--family", "gaussian", "--n", "50", "--p", "3", "--m", "3",
                  "--k-true", "2", "--eta", "2", "--seed", "3", "--n-mc", "10000",
                  "--out", str(tmp_path / "oracle.json")]) == 0
-    assert len(written) == 9 * 2 + 2
+    assert len(written) == 9 * 2 + 3
+    assert None in [d["grad_norm"] for d in written[-3][1]["diagnostics"]]
     assert type(written[-1][1]["bias1"]) is np.float64
     for path, obj, text in written:
-        want = json_bits(json.loads(json.dumps(obj, indent=2, sort_keys=True)))
-        assert json_bits(json.loads(text)) == want, path.name
+        want = json_bits(json.loads(dumps(obj, indent=2, sort_keys=True)))
+        assert json_bits(strict_json(text)) == json_bits(orjson.loads(text)) == want, path.name
         path.write_text(text)  # a later command may have overwritten it
         assert json_bits(data_io.read_json(path)) == want, path.name
 
@@ -731,16 +753,44 @@ def test_plain_fit_and_infer_documents_never_touch_the_stdlib_codec(
     assert _infer(fit_path, *csv_data, tmp_path / "ci.json") == 0
 
 
-def test_a_seed_beyond_64_bits_is_written_and_read_back(tmp_path, csv_data):
-    code, fit_path = _fit(tmp_path, csv_data, "--seed", str(2**70))
+def test_the_largest_split_seed_is_written_and_read_back_by_orjson(
+    tmp_path, csv_data, monkeypatch
+):
+    monkeypatch.setattr(data_io, "json", None)
+    code, fit_path = _fit(tmp_path, csv_data, "--seed", str(2**64 - 1))
     assert code == 0
-    assert json.loads(fit_path.read_text())["seed"] == 2**70
+    assert json.loads(fit_path.read_text())["seed"] == 2**64 - 1
     assert _infer(fit_path, *csv_data, tmp_path / "ci.json") == 0
+
+
+def test_an_overflowed_fit_writes_null_grad_norms_that_read_back_as_its_flags(
+    tmp_path, capsys
+):
+    xp, yp = _overflowed_csvs(tmp_path)
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", "--x", str(xp), "--y", str(yp), "--family", "bernoulli",
+                 "--out", str(fit_path)]) == 0
+    doc = strict_json(fit_path.read_text())
+    jsonschema.validate(doc, _schema("fit_result.schema.json"))
+    fit = ghive_fit(load_dataset(xp, yp), BERNOULLI, 0)
+    norms = fit.f_hat.grad_norm.T.ravel()  # the records' order: fold d1 first
+    assert np.isinf(norms).any() and not np.isnan(norms).any()
+    assert [d["grad_norm"] for d in doc["diagnostics"]] == [
+        float(g) if np.isfinite(g) else None for g in norms
+    ]
+    back = deserialize_fit(data_io.read_json(fit_path))
+    assert np.array_equal(back.f_hat.grad_norm, fit.f_hat.grad_norm)
+    assert np.array_equal(back.f_hat.converged, fit.f_hat.converged)
+    capsys.readouterr()
+    assert _infer(fit_path, xp, yp, tmp_path / "ci.json") == 1
+    assert capsys.readouterr().err.startswith("error: a curvature matrix is not finite")
+    assert not (tmp_path / "ci.json").exists()
 
 
 def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # `ghive simulate` draws its replicates; the harness keeps a failed draw as
-    # its replicate's failure, so the command writes failed rows and exits 0
+    # its replicate's failure, so the command writes failed rows, says why in
+    # one warning line, and exits 0, serially and with a worker pool asked for
     refusals, draw = [], experiments.sample_dataset
 
     def recorded(*args, **kwargs):
@@ -756,19 +806,26 @@ def test_poisson_rates_too_large_to_draw_are_a_numerical_failure(tmp_path, capsy
         cfg = SimConfig(n=10_000, p=3, m_dim=3, k=2, eta=float(eta), family="poisson")
         cfg = dataclasses.replace(cfg, seed=_mix(_mix(cfg.seed, 0), 0))  # replicate 0's seed
         _, _, lin = replay_draw(make_truth(cfg), cfg, cfg.seed)
-        refusals.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(
-                ["simulate", "--family", "poisson", "--n", "10000", "--p", "3", "--m", "3",
-                 "--k-true", "2", "--eta", eta, "--out", str(out)]
-            )
-        assert code == 0 and not caught and not capsys.readouterr().err
-        (message,) = refusals
-        assert message.startswith(f"poisson rate exp({lin.max():.4g}) is")
-        with open(out / "simulate_long.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and all(r["failed"] == "1" and math.isnan(float(r["value"])) for r in rows)
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GHIVE_THREADS", threads)
+            refusals.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(
+                    ["simulate", "--family", "poisson", "--n", "10000", "--p", "3", "--m", "3",
+                     "--k-true", "2", "--eta", eta, "--out", str(out)]
+                )
+            (message,) = refusals
+            assert message.startswith(f"poisson rate exp({lin.max():.4g}) is")
+            err = capsys.readouterr().err
+            assert code == 0 and not caught
+            assert err == f"warning: simulate: a replicate failed: {message}\n"
+            with open(out / "simulate_long.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all(r["failed"] == "1" and math.isnan(float(r["value"])) for r in rows)
+            written.append([(out / f"simulate_{t}.csv").read_bytes() for t in ("long", "agg")])
+        assert written[0] == written[1]
 
 
 def test_a_poisson_oracle_is_exact_where_a_draw_would_overflow(tmp_path):

@@ -1,5 +1,6 @@
 """CSV reading: the accepted syntax, bit-exact values, and where errors go.
-JSON documents: orjson or the stdlib codec, the same values bit for bit."""
+JSON documents: strict JSON written by orjson, read by orjson or the stdlib
+decoder to the same values bit for bit."""
 
 import csv
 import json
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import json_bits
+from conftest import json_bits, strict_json
 from ghive import data_io
 from ghive.data_io import read_csv_table, save_matrix_csv
-from ghive.errors import DataValidationError
+from ghive.errors import DataValidationError, NumericalError
 
 
 def _reference_read(path):
@@ -362,13 +363,16 @@ def test_a_read_holds_the_table_and_a_few_chunks_not_the_file(tmp_path, ending):
     assert peak < values.nbytes + 16 * data_io._CHUNK_BYTES
 
 
-# documents orjson writes, then ones it cannot hold exactly: a non-finite
-# float (orjson writes null) and integers beyond 64 bits (orjson raises)
+# documents orjson writes exactly
 JSON_DOCUMENTS = {
     "floats": {"f": [4.44986361714994e-05, 1.2345678901234567e-05, 0.1, 1e16, 1e22, 5e-324,
                      -0.0, 1.7976931348623157e308], "k": None, "ok": True},
     "numpy-scalars": {"bias1": np.float64(0.1), "bias2": np.float64(-2.5e-7)},
     "64-bit-integers": {"high": 2**64 - 1, "low": -(2**63), "text": "é\u2028"},
+}
+# and ones it cannot: a non-finite float (orjson writes null) and integers
+# beyond 64 bits (orjson raises)
+REFUSED_DOCUMENTS = {
     "non-finite": {"grad_norm": [float("inf"), 1.5], "nan": float("nan")},
     "long-integer": {"seed": 2**70},
     "low-integer": {"low": -(2**63) - 1},  # 19 digits
@@ -381,9 +385,16 @@ def test_json_documents_read_as_the_stdlib_encoding_bit_for_bit(tmp_path, name):
     data_io.write_json_atomic(path, obj)
     want = json_bits(json.loads(json.dumps(obj, indent=2, sort_keys=True)))
     text = path.read_text()
-    assert json_bits(json.loads(text)) == want
+    assert json_bits(strict_json(text)) == want
     assert json_bits(data_io.read_json(path)) == want
-    assert ("Infinity" in text) == (name == "non-finite")
+
+
+@pytest.mark.parametrize("name", list(REFUSED_DOCUMENTS))
+def test_json_documents_orjson_cannot_write_exactly_are_refused(tmp_path, name):
+    path = tmp_path / "doc.json"
+    with pytest.raises(NumericalError, match=f"^{re.escape(str(path))}: not written: "):
+        data_io.write_json_atomic(path, REFUSED_DOCUMENTS[name])
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name", list(JSON_DOCUMENTS))
@@ -398,8 +409,6 @@ def test_json_documents_saved_with_a_utf8_bom_read_as_without_it(tmp_path, name)
 @pytest.mark.parametrize(
     "text",
     [
-        "[-9223372036854775809]",  # orjson returns floats for both
-        "[18446744073709551616]",
         "[9223372036854775807, -9223372036854775808, 18446744073709551615]",
         "[0.0000444986361714994, 12345678901234567890.5, 1e-400]",  # positional floats
         '{"a": NaN, "b": -Infinity}',
@@ -411,6 +420,20 @@ def test_json_text_reads_as_the_stdlib_decoder_reads_it(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text)
     assert json_bits(data_io.read_json(path)) == json_bits(json.loads(text))
+
+
+def test_json_integers_beyond_64_bits_read_as_their_correctly_rounded_floats(tmp_path):
+    rng = np.random.default_rng(0)
+    literals = ["-9223372036854775809", "18446744073709551616", "18446744073709551615"]
+    for digits in rng.integers(19, 41, 2000):
+        literal = "".join(map(str, rng.integers(0, 10, digits))).lstrip("0") or "0"
+        literals.append(("-" if rng.random() < 0.5 else "") + literal)
+    path = tmp_path / "doc.json"
+    path.write_text("[" + ",".join(literals) + "]")
+    got = data_io.read_json(path)
+    for literal, value in zip(literals, got, strict=True):
+        exact = -(2**63) <= int(literal) < 2**64
+        assert (type(value), value) == ((int, int(literal)) if exact else (float, float(int(literal))))
 
 
 def test_plain_json_documents_never_touch_the_stdlib_codec(tmp_path, monkeypatch):

@@ -311,7 +311,15 @@ def test_failed_estimators_get_nan_rows_and_drop_out_of_the_aggregate(
     spec = dataclasses.replace(spec, grid=spec.grid[:1])
     for fn, calls in injected.items():
         _raise_on(monkeypatch, fn, calls)
-    res = run_experiment(spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_experiment(spec)
+    # one warning per failed estimator, with its failure's message
+    prefix = f"{name}: a replicate failed: injected failure in "
+    assert len(caught) == len(failed_pairs)
+    assert {(w.category, str(w.message)) for w in caught} == {
+        (RuntimeWarning, prefix + fn) for fn in injected
+    }
 
     by_pair = {}
     for row in res.long_rows:
@@ -338,7 +346,8 @@ def test_a_batched_fit_that_raises_fails_each_replicate_of_its_chunk(monkeypatch
 
     monkeypatch.setattr(experiments, "ghive_fit_many", broken)
     spec = experiment_spec("table1", reps=3)
-    rows = run_experiment(spec).long_rows
+    with pytest.warns(RuntimeWarning, match="injected failure of the whole call$"):
+        rows = run_experiment(spec).long_rows
     assert {(r["rep"], r["estimator"]) for r in rows if r["failed"]} == {
         (rep, "data-driven") for rep in range(3)
     }

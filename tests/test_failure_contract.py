@@ -12,6 +12,7 @@ failure.
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -321,6 +322,29 @@ def test_the_argument_checks_keep_their_bounds_and_refuse_bools_and_non_finite_n
                 [1j]):
         with pytest.raises(DataValidationError, match="^x must be an array of numbers"):
             require_finite_array("x", bad)
+
+
+_INT64 = rf"\.\.{2**63 - 1}"  # a document's integers other than seeds fit in a signed 64 bits
+
+
+@pytest.mark.parametrize("case", ["fit-seed", "oracle-n", "oracle-n-mc"])
+def test_integers_past_64_bits_exit_two_before_a_document_is_written(tmp_path, capsys, case):
+    xp, yp, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "doc.json"
+    save_matrix_csv(xp, _GOOD.x)
+    save_matrix_csv(yp, _GOOD.y)
+    oracle = ["fstar-oracle", "--family", "gaussian", "--p", "3", "--m", "3", "--k-true", "2",
+              "--eta", "1"]
+    argv, message = {
+        "fit-seed": (["fit", "--x", str(xp), "--y", str(yp), "--family", "gaussian",
+                      "--seed", str(2**70)], f"split seed {_SEEDS}, got {2**70}"),
+        "oracle-n": ([*oracle, "--n", str(10**20)], f"n must be in 2{_INT64}, got {10**20}"),
+        "oracle-n-mc": ([*oracle, "--n", "50", "--n-mc", str(10**20)],
+                        f"n_mc must be in 10000{_INT64}, got {10**20}"),
+    }[case]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def _cli(capsys, argv, out, want):
